@@ -1,16 +1,14 @@
 //! Ablation A12: checkpoint data-path throughput — parallel hash/copy
-//! pool, pooled buffers, and contention-aware gather scheduling.
+//! pool and contention-aware gather scheduling.
 //!
-//! Three deterministic gates run on every invocation:
+//! Two deterministic gates run on every invocation:
 //!
 //! * **Identity**: the parallel manifest builder must produce the exact
 //!   manifest the sequential builder does, chunk record for chunk record.
-//! * **Allocation flatness**: steady-state delta builds through the
-//!   buffer pool must allocate O(pool) buffers total — not O(chunks) —
-//!   across many intervals (pool misses stop growing after warm-up).
 //! * **Scheduling**: on a contended gather batch (four ranks behind one
-//!   uplink, two lanes) the `spread` plan's simulated critical path must
-//!   be strictly below `fifo`'s under the 1/k link-contention pricing.
+//!   uplink, two lanes) the spread plan's simulated critical path must
+//!   be strictly below the index-order reference plan's under the 1/k
+//!   link-contention pricing.
 //!
 //! Wall-clock MB/s ratchet: chunk hashing over the worker pool must reach
 //! ≥ 1.8× single-worker throughput at 4 workers on a ≥ 64 MiB image —
@@ -27,12 +25,10 @@ use std::time::{Duration, Instant};
 use codec::chunk::ChunkManifest;
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim::{LinkSpec, NodeId, Topology};
-use opal::image::ProcessImage;
-use opal::incr::{build_delta_pooled, recycle_delta};
 use opal::pool::{digest_all_parallel, insert_all_parallel, manifest_parallel};
 use opal::{BufferPool, ChunkStore};
 use orte::filem::CopyRequest;
-use orte::sched::{plan, simulated_critical_path, SchedPolicy};
+use orte::sched::{plan, plan_fifo, simulated_critical_path};
 
 const IMAGE_BYTES: usize = 64 << 20; // 64 MiB hashing corpus
 const CHUNK_BYTES: usize = 64 << 10; // 64 KiB chunks -> 1024 records
@@ -93,47 +89,6 @@ fn assert_parallel_manifest_identical(data: &[u8]) {
     println!("ckpt_datapath: parallel manifest identical at {WORKER_COUNTS:?} workers");
 }
 
-/// Steady-state delta builds must stop allocating once the pool is warm:
-/// with ≤ pool-cap dirty chunks per interval, total pool misses across
-/// many intervals stay ≤ the cap (flat in the number of chunks handled).
-fn assert_allocations_flat() {
-    const CAP: usize = 8;
-    const INTERVALS: usize = 16;
-    let pool = BufferPool::new(CAP);
-    let mut data = corpus(4 << 20, 7);
-    let mut img = ProcessImage::new();
-    img.insert("app".to_string(), data.clone());
-    let secs: Vec<(&str, &[u8])> = img.iter().collect();
-    let mut prev = ChunkManifest::of_sections(secs.into_iter(), CHUNK_BYTES);
-    let mut handled = 0usize;
-    for interval in 0..INTERVALS {
-        // Dirty 4 chunks per interval (well under the pool cap).
-        for c in 0..4usize {
-            let at = (c * 16 + interval) * CHUNK_BYTES + 11;
-            data[at] = data[at].wrapping_add(1);
-        }
-        let mut img = ProcessImage::new();
-        img.insert("app".to_string(), data.clone());
-        let secs: Vec<(&str, &[u8])> = img.iter().collect();
-        let manifest = ChunkManifest::of_sections(secs.into_iter(), CHUNK_BYTES);
-        let delta = build_delta_pooled(&img, &manifest, &prev, CHUNK_BYTES, &pool);
-        handled += manifest.sections.iter().map(|s| s.chunks.len()).sum::<usize>();
-        recycle_delta(delta, &pool);
-        prev = manifest;
-    }
-    let stats = pool.stats();
-    assert!(
-        stats.misses as usize <= CAP,
-        "buffer pool allocated {} buffers over {INTERVALS} intervals ({handled} chunk \
-         records) — allocations must be flat in chunks, bounded by the pool cap {CAP}",
-        stats.misses
-    );
-    println!(
-        "ckpt_datapath: {} allocations over {INTERVALS} delta intervals ({} reuses) — flat",
-        stats.misses, stats.hits
-    );
-}
-
 /// The A12 contended gather: four ranks behind node 1's uplink, one each
 /// on nodes 2 and 3, two lanes. Spread must strictly beat fifo under the
 /// simulator's 1/k contention pricing.
@@ -150,10 +105,8 @@ fn assert_spread_beats_fifo() -> (u64, u64) {
         })
         .collect();
     let bytes = vec![8 << 20; batch.len()];
-    let fifo =
-        simulated_critical_path(&plan(&batch, 2, SchedPolicy::Fifo), &topo, &batch, &bytes);
-    let spread =
-        simulated_critical_path(&plan(&batch, 2, SchedPolicy::Spread), &topo, &batch, &bytes);
+    let fifo = simulated_critical_path(&plan_fifo(&batch, 2), &topo, &batch, &bytes);
+    let spread = simulated_critical_path(&plan(&batch, 2), &topo, &batch, &bytes);
     assert!(
         spread < fifo,
         "spread critical path must be strictly below fifo on the contended batch \
@@ -172,18 +125,6 @@ fn measure_hash(data: &[u8], workers: usize) -> f64 {
     let wall = best_of(|| {
         let digests = digest_all_parallel(&chunks, workers);
         assert_eq!(digests.len(), chunks.len());
-    });
-    mib_per_sec(data.len(), wall)
-}
-
-fn measure_delta(data: &[u8], prev: &ChunkManifest, pool: &BufferPool, workers: usize) -> f64 {
-    let mut img = ProcessImage::new();
-    img.insert("app".to_string(), data.to_vec());
-    let wall = best_of(|| {
-        let secs: Vec<(&str, &[u8])> = img.iter().collect();
-        let manifest = manifest_parallel(&secs, CHUNK_BYTES, workers);
-        let delta = build_delta_pooled(&img, &manifest, prev, CHUNK_BYTES, pool);
-        recycle_delta(delta, pool);
     });
     mib_per_sec(data.len(), wall)
 }
@@ -212,9 +153,7 @@ fn write_json(
     path: &str,
     cores: usize,
     hash: &[(usize, f64)],
-    delta: &[(usize, f64)],
     insert: &[(usize, f64)],
-    alloc_note: &str,
     fifo_ns: u64,
     spread_ns: u64,
 ) {
@@ -229,12 +168,9 @@ fn write_json(
         "{{\n  \"image_bytes\": {IMAGE_BYTES},\n  \"chunk_bytes\": {CHUNK_BYTES},\n  \
          \"cores\": {cores},\n  \
          \"hash_mib_s\": {{ {} }},\n  \
-         \"delta_mib_s\": {{ {} }},\n  \
          \"insert_mib_s\": {{ {} }},\n  \
-         \"alloc\": \"{alloc_note}\",\n  \
          \"sched_critical_path_ns\": {{ \"fifo\": {fifo_ns}, \"spread\": {spread_ns} }}\n}}\n",
         row(hash),
-        row(delta),
         row(insert),
     );
     std::fs::write(path, json).expect("write BENCH_datapath.json");
@@ -246,7 +182,6 @@ fn ckpt_datapath(c: &mut Criterion) {
 
     // Deterministic gates first — they hold on any machine.
     assert_parallel_manifest_identical(&data);
-    assert_allocations_flat();
     let (fifo_ns, spread_ns) = assert_spread_beats_fifo();
 
     let cores = std::thread::available_parallelism()
@@ -257,18 +192,6 @@ fn ckpt_datapath(c: &mut Criterion) {
         .iter()
         .map(|&w| (w, measure_hash(&data, w)))
         .collect();
-    // Every chunk dirty against a shifted previous image: the delta build
-    // hashes and copies the full corpus through the pool.
-    let prev_data = corpus(IMAGE_BYTES, 2);
-    let prev = {
-        let secs = [("app", prev_data.as_slice())];
-        ChunkManifest::of_sections(secs.into_iter(), CHUNK_BYTES)
-    };
-    let pool = BufferPool::new(2 * IMAGE_BYTES / CHUNK_BYTES);
-    let delta: Vec<(usize, f64)> = WORKER_COUNTS
-        .iter()
-        .map(|&w| (w, measure_delta(&data, &prev, &pool, w)))
-        .collect();
     let base = std::env::temp_dir().join(format!("bench_ckpt_datapath_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let insert_data = &data[..INSERT_BYTES];
@@ -278,7 +201,7 @@ fn ckpt_datapath(c: &mut Criterion) {
         .collect();
     let _ = std::fs::remove_dir_all(&base);
 
-    for (label, rows) in [("hash", &hash), ("delta", &delta), ("insert", &insert)] {
+    for (label, rows) in [("hash", &hash), ("insert", &insert)] {
         for (w, m) in rows {
             println!("ckpt_datapath: {label} {w} workers: {m:.1} MiB/s");
         }
@@ -288,7 +211,6 @@ fn ckpt_datapath(c: &mut Criterion) {
     // in parallel; single-core CI still records the numbers above.
     let h1 = hash.iter().find(|(w, _)| *w == 1).map(|(_, m)| *m).unwrap_or(0.0);
     let h4 = hash.iter().find(|(w, _)| *w == 4).map(|(_, m)| *m).unwrap_or(0.0);
-    let alloc_note = "flat: pool misses bounded by pool cap across 16 delta intervals";
     if cores >= 4 {
         assert!(
             h4 >= 1.8 * h1,
@@ -305,7 +227,7 @@ fn ckpt_datapath(c: &mut Criterion) {
     }
 
     if let Ok(path) = std::env::var("BENCH_DATAPATH_JSON") {
-        write_json(&path, cores, &hash, &delta, &insert, alloc_note, fifo_ns, spread_ns);
+        write_json(&path, cores, &hash, &insert, fifo_ns, spread_ns);
     }
 
     if std::env::var("CKPT_DATAPATH_SMOKE").is_ok() {

@@ -4,7 +4,7 @@
 //!
 //! A second group prices the FILEM write-behind drain (scratch → stable)
 //! at 1 vs 4 gather workers, reporting both the serialized wire cost and
-//! the critical-path (wall clock over the pool) cost.
+//! the critical-path (wall clock over the wave executor's lanes) cost.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,7 +16,8 @@ use netsim::{Fabric, LinkSpec, NetView, NodeId, Topology};
 use ompi::crcp::{CoordCrcp, CrcpComponent};
 use ompi::pml::PmlShared;
 use opal::SafePointGate;
-use orte::filem::{copy_all_parallel, CopyRequest, RshSimFilem};
+use orte::filem::{CopyRequest, RshSimFilem};
+use orte::sched::copy_all_scheduled;
 
 fn mesh(n: u32) -> Vec<Arc<PmlShared>> {
     let fabric = Fabric::new(Topology::uniform(1, LinkSpec::gigabit_ethernet()));
@@ -77,7 +78,7 @@ fn drain_cost(c: &mut Criterion) {
 
 /// FILEM write-behind drain: 8 per-rank scratch trees pulled to stable
 /// storage over 1 vs 4 gather workers. Serialized cost is identical;
-/// the worker pool only shortens the critical path.
+/// more lanes only shorten the critical path.
 fn filem_drain_cost(c: &mut Criterion) {
     let topo = Topology::uniform(4, LinkSpec::gigabit_ethernet());
     let net = NetView::uncontended(&topo);
@@ -97,7 +98,7 @@ fn filem_drain_cost(c: &mut Criterion) {
         });
     }
     for &workers in &[1usize, 4] {
-        let report = copy_all_parallel(&filem, net, &batch, workers).unwrap();
+        let (report, _) = copy_all_scheduled(&filem, net, &batch, workers).unwrap();
         println!(
             "filem drain workers={workers}: serialized={} critical_path={}",
             report.serialized_cost, report.critical_path_cost
@@ -110,7 +111,7 @@ fn filem_drain_cost(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(workers),
             &workers,
-            |b, &workers| b.iter(|| copy_all_parallel(&filem, net, &batch, workers).unwrap()),
+            |b, &workers| b.iter(|| copy_all_scheduled(&filem, net, &batch, workers).unwrap()),
         );
     }
     group.finish();

@@ -2,15 +2,16 @@
 //! stable storage, per component (`rsh_sim`: one session per file;
 //! `oob_stream`: one session per tree). Wall time measures the real file
 //! copies; the simulated wire costs per strategy — serialized (sum of
-//! per-copy wire time) and critical-path (wall clock over the worker
-//! pool) — are printed once, sequential vs a 4-lane parallel gather.
+//! per-copy wire time) and critical-path (wall clock over the wave
+//! executor's lanes) — are printed once, one lane vs four.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mca::McaParams;
 use netsim::{LinkSpec, NetView, NodeId, Topology};
-use orte::filem::{copy_all_parallel, CopyRequest, FilemComponent, OobStreamFilem, RshSimFilem};
+use orte::filem::{CopyRequest, OobStreamFilem, RshSimFilem};
+use orte::sched::copy_all_scheduled;
 
 fn make_local_snapshots(base: &std::path::Path, ranks: u32, bytes_per_rank: usize) -> Vec<CopyRequest> {
     let mut batch = Vec::new();
@@ -47,16 +48,16 @@ fn filem_gather(c: &mut Criterion) {
         let stream = OobStreamFilem::from_params(&params);
         let net = NetView::uncontended(&topo);
         // Print the simulated wire costs once per configuration:
-        // sequential gather, then the same batch over 4 parallel lanes.
-        let r1 = rsh.copy_all(net, &batch).unwrap();
-        let r2 = stream.copy_all(net, &batch).unwrap();
+        // one-lane gather, then the same batch over 4 lanes.
+        let (r1, _) = copy_all_scheduled(&rsh, net, &batch, 1).unwrap();
+        let (r2, _) = copy_all_scheduled(&stream, net, &batch, 1).unwrap();
         println!(
             "filem sim cost ranks={ranks} bytes/rank={size}: \
              rsh_sim serialized={} critical_path={} \
              oob_stream serialized={} critical_path={}",
             r1.serialized_cost, r1.critical_path_cost, r2.serialized_cost, r2.critical_path_cost
         );
-        let rp = copy_all_parallel(&rsh, net, &batch, 4).unwrap();
+        let (rp, _) = copy_all_scheduled(&rsh, net, &batch, 4).unwrap();
         assert!(rp.critical_path_cost <= rp.serialized_cost);
         println!(
             "filem sim cost ranks={ranks} bytes/rank={size}: \
@@ -67,17 +68,17 @@ fn filem_gather(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("rsh_sim", format!("{ranks}r_{size}B")),
             &batch,
-            |b, batch| b.iter(|| rsh.copy_all(net, batch).unwrap()),
+            |b, batch| b.iter(|| copy_all_scheduled(&rsh, net, batch, 1).unwrap()),
         );
         group.bench_with_input(
             BenchmarkId::new("oob_stream", format!("{ranks}r_{size}B")),
             &batch,
-            |b, batch| b.iter(|| stream.copy_all(net, batch).unwrap()),
+            |b, batch| b.iter(|| copy_all_scheduled(&stream, net, batch, 1).unwrap()),
         );
         group.bench_with_input(
             BenchmarkId::new("rsh_sim_parallel4", format!("{ranks}r_{size}B")),
             &batch,
-            |b, batch| b.iter(|| copy_all_parallel(&rsh, net, batch, 4).unwrap()),
+            |b, batch| b.iter(|| copy_all_scheduled(&rsh, net, batch, 4).unwrap()),
         );
     }
     group.finish();

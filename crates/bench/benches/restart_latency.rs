@@ -119,7 +119,8 @@ fn disk_sim_cost(
             dest_node: NodeId(r % NODES),
         });
     }
-    let report = filem.copy_all(rt.netview(), &batch).expect("preload");
+    let (report, _) =
+        orte::sched::copy_all_scheduled(&*filem, rt.netview(), &batch, 1).expect("preload");
     for req in &batch {
         filem.remove_tree(&req.dest).expect("cleanup");
     }

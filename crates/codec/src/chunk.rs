@@ -1,14 +1,12 @@
-//! Fixed-size chunking and content digests for incremental checkpoints.
+//! Fixed-size chunking and content digests for the dedup chunk store.
 //!
-//! An incremental checkpoint ships only the chunks of a process image that
-//! changed since the previous interval. The unit of change detection is a
-//! fixed-size chunk of a named image section; each chunk is identified by
-//! its position (`chunk_id`) and summarized by a fast 64-bit content digest.
-//! A [`ChunkManifest`] records, per section, the `(chunk_id, digest, len)`
-//! triple of every chunk — enough to (a) diff two intervals of the same
-//! section without keeping the old bytes around, and (b) verify a
-//! reassembled image (base + delta chain replay) against what the
-//! checkpointer saw when it wrote the newest delta.
+//! A dedup checkpoint moves only the chunks of a process image that the
+//! content-addressed store has never seen. The unit is a fixed-size chunk
+//! of a named image section; each chunk is identified by its position
+//! (`chunk_id`) and summarized by a fast 64-bit content digest. A
+//! [`ChunkManifest`] records, per section, the `(chunk_id, digest, len)`
+//! triple of every chunk — enough to key every chunk into the store at
+//! commit and to reassemble the image from it at restart.
 //!
 //! The manifest is stored in snapshot *metadata* (a [`crate::MetaDoc`]
 //! value), so it renders to and parses from a compact single-line string.
@@ -187,68 +185,6 @@ impl ChunkManifest {
             sections,
         })
     }
-
-    /// Verify a reassembled image against this manifest. Returns `None`
-    /// when every section matches (same names in the same order, same
-    /// lengths, same chunk digests), or a description of the first
-    /// divergence — the loud-failure message restart surfaces when a delta
-    /// chain was truncated or corrupted.
-    pub fn mismatch<'a>(
-        &self,
-        sections: impl IntoIterator<Item = (&'a str, &'a [u8])>,
-    ) -> Option<String> {
-        let mut seen = 0usize;
-        for (i, (name, bytes)) in sections.into_iter().enumerate() {
-            seen = i + 1;
-            let Some(expected) = self.sections.get(i) else {
-                return Some(format!("unexpected extra section {name:?} at index {i}"));
-            };
-            if expected.name != name {
-                return Some(format!(
-                    "section {i} is {name:?}, manifest expects {:?}",
-                    expected.name
-                ));
-            }
-            if expected.total_len != bytes.len() as u64 {
-                return Some(format!(
-                    "section {name:?} is {} bytes, manifest expects {}",
-                    bytes.len(),
-                    expected.total_len
-                ));
-            }
-            let actual = SectionManifest::of(name, bytes, self.chunk_bytes as usize);
-            for (got, want) in actual.chunks.iter().zip(&expected.chunks) {
-                if got != want {
-                    return Some(format!(
-                        "section {name:?} chunk {} digest mismatch \
-                         (got {:x}/{}B, manifest has {:x}/{}B)",
-                        want.id, got.digest, got.len, want.digest, want.len
-                    ));
-                }
-            }
-        }
-        if seen != self.sections.len() {
-            return Some(format!(
-                "image has {seen} sections, manifest expects {}",
-                self.sections.len()
-            ));
-        }
-        None
-    }
-}
-
-/// Chunk ids of `cur` that must ship in a delta against `prev`: chunks
-/// whose digest or length changed, plus chunks beyond `prev`'s end. With
-/// no previous section (new section this interval) every chunk is dirty.
-pub fn changed_chunks(prev: Option<&SectionManifest>, cur: &SectionManifest) -> Vec<u32> {
-    cur.chunks
-        .iter()
-        .filter(|c| {
-            prev.and_then(|p| p.chunks.get(c.id as usize))
-                .map_or(true, |old| old != *c)
-        })
-        .map(|c| c.id)
-        .collect()
 }
 
 fn escape_name(name: &str) -> String {
@@ -349,47 +285,6 @@ mod tests {
         assert!(ChunkManifest::parse("v1 c4096|app").is_err());
         assert!(ChunkManifest::parse("v1 c4096|app=10:0.zz.10").is_err());
         assert!(ChunkManifest::parse("v1 c4096|a%zz=0").is_err());
-    }
-
-    #[test]
-    fn changed_chunks_finds_exactly_the_dirty_ones() {
-        let mut bytes = vec![0u8; 10 * 64];
-        let before = SectionManifest::of("app", &bytes, 64);
-        // Dirty chunks 2 and 7.
-        bytes[2 * 64 + 5] = 1;
-        bytes[7 * 64] = 9;
-        let after = SectionManifest::of("app", &bytes, 64);
-        assert_eq!(changed_chunks(Some(&before), &after), vec![2, 7]);
-        // Growth: the new tail chunks are dirty, as is the previously-final
-        // chunk if its bytes changed length.
-        bytes.extend_from_slice(&[3u8; 100]);
-        let grown = SectionManifest::of("app", &bytes, 64);
-        let dirty = changed_chunks(Some(&after), &grown);
-        assert!(dirty.contains(&10) && dirty.contains(&11));
-        // No base: everything is dirty.
-        assert_eq!(changed_chunks(None, &before).len(), before.chunks.len());
-        // No change: nothing to ship.
-        assert!(changed_chunks(Some(&after), &after).is_empty());
-    }
-
-    #[test]
-    fn mismatch_pinpoints_divergence() {
-        let base: Vec<u8> = (0..100u8).cycle().take(9000).collect();
-        let m = ChunkManifest::of_sections([("app", base.as_slice())], 1024);
-        assert_eq!(m.mismatch([("app", base.as_slice())]), None);
-
-        let mut flipped = base.clone();
-        flipped[5000] ^= 0xFF;
-        let msg = m.mismatch([("app", flipped.as_slice())]).unwrap();
-        assert!(msg.contains("chunk 4"), "unexpected message: {msg}");
-
-        let truncated = &base[..8000];
-        assert!(m.mismatch([("app", truncated)]).unwrap().contains("8000"));
-        assert!(m.mismatch([("other", base.as_slice())]).is_some());
-        assert!(m.mismatch(std::iter::empty()).is_some());
-        assert!(m
-            .mismatch([("app", base.as_slice()), ("extra", &[][..])])
-            .is_some());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A restarted process image that has been truncated or bit-flipped on disk
 //! must fail loudly at restart time, not resume with corrupt state. Every
 //! context frame written by the CRS components carries a CRC-32 of its
-//! payload (see [`crate::frame`]), and the incremental checkpointer digests
+//! payload (see [`crate::frame`]), and the dedup context writer digests
 //! every chunk (see [`crate::chunk`]) — so this routine sits on the
 //! checkpoint critical path and is implemented with slicing-by-8 (eight
 //! bytes folded per table round). The classic 256-entry single-table path

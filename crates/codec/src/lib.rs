@@ -54,7 +54,7 @@ pub mod meta;
 pub mod varint;
 
 pub use binary::{from_bytes, to_bytes};
-pub use chunk::{changed_chunks, chunk_digest, ChunkManifest, ChunkRecord, SectionManifest};
+pub use chunk::{chunk_digest, ChunkManifest, ChunkRecord, SectionManifest};
 pub use error::{Error, Result};
 pub use frame::{read_frame, write_frame, write_frame_into};
 pub use meta::MetaDoc;

@@ -73,10 +73,9 @@ impl CheckpointOptions {
 /// [`CheckpointOutcome`] so new metrics stop accreting as flat fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CkptStats {
-    /// Context-file bytes the gather phase actually moved off the compute
-    /// nodes. With incremental checkpointing this is the delta payload;
-    /// with dedup it is the missing-chunk payload — the paper's motivating
-    /// metric either way.
+    /// Bytes the gather phase actually moved off the compute nodes: whole
+    /// context files, or with dedup the missing-chunk payload — the
+    /// paper's motivating metric either way.
     pub bytes_moved: u64,
     /// Simulated wall time the gather phase charged (nanoseconds). With
     /// early release this is the app-visible stall only — the gather

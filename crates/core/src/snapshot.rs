@@ -486,8 +486,7 @@ impl GlobalSnapshot {
     /// Record each rank's rendered chunk manifest for a dedup interval
     /// (the `filem_dedup_enabled` commit path).  The manifest maps the
     /// rank's image sections to content-addressed chunk ids in the global
-    /// reference's chunk store; restart fetches those chunks directly
-    /// instead of walking a base→delta chain.
+    /// reference's chunk store; restart fetches those chunks directly.
     ///
     /// This record is the store's *liveness root*: the commit path takes
     /// chunk references before recording it, and
@@ -508,8 +507,8 @@ impl GlobalSnapshot {
     }
 
     /// Rendered chunk manifest of `rank` at `interval`, when the interval
-    /// was committed through the dedup chunk store. `None` for classic
-    /// (full/delta-chain) intervals — restart uses this to pick its path.
+    /// was committed through the dedup chunk store. `None` for full-image
+    /// intervals — restart uses this to pick its path.
     pub fn chunk_manifest(&self, interval: u64, rank: Rank) -> Option<&str> {
         self.meta
             .get(&format!("manifest_{interval}"), &format!("rank_{}", rank.0))
@@ -583,7 +582,7 @@ impl GlobalSnapshot {
     }
 
     /// Record the rendered gather-schedule stats line for `interval`
-    /// (policy, wave count, peak link concurrency, wall clock, per-link
+    /// (wave count, peak link concurrency, wall clock, per-link
     /// bytes — see `orte::sched::GatherSchedStats::render`), so
     /// `ompi-snapshot-info` can show how the gather was scheduled.
     pub fn record_gather_stats(&mut self, interval: u64, rendered: &str) -> Result<(), CrError> {
@@ -598,104 +597,12 @@ impl GlobalSnapshot {
         self.meta.get(&format!("gather_{interval}"), "stats")
     }
 
-    /// Record each rank's incremental-chain links for `interval`: what
-    /// kind of context it wrote (`full`/`delta`) and, for deltas, the
-    /// interval of the chain's full base and of the immediate predecessor.
-    ///
-    /// Ranks that wrote full images are not recorded — an absent entry
-    /// means full, which keeps snapshots taken with incremental mode off
-    /// byte-identical to the pre-incremental format.
-    pub fn record_ckpt_chain(
-        &mut self,
-        interval: u64,
-        entries: &[(Rank, &str, u64, u64)],
-    ) -> Result<(), CrError> {
-        let section = format!("incr_{interval}");
-        let mut dirty = false;
-        for (rank, kind, base, prev) in entries {
-            if *kind == "full" {
-                continue;
-            }
-            self.meta
-                .set(&section, &format!("rank_{}_kind", rank.0), kind.to_string());
-            self.meta
-                .set(&section, &format!("rank_{}_base", rank.0), base.to_string());
-            self.meta
-                .set(&section, &format!("rank_{}_prev", rank.0), prev.to_string());
-            dirty = true;
-        }
-        if dirty {
-            self.save_meta()
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Context kind rank `rank` wrote at `interval`: `"delta"` when the
-    /// chain metadata says so, `"full"` otherwise (including snapshots
-    /// that predate incremental checkpointing).
-    pub fn ckpt_kind(&self, interval: u64, rank: Rank) -> &str {
-        self.meta
-            .get(&format!("incr_{interval}"), &format!("rank_{}_kind", rank.0))
-            .unwrap_or("full")
-    }
-
-    /// Intervals needed to restore `rank` at `interval`, oldest (the full
-    /// base) first and `interval` itself last. A rank that wrote a full
-    /// image has the single-element chain `[interval]`. Errors on a
-    /// corrupt chain (missing or non-decreasing predecessor links).
-    pub fn ckpt_chain(&self, interval: u64, rank: Rank) -> Result<Vec<u64>, CrError> {
-        let mut chain = vec![interval];
-        let mut cur = interval;
-        while self.ckpt_kind(cur, rank) == "delta" {
-            let prev = self
-                .meta
-                .get(&format!("incr_{cur}"), &format!("rank_{}_prev", rank.0))
-                .and_then(|s| s.parse::<u64>().ok())
-                .ok_or_else(|| CrError::BadSnapshot {
-                    detail: format!(
-                        "interval {cur} rank {rank} is a delta with no predecessor link"
-                    ),
-                })?;
-            if prev >= cur {
-                return Err(CrError::BadSnapshot {
-                    detail: format!(
-                        "corrupt delta chain at rank {rank}: interval {cur} links to \
-                         {prev}, which is not older"
-                    ),
-                });
-            }
-            chain.push(prev);
-            cur = prev;
-        }
-        chain.reverse();
-        Ok(chain)
-    }
-
     /// Retire a committed interval: delete its on-disk directory and drop
     /// its metadata (interval listing, per-rank references, replica
-    /// locations, chain links). Used to expire superseded checkpoints.
-    ///
-    /// Refused when a newer committed interval's delta chain still passes
-    /// through `interval` — retiring the base (or any mid-chain link)
-    /// would leave those deltas unrestorable. Retire the dependents first,
-    /// newest-to-oldest, or wait for the next full interval.
+    /// locations, gather stats, message-log bytes, chunk manifests). Used
+    /// to expire superseded checkpoints. Every interval restores from
+    /// itself alone, so any committed interval may retire in any order.
     pub fn retire_interval(&mut self, interval: u64) -> Result<(), CrError> {
-        for other in self.intervals() {
-            if other <= interval {
-                continue; // chains only reference older intervals
-            }
-            for r in 0..self.nprocs() {
-                if self.ckpt_chain(other, Rank(r))?.contains(&interval) {
-                    return Err(CrError::BadSnapshot {
-                        detail: format!(
-                            "cannot retire interval {interval}: rank {r}'s delta chain \
-                             for interval {other} still depends on it"
-                        ),
-                    });
-                }
-            }
-        }
         let dir = self.interval_dir(interval);
         if dir.exists() {
             fs::remove_dir_all(&dir).map_err(|e| CrError::io(dir.display().to_string(), &e))?;
@@ -706,7 +613,6 @@ impl GlobalSnapshot {
             .remove_value("global", "local_interval", &interval.to_string());
         self.meta.remove_section(&format!("interval_{interval}"));
         self.meta.remove_section(&format!("replica_{interval}"));
-        self.meta.remove_section(&format!("incr_{interval}"));
         self.meta.remove_section(&format!("gather_{interval}"));
         self.meta.remove_section(&format!("msglog_{interval}"));
         // Dedup GC ordering: this persists the manifest removal *before*
@@ -974,63 +880,18 @@ mod tests {
     }
 
     #[test]
-    fn ckpt_chain_defaults_to_full_and_walks_deltas() {
-        let mut global = committed_global("chain", 2, 4);
-        // Rank 0: full at 0, deltas at 1..=3. Rank 1: all full (no entry).
-        global
-            .record_ckpt_chain(1, &[(Rank(0), "delta", 0, 0), (Rank(1), "full", 1, 1)])
-            .unwrap();
-        global.record_ckpt_chain(2, &[(Rank(0), "delta", 0, 1)]).unwrap();
-        global.record_ckpt_chain(3, &[(Rank(0), "delta", 0, 2)]).unwrap();
-
-        let reopened = GlobalSnapshot::open(global.dir()).unwrap();
-        assert_eq!(reopened.ckpt_kind(3, Rank(0)), "delta");
-        assert_eq!(reopened.ckpt_kind(3, Rank(1)), "full");
-        assert_eq!(reopened.ckpt_chain(3, Rank(0)).unwrap(), vec![0, 1, 2, 3]);
-        assert_eq!(reopened.ckpt_chain(2, Rank(0)).unwrap(), vec![0, 1, 2]);
-        assert_eq!(reopened.ckpt_chain(3, Rank(1)).unwrap(), vec![3]);
-        assert_eq!(reopened.ckpt_chain(0, Rank(0)).unwrap(), vec![0]);
-    }
-
-    #[test]
-    fn retire_refuses_base_of_live_delta_chain() {
-        let mut global = committed_global("retirechain", 1, 3);
-        global.record_ckpt_chain(1, &[(Rank(0), "delta", 0, 0)]).unwrap();
-        global.record_ckpt_chain(2, &[(Rank(0), "delta", 0, 1)]).unwrap();
-
-        // Both the base and the mid-chain link are pinned.
-        let err = global.retire_interval(0).unwrap_err();
-        assert!(err.to_string().contains("delta chain"), "got: {err}");
-        let err = global.retire_interval(1).unwrap_err();
-        assert!(err.to_string().contains("depends on it"), "got: {err}");
-        assert_eq!(global.intervals(), vec![0, 1, 2]);
-
-        // Newest-first retirement unwinds cleanly and drops chain metadata.
-        global.retire_interval(2).unwrap();
-        global.retire_interval(1).unwrap();
+    fn intervals_retire_in_any_order() {
+        let mut global = committed_global("retireorder", 1, 3);
+        // Oldest, then newest, then the middle one: no interval pins another.
         global.retire_interval(0).unwrap();
-        assert!(global.intervals().is_empty());
-        assert_eq!(global.ckpt_kind(2, Rank(0)), "full");
-    }
-
-    #[test]
-    fn corrupt_chain_links_error_out() {
-        let mut global = committed_global("corruptchain", 1, 2);
-        // Delta pointing forward (not older) is corrupt.
-        global.record_ckpt_chain(1, &[(Rank(0), "delta", 1, 1)]).unwrap();
-        let err = global.ckpt_chain(1, Rank(0)).unwrap_err();
-        assert!(err.to_string().contains("not older"), "got: {err}");
-    }
-
-    #[test]
-    fn all_full_chain_recording_is_a_metadata_noop() {
-        let mut global = committed_global("noopchain", 2, 1);
-        let before = fs::read_to_string(global.dir().join(GLOBAL_META_FILE)).unwrap();
-        global
-            .record_ckpt_chain(0, &[(Rank(0), "full", 0, 0), (Rank(1), "full", 0, 0)])
-            .unwrap();
-        let after = fs::read_to_string(global.dir().join(GLOBAL_META_FILE)).unwrap();
-        assert_eq!(before, after);
+        assert_eq!(global.intervals(), vec![1, 2]);
+        assert_eq!(global.local_snapshots(2).unwrap().len(), 1);
+        global.retire_interval(2).unwrap();
+        assert_eq!(global.intervals(), vec![1]);
+        assert_eq!(global.local_snapshots(1).unwrap().len(), 1);
+        global.retire_interval(1).unwrap();
+        let reopened = GlobalSnapshot::open(global.dir()).unwrap();
+        assert!(reopened.intervals().is_empty());
     }
 
     #[test]

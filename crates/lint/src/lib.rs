@@ -4,7 +4,8 @@
 //! consider all four protocol states, that the INC/coordinator/PML mutexes
 //! must be acquired in one global order, that the fault-tolerance path must
 //! not contain hidden aborts, that every `--mca` key a component reads is
-//! registered for `ompi-info` to enumerate, that `CommitState` values are
+//! registered for `ompi-info` to enumerate (and every registered default
+//! is read by something), that `CommitState` values are
 //! minted only by the snapshot authority (`cr_core::snapshot`), and that
 //! every trace-event phase recorded is registered in
 //! `cr_core::events::KNOWN_TRACE_EVENTS` — and, inversely, that every
@@ -74,6 +75,7 @@ pub fn analyze_sources(sources: &[(String, String)], baseline: &Baseline) -> Lin
     rules::lock_order::check(&models, &mut hard);
 
     let mut registered: BTreeSet<String> = BTreeSet::new();
+    let mut defaulted = Vec::new();
     let mut uses = Vec::new();
     let mut trace_registered: BTreeSet<String> = BTreeSet::new();
     let mut trace_uses = Vec::new();
@@ -83,14 +85,14 @@ pub fn analyze_sources(sources: &[(String, String)], baseline: &Baseline) -> Lin
         rules::ft_event::check(m, &mut hard);
         rules::panic_path::check(m, &mut baselined);
         rules::commit_state::check(m, &mut hard);
-        rules::mca_keys::collect_registered(m, &mut registered);
+        rules::mca_keys::collect_registered(m, &mut registered, &mut defaulted);
         rules::mca_keys::collect_uses(m, &mut uses);
         rules::trace_keys::collect_registered(m, &mut trace_registered);
         rules::trace_keys::collect_uses(m, &mut trace_uses);
         rules::dead_events::collect_registered(m, &mut event_rows);
         rules::dead_events::collect_recorded(m, &mut recorded);
     }
-    rules::mca_keys::check(&registered, &uses, &mut hard);
+    rules::mca_keys::check(&registered, &defaulted, &uses, &mut hard);
     rules::trace_keys::check(&trace_registered, &trace_uses, &mut hard);
     rules::dead_events::check(&event_rows, &recorded, &mut baselined);
 

@@ -1,5 +1,5 @@
 //! Rule `mca-keys`: MCA parameter keys read at use sites must appear at a
-//! registration site.
+//! registration site, and registered defaults must be read somewhere.
 //!
 //! Open MPI registers every MCA parameter (`mca_base_param_reg_*`) so that
 //! `ompi_info` can enumerate it and a typo'd `--mca` key is diagnosable.
@@ -13,6 +13,12 @@
 //!
 //! Two-argument `.get(section, key)` calls (metadata documents) are not
 //! parameter reads and are ignored.
+//!
+//! The reverse direction catches dead knobs: a `KNOWN_PARAMS` row with
+//! `default: Some(_)` whose key no non-test accessor reads is a parameter
+//! `ompi-info --params` advertises and nothing obeys. Rows with
+//! `default: None` (selection directives, launcher-written informational
+//! keys) are exempt — they are set and consumed through non-literal paths.
 
 use std::collections::BTreeSet;
 
@@ -20,7 +26,8 @@ use crate::lexer::TokKind;
 use crate::model::FileModel;
 use crate::report::{Finding, Rule};
 
-/// A parameter use site observed in non-test code.
+/// A parameter key at a source location: a use site in non-test code, or
+/// a defaulted `KNOWN_PARAMS` row.
 #[derive(Debug)]
 pub struct UseSite {
     /// The string key.
@@ -31,8 +38,13 @@ pub struct UseSite {
     pub line: u32,
 }
 
-/// Collect registration sites (keys) from one file.
-pub fn collect_registered(file: &FileModel, registered: &mut BTreeSet<String>) {
+/// Collect registration sites (keys) from one file, and the registry rows
+/// that carry a built-in default.
+pub fn collect_registered(
+    file: &FileModel,
+    registered: &mut BTreeSet<String>,
+    defaulted: &mut Vec<UseSite>,
+) {
     let toks = &file.toks;
     let registry_file = file.rel.ends_with("mca/src/registry.rs");
     let mut i = 0;
@@ -54,6 +66,16 @@ pub fn collect_registered(file: &FileModel, registered: &mut BTreeSet<String>) {
         {
             if let Some(k) = toks.get(i + 2).filter(|k| k.kind == TokKind::Str) {
                 registered.insert(k.text.clone());
+                // `key: "k", default: Some(..)`
+                if toks.get(i + 4).is_some_and(|d| d.is_ident("default"))
+                    && toks.get(i + 6).is_some_and(|s| s.is_ident("Some"))
+                {
+                    defaulted.push(UseSite {
+                        key: k.text.clone(),
+                        file: file.rel.clone(),
+                        line: k.line,
+                    });
+                }
             }
         }
         i += 1;
@@ -102,8 +124,14 @@ pub fn collect_uses(file: &FileModel, uses: &mut Vec<UseSite>) {
     }
 }
 
-/// Turn unregistered use sites into findings.
-pub fn check(registered: &BTreeSet<String>, uses: &[UseSite], findings: &mut Vec<Finding>) {
+/// Turn unregistered use sites, and defaulted registry rows nothing reads,
+/// into findings.
+pub fn check(
+    registered: &BTreeSet<String>,
+    defaulted: &[UseSite],
+    uses: &[UseSite],
+    findings: &mut Vec<Finding>,
+) {
     for u in uses {
         if !registered.contains(&u.key) {
             findings.push(Finding::new(
@@ -114,6 +142,20 @@ pub fn check(registered: &BTreeSet<String>, uses: &[UseSite], findings: &mut Vec
                     "MCA parameter {:?} is read here but never registered \
                      (add it to mca::registry::KNOWN_PARAMS)",
                     u.key
+                ),
+            ));
+        }
+    }
+    for row in defaulted {
+        if !uses.iter().any(|u| u.key == row.key) {
+            findings.push(Finding::new(
+                Rule::McaKeys,
+                &row.file,
+                row.line,
+                format!(
+                    "MCA parameter {:?} is registered with a default here but no \
+                     non-test code reads it (a dead knob: delete the row)",
+                    row.key
                 ),
             ));
         }

@@ -112,6 +112,53 @@ fn mca_unregistered_key_detected() {
     );
 }
 
+/// A registry whose one row carries a built-in default.
+const DEFAULTED_REGISTRY: &str = "pub const KNOWN_PARAMS: &[ParamDef] = &[ParamDef {\n    \
+     key: \"gc_batch\",\n    default: Some(\"64\"),\n    help: \"sweep batch\",\n}];\n";
+
+#[test]
+fn mca_dead_default_detected() {
+    // The only reader sits in a test function, which does not count: the
+    // shipped code never obeys the knob `ompi-info --params` advertises.
+    let out = run(&[
+        ("crates/mca/src/registry.rs", DEFAULTED_REGISTRY),
+        (
+            "crates/demo/src/component.rs",
+            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn reads() {\n        \
+             let _ = params().get_parsed_or(\"gc_batch\", 64u64);\n    }\n}\n",
+        ),
+    ]);
+    let mca: Vec<_> = out
+        .hard
+        .iter()
+        .filter(|f| f.rule == Rule::McaKeys)
+        .collect();
+    assert_eq!(mca.len(), 1, "exactly the unread default fires: {mca:?}");
+    assert!(mca[0].message.contains("gc_batch"), "{}", mca[0].message);
+    assert_eq!(
+        mca[0].file, "crates/mca/src/registry.rs",
+        "finding anchors at the registry row"
+    );
+}
+
+#[test]
+fn mca_read_default_is_clean() {
+    // A shipped reader keeps the row alive.
+    let out = run(&[
+        ("crates/mca/src/registry.rs", DEFAULTED_REGISTRY),
+        (
+            "crates/demo/src/component.rs",
+            "pub fn batch(params: &McaParams) -> u64 {\n    \
+             params.get_parsed_or(\"gc_batch\", 64u64).unwrap_or(64)\n}\n",
+        ),
+    ]);
+    assert!(
+        out.hard.iter().all(|f| f.rule != Rule::McaKeys),
+        "clean fixture flagged: {:?}",
+        out.hard
+    );
+}
+
 #[test]
 fn commit_state_construction_detected() {
     let out = run(&[(

@@ -8,10 +8,12 @@
 //! values (at [`crate::ParamSource::Default`] strength, so any file /
 //! environment / command-line / API setting still wins).
 //!
-//! The `cr-lint` static analysis enforces the discipline from the other
-//! side: any string key passed to a typed accessor in non-test code must
-//! appear in this table (rule `mca-keys`). When adding a parameter to a
-//! component, add its row here in the same change.
+//! The `cr-lint` static analysis enforces the discipline from both sides
+//! (rule `mca-keys`): any string key passed to a typed accessor in non-test
+//! code must appear in this table, and any row here with a built-in
+//! default must be read by some non-test accessor. When adding a parameter
+//! to a component, add its row here in the same change; when deleting the
+//! last reader, delete the row.
 
 use crate::params::McaParams;
 
@@ -95,19 +97,9 @@ pub const KNOWN_PARAMS: &[ParamDef] = &[
         help: "fault injection: fail every Nth local checkpoint (0 = never)",
     },
     ParamDef {
-        key: "crs_incr_enabled",
-        default: Some("false"),
-        help: "incremental checkpointing: ship only dirty chunks per interval",
-    },
-    ParamDef {
         key: "crs_incr_chunk_kb",
         default: Some("4"),
-        help: "incremental checkpointing: chunk size in KiB for change detection",
-    },
-    ParamDef {
-        key: "crs_incr_full_every",
-        default: Some("16"),
-        help: "incremental checkpointing: force a full image every N intervals (caps delta-chain length)",
+        help: "dedup store: chunk size in KiB of the content-addressed manifests",
     },
     // OPAL data-path pool tunables.
     ParamDef {
@@ -198,16 +190,6 @@ pub const KNOWN_PARAMS: &[ParamDef] = &[
         key: "filem_dedup_enabled",
         default: Some("false"),
         help: "commit checkpoints through the content-addressed chunk store (cross-rank and cross-interval dedup)",
-    },
-    ParamDef {
-        key: "filem_dedup_gc_batch",
-        default: Some("64"),
-        help: "dedup store: maximum count-zero blobs swept per GC batch at interval retirement",
-    },
-    ParamDef {
-        key: "filem_sched_policy",
-        default: Some("spread"),
-        help: "gather wave scheduling: spread (least-loaded link first) | fifo (legacy index order)",
     },
     // Durable FT event journal (ORTE runtime).
     ParamDef {

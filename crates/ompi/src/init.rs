@@ -343,118 +343,24 @@ impl<S: Send + 'static> MpiJob<S> {
 
         let job = handle.job();
         let launch_params = global.launch_params();
-        let params = Arc::new(McaParams::from_dump(
+        let params = McaParams::from_dump(
             launch_params.iter().map(|(k, v)| (k.as_str(), v.as_str())),
-        ));
-        let mut sim_cost = netsim::SimTime::ZERO;
-        let mut replica_images = 0u32;
-        let mut images: Vec<(u32, opal::ProcessImage)> = Vec::with_capacity(ranks.len());
-
-        if !global.chunk_manifests(interval).is_empty() {
-            // Dedup interval: assemble each failed rank's image straight
-            // from its chunk manifest.
-            let source = match opts.source {
-                RestartSource::Auto => orte::store::ChunkSource::Auto,
-                RestartSource::Replica => orte::store::ChunkSource::ReplicaOnly,
-                RestartSource::Stable => orte::store::ChunkSource::StableOnly,
-            };
-            let store = orte::store::SnapshotStore::open(runtime, job, global.dir())?;
-            for &r in &ranks {
-                let rank = cr_core::Rank(r);
-                let rendered =
-                    global
-                        .chunk_manifest(interval, rank)
-                        .ok_or_else(|| CrError::BadSnapshot {
-                            detail: format!(
-                                "dedup interval {interval} has no chunk manifest for rank {r}"
-                            ),
-                        })?;
-                let manifest = codec::ChunkManifest::parse(rendered).map_err(CrError::Codec)?;
-                let (image, stats) = store.fetch_image(&manifest, source, opts.verify)?;
-                sim_cost += stats.sim_cost;
-                if stats.replica_chunks > 0 {
-                    replica_images += 1;
-                }
-                images.push((r, image));
-            }
-        } else {
-            // Chain interval: replica-first with per-image stable
-            // fallback, walking only the failed ranks' chains.
-            let crs_fw = crs_framework(SelfCallbacks::new());
-            let filem = orte::filem::filem_framework()
-                .select(&params)
-                .map_err(|e| CrError::Unsupported {
-                    detail: e.to_string(),
-                })?;
-            for &r in &ranks {
-                let rank = cr_core::Rank(r);
-                let spare = placement
-                    .node_of
-                    .get(r as usize)
-                    .and_then(|n| spare_of.get(&n.0))
-                    .copied()
-                    .ok_or_else(|| CrError::protocol(format!("rank {r} has no claimed spare")))?;
-                let chain = global.ckpt_chain(interval, rank)?;
-                let mut locals = Vec::with_capacity(chain.len());
-                let mut scratch: Vec<std::path::PathBuf> = Vec::with_capacity(chain.len());
-                for &ci in &chain {
-                    let dest = runtime
-                        .node_dir(spare)
-                        .join("restart")
-                        .join(format!("{job}"))
-                        .join(format!("interval_{ci}"))
-                        .join(cr_core::snapshot::local_dir_name(rank));
-                    let holders = global.replica_holders(ci, rank);
-                    let fetched = if opts.source != RestartSource::Stable {
-                        orte::replica::fetch_image(runtime, job, ci, rank, &holders)
-                    } else {
-                        None
-                    };
-                    if let Some((image, cost)) = fetched {
-                        sim_cost += cost;
-                        replica_images += 1;
-                        image.write_to(&dest)?;
-                    } else {
-                        if opts.source == RestartSource::Replica {
-                            return Err(CrError::BadSnapshot {
-                                detail: format!(
-                                    "replica-only partial restart impossible: rank {r} \
-                                     interval {ci} has no surviving replica holder"
-                                ),
-                            });
-                        }
-                        let local = global.local_snapshot(ci, rank)?;
-                        let report = filem.copy_all(
-                            runtime.netview(),
-                            &[orte::filem::CopyRequest {
-                                src: local.dir().to_path_buf(),
-                                src_node: netsim::NodeId(0),
-                                dest: dest.clone(),
-                                dest_node: spare,
-                            }],
-                        )?;
-                        sim_cost += report.serialized_cost;
-                    }
-                    locals.push(cr_core::LocalSnapshot::open(&dest)?);
-                    scratch.push(dest);
-                }
-                let image = if let [local] = locals.as_slice() {
-                    let crs = crs_fw
-                        .instantiate(local.crs_component(), &params)
-                        .map_err(|e| CrError::Unsupported {
-                            detail: e.to_string(),
-                        })?;
-                    crs.restart(local)?
-                } else {
-                    opal::incr::reassemble(&locals)?
-                };
-                drop(locals);
-                for dir in &scratch {
-                    filem.remove_tree(dir)?;
-                }
-                images.push((r, image));
-            }
-        }
+        );
+        let spare_for = |r: u32| {
+            placement
+                .node_of
+                .get(r as usize)
+                .and_then(|n| spare_of.get(&n.0))
+                .copied()
+                .ok_or_else(|| CrError::protocol(format!("rank {r} has no claimed spare")))
+        };
+        let targets: Vec<(cr_core::Rank, netsim::NodeId)> = ranks
+            .iter()
+            .map(|&r| spare_for(r).map(|spare| (cr_core::Rank(r), spare)))
+            .collect::<Result<_, _>>()?;
+        let (images, fetched) = fetch_images(runtime, &global, interval, &targets, opts, &params)?;
+        let replica_images = fetched.replica_images;
+        let mut sim_cost = fetched.sim_cost;
 
         // Point of no return: fence the dead nodes, drop the failed
         // ranks' stale endpoint advertisements and result slots, and
@@ -474,14 +380,8 @@ impl<S: Send + 'static> MpiJob<S> {
                 *slot = None;
             }
         }
-        for (r, image) in images {
-            let spare = placement
-                .node_of
-                .get(r as usize)
-                .and_then(|n| spare_of.get(&n.0))
-                .copied()
-                .ok_or_else(|| CrError::protocol(format!("rank {r} has no claimed spare")))?;
-            handle.respawn_rank(cr_core::Rank(r), spare, image, Arc::clone(&rejoin))?;
+        for (&(rank, spare), image) in targets.iter().zip(images) {
+            handle.respawn_rank(rank, spare, image, Arc::clone(&rejoin))?;
         }
         let session_ms = handle
             .params()
@@ -928,11 +828,9 @@ pub struct PartialRestartOutcome {
     pub sim_cost: netsim::SimTime,
 }
 
-/// Everything a restart can be told, in one struct — the single
-/// [`restart`] entry point replaces the old
-/// `restart_from` / `restart_from_with_source` sprawl (both survive as
-/// deprecated wrappers). `Default` restores the newest committed interval
-/// from the best available tier with digest verification on.
+/// Everything a restart can be told, in one struct. `Default` restores
+/// the newest committed interval from the best available tier with digest
+/// verification on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RestartOptions {
     /// Which tier(s) images may come from (`ompi-restart --source`).
@@ -992,12 +890,9 @@ impl RestartOptions {
 /// `RestartOptions::default()` restores the most recent committed
 /// interval, peer memory first ([`RestartSource::Auto`]).
 ///
-/// Intervals committed through the dedup chunk store
-/// (`filem_dedup_enabled`) restore straight from their recorded chunk
-/// manifests: each rank's image is assembled chunk-by-chunk from the
-/// replica tier and/or the stable [`opal::store::ChunkStore`] — O(1)
-/// manifest→chunk fetches with digest verification, never a base→delta
-/// chain replay.
+/// Every committed interval restores from itself alone: dedup intervals
+/// from their chunk manifests, all others from one local snapshot per
+/// rank, peer memory first and stable storage for the misses.
 pub fn restart<A: MpiApp>(
     runtime: &Runtime,
     app: Arc<A>,
@@ -1038,13 +933,6 @@ pub fn restart<A: MpiApp>(
         launch_params.iter().map(|(k, v)| (k.as_str(), v.as_str())),
     ));
 
-    // Dedup intervals carry chunk manifests instead of (or alongside)
-    // chain links: restore them through the content-addressed store and
-    // skip the whole preload/chain machinery below.
-    if !global.chunk_manifests(interval).is_empty() {
-        return restart_dedup(runtime, app, &global, interval, &opts, params);
-    }
-
     // The placement is predicted with the same deterministic PLM mapping
     // the relaunch will use, so each rank's image lands on the node it
     // will restart on.
@@ -1053,118 +941,181 @@ pub fn restart<A: MpiApp>(
         .map_err(|e| CrError::Unsupported {
             detail: e.to_string(),
         })?;
-    let placement = plm.map_job(global.nprocs(), runtime.topology(), &params)?;
+    let nprocs = global.nprocs();
+    let placement = plm.map_job(nprocs, runtime.topology(), &params)?;
+    let targets: Vec<(cr_core::Rank, netsim::NodeId)> = (0..nprocs)
+        .map(|r| {
+            let rank = cr_core::Rank(r);
+            placement
+                .node_of
+                .get(rank.index())
+                .map(|&node| (rank, node))
+                .ok_or_else(|| CrError::BadSnapshot {
+                    detail: format!("placement has no node for rank {rank}"),
+                })
+        })
+        .collect::<Result<_, _>>()?;
+    let (images, fetched) = fetch_images(runtime, &global, interval, &targets, &opts, &params)?;
+    runtime.tracer().record(
+        "ompi.restart",
+        &format!(
+            "{} ranks from {} interval {interval} ({} images from peer memory)",
+            images.len(),
+            global_ref.display(),
+            fetched.replica_images
+        ),
+    );
+
+    let config = RunConfig { nprocs, params };
+    spawn_job(runtime, app, config, Some(images), Some(interval))
+}
+
+/// What [`fetch_images`] did besides producing the images.
+struct FetchSummary {
+    /// Images served from peer memory (for a manifest interval: images
+    /// that took at least one chunk from it).
+    replica_images: u32,
+    /// Simulated cost of the peer-memory transfers plus the stable
+    /// preload, back to back.
+    sim_cost: netsim::SimTime,
+}
+
+/// Obtain the process images of `targets` — `(rank, node it will run on)`
+/// pairs — at `interval`, in `targets` order. The one way a restart gets
+/// images: whole-job [`restart`] passes every rank on its predicted
+/// placement, [`MpiJob::restart_ranks`] the failed ranks on their spares.
+///
+/// Intervals committed through the dedup chunk store carry per-rank chunk
+/// manifests and are assembled straight out of the chunk tiers
+/// ([`orte::store::SnapshotStore::fetch_image`]); no local snapshot
+/// directory is materialized. Every other interval holds one
+/// self-contained local snapshot per rank: peer memory serves what it can,
+/// one FILEM batch preloads the misses from stable storage onto the
+/// destination nodes, and each image is rebuilt by the CRS component named
+/// in its local snapshot metadata (which may differ from the restart-time
+/// selection parameters) before the scratch copy is removed.
+fn fetch_images(
+    runtime: &Runtime,
+    global: &GlobalSnapshot,
+    interval: u64,
+    targets: &[(cr_core::Rank, netsim::NodeId)],
+    opts: &RestartOptions,
+    params: &McaParams,
+) -> Result<(Vec<opal::ProcessImage>, FetchSummary), CrError> {
+    let job = global.job();
+    let mut summary = FetchSummary {
+        replica_images: 0,
+        sim_cost: netsim::SimTime::ZERO,
+    };
+    let mut images = Vec::with_capacity(targets.len());
+
+    if !global.chunk_manifests(interval).is_empty() {
+        let source = match opts.source {
+            RestartSource::Auto => orte::store::ChunkSource::Auto,
+            RestartSource::Replica => orte::store::ChunkSource::ReplicaOnly,
+            RestartSource::Stable => orte::store::ChunkSource::StableOnly,
+        };
+        let store = orte::store::SnapshotStore::open(runtime, job, global.dir())?;
+        for &(rank, _) in targets {
+            let rendered =
+                global
+                    .chunk_manifest(interval, rank)
+                    .ok_or_else(|| CrError::BadSnapshot {
+                        detail: format!(
+                            "dedup interval {interval} has no chunk manifest for rank {rank}"
+                        ),
+                    })?;
+            let manifest = codec::ChunkManifest::parse(rendered).map_err(CrError::Codec)?;
+            let (image, stats) = store.fetch_image(&manifest, source, opts.verify)?;
+            summary.sim_cost += stats.sim_cost;
+            if stats.replica_chunks > 0 {
+                summary.replica_images += 1;
+            }
+            images.push(image);
+        }
+        return Ok((images, summary));
+    }
+
     let filem = orte::filem::filem_framework()
-        .select(&params)
+        .select(params)
         .map_err(|e| CrError::Unsupported {
             detail: e.to_string(),
         })?;
-
-    let job = global.job();
-    let nprocs = global.nprocs();
-    let node_for = |rank: cr_core::Rank| {
-        placement
-            .node_of
-            .get(rank.index())
-            .copied()
-            .ok_or_else(|| CrError::BadSnapshot {
-                detail: format!("placement has no node for rank {rank}"),
-            })
-    };
-    let dest_of = |rank: cr_core::Rank, node: netsim::NodeId, chain_interval: u64| {
+    let dest_of = |rank: cr_core::Rank, node: netsim::NodeId| {
         runtime
             .node_dir(node)
             .join("restart")
             .join(format!("{job}"))
-            .join(format!("interval_{chain_interval}"))
+            .join(format!("interval_{interval}"))
             .join(cr_core::snapshot::local_dir_name(rank))
     };
 
-    // With incremental checkpointing an interval's context may be a delta
-    // whose restore needs its full-image base plus every delta in between:
-    // the chain walk reads the links the coordinator recorded at commit.
-    // Fully-full intervals yield single-element chains and behave exactly
-    // as before.
-    let chains: Vec<Vec<u64>> = (0..nprocs)
-        .map(|r| global.ckpt_chain(interval, cr_core::Rank(r)))
-        .collect::<Result<_, _>>()?;
-    let chain_images: usize = chains.iter().map(|c| c.len()).sum();
-
-    // Phase 1 — peer memory: pull every needed (rank, chain interval)
-    // image from the first surviving replica holder recorded in the
-    // snapshot metadata. Snapshots gathered without the replica component
-    // have no holder records, so every image simply misses and phase 2
-    // does all the work.
-    let mut dirs: std::collections::HashMap<(u32, u64), std::path::PathBuf> =
-        std::collections::HashMap::with_capacity(chain_images);
-    let mut replica_hits = 0u32;
-    if source != RestartSource::Stable {
-        let mut replica_cost = netsim::SimTime::ZERO;
-        let mut replica_bytes = 0u64;
-        for (r, chain) in chains.iter().enumerate() {
-            let rank = cr_core::Rank(r as u32);
-            for &ci in chain {
-                let holders = global.replica_holders(ci, rank);
-                if holders.is_empty() {
-                    continue;
-                }
-                if let Some((image, cost)) =
-                    orte::replica::fetch_image(runtime, job, ci, rank, &holders)
-                {
-                    let dest = dest_of(rank, node_for(rank)?, ci);
-                    replica_bytes += image.total_bytes();
-                    replica_cost += cost;
-                    image.write_to(&dest)?;
-                    dirs.insert((rank.0, ci), dest);
-                    replica_hits += 1;
-                }
+    // Phase 1 — peer memory: pull each image from the first surviving
+    // replica holder recorded in the snapshot metadata. Snapshots gathered
+    // without the replica component have no holder records, so every
+    // image simply misses and phase 2 does all the work.
+    let mut missing: Vec<(cr_core::Rank, netsim::NodeId)> = Vec::new();
+    let mut replica_bytes = 0u64;
+    for &(rank, node) in targets {
+        let holders = if opts.source == RestartSource::Stable {
+            Vec::new()
+        } else {
+            global.replica_holders(interval, rank)
+        };
+        let fetched = if holders.is_empty() {
+            None
+        } else {
+            orte::replica::fetch_image(runtime, job, interval, rank, &holders)
+        };
+        match fetched {
+            Some((image, cost)) => {
+                replica_bytes += image.total_bytes();
+                summary.sim_cost += cost;
+                summary.replica_images += 1;
+                image.write_to(&dest_of(rank, node))?;
             }
+            None => missing.push((rank, node)),
         }
-        if replica_hits > 0 {
-            runtime.tracer().record(
-                "filem.replica.preload",
-                &format!(
-                    "{replica_hits} images, {replica_bytes} bytes, sim {replica_cost}"
-                ),
-            );
-        }
+    }
+    if summary.replica_images > 0 {
+        runtime.tracer().record(
+            "filem.replica.preload",
+            &format!(
+                "{} images, {replica_bytes} bytes, sim {}",
+                summary.replica_images, summary.sim_cost
+            ),
+        );
     }
 
     // Phase 2 — stable storage: whatever peer memory could not serve.
-    let mut missing: Vec<(cr_core::Rank, u64)> = Vec::new();
-    for (r, chain) in chains.iter().enumerate() {
-        for &ci in chain {
-            if !dirs.contains_key(&(r as u32, ci)) {
-                missing.push((cr_core::Rank(r as u32), ci));
-            }
-        }
-    }
     if !missing.is_empty() {
-        if source == RestartSource::Replica {
+        if opts.source == RestartSource::Replica {
             return Err(CrError::BadSnapshot {
                 detail: format!(
-                    "replica-only restart impossible: {} of {chain_images} needed \
-                     images have no surviving replica holder",
-                    missing.len()
+                    "replica-only restart impossible: {} of {} needed images (ranks {:?}) \
+                     have no surviving replica holder",
+                    missing.len(),
+                    targets.len(),
+                    missing.iter().map(|(rank, _)| rank.0).collect::<Vec<_>>()
                 ),
             });
         }
         // Never race an in-flight write-behind drain to the files.
         runtime.drain_writebehind();
-        let mut preload_batch = Vec::with_capacity(missing.len());
-        for (rank, ci) in &missing {
-            let local = global.local_snapshot(*ci, *rank)?;
-            let node = node_for(*rank)?;
-            let dest = dest_of(*rank, node, *ci);
-            preload_batch.push(orte::filem::CopyRequest {
-                src: local.dir().to_path_buf(),
-                src_node: netsim::NodeId(0), // stable storage is served by the head node
-                dest: dest.clone(),
-                dest_node: node,
-            });
-            dirs.insert((rank.0, *ci), dest);
-        }
-        let report = filem.copy_all(runtime.netview(), &preload_batch)?;
+        let batch = missing
+            .iter()
+            .map(|&(rank, node)| {
+                Ok(orte::filem::CopyRequest {
+                    src: global.local_snapshot(interval, rank)?.dir().to_path_buf(),
+                    src_node: netsim::NodeId(0), // stable storage is served by the head node
+                    dest: dest_of(rank, node),
+                    dest_node: node,
+                })
+            })
+            .collect::<Result<Vec<_>, CrError>>()?;
+        // One lane: the preload's simulated cost is the plain per-tree sum.
+        let (report, _) = orte::sched::copy_all_scheduled(&*filem, runtime.netview(), &batch, 1)?;
+        summary.sim_cost += report.serialized_cost;
         runtime.tracer().record(
             "filem.preload",
             &format!(
@@ -1174,140 +1125,19 @@ pub fn restart<A: MpiApp>(
         );
     }
 
-    // Rebuild every rank's process image from its node-local copies.
-    // Single-element chains restore through the CRS component named in the
-    // local snapshot metadata (which may differ from the restart-time
-    // selection parameters); delta chains replay base + deltas and verify
-    // the reassembled image against the newest context's chunk manifest.
+    // Rebuild every image from its node-local copy; the preloaded scratch
+    // copy has then served its purpose (FILEM remove).
     let crs_fw = crs_framework(SelfCallbacks::new());
-    let mut images = Vec::with_capacity(nprocs as usize);
-    let mut preloaded_dirs: Vec<std::path::PathBuf> = Vec::with_capacity(chain_images);
-    for (r, chain) in chains.iter().enumerate() {
-        let mut locals = Vec::with_capacity(chain.len());
-        for ci in chain {
-            let dir = dirs.remove(&(r as u32, *ci)).ok_or_else(|| CrError::BadSnapshot {
-                detail: format!("rank {r} has no restart image for interval {ci}"),
+    for &(rank, node) in targets {
+        let dir = dest_of(rank, node);
+        let local = cr_core::LocalSnapshot::open(&dir)?;
+        let crs = crs_fw
+            .instantiate(local.crs_component(), params)
+            .map_err(|e| CrError::Unsupported {
+                detail: e.to_string(),
             })?;
-            locals.push(cr_core::LocalSnapshot::open(&dir)?);
-            preloaded_dirs.push(dir);
-        }
-        if let [local] = locals.as_slice() {
-            let crs = crs_fw
-                .instantiate(local.crs_component(), &params)
-                .map_err(|e| CrError::Unsupported {
-                    detail: e.to_string(),
-                })?;
-            images.push(crs.restart(local)?);
-        } else {
-            images.push(opal::incr::reassemble(&locals)?);
-        }
+        images.push(crs.restart(&local)?);
+        filem.remove_tree(&dir)?;
     }
-    // The preloaded scratch copies served their purpose (FILEM remove).
-    for dir in &preloaded_dirs {
-        filem.remove_tree(dir)?;
-    }
-    runtime.tracer().record(
-        "ompi.restart",
-        &format!(
-            "{} ranks from {} interval {interval} ({replica_hits} images from peer memory)",
-            images.len(),
-            global_ref.display()
-        ),
-    );
-
-    let config = RunConfig { nprocs, params };
-    spawn_job(runtime, app, config, Some(images), Some(interval))
-}
-
-/// Restore a dedup-committed interval: per rank, parse the recorded chunk
-/// manifest and assemble the image straight out of the chunk tiers —
-/// peer memory first under [`RestartSource::Auto`], with per-chunk
-/// fallback to the stable store. No local snapshot directories are
-/// materialized and no base→delta chain is replayed; restart cost is one
-/// manifest parse plus one fetch per distinct chunk.
-fn restart_dedup<A: MpiApp>(
-    runtime: &Runtime,
-    app: Arc<A>,
-    global: &GlobalSnapshot,
-    interval: u64,
-    opts: &RestartOptions,
-    params: Arc<McaParams>,
-) -> Result<MpiJob<A::State>, CrError> {
-    let source = match opts.source {
-        RestartSource::Auto => orte::store::ChunkSource::Auto,
-        RestartSource::Replica => orte::store::ChunkSource::ReplicaOnly,
-        RestartSource::Stable => orte::store::ChunkSource::StableOnly,
-    };
-    let store = orte::store::SnapshotStore::open(runtime, global.job(), global.dir())?;
-    let nprocs = global.nprocs();
-    let mut images = Vec::with_capacity(nprocs as usize);
-    let mut replica_chunks = 0usize;
-    let mut stable_chunks = 0usize;
-    for r in 0..nprocs {
-        let rank = cr_core::Rank(r);
-        let rendered =
-            global
-                .chunk_manifest(interval, rank)
-                .ok_or_else(|| CrError::BadSnapshot {
-                    detail: format!(
-                        "dedup interval {interval} has no chunk manifest for rank {r}"
-                    ),
-                })?;
-        let manifest = codec::ChunkManifest::parse(rendered).map_err(CrError::Codec)?;
-        let (image, stats) = store.fetch_image(&manifest, source, opts.verify)?;
-        replica_chunks += stats.replica_chunks;
-        stable_chunks += stats.stable_chunks;
-        images.push(image);
-    }
-    runtime.tracer().record(
-        "ompi.restart",
-        &format!(
-            "{nprocs} ranks from {} interval {interval} (dedup: {replica_chunks} \
-             chunks from peer memory, {stable_chunks} from stable)",
-            global.dir().display()
-        ),
-    );
-    let config = RunConfig { nprocs, params };
-    spawn_job(runtime, app, config, Some(images), Some(interval))
-}
-
-/// Thin wrapper kept for source compatibility; use [`restart`].
-#[deprecated(note = "use restart(runtime, app, global_ref, RestartOptions::default())")]
-pub fn restart_from<A: MpiApp>(
-    runtime: &Runtime,
-    app: Arc<A>,
-    global_ref: &Path,
-    interval: Option<u64>,
-) -> Result<MpiJob<A::State>, CrError> {
-    restart(
-        runtime,
-        app,
-        global_ref,
-        RestartOptions {
-            interval,
-            ..RestartOptions::default()
-        },
-    )
-}
-
-/// Thin wrapper kept for source compatibility; use [`restart`].
-#[deprecated(note = "use restart(runtime, app, global_ref, RestartOptions { source, .. })")]
-pub fn restart_from_with_source<A: MpiApp>(
-    runtime: &Runtime,
-    app: Arc<A>,
-    global_ref: &Path,
-    interval: Option<u64>,
-    source: RestartSource,
-) -> Result<MpiJob<A::State>, CrError> {
-    restart(
-        runtime,
-        app,
-        global_ref,
-        RestartOptions {
-            source,
-            interval,
-            verify: true,
-            ranks: None,
-        },
-    )
+    Ok((images, summary))
 }

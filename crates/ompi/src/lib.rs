@@ -45,7 +45,5 @@ pub mod supervisor;
 pub use app::{MpiApp, StepOutcome};
 pub use comm::Comm;
 pub use error::MpiError;
-#[allow(deprecated)]
-pub use init::{restart_from, restart_from_with_source};
 pub use init::{mpirun, restart, MpiJob, RestartOptions, RestartSource, RunConfig};
 pub use mpi::Mpi;

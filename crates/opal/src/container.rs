@@ -66,14 +66,6 @@ pub struct CkptReply {
     pub snapshot_dir: PathBuf,
     /// Bytes on disk.
     pub size_bytes: u64,
-    /// Context kind the CRS emitted: `"full"` or `"delta"` (incremental).
-    pub ckpt_kind: String,
-    /// Interval holding the full image this context chains back to
-    /// (equals the request interval for full checkpoints).
-    pub base_interval: u64,
-    /// Immediately preceding interval in the chain (equals the request
-    /// interval for full checkpoints).
-    pub prev_interval: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -368,26 +360,11 @@ impl ProcessContainer {
             .and_then(|p| p.result)
             .ok_or_else(|| CrError::protocol("checkpoint chain completed without a snapshot"))?;
         let size_bytes = snapshot.size_bytes()?;
-        let ckpt_kind = snapshot
-            .param(crate::incr::PARAM_KIND)
-            .unwrap_or("full")
-            .to_string();
-        let base_interval = snapshot
-            .param(crate::incr::PARAM_BASE)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(interval);
-        let prev_interval = snapshot
-            .param(crate::incr::PARAM_PREV)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(interval);
         self.tracer
             .record("opal.notify.complete", &format!("{}", self.name));
         Ok(CkptReply {
             snapshot_dir: snapshot.dir().to_path_buf(),
             size_bytes,
-            ckpt_kind,
-            base_interval,
-            prev_interval,
         })
     }
 

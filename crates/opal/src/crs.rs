@@ -104,8 +104,8 @@ pub struct BlcrSim {
     /// Excluded state must be reconstructible by its owner at restart —
     /// the classic use is scratch buffers the application can recompute.
     exclude: Vec<String>,
-    /// Context encoder: full images, or dirty-chunk deltas when
-    /// `crs_incr_enabled` is set (see [`crate::incr`]).
+    /// Context writer: the full image, plus its chunk manifest when
+    /// `filem_dedup_enabled` is set (see [`crate::incr`]).
     incr: IncrEngine,
 }
 
@@ -154,21 +154,20 @@ impl CrsComponent for BlcrSim {
                 });
             }
         }
+        let pruned;
         let image = if self.exclude.is_empty() {
-            image.clone()
+            image
         } else {
-            let mut pruned = ProcessImage::new();
-            for name in image.names() {
+            let mut kept = ProcessImage::new();
+            for (name, bytes) in image.iter() {
                 if !self.exclude.iter().any(|e| e == name) {
-                    pruned.insert(
-                        name,
-                        image.section(name).expect("listed section").to_vec(),
-                    );
+                    kept.insert(name, bytes.to_vec());
                 }
             }
-            pruned
+            pruned = kept;
+            &pruned
         };
-        self.incr.write_image(&image, snapshot)?;
+        self.incr.write_image(image, snapshot)?;
         snapshot.set_param("sections", &image.names().join(","))?;
         if !self.exclude.is_empty() {
             snapshot.set_param("excluded", &self.exclude.join(","))?;
@@ -193,7 +192,7 @@ pub struct SelfCrs {
 }
 
 impl SelfCrs {
-    /// Build over a process's callback registry (incremental mode off).
+    /// Build over a process's callback registry (dedup mode off).
     pub fn new(callbacks: Arc<SelfCallbacks>) -> Self {
         SelfCrs {
             callbacks,
@@ -201,7 +200,7 @@ impl SelfCrs {
         }
     }
 
-    /// Build with the incremental engine configured from MCA parameters.
+    /// Build with the context writer configured from MCA parameters.
     pub fn from_params(callbacks: Arc<SelfCallbacks>, params: &McaParams) -> Self {
         SelfCrs {
             callbacks,

@@ -1,55 +1,35 @@
-//! Incremental checkpoint engine: ship only dirty chunks per interval.
+//! The context writer every CRS component delegates to.
 //!
-//! Full checkpoints scale with total state size even when the application
-//! mutates a tiny working set between intervals. This module gives every
-//! CRS component a chunk-level incremental mode: each [`ProcessImage`]
-//! section is cut into fixed-size chunks ([`codec::chunk`]), digested, and
-//! compared against the manifest of the previous interval (cached in the
-//! engine, which lives in the per-rank CRS instance inside the daemon's
-//! process container). Only chunks whose digest changed are written, as a
-//! *delta context* that records its base and predecessor intervals; the
-//! snapshot metadata carries the kind, the chain links, and the full
-//! manifest of the image the delta reconstructs to.
-//!
-//! A full image is forced whenever no usable base exists (first interval,
-//! fresh restart, or a retried interval number) and every
-//! `crs_incr_full_every` intervals, bounding chain length. Restart replays
-//! the chain oldest-first ([`reassemble`]) and verifies the reassembled
-//! bytes against the newest manifest's chunk digests before handing the
-//! image to the component's `restart` — a truncated or corrupted delta
-//! fails loudly instead of resuming a silently wrong process.
+//! A checkpoint interval is [`CkptKind::Full`] or [`CkptKind::Dedup`], and
+//! either restores from itself alone: the context file always holds the
+//! complete [`ProcessImage`]. With `filem_dedup_enabled` the engine also
+//! cuts each section into fixed-size chunks ([`codec::chunk`], sized by
+//! `crs_incr_chunk_kb`), digests them over the hash pool, and records the
+//! resulting manifest in the snapshot metadata — the key the commit path
+//! uses to move only never-before-seen chunks into the content-addressed
+//! store ([`crate::store`]). No interval depends on an earlier one.
 
-use codec::chunk::ChunkManifest;
 use mca::McaParams;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use cr_core::snapshot::LocalSnapshot;
 use cr_core::CrError;
 
 use crate::image::ProcessImage;
-use crate::pool::BufferPool;
 
-/// Snapshot metadata key: `"full"`, `"delta"`, or `"dedup"`.
+/// Snapshot metadata key: `"full"` or `"dedup"`.
 pub const PARAM_KIND: &str = "ckpt_kind";
-/// Snapshot metadata key: interval of the chain's full base image.
-pub const PARAM_BASE: &str = "base_interval";
-/// Snapshot metadata key: interval this delta applies on top of.
-pub const PARAM_PREV: &str = "prev_interval";
-/// Snapshot metadata key: rendered [`ChunkManifest`] of the image this
-/// snapshot reconstructs to (only written when incremental mode is on).
+/// Snapshot metadata key: rendered [`codec::ChunkManifest`] of the image
+/// (only written in dedup mode).
 pub const PARAM_MANIFEST: &str = "manifest";
 
-/// What a checkpoint wrote: a complete image or only dirty chunks.
+/// What a checkpoint wrote. Both kinds are complete images.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CkptKind {
-    /// Complete image; restores on its own.
+    /// Complete image, gathered whole.
     Full,
-    /// Dirty chunks only; restores by replaying base + delta chain.
-    Delta,
     /// Complete image whose manifest keys into the content-addressed
     /// chunk store ([`crate::store`]); restores by direct manifest→chunk
-    /// fetch, never by chain replay.
+    /// fetch.
     Dedup,
 }
 
@@ -58,418 +38,89 @@ impl CkptKind {
     pub fn as_str(self) -> &'static str {
         match self {
             CkptKind::Full => "full",
-            CkptKind::Delta => "delta",
             CkptKind::Dedup => "dedup",
         }
     }
 }
 
-/// Dirty chunks of one section.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DeltaSection {
-    /// Section name.
-    pub name: String,
-    /// Section length this interval (the reassembled buffer is resized to
-    /// this before chunks are applied, handling growth and shrinkage).
-    pub total_len: u64,
-    /// `(chunk id, bytes)` of every chunk that changed since the previous
-    /// interval, id-ascending.
-    pub chunks: Vec<(u32, Vec<u8>)>,
+/// The per-rank context writer CRS components delegate their encoding to.
+pub struct IncrEngine {
+    /// Content-addressed dedup mode (`filem_dedup_enabled`, default off).
+    dedup: bool,
+    /// Dedup chunk size in bytes (`crs_incr_chunk_kb` × 1024).
+    chunk_bytes: usize,
+    /// Hash lanes for manifest builds (`opal_hash_workers`).
+    workers: usize,
 }
 
-/// The payload of a delta context file.
-///
-/// Sections list *every* current image section (possibly with zero dirty
-/// chunks); a section present at the previous interval but absent here was
-/// dropped from the image.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DeltaContext {
-    /// Chunk size the ids refer to.
-    pub chunk_bytes: u32,
-    /// Interval of the chain's full base image.
-    pub base_interval: u64,
-    /// Interval this delta applies on top of.
-    pub prev_interval: u64,
-    /// Per-section dirty chunks, in image order.
-    pub sections: Vec<DeltaSection>,
-}
-
-/// Incremental-checkpoint knobs (see `mca::registry`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IncrConfig {
-    /// Master switch (`crs_incr_enabled`, default off).
-    pub enabled: bool,
-    /// Chunk size in bytes (`crs_incr_chunk_kb` × 1024).
-    pub chunk_bytes: usize,
-    /// Force a full image every N intervals (`crs_incr_full_every`),
-    /// bounding delta-chain length. Values ≤ 1 disable deltas entirely.
-    pub full_every: u64,
-    /// Content-addressed dedup mode (`filem_dedup_enabled`, default off):
-    /// every checkpoint is a self-contained full image tagged
-    /// [`CkptKind::Dedup`] whose chunk manifest is always written, so the
-    /// commit path can key the bytes into the chunk store.  Takes
-    /// precedence over delta mode — dedup intervals never chain.
-    pub dedup: bool,
-}
-
-impl IncrConfig {
-    /// Read the knobs from MCA parameters (defaults mirror the registry).
+impl IncrEngine {
+    /// Engine configured from MCA parameters (defaults mirror the
+    /// registry).
     pub fn from_params(params: &McaParams) -> Self {
-        IncrConfig {
-            enabled: params.get_bool_or("crs_incr_enabled", false).unwrap_or(false),
+        IncrEngine {
+            dedup: params
+                .get_bool_or("filem_dedup_enabled", false)
+                .unwrap_or(false),
             chunk_bytes: params
                 .get_parsed_or("crs_incr_chunk_kb", 4u64)
                 .unwrap_or(4)
                 .max(1) as usize
                 * 1024,
-            full_every: params
-                .get_parsed_or("crs_incr_full_every", 16u64)
-                .unwrap_or(16),
-            dedup: params
-                .get_bool_or("filem_dedup_enabled", false)
-                .unwrap_or(false),
-        }
-    }
-
-    /// Incremental mode off (the default-constructed engine).
-    pub fn disabled() -> Self {
-        IncrConfig {
-            enabled: false,
-            chunk_bytes: 4 * 1024,
-            full_every: 16,
-            dedup: false,
-        }
-    }
-}
-
-/// Previous interval's manifest, cached per rank inside the CRS instance.
-struct IncrCache {
-    /// Interval of the newest snapshot this rank wrote.
-    interval: u64,
-    /// Interval of the chain's full base.
-    base_interval: u64,
-    /// Deltas written since that base (bounds chain length).
-    deltas_since_full: u64,
-    /// Manifest of the image at `interval`.
-    manifest: ChunkManifest,
-}
-
-/// The per-rank incremental checkpoint writer CRS components delegate
-/// their context encoding to.
-pub struct IncrEngine {
-    config: IncrConfig,
-    cache: Mutex<Option<IncrCache>>,
-    /// Hash lanes for manifest builds (`opal_hash_workers`).
-    workers: usize,
-    /// Reusable chunk buffers for delta builds (`opal_buffer_pool_cap`).
-    pool: BufferPool,
-}
-
-impl IncrEngine {
-    /// Engine configured from MCA parameters.
-    pub fn from_params(params: &McaParams) -> Self {
-        IncrEngine {
-            config: IncrConfig::from_params(params),
-            cache: Mutex::new(None),
             workers: crate::pool::hash_workers(params),
-            pool: BufferPool::new(crate::pool::buffer_pool_cap(params)),
         }
     }
 
-    /// Engine with incremental mode off: every checkpoint is a full image,
-    /// byte-identical to the pre-incremental format.
+    /// Engine with dedup off: every checkpoint is a plain full image.
     pub fn disabled() -> Self {
         IncrEngine {
-            config: IncrConfig::disabled(),
-            cache: Mutex::new(None),
+            dedup: false,
+            chunk_bytes: 4 * 1024,
             workers: 1,
-            pool: BufferPool::new(8),
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> IncrConfig {
-        self.config
-    }
-
-    /// The engine's reusable chunk-buffer pool (hit/miss counters feed
-    /// the `ckpt_datapath` allocation-flat ratchet).
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    /// Write `image` into `snapshot` as either a full context or a delta
-    /// against the cached previous interval, and record kind/chain/manifest
-    /// metadata. Returns what was written.
-    ///
-    /// A full image is forced when incremental mode is off, no cache
-    /// exists (first interval of this process incarnation), the chain
-    /// would exceed `full_every`, or the cached interval is not strictly
-    /// older than `snapshot`'s — the latter covers a failed-and-retried
-    /// interval number, where a delta against state the coordinator never
-    /// committed would corrupt the chain.
+    /// Write `image` into `snapshot` as a full context and record its
+    /// kind; in dedup mode also build and record the chunk manifest.
+    /// Returns what was written.
     pub fn write_image(
         &self,
         image: &ProcessImage,
         snapshot: &mut LocalSnapshot,
     ) -> Result<CkptKind, CrError> {
-        let interval = snapshot.interval();
-        let sections: Vec<(&str, &[u8])> = image.iter().collect();
-        let manifest =
-            crate::pool::manifest_parallel(&sections, self.config.chunk_bytes, self.workers);
-        let mut cache = self.cache.lock();
-        let base = cache.as_ref().filter(|c| {
-            self.config.enabled
-                && !self.config.dedup
-                && self.config.full_every > 1
-                && c.interval < interval
-                && c.deltas_since_full + 1 < self.config.full_every
-        });
-        let kind = match base {
-            Some(prev) => {
-                let ctx = build_delta_pooled(
-                    image,
-                    &manifest,
-                    &prev.manifest,
-                    self.config.chunk_bytes,
-                    &self.pool,
-                )
-                .with_chain(prev.base_interval, prev.interval);
-                snapshot.write_context(&codec::to_bytes(&ctx)?)?;
-                snapshot.set_param(PARAM_BASE, &ctx.base_interval.to_string())?;
-                snapshot.set_param(PARAM_PREV, &ctx.prev_interval.to_string())?;
-                // The serialized context is on disk; the chunk buffers go
-                // back to the pool for the next interval's delta.
-                recycle_delta(ctx, &self.pool);
-                CkptKind::Delta
-            }
-            None => {
-                snapshot.write_context(&image.to_bytes()?)?;
-                snapshot.set_param(PARAM_BASE, &interval.to_string())?;
-                snapshot.set_param(PARAM_PREV, &interval.to_string())?;
-                if self.config.dedup {
-                    CkptKind::Dedup
-                } else {
-                    CkptKind::Full
-                }
-            }
+        snapshot.write_context(&image.to_bytes()?)?;
+        let kind = if self.dedup {
+            CkptKind::Dedup
+        } else {
+            CkptKind::Full
         };
         snapshot.set_param(PARAM_KIND, kind.as_str())?;
-        if self.config.enabled || self.config.dedup {
+        if self.dedup {
+            let sections: Vec<(&str, &[u8])> = image.iter().collect();
+            let manifest =
+                crate::pool::manifest_parallel(&sections, self.chunk_bytes, self.workers);
             snapshot.set_param(PARAM_MANIFEST, &manifest.render())?;
         }
-        let (base_interval, deltas_since_full) = match (kind, cache.as_ref()) {
-            (CkptKind::Delta, Some(prev)) => (prev.base_interval, prev.deltas_since_full + 1),
-            _ => (interval, 0),
-        };
-        *cache = Some(IncrCache {
-            interval,
-            base_interval,
-            deltas_since_full,
-            manifest,
-        });
         Ok(kind)
     }
 }
 
-/// Compute the delta of `image` against the previous interval's manifest,
-/// allocating a fresh `Vec` per dirty chunk (the legacy path, kept as the
-/// reference the pooled builder is property-tested against).
-pub fn build_delta(
-    image: &ProcessImage,
-    manifest: &ChunkManifest,
-    prev: &ChunkManifest,
-    chunk_bytes: usize,
-) -> DeltaContext {
-    let sections = image
-        .iter()
-        .map(|(name, bytes)| {
-            let dirty = match manifest.section(name) {
-                Some(cur) => codec::changed_chunks(prev.section(name), cur),
-                None => Vec::new(), // unreachable: manifest was built from image
-            };
-            DeltaSection {
-                name: name.to_string(),
-                total_len: bytes.len() as u64,
-                chunks: dirty
-                    .into_iter()
-                    .map(|id| {
-                        let start = id as usize * chunk_bytes;
-                        let end = (start + chunk_bytes).min(bytes.len());
-                        (id, bytes.get(start..end).unwrap_or(&[]).to_vec())
-                    })
-                    .collect(),
-            }
-        })
-        .collect();
-    DeltaContext {
-        chunk_bytes: chunk_bytes as u32,
-        base_interval: 0,
-        prev_interval: 0,
-        sections,
-    }
-}
-
-/// [`build_delta`] with chunk buffers drawn from `pool` instead of fresh
-/// allocations. Byte-identical output (a pooled buffer's spare capacity
-/// never reaches the serializer); pair with [`recycle_delta`] once the
-/// context is serialized so steady-state delta builds allocate O(pool)
-/// buffers, not O(dirty chunks).
-pub fn build_delta_pooled(
-    image: &ProcessImage,
-    manifest: &ChunkManifest,
-    prev: &ChunkManifest,
-    chunk_bytes: usize,
-    pool: &BufferPool,
-) -> DeltaContext {
-    let sections = image
-        .iter()
-        .map(|(name, bytes)| {
-            let dirty = match manifest.section(name) {
-                Some(cur) => codec::changed_chunks(prev.section(name), cur),
-                None => Vec::new(), // unreachable: manifest was built from image
-            };
-            DeltaSection {
-                name: name.to_string(),
-                total_len: bytes.len() as u64,
-                chunks: dirty
-                    .into_iter()
-                    .map(|id| {
-                        let start = id as usize * chunk_bytes;
-                        let end = (start + chunk_bytes).min(bytes.len());
-                        let chunk = bytes.get(start..end).unwrap_or(&[]);
-                        let mut buf = pool.take(chunk.len());
-                        buf.extend_from_slice(chunk);
-                        (id, buf)
-                    })
-                    .collect(),
-            }
-        })
-        .collect();
-    DeltaContext {
-        chunk_bytes: chunk_bytes as u32,
-        base_interval: 0,
-        prev_interval: 0,
-        sections,
-    }
-}
-
-/// Return a serialized delta's chunk buffers to `pool` for reuse.
-pub fn recycle_delta(ctx: DeltaContext, pool: &BufferPool) {
-    for section in ctx.sections {
-        for (_, buf) in section.chunks {
-            pool.put(buf);
-        }
-    }
-}
-
-impl DeltaContext {
-    fn with_chain(mut self, base: u64, prev: u64) -> Self {
-        self.base_interval = base;
-        self.prev_interval = prev;
-        self
-    }
-
-    /// Payload bytes of the dirty chunks (the delta's data volume).
-    pub fn dirty_bytes(&self) -> u64 {
-        self.sections
-            .iter()
-            .flat_map(|s| s.chunks.iter())
-            .map(|(_, b)| b.len() as u64)
-            .sum()
-    }
-}
-
-/// Decode a *full* snapshot's context, refusing delta contexts with a
-/// clear error instead of a deserialization failure.
+/// Decode a snapshot's context into its image. A snapshot whose metadata
+/// says `ckpt_kind=delta` was written by an older build as a link of a
+/// base→delta chain; its context is not an image and is refused by name
+/// instead of failing somewhere inside the decoder.
 pub fn read_full_image(snapshot: &LocalSnapshot) -> Result<ProcessImage, CrError> {
-    if snapshot.param(PARAM_KIND) == Some(CkptKind::Delta.as_str()) {
+    if snapshot.param(PARAM_KIND) == Some("delta") {
         return Err(CrError::BadSnapshot {
             detail: format!(
-                "rank {} interval {} holds a delta context; restart must replay \
-                 its base + delta chain (restart_from does this automatically)",
+                "rank {} interval {} is a delta-chain context written by an older \
+                 build; this build restores only self-contained (full or dedup) \
+                 intervals",
                 snapshot.rank(),
                 snapshot.interval()
             ),
         });
     }
     ProcessImage::from_bytes(&snapshot.read_context()?)
-}
-
-/// Apply one delta on top of `prev`, producing the next interval's image.
-///
-/// The reassembled image takes the delta's section list and order; chunk
-/// offsets past the resized section are a corrupt chain and error out.
-pub fn apply_delta(prev: &ProcessImage, delta: &DeltaContext) -> Result<ProcessImage, CrError> {
-    let chunk_bytes = delta.chunk_bytes.max(1) as usize;
-    let mut next = ProcessImage::new();
-    for section in &delta.sections {
-        let mut buf = prev
-            .section(&section.name)
-            .map(<[u8]>::to_vec)
-            .unwrap_or_default();
-        buf.resize(section.total_len as usize, 0);
-        for (id, bytes) in &section.chunks {
-            let start = *id as usize * chunk_bytes;
-            let end = start + bytes.len();
-            let slot = buf.get_mut(start..end).ok_or_else(|| CrError::BadSnapshot {
-                detail: format!(
-                    "delta chunk {id} of section {:?} spans {start}..{end} but the \
-                     section is only {} bytes — corrupt or truncated delta",
-                    section.name, section.total_len
-                ),
-            })?;
-            slot.copy_from_slice(bytes);
-        }
-        next.insert(section.name.clone(), buf);
-    }
-    Ok(next)
-}
-
-/// Replay a rank's snapshot chain — full base first, then each delta in
-/// interval order — and verify the reassembled image against the newest
-/// snapshot's chunk manifest before returning it.
-pub fn reassemble(chain: &[LocalSnapshot]) -> Result<ProcessImage, CrError> {
-    let (base, deltas) = chain.split_first().ok_or_else(|| CrError::BadSnapshot {
-        detail: "empty snapshot chain".into(),
-    })?;
-    let mut image = read_full_image(base)?;
-    for snapshot in deltas {
-        if snapshot.param(PARAM_KIND) != Some(CkptKind::Delta.as_str()) {
-            return Err(CrError::BadSnapshot {
-                detail: format!(
-                    "interval {} appears mid-chain but is not a delta",
-                    snapshot.interval()
-                ),
-            });
-        }
-        let delta: DeltaContext = codec::from_bytes(&snapshot.read_context()?)?;
-        image = apply_delta(&image, &delta)?;
-    }
-    if let Some(newest) = chain.last() {
-        verify_manifest(newest, &image)?;
-    }
-    Ok(image)
-}
-
-/// Check `image` against the manifest recorded in `snapshot`'s metadata;
-/// snapshots without one (incremental mode off) pass vacuously.
-pub fn verify_manifest(snapshot: &LocalSnapshot, image: &ProcessImage) -> Result<(), CrError> {
-    let Some(rendered) = snapshot.param(PARAM_MANIFEST) else {
-        return Ok(());
-    };
-    let manifest = ChunkManifest::parse(rendered)?;
-    if let Some(detail) = manifest.mismatch(image.iter()) {
-        return Err(CrError::BadSnapshot {
-            detail: format!(
-                "rank {} interval {} failed manifest verification after chain \
-                 replay: {detail}",
-                snapshot.rank(),
-                snapshot.interval()
-            ),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -489,14 +140,6 @@ mod tests {
         dir
     }
 
-    fn incr_params(chunk_kb: u64, full_every: u64) -> McaParams {
-        let params = McaParams::new();
-        params.set("crs_incr_enabled", "true");
-        params.set("crs_incr_chunk_kb", &chunk_kb.to_string());
-        params.set("crs_incr_full_every", &full_every.to_string());
-        params
-    }
-
     fn image_of(sections: &[(&str, Vec<u8>)]) -> ProcessImage {
         let mut img = ProcessImage::new();
         for (name, bytes) in sections {
@@ -510,206 +153,56 @@ mod tests {
     }
 
     #[test]
-    fn config_defaults_match_registry() {
-        let cfg = IncrConfig::from_params(&McaParams::new());
-        assert!(!cfg.enabled);
-        assert_eq!(cfg.chunk_bytes, 4096);
-        assert_eq!(cfg.full_every, 16);
-    }
-
-    #[test]
-    fn first_interval_is_full_then_deltas_shrink() {
-        let dir = tmpdir("shrink");
-        let engine = IncrEngine::from_params(&incr_params(1, 16));
-        let mut state = vec![0u8; 64 * 1024];
-        let img = image_of(&[("app", state.clone())]);
-        let mut s0 = snap(&dir.join("i0"), 0);
-        assert_eq!(engine.write_image(&img, &mut s0).unwrap(), CkptKind::Full);
-        assert_eq!(s0.param(PARAM_KIND), Some("full"));
-
-        // Dirty one chunk: the delta must be tiny relative to the image.
-        state[10_000] ^= 0xFF;
-        let img = image_of(&[("app", state.clone())]);
-        let mut s1 = snap(&dir.join("i1"), 1);
-        assert_eq!(engine.write_image(&img, &mut s1).unwrap(), CkptKind::Delta);
-        assert_eq!(s1.param(PARAM_KIND), Some("delta"));
-        assert_eq!(s1.param(PARAM_BASE), Some("0"));
-        assert_eq!(s1.param(PARAM_PREV), Some("0"));
-        let delta: DeltaContext = codec::from_bytes(&s1.read_context().unwrap()).unwrap();
-        assert_eq!(delta.dirty_bytes(), 1024);
-        assert!(s1.size_bytes().unwrap() < s0.size_bytes().unwrap() / 4);
-
-        // Replaying the chain reproduces the current image exactly.
-        let rebuilt = reassemble(&[
-            LocalSnapshot::open(s0.dir()).unwrap(),
-            LocalSnapshot::open(s1.dir()).unwrap(),
-        ])
-        .unwrap();
-        assert_eq!(rebuilt, img);
-    }
-
-    #[test]
-    fn full_every_bounds_the_chain() {
-        let dir = tmpdir("fullevery");
-        let engine = IncrEngine::from_params(&incr_params(1, 3));
-        let img = image_of(&[("app", vec![9u8; 4096])]);
-        let mut kinds = Vec::new();
-        for interval in 0..7 {
-            let mut s = snap(&dir.join(format!("i{interval}")), interval);
-            kinds.push(engine.write_image(&img, &mut s).unwrap());
-        }
-        // full, delta, delta, full, delta, delta, full
-        assert_eq!(
-            kinds,
-            vec![
-                CkptKind::Full,
-                CkptKind::Delta,
-                CkptKind::Delta,
-                CkptKind::Full,
-                CkptKind::Delta,
-                CkptKind::Delta,
-                CkptKind::Full,
-            ]
-        );
-    }
-
-    #[test]
-    fn retried_interval_number_forces_full() {
-        // If interval N failed at another rank and is retried as N again,
-        // a delta against the aborted attempt would corrupt the chain.
-        let dir = tmpdir("retry");
-        let engine = IncrEngine::from_params(&incr_params(1, 16));
-        let img = image_of(&[("app", vec![1u8; 2048])]);
-        let mut s = snap(&dir.join("a"), 5);
-        assert_eq!(engine.write_image(&img, &mut s).unwrap(), CkptKind::Full);
-        let mut s = snap(&dir.join("b"), 5);
-        assert_eq!(engine.write_image(&img, &mut s).unwrap(), CkptKind::Full);
-        let mut s = snap(&dir.join("c"), 6);
-        assert_eq!(engine.write_image(&img, &mut s).unwrap(), CkptKind::Delta);
-    }
-
-    #[test]
-    fn disabled_engine_always_writes_plain_full_images() {
-        let dir = tmpdir("disabled");
-        let engine = IncrEngine::disabled();
+    fn default_engine_writes_plain_full_images_and_hashes_nothing() {
+        let dir = tmpdir("default");
         let img = image_of(&[("app", vec![3u8; 1024])]);
-        for interval in 0..3 {
-            let mut s = snap(&dir.join(format!("i{interval}")), interval);
-            assert_eq!(engine.write_image(&img, &mut s).unwrap(), CkptKind::Full);
-            assert!(s.param(PARAM_MANIFEST).is_none());
-            // The context is a plain image, readable by the legacy path.
-            assert_eq!(
-                ProcessImage::from_bytes(&s.read_context().unwrap()).unwrap(),
-                img
-            );
+        for engine in [IncrEngine::from_params(&McaParams::new()), IncrEngine::disabled()] {
+            assert_eq!(engine.chunk_bytes, 4096, "default mirrors the registry");
+            for interval in 0..3 {
+                let mut s = snap(&dir.join(format!("i{interval}")), interval);
+                assert_eq!(engine.write_image(&img, &mut s).unwrap(), CkptKind::Full);
+                assert_eq!(s.param(PARAM_KIND), Some("full"));
+                assert!(s.param(PARAM_MANIFEST).is_none(), "no manifest off the dedup path");
+                assert_eq!(
+                    ProcessImage::from_bytes(&s.read_context().unwrap()).unwrap(),
+                    img
+                );
+            }
         }
     }
 
     #[test]
     fn dedup_mode_writes_self_contained_manifested_images() {
         let dir = tmpdir("dedup");
-        let params = incr_params(1, 16); // delta mode on — dedup must win
+        let params = McaParams::new();
         params.set("filem_dedup_enabled", "true");
+        params.set("crs_incr_chunk_kb", "1");
         let engine = IncrEngine::from_params(&params);
         let img = image_of(&[("app", vec![7u8; 4096])]);
         for interval in 0..3 {
             let mut s = snap(&dir.join(format!("i{interval}")), interval);
             assert_eq!(engine.write_image(&img, &mut s).unwrap(), CkptKind::Dedup);
             assert_eq!(s.param(PARAM_KIND), Some("dedup"));
-            assert!(s.param(PARAM_MANIFEST).is_some(), "manifest always written");
-            // Self-contained: the legacy full-image reader accepts it, so
-            // restart never needs chain replay for a dedup interval.
+            let manifest =
+                codec::ChunkManifest::parse(s.param(PARAM_MANIFEST).expect("manifest")).unwrap();
+            assert_eq!(manifest.chunk_bytes, 1024);
+            assert_eq!(manifest.total_bytes(), 4096);
+            // Self-contained: the context alone restores the image.
             assert_eq!(read_full_image(&s).unwrap(), img);
         }
     }
 
     #[test]
-    fn sections_can_appear_grow_shrink_and_vanish() {
-        let dir = tmpdir("reshape");
-        let engine = IncrEngine::from_params(&incr_params(1, 16));
-        let mut s0 = snap(&dir.join("i0"), 0);
-        engine
-            .write_image(&image_of(&[("app", vec![1u8; 3000]), ("pml", vec![2u8; 500])]), &mut s0)
-            .unwrap();
-        // pml vanishes, app shrinks, coll appears.
-        let img1 = image_of(&[("app", vec![1u8; 1200]), ("coll", vec![4u8; 64])]);
-        let mut s1 = snap(&dir.join("i1"), 1);
-        assert_eq!(engine.write_image(&img1, &mut s1).unwrap(), CkptKind::Delta);
-        // app grows again.
-        let img2 = image_of(&[("app", vec![5u8; 4096]), ("coll", vec![4u8; 64])]);
-        let mut s2 = snap(&dir.join("i2"), 2);
-        assert_eq!(engine.write_image(&img2, &mut s2).unwrap(), CkptKind::Delta);
-
-        let chain: Vec<LocalSnapshot> = [&s0, &s1, &s2]
-            .iter()
-            .map(|s| LocalSnapshot::open(s.dir()).unwrap())
-            .collect();
-        assert_eq!(reassemble(&chain).unwrap(), img2);
-        assert_eq!(reassemble(&chain[..2]).unwrap(), img1);
-    }
-
-    #[test]
-    fn read_full_image_refuses_delta_contexts() {
+    fn delta_context_from_an_older_build_is_refused_by_name() {
         let dir = tmpdir("refuse");
-        let engine = IncrEngine::from_params(&incr_params(1, 16));
-        let img = image_of(&[("app", vec![1u8; 2048])]);
-        let mut s0 = snap(&dir.join("i0"), 0);
-        engine.write_image(&img, &mut s0).unwrap();
-        let mut s1 = snap(&dir.join("i1"), 1);
-        engine.write_image(&img, &mut s1).unwrap();
-        let err = read_full_image(&s1).unwrap_err();
-        assert!(err.to_string().contains("delta"), "got: {err}");
-        assert!(read_full_image(&s0).is_ok());
-    }
-
-    #[test]
-    fn truncated_delta_chunk_fails_reassembly_loudly() {
-        let dir = tmpdir("truncate");
-        let engine = IncrEngine::from_params(&incr_params(1, 16));
-        let mut state = vec![0u8; 8192];
-        let mut s0 = snap(&dir.join("i0"), 0);
-        engine
-            .write_image(&image_of(&[("app", state.clone())]), &mut s0)
-            .unwrap();
-        state[5000] = 7;
-        let mut s1 = snap(&dir.join("i1"), 1);
-        engine
-            .write_image(&image_of(&[("app", state.clone())]), &mut s1)
-            .unwrap();
-
-        // Corrupt the delta: drop half of its dirty chunk's bytes and
-        // rewrite the context (valid frame, wrong content).
-        let mut delta: DeltaContext = codec::from_bytes(&s1.read_context().unwrap()).unwrap();
-        let kept = delta.sections[0].chunks[0].1[..512].to_vec();
-        delta.sections[0].chunks[0].1 = kept;
-        s1.write_context(&codec::to_bytes(&delta).unwrap()).unwrap();
-
-        let chain = vec![
-            LocalSnapshot::open(s0.dir()).unwrap(),
-            LocalSnapshot::open(s1.dir()).unwrap(),
-        ];
-        let err = reassemble(&chain).unwrap_err();
-        assert!(
-            err.to_string().contains("manifest verification"),
-            "truncation must be caught by the digest check, got: {err}"
-        );
-    }
-
-    #[test]
-    fn mid_chain_full_snapshot_is_rejected() {
-        let dir = tmpdir("midchain");
-        let engine = IncrEngine::from_params(&incr_params(1, 16));
-        let img = image_of(&[("app", vec![1u8; 512])]);
-        let mut s0 = snap(&dir.join("i0"), 0);
-        engine.write_image(&img, &mut s0).unwrap();
-        let other = IncrEngine::from_params(&incr_params(1, 16));
-        let mut s1 = snap(&dir.join("i1"), 1);
-        other.write_image(&img, &mut s1).unwrap(); // fresh engine → full
-        let err = reassemble(&[
-            LocalSnapshot::open(s0.dir()).unwrap(),
-            LocalSnapshot::open(s1.dir()).unwrap(),
-        ])
-        .unwrap_err();
-        assert!(err.to_string().contains("not a delta"), "got: {err}");
+        let mut s = snap(&dir, 1);
+        // Hand-written stand-in for what an older build left on disk: a
+        // context that is not an image, tagged as a delta.
+        s.write_context(b"dirty chunks only").unwrap();
+        s.set_param(PARAM_KIND, "delta").unwrap();
+        let reopened = LocalSnapshot::open(s.dir()).unwrap();
+        let err = read_full_image(&reopened).unwrap_err();
+        assert!(matches!(err, CrError::BadSnapshot { .. }), "got: {err}");
+        assert!(err.to_string().contains("older build"), "got: {err}");
     }
 }

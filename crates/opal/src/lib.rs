@@ -18,10 +18,9 @@
 //!   (system-level style, no application cooperation), `self` (application
 //!   callbacks, as in LAM/MPI and Open MPI), and `none` (declares the
 //!   process non-checkpointable).
-//! * [`incr`] — the chunk-level incremental checkpoint engine the
-//!   checkpointing components delegate context encoding to: full images by
-//!   default, dirty-chunks-only deltas when `crs_incr_enabled` is set,
-//!   with manifest-verified chain replay at restart.
+//! * [`incr`] — the context writer the checkpointing components delegate
+//!   to: always the full image, plus its chunk manifest when
+//!   `filem_dedup_enabled` is set. Every interval restores on its own.
 //! * [`store`] — the content-addressed chunk store: digest-keyed,
 //!   frame-wrapped blobs with persisted refcounts, shared across ranks and
 //!   intervals when `filem_dedup_enabled` is set.
@@ -51,7 +50,7 @@ pub mod store;
 
 pub use container::{OpalCtrl, ProcessContainer};
 pub use crs::{crs_framework, CrsComponent, SelfCallbacks};
-pub use incr::{CkptKind, IncrConfig, IncrEngine};
+pub use incr::{CkptKind, IncrEngine};
 pub use pool::{BufferPool, PoolStats};
 pub use store::{ChunkId, ChunkStore};
 pub use gate::SafePointGate;

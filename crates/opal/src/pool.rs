@@ -7,17 +7,14 @@
 //! thread, and bounds its allocations:
 //!
 //! * [`manifest_parallel`] / [`digest_all_parallel`] — bounded worker
-//!   pools (`opal_hash_workers`, `thread::scope` + atomic work-claiming,
-//!   the same lane discipline as `orte::filem::copy_all_parallel`) that
-//!   chunk and digest a rank's sections concurrently. Output is
+//!   pools (`opal_hash_workers`, `thread::scope` + atomic work-claiming)
+//!   that chunk and digest a rank's sections concurrently. Output is
 //!   byte-identical to the sequential path — asserted by tests here and
 //!   ratcheted by the `ckpt_datapath` bench.
 //! * [`BufferPool`] — a bounded free list of reusable byte buffers
-//!   replacing the per-chunk `Vec` allocations of the delta builder and
-//!   the per-insert frame buffers of the chunk store, so steady-state
-//!   checkpointing allocates O(workers + pool cap) buffers, not
-//!   O(chunks). [`PoolStats`] exposes the hit/miss counters the bench's
-//!   allocation-flat gate reads.
+//!   replacing the per-insert frame buffers of the chunk store, so
+//!   steady-state checkpointing allocates O(workers + pool cap) buffers,
+//!   not O(chunks). [`PoolStats`] exposes the hit/miss counters.
 //! * [`insert_all_parallel`] — fan a batch of content-addressed chunks
 //!   into a [`crate::store::ChunkStore`] over the worker pool, each lane
 //!   framing through a pooled scratch buffer.
@@ -48,8 +45,7 @@ pub fn buffer_pool_cap(params: &McaParams) -> usize {
         .max(1)
 }
 
-/// Hit/miss counters of a [`BufferPool`], read by the allocation-flat
-/// ratchet in the `ckpt_datapath` bench.
+/// Hit/miss counters of a [`BufferPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// `take` calls served from the free list (no allocation).

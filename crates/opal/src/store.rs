@@ -1,8 +1,8 @@
 //! Content-addressed chunk store: digest-keyed blobs with refcount GC.
 //!
-//! The incremental engine ([`crate::incr`]) already digests every chunk of
-//! every capture section; this module promotes that digest to the *storage
-//! key*.  A [`ChunkId`] names a chunk by `(digest, len)`; a [`ChunkStore`]
+//! In dedup mode the context writer ([`crate::incr`]) digests every chunk
+//! of every capture section; this module promotes that digest to the
+//! *storage key*.  A [`ChunkId`] names a chunk by `(digest, len)`; a [`ChunkStore`]
 //! holds one frame-wrapped blob per distinct id plus a persisted refcount
 //! table.  Identical chunks — across ranks of an SPMD job, or across
 //! checkpoint intervals — are stored once and shared by every manifest that
@@ -39,8 +39,8 @@ const BLOB_EXT: &str = "blob";
 
 /// Content address of one chunk: its 64-bit digest plus its length.
 ///
-/// The digest is [`codec::chunk_digest`] — the same fast change-detector the
-/// incremental manifests use — with the length as a collision backstop and
+/// The digest is [`codec::chunk_digest`] — the same one the chunk
+/// manifests record — with the length as a collision backstop and
 /// so callers can size fetches without reading blobs.  Rendered as
 /// `{digest:016x}-{len}`, which is also the blob file stem.
 #[derive(

@@ -3,9 +3,10 @@
 //! FILEM moves checkpoint files between node-local disks and stable
 //! storage: *gather* pulls every rank's local snapshot into the global
 //! snapshot directory, *broadcast* preloads files onto nodes before a
-//! restart, and *remove* cleans up scratch copies. The framework interface
-//! accepts batches so components can schedule transfers to avoid
-//! congesting the network.
+//! restart, and *remove* cleans up scratch copies. A component copies one
+//! tree; batches of trees run through the one wave executor in
+//! [`crate::sched`], which schedules transfers to avoid congesting the
+//! network.
 //!
 //! Components:
 //!
@@ -22,15 +23,9 @@
 //!
 //! All components physically copy files on the host filesystem (the trees
 //! are real); only the *cost* is simulated, via the topology's link model.
-//!
-//! FILEM is deliberately payload-agnostic: with incremental checkpointing
-//! enabled the gathered context files are delta contexts holding only the
-//! dirty chunks, so the reported bytes and simulated wire time shrink
-//! proportionally without any FILEM-side special casing.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mca::{Framework, McaParams};
 use netsim::{NetView, NodeId, SimTime};
@@ -105,17 +100,6 @@ pub trait FilemComponent: Send + Sync {
     /// Component name.
     fn name(&self) -> &'static str;
 
-    /// Copy a batch of trees. The default walks the batch sequentially;
-    /// components may reorder or group to optimize. Use
-    /// [`copy_all_parallel`] to run a batch over a bounded worker pool.
-    fn copy_all(&self, net: NetView<'_>, batch: &[CopyRequest]) -> Result<FilemReport, CrError> {
-        let mut total = FilemReport::default();
-        for req in batch {
-            total.merge(self.copy_tree(net, req)?);
-        }
-        Ok(total)
-    }
-
     /// Copy one tree.
     fn copy_tree(&self, net: NetView<'_>, req: &CopyRequest) -> Result<FilemReport, CrError>;
 
@@ -126,58 +110,6 @@ pub trait FilemComponent: Send + Sync {
         }
         Ok(())
     }
-}
-
-/// Copy a batch over a bounded pool of `workers` threads, charging link
-/// contention honestly: every in-flight copy holds a [`netsim::LinkSlot`]
-/// on its link for its duration, so lanes sharing a wire each see ~1/N of
-/// its bandwidth (and slow down concurrent OOB traffic). Returns the
-/// combined report — serialized cost sums every copy, critical-path cost
-/// is the longest lane. The first copy error is returned after all lanes
-/// finish (no partially abandoned transfers).
-pub fn copy_all_parallel(
-    filem: &dyn FilemComponent,
-    net: NetView<'_>,
-    batch: &[CopyRequest],
-    workers: usize,
-) -> Result<FilemReport, CrError> {
-    if workers <= 1 || batch.len() <= 1 {
-        return filem.copy_all(net, batch);
-    }
-    let lanes = workers.min(batch.len());
-    let next = AtomicUsize::new(0);
-    let lane_results: Vec<Result<FilemReport, CrError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..lanes)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut lane = FilemReport::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(req) = batch.get(i) else {
-                            return Ok(lane);
-                        };
-                        // Hold the link share for the duration of the copy
-                        // so concurrent lanes (and the fabric) see it.
-                        let _slot = net.begin_transfer(req.src_node, req.dest_node);
-                        lane.merge(filem.copy_tree(net, req)?);
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(CrError::protocol("FILEM gather worker panicked"))
-                })
-            })
-            .collect()
-    });
-    let mut total = FilemReport::default();
-    for lane in lane_results {
-        total.merge_parallel(lane?);
-    }
-    Ok(total)
 }
 
 /// Recursively copy `src` to `dest`, returning per-file sizes.
@@ -319,7 +251,7 @@ pub fn filem_framework() -> Framework<dyn FilemComponent> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{LinkMeter, LinkSpec, Topology};
+    use netsim::{LinkSpec, Topology};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -441,25 +373,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_copy_and_remove() {
-        let base = tmpdir("batch");
-        let mut batch = Vec::new();
-        for i in 0..3 {
-            let src = base.join(format!("src{i}"));
-            make_tree(&src);
-            batch.push(CopyRequest {
-                src,
-                src_node: NodeId(i),
-                dest: base.join(format!("dest{i}")),
-                dest_node: NodeId(0),
-            });
-        }
+    fn remove_tree_is_idempotent() {
+        let base = tmpdir("remove");
+        make_tree(&base.join("dest0"));
         let filem = RshSimFilem::from_params(&McaParams::new());
-        let report = filem.copy_all(NetView::uncontended(&topo()), &batch).unwrap();
-        assert_eq!(report.files, 9);
-        for i in 0..3 {
-            assert!(base.join(format!("dest{i}")).join("context.bin").is_file());
-        }
         filem.remove_tree(&base.join("dest0")).unwrap();
         assert!(!base.join("dest0").exists());
         // Removing twice is fine.
@@ -493,79 +410,6 @@ mod tests {
         assert_eq!(par.bytes, 300);
         assert_eq!(par.serialized_cost, SimTime::from_millis(40));
         assert_eq!(par.critical_path_cost, SimTime::from_millis(30));
-    }
-
-    fn parallel_batch(base: &Path, n: u32) -> (Vec<CopyRequest>, u64) {
-        let mut batch = Vec::new();
-        let mut total = 0u64;
-        for i in 0..n {
-            let src = base.join(format!("psrc{i}"));
-            total += make_tree(&src);
-            batch.push(CopyRequest {
-                src,
-                src_node: NodeId(i % 3),
-                dest: base.join(format!("pdest{i}")),
-                dest_node: NodeId(0),
-            });
-        }
-        (batch, total)
-    }
-
-    #[test]
-    fn copy_all_parallel_moves_everything() {
-        let base = tmpdir("par");
-        let (batch, total_bytes) = parallel_batch(&base, 6);
-        let filem = OobStreamFilem::from_params(&McaParams::new());
-        let topo = topo();
-        let report = copy_all_parallel(&filem, NetView::uncontended(&topo), &batch, 4).unwrap();
-        assert_eq!(report.files, 18);
-        assert_eq!(report.bytes, total_bytes);
-        // Wall clock can't exceed total work, and a 4-lane run over 6 trees
-        // must finish in less serialized time than it spent in total.
-        assert!(report.critical_path_cost <= report.serialized_cost);
-        for i in 0..6 {
-            assert!(base.join(format!("pdest{i}")).join("context.bin").is_file());
-        }
-        // workers=1 degenerates to the sequential walk, costs equal.
-        let seq = filem.copy_all(NetView::uncontended(&topo), &batch).unwrap();
-        assert_eq!(seq.serialized_cost, seq.critical_path_cost);
-        assert_eq!(seq.bytes, report.bytes);
-    }
-
-    #[test]
-    fn copy_all_parallel_charges_contention_when_metered() {
-        let base = tmpdir("par_meter");
-        let (batch, total_bytes) = parallel_batch(&base, 6);
-        let filem = OobStreamFilem::from_params(&McaParams::new());
-        let topo = topo();
-        let meter = LinkMeter::new();
-        let report =
-            copy_all_parallel(&filem, NetView::contended(&topo, &meter), &batch, 4).unwrap();
-        assert_eq!(report.bytes, total_bytes);
-        // All slots were released when the gather finished.
-        for a in topo.nodes() {
-            assert_eq!(meter.inflight(a, NodeId(0)), 0);
-        }
-        // Contended serialization can only make copies costlier than the
-        // uncontended sequential walk's per-copy prices.
-        let quiet = filem.copy_all(NetView::uncontended(&topo), &batch).unwrap();
-        assert!(report.serialized_cost >= quiet.serialized_cost);
-    }
-
-    #[test]
-    fn copy_all_parallel_reports_first_error() {
-        let base = tmpdir("par_err");
-        let (mut batch, _) = parallel_batch(&base, 3);
-        batch.push(CopyRequest {
-            src: base.join("does-not-exist"),
-            src_node: NodeId(1),
-            dest: base.join("err_out"),
-            dest_node: NodeId(0),
-        });
-        let filem = OobStreamFilem::from_params(&McaParams::new());
-        let topo = topo();
-        let err = copy_all_parallel(&filem, NetView::uncontended(&topo), &batch, 4).unwrap_err();
-        assert!(matches!(err, CrError::Io { .. }));
     }
 
     #[test]

@@ -32,10 +32,10 @@
 //!   FILEM `replica` component: each daemon holds its own ranks' images
 //!   plus ring-replicated copies of `k` neighbors', so restart can pull
 //!   from surviving memory before touching stable storage.
-//! * [`sched`] — contention-aware gather scheduling: batches planned into
-//!   waves against the link-contention pricing model (`filem_sched_policy`:
-//!   `spread` greedy least-loaded-link vs legacy `fifo`), executed with
-//!   real wall-clock and per-link byte accounting.
+//! * [`sched`] — the one FILEM batch executor: gathers, drains and
+//!   restart preloads planned into least-loaded-link waves against the
+//!   link-contention pricing model, executed with real wall-clock and
+//!   per-link byte accounting.
 //! * [`store`] — the unified snapshot store over the content-addressed
 //!   chunk tiers (`filem_dedup_enabled`): dedup commit, manifest-driven
 //!   fetch, and refcount GC (decrement + sweep) at retirement.

@@ -31,22 +31,15 @@ pub struct TreeSpec {
 }
 
 /// One rank's completed local checkpoint as reported by its daemon:
-/// where the local snapshot lives, how big it is, and — for incremental
-/// checkpointing — how it chains back to its full-image base.
+/// where the local snapshot lives and how big it is.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RankCkpt {
     /// The rank.
     pub rank: u32,
     /// Local snapshot directory on the compute node.
     pub dir: PathBuf,
-    /// Bytes on disk (delta payload size for incremental checkpoints).
+    /// Bytes on disk.
     pub bytes: u64,
-    /// `"full"` or `"delta"`.
-    pub kind: String,
-    /// Interval of the full image this context chains back to.
-    pub base_interval: u64,
-    /// Immediately preceding interval in the chain.
-    pub prev_interval: u64,
 }
 
 /// Requests the global coordinator (HNP) sends to a daemon.
@@ -324,9 +317,6 @@ mod tests {
                 rank: 0,
                 dir: PathBuf::from("/tmp/snap"),
                 bytes: 1024,
-                kind: "full".into(),
-                base_interval: 2,
-                prev_interval: 2,
             }],
         };
         send_oob(&fabric, daemon.id(), hnp.id(), &reply).unwrap();

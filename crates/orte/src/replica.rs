@@ -19,12 +19,6 @@
 //! `(n + 1) % N`, …, `(n + k) % N`. Losing any `k` nodes therefore leaves
 //! at least one holder of every image alive; losing `k + 1` can orphan an
 //! image, which is why the stable-storage write-behind drain still runs.
-//!
-//! Incremental checkpointing (`crs_incr_enabled`) composes transparently:
-//! a [`ReplicaImage`] captures whatever the local snapshot reference
-//! directory holds — a full image or a delta context of dirty chunks — so
-//! replication traffic and peer-memory footprint scale with the delta
-//! size, and a chain restart fetches one small image per chain link.
 
 use std::fs;
 use std::path::Path;

@@ -11,10 +11,7 @@
 //! * the [`Modex`] rendezvous store and job-id allocation.
 //!
 //! Nothing here knows about checkpoint *contents*: the write-behind drain
-//! and the per-node scratch trees move whatever SNAPC committed, so with
-//! incremental checkpointing enabled the drained interval directories
-//! hold small delta contexts and stable storage grows by the delta size,
-//! not the full image size, per interval.
+//! and the per-node scratch trees move whatever SNAPC committed.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};

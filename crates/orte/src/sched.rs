@@ -1,61 +1,32 @@
-//! Contention-aware gather scheduling for FILEM batches.
+//! The one batch executor of the FILEM framework: contention-aware wave
+//! scheduling for gathers, drains and restart preloads.
 //!
-//! The parallel gather (`filem::copy_all_parallel`) claims requests in
-//! index order, so a batch whose first `k` sources share one node saturates
-//! that node's uplink with `k` concurrent transfers — each priced at `1/k`
-//! bandwidth by the [`netsim::LinkMeter`] model — while other links sit
-//! idle. This module schedules the batch against that same pricing model
-//! instead: requests are grouped into *waves* of at most `workers`
-//! concurrent transfers, and the `spread` policy fills each wave greedily
-//! with the request whose link is currently least loaded, so no link
-//! carries `k` concurrent transfers while an idle path exists (unless every
-//! lane is already busy).
+//! Claiming requests in index order lets a batch whose first `k` sources
+//! share one node saturate that node's uplink with `k` concurrent transfers
+//! — each priced at `1/k` bandwidth by the [`netsim::LinkMeter`] model —
+//! while other links sit idle. This module schedules the batch against that
+//! same pricing model instead: requests are grouped into *waves* of at most
+//! `lanes` concurrent transfers, and each wave is filled greedily with the
+//! request whose link is currently least loaded, so no link carries `k`
+//! concurrent transfers while an idle path exists (unless every lane is
+//! already busy). With one lane every wave holds one request and the
+//! executor is the sequential walk: serialized and critical-path cost are
+//! both the per-tree sum.
 //!
-//! The `filem_sched_policy` MCA parameter selects `spread` (default) or
-//! `fifo` (the legacy index-order behaviour, kept for ablation A12).
 //! [`simulated_critical_path`] prices a plan through
-//! `Topology::contended_cost` — the `ckpt_datapath` bench asserts the
-//! spread plan's critical path is strictly below fifo's whenever links are
-//! contended, and a deterministic test here pins the no-doubling
-//! invariant itself.
+//! `Topology::contended_cost`. The index-order plan survives only as
+//! [`plan_fifo`], the reference the spread plan is tested and benched
+//! against (`ckpt_datapath` asserts spread's critical path is strictly
+//! below it whenever links are contended); nothing executes it.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use mca::McaParams;
 use netsim::{NetView, SimTime, Topology};
 
 use cr_core::CrError;
 
 use crate::filem::{CopyRequest, FilemComponent, FilemReport};
-
-/// How a gather batch is assigned to the bounded worker pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// Legacy behaviour: requests claimed in batch index order.
-    Fifo,
-    /// Greedy least-loaded-link assignment per wave.
-    Spread,
-}
-
-impl SchedPolicy {
-    /// Read `filem_sched_policy` (default `spread`; any value other than
-    /// `fifo` selects spread).
-    pub fn from_params(params: &McaParams) -> Self {
-        match params.get("filem_sched_policy").as_deref() {
-            Some("fifo") => SchedPolicy::Fifo,
-            _ => SchedPolicy::Spread,
-        }
-    }
-
-    /// Metadata/trace string form.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SchedPolicy::Fifo => "fifo",
-            SchedPolicy::Spread => "spread",
-        }
-    }
-}
 
 /// A scheduled gather: waves of batch indices, each wave running its
 /// requests concurrently (one lane per request), waves in sequence.
@@ -77,46 +48,48 @@ fn link_of(req: &CopyRequest) -> (u32, u32) {
     }
 }
 
-/// Schedule `batch` onto `lanes` concurrent lanes under `policy`.
-pub fn plan(batch: &[CopyRequest], lanes: usize, policy: SchedPolicy) -> GatherPlan {
+/// Schedule `batch` onto `lanes` concurrent lanes: each wave takes the
+/// pending request whose link is least loaded so far.
+pub fn plan(batch: &[CopyRequest], lanes: usize) -> GatherPlan {
     let lanes = lanes.max(1);
-    match policy {
-        SchedPolicy::Fifo => GatherPlan {
-            waves: (0..batch.len())
-                .collect::<Vec<_>>()
-                .chunks(lanes)
-                .map(<[usize]>::to_vec)
-                .collect(),
-        },
-        SchedPolicy::Spread => {
-            let mut pending: Vec<usize> = (0..batch.len()).collect();
-            let mut waves = Vec::new();
-            while !pending.is_empty() {
-                let mut wave: Vec<usize> = Vec::with_capacity(lanes);
-                let mut load: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-                while wave.len() < lanes && !pending.is_empty() {
-                    // Least-loaded link first, lowest index on ties: a
-                    // link only takes a second concurrent transfer once
-                    // every pending request's link already carries one.
-                    let pick = pending
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &i)| {
-                            let key = batch.get(i).map(link_of).unwrap_or((0, 0));
-                            (load.get(&key).copied().unwrap_or(0), i)
-                        })
-                        .map(|(p, _)| p);
-                    let Some(p) = pick else { break };
-                    let i = pending.remove(p);
-                    if let Some(req) = batch.get(i) {
-                        *load.entry(link_of(req)).or_insert(0) += 1;
-                    }
-                    wave.push(i);
-                }
-                waves.push(wave);
+    let mut pending: Vec<usize> = (0..batch.len()).collect();
+    let mut waves = Vec::new();
+    while !pending.is_empty() {
+        let mut wave: Vec<usize> = Vec::with_capacity(lanes);
+        let mut load: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+        while wave.len() < lanes && !pending.is_empty() {
+            // Least-loaded link first, lowest index on ties: a link only
+            // takes a second concurrent transfer once every pending
+            // request's link already carries one.
+            let pick = pending
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, &i)| {
+                    let key = batch.get(i).map(link_of).unwrap_or((0, 0));
+                    (load.get(&key).copied().unwrap_or(0), i)
+                })
+                .map(|(p, _)| p);
+            let Some(p) = pick else { break };
+            let i = pending.remove(p);
+            if let Some(req) = batch.get(i) {
+                *load.entry(link_of(req)).or_insert(0) += 1;
             }
-            GatherPlan { waves }
+            wave.push(i);
         }
+        waves.push(wave);
+    }
+    GatherPlan { waves }
+}
+
+/// The index-order plan: requests fill waves in batch order. Reference
+/// only — the spread [`plan`] is tested and benched against it.
+pub fn plan_fifo(batch: &[CopyRequest], lanes: usize) -> GatherPlan {
+    GatherPlan {
+        waves: (0..batch.len())
+            .collect::<Vec<_>>()
+            .chunks(lanes.max(1))
+            .map(<[usize]>::to_vec)
+            .collect(),
     }
 }
 
@@ -166,8 +139,6 @@ pub fn simulated_critical_path(
 /// show the schedule next to the commit state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GatherSchedStats {
-    /// Scheduling policy that produced the plan.
-    pub policy: String,
     /// Number of waves executed.
     pub waves: usize,
     /// Highest concurrent-transfer count any link saw in any wave.
@@ -188,7 +159,7 @@ impl GatherSchedStats {
     }
 
     /// Single-line metadata form:
-    /// `policy=spread waves=3 peak=2 wall_us=81 bytes=12288 links=0-1:8192,0-2:4096`
+    /// `waves=3 peak=2 wall_us=81 bytes=12288 links=0-1:8192,0-2:4096`
     pub fn render(&self) -> String {
         let links = self
             .bytes_per_link
@@ -197,8 +168,7 @@ impl GatherSchedStats {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "policy={} waves={} peak={} wall_us={} bytes={} links={links}",
-            self.policy,
+            "waves={} peak={} wall_us={} bytes={} links={links}",
             self.waves,
             self.peak_link_concurrency,
             self.wall.as_micros(),
@@ -208,7 +178,6 @@ impl GatherSchedStats {
 
     /// Parse the [`render`](GatherSchedStats::render) form back.
     pub fn parse(line: &str) -> Option<GatherSchedStats> {
-        let mut policy = None;
         let mut waves = None;
         let mut peak = None;
         let mut wall_us = None;
@@ -217,7 +186,6 @@ impl GatherSchedStats {
         for field in line.split_whitespace() {
             let (key, value) = field.split_once('=')?;
             match key {
-                "policy" => policy = Some(value.to_string()),
                 "waves" => waves = value.parse().ok(),
                 "peak" => peak = value.parse().ok(),
                 "wall_us" => wall_us = value.parse::<u64>().ok(),
@@ -233,7 +201,6 @@ impl GatherSchedStats {
             }
         }
         Some(GatherSchedStats {
-            policy: policy?,
             waves: waves?,
             peak_link_concurrency: peak?,
             wall: Duration::from_micros(wall_us?),
@@ -243,37 +210,41 @@ impl GatherSchedStats {
     }
 }
 
-/// Execute `batch` wave-by-wave under `policy` over at most `workers`
-/// concurrent lanes, each in-flight copy holding its
-/// [`netsim::LinkSlot`] exactly like `copy_all_parallel`. Returns the
-/// combined report (serialized cost sums every copy; critical-path cost
-/// sums each wave's slowest lane) plus the schedule stats. The first
-/// copy error is returned after its wave's lanes finish.
+/// Execute `batch` wave-by-wave over at most `lanes` concurrent lanes,
+/// charging link contention honestly: every in-flight copy holds a
+/// [`netsim::LinkSlot`] on its link for its duration, so lanes sharing a
+/// wire each see ~1/N of its bandwidth (and slow down concurrent OOB
+/// traffic). Returns the combined report (serialized cost sums every
+/// copy; critical-path cost sums each wave's slowest lane) plus the
+/// schedule stats. The first copy error is returned after its wave's
+/// lanes finish (no partially abandoned transfers).
 pub fn copy_all_scheduled(
     filem: &dyn FilemComponent,
     net: NetView<'_>,
     batch: &[CopyRequest],
-    workers: usize,
-    policy: SchedPolicy,
+    lanes: usize,
 ) -> Result<(FilemReport, GatherSchedStats), CrError> {
     let started = Instant::now();
-    let plan = plan(batch, workers, policy);
+    let plan = plan(batch, lanes);
     let mut total = FilemReport::default();
     let mut bytes_per_link: BTreeMap<(u32, u32), u64> = BTreeMap::new();
     let mut peak = 0u32;
     for wave in &plan.waves {
         peak = peak.max(wave_loads(batch, wave).values().copied().max().unwrap_or(0));
-        let lane_results: Vec<(usize, Result<FilemReport, CrError>)> =
+        let run_lane = |i: usize, req: &CopyRequest| {
+            let _slot = net.begin_transfer(req.src_node, req.dest_node);
+            (i, filem.copy_tree(net, req))
+        };
+        let requests = wave.iter().filter_map(|&i| batch.get(i).map(|req| (i, req)));
+        // A one-request wave (every wave of a one-lane batch) runs on the
+        // calling thread: a spawn per restart-preload copy costs more than
+        // small copies themselves.
+        let lane_results: Vec<(usize, Result<FilemReport, CrError>)> = if wave.len() == 1 {
+            requests.map(|(i, req)| run_lane(i, req)).collect()
+        } else {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .filter_map(|&i| batch.get(i).map(|req| (i, req)))
-                    .map(|(i, req)| {
-                        scope.spawn(move || {
-                            let _slot = net.begin_transfer(req.src_node, req.dest_node);
-                            (i, filem.copy_tree(net, req))
-                        })
-                    })
+                let handles: Vec<_> = requests
+                    .map(|(i, req)| scope.spawn(move || run_lane(i, req)))
                     .collect();
                 handles
                     .into_iter()
@@ -283,7 +254,8 @@ pub fn copy_all_scheduled(
                         })
                     })
                     .collect()
-            });
+            })
+        };
         let mut wave_report = FilemReport::default();
         for (i, lane) in lane_results {
             let report = lane?;
@@ -295,7 +267,6 @@ pub fn copy_all_scheduled(
         total.merge(wave_report);
     }
     let stats = GatherSchedStats {
-        policy: policy.as_str().to_string(),
         waves: plan.waves.len(),
         peak_link_concurrency: peak,
         wall: started.elapsed(),
@@ -308,7 +279,9 @@ pub fn copy_all_scheduled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{LinkSpec, NodeId};
+    use crate::filem::{OobStreamFilem, RshSimFilem};
+    use mca::McaParams;
+    use netsim::{LinkMeter, LinkSpec, NodeId};
     use std::path::PathBuf;
 
     /// A gather batch with the given source nodes, all destined for the
@@ -361,17 +334,9 @@ mod tests {
     }
 
     #[test]
-    fn policy_defaults_to_spread() {
-        let params = McaParams::new();
-        assert_eq!(SchedPolicy::from_params(&params), SchedPolicy::Spread);
-        params.set("filem_sched_policy", "fifo");
-        assert_eq!(SchedPolicy::from_params(&params), SchedPolicy::Fifo);
-    }
-
-    #[test]
     fn fifo_plans_in_index_order() {
         let batch = batch_from(&[1, 1, 2, 3, 1]);
-        let p = plan(&batch, 2, SchedPolicy::Fifo);
+        let p = plan_fifo(&batch, 2);
         assert_eq!(p.waves, vec![vec![0, 1], vec![2, 3], vec![4]]);
     }
 
@@ -393,13 +358,13 @@ mod tests {
             let srcs: Vec<u32> = (0..n).map(|_| (1 + next() % nodes) as u32).collect();
             let lanes = 1 + (trial % 6);
             let batch = batch_from(&srcs);
-            let p = plan(&batch, lanes, SchedPolicy::Spread);
+            let p = plan(&batch, lanes);
             assert_no_doubling_while_idle(&p, &batch, lanes);
         }
         // The canonical contended shape: four ranks on node 1, one each
         // on nodes 2 and 3, two lanes. Spread must interleave.
         let batch = batch_from(&[1, 1, 1, 1, 2, 3]);
-        let p = plan(&batch, 2, SchedPolicy::Spread);
+        let p = plan(&batch, 2);
         assert_no_doubling_while_idle(&p, &batch, 2);
         for wave in &p.waves[..2] {
             let load = wave_loads(&batch, wave);
@@ -415,9 +380,8 @@ mod tests {
         let topo = Topology::uniform(4, LinkSpec::gigabit_ethernet());
         let batch = batch_from(&[1, 1, 1, 1, 2, 3]);
         let bytes = vec![8 << 20; batch.len()];
-        let fifo = simulated_critical_path(&plan(&batch, 2, SchedPolicy::Fifo), &topo, &batch, &bytes);
-        let spread =
-            simulated_critical_path(&plan(&batch, 2, SchedPolicy::Spread), &topo, &batch, &bytes);
+        let fifo = simulated_critical_path(&plan_fifo(&batch, 2), &topo, &batch, &bytes);
+        let spread = simulated_critical_path(&plan(&batch, 2), &topo, &batch, &bytes);
         assert!(
             spread < fifo,
             "spread must beat fifo on a contended batch (spread={spread}, fifo={fifo})"
@@ -425,9 +389,8 @@ mod tests {
         // Uncontended batch: both policies price identically.
         let even = batch_from(&[1, 2, 3]);
         let even_bytes = vec![8 << 20; 3];
-        let f = simulated_critical_path(&plan(&even, 3, SchedPolicy::Fifo), &topo, &even, &even_bytes);
-        let s =
-            simulated_critical_path(&plan(&even, 3, SchedPolicy::Spread), &topo, &even, &even_bytes);
+        let f = simulated_critical_path(&plan_fifo(&even, 3), &topo, &even, &even_bytes);
+        let s = simulated_critical_path(&plan(&even, 3), &topo, &even, &even_bytes);
         assert_eq!(f, s);
     }
 
@@ -437,7 +400,6 @@ mod tests {
         bytes_per_link.insert((0, 1), 8192u64);
         bytes_per_link.insert((0, 3), 4096u64);
         let stats = GatherSchedStats {
-            policy: "spread".to_string(),
             waves: 3,
             peak_link_concurrency: 2,
             wall: Duration::from_micros(81),
@@ -447,50 +409,125 @@ mod tests {
         let back = GatherSchedStats::parse(&stats.render()).unwrap();
         assert_eq!(back, stats);
         assert!(stats.mib_per_sec() > 0.0);
-        assert!(GatherSchedStats::parse("policy=x nope").is_none());
+        assert!(GatherSchedStats::parse("waves=3 nope").is_none());
         assert!(GatherSchedStats::parse("").is_none());
     }
 
-    #[test]
-    fn copy_all_scheduled_moves_every_tree() {
-        let base = std::env::temp_dir().join(format!("orte_sched_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
+    /// `n` three-file source trees under `base`, sourced round-robin from
+    /// nodes 0..3 and all destined for the head node.
+    fn tree_batch(base: &std::path::Path, n: u32) -> (Vec<CopyRequest>, u64) {
         let mut batch = Vec::new();
-        for i in 0..5usize {
+        let mut total = 0u64;
+        for i in 0..n {
             let src = base.join(format!("src{i}"));
-            std::fs::create_dir_all(&src).unwrap();
-            std::fs::write(src.join("ctx"), vec![i as u8; 1000 + i]).unwrap();
+            std::fs::create_dir_all(src.join("sub")).unwrap();
+            std::fs::write(src.join("meta.data"), b"crs = blcr_sim\n").unwrap();
+            std::fs::write(src.join("context.bin"), vec![i as u8; 4096 + i as usize]).unwrap();
+            std::fs::write(src.join("sub").join("extra"), vec![1u8; 100]).unwrap();
+            total += 15 + 4096 + u64::from(i) + 100;
             batch.push(CopyRequest {
                 src,
-                src_node: NodeId(1 + (i as u32 % 2)),
+                src_node: NodeId(i % 3),
                 dest: base.join(format!("dest{i}")),
                 dest_node: NodeId(0),
             });
         }
+        (batch, total)
+    }
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "orte_sched_{tag}_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn copy_all_scheduled_moves_every_tree() {
+        let base = tmpdir("moves");
+        let (batch, total_bytes) = tree_batch(&base, 6);
         let topo = Topology::uniform(3, LinkSpec::gigabit_ethernet());
-        let params = McaParams::new();
-        let filem = crate::filem::RshSimFilem::from_params(&params);
+        let filem = OobStreamFilem::from_params(&McaParams::new());
         let (report, stats) =
-            copy_all_scheduled(&filem, NetView::uncontended(&topo), &batch, 2, SchedPolicy::Spread)
-                .unwrap();
-        assert_eq!(report.files, 5);
-        assert_eq!(report.bytes, (0..5).map(|i| 1000 + i as u64).sum::<u64>());
+            copy_all_scheduled(&filem, NetView::uncontended(&topo), &batch, 3).unwrap();
+        assert_eq!(report.files, 18);
+        assert_eq!(report.bytes, total_bytes);
         assert_eq!(stats.bytes, report.bytes);
-        assert_eq!(stats.peak_link_concurrency, 1, "two lanes, two links: no doubling");
+        assert_eq!(stats.waves, 2);
+        assert_eq!(stats.peak_link_concurrency, 1, "three lanes, three links: no doubling");
         assert_eq!(
             stats.bytes_per_link.values().sum::<u64>(),
             report.bytes,
             "every byte attributed to a link"
         );
-        for i in 0..5usize {
-            assert!(base.join(format!("dest{i}")).join("ctx").exists());
+        // Wall clock can't exceed total work: 3 lanes over 6 trees finish
+        // in less simulated time than the copies cost in total.
+        assert!(report.critical_path_cost < report.serialized_cost);
+        for i in 0..6 {
+            assert!(base.join(format!("dest{i}")).join("context.bin").is_file());
         }
-        // Sequential fallback shape: one lane → one wave per request,
-        // serialized and critical-path costs equal.
-        let (seq, seq_stats) =
-            copy_all_scheduled(&filem, NetView::uncontended(&topo), &batch, 1, SchedPolicy::Fifo)
-                .unwrap();
-        assert_eq!(seq_stats.waves, 5);
-        assert_eq!(seq.serialized_cost, seq.critical_path_cost);
+    }
+
+    #[test]
+    fn one_lane_is_the_sequential_walk() {
+        let base = tmpdir("onelane");
+        let (batch, total_bytes) = tree_batch(&base, 5);
+        let topo = Topology::uniform(3, LinkSpec::gigabit_ethernet());
+        let net = NetView::uncontended(&topo);
+        let filem = RshSimFilem::from_params(&McaParams::new());
+        let (seq, stats) = copy_all_scheduled(&filem, net, &batch, 1).unwrap();
+        assert_eq!(stats.waves, 5, "one lane: one wave per request");
+        assert_eq!(plan(&batch, 1), plan_fifo(&batch, 1), "in batch order");
+        assert_eq!(seq.bytes, total_bytes);
+        // The sequential executor's contract: both costs are the plain sum
+        // of the per-tree costs.
+        let mut sum = SimTime::ZERO;
+        for req in &batch {
+            sum += filem.copy_tree(net, req).unwrap().serialized_cost;
+        }
+        assert_eq!(seq.serialized_cost, sum);
+        assert_eq!(seq.critical_path_cost, sum);
+    }
+
+    #[test]
+    fn charges_contention_when_metered() {
+        let base = tmpdir("meter");
+        let (batch, total_bytes) = tree_batch(&base, 6);
+        let filem = OobStreamFilem::from_params(&McaParams::new());
+        let topo = Topology::uniform(3, LinkSpec::gigabit_ethernet());
+        let meter = LinkMeter::new();
+        let (report, _) =
+            copy_all_scheduled(&filem, NetView::contended(&topo, &meter), &batch, 4).unwrap();
+        assert_eq!(report.bytes, total_bytes);
+        // All slots were released when the gather finished.
+        for a in topo.nodes() {
+            assert_eq!(meter.inflight(a, NodeId(0)), 0);
+        }
+        // Contended serialization can only make copies costlier than the
+        // uncontended sequential walk's per-copy prices.
+        let (quiet, _) =
+            copy_all_scheduled(&filem, NetView::uncontended(&topo), &batch, 1).unwrap();
+        assert!(report.serialized_cost >= quiet.serialized_cost);
+    }
+
+    #[test]
+    fn reports_first_error() {
+        let base = tmpdir("err");
+        let (mut batch, _) = tree_batch(&base, 3);
+        batch.push(CopyRequest {
+            src: base.join("does-not-exist"),
+            src_node: NodeId(1),
+            dest: base.join("err_out"),
+            dest_node: NodeId(0),
+        });
+        let filem = OobStreamFilem::from_params(&McaParams::new());
+        let topo = Topology::uniform(3, LinkSpec::gigabit_ethernet());
+        let err =
+            copy_all_scheduled(&filem, NetView::uncontended(&topo), &batch, 4).unwrap_err();
+        assert!(matches!(err, CrError::Io { .. }));
     }
 }

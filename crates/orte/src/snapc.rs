@@ -34,8 +34,8 @@ use cr_core::request::{CheckpointOptions, CheckpointOutcome, CkptStats};
 use cr_core::{CrError, JobId, Rank};
 use opal::container::OpalCtrl;
 
-use crate::filem::{copy_all_parallel, filem_framework, CopyRequest};
-use crate::sched::{copy_all_scheduled, SchedPolicy};
+use crate::filem::{filem_framework, CopyRequest};
+use crate::sched::copy_all_scheduled;
 use crate::job::JobHandle;
 use crate::oob::{recv_oob_timeout, send_oob, DaemonMsg, DaemonReply, RankCkpt};
 use crate::runtime::Runtime;
@@ -110,17 +110,12 @@ fn cleanup_scratch(
 /// Gather/commit/cleanup tail shared by the `full` and `tree` components.
 ///
 /// `results` is the flat `(node, per-rank checkpoint)` listing the daemons
-/// reported. Each entry carries the context kind (`full`/`delta`) and
-/// chain links, which are recorded in the global metadata at commit so
-/// restart knows which intervals to replay and retirement knows which
-/// bases are still referenced. Because a delta's local snapshot directory
-/// holds only the dirty chunks, both the wire cost here and the replica
-/// memory footprint scale with the delta size, not the full image size.
+/// reported.
 ///
-/// With any classic FILEM component the tail is the
-/// paper's Figure 1-F: copy every local snapshot to stable storage over a
-/// bounded worker pool (`snapc_gather_workers`), commit the interval,
-/// then remove the scratch copies. `snapc_early_release=true` pipelines
+/// With any classic FILEM component the tail is the paper's Figure 1-F:
+/// copy every local snapshot to stable storage over the wave executor's
+/// bounded lanes (`snapc_gather_workers`), commit the interval, then
+/// remove the scratch copies. `snapc_early_release=true` pipelines
 /// this commit: the interval is *locally* committed (every capture on
 /// node-local disk), the request returns immediately, and the gather,
 /// promotion to global commit, and scratch cleanup run on a registered
@@ -186,10 +181,6 @@ fn gather_commit_cleanup(
     let early_release = params
         .get_bool_or("snapc_early_release", false)
         .unwrap_or(false);
-    // Gathers to stable storage run through the contention-aware wave
-    // scheduler; `fifo` keeps the legacy index-order claiming for A12.
-    let policy = SchedPolicy::from_params(params);
-
     let batch: Vec<CopyRequest> = results
         .iter()
         .map(|(node, ckpt)| CopyRequest {
@@ -205,10 +196,6 @@ fn gather_commit_cleanup(
             let rank = Rank(r);
             (rank, runtime.topology().hostname(job.node_of(rank)).to_string())
         })
-        .collect();
-    let chain_info: Vec<(Rank, &str, u64, u64)> = results
-        .iter()
-        .map(|(_, c)| (Rank(c.rank), c.kind.as_str(), c.base_interval, c.prev_interval))
         .collect();
 
     // Partial-restart accounting: ranks running with the CRCP message log
@@ -234,9 +221,7 @@ fn gather_commit_cleanup(
     if dedup {
         // Content-addressed commit: chunk manifests + refcounted blobs
         // replace whole-image gathers. Only never-before-seen chunks move.
-        let stats = crate::store::dedup_commit(
-            job, interval, results, &ranks_info, &chain_info, tag,
-        )?;
+        let stats = crate::store::dedup_commit(job, interval, results, &ranks_info, tag)?;
         cleanup_scratch(runtime, job_id, interval, &nodes)?;
         return Ok(stats);
     }
@@ -263,17 +248,16 @@ fn gather_commit_cleanup(
         let commit = {
             let mut global = job.global_snapshot()?;
             global.record_replica_holders(interval, &outcome.holders)?;
-            global.record_ckpt_chain(interval, &chain_info)?;
             global.commit_interval(interval, &ranks_info)?;
             global.commit_state(interval)
         };
         // Write-behind: the stable-storage copy (and the scratch cleanup
         // behind it) runs off the critical path, over the bounded gather
-        // pool so the drain itself shares links fairly.
+        // lanes so the drain itself shares links fairly.
         let drain_rt = runtime.clone();
         let drain = move || {
-            match copy_all_parallel(&*filem, drain_rt.netview(), &batch, workers) {
-                Ok(report) => {
+            match copy_all_scheduled(&*filem, drain_rt.netview(), &batch, workers) {
+                Ok((report, _)) => {
                     drain_rt.tracer().record(
                         "filem.drain",
                         &format!(
@@ -318,7 +302,6 @@ fn gather_commit_cleanup(
         // interval until the promotion below lands.
         let commit = {
             let mut global = job.global_snapshot()?;
-            global.record_ckpt_chain(interval, &chain_info)?;
             global.local_commit_interval(interval, &ranks_info)?;
             global.commit_state(interval)
         };
@@ -353,7 +336,7 @@ fn gather_commit_cleanup(
                 );
                 return;
             }
-            match copy_all_scheduled(&*filem, drain_rt.netview(), &batch, workers, policy) {
+            match copy_all_scheduled(&*filem, drain_rt.netview(), &batch, workers) {
                 Ok((report, sched)) => {
                     drain_rt.tracer().record(
                         "filem.sched.plan",
@@ -419,7 +402,7 @@ fn gather_commit_cleanup(
     // the bounded worker pool, processes already resumed. Waves are
     // planned against the link-contention model so one node's uplink is
     // never doubled up while another's sits idle.
-    let (report, sched) = copy_all_scheduled(&*filem, runtime.netview(), &batch, workers, policy)?;
+    let (report, sched) = copy_all_scheduled(&*filem, runtime.netview(), &batch, workers)?;
     tracer.record(
         "filem.sched.plan",
         &format!("interval {interval}: {}{tag}", sched.render()),
@@ -433,7 +416,6 @@ fn gather_commit_cleanup(
     );
     let commit = {
         let mut global = job.global_snapshot()?;
-        global.record_ckpt_chain(interval, &chain_info)?;
         global.record_gather_stats(interval, &sched.render())?;
         global.commit_interval(interval, &ranks_info)?;
         global.commit_state(interval)
@@ -793,16 +775,11 @@ impl SnapcComponent for DirectSnapc {
                 (rank, job.runtime().topology().hostname(node).to_string())
             })
             .collect();
-        let chain_info: Vec<(Rank, &str, u64, u64)> = replies
-            .iter()
-            .map(|(r, reply)| (*r, reply.ckpt_kind.as_str(), reply.base_interval, reply.prev_interval))
-            .collect();
         // Every rank wrote straight to stable storage, so bytes moved is
         // the sum of what landed there; there is no simulated fabric leg.
         let bytes_moved: u64 = replies.iter().map(|(_, reply)| reply.size_bytes).sum();
         let commit = {
             let mut global = job.global_snapshot()?;
-            global.record_ckpt_chain(interval, &chain_info)?;
             global.commit_interval(interval, &ranks_info)?;
             global.commit_state(interval)
         };

@@ -22,7 +22,7 @@
 //!
 //! Commit inserts blobs and takes references *before* the manifest is
 //! recorded; retire drops the manifest record *first*, then decrements,
-//! then sweeps count-zero blobs in `filem_dedup_gc_batch`-sized batches.
+//! then sweeps count-zero blobs in caller-sized batches.
 //! A crash between any two steps leaks at worst — a later sweep reclaims —
 //! and never leaves a live manifest naming a swept chunk. `cr-model gc`
 //! checks exactly this invariant under every interleaving (including a
@@ -48,9 +48,6 @@ use crate::runtime::Runtime;
 /// Subdirectory of the global snapshot reference holding the stable chunk
 /// tier.
 pub const CHUNK_STORE_DIR: &str = "chunk_store";
-
-/// Default GC sweep batch (the `filem_dedup_gc_batch` MCA parameter).
-pub const DEFAULT_GC_BATCH: usize = 64;
 
 /// Which chunk tier a fetch may touch (mirrors `ompi`'s restart source).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,7 +233,6 @@ pub fn dedup_commit(
     interval: u64,
     results: &[(u32, RankCkpt)],
     ranks_info: &[(Rank, String)],
-    chain_info: &[(Rank, &str, u64, u64)],
     tag: &str,
 ) -> Result<CkptStats, CrError> {
     let runtime = job.runtime();
@@ -380,7 +376,6 @@ pub fn dedup_commit(
     let commit = {
         let mut global = job.global_snapshot()?;
         global.record_chunk_manifests(interval, &manifests)?;
-        global.record_ckpt_chain(interval, chain_info)?;
         global.commit_interval(interval, ranks_info)?;
         global.commit_state(interval)
     };
@@ -406,8 +401,7 @@ pub fn dedup_commit(
 /// swept batch from every surviving daemon's peer-memory tier as well.
 /// Returns the ids swept from the stable tier.
 ///
-/// This is the decrement+sweep that replaces the chain-liveness walk:
-/// shared chunks survive as long as any other interval's manifest still
+/// Shared chunks survive as long as any other interval's manifest still
 /// references them, so any subset of dedup intervals can retire in any
 /// order.
 pub fn retire_dedup_interval(

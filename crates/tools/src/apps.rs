@@ -7,7 +7,7 @@ use std::sync::Arc;
 use cr_core::CrError;
 use mca::McaParams;
 use ompi::app::RunEnd;
-use ompi::{mpirun, restart, MpiJob, RestartOptions, RestartSource, RunConfig};
+use ompi::{mpirun, restart, MpiJob, RestartOptions, RunConfig};
 use orte::Runtime;
 use workloads::master_worker::MasterWorkerApp;
 use workloads::ring::RingApp;
@@ -128,27 +128,6 @@ pub fn restart_named(
         RestartOptions {
             interval,
             ..RestartOptions::default()
-        },
-    )
-}
-
-/// [`restart_named`] with an explicit restart image source
-/// (`ompi-restart --source replica|stable|auto`).
-#[deprecated(note = "use restart_named_with(runtime, global_ref, RestartOptions { .. })")]
-pub fn restart_named_from(
-    runtime: &Runtime,
-    global_ref: &std::path::Path,
-    interval: Option<u64>,
-    source: RestartSource,
-) -> Result<AnyJob, CrError> {
-    restart_named_with(
-        runtime,
-        global_ref,
-        RestartOptions {
-            source,
-            interval,
-            verify: true,
-            ranks: None,
         },
     )
 }

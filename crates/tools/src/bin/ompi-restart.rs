@@ -112,14 +112,11 @@ fn partial_plan(
             println!("  rank {r}: dedup chunk manifest (assembled from chunk tiers)");
             continue;
         }
-        let chain = global.ckpt_chain(interval, rank).map_err(|e| e.to_string())?;
-        for ci in chain {
-            let holders = global.replica_holders(ci, rank);
-            if holders.is_empty() {
-                println!("  rank {r}: interval {ci} from stable storage (no replica holders)");
-            } else {
-                println!("  rank {r}: interval {ci} from replica holders {holders:?}");
-            }
+        let holders = global.replica_holders(interval, rank);
+        if holders.is_empty() {
+            println!("  rank {r}: from stable storage (no replica holders)");
+        } else {
+            println!("  rank {r}: from replica holders {holders:?}");
         }
     }
     let spares = global.spare_pool();

@@ -149,9 +149,9 @@ fn print_dedup_interval(global: &GlobalSnapshot, interval: u64) -> Result<(), St
 }
 
 /// How the interval's gather to stable storage was scheduled, when the
-/// commit went through the contention-aware wave scheduler: policy, wave
-/// shape, peak concurrent transfers on any one link, real wall-clock
-/// throughput, and the per-link byte split.
+/// commit went through the contention-aware wave scheduler: wave shape,
+/// peak concurrent transfers on any one link, real wall-clock throughput,
+/// and the per-link byte split.
 fn print_gather_stats(global: &GlobalSnapshot, interval: u64) {
     let Some(line) = global.gather_stats(interval) else {
         return;
@@ -161,9 +161,8 @@ fn print_gather_stats(global: &GlobalSnapshot, interval: u64) {
         return;
     };
     println!(
-        "    gather schedule: policy={}, {} waves, peak {} transfers/link, \
+        "    gather schedule: {} waves, peak {} transfers/link, \
          {} bytes in {} us ({:.1} MiB/s)",
-        stats.policy,
         stats.waves,
         stats.peak_link_concurrency,
         stats.bytes,

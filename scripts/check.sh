@@ -21,12 +21,12 @@ cargo run --release -q -p model --bin cr-model -- \
 # bench itself asserts the simulated memory cost is strictly below disk.
 RESTART_LATENCY_SMOKE=1 cargo bench -q -p bench --bench restart_latency
 
-# Incremental-checkpoint smoke: the bench asserts a 10%-dirty interval
-# moves < 25% of the full-image bytes and costs strictly less simulated
-# time.  The dedup smoke additionally runs the SPMD schedule through the
-# content-addressed chunk store, asserting a >= 2x cross-rank dedup ratio
-# and that dedup restart cost stays flat as retained intervals grow while
-# chain replay climbs.  Both comparisons land in BENCH_ckpt.json.
+# Full-vs-dedup checkpoint smoke: the bench asserts a 10%-dirty dedup
+# interval moves < 25% of the full-image bytes and costs strictly less
+# simulated time.  The dedup smoke additionally runs an SPMD schedule
+# through the content-addressed chunk store, asserting a >= 2x cross-rank
+# dedup ratio and that restart cost stays flat as retained intervals
+# grow.  Both comparisons land in BENCH_ckpt.json.
 CKPT_INCREMENTAL_SMOKE=1 CKPT_DEDUP_SMOKE=1 BENCH_CKPT_JSON="$PWD/BENCH_ckpt.json" \
   cargo bench -q -p bench --bench ckpt_incremental
 
@@ -46,12 +46,11 @@ CKPT_OVERLAP_SMOKE=1 BENCH_COMMIT_JSON="$PWD/BENCH_commit.json" \
   cargo bench -q -p bench --bench ckpt_overlap
 
 # Data-path smoke: the bench asserts the parallel manifest builder is
-# byte-identical to the sequential one, that pooled delta builds allocate
-# O(pool) buffers across many intervals (flat in chunks), and that the
-# spread gather plan's simulated critical path is strictly below fifo's
-# on a contended batch.  The >= 1.8x hash-speedup wall-clock gate binds
-# only on hosts with >= 4 cores (waived, but still measured, elsewhere).
-# Throughput per worker count lands in BENCH_datapath.json.
+# byte-identical to the sequential one and that the spread gather plan's
+# simulated critical path is strictly below the index-order reference
+# plan's on a contended batch.  The >= 1.8x hash-speedup wall-clock gate
+# binds only on hosts with >= 4 cores (waived, but still measured,
+# elsewhere).  Throughput per worker count lands in BENCH_datapath.json.
 CKPT_DATAPATH_SMOKE=1 BENCH_DATAPATH_JSON="$PWD/BENCH_datapath.json" \
   cargo bench -q -p bench --bench ckpt_datapath
 
@@ -84,3 +83,6 @@ if [ "$baseline_lines" -gt "$ratchet_files" ] || [ "$baseline_sites" -gt "$ratch
   echo "lint.allow grew (files=$baseline_lines > $ratchet_files or sites=$baseline_sites > $ratchet_sites)" >&2
   exit 1
 fi
+
+# Superseded entry points are deleted, not kept behind an attribute.
+if grep -rnE '#\[deprecated|allow\(deprecated\)' crates src tests examples; then exit 1; fi

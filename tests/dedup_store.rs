@@ -2,9 +2,9 @@
 //! commits route every rank's manifested image through the unified
 //! [`orte::store::SnapshotStore`], identical chunks across ranks and
 //! intervals are stored once, restart assembles byte-identical images
-//! from either tier with no base→delta chain replay, and refcount GC at
-//! retirement never sweeps a chunk a live manifest still names — for any
-//! retirement schedule.
+//! from either tier out of the interval's own manifests, a tampered stable
+//! chunk fails restart loudly, and refcount GC at retirement never sweeps a
+//! chunk a live manifest still names — for any retirement schedule.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,7 +21,7 @@ use orte::job::{launch, JobSpec, LaunchCtx};
 use orte::store::{manifest_ids, retire_dedup_interval, ChunkSource, SnapshotStore};
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use workloads::ring::RingApp;
+use workloads::ring::{reference_checksums, RingApp};
 
 /// Every test spins a multi-rank job; running them concurrently on a
 /// small host starves the spinning ranks until OOB replies time out.
@@ -315,20 +315,19 @@ fn dedup_restart_byte_identical_from_both_tiers() {
     rt.shutdown();
 }
 
-/// End-to-end disaster drill: the stable chunk store is deleted outright,
-/// and a replica-source restart still resurrects the job from peer
-/// memory alone — through the dedup fetch path, never the classic
-/// preload/chain machinery.
-#[test]
-fn dedup_restart_survives_stable_store_deletion() {
-    let _serial = serial();
-    let rt = test_runtime("dedup_nostable", 4);
+/// Ranks of the end-to-end ring jobs.
+const RING_NPROCS: u32 = 4;
+
+/// Run a dedup ring job mid-flight into one checkpoint-and-terminate.
+fn ring_checkpointed_and_terminated(
+    rt: &orte::Runtime,
+) -> (Arc<RingApp>, cr_core::request::CheckpointOutcome) {
     let app = Arc::new(RingApp { rounds: 1_000_000 });
     let job = mpirun(
-        &rt,
+        rt,
         Arc::clone(&app),
         RunConfig {
-            nprocs: 4,
+            nprocs: RING_NPROCS,
             params: dedup_params(),
         },
     )
@@ -338,6 +337,18 @@ fn dedup_restart_survives_stable_store_deletion() {
         .checkpoint(&CheckpointOptions::tool().and_terminate())
         .unwrap();
     job.wait().unwrap();
+    (app, outcome)
+}
+
+/// End-to-end disaster drill: the stable chunk store is deleted outright,
+/// and a replica-source restart still resurrects the job from peer
+/// memory alone — through the dedup fetch path, never the local-snapshot
+/// preload.
+#[test]
+fn dedup_restart_survives_stable_store_deletion() {
+    let _serial = serial();
+    let rt = test_runtime("dedup_nostable", 4);
+    let (app, outcome) = ring_checkpointed_and_terminated(&rt);
 
     let stable_dir = outcome.global_snapshot.join(orte::store::CHUNK_STORE_DIR);
     assert!(stable_dir.exists(), "dedup commit must create the stable tier");
@@ -359,11 +370,10 @@ fn dedup_restart_survives_stable_store_deletion() {
     rt.shutdown();
 }
 
-/// The no-chain-replay guarantee, end to end: every earlier interval can
-/// be retired — in oldest-first order, which a delta chain would refuse —
-/// and the newest dedup interval still restarts, because its manifest
-/// alone (plus the refcount-protected shared chunks) materializes every
-/// image in O(1) fetches with no base→delta replay.
+/// Every interval restores on its own, end to end: every earlier interval
+/// can be retired, oldest first, and the newest dedup interval still
+/// restarts, because its manifest alone (plus the refcount-protected
+/// shared chunks) materializes every image in O(1) fetches.
 #[test]
 fn dedup_restart_needs_no_chain_after_retiring_every_earlier_interval() {
     let _serial = serial();
@@ -393,14 +403,11 @@ fn dedup_restart_needs_no_chain_after_retiring_every_earlier_interval() {
     let mut global = GlobalSnapshot::open(&outcome.global_snapshot).unwrap();
     let job_id = global.job();
     for r in 0..4 {
-        // Dedup intervals never chain: the restore set is the interval
-        // itself, nothing else.
-        assert_eq!(global.ckpt_kind(2, Rank(r)), "dedup");
-        assert_eq!(global.ckpt_chain(2, Rank(r)).unwrap(), vec![2]);
+        // The restore set is the interval's own manifest, nothing else.
+        assert!(global.chunk_manifest(2, Rank(r)).is_some());
     }
 
-    // Oldest-first retirement — the order the delta-chain walk refuses
-    // (see incremental_ckpt::retiring_referenced_base_is_refused).
+    // Oldest-first retirement: no interval pins an earlier one.
     retire_dedup_interval(&rt, job_id, &mut global, 0, 8).unwrap();
     retire_dedup_interval(&rt, job_id, &mut global, 1, 8).unwrap();
     assert_eq!(global.intervals(), vec![2]);
@@ -415,9 +422,69 @@ fn dedup_restart_needs_no_chain_after_retiring_every_earlier_interval() {
     .unwrap();
     restarted.handle().request_terminate();
     assert_eq!(restarted.wait().unwrap().len(), 4);
-    // The dedup fetch path ran; the chain-replay machinery never did.
+    // The dedup fetch path ran; no local snapshot was preloaded.
     assert!(rt.tracer().count_prefix("store.restart.fetch") > 0);
     assert_eq!(rt.tracer().count_prefix("filem.preload"), 0);
     assert_eq!(rt.tracer().count_prefix("filem.replica.preload"), 0);
+    rt.shutdown();
+}
+
+/// Tamper detection on the dedup path, end to end: one byte of one stable
+/// chunk blob of a committed interval is flipped and the blob re-framed,
+/// so the frame CRC passes and only the content digest can catch it. A
+/// stable-only restart must refuse, naming the chunk; an auto restart
+/// with the peer-memory tier alive routes around the bad blob and
+/// restores exactly the checkpointed state.
+#[test]
+fn tampered_stable_chunk_fails_stable_restart_and_auto_routes_around_it() {
+    let _serial = serial();
+    let nprocs = RING_NPROCS;
+    let rt = test_runtime("dedup_tamper", 4);
+    let (app, outcome) = ring_checkpointed_and_terminated(&rt);
+
+    let stable_dir = outcome.global_snapshot.join(orte::store::CHUNK_STORE_DIR);
+    let mut blobs: Vec<std::path::PathBuf> = std::fs::read_dir(&stable_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "blob"))
+        .collect();
+    blobs.sort();
+    let blob = blobs.first().expect("dedup commit wrote chunk blobs");
+    let id = ChunkId::parse(blob.file_stem().unwrap().to_str().unwrap()).unwrap();
+    let mut payload = codec::read_frame(&std::fs::read(blob).unwrap()).unwrap().to_vec();
+    payload[0] ^= 0xFF;
+    std::fs::write(blob, codec::write_frame(&payload)).unwrap();
+
+    let err = match restart(
+        &rt,
+        Arc::clone(&app),
+        &outcome.global_snapshot,
+        RestartOptions::default().with_source(RestartSource::Stable),
+    ) {
+        Ok(_) => panic!("a tampered stable chunk must not restart from stable"),
+        Err(e) => e,
+    };
+    assert!(matches!(err, cr_core::CrError::BadSnapshot { .. }), "{err}");
+    assert!(err.to_string().contains(&id.to_string()), "must name chunk {id}: {err}");
+
+    rt.tracer().clear();
+    let restarted = restart(
+        &rt,
+        Arc::clone(&app),
+        &outcome.global_snapshot,
+        RestartOptions::default(),
+    )
+    .unwrap();
+    restarted.handle().request_terminate();
+    let results = restarted.wait().unwrap();
+    assert!(rt.tracer().count_prefix("store.restart.fetch") > 0);
+    // Every rank resumed from intact mid-run state: wherever it stopped,
+    // its checksum is the fault-free one for that many rounds.
+    assert_eq!(results.len(), nprocs as usize);
+    for (r, (state, _)) in results.iter().enumerate() {
+        assert!(state.round > 0, "rank {r} restarted from scratch");
+        let expected = reference_checksums(u64::from(nprocs), state.round);
+        assert_eq!(state.checksum, expected[r], "rank {r} at round {}", state.round);
+    }
     rt.shutdown();
 }
