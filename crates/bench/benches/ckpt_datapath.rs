@@ -26,7 +26,7 @@ use codec::chunk::ChunkManifest;
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim::{LinkSpec, NodeId, Topology};
 use opal::pool::{digest_all_parallel, insert_all_parallel, manifest_parallel};
-use opal::{BufferPool, ChunkStore};
+use opal::ChunkStore;
 use orte::filem::CopyRequest;
 use orte::sched::{plan, plan_fifo, simulated_critical_path};
 
@@ -130,7 +130,6 @@ fn measure_hash(data: &[u8], workers: usize) -> f64 {
 }
 
 fn measure_insert(base: &std::path::Path, data: &[u8], workers: usize) -> f64 {
-    let pool = BufferPool::new(8);
     let chunks: Vec<(opal::ChunkId, &[u8])> = data
         .chunks(CHUNK_BYTES)
         .map(|c| (opal::ChunkId::of(c), c))
@@ -140,7 +139,7 @@ fn measure_insert(base: &std::path::Path, data: &[u8], workers: usize) -> f64 {
         let dir = base.join(format!("store_{workers}_{rep}"));
         let store = ChunkStore::open(&dir).expect("open chunk store");
         let t = Instant::now();
-        let fresh = insert_all_parallel(&store, &chunks, workers, &pool).expect("insert");
+        let fresh = insert_all_parallel(&store, &chunks, workers).expect("insert");
         best = best.min(t.elapsed());
         assert!(fresh.iter().all(|&f| f), "fresh store must take every chunk");
     }

@@ -151,7 +151,7 @@ pub const KNOWN_TRACE_EVENTS: &[TraceEventDef] = &[
     },
     TraceEventDef {
         phase: "opal.hash.pool",
-        help: "parallel hash pool verified a commit's chunk digests with pooled buffers",
+        help: "parallel hash pool verified a commit's chunk digests",
     },
     TraceEventDef {
         phase: "opal.notify.complete",
@@ -258,16 +258,16 @@ pub const KNOWN_TRACE_EVENTS: &[TraceEventDef] = &[
         help: "supervisor recorded a new process incarnation",
     },
     TraceEventDef {
-        phase: "supervisor.recover",
-        help: "supervisor recovered a failed process from a snapshot",
-    },
-    TraceEventDef {
         phase: "supervisor.partial_recover",
         help: "supervisor restored only the failed ranks in place (partial restart)",
     },
     TraceEventDef {
         phase: "supervisor.partial_refused",
         help: "partial restart was refused; supervisor fell back to a full relaunch",
+    },
+    TraceEventDef {
+        phase: "supervisor.recover",
+        help: "supervisor recovered a failed process from a snapshot",
     },
 ];
 

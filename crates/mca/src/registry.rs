@@ -107,11 +107,6 @@ pub const KNOWN_PARAMS: &[ParamDef] = &[
         default: Some("4"),
         help: "bounded worker pool size for parallel chunk hashing and digest verification",
     },
-    ParamDef {
-        key: "opal_buffer_pool_cap",
-        default: Some("8"),
-        help: "maximum reusable chunk/frame buffers parked per data-path buffer pool",
-    },
     // ORTE runtime tunables.
     ParamDef {
         key: "orte_spare_nodes",
@@ -151,11 +146,6 @@ pub const KNOWN_PARAMS: &[ParamDef] = &[
         help: "release ranks at local commit and gather to stable storage in the background",
     },
     ParamDef {
-        key: "snapc_gather_workers",
-        default: Some("4"),
-        help: "bounded worker pool size for the parallel FILEM gather/drain",
-    },
-    ParamDef {
         key: "snapc_gather_delay_ms",
         default: Some("0"),
         help: "fault-injection delay before the early-release gather starts (widens the local-committed window)",
@@ -180,11 +170,6 @@ pub const KNOWN_PARAMS: &[ParamDef] = &[
         key: "filem_replica_session_ms",
         default: Some("2"),
         help: "replica file mover: simulated per-tree session setup for the write-behind drain",
-    },
-    ParamDef {
-        key: "filem_replica_writebehind",
-        default: Some("true"),
-        help: "replica file mover: drain to stable storage asynchronously after peer-memory commit",
     },
     ParamDef {
         key: "filem_dedup_enabled",

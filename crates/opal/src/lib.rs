@@ -25,9 +25,8 @@
 //!   frame-wrapped blobs with persisted refcounts, shared across ranks and
 //!   intervals when `filem_dedup_enabled` is set.
 //! * [`pool`] — the parallel hash/copy pool of the checkpoint data path:
-//!   bounded hash workers (`opal_hash_workers`) for manifest builds and
-//!   digest verification, plus a reusable buffer pool
-//!   (`opal_buffer_pool_cap`) bounding per-chunk allocations.
+//!   bounded hash workers (`opal_hash_workers`) for manifest builds,
+//!   digest verification and chunk-store inserts.
 //! * [`container::ProcessContainer`] — per-process control plane: the
 //!   checkpoint window (enabled after `MPI_Init`, disabled at
 //!   `MPI_Finalize`), capture-section registry, INC registry, and the
@@ -51,7 +50,6 @@ pub mod store;
 pub use container::{OpalCtrl, ProcessContainer};
 pub use crs::{crs_framework, CrsComponent, SelfCallbacks};
 pub use incr::{CkptKind, IncrEngine};
-pub use pool::{BufferPool, PoolStats};
 pub use store::{ChunkId, ChunkStore};
 pub use gate::SafePointGate;
 pub use image::ProcessImage;

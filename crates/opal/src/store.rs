@@ -150,7 +150,7 @@ impl ChunkStore {
 
     /// Store `bytes` under the *caller-computed* address `id`, framing
     /// through `scratch` so hot paths reuse one buffer across inserts
-    /// (see [`crate::pool::BufferPool`]). Returns whether a new blob was
+    /// (see [`crate::pool::insert_all_parallel`]). Returns whether a new blob was
     /// written. The caller vouches that `id == ChunkId::of(bytes)` — the
     /// dedup commit path verifies digests over the parallel hash pool
     /// before fanning inserts out, so re-digesting here would double the

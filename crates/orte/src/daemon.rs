@@ -27,7 +27,7 @@ use cr_core::{CrError, JobId, Rank, Tracer};
 use opal::container::{CkptReply, OpalCtrl};
 use opal::ProcessContainer;
 
-use crate::oob::{recv_oob, send_oob, DaemonMsg, DaemonReply, RankCkpt};
+use crate::oob::{self, Caller, DaemonMsg, DaemonReply, RankCkpt, TreeSpec};
 use crate::replica::ReplicaStore;
 
 /// Pending per-rank checkpoint completions (phase 1 output of a local
@@ -70,7 +70,7 @@ impl Orted {
         let runner = Arc::clone(&daemon);
         let handle = std::thread::Builder::new()
             .name(format!("orted-{node}"))
-            .spawn(move || runner.serve(endpoint))
+            .spawn(move || oob::serve(&endpoint, |msg| runner.handle(msg)))
             .expect("spawn orted");
         *daemon.thread.lock() = Some(handle);
         daemon
@@ -134,11 +134,8 @@ impl Orted {
 
     /// Ask the daemon thread to exit and wait for it.
     pub fn shutdown(&self) {
-        {
-            // Best effort: the daemon may already be gone.
-            let ctl = self.fabric.register(self.node);
-            let _ = send_oob(&self.fabric, ctl.id(), self.endpoint_id, &DaemonMsg::Shutdown);
-        }
+        // Best effort: the daemon may already be gone.
+        let _ = Caller::new(&self.fabric, self.node).send(self.endpoint_id, &DaemonMsg::Shutdown);
         if let Some(handle) = self.thread.lock().take() {
             let _ = handle.join();
         }
@@ -146,229 +143,116 @@ impl Orted {
 
     // -- daemon thread ------------------------------------------------------
 
-    fn serve(self: Arc<Self>, endpoint: netsim::Endpoint) {
-        loop {
-            let msg: DaemonMsg = match recv_oob(&endpoint) {
-                Ok(m) => m,
-                Err(_) => return, // fabric torn down
-            };
-            match msg {
-                DaemonMsg::Shutdown => return,
-                DaemonMsg::QueryCheckpointable { job, reply_to } => {
-                    let ranks: Vec<(u32, bool)> = {
-                        let procs = self.procs.lock();
-                        let mut v: Vec<(u32, bool)> = procs
-                            .iter()
-                            .filter(|((j, _), _)| *j == job)
-                            .map(|((_, r), p)| (r.0, p.container.is_checkpointable()))
-                            .collect();
-                        v.sort_unstable();
-                        v
-                    };
-                    let _ = send_oob(
-                        &self.fabric,
-                        self.endpoint_id,
-                        EndpointId(reply_to),
-                        &DaemonReply::Checkpointable {
-                            node: self.node.0,
-                            ranks,
-                        },
-                    );
-                }
-                DaemonMsg::CheckpointLocal {
-                    job,
-                    interval,
-                    reply_to,
-                } => {
-                    let reply = match self.checkpoint_local(job, interval) {
-                        Ok(results) => DaemonReply::LocalDone {
-                            node: self.node.0,
-                            results,
-                        },
-                        Err(e) => DaemonReply::Error {
-                            node: self.node.0,
-                            detail: e.to_string(),
-                        },
-                    };
-                    let _ =
-                        send_oob(&self.fabric, self.endpoint_id, EndpointId(reply_to), &reply);
-                }
-                DaemonMsg::CheckpointTree {
-                    job,
-                    interval,
-                    children,
-                    reply_to,
-                } => {
-                    let reply = match self.checkpoint_tree(job, interval, &children, &endpoint) {
-                        Ok(results) => DaemonReply::TreeDone {
-                            node: self.node.0,
-                            results,
-                        },
-                        Err(e) => DaemonReply::Error {
-                            node: self.node.0,
-                            detail: e.to_string(),
-                        },
-                    };
-                    let _ =
-                        send_oob(&self.fabric, self.endpoint_id, EndpointId(reply_to), &reply);
-                }
-                DaemonMsg::Cleanup {
-                    job,
-                    interval,
-                    reply_to,
-                } => {
-                    let dir = self.local_interval_dir(job, interval);
-                    let _ = std::fs::remove_dir_all(&dir);
-                    self.tracer
-                        .record("filem.local.remove", &dir.display().to_string());
-                    let _ = send_oob(
-                        &self.fabric,
-                        self.endpoint_id,
-                        EndpointId(reply_to),
-                        &DaemonReply::CleanupAck { node: self.node.0 },
-                    );
-                }
-                DaemonMsg::ReplicaPut {
-                    job,
-                    interval,
-                    image,
-                    reply_to,
-                } => {
-                    self.replicas.put(job, interval, image);
-                    let _ = send_oob(
-                        &self.fabric,
-                        self.endpoint_id,
-                        EndpointId(reply_to),
-                        &DaemonReply::ReplicaStored { node: self.node.0 },
-                    );
-                }
-                DaemonMsg::ReplicaFetch {
-                    job,
-                    interval,
-                    rank,
-                    reply_to,
-                } => {
-                    let image = self.replicas.get(job, interval, rank);
-                    let _ = send_oob(
-                        &self.fabric,
-                        self.endpoint_id,
-                        EndpointId(reply_to),
-                        &DaemonReply::ReplicaImageReply {
-                            node: self.node.0,
-                            image,
-                        },
-                    );
-                }
-                DaemonMsg::ReplicaExpire {
-                    job,
-                    interval,
-                    reply_to,
-                } => {
-                    let removed = self.replicas.expire_interval(job, interval);
-                    let _ = send_oob(
-                        &self.fabric,
-                        self.endpoint_id,
-                        EndpointId(reply_to),
-                        &DaemonReply::ReplicaExpired {
-                            node: self.node.0,
-                            removed,
-                        },
-                    );
-                }
-                DaemonMsg::ReplicaInventory { job, reply_to } => {
-                    let entries = self.replicas.inventory(job);
-                    let _ = send_oob(
-                        &self.fabric,
-                        self.endpoint_id,
-                        EndpointId(reply_to),
-                        &DaemonReply::ReplicaHolding {
-                            node: self.node.0,
-                            entries,
-                        },
-                    );
-                }
-                DaemonMsg::ChunkPut {
-                    job,
-                    chunks,
-                    reply_to,
-                } => {
-                    for (id, bytes) in chunks {
-                        self.replicas.put_chunk(job, id, bytes);
-                    }
-                    let _ = send_oob(
-                        &self.fabric,
-                        self.endpoint_id,
-                        EndpointId(reply_to),
-                        &DaemonReply::ChunkStored { node: self.node.0 },
-                    );
-                }
-                DaemonMsg::ChunkFetch { job, ids, reply_to } => {
-                    let chunks = ids
-                        .iter()
-                        .map(|id| self.replicas.get_chunk(job, id))
-                        .collect();
-                    let _ = send_oob(
-                        &self.fabric,
-                        self.endpoint_id,
-                        EndpointId(reply_to),
-                        &DaemonReply::ChunkData {
-                            node: self.node.0,
-                            chunks,
-                        },
-                    );
-                }
-                DaemonMsg::ChunkExpire { job, ids, reply_to } => {
-                    let removed = self.replicas.expire_chunks(job, &ids);
-                    let _ = send_oob(
-                        &self.fabric,
-                        self.endpoint_id,
-                        EndpointId(reply_to),
-                        &DaemonReply::ChunkExpired {
-                            node: self.node.0,
-                            removed,
-                        },
-                    );
-                }
+    /// The one reply to one request; `None` for the request to stop. The
+    /// serving endpoint only ever carries requests: replies to what this
+    /// daemon forwards arrive on a [`Caller`]'s private endpoint.
+    fn handle(&self, msg: DaemonMsg) -> Option<DaemonReply> {
+        let node = self.node.0;
+        Some(match msg {
+            DaemonMsg::Shutdown => return None,
+            DaemonMsg::QueryCheckpointable { job } => {
+                let mut ranks: Vec<(u32, bool)> = self
+                    .procs
+                    .lock()
+                    .iter()
+                    .filter(|((j, _), _)| *j == job)
+                    .map(|((_, r), p)| (r.0, p.container.is_checkpointable()))
+                    .collect();
+                ranks.sort_unstable();
+                DaemonReply::Checkpointable { node, ranks }
             }
-        }
+            DaemonMsg::CheckpointTree {
+                job,
+                interval,
+                children,
+            } => match self.checkpoint_tree(job, interval, children) {
+                Ok(results) => DaemonReply::TreeDone { node, results },
+                Err(e) => DaemonReply::Error {
+                    node,
+                    detail: e.to_string(),
+                },
+            },
+            DaemonMsg::Cleanup { job, interval } => {
+                let dir = self.local_interval_dir(job, interval);
+                let _ = std::fs::remove_dir_all(&dir);
+                self.tracer
+                    .record("filem.local.remove", &dir.display().to_string());
+                DaemonReply::Ack { node }
+            }
+            DaemonMsg::ReplicaPut {
+                job,
+                interval,
+                image,
+            } => {
+                self.replicas.put(job, interval, image);
+                DaemonReply::Ack { node }
+            }
+            DaemonMsg::ReplicaFetch {
+                job,
+                interval,
+                rank,
+            } => DaemonReply::ReplicaImageReply {
+                node,
+                image: self.replicas.get(job, interval, rank),
+            },
+            DaemonMsg::ReplicaExpire { job, interval } => DaemonReply::Removed {
+                node,
+                removed: self.replicas.expire_interval(job, interval),
+            },
+            DaemonMsg::ReplicaInventory { job } => DaemonReply::ReplicaHolding {
+                node,
+                entries: self.replicas.inventory(job),
+            },
+            DaemonMsg::ChunkPut { job, chunks } => {
+                for (id, bytes) in chunks {
+                    self.replicas.put_chunk(job, id, bytes);
+                }
+                DaemonReply::Ack { node }
+            }
+            DaemonMsg::ChunkFetch { job, ids } => DaemonReply::ChunkData {
+                node,
+                chunks: ids
+                    .iter()
+                    .map(|id| self.replicas.get_chunk(job, id))
+                    .collect(),
+            },
+            DaemonMsg::ChunkExpire { job, ids } => DaemonReply::Removed {
+                node,
+                removed: self.replicas.expire_chunks(job, &ids),
+            },
+        })
     }
 
-    /// Drive the local checkpoint of every local rank of `job`.
-    fn checkpoint_local(
-        &self,
-        job: JobId,
-        interval: u64,
-    ) -> Result<Vec<RankCkpt>, CrError> {
-        let waits = self.notify_local(job, interval)?;
-        self.collect_local(interval, waits)
-    }
-
-    /// Hierarchical checkpoint: forward into the subtrees first (children
-    /// proceed concurrently), then checkpoint the local ranks, then
-    /// aggregate local and subtree results.
+    /// Checkpoint this node's subtree: forward into the child subtrees
+    /// first (children proceed concurrently), then checkpoint the local
+    /// ranks, then aggregate local and subtree results. With no children
+    /// this is the plain local checkpoint.
     fn checkpoint_tree(
         &self,
         job: JobId,
         interval: u64,
-        children: &[crate::oob::TreeSpec],
-        endpoint: &netsim::Endpoint,
+        children: Vec<TreeSpec>,
     ) -> Result<Vec<(u32, RankCkpt)>, CrError> {
-        for child in children {
-            send_oob(
-                &self.fabric,
-                self.endpoint_id,
-                EndpointId(child.endpoint),
-                &DaemonMsg::CheckpointTree {
-                    job,
-                    interval,
-                    children: child.children.clone(),
-                    reply_to: self.endpoint_id.0,
-                },
-            )?;
-            self.tracer.record(
-                "snapc.tree.forward",
-                &format!("{} -> node {}", self.node, child.node),
-            );
+        // A leaf forwards nothing, so it registers no reply endpoint: each
+        // registration takes the fabric's write lock against every rank's
+        // sends, which the small checkpoints feel.
+        let subtrees = children.len();
+        let forward = (subtrees > 0).then(|| Caller::new(&self.fabric, self.node));
+        if let Some(forward) = &forward {
+            for child in children {
+                forward.send(
+                    EndpointId(child.endpoint),
+                    &DaemonMsg::CheckpointTree {
+                        job,
+                        interval,
+                        children: child.children,
+                    },
+                )?;
+                self.tracer.record(
+                    "snapc.tree.forward",
+                    &format!("{} -> node {}", self.node, child.node),
+                );
+            }
         }
         let waits = self.notify_local(job, interval)?;
         let mut results: Vec<(u32, RankCkpt)> = self
@@ -376,31 +260,16 @@ impl Orted {
             .into_iter()
             .map(|ckpt| (self.node.0, ckpt))
             .collect();
-        let mut failures = Vec::new();
-        for _ in children {
-            match crate::oob::recv_oob_timeout::<DaemonReply>(
-                endpoint,
-                std::time::Duration::from_secs(120),
-            )? {
-                DaemonReply::TreeDone {
-                    results: sub_results,
-                    ..
-                } => {
-                    results.extend(
-                        sub_results,
-                    );
+        if let Some(forward) = &forward {
+            forward.collect("subtree checkpoint", subtrees, |reply| match reply {
+                DaemonReply::TreeDone { results: sub, .. } => {
+                    results.extend(sub);
+                    Ok(())
                 }
-                DaemonReply::Error { node, detail } => {
-                    failures.push(format!("subtree node {node}: {detail}"));
-                }
-                other => failures.push(format!("unexpected subtree reply: {other:?}")),
-            }
+                other => Err(other.unexpected()),
+            })?;
         }
-        if failures.is_empty() {
-            Ok(results)
-        } else {
-            Err(CrError::protocol(failures.join("; ")))
-        }
+        Ok(results)
     }
 
     /// Phase 1 of a local checkpoint: prepare the interval directory and
@@ -485,16 +354,16 @@ impl Orted {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cr_core::inc::LayerInc;
     use cr_core::ProcessName;
     use mca::McaParams;
     use netsim::{LinkSpec, Topology};
     use opal::crs::{crs_framework, SelfCallbacks};
-    use std::time::Duration;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
-    fn tmpdir(tag: &str) -> PathBuf {
+    pub(crate) fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "orte_daemon_{tag}_{}_{:?}",
             std::process::id(),
@@ -507,11 +376,23 @@ mod tests {
 
     /// Minimal checkpointable process: container + notification thread +
     /// an app thread spinning on the gate.
-    fn spawn_proc(
+    pub(crate) fn spawn_proc(
         job: JobId,
         rank: Rank,
         tracer: &Tracer,
-        stop: Arc<std::sync::atomic::AtomicBool>,
+        stop: Arc<AtomicBool>,
+    ) -> (Arc<ProcessContainer>, Sender<OpalCtrl>, JoinHandle<()>) {
+        spawn_held_proc(job, rank, tracer, stop, Arc::new(AtomicBool::new(false)))
+    }
+
+    /// Like [`spawn_proc`], but the app stays off its safe point for as
+    /// long as `hold` is set.
+    fn spawn_held_proc(
+        job: JobId,
+        rank: Rank,
+        tracer: &Tracer,
+        stop: Arc<AtomicBool>,
+        hold: Arc<AtomicBool>,
     ) -> (Arc<ProcessContainer>, Sender<OpalCtrl>, JoinHandle<()>) {
         let container = ProcessContainer::new(ProcessName::new(job, rank), "node00", tracer.clone());
         let fw = crs_framework(SelfCallbacks::new());
@@ -523,13 +404,23 @@ mod tests {
         container.spawn_notification_thread(rx);
         let gate = Arc::clone(container.gate());
         let app = std::thread::spawn(move || {
-            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
-                gate.checkpoint_point();
+            while !stop.load(Ordering::SeqCst) {
+                if !hold.load(Ordering::SeqCst) {
+                    gate.checkpoint_point();
+                }
                 std::thread::yield_now();
             }
             gate.retire();
         });
         (container, tx, app)
+    }
+
+    fn local_checkpoint(job: JobId) -> DaemonMsg {
+        DaemonMsg::CheckpointTree {
+            job,
+            interval: 0,
+            children: Vec::new(),
+        }
     }
 
     #[test]
@@ -539,7 +430,7 @@ mod tests {
         let dir = tmpdir("local");
         let daemon = Orted::spawn(fabric.clone(), NodeId(1), dir, tracer.clone());
 
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
         let job = JobId(5);
         let mut apps = Vec::new();
         for r in 0..3 {
@@ -550,24 +441,17 @@ mod tests {
         assert_eq!(daemon.local_ranks(job), vec![Rank(0), Rank(1), Rank(2)]);
 
         // Act as the global coordinator.
-        let hnp = fabric.register(NodeId(0));
-        send_oob(
-            &fabric,
-            hnp.id(),
-            daemon.endpoint(),
-            &DaemonMsg::CheckpointLocal {
-                job,
-                interval: 0,
-                reply_to: hnp.id().0,
-            },
-        )
-        .unwrap();
-        let reply: DaemonReply = recv_oob(&hnp).unwrap();
-        match reply {
-            DaemonReply::LocalDone { node, results } => {
+        let hnp = Caller::new(&fabric, NodeId(0));
+        match hnp
+            .call(daemon.endpoint(), &local_checkpoint(job))
+            .unwrap()
+            .0
+        {
+            DaemonReply::TreeDone { node, results } => {
                 assert_eq!(node, 1);
                 assert_eq!(results.len(), 3);
-                for ckpt in &results {
+                for (from, ckpt) in &results {
+                    assert_eq!(*from, 1);
                     assert!(ckpt.dir.exists(), "rank {} snapshot missing", ckpt.rank);
                     assert!(ckpt.bytes > 0);
                 }
@@ -576,22 +460,13 @@ mod tests {
         }
 
         // Cleanup removes the scratch directory.
-        send_oob(
-            &fabric,
-            hnp.id(),
-            daemon.endpoint(),
-            &DaemonMsg::Cleanup {
-                job,
-                interval: 0,
-                reply_to: hnp.id().0,
-            },
-        )
-        .unwrap();
-        let reply: DaemonReply = recv_oob(&hnp).unwrap();
-        assert_eq!(reply, DaemonReply::CleanupAck { node: 1 });
+        let (reply, _) = hnp
+            .call(daemon.endpoint(), &DaemonMsg::Cleanup { job, interval: 0 })
+            .unwrap();
+        assert_eq!(reply, DaemonReply::Ack { node: 1 });
         assert!(!daemon.local_interval_dir(job, 0).exists());
 
-        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        stop.store(true, Ordering::SeqCst);
         for app in apps {
             app.join().unwrap();
         }
@@ -603,7 +478,7 @@ mod tests {
         let fabric = Fabric::new(Topology::uniform(1, LinkSpec::gigabit_ethernet()));
         let tracer = Tracer::new();
         let daemon = Orted::spawn(fabric.clone(), NodeId(0), tmpdir("query"), tracer.clone());
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(true)); // app exits at once
+        let stop = Arc::new(AtomicBool::new(true)); // app exits at once
         let job = JobId(7);
         let (c0, tx0, a0) = spawn_proc(job, Rank(0), &tracer, Arc::clone(&stop));
         let (c1, tx1, a1) = spawn_proc(job, Rank(1), &tracer, Arc::clone(&stop));
@@ -611,18 +486,10 @@ mod tests {
         daemon.register_proc(job, Rank(0), Arc::clone(&c0), tx0);
         daemon.register_proc(job, Rank(1), Arc::clone(&c1), tx1);
 
-        let hnp = fabric.register(NodeId(0));
-        send_oob(
-            &fabric,
-            hnp.id(),
-            daemon.endpoint(),
-            &DaemonMsg::QueryCheckpointable {
-                job,
-                reply_to: hnp.id().0,
-            },
-        )
-        .unwrap();
-        let reply: DaemonReply = recv_oob(&hnp).unwrap();
+        let hnp = Caller::new(&fabric, NodeId(0));
+        let (reply, _) = hnp
+            .call(daemon.endpoint(), &DaemonMsg::QueryCheckpointable { job })
+            .unwrap();
         assert_eq!(
             reply,
             DaemonReply::Checkpointable {
@@ -639,21 +506,11 @@ mod tests {
     fn checkpoint_with_no_procs_is_an_error() {
         let fabric = Fabric::new(Topology::uniform(1, LinkSpec::gigabit_ethernet()));
         let daemon = Orted::spawn(fabric.clone(), NodeId(0), tmpdir("empty"), Tracer::new());
-        let hnp = fabric.register(NodeId(0));
-        send_oob(
-            &fabric,
-            hnp.id(),
-            daemon.endpoint(),
-            &DaemonMsg::CheckpointLocal {
-                job: JobId(1),
-                interval: 0,
-                reply_to: hnp.id().0,
-            },
-        )
-        .unwrap();
-        let reply: DaemonReply =
-            crate::oob::recv_oob_timeout(&hnp, Duration::from_secs(5)).unwrap();
-        assert!(matches!(reply, DaemonReply::Error { .. }));
+        let hnp = Caller::new(&fabric, NodeId(0));
+        let err = hnp
+            .call(daemon.endpoint(), &local_checkpoint(JobId(1)))
+            .unwrap_err();
+        assert!(matches!(err, CrError::Protocol { .. }), "{err}");
         daemon.shutdown();
     }
 
@@ -662,7 +519,7 @@ mod tests {
         let fabric = Fabric::new(Topology::uniform(1, LinkSpec::gigabit_ethernet()));
         let tracer = Tracer::new();
         let daemon = Orted::spawn(fabric.clone(), NodeId(0), tmpdir("fail"), tracer.clone());
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
         let job = JobId(2);
         let (c0, tx0, a0) = spawn_proc(job, Rank(0), &tracer, Arc::clone(&stop));
         // Rank 1's window is closed: its checkpoint will fail.
@@ -671,38 +528,84 @@ mod tests {
         daemon.register_proc(job, Rank(0), c0, tx0);
         daemon.register_proc(job, Rank(1), c1, tx1);
 
-        let hnp = fabric.register(NodeId(0));
-        send_oob(
-            &fabric,
-            hnp.id(),
-            daemon.endpoint(),
-            &DaemonMsg::CheckpointLocal {
-                job,
-                interval: 0,
-                reply_to: hnp.id().0,
-            },
-        )
-        .unwrap();
-        let reply: DaemonReply = recv_oob(&hnp).unwrap();
-        match reply {
-            DaemonReply::Error { detail, .. } => assert!(detail.contains("rank 1")),
-            other => panic!("expected error, got {other:?}"),
-        }
+        let hnp = Caller::new(&fabric, NodeId(0));
+        let err = hnp
+            .call(daemon.endpoint(), &local_checkpoint(job))
+            .unwrap_err();
+        assert!(err.to_string().contains("rank 1"), "{err}");
         // Daemon still answers queries.
-        send_oob(
-            &fabric,
-            hnp.id(),
-            daemon.endpoint(),
-            &DaemonMsg::QueryCheckpointable {
-                job,
-                reply_to: hnp.id().0,
-            },
-        )
-        .unwrap();
-        let _: DaemonReply = recv_oob(&hnp).unwrap();
-        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        hnp.call(daemon.endpoint(), &DaemonMsg::QueryCheckpointable { job })
+            .unwrap();
+        stop.store(true, Ordering::SeqCst);
         a0.join().unwrap();
         a1.join().unwrap();
         daemon.shutdown();
+    }
+
+    /// A forwarding daemon reads its children's replies on a private
+    /// endpoint: a request that reaches its serving endpoint while a child
+    /// is still checkpointing is queued as a request, never mistaken for a
+    /// reply.
+    #[test]
+    fn request_arriving_mid_forward_is_not_a_reply() {
+        let fabric = Fabric::new(Topology::uniform(2, LinkSpec::gigabit_ethernet()));
+        let tracer = Tracer::new();
+        let spawn = |node, tag| Orted::spawn(fabric.clone(), NodeId(node), tmpdir(tag), tracer.clone());
+        let (root, child) = (spawn(0, "fwd_root"), spawn(1, "fwd_child"));
+        let stop = Arc::new(AtomicBool::new(false));
+        let hold = Arc::new(AtomicBool::new(true));
+        let job = JobId(9);
+        let (c0, tx0, a0) = spawn_proc(job, Rank(0), &tracer, Arc::clone(&stop));
+        let (c1, tx1, a1) =
+            spawn_held_proc(job, Rank(1), &tracer, Arc::clone(&stop), Arc::clone(&hold));
+        root.register_proc(job, Rank(0), c0, tx0);
+        child.register_proc(job, Rank(1), c1, tx1);
+
+        let checkpoint = Caller::new(&fabric, NodeId(0));
+        checkpoint
+            .send(
+                root.endpoint(),
+                &DaemonMsg::CheckpointTree {
+                    job,
+                    interval: 0,
+                    children: vec![TreeSpec {
+                        endpoint: child.endpoint().0,
+                        node: 1,
+                        children: Vec::new(),
+                    }],
+                },
+            )
+            .unwrap();
+        // Lands on the root's serving endpoint while rank 1 is held off
+        // its safe point, i.e. while the root waits for its child.
+        let inventory = Caller::new(&fabric, NodeId(0));
+        inventory
+            .send(root.endpoint(), &DaemonMsg::ReplicaInventory { job })
+            .unwrap();
+        hold.store(false, Ordering::SeqCst);
+
+        match checkpoint.recv().unwrap() {
+            DaemonReply::TreeDone { node, results } => {
+                assert_eq!(node, 0);
+                let mut ranks: Vec<(u32, u32)> =
+                    results.iter().map(|(n, c)| (*n, c.rank)).collect();
+                ranks.sort_unstable();
+                assert_eq!(ranks, vec![(0, 0), (1, 1)]);
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+        assert_eq!(
+            inventory.recv().unwrap(),
+            DaemonReply::ReplicaHolding {
+                node: 0,
+                entries: Vec::new(),
+            }
+        );
+
+        stop.store(true, Ordering::SeqCst);
+        a0.join().unwrap();
+        a1.join().unwrap();
+        root.shutdown();
+        child.shutdown();
     }
 }

@@ -21,7 +21,8 @@
 //!   job-id allocation, and the daemon registry.
 //! * [`daemon::Orted`] — the per-node daemon thread servicing OOB requests
 //!   and driving local process checkpoints.
-//! * [`oob`] — typed OOB messages serialized with `codec` over the fabric.
+//! * [`oob`] — the OOB control plane: typed requests and replies over the
+//!   fabric, the one caller, and the dead-node rule.
 //! * [`modex`] — the rendezvous key-value store processes use to exchange
 //!   endpoint addresses at `MPI_Init` and after restart.
 //! * [`plm`] — the process launch framework (`rsh_sim`, `slurm_sim`

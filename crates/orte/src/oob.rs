@@ -1,22 +1,40 @@
-//! Out-of-band (OOB) messaging between the HNP and the per-node daemons.
+//! The out-of-band (OOB) control plane between the HNP and the per-node
+//! daemons.
 //!
-//! Runtime control traffic (checkpoint coordination, cleanup, shutdown)
-//! travels over the same simulated fabric as application messages but on
-//! dedicated daemon endpoints, serialized with the `codec` binary format.
+//! Runtime control traffic (checkpoint coordination, cleanup, replica and
+//! chunk movement, shutdown) travels over the same simulated fabric as
+//! application messages but on dedicated daemon endpoints, serialized with
+//! the `codec` binary format. "Ask a daemon something and get an answer"
+//! exists once, here:
+//!
+//! * `Request` is the wire envelope — `(reply_to, msg)` — so no
+//!   [`DaemonMsg`] variant carries a reply address;
+//! * `Caller` is the asking side: a private reply endpoint per operation,
+//!   the one reply timeout, and the one meaning of
+//!   [`DaemonReply::Error`];
+//! * `daemon_addr` is the dead-node rule: who may be contacted, and who
+//!   may be started.
+//!
+//! Only this module encodes, decodes or addresses an OOB message.
 
 use std::path::PathBuf;
+use std::time::Duration;
 
 use bytes::Bytes;
-use netsim::{Endpoint, EndpointId, Fabric, NetError, SimTime};
+use netsim::{Endpoint, EndpointId, Fabric, NetError, NodeId, SimTime};
 use serde::{Deserialize, Serialize};
 
 use cr_core::{CrError, JobId};
 use opal::store::ChunkId;
 
 use crate::replica::ReplicaImage;
+use crate::runtime::Runtime;
 
 /// Tag used for all OOB traffic (tags are per-endpoint, so one suffices).
-pub const TAG_OOB: u64 = 0x4000_0000_0000_0001;
+const TAG_OOB: u64 = 0x4000_0000_0000_0001;
+
+/// How long a [`Caller`] waits for the reply to a request.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// A subtree of daemons for hierarchical coordination: the daemon at
 /// `endpoint` checkpoints its own ranks and forwards to its `children`.
@@ -42,33 +60,24 @@ pub struct RankCkpt {
     pub bytes: u64,
 }
 
-/// Requests the global coordinator (HNP) sends to a daemon.
+/// Requests the global coordinator (HNP) — or a forwarding daemon — sends
+/// to a daemon. Variants carry only their payload; the reply address
+/// travels in the `Request` envelope.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DaemonMsg {
     /// Report which local ranks of `job` are checkpointable.
     QueryCheckpointable {
         /// Job being queried.
         job: JobId,
-        /// Raw endpoint id to reply to.
-        reply_to: u64,
     },
-    /// Initiate local checkpoints of every local rank of `job`.
+    /// Checkpoint the local ranks of `job`, concurrently forward the
+    /// request into the daemon subtrees, and reply with the aggregated
+    /// results of the whole subtree. With no `children` this is the plain
+    /// local checkpoint of one node (the `full` SNAPC component).
     ///
     /// The daemon must notify *all* local processes before collecting any
     /// reply: the coordination protocol requires every rank to enter the
     /// checkpoint concurrently.
-    CheckpointLocal {
-        /// Job to checkpoint.
-        job: JobId,
-        /// Interval number assigned by the global coordinator.
-        interval: u64,
-        /// Raw endpoint id to reply to.
-        reply_to: u64,
-    },
-    /// Hierarchical checkpoint (the `tree` SNAPC component): checkpoint
-    /// local ranks of `job`, concurrently forward the request into the
-    /// daemon subtrees, and reply with the aggregated results of the whole
-    /// subtree.
     CheckpointTree {
         /// Job to checkpoint.
         job: JobId,
@@ -76,8 +85,6 @@ pub enum DaemonMsg {
         interval: u64,
         /// Subtrees rooted at child daemons.
         children: Vec<TreeSpec>,
-        /// Raw endpoint id to reply to (parent daemon or the HNP).
-        reply_to: u64,
     },
     /// Remove the node-local files of `interval` (post-gather cleanup).
     Cleanup {
@@ -85,8 +92,6 @@ pub enum DaemonMsg {
         job: JobId,
         /// Interval to remove.
         interval: u64,
-        /// Raw endpoint id to reply to.
-        reply_to: u64,
     },
     /// Store an in-memory replica of one rank's snapshot image in the
     /// daemon's [`crate::replica::ReplicaStore`].
@@ -97,8 +102,6 @@ pub enum DaemonMsg {
         interval: u64,
         /// The image itself (metadata + context files).
         image: ReplicaImage,
-        /// Raw endpoint id to reply to.
-        reply_to: u64,
     },
     /// Fetch a rank's replica image from the daemon's store, if held.
     ReplicaFetch {
@@ -108,8 +111,6 @@ pub enum DaemonMsg {
         interval: u64,
         /// Rank whose image is wanted.
         rank: u32,
-        /// Raw endpoint id to reply to.
-        reply_to: u64,
     },
     /// Drop every replica entry of one `(job, interval)` from the store
     /// (checkpoint expiry / cleanup).
@@ -118,15 +119,11 @@ pub enum DaemonMsg {
         job: JobId,
         /// Interval to drop.
         interval: u64,
-        /// Raw endpoint id to reply to.
-        reply_to: u64,
     },
     /// List the `(interval, rank)` replica entries held for `job`.
     ReplicaInventory {
         /// Job being queried.
         job: JobId,
-        /// Raw endpoint id to reply to.
-        reply_to: u64,
     },
     /// Store content-addressed chunks in the daemon's in-memory chunk
     /// tier (the dedup analogue of [`DaemonMsg::ReplicaPut`]).
@@ -135,8 +132,6 @@ pub enum DaemonMsg {
         job: JobId,
         /// `(id, bytes)` of each chunk to hold.
         chunks: Vec<(ChunkId, Vec<u8>)>,
-        /// Raw endpoint id to reply to.
-        reply_to: u64,
     },
     /// Fetch chunks by id from the daemon's in-memory chunk tier.
     ChunkFetch {
@@ -144,8 +139,6 @@ pub enum DaemonMsg {
         job: JobId,
         /// Ids wanted, in reply order.
         ids: Vec<ChunkId>,
-        /// Raw endpoint id to reply to.
-        reply_to: u64,
     },
     /// Drop chunks by id from the daemon's in-memory chunk tier (GC of a
     /// retired interval's swept chunks).
@@ -154,14 +147,12 @@ pub enum DaemonMsg {
         job: JobId,
         /// Ids to drop.
         ids: Vec<ChunkId>,
-        /// Raw endpoint id to reply to.
-        reply_to: u64,
     },
-    /// Stop the daemon thread.
+    /// Stop the daemon thread. The only request that gets no reply.
     Shutdown,
 }
 
-/// Replies daemons send back to the global coordinator.
+/// The one reply a daemon sends for each request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DaemonReply {
     /// Answer to [`DaemonMsg::QueryCheckpointable`].
@@ -180,27 +171,17 @@ pub enum DaemonReply {
         /// subtree, paired with the node that produced each.
         results: Vec<(u32, RankCkpt)>,
     },
-    /// All local checkpoints of one node completed.
-    LocalDone {
-        /// Daemon's node id.
-        node: u32,
-        /// Per-rank checkpoint descriptions for the local ranks.
-        results: Vec<RankCkpt>,
-    },
-    /// The daemon could not complete the request.
+    /// The daemon could not complete the request. A `Caller` never hands
+    /// this variant out: it surfaces as an `Err` naming the node.
     Error {
         /// Daemon's node id.
         node: u32,
         /// What failed.
         detail: String,
     },
-    /// Cleanup finished.
-    CleanupAck {
-        /// Daemon's node id.
-        node: u32,
-    },
-    /// The daemon stored a replica (reply to [`DaemonMsg::ReplicaPut`]).
-    ReplicaStored {
+    /// Done, nothing to report (reply to [`DaemonMsg::Cleanup`],
+    /// [`DaemonMsg::ReplicaPut`] and [`DaemonMsg::ChunkPut`]).
+    Ack {
         /// Daemon's node id.
         node: u32,
     },
@@ -212,8 +193,9 @@ pub enum DaemonReply {
         /// The image, when this daemon holds it.
         image: Option<ReplicaImage>,
     },
-    /// Replica entries dropped (reply to [`DaemonMsg::ReplicaExpire`]).
-    ReplicaExpired {
+    /// Entries dropped (reply to [`DaemonMsg::ReplicaExpire`] and
+    /// [`DaemonMsg::ChunkExpire`]).
+    Removed {
         /// Daemon's node id.
         node: u32,
         /// How many entries were removed.
@@ -226,11 +208,6 @@ pub enum DaemonReply {
         /// `(interval, rank)` pairs currently held for the queried job.
         entries: Vec<(u64, u32)>,
     },
-    /// Chunks stored (reply to [`DaemonMsg::ChunkPut`]).
-    ChunkStored {
-        /// Daemon's node id.
-        node: u32,
-    },
     /// Result of a [`DaemonMsg::ChunkFetch`]: one entry per requested id,
     /// in request order; `None` for ids this daemon does not hold.
     ChunkData {
@@ -239,108 +216,383 @@ pub enum DaemonReply {
         /// Chunk bytes (or `None` on a miss), in request order.
         chunks: Vec<Option<Vec<u8>>>,
     },
-    /// Chunks dropped (reply to [`DaemonMsg::ChunkExpire`]).
-    ChunkExpired {
-        /// Daemon's node id.
-        node: u32,
-        /// How many chunks were removed.
-        removed: usize,
-    },
 }
 
-/// Serialize and send an OOB value to `dst`.
-///
-/// Returns the simulated wire time the fabric charged for the transfer, so
-/// control-plane callers that ship bulk payloads (e.g. replica images) can
-/// account latency/bandwidth along their critical path. Callers that only
-/// steer control flow discard the value.
-pub fn send_oob<T: Serialize>(
-    fabric: &Fabric,
-    src: EndpointId,
-    dst: EndpointId,
-    value: &T,
-) -> Result<SimTime, CrError> {
+impl DaemonReply {
+    /// The error for a reply of a kind the request cannot produce.
+    pub(crate) fn unexpected(self) -> CrError {
+        CrError::protocol(format!("unexpected daemon reply: {self:?}"))
+    }
+}
+
+fn post<T: Serialize>(from: &Endpoint, to: EndpointId, value: &T) -> Result<SimTime, CrError> {
     let bytes = codec::to_bytes(value)?;
-    fabric
-        .send(src, dst, TAG_OOB, Bytes::from(bytes))
+    from.send_to(to, TAG_OOB, Bytes::from(bytes))
         .map_err(|e| CrError::PeerLost {
-            detail: format!("OOB send to {dst}: {e}"),
+            detail: format!("OOB send to {to}: {e}"),
         })
 }
 
-/// Blocking receive of one OOB value on `endpoint`.
-pub fn recv_oob<T: serde::de::DeserializeOwned>(endpoint: &Endpoint) -> Result<T, CrError> {
-    let delivery = endpoint.recv().map_err(|e| CrError::PeerLost {
-        detail: format!("OOB recv: {e}"),
-    })?;
-    Ok(codec::from_bytes(&delivery.payload)?)
+/// The envelope every request crosses the wire in: the message plus the
+/// private endpoint its one reply goes to. Encoded as the pair
+/// `(reply_to, msg)` so a [`Caller`] can frame a borrowed message.
+#[derive(Debug)]
+pub(crate) struct Request {
+    /// Where the daemon sends its reply.
+    pub reply_to: EndpointId,
+    /// What is being asked.
+    pub msg: DaemonMsg,
 }
 
-/// Receive with a wall-clock timeout.
-pub fn recv_oob_timeout<T: serde::de::DeserializeOwned>(
-    endpoint: &Endpoint,
-    timeout: std::time::Duration,
-) -> Result<T, CrError> {
-    let delivery = endpoint.recv_timeout(timeout).map_err(|e| match e {
-        NetError::Timeout => CrError::PeerLost {
-            detail: "OOB reply timed out".into(),
-        },
-        other => CrError::PeerLost {
-            detail: format!("OOB recv: {other}"),
-        },
-    })?;
-    Ok(codec::from_bytes(&delivery.payload)?)
+impl Request {
+    /// Blocking receive of the next request on a daemon's serving
+    /// endpoint. Fails once the fabric is torn down.
+    pub fn recv(serving: &Endpoint) -> Result<Request, CrError> {
+        let delivery = serving.recv().map_err(|e| CrError::PeerLost {
+            detail: format!("OOB recv: {e}"),
+        })?;
+        let (reply_to, msg) = codec::from_bytes(&delivery.payload)?;
+        Ok(Request {
+            reply_to: EndpointId(reply_to),
+            msg,
+        })
+    }
+}
+
+/// The daemon side of the exchange: hand each request's message to
+/// `handle` and send the reply it produces back to the asker, until
+/// `handle` returns `None` (shutdown: the one request nobody answers) or
+/// the fabric is torn down.
+pub(crate) fn serve(serving: &Endpoint, mut handle: impl FnMut(DaemonMsg) -> Option<DaemonReply>) {
+    while let Ok(Request { reply_to, msg }) = Request::recv(serving) {
+        let Some(reply) = handle(msg) else { return };
+        // Best effort: a caller that gave up has dropped its reply endpoint.
+        let _ = post(serving, reply_to, &reply);
+    }
+}
+
+/// The dead-node rule, stated once: a control-plane call never contacts
+/// and never revives a node in the runtime's failed set — only placement
+/// (`launch`, `respawn_rank`) may bring a node back. A node that was
+/// simply never started gets its daemon on first use, so replication into
+/// a fresh runtime works.
+pub(crate) fn daemon_addr(runtime: &Runtime, node: NodeId) -> Result<EndpointId, CrError> {
+    if runtime.node_failed(node) {
+        return Err(CrError::PeerLost {
+            detail: format!("{node} has failed"),
+        });
+    }
+    Ok(runtime.ensure_daemon(node).endpoint())
+}
+
+/// One side of "ask a daemon something and get an answer": owns a private
+/// reply endpoint (so replies never mix with anything else the asker
+/// receives), the one reply timeout, and the one meaning of
+/// [`DaemonReply::Error`]. Make one per operation, not one per message.
+pub(crate) struct Caller {
+    reply: Endpoint,
+    timeout: Duration,
+}
+
+impl Caller {
+    /// A caller living on `node`: the HNP is node 0, a forwarding daemon
+    /// passes its own node.
+    pub fn new(fabric: &Fabric, node: NodeId) -> Caller {
+        Caller {
+            reply: fabric.register(node),
+            timeout: REPLY_TIMEOUT,
+        }
+    }
+
+    /// Send `msg` to the daemon serving on `to`. Returns the simulated
+    /// wire time the fabric charged, so callers that ship bulk payloads
+    /// (replica images, chunks) can account it along their critical path.
+    pub fn send(&self, to: EndpointId, msg: &DaemonMsg) -> Result<SimTime, CrError> {
+        post(&self.reply, to, &(self.reply.id().0, msg))
+    }
+
+    /// The next reply, whatever its kind; a silent daemon is `PeerLost`.
+    fn recv_any(&self) -> Result<DaemonReply, CrError> {
+        let delivery = self
+            .reply
+            .recv_timeout(self.timeout)
+            .map_err(|e| CrError::PeerLost {
+                detail: match e {
+                    NetError::Timeout => "OOB reply timed out".into(),
+                    other => format!("OOB recv: {other}"),
+                },
+            })?;
+        Ok(codec::from_bytes(&delivery.payload)?)
+    }
+
+    /// The next reply. A daemon-side [`DaemonReply::Error`] is an `Err`
+    /// naming the node.
+    pub fn recv(&self) -> Result<DaemonReply, CrError> {
+        match self.recv_any()? {
+            DaemonReply::Error { node, detail } => {
+                Err(CrError::protocol(format!("node {node}: {detail}")))
+            }
+            reply => Ok(reply),
+        }
+    }
+
+    /// `send` then `recv`: the reply and the request's wire time.
+    pub fn call(&self, to: EndpointId, msg: &DaemonMsg) -> Result<(DaemonReply, SimTime), CrError> {
+        let cost = self.send(to, msg)?;
+        Ok((self.recv()?, cost))
+    }
+
+    /// The collect half of a fan-out (`send` × n first, so every daemon
+    /// works concurrently): drain all `n` replies through `each`, and
+    /// report every failing node in one "`what` failed: node 1: …;
+    /// node 2: …" error. A silent daemon ends the wait at once.
+    pub fn collect(
+        &self,
+        what: &str,
+        n: usize,
+        mut each: impl FnMut(DaemonReply) -> Result<(), CrError>,
+    ) -> Result<(), CrError> {
+        let mut failures = Vec::new();
+        for _ in 0..n {
+            match self.recv_any()? {
+                DaemonReply::Error { node, detail } => {
+                    failures.push(format!("node {node}: {detail}"))
+                }
+                reply => {
+                    if let Err(e) = each(reply) {
+                        failures.push(e.to_string());
+                    }
+                }
+            }
+        }
+        if failures.is_empty() {
+            Ok(())
+        } else {
+            Err(CrError::protocol(format!(
+                "{what} failed: {}",
+                failures.join("; ")
+            )))
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{LinkSpec, NodeId, Topology};
+    use crate::daemon::tests::{spawn_proc, tmpdir};
+    use crate::daemon::Orted;
+    use cr_core::{Rank, Tracer};
+    use netsim::{LinkSpec, Topology};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
-    #[test]
-    fn oob_roundtrip_over_fabric() {
-        let fabric = Fabric::new(Topology::uniform(2, LinkSpec::gigabit_ethernet()));
-        let hnp = fabric.register(NodeId(0));
-        let daemon = fabric.register(NodeId(1));
-        let msg = DaemonMsg::CheckpointLocal {
-            job: JobId(4),
-            interval: 2,
-            reply_to: hnp.id().0,
-        };
-        send_oob(&fabric, hnp.id(), daemon.id(), &msg).unwrap();
-        let received: DaemonMsg = recv_oob(&daemon).unwrap();
-        assert_eq!(received, msg);
+    fn fabric(nodes: u32) -> Fabric {
+        Fabric::new(Topology::uniform(nodes, LinkSpec::gigabit_ethernet()))
+    }
 
-        let reply = DaemonReply::LocalDone {
-            node: 1,
-            results: vec![RankCkpt {
-                rank: 0,
-                dir: PathBuf::from("/tmp/snap"),
-                bytes: 1024,
-            }],
-        };
-        send_oob(&fabric, daemon.id(), hnp.id(), &reply).unwrap();
-        let received: DaemonReply = recv_oob(&hnp).unwrap();
-        assert_eq!(received, reply);
+    /// A caller whose patience a test can afford to exhaust.
+    fn impatient(fabric: &Fabric) -> Caller {
+        Caller {
+            reply: fabric.register(NodeId(0)),
+            timeout: Duration::from_millis(50),
+        }
     }
 
     #[test]
-    fn recv_timeout_reports_peer_lost() {
-        let fabric = Fabric::new(Topology::uniform(1, LinkSpec::gigabit_ethernet()));
-        let ep = fabric.register(NodeId(0));
-        let err =
-            recv_oob_timeout::<DaemonReply>(&ep, std::time::Duration::from_millis(10)).unwrap_err();
+    fn envelope_roundtrips_a_borrowed_message() {
+        let fabric = fabric(2);
+        let serving = fabric.register(NodeId(1));
+        let hnp = Caller::new(&fabric, NodeId(0));
+        let msg = DaemonMsg::Cleanup {
+            job: JobId(4),
+            interval: 2,
+        };
+        hnp.send(serving.id(), &msg).unwrap();
+        let request = Request::recv(&serving).unwrap();
+        assert_eq!(request.reply_to, hnp.reply.id());
+        assert_eq!(request.msg, msg);
+
+        let reply = DaemonReply::TreeDone {
+            node: 1,
+            results: vec![(
+                1,
+                RankCkpt {
+                    rank: 0,
+                    dir: PathBuf::from("/tmp/snap"),
+                    bytes: 1024,
+                },
+            )],
+        };
+        post(&serving, request.reply_to, &reply).unwrap();
+        assert_eq!(hnp.recv().unwrap(), reply);
+    }
+
+    #[test]
+    fn every_request_gets_exactly_one_reply_of_its_kind() {
+        let fabric = fabric(1);
+        let tracer = Tracer::new();
+        let daemon = Orted::spawn(fabric.clone(), NodeId(0), tmpdir("table"), tracer.clone());
+        let stop = Arc::new(AtomicBool::new(false));
+        let job = JobId(3);
+        let (container, ctrl, app) = spawn_proc(job, Rank(0), &tracer, Arc::clone(&stop));
+        daemon.register_proc(job, Rank(0), container, ctrl);
+
+        let image = ReplicaImage {
+            rank: 0,
+            files: vec![("ctx".into(), vec![7; 16])],
+        };
+        let chunk = ChunkId::of(b"chunk");
+        type Check = fn(&DaemonReply) -> bool;
+        let table: Vec<(DaemonMsg, Check)> = vec![
+            (
+                DaemonMsg::QueryCheckpointable { job },
+                |r| matches!(r, DaemonReply::Checkpointable { ranks, .. } if ranks == &[(0, true)]),
+            ),
+            (
+                DaemonMsg::CheckpointTree {
+                    job,
+                    interval: 0,
+                    children: Vec::new(),
+                },
+                |r| matches!(r, DaemonReply::TreeDone { results, .. } if results.len() == 1),
+            ),
+            (DaemonMsg::Cleanup { job, interval: 0 }, |r| {
+                matches!(r, DaemonReply::Ack { node: 0 })
+            }),
+            (
+                DaemonMsg::ReplicaPut {
+                    job,
+                    interval: 0,
+                    image,
+                },
+                |r| matches!(r, DaemonReply::Ack { node: 0 }),
+            ),
+            (
+                DaemonMsg::ReplicaFetch {
+                    job,
+                    interval: 0,
+                    rank: 0,
+                },
+                |r| matches!(r, DaemonReply::ReplicaImageReply { image: Some(_), .. }),
+            ),
+            (
+                DaemonMsg::ReplicaInventory { job },
+                |r| matches!(r, DaemonReply::ReplicaHolding { entries, .. } if entries == &[(0, 0)]),
+            ),
+            (DaemonMsg::ReplicaExpire { job, interval: 0 }, |r| {
+                matches!(r, DaemonReply::Removed { removed: 1, .. })
+            }),
+            (
+                DaemonMsg::ChunkPut {
+                    job,
+                    chunks: vec![(chunk, b"chunk".to_vec())],
+                },
+                |r| matches!(r, DaemonReply::Ack { node: 0 }),
+            ),
+            (
+                DaemonMsg::ChunkFetch {
+                    job,
+                    ids: vec![chunk],
+                },
+                |r| matches!(r, DaemonReply::ChunkData { chunks, .. } if chunks == &[Some(b"chunk".to_vec())]),
+            ),
+            (
+                DaemonMsg::ChunkExpire {
+                    job,
+                    ids: vec![chunk],
+                },
+                |r| matches!(r, DaemonReply::Removed { removed: 1, .. }),
+            ),
+        ];
+        let hnp = impatient(&fabric);
+        for (msg, is_documented_kind) in &table {
+            let (reply, _) = hnp.call(daemon.endpoint(), msg).unwrap();
+            assert!(is_documented_kind(&reply), "{msg:?} answered {reply:?}");
+            assert_eq!(hnp.reply.queued(), 0, "{msg:?} answered more than once");
+        }
+        stop.store(true, Ordering::SeqCst);
+        app.join().unwrap();
+
+        // Shutdown is the one request nobody answers.
+        hnp.send(daemon.endpoint(), &DaemonMsg::Shutdown).unwrap();
+        let err = hnp.recv().unwrap_err();
+        assert!(matches!(err, CrError::PeerLost { .. }), "{err}");
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn silent_daemon_is_peer_lost_after_the_timeout() {
+        let fabric = fabric(1);
+        let silent = fabric.register(NodeId(0));
+        let hnp = impatient(&fabric);
+        hnp.send(silent.id(), &DaemonMsg::ReplicaInventory { job: JobId(1) })
+            .unwrap();
+        let err = hnp.recv().unwrap_err();
+        assert!(matches!(err, CrError::PeerLost { .. }));
         assert!(err.to_string().contains("timed out"));
+        // A fan-out collect gives up at once too: it does not wait the
+        // timeout out once per outstanding reply.
+        let started = std::time::Instant::now();
+        let err = hnp.collect("probe", 20, |_| Ok(())).unwrap_err();
+        assert!(matches!(err, CrError::PeerLost { .. }));
+        assert!(started.elapsed() < hnp.timeout * 10);
+    }
+
+    #[test]
+    fn error_reply_is_an_err_naming_node_and_detail() {
+        let fabric = fabric(2);
+        let daemon = Orted::spawn(fabric.clone(), NodeId(1), tmpdir("err"), Tracer::new());
+        let hnp = Caller::new(&fabric, NodeId(0));
+        let no_procs = DaemonMsg::CheckpointTree {
+            job: JobId(1),
+            interval: 0,
+            children: Vec::new(),
+        };
+        let err = hnp
+            .call(daemon.endpoint(), &no_procs)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("node 1") && err.contains("has no processes"),
+            "{err}"
+        );
+        // A collect reports every failing node in one error.
+        hnp.send(daemon.endpoint(), &no_procs).unwrap();
+        hnp.send(daemon.endpoint(), &no_procs).unwrap();
+        let err = hnp
+            .collect("checkpoint", 2, |_| Ok(()))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("checkpoint failed: node 1: "), "{err}");
+        assert_eq!(err.matches("; node 1: ").count(), 1, "{err}");
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn failed_node_is_never_contacted_or_revived() {
+        let rt = crate::snapc::tests::runtime("oob_dead", 3);
+        let spawns = || rt.tracer().count_prefix("orte.daemon.spawn");
+        // Never started: the daemon comes up on first use.
+        daemon_addr(&rt, NodeId(1)).unwrap();
+        assert_eq!(spawns(), 1);
+        // Failed: PeerLost, no spawn, still failed.
+        rt.kill_daemon(NodeId(1));
+        let err = daemon_addr(&rt, NodeId(1)).unwrap_err();
+        assert!(matches!(err, CrError::PeerLost { .. }), "{err}");
+        assert_eq!(spawns(), 1);
+        assert!(rt.node_failed(NodeId(1)));
+        assert!(rt.daemons().is_empty());
+        rt.shutdown();
     }
 
     #[test]
     fn send_to_dead_daemon_fails() {
-        let fabric = Fabric::new(Topology::uniform(1, LinkSpec::gigabit_ethernet()));
-        let hnp = fabric.register(NodeId(0));
+        let fabric = fabric(1);
+        let hnp = Caller::new(&fabric, NodeId(0));
         let daemon = fabric.register(NodeId(0));
         let dead = daemon.id();
         drop(daemon);
-        let err = send_oob(&fabric, hnp.id(), dead, &DaemonMsg::Shutdown).unwrap_err();
+        let err = hnp.send(dead, &DaemonMsg::Shutdown).unwrap_err();
         assert!(matches!(err, CrError::PeerLost { .. }));
     }
 }

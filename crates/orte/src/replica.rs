@@ -22,7 +22,6 @@
 
 use std::fs;
 use std::path::Path;
-use std::time::Duration;
 
 use netsim::{NodeId, SimTime};
 use parking_lot::Mutex;
@@ -31,11 +30,8 @@ use serde::{Deserialize, Serialize};
 use cr_core::{CrError, JobId, Rank};
 use opal::store::ChunkId;
 
-use crate::oob::{recv_oob_timeout, send_oob, DaemonMsg, DaemonReply};
+use crate::oob::{daemon_addr, Caller, DaemonMsg, DaemonReply};
 use crate::runtime::Runtime;
-
-/// How long the HNP waits for a daemon to acknowledge a replica request.
-const REPLICA_OOB_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// One rank's snapshot image, fully materialized in memory: every file of
 /// the local snapshot reference directory (metadata and context), stored
@@ -254,7 +250,8 @@ pub struct ReplicationOutcome {
 
 /// Ship every rank's local snapshot image into peer memory: the rank's
 /// own daemon plus its `factor` ring neighbors each receive a copy over
-/// OOB (netsim charges the transfers).
+/// OOB (netsim charges the transfers). A failed node is skipped, never
+/// revived, and not listed among the holders.
 ///
 /// `images` lists `(rank, node the rank ran on, local snapshot reference
 /// directory)` — exactly what the daemons report back from a local
@@ -268,43 +265,33 @@ pub fn replicate(
     factor: u32,
 ) -> Result<ReplicationOutcome, CrError> {
     let nodes = runtime.topology().len() as u32;
-    let ctl = runtime.fabric().register(NodeId(0));
+    let ctl = Caller::new(runtime.fabric(), NodeId(0));
     let mut holders = Vec::with_capacity(images.len());
     let mut sim_cost = SimTime::ZERO;
     let mut bytes = 0u64;
 
     for (rank, node, dir) in images {
         let image = ReplicaImage::from_dir(*rank, dir)?;
-        let mut targets = vec![*node];
-        targets.extend(ring_neighbors(*node, nodes, factor));
-        for target in &targets {
-            let daemon = runtime.ensure_daemon(NodeId(*target));
-            sim_cost += send_oob(
-                runtime.fabric(),
-                ctl.id(),
-                daemon.endpoint(),
-                &DaemonMsg::ReplicaPut {
-                    job,
-                    interval,
-                    image: image.clone(),
-                    reply_to: ctl.id().0,
-                },
-            )?;
-            match recv_oob_timeout::<DaemonReply>(&ctl, REPLICA_OOB_TIMEOUT)? {
-                DaemonReply::ReplicaStored { .. } => {}
-                other => {
-                    return Err(CrError::protocol(format!(
-                        "unexpected reply to ReplicaPut: {other:?}"
-                    )))
-                }
-            }
-            bytes += image.total_bytes();
+        let image_bytes = image.total_bytes();
+        let put = DaemonMsg::ReplicaPut {
+            job,
+            interval,
+            image,
+        };
+        let mut stored = Vec::new();
+        for target in std::iter::once(*node).chain(ring_neighbors(*node, nodes, factor)) {
+            let Ok(daemon) = daemon_addr(runtime, NodeId(target)) else {
+                continue;
+            };
+            sim_cost += ctl.call(daemon, &put)?.1;
+            bytes += image_bytes;
+            stored.push(target);
         }
         runtime.tracer().record(
             "filem.replica.put",
-            &format!("rank {rank} -> nodes {targets:?} interval {interval}"),
+            &format!("rank {rank} -> nodes {stored:?} interval {interval}"),
         );
-        holders.push((*rank, targets));
+        holders.push((*rank, stored));
     }
     Ok(ReplicationOutcome {
         holders,
@@ -316,11 +303,10 @@ pub fn replicate(
 /// Fetch one rank's image from the first surviving holder.
 ///
 /// `holders` comes from the global snapshot's replica-location metadata,
-/// primary first. Dead daemons (killed nodes) are skipped without being
-/// respawned — a respawned daemon would have an empty store and, worse,
-/// would fake the node back to life. Returns the image and the simulated
-/// wire cost of the successful transfer, or `None` when every holder is
-/// gone or answers with a miss.
+/// primary first. Only running daemons are asked: a holder that is dead
+/// or was never started has nothing to offer. Returns the image and the
+/// simulated wire cost of the successful transfer, or `None` when every
+/// holder is gone or answers with a miss.
 pub fn fetch_image(
     runtime: &Runtime,
     job: JobId,
@@ -328,71 +314,66 @@ pub fn fetch_image(
     rank: Rank,
     holders: &[u32],
 ) -> Option<(ReplicaImage, SimTime)> {
-    let ctl = runtime.fabric().register(NodeId(0));
+    let ctl = Caller::new(runtime.fabric(), NodeId(0));
     let alive = runtime.daemons();
+    let fetch = DaemonMsg::ReplicaFetch {
+        job,
+        interval,
+        rank: rank.0,
+    };
     for holder in holders {
         let Some(daemon) = alive.iter().find(|d| d.node().0 == *holder) else {
             continue;
         };
-        let sent = send_oob(
-            runtime.fabric(),
-            ctl.id(),
-            daemon.endpoint(),
-            &DaemonMsg::ReplicaFetch {
-                job,
-                interval,
-                rank: rank.0,
-                reply_to: ctl.id().0,
-            },
-        );
-        if sent.is_err() {
-            continue; // daemon died between listing and send: miss
-        }
-        match recv_oob_timeout::<DaemonReply>(&ctl, REPLICA_OOB_TIMEOUT) {
-            Ok(DaemonReply::ReplicaImageReply {
+        // A daemon that died between listing and send is a miss.
+        if let Ok((
+            DaemonReply::ReplicaImageReply {
                 node,
                 image: Some(image),
-            }) => {
-                // The reply carries the image payload: charge its wire
-                // time as the cost of this fetch.
-                let cost = sent.unwrap_or(SimTime::ZERO);
-                runtime.tracer().record(
-                    "filem.replica.fetch",
-                    &format!("rank {rank} <- node {node} interval {interval}"),
-                );
-                return Some((image, cost));
-            }
-            Ok(_) | Err(_) => continue,
+            },
+            cost,
+        )) = ctl.call(daemon.endpoint(), &fetch)
+        {
+            runtime.tracer().record(
+                "filem.replica.fetch",
+                &format!("rank {rank} <- node {node} interval {interval}"),
+            );
+            return Some((image, cost));
         }
     }
     None
 }
 
+/// Ask every running daemon the same question; the answers of those that
+/// gave one, node order.
+fn ask_all(runtime: &Runtime, msg: &DaemonMsg) -> Vec<DaemonReply> {
+    let ctl = Caller::new(runtime.fabric(), NodeId(0));
+    runtime
+        .daemons()
+        .iter()
+        .filter_map(|daemon| ctl.call(daemon.endpoint(), msg).ok())
+        .map(|(reply, _)| reply)
+        .collect()
+}
+
+/// Total of the [`DaemonReply::Removed`] counts among `replies`.
+fn total_removed(replies: Vec<DaemonReply>) -> usize {
+    replies
+        .into_iter()
+        .map(|reply| match reply {
+            DaemonReply::Removed { removed, .. } => removed,
+            _ => 0,
+        })
+        .sum()
+}
+
 /// Drop `(job, interval)` replica entries from every surviving daemon
 /// (checkpoint expiry). Returns the total number of entries removed.
 pub fn expire_replicas(runtime: &Runtime, job: JobId, interval: u64) -> usize {
-    let ctl = runtime.fabric().register(NodeId(0));
-    let mut removed = 0;
-    for daemon in runtime.daemons() {
-        let sent = send_oob(
-            runtime.fabric(),
-            ctl.id(),
-            daemon.endpoint(),
-            &DaemonMsg::ReplicaExpire {
-                job,
-                interval,
-                reply_to: ctl.id().0,
-            },
-        );
-        if sent.is_err() {
-            continue;
-        }
-        if let Ok(DaemonReply::ReplicaExpired { removed: n, .. }) =
-            recv_oob_timeout::<DaemonReply>(&ctl, REPLICA_OOB_TIMEOUT)
-        {
-            removed += n;
-        }
-    }
+    let removed = total_removed(ask_all(
+        runtime,
+        &DaemonMsg::ReplicaExpire { job, interval },
+    ));
     if removed > 0 {
         runtime.tracer().record(
             "filem.replica.expire",
@@ -403,70 +384,45 @@ pub fn expire_replicas(runtime: &Runtime, job: JobId, interval: u64) -> usize {
 }
 
 /// Push content-addressed chunks into the peer-memory chunk tier of each
-/// `target` node's daemon (the dedup analogue of [`replicate`]).  Every
-/// target receives every listed chunk; netsim charges the transfers.
-/// Returns the simulated wire cost and total payload bytes shipped.
+/// `target` node's daemon (the dedup analogue of [`replicate`]). Every
+/// live target receives every listed chunk; a failed node is skipped,
+/// never revived. Returns the simulated wire cost and total payload bytes
+/// shipped.
 pub fn put_chunks(
     runtime: &Runtime,
     job: JobId,
     targets: &[u32],
-    chunks: &[(ChunkId, Vec<u8>)],
+    chunks: Vec<(ChunkId, Vec<u8>)>,
 ) -> Result<(SimTime, u64), CrError> {
     if chunks.is_empty() || targets.is_empty() {
         return Ok((SimTime::ZERO, 0));
     }
-    let ctl = runtime.fabric().register(NodeId(0));
+    let ctl = Caller::new(runtime.fabric(), NodeId(0));
+    let count = chunks.len();
     let payload: u64 = chunks.iter().map(|(_, b)| b.len() as u64).sum();
+    let put = DaemonMsg::ChunkPut { job, chunks };
     let mut sim_cost = SimTime::ZERO;
-    let mut bytes = 0u64;
+    let mut stored = Vec::new();
     for target in targets {
-        let daemon = runtime.ensure_daemon(NodeId(*target));
-        sim_cost += send_oob(
-            runtime.fabric(),
-            ctl.id(),
-            daemon.endpoint(),
-            &DaemonMsg::ChunkPut {
-                job,
-                chunks: chunks.to_vec(),
-                reply_to: ctl.id().0,
-            },
-        )?;
-        match recv_oob_timeout::<DaemonReply>(&ctl, REPLICA_OOB_TIMEOUT)? {
-            DaemonReply::ChunkStored { .. } => {}
-            other => {
-                return Err(CrError::protocol(format!(
-                    "unexpected reply to ChunkPut: {other:?}"
-                )))
-            }
-        }
-        bytes += payload;
+        let Ok(daemon) = daemon_addr(runtime, NodeId(*target)) else {
+            continue;
+        };
+        sim_cost += ctl.call(daemon, &put)?.1;
+        stored.push(*target);
     }
     runtime.tracer().record(
         "store.chunk.put",
-        &format!("{} chunks ({payload} B) -> nodes {targets:?}", chunks.len()),
+        &format!("{count} chunks ({payload} B) -> nodes {stored:?}"),
     );
-    Ok((sim_cost, bytes))
+    Ok((sim_cost, payload * stored.len() as u64))
 }
 
 /// Fetch chunks by id from the peer-memory chunk tier, trying each
-/// surviving `holder` in turn and accumulating partial hits until every id
-/// is resolved.  Returns the chunk bytes in id order plus the simulated
-/// wire cost, or `None` when some chunk has no surviving holder — the
-/// caller then falls back to the stable [`opal::store::ChunkStore`].
-pub fn fetch_chunks(
-    runtime: &Runtime,
-    job: JobId,
-    ids: &[ChunkId],
-    holders: &[u32],
-) -> Option<(Vec<Vec<u8>>, SimTime)> {
-    let (found, cost) = fetch_chunks_partial(runtime, job, ids, holders);
-    found.into_iter().collect::<Option<Vec<_>>>().map(|v| (v, cost))
-}
-
-/// Like [`fetch_chunks`] but keeps partial results: the returned vector
-/// has one slot per id, `None` where no surviving holder had the chunk.
-/// The mixed-tier restart path uses this to fill only the gaps from
-/// stable storage.
+/// surviving `holder` in turn and accumulating partial hits. The returned
+/// vector has one slot per id, `None` where no surviving holder had the
+/// chunk — the mixed-tier restart path fills only those gaps from the
+/// stable [`opal::store::ChunkStore`]. Also returns the simulated wire
+/// cost.
 pub fn fetch_chunks_partial(
     runtime: &Runtime,
     job: JobId,
@@ -476,7 +432,7 @@ pub fn fetch_chunks_partial(
     if ids.is_empty() {
         return (Vec::new(), SimTime::ZERO);
     }
-    let ctl = runtime.fabric().register(NodeId(0));
+    let ctl = Caller::new(runtime.fabric(), NodeId(0));
     let alive = runtime.daemons();
     let mut found: Vec<Option<Vec<u8>>> = vec![None; ids.len()];
     let mut cost = SimTime::ZERO;
@@ -494,37 +450,24 @@ pub fn fetch_chunks_partial(
             continue; // dead node: never respawn just to ask its memory
         };
         let want: Vec<ChunkId> = missing.iter().filter_map(|i| ids.get(*i).copied()).collect();
-        let sent = send_oob(
-            runtime.fabric(),
-            ctl.id(),
-            daemon.endpoint(),
-            &DaemonMsg::ChunkFetch {
-                job,
-                ids: want,
-                reply_to: ctl.id().0,
-            },
-        );
-        if sent.is_err() {
+        let Ok((DaemonReply::ChunkData { node, chunks }, sent)) =
+            ctl.call(daemon.endpoint(), &DaemonMsg::ChunkFetch { job, ids: want })
+        else {
             continue;
-        }
-        match recv_oob_timeout::<DaemonReply>(&ctl, REPLICA_OOB_TIMEOUT) {
-            Ok(DaemonReply::ChunkData { node, chunks }) => {
-                cost += sent.unwrap_or(SimTime::ZERO);
-                let mut hits = 0usize;
-                for (slot, chunk) in missing.iter().zip(chunks) {
-                    if let (Some(bytes), Some(dest)) = (chunk, found.get_mut(*slot)) {
-                        *dest = Some(bytes);
-                        hits += 1;
-                    }
-                }
-                if hits > 0 {
-                    runtime.tracer().record(
-                        "store.chunk.fetch",
-                        &format!("{hits} chunks <- node {node}"),
-                    );
-                }
+        };
+        cost += sent;
+        let mut hits = 0usize;
+        for (slot, chunk) in missing.iter().zip(chunks) {
+            if let (Some(bytes), Some(dest)) = (chunk, found.get_mut(*slot)) {
+                *dest = Some(bytes);
+                hits += 1;
             }
-            Ok(_) | Err(_) => continue,
+        }
+        if hits > 0 {
+            runtime.tracer().record(
+                "store.chunk.fetch",
+                &format!("{hits} chunks <- node {node}"),
+            );
         }
     }
     (found, cost)
@@ -536,56 +479,25 @@ pub fn expire_chunks(runtime: &Runtime, job: JobId, ids: &[ChunkId]) -> usize {
     if ids.is_empty() {
         return 0;
     }
-    let ctl = runtime.fabric().register(NodeId(0));
-    let mut removed = 0;
-    for daemon in runtime.daemons() {
-        let sent = send_oob(
-            runtime.fabric(),
-            ctl.id(),
-            daemon.endpoint(),
-            &DaemonMsg::ChunkExpire {
-                job,
-                ids: ids.to_vec(),
-                reply_to: ctl.id().0,
-            },
-        );
-        if sent.is_err() {
-            continue;
-        }
-        if let Ok(DaemonReply::ChunkExpired { removed: n, .. }) =
-            recv_oob_timeout::<DaemonReply>(&ctl, REPLICA_OOB_TIMEOUT)
-        {
-            removed += n;
-        }
-    }
-    removed
+    total_removed(ask_all(
+        runtime,
+        &DaemonMsg::ChunkExpire {
+            job,
+            ids: ids.to_vec(),
+        },
+    ))
 }
 
 /// Per-node replica inventory for `job` across every surviving daemon:
 /// `(node, [(interval, rank)])`, node order. Diagnostic / test surface.
 pub fn replica_inventory(runtime: &Runtime, job: JobId) -> Vec<(u32, Vec<(u64, u32)>)> {
-    let ctl = runtime.fabric().register(NodeId(0));
-    let mut out = Vec::new();
-    for daemon in runtime.daemons() {
-        let sent = send_oob(
-            runtime.fabric(),
-            ctl.id(),
-            daemon.endpoint(),
-            &DaemonMsg::ReplicaInventory {
-                job,
-                reply_to: ctl.id().0,
-            },
-        );
-        if sent.is_err() {
-            continue;
-        }
-        if let Ok(DaemonReply::ReplicaHolding { node, entries }) =
-            recv_oob_timeout::<DaemonReply>(&ctl, REPLICA_OOB_TIMEOUT)
-        {
-            out.push((node, entries));
-        }
-    }
-    out
+    ask_all(runtime, &DaemonMsg::ReplicaInventory { job })
+        .into_iter()
+        .filter_map(|reply| match reply {
+            DaemonReply::ReplicaHolding { node, entries } => Some((node, entries)),
+            _ => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -684,6 +596,40 @@ mod tests {
         // Job teardown drops images and chunks alike.
         assert_eq!(store.expire_job(JobId(2)), 1);
         assert_eq!(store.chunk_count(JobId(2)), 0);
+    }
+
+    /// A checkpoint must not bring a fenced node back: a failed ring
+    /// target is skipped, not revived, and not listed as a holder.
+    #[test]
+    fn replicate_skips_a_failed_target_without_reviving_it() {
+        let rt = crate::snapc::tests::runtime("replica_dead", 4);
+        rt.ensure_daemon(NodeId(2));
+        rt.kill_daemon(NodeId(2));
+        let src = tmpdir("dead_src");
+        fs::write(src.join("ctx"), vec![1u8; 128]).unwrap();
+
+        let images = [(Rank(5), 1, src)];
+        let outcome = replicate(&rt, JobId(1), 0, &images, 1).unwrap();
+        assert_eq!(outcome.holders, vec![(Rank(5), vec![1])]);
+        assert_eq!(outcome.bytes, 128);
+        assert!(rt.node_failed(NodeId(2)));
+        let running: Vec<u32> = rt.daemons().iter().map(|d| d.node().0).collect();
+        assert_eq!(running, vec![1], "node 1 starts on first use, node 2 stays dead");
+        let puts: Vec<String> = rt
+            .tracer()
+            .events()
+            .into_iter()
+            .filter(|e| e.phase == "filem.replica.put")
+            .map(|e| e.detail)
+            .collect();
+        assert_eq!(puts, vec!["rank 5 -> nodes [1] interval 0".to_string()]);
+
+        // The chunk tier obeys the same rule.
+        let chunk = (ChunkId::of(b"c"), b"c".to_vec());
+        let (_, shipped) = put_chunks(&rt, JobId(1), &[1, 2], vec![chunk]).unwrap();
+        assert_eq!(shipped, 1);
+        assert!(rt.node_failed(NodeId(2)));
+        rt.shutdown();
     }
 
     #[test]

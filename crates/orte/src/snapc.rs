@@ -18,17 +18,17 @@
 //! * **`tree`** — hierarchical coordination: the request fans out through
 //!   a binomial tree of daemons and results aggregate back up it, so the
 //!   global coordinator handles O(1) messages — the "hierarchal tree
-//!   structure" technique §5.1 names as a motivating alternative.
+//!   structure" technique §5.1 names as a motivating alternative. `full`
+//!   is the same protocol over a depth-1 tree: every node a childless root.
 //! * **`direct`** — a contrast component: no daemons, no gather; each
 //!   process checkpoints straight into the global snapshot directory on
 //!   shared storage. Fewer moving parts, but every rank hammers stable
 //!   storage at once — the trade-off the A5 ablation measures.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use mca::Framework;
-use netsim::NodeId;
+use netsim::{EndpointId, NodeId};
 
 use cr_core::request::{CheckpointOptions, CheckpointOutcome, CkptStats};
 use cr_core::{CrError, JobId, Rank};
@@ -37,11 +37,12 @@ use opal::container::OpalCtrl;
 use crate::filem::{filem_framework, CopyRequest};
 use crate::sched::copy_all_scheduled;
 use crate::job::JobHandle;
-use crate::oob::{recv_oob_timeout, send_oob, DaemonMsg, DaemonReply, RankCkpt};
+use crate::oob::{daemon_addr, Caller, DaemonMsg, DaemonReply, RankCkpt, TreeSpec};
 use crate::runtime::Runtime;
 
-/// How long the global coordinator waits for daemon replies.
-const OOB_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(120);
+/// Concurrent transfers per wave of every gather and drain the wave
+/// executor ([`copy_all_scheduled`]) runs for a checkpoint.
+const GATHER_LANES: usize = 4;
 
 /// A snapshot coordination component (global coordinator side).
 pub trait SnapcComponent: Send + Sync {
@@ -78,33 +79,23 @@ pub fn snapc_framework() -> Framework<dyn SnapcComponent> {
 // shared gather tail
 // ---------------------------------------------------------------------------
 
-/// Ask every node's daemon to remove its interval scratch copies and wait
-/// for the acknowledgements.
+/// Ask every live node's daemon to remove its interval scratch copies and
+/// wait for the acknowledgements (a failed node's scratch died with it).
 fn cleanup_scratch(
     runtime: &Runtime,
     job: JobId,
     interval: u64,
     nodes: &[NodeId],
 ) -> Result<(), CrError> {
-    let fabric = runtime.fabric();
-    let hnp = fabric.register(NodeId(0));
-    for node in nodes {
-        let daemon = runtime.ensure_daemon(*node);
-        send_oob(
-            fabric,
-            hnp.id(),
-            daemon.endpoint(),
-            &DaemonMsg::Cleanup {
-                job,
-                interval,
-                reply_to: hnp.id().0,
-            },
-        )?;
+    let hnp = Caller::new(runtime.fabric(), NodeId(0));
+    let live: Vec<EndpointId> = nodes
+        .iter()
+        .filter_map(|node| daemon_addr(runtime, *node).ok())
+        .collect();
+    for daemon in &live {
+        hnp.send(*daemon, &DaemonMsg::Cleanup { job, interval })?;
     }
-    for _ in nodes {
-        let _: DaemonReply = recv_oob_timeout(&hnp, OOB_TIMEOUT)?;
-    }
-    Ok(())
+    hnp.collect("scratch cleanup", live.len(), |_| Ok(()))
 }
 
 /// Gather/commit/cleanup tail shared by the `full` and `tree` components.
@@ -114,9 +105,9 @@ fn cleanup_scratch(
 ///
 /// With any classic FILEM component the tail is the paper's Figure 1-F:
 /// copy every local snapshot to stable storage over the wave executor's
-/// bounded lanes (`snapc_gather_workers`), commit the interval, then
-/// remove the scratch copies. `snapc_early_release=true` pipelines
-/// this commit: the interval is *locally* committed (every capture on
+/// bounded lanes ([`GATHER_LANES`]), commit the interval, then remove the
+/// scratch copies. `snapc_early_release=true` pipelines this commit: the
+/// interval is *locally* committed (every capture on
 /// node-local disk), the request returns immediately, and the gather,
 /// promotion to global commit, and scratch cleanup run on a registered
 /// write-behind thread concurrently with resumed application progress. A
@@ -129,9 +120,9 @@ fn cleanup_scratch(
 /// recorded in the global metadata, and the interval is committed — that
 /// is the moment the checkpoint becomes restorable (from memory). The
 /// copy to stable storage then runs as an asynchronous *write-behind*
-/// drain (unless `filem_replica_writebehind=false`), registered with the
-/// runtime so disk-path restarts and shutdown can wait for it. Scratch
-/// cleanup rides behind the drain, which reads from the scratch copies.
+/// drain, registered with the runtime so disk-path restarts and shutdown
+/// can wait for it. Scratch cleanup rides behind the drain, which reads
+/// from the scratch copies.
 ///
 /// Invariant (model-checked by `cr-model commit`, see
 /// `crates/model/src/commit.rs` and DESIGN.md §2.4): a restart-visible
@@ -173,11 +164,6 @@ fn gather_commit_cleanup(
         detail: e.to_string(),
     })?;
 
-    // Bounded gather pool shared by every commit flavour below.
-    let workers = params
-        .get_parsed_or("snapc_gather_workers", 4usize)
-        .unwrap_or(4)
-        .max(1);
     let early_release = params
         .get_bool_or("snapc_early_release", false)
         .unwrap_or(false);
@@ -230,9 +216,6 @@ fn gather_commit_cleanup(
         let factor = params
             .get_parsed_or("filem_replica_factor", 1u32)
             .unwrap_or(1);
-        let writebehind = params
-            .get_bool_or("filem_replica_writebehind", true)
-            .unwrap_or(true);
         let images: Vec<(Rank, u32, PathBuf)> = results
             .iter()
             .map(|(node, c)| (Rank(c.rank), *node, c.dir.clone()))
@@ -256,7 +239,7 @@ fn gather_commit_cleanup(
         // lanes so the drain itself shares links fairly.
         let drain_rt = runtime.clone();
         let drain = move || {
-            match copy_all_scheduled(&*filem, drain_rt.netview(), &batch, workers) {
+            match copy_all_scheduled(&*filem, drain_rt.netview(), &batch, GATHER_LANES) {
                 Ok((report, _)) => {
                     drain_rt.tracer().record(
                         "filem.drain",
@@ -277,15 +260,11 @@ fn gather_commit_cleanup(
                 }
             }
         };
-        if writebehind {
-            let handle = std::thread::Builder::new()
-                .name("filem-drain".into())
-                .spawn(drain)
-                .map_err(|e| CrError::protocol(format!("spawn drain thread: {e}")))?;
-            runtime.register_drain(handle);
-        } else {
-            drain();
-        }
+        let handle = std::thread::Builder::new()
+            .name("filem-drain".into())
+            .spawn(drain)
+            .map_err(|e| CrError::protocol(format!("spawn drain thread: {e}")))?;
+        runtime.register_drain(handle);
         // Peer memory *is* the durable commit for the replica component;
         // `commit` reads back GlobalCommitted from the authority above.
         return Ok(CkptStats::plain(
@@ -336,7 +315,7 @@ fn gather_commit_cleanup(
                 );
                 return;
             }
-            match copy_all_scheduled(&*filem, drain_rt.netview(), &batch, workers) {
+            match copy_all_scheduled(&*filem, drain_rt.netview(), &batch, GATHER_LANES) {
                 Ok((report, sched)) => {
                     drain_rt.tracer().record(
                         "filem.sched.plan",
@@ -402,7 +381,7 @@ fn gather_commit_cleanup(
     // the bounded worker pool, processes already resumed. Waves are
     // planned against the link-contention model so one node's uplink is
     // never doubled up while another's sits idle.
-    let (report, sched) = copy_all_scheduled(&*filem, runtime.netview(), &batch, workers)?;
+    let (report, sched) = copy_all_scheduled(&*filem, runtime.netview(), &batch, GATHER_LANES)?;
     tracer.record(
         "filem.sched.plan",
         &format!("interval {interval}: {}{tag}", sched.render()),
@@ -429,59 +408,148 @@ fn gather_commit_cleanup(
 }
 
 // ---------------------------------------------------------------------------
-// full
+// full and tree
 // ---------------------------------------------------------------------------
 
-/// The paper's centralized coordinator.
-pub struct FullSnapc;
-
-impl FullSnapc {
-    /// Verify every rank is checkpointable; error listing refusers
-    /// otherwise (all-or-nothing, paper §5.1).
-    fn verify_checkpointable(&self, job: &JobHandle) -> Result<(), CrError> {
-        let runtime = job.runtime();
-        let fabric = runtime.fabric();
-        let hnp = fabric.register(NodeId(0));
-        let nodes = job.placement().nodes();
-        for node in &nodes {
-            let daemon = runtime.ensure_daemon(*node);
-            send_oob(
-                fabric,
-                hnp.id(),
-                daemon.endpoint(),
-                &DaemonMsg::QueryCheckpointable {
-                    job: job.job(),
-                    reply_to: hnp.id().0,
-                },
-            )?;
-        }
-        let mut refusing = Vec::new();
-        for _ in &nodes {
-            let reply: DaemonReply = recv_oob_timeout(&hnp, OOB_TIMEOUT)?;
-            match reply {
-                DaemonReply::Checkpointable { ranks, .. } => {
-                    refusing.extend(
-                        ranks
-                            .into_iter()
-                            .filter(|(_, ok)| !ok)
-                            .map(|(r, _)| Rank(r)),
-                    );
-                }
-                other => {
-                    return Err(CrError::protocol(format!(
-                        "unexpected daemon reply during query: {other:?}"
-                    )))
-                }
-            }
-        }
-        if refusing.is_empty() {
+/// Verify every rank is checkpointable; error listing refusers otherwise
+/// (all-or-nothing, paper §5.1).
+fn verify_checkpointable(
+    job: &JobHandle,
+    hnp: &Caller,
+    daemons: &[TreeSpec],
+) -> Result<(), CrError> {
+    for daemon in daemons {
+        hnp.send(
+            EndpointId(daemon.endpoint),
+            &DaemonMsg::QueryCheckpointable { job: job.job() },
+        )?;
+    }
+    let mut refusing = Vec::new();
+    hnp.collect("checkpointable query", daemons.len(), |reply| match reply {
+        DaemonReply::Checkpointable { ranks, .. } => {
+            refusing.extend(
+                ranks
+                    .into_iter()
+                    .filter(|(_, ok)| !ok)
+                    .map(|(r, _)| Rank(r)),
+            );
             Ok(())
-        } else {
-            refusing.sort_unstable();
-            Err(CrError::NotCheckpointable { ranks: refusing })
         }
+        other => Err(other.unexpected()),
+    })?;
+    if refusing.is_empty() {
+        Ok(())
+    } else {
+        refusing.sort_unstable();
+        Err(CrError::NotCheckpointable { ranks: refusing })
     }
 }
+
+/// Checkpoint every rank of `job` through `roots`: each root daemon
+/// checkpoints its whole subtree and answers once, `root_done` seeing the
+/// node of every answer as it arrives. All roots are contacted before any
+/// reply is awaited — every rank must enter coordination concurrently.
+/// Returns the flat `(node, per-rank checkpoint)` listing sorted by
+/// (node, rank), so nothing downstream depends on reply arrival order.
+fn checkpoint_subtrees(
+    job: &JobHandle,
+    hnp: &Caller,
+    interval: u64,
+    tag: &str,
+    roots: Vec<TreeSpec>,
+    root_done: impl Fn(u32),
+) -> Result<Vec<(u32, RankCkpt)>, CrError> {
+    let expected = roots.len();
+    for root in roots {
+        let request = DaemonMsg::CheckpointTree {
+            job: job.job(),
+            interval,
+            children: root.children,
+        };
+        hnp.send(EndpointId(root.endpoint), &request)?;
+    }
+    let mut results: Vec<(u32, RankCkpt)> = Vec::new();
+    hnp.collect(&format!("checkpoint{tag}"), expected, |reply| match reply {
+        DaemonReply::TreeDone { node, results: sub } => {
+            root_done(node);
+            results.extend(sub);
+            Ok(())
+        }
+        other => Err(other.unexpected()),
+    })?;
+    if results.len() != job.nprocs() as usize {
+        return Err(CrError::protocol(format!(
+            "checkpoint{tag} returned {} results for {} ranks",
+            results.len(),
+            job.nprocs()
+        )));
+    }
+    results.sort_by_key(|(node, ckpt)| (*node, ckpt.rank));
+    Ok(results)
+}
+
+/// The daemons of `job`'s placement as childless subtrees, node order.
+fn placement_daemons(job: &JobHandle) -> Result<Vec<TreeSpec>, CrError> {
+    job.placement()
+        .nodes()
+        .into_iter()
+        .map(|node| {
+            Ok(TreeSpec {
+                endpoint: daemon_addr(job.runtime(), node)?.0,
+                node: node.0,
+                children: Vec::new(),
+            })
+        })
+        .collect()
+}
+
+/// The coordination `full` and `tree` share; `shape` arranges the
+/// placement's daemons into the roots the global coordinator contacts
+/// itself.
+fn coordinate(
+    job: &JobHandle,
+    tag: &str,
+    shape: impl FnOnce(Vec<TreeSpec>) -> Vec<TreeSpec>,
+    root_done: impl Fn(u32),
+) -> Result<CheckpointOutcome, CrError> {
+    let runtime = job.runtime();
+    let hnp = Caller::new(runtime.fabric(), NodeId(0));
+    let daemons = placement_daemons(job)?;
+
+    // All-or-nothing: refuse before any process is disturbed.
+    verify_checkpointable(job, &hnp, &daemons)?;
+
+    // Begin the interval on stable storage (uncommitted until the end).
+    let (interval, interval_dir) = {
+        let mut global = job.global_snapshot()?;
+        global.begin_interval()?
+    };
+    runtime.tracer().record(
+        "snapc.global.initiate",
+        &format!("interval {interval}{tag}"),
+    );
+
+    let results = checkpoint_subtrees(job, &hnp, interval, tag, shape(daemons), root_done)
+        .inspect_err(|_| {
+            // Leave the interval uncommitted (invisible) and report.
+            let _ = std::fs::remove_dir_all(&interval_dir);
+        })?;
+
+    // Aggregate, commit, and clean up (peer-memory first with
+    // `filem=replica`, synchronous stable-storage gather otherwise).
+    let stats = gather_commit_cleanup(job, interval, &interval_dir, &results, tag)?;
+
+    Ok(CheckpointOutcome {
+        global_snapshot: job.global_snapshot_path(),
+        interval,
+        ranks: job.nprocs(),
+        stats,
+    })
+}
+
+/// The paper's centralized coordinator: the global coordinator contacts
+/// every local coordinator itself.
+pub struct FullSnapc;
 
 impl SnapcComponent for FullSnapc {
     fn name(&self) -> &'static str {
@@ -493,82 +561,15 @@ impl SnapcComponent for FullSnapc {
         job: &JobHandle,
         _options: &CheckpointOptions,
     ) -> Result<CheckpointOutcome, CrError> {
-        let runtime = job.runtime();
-        let tracer = runtime.tracer();
-        let fabric = runtime.fabric();
-
-        // All-or-nothing: refuse before any process is disturbed.
-        self.verify_checkpointable(job)?;
-
-        // Begin the interval on stable storage (uncommitted until the end).
-        let (interval, interval_dir) = {
-            let mut global = job.global_snapshot()?;
-            global.begin_interval()?
-        };
-        tracer.record("snapc.global.initiate", &format!("interval {interval}"));
-
-        // Fan the request out to every local coordinator *before* waiting
-        // on any reply: all ranks must enter coordination concurrently.
-        let hnp = fabric.register(NodeId(0));
-        let nodes = job.placement().nodes();
-        for node in &nodes {
-            let daemon = runtime.ensure_daemon(*node);
-            send_oob(
-                fabric,
-                hnp.id(),
-                daemon.endpoint(),
-                &DaemonMsg::CheckpointLocal {
-                    job: job.job(),
-                    interval,
-                    reply_to: hnp.id().0,
-                },
-            )?;
-        }
-
-        // Monitor progress: collect one LocalDone per node.
-        let mut per_node: BTreeMap<u32, Vec<RankCkpt>> = BTreeMap::new();
-        let mut failures = Vec::new();
-        for _ in &nodes {
-            match recv_oob_timeout::<DaemonReply>(&hnp, OOB_TIMEOUT)? {
-                DaemonReply::LocalDone { node, results } => {
-                    tracer.record("snapc.global.local_done", &format!("node {node}"));
-                    per_node.insert(node, results);
-                }
-                DaemonReply::Error { node, detail } => {
-                    failures.push(format!("node {node}: {detail}"));
-                }
-                other => failures.push(format!("unexpected reply: {other:?}")),
-            }
-        }
-        if !failures.is_empty() {
-            // Leave the interval uncommitted (invisible) and report.
-            let _ = std::fs::remove_dir_all(&interval_dir);
-            return Err(CrError::protocol(format!(
-                "checkpoint failed: {}",
-                failures.join("; ")
-            )));
-        }
-
-        // Aggregate, commit, and clean up (peer-memory first with
-        // `filem=replica`, synchronous stable-storage gather otherwise).
-        let flat: Vec<(u32, RankCkpt)> = per_node
-            .iter()
-            .flat_map(|(node, results)| results.iter().map(|c| (*node, c.clone())))
-            .collect();
-        let stats = gather_commit_cleanup(job, interval, &interval_dir, &flat, "")?;
-
-        Ok(CheckpointOutcome {
-            global_snapshot: job.global_snapshot_path(),
-            interval,
-            ranks: job.nprocs(),
-            stats,
-        })
+        let tracer = job.runtime().tracer();
+        coordinate(
+            job,
+            "",
+            |daemons| daemons,
+            |node| tracer.record("snapc.global.local_done", &format!("node {node}")),
+        )
     }
 }
-
-// ---------------------------------------------------------------------------
-// tree
-// ---------------------------------------------------------------------------
 
 /// Hierarchical coordinator: the request fans out through a binomial tree
 /// of daemons instead of the global coordinator contacting every node
@@ -577,43 +578,25 @@ impl SnapcComponent for FullSnapc {
 /// same tree, so the HNP handles O(1) messages regardless of node count.
 pub struct TreeSnapc;
 
-/// Build a binomial tree over `nodes`; returns the children of the root.
-fn binomial_tree(nodes: &[netsim::NodeId], endpoints: &[u64]) -> Vec<crate::oob::TreeSpec> {
-    // Standard binomial layout over indices: node i's children are
-    // i + 2^k for each k with i + 2^k < n and 2^k > (i's low set bits).
-    fn children_of(i: usize, n: usize) -> Vec<usize> {
-        let mut out = Vec::new();
+/// Arrange `daemons` (childless) into one binomial tree rooted at the
+/// first: daemon i's children are i + 2^k for every k below i's lowest
+/// set bit (every k, for the root) with i + 2^k in range.
+fn binomial_tree(daemons: Vec<TreeSpec>) -> Vec<TreeSpec> {
+    let mut placed: Vec<Option<TreeSpec>> = daemons.into_iter().map(Some).collect();
+    // Highest index first: a daemon's children all sit above it, so each
+    // is complete by the time its parent takes it.
+    for i in (0..placed.len()).rev() {
+        let mut children = Vec::new();
         let mut mask = 1usize;
-        // Children are attached at increasing powers of two until a set
-        // bit of i is reached.
-        while i & mask == 0 {
-            let child = i + mask;
-            if child >= n {
-                break;
-            }
-            out.push(child);
+        while i & mask == 0 && i + mask < placed.len() {
+            children.extend(placed.get_mut(i + mask).and_then(Option::take));
             mask <<= 1;
         }
-        out
-    }
-    fn build(
-        i: usize,
-        nodes: &[netsim::NodeId],
-        endpoints: &[u64],
-    ) -> crate::oob::TreeSpec {
-        crate::oob::TreeSpec {
-            endpoint: endpoints[i],
-            node: nodes[i].0,
-            children: children_of(i, nodes.len())
-                .into_iter()
-                .map(|c| build(c, nodes, endpoints))
-                .collect(),
+        if let Some(Some(daemon)) = placed.get_mut(i) {
+            daemon.children = children;
         }
     }
-    children_of(0, nodes.len())
-        .into_iter()
-        .map(|c| build(c, nodes, endpoints))
-        .collect()
+    placed.into_iter().flatten().collect()
 }
 
 impl SnapcComponent for TreeSnapc {
@@ -626,76 +609,8 @@ impl SnapcComponent for TreeSnapc {
         job: &JobHandle,
         _options: &CheckpointOptions,
     ) -> Result<CheckpointOutcome, CrError> {
-        let runtime = job.runtime();
-        let tracer = runtime.tracer();
-        let fabric = runtime.fabric();
-
-        FullSnapc.verify_checkpointable(job)?;
-
-        let (interval, interval_dir) = {
-            let mut global = job.global_snapshot()?;
-            global.begin_interval()?
-        };
-        tracer.record(
-            "snapc.global.initiate",
-            &format!("interval {interval} (tree)"),
-        );
-
         // One message to the tree root; the daemons do the fan-out.
-        let nodes = job.placement().nodes();
-        let endpoints: Vec<u64> = nodes
-            .iter()
-            .map(|n| runtime.ensure_daemon(*n).endpoint().0)
-            .collect();
-        let hnp = fabric.register(NodeId(0));
-        let root_children = binomial_tree(&nodes, &endpoints);
-        send_oob(
-            fabric,
-            hnp.id(),
-            netsim::EndpointId(endpoints[0]),
-            &DaemonMsg::CheckpointTree {
-                job: job.job(),
-                interval,
-                children: root_children,
-                reply_to: hnp.id().0,
-            },
-        )?;
-
-        // One aggregated reply.
-        let all_results: Vec<(u32, RankCkpt)> =
-            match recv_oob_timeout::<DaemonReply>(&hnp, OOB_TIMEOUT)? {
-                DaemonReply::TreeDone { results, .. } => results,
-                DaemonReply::Error { node, detail } => {
-                    let _ = std::fs::remove_dir_all(&interval_dir);
-                    return Err(CrError::protocol(format!(
-                        "tree checkpoint failed at node {node}: {detail}"
-                    )));
-                }
-                other => {
-                    let _ = std::fs::remove_dir_all(&interval_dir);
-                    return Err(CrError::protocol(format!(
-                        "unexpected tree reply: {other:?}"
-                    )));
-                }
-            };
-        if all_results.len() != job.nprocs() as usize {
-            let _ = std::fs::remove_dir_all(&interval_dir);
-            return Err(CrError::protocol(format!(
-                "tree checkpoint returned {} results for {} ranks",
-                all_results.len(),
-                job.nprocs()
-            )));
-        }
-
-        // Gather and commit exactly as the full component does.
-        let stats = gather_commit_cleanup(job, interval, &interval_dir, &all_results, " (tree)")?;
-
-        Ok(CheckpointOutcome {
-            global_snapshot: job.global_snapshot_path(),
-            interval,
-            ranks: job.nprocs(),
-            stats,
-        })
+        coordinate(job, " (tree)", binomial_tree, |_| ())
     }
 }
 
@@ -793,7 +708,7 @@ impl SnapcComponent for DirectSnapc {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::job::{launch, JobSpec, LaunchCtx};
     use crate::runtime::Runtime;
@@ -1058,28 +973,80 @@ mod tree_tests {
     use mca::McaParams;
     use std::sync::Arc;
 
+    fn childless(nodes: u32) -> Vec<TreeSpec> {
+        (0..nodes)
+            .map(|node| TreeSpec {
+                endpoint: 100 + u64::from(node),
+                node,
+                children: Vec::new(),
+            })
+            .collect()
+    }
+
     #[test]
     fn binomial_tree_covers_all_nodes_once() {
-        let nodes: Vec<netsim::NodeId> = (0..7).map(netsim::NodeId).collect();
-        let endpoints: Vec<u64> = (100..107).collect();
-        let children = binomial_tree(&nodes, &endpoints);
+        let roots = binomial_tree(childless(7));
+        assert_eq!(roots.len(), 1);
+        let root = &roots[0];
+        assert_eq!((root.node, root.endpoint), (0, 100));
         // Collect every node covered by the root's children.
-        fn collect(spec: &crate::oob::TreeSpec, out: &mut Vec<u32>) {
+        fn collect(spec: &TreeSpec, out: &mut Vec<u32>) {
             out.push(spec.node);
+            assert_eq!(spec.endpoint, 100 + u64::from(spec.node));
             for c in &spec.children {
                 collect(c, out);
             }
         }
         let mut covered = Vec::new();
-        for c in &children {
+        for c in &root.children {
             collect(c, &mut covered);
         }
         covered.sort_unstable();
         // Root (node 0) is not in its own child list; everyone else once.
         assert_eq!(covered, (1..7).collect::<Vec<u32>>());
         // Root has ceil(log2(7)) = 3 children: 1, 2, 4.
-        let roots: Vec<u32> = children.iter().map(|c| c.node).collect();
+        let roots: Vec<u32> = root.children.iter().map(|c| c.node).collect();
         assert_eq!(roots, vec![1, 2, 4]);
+        assert!(binomial_tree(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn full_and_tree_return_the_same_listing_and_restorable_snapshots() {
+        let rt = runtime("full_vs_tree", 4);
+        let handle = launch_spinning(&rt, 8, Arc::new(McaParams::new()));
+        let hnp = Caller::new(rt.fabric(), NodeId(0));
+        let listing = |interval: u64, roots: Vec<TreeSpec>| -> Vec<(u32, u32)> {
+            checkpoint_subtrees(&handle, &hnp, interval, "", roots, |_| ())
+                .unwrap()
+                .iter()
+                .map(|(node, ckpt)| (*node, ckpt.rank))
+                .collect()
+        };
+        let daemons = placement_daemons(&handle).unwrap();
+        let full = listing(100, daemons.clone());
+        let tree = listing(101, binomial_tree(daemons));
+        assert_eq!(full, tree);
+        let mut sorted: Vec<(u32, u32)> = (0..8).map(|r| (handle.node_of(Rank(r)).0, r)).collect();
+        sorted.sort_unstable();
+        assert_eq!(full, sorted, "sorted by (node, rank), every rank once");
+
+        // Through either component the same job commits a restorable
+        // interval.
+        let opts = CheckpointOptions::tool();
+        for component in [&FullSnapc as &dyn SnapcComponent, &TreeSnapc] {
+            let outcome = component.checkpoint_job(&handle, &opts).unwrap();
+            let global = GlobalSnapshot::open(&outcome.global_snapshot).unwrap();
+            let locals = global.local_snapshots(outcome.interval).unwrap();
+            assert_eq!(locals.len(), 8, "{}", component.name());
+            for (r, local) in locals.iter().enumerate() {
+                assert_eq!(local.rank(), Rank(r as u32));
+                assert!(!local.read_context().unwrap().is_empty());
+            }
+        }
+
+        handle.request_terminate();
+        handle.join().unwrap();
+        rt.shutdown();
     }
 
     #[test]

@@ -253,10 +253,9 @@ pub fn dedup_commit(
     let mut sim_cost = SimTime::ZERO;
 
     // Digest verification and blob writes run over the bounded OPAL hash
-    // pool; frame encoding reuses a small pool of scratch buffers instead
-    // of allocating per chunk.
+    // pool; each insert lane frames through one scratch buffer of its own
+    // instead of allocating per chunk.
     let workers = opal::pool::hash_workers(params);
-    let pool = opal::BufferPool::new(opal::pool::buffer_pool_cap(params));
     let mut verified_chunks = 0u64;
 
     for (node, ckpt) in results {
@@ -321,11 +320,10 @@ pub fn dedup_commit(
         }
         verified_chunks += occs.len() as u64;
 
-        // Write never-before-seen blobs in parallel with pooled frame
-        // buffers. Duplicate ids within the batch are collapsed first —
-        // the parallel inserter requires unique ids — which preserves the
-        // serial loop's accounting exactly: one fresh write per new id,
-        // every other occurrence a hit.
+        // Write never-before-seen blobs in parallel. Duplicate ids within
+        // the batch are collapsed first — the parallel inserter requires
+        // unique ids — which preserves the serial loop's accounting exactly:
+        // one fresh write per new id, every other occurrence a hit.
         let mut unique: Vec<(ChunkId, &[u8])> = Vec::new();
         let mut seen: std::collections::HashSet<ChunkId> = std::collections::HashSet::new();
         for (id, slice, _, _) in &occs {
@@ -333,7 +331,7 @@ pub fn dedup_commit(
                 unique.push((*id, slice));
             }
         }
-        let fresh_flags = opal::pool::insert_all_parallel(&store.stable, &unique, workers, &pool)?;
+        let fresh_flags = opal::pool::insert_all_parallel(&store.stable, &unique, workers)?;
         let mut fresh: Vec<(ChunkId, Vec<u8>)> = Vec::new();
         for ((id, slice), is_fresh) in unique.iter().zip(&fresh_flags) {
             if *is_fresh {
@@ -348,7 +346,7 @@ pub fn dedup_commit(
         // surviving memory exactly like a replica restart.
         let mut targets = vec![*node];
         targets.extend(replica::ring_neighbors(*node, nnodes, factor));
-        let (cost, _) = replica::put_chunks(runtime, job_id, &targets, &fresh)?;
+        let (cost, _) = replica::put_chunks(runtime, job_id, &targets, fresh)?;
         sim_cost += cost;
         manifests.push((Rank(ckpt.rank), rendered));
     }
@@ -357,9 +355,7 @@ pub fn dedup_commit(
         "opal.hash.pool",
         &format!(
             "interval {interval}: {workers} workers verified {verified_chunks} chunks \
-             ({logical} B), {} pooled buffers ({} reuses){tag}",
-            pool.stats().pooled,
-            pool.stats().hits
+             ({logical} B){tag}"
         ),
     );
 

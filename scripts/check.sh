@@ -5,7 +5,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+# --workspace: the root package alone is 66 of the workspace's tests.
+cargo test -q --workspace
 cargo run --release -q -p lint --bin cr-lint
 
 # Model-checker smoke: exhaustively explore the commit/quiesce/replica
@@ -86,3 +87,5 @@ fi
 
 # Superseded entry points are deleted, not kept behind an attribute.
 if grep -rnE '#\[deprecated|allow\(deprecated\)' crates src tests examples; then exit 1; fi
+# Only oob.rs may encode, decode or address an OOB message.
+if grep -rnE 'send_oob|recv_oob|TAG_OOB' crates --include=*.rs | grep -v crates/orte/src/oob.rs; then exit 1; fi

@@ -280,6 +280,13 @@ fn supervisor_partial_recovery_keeps_the_incarnation_alive() {
         assert_eq!(*end, RunEnd::Completed, "rank {r}");
         assert_eq!(state.checksum, expected[r], "rank {r} checksum");
     }
+    // The periodic checkpoints taken after the recovery replicate around
+    // the fenced node: none of them brought it back as a ring holder.
+    assert!(rt.node_failed(NodeId(1)), "the lost node stays fenced");
+    assert!(
+        rt.daemons().iter().all(|d| d.node() != NodeId(1)),
+        "no daemon was respawned on the lost node"
+    );
     rt.shutdown();
 }
 
