@@ -156,8 +156,8 @@ fn two_intervals(base: &std::path::Path, dedup: bool) -> (CheckpointOutcome, Che
 }
 
 /// One row of the restart-latency-vs-retained-intervals table: restoring
-/// the newest of `retained` intervals is a single manifest fetch
-/// (simulated `dedup_sim_ns`) however many intervals are retained.
+/// the newest interval is a single manifest fetch (simulated
+/// `dedup_sim_ns`) however many older intervals are still retained.
 struct RestartRow {
     retained: usize,
     dedup_sim_ns: u64,
@@ -166,9 +166,11 @@ struct RestartRow {
 const DEDUP_INTERVALS: u64 = 4;
 
 /// Run a `DEDUP_INTERVALS`-interval SPMD schedule through the dedup store
-/// and measure — per number of retained intervals — the deterministic
-/// simulated cost of restoring the newest interval from peer memory.
-/// Returns the schedule's outcomes plus the table rows.
+/// and measure the deterministic simulated cost of restoring the newest
+/// interval from peer memory with every interval retained, then again
+/// after retiring the oldest, and so on down to the newest alone.
+/// Returns the schedule's outcomes plus the table rows, fewest retained
+/// first.
 fn spmd_dedup_restart(base: &std::path::Path) -> (Vec<CheckpointOutcome>, Vec<RestartRow>) {
     let rt = Runtime::new(Topology::uniform(NODES, LinkSpec::gigabit_ethernet()), base)
         .expect("runtime");
@@ -185,16 +187,23 @@ fn spmd_dedup_restart(base: &std::path::Path) -> (Vec<CheckpointOutcome>, Vec<Re
     handle.join().expect("join");
     rt.drain_writebehind();
 
-    let global = cr_core::GlobalSnapshot::open(&outcomes[DEDUP_INTERVALS as usize - 1].global_snapshot)
+    let newest = DEDUP_INTERVALS - 1;
+    let mut global = cr_core::GlobalSnapshot::open(&outcomes[newest as usize].global_snapshot)
         .expect("open dedup global");
     let job_id = global.job();
-    let store = orte::store::SnapshotStore::open(&rt, job_id, global.dir()).expect("store");
     let mut rows = Vec::new();
-    for i in 0..DEDUP_INTERVALS {
+    for retired in 0..DEDUP_INTERVALS {
+        if retired > 0 {
+            orte::store::retire_dedup_interval(&rt, job_id, &mut global, retired - 1, 64)
+                .expect("retire oldest interval");
+        }
+        let store = orte::store::SnapshotStore::open(&rt, job_id, global.dir()).expect("store");
         let mut sim = netsim::SimTime::ZERO;
         for r in 0..NPROCS {
             let manifest = codec::ChunkManifest::parse(
-                global.chunk_manifest(i, cr_core::Rank(r)).expect("manifest"),
+                global
+                    .chunk_manifest(newest, cr_core::Rank(r))
+                    .expect("manifest"),
             )
             .expect("parse manifest");
             let (_, stats) = store
@@ -203,10 +212,11 @@ fn spmd_dedup_restart(base: &std::path::Path) -> (Vec<CheckpointOutcome>, Vec<Re
             sim += stats.sim_cost;
         }
         rows.push(RestartRow {
-            retained: i as usize + 1,
+            retained: (DEDUP_INTERVALS - retired) as usize,
             dedup_sim_ns: sim.as_nanos(),
         });
     }
+    rows.reverse();
     rt.shutdown();
     (outcomes, rows)
 }

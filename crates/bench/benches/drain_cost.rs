@@ -11,7 +11,6 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cr_core::Tracer;
-use mca::McaParams;
 use netsim::{Fabric, LinkSpec, NetView, NodeId, Topology};
 use ompi::crcp::{CoordCrcp, CrcpComponent};
 use ompi::pml::PmlShared;
@@ -82,7 +81,7 @@ fn drain_cost(c: &mut Criterion) {
 fn filem_drain_cost(c: &mut Criterion) {
     let topo = Topology::uniform(4, LinkSpec::gigabit_ethernet());
     let net = NetView::uncontended(&topo);
-    let filem = RshSimFilem::from_params(&McaParams::new());
+    let filem = RshSimFilem;
     let base = std::env::temp_dir().join(format!("bench_filem_drain_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let mut batch = Vec::new();

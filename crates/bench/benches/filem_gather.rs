@@ -8,9 +8,8 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mca::McaParams;
 use netsim::{LinkSpec, NetView, NodeId, Topology};
-use orte::filem::{CopyRequest, OobStreamFilem, RshSimFilem};
+use orte::filem::{CopyRequest, RshSimFilem, StreamFilem};
 use orte::sched::copy_all_scheduled;
 
 fn make_local_snapshots(base: &std::path::Path, ranks: u32, bytes_per_rank: usize) -> Vec<CopyRequest> {
@@ -34,7 +33,6 @@ fn filem_gather(c: &mut Criterion) {
     let topo = Topology::uniform(4, LinkSpec::gigabit_ethernet());
     let mut group = c.benchmark_group("filem_gather");
     group.sample_size(10).measurement_time(Duration::from_secs(2));
-    let params = McaParams::new();
     for &(ranks, size) in &[(4u32, 64usize << 10), (16, 64 << 10), (4, 1 << 20)] {
         let base = std::env::temp_dir().join(format!(
             "bench_filem_{ranks}_{size}_{}",
@@ -44,8 +42,8 @@ fn filem_gather(c: &mut Criterion) {
         std::fs::create_dir_all(&base).unwrap();
         let batch = make_local_snapshots(&base, ranks, size);
 
-        let rsh = RshSimFilem::from_params(&params);
-        let stream = OobStreamFilem::from_params(&params);
+        let rsh = RshSimFilem;
+        let stream = StreamFilem::OOB_STREAM;
         let net = NetView::uncontended(&topo);
         // Print the simulated wire costs once per configuration:
         // one-lane gather, then the same batch over 4 lanes.

@@ -127,9 +127,8 @@ fn disk_sim_cost(
     report.serialized_cost
 }
 
-/// Simulated launcher-session cost per restarted process (the
-/// `plm_rsh_sim_session_ms` default).
-const SESSION: SimTime = SimTime::from_millis(150);
+/// Simulated launcher-session cost per restarted process.
+const SESSION: SimTime = orte::plm::RSH_SESSION;
 
 /// One `restart_partial` comparison row.
 struct PartialRow {

@@ -53,8 +53,22 @@ fn read_meta(path: &Path) -> Result<MetaDoc, CrError> {
     MetaDoc::parse(&text).map_err(CrError::from)
 }
 
-fn write_meta(path: &Path, meta: &MetaDoc) -> Result<(), CrError> {
-    fs::write(path, meta.render()).map_err(|e| CrError::io(path.display().to_string(), &e))
+/// Replace the file at `path` with `bytes`: write the sibling `<name>.tmp`,
+/// then rename it over the target. A reader (or a crash at any point) sees
+/// the old file or the new one whole, never a prefix; a temp file left
+/// behind is never read and is overwritten by the next replace. Every file
+/// a snapshot reference or the chunk store writes goes through here. No
+/// fsync: after power loss the rename may not have reached the disk.
+pub fn replace_file(path: &Path, bytes: &[u8]) -> Result<(), CrError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    fs::write(&tmp, bytes).map_err(|e| CrError::io(tmp.display().to_string(), &e))?;
+    fs::rename(&tmp, path).map_err(|e| CrError::io(path.display().to_string(), &e))
+}
+
+fn write_meta(dir: &Path, file: &str, meta: &MetaDoc) -> Result<(), CrError> {
+    replace_file(&dir.join(file), meta.render().as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -62,6 +76,12 @@ fn write_meta(path: &Path, meta: &MetaDoc) -> Result<(), CrError> {
 // ---------------------------------------------------------------------------
 
 /// A single-process snapshot: directory + metadata + one context file.
+///
+/// A snapshot being taken lives in memory: [`LocalSnapshot::create`] makes
+/// only the directory, [`LocalSnapshot::write_context`] and
+/// [`LocalSnapshot::set_param`] fill it in, and [`LocalSnapshot::finish`]
+/// writes the metadata file once, last. A directory that
+/// [`LocalSnapshot::open`]s is therefore complete.
 #[derive(Debug, Clone)]
 pub struct LocalSnapshot {
     dir: PathBuf,
@@ -69,7 +89,8 @@ pub struct LocalSnapshot {
 }
 
 impl LocalSnapshot {
-    /// Create a fresh local snapshot directory under `parent`.
+    /// Start a local snapshot under `parent`: creates the directory, not
+    /// the metadata file (see [`LocalSnapshot::finish`]).
     ///
     /// `crs_component` is recorded so restart can instantiate the same
     /// checkpointer, whatever the restart-time selection parameters say.
@@ -88,9 +109,13 @@ impl LocalSnapshot {
         meta.set("snapshot", "context_file", DEFAULT_CONTEXT_FILE);
         meta.set("process", "rank", rank.0.to_string());
         meta.set("process", "hostname", hostname);
-        let snap = LocalSnapshot { dir, meta };
-        snap.save_meta()?;
-        Ok(snap)
+        Ok(LocalSnapshot { dir, meta })
+    }
+
+    /// Write the metadata file, making the directory a local snapshot
+    /// reference. Call once, after the context and every parameter.
+    pub fn finish(&self) -> Result<(), CrError> {
+        write_meta(&self.dir, LOCAL_META_FILE, &self.meta)
     }
 
     /// Open an existing local snapshot directory.
@@ -155,9 +180,7 @@ impl LocalSnapshot {
 
     /// Write the process image, wrapped in a checksummed frame.
     pub fn write_context(&self, payload: &[u8]) -> Result<(), CrError> {
-        let path = self.context_path();
-        fs::write(&path, codec::write_frame(payload))
-            .map_err(|e| CrError::io(path.display().to_string(), &e))
+        replace_file(&self.context_path(), &codec::write_frame(payload))
     }
 
     /// Read and validate the process image.
@@ -167,10 +190,10 @@ impl LocalSnapshot {
         Ok(codec::read_frame(&raw)?.to_vec())
     }
 
-    /// Record an application/checkpointer-specific parameter.
-    pub fn set_param(&mut self, key: &str, value: &str) -> Result<(), CrError> {
+    /// Record an application/checkpointer-specific parameter (persisted by
+    /// [`LocalSnapshot::finish`]).
+    pub fn set_param(&mut self, key: &str, value: &str) {
         self.meta.set("params", key, value);
-        self.save_meta()
     }
 
     /// Read back a parameter set with [`LocalSnapshot::set_param`].
@@ -194,10 +217,6 @@ impl LocalSnapshot {
         }
         Ok(total)
     }
-
-    fn save_meta(&self) -> Result<(), CrError> {
-        write_meta(&self.dir.join(LOCAL_META_FILE), &self.meta)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -218,8 +237,9 @@ impl LocalSnapshot {
 ///
 /// This module is the lattice's single authority: components change a
 /// commit state only through [`GlobalSnapshot::commit_interval`],
-/// [`GlobalSnapshot::local_commit_interval`], and
-/// [`GlobalSnapshot::promote_interval`], and read it back with
+/// [`GlobalSnapshot::local_commit_interval`],
+/// [`GlobalSnapshot::promote_interval`] and
+/// [`GlobalSnapshot::retire_interval`], and read it back with
 /// [`GlobalSnapshot::commit_state`] — the `commit-state` cr-lint rule
 /// rejects `CommitState` values minted anywhere else, and the `cr-model`
 /// `commit` model verifies the protocol's promotion monotonicity under
@@ -247,8 +267,72 @@ impl std::fmt::Display for CommitState {
     }
 }
 
+/// What is known about a job when its global reference is created, written
+/// by [`GlobalSnapshot::create`].
+#[derive(Debug, Clone, Default)]
+pub struct LaunchRecord {
+    /// The original launch parameters (MCA dump), so restart needs no
+    /// user-supplied configuration.
+    pub params: Vec<(String, String)>,
+    /// The runtime's spare-node pool (`orte_spare_nodes`): node ids held
+    /// out of placement for partial restart. Job-level — the pool is fixed
+    /// at launch; with no spares the key is not written.
+    pub spare_pool: Vec<u32>,
+    /// The interval of another snapshot this job was restarted from:
+    /// intervals here number from the one after it.
+    pub resumed_from: Option<u64>,
+}
+
+/// Everything one interval's commit records, written in one piece by
+/// [`GlobalSnapshot::commit_interval`] or
+/// [`GlobalSnapshot::local_commit_interval`]. Empty fields write nothing, so
+/// the absence of a section keeps its meaning (no replica component, no
+/// dedup store, message log disabled, unscheduled gather).
+#[derive(Debug, Clone, Default)]
+pub struct IntervalRecord {
+    /// Each rank with the hostname it ran on; its local reference is
+    /// [`local_dir_name`] inside the interval directory.
+    pub ranks: Vec<(Rank, String)>,
+    /// Per rank, the node ids whose daemons hold an in-memory replica of
+    /// its image, primary first (the FILEM `replica` component). Restart
+    /// tries these before stable storage.
+    pub replica_holders: Vec<(Rank, Vec<u32>)>,
+    /// Per rank, its rendered chunk manifest (`filem_dedup_enabled`): the
+    /// map from image sections to chunk ids in the global reference's chunk
+    /// store. This is the store's *liveness root*: the commit path takes
+    /// chunk references before committing it and
+    /// [`GlobalSnapshot::retire_interval`] drops it before they are
+    /// released, so the refcount GC never sweeps a chunk a live manifest
+    /// names.
+    pub chunk_manifests: Vec<(Rank, String)>,
+    /// Per rank, the bytes its `crcp_msg_log_enabled` sender log retained
+    /// at commit. A rank with an empty log is listed with zero, which
+    /// differs from "log disabled" (empty list).
+    pub msg_log_bytes: Vec<(Rank, u64)>,
+    /// The rendered gather-schedule stats line
+    /// (`orte::sched::GatherSchedStats::render`), shown by
+    /// `ompi-snapshot-info`.
+    pub gather_stats: Option<String>,
+}
+
+fn node_list(nodes: &[u32]) -> String {
+    nodes
+        .iter()
+        .map(|n| n.to_string())
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
 /// A job-wide snapshot: a directory aggregating one local snapshot per rank
 /// for each checkpoint interval, plus job-level metadata.
+///
+/// The metadata file is written whole, through [`replace_file`], by exactly
+/// five methods: [`GlobalSnapshot::create`], and one per commit-state
+/// transition — [`GlobalSnapshot::commit_interval`],
+/// [`GlobalSnapshot::local_commit_interval`],
+/// [`GlobalSnapshot::promote_interval`],
+/// [`GlobalSnapshot::retire_interval`]. On disk the reference is always the
+/// state before or after one of those calls.
 #[derive(Debug, Clone)]
 pub struct GlobalSnapshot {
     dir: PathBuf,
@@ -257,15 +341,28 @@ pub struct GlobalSnapshot {
 
 impl GlobalSnapshot {
     /// Create a fresh global snapshot reference for `job` under `base`.
-    pub fn create(base: &Path, job: JobId, nprocs: u32) -> Result<Self, CrError> {
+    pub fn create(
+        base: &Path,
+        job: JobId,
+        nprocs: u32,
+        launch: &LaunchRecord,
+    ) -> Result<Self, CrError> {
         let dir = base.join(global_dir_name(job));
         fs::create_dir_all(&dir).map_err(|e| CrError::io(dir.display().to_string(), &e))?;
         let mut meta = MetaDoc::new();
         meta.set("global", "jobid", job.0.to_string());
         meta.set("global", "nprocs", nprocs.to_string());
-        let snap = GlobalSnapshot { dir, meta };
-        snap.save_meta()?;
-        Ok(snap)
+        if let Some(resumed_from) = launch.resumed_from {
+            meta.set("global", "resume_floor", (resumed_from + 1).to_string());
+        }
+        if !launch.spare_pool.is_empty() {
+            meta.set("global", "spare_nodes", node_list(&launch.spare_pool));
+        }
+        for (k, v) in &launch.params {
+            meta.set("launch", k, v.as_str());
+        }
+        write_meta(&dir, GLOBAL_META_FILE, &meta)?;
+        Ok(GlobalSnapshot { dir, meta })
     }
 
     /// Open an existing global snapshot reference.
@@ -352,64 +449,83 @@ impl GlobalSnapshot {
         Ok((next, dir))
     }
 
-    /// Record that a restarted job resumed from interval `n` of another
-    /// snapshot: future intervals number from `n + 1`.
-    pub fn set_resume_floor(&mut self, resumed_from: u64) -> Result<(), CrError> {
-        self.meta
-            .set("global", "resume_floor", (resumed_from + 1).to_string());
-        self.save_meta()
-    }
-
     fn resume_floor(&self) -> u64 {
         self.meta.get_parsed("global", "resume_floor").unwrap_or(0)
     }
 
-    /// Commit an interval: record each rank's local reference and hostname
-    /// in the metadata and persist it. Only committed intervals are
-    /// restorable.
+    /// Commit an interval: write its whole [`IntervalRecord`] and list it as
+    /// globally committed. Only committed intervals are restorable.
     pub fn commit_interval(
         &mut self,
         interval: u64,
-        ranks: &[(Rank, String)],
+        record: &IntervalRecord,
     ) -> Result<(), CrError> {
-        let section = format!("interval_{interval}");
-        for (rank, hostname) in ranks {
-            self.meta
-                .append(&section, &format!("rank_{}_ref", rank.0), local_dir_name(*rank));
-            self.meta
-                .append(&section, &format!("rank_{}_host", rank.0), hostname.clone());
-        }
-        self.meta.append("global", "interval", interval.to_string());
-        self.save_meta()
+        self.write_interval("interval", interval, record)
     }
 
-    /// Locally commit an interval: record each rank's local reference and
-    /// hostname exactly as [`GlobalSnapshot::commit_interval`] would, but
-    /// list the interval as *locally* committed only. It stays invisible
-    /// to restart-facing accessors until
-    /// [`GlobalSnapshot::promote_interval`] marks the gather complete; a
-    /// failure mid-gather therefore falls back to the newest globally
-    /// committed interval.
+    /// Locally commit an interval: write its [`IntervalRecord`] exactly as
+    /// [`GlobalSnapshot::commit_interval`] would, but list the interval as
+    /// *locally* committed only. It stays invisible to restart-facing
+    /// accessors until [`GlobalSnapshot::promote_interval`] marks the
+    /// gather complete; a failure mid-gather therefore falls back to the
+    /// newest globally committed interval.
     pub fn local_commit_interval(
         &mut self,
         interval: u64,
-        ranks: &[(Rank, String)],
+        record: &IntervalRecord,
     ) -> Result<(), CrError> {
+        self.write_interval("local_interval", interval, record)
+    }
+
+    /// The one body of the two commit calls; `listing` is the `[global]`
+    /// key the interval is listed under.
+    fn write_interval(
+        &mut self,
+        listing: &str,
+        interval: u64,
+        record: &IntervalRecord,
+    ) -> Result<(), CrError> {
+        let mut meta = self.meta.clone();
         let section = format!("interval_{interval}");
-        for (rank, hostname) in ranks {
-            self.meta
-                .append(&section, &format!("rank_{}_ref", rank.0), local_dir_name(*rank));
-            self.meta
-                .append(&section, &format!("rank_{}_host", rank.0), hostname.clone());
+        for (rank, hostname) in &record.ranks {
+            meta.append(
+                &section,
+                &format!("rank_{}_ref", rank.0),
+                local_dir_name(*rank),
+            );
+            meta.append(
+                &section,
+                &format!("rank_{}_host", rank.0),
+                hostname.as_str(),
+            );
         }
-        self.meta
-            .append("global", "local_interval", interval.to_string());
-        self.save_meta()
+        let section = format!("replica_{interval}");
+        for (rank, nodes) in &record.replica_holders {
+            meta.set(
+                &section,
+                &format!("rank_{}_nodes", rank.0),
+                node_list(nodes),
+            );
+        }
+        let section = format!("manifest_{interval}");
+        for (rank, manifest) in &record.chunk_manifests {
+            meta.set(&section, &format!("rank_{}", rank.0), manifest.as_str());
+        }
+        let section = format!("msglog_{interval}");
+        for (rank, bytes) in &record.msg_log_bytes {
+            meta.set(&section, &format!("rank_{}", rank.0), bytes.to_string());
+        }
+        if let Some(stats) = &record.gather_stats {
+            meta.set(&format!("gather_{interval}"), "stats", stats.as_str());
+        }
+        meta.append("global", listing, interval.to_string());
+        self.persist(meta)
     }
 
     /// Promote a locally committed interval to globally committed, once
-    /// its gather has fully landed on stable storage.
-    pub fn promote_interval(&mut self, interval: u64) -> Result<(), CrError> {
+    /// its gather has fully landed on stable storage; `gather_stats` is the
+    /// finished gather's [`IntervalRecord::gather_stats`] line.
+    pub fn promote_interval(&mut self, interval: u64, gather_stats: &str) -> Result<(), CrError> {
         if !self.local_committed_intervals().contains(&interval) {
             return Err(CrError::BadSnapshot {
                 detail: format!(
@@ -417,10 +533,11 @@ impl GlobalSnapshot {
                 ),
             });
         }
-        self.meta
-            .remove_value("global", "local_interval", &interval.to_string());
-        self.meta.append("global", "interval", interval.to_string());
-        self.save_meta()
+        let mut meta = self.meta.clone();
+        meta.set(&format!("gather_{interval}"), "stats", gather_stats);
+        meta.remove_value("global", "local_interval", &interval.to_string());
+        meta.append("global", "interval", interval.to_string());
+        self.persist(meta)
     }
 
     /// Intervals recorded as locally committed but not yet promoted,
@@ -447,32 +564,6 @@ impl GlobalSnapshot {
         }
     }
 
-    /// Record which nodes hold in-memory replicas of each rank's image for
-    /// `interval` (the FILEM `replica` component's location metadata).
-    ///
-    /// `holders` maps each rank to the node ids whose daemons accepted a
-    /// copy, primary first. Restart consults this section to try
-    /// peer-memory recovery before falling back to stable storage;
-    /// snapshots written without the replica component simply lack the
-    /// section and restart goes straight to disk.
-    pub fn record_replica_holders(
-        &mut self,
-        interval: u64,
-        holders: &[(Rank, Vec<u32>)],
-    ) -> Result<(), CrError> {
-        let section = format!("replica_{interval}");
-        for (rank, nodes) in holders {
-            let list = nodes
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            self.meta
-                .set(&section, &format!("rank_{}_nodes", rank.0), list);
-        }
-        self.save_meta()
-    }
-
     /// Nodes recorded as holding in-memory replicas of `rank`'s image for
     /// `interval`, primary first. Empty when the snapshot was gathered
     /// without the replica component.
@@ -481,29 +572,6 @@ impl GlobalSnapshot {
             .get(&format!("replica_{interval}"), &format!("rank_{}_nodes", rank.0))
             .map(|list| list.split(',').filter_map(|n| n.parse().ok()).collect())
             .unwrap_or_default()
-    }
-
-    /// Record each rank's rendered chunk manifest for a dedup interval
-    /// (the `filem_dedup_enabled` commit path).  The manifest maps the
-    /// rank's image sections to content-addressed chunk ids in the global
-    /// reference's chunk store; restart fetches those chunks directly.
-    ///
-    /// This record is the store's *liveness root*: the commit path takes
-    /// chunk references before recording it, and
-    /// [`GlobalSnapshot::retire_interval`] drops it before the references
-    /// are released, so the refcount GC can never sweep a chunk a live
-    /// manifest still names.
-    pub fn record_chunk_manifests(
-        &mut self,
-        interval: u64,
-        manifests: &[(Rank, String)],
-    ) -> Result<(), CrError> {
-        let section = format!("manifest_{interval}");
-        for (rank, manifest) in manifests {
-            self.meta
-                .set(&section, &format!("rank_{}", rank.0), manifest.clone());
-        }
-        self.save_meta()
     }
 
     /// Rendered chunk manifest of `rank` at `interval`, when the interval
@@ -522,20 +590,6 @@ impl GlobalSnapshot {
             .collect()
     }
 
-    /// Record the runtime's spare-node pool (`orte_spare_nodes`): the node
-    /// ids held out of placement for partial restart. Job-level, not
-    /// per-interval — the pool is fixed at launch. Snapshots taken with no
-    /// spares simply lack the key.
-    pub fn record_spare_pool(&mut self, nodes: &[u32]) -> Result<(), CrError> {
-        let list = nodes
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        self.meta.set("global", "spare_nodes", list);
-        self.save_meta()
-    }
-
     /// Spare-node pool recorded at checkpoint time, ascending. Empty when
     /// the job ran without `orte_spare_nodes`.
     pub fn spare_pool(&self) -> Vec<u32> {
@@ -546,25 +600,6 @@ impl GlobalSnapshot {
             .unwrap_or_default();
         v.sort_unstable();
         v
-    }
-
-    /// Record each rank's partial-restart message-log footprint at
-    /// `interval` (entries retained by the `crcp_msg_log_enabled` sender
-    /// log, in bytes), read from the containers after the gather commits.
-    /// Ranks with an empty log are recorded too — the zero distinguishes
-    /// "log enabled, nothing pending" from "log disabled" (absent
-    /// section).
-    pub fn record_msg_log_bytes(
-        &mut self,
-        interval: u64,
-        per_rank: &[(Rank, u64)],
-    ) -> Result<(), CrError> {
-        let section = format!("msglog_{interval}");
-        for (rank, bytes) in per_rank {
-            self.meta
-                .set(&section, &format!("rank_{}", rank.0), bytes.to_string());
-        }
-        self.save_meta()
     }
 
     /// Per-rank message-log bytes recorded for `interval`, rank-ascending.
@@ -581,57 +616,35 @@ impl GlobalSnapshot {
             .collect()
     }
 
-    /// Record the rendered gather-schedule stats line for `interval`
-    /// (wave count, peak link concurrency, wall clock, per-link
-    /// bytes — see `orte::sched::GatherSchedStats::render`), so
-    /// `ompi-snapshot-info` can show how the gather was scheduled.
-    pub fn record_gather_stats(&mut self, interval: u64, rendered: &str) -> Result<(), CrError> {
-        self.meta
-            .set(&format!("gather_{interval}"), "stats", rendered.to_string());
-        self.save_meta()
-    }
-
     /// The gather-schedule stats line recorded for `interval`, if the
     /// interval was committed through the scheduled gather path.
     pub fn gather_stats(&self, interval: u64) -> Option<&str> {
         self.meta.get(&format!("gather_{interval}"), "stats")
     }
 
-    /// Retire a committed interval: delete its on-disk directory and drop
-    /// its metadata (interval listing, per-rank references, replica
-    /// locations, gather stats, message-log bytes, chunk manifests). Used
-    /// to expire superseded checkpoints. Every interval restores from
-    /// itself alone, so any committed interval may retire in any order.
+    /// Retire a committed interval: drop its metadata (interval listing,
+    /// per-rank references, replica locations, gather stats, message-log
+    /// bytes, chunk manifests), then delete its on-disk directory. Used to
+    /// expire superseded checkpoints. Every interval restores from itself
+    /// alone, so any committed interval may retire in any order.
+    ///
+    /// The metadata goes first, so a crash in here leaks files and never
+    /// leaves a listed interval without them. The same holds for a dedup
+    /// interval's chunks: the manifest removal is on disk *before* the
+    /// caller decrefs and sweeps (see the `gc` model).
     pub fn retire_interval(&mut self, interval: u64) -> Result<(), CrError> {
+        let mut meta = self.meta.clone();
+        meta.remove_value("global", "interval", &interval.to_string());
+        meta.remove_value("global", "local_interval", &interval.to_string());
+        for kind in ["interval", "replica", "gather", "msglog", "manifest"] {
+            meta.remove_section(&format!("{kind}_{interval}"));
+        }
+        self.persist(meta)?;
         let dir = self.interval_dir(interval);
         if dir.exists() {
             fs::remove_dir_all(&dir).map_err(|e| CrError::io(dir.display().to_string(), &e))?;
         }
-        self.meta
-            .remove_value("global", "interval", &interval.to_string());
-        self.meta
-            .remove_value("global", "local_interval", &interval.to_string());
-        self.meta.remove_section(&format!("interval_{interval}"));
-        self.meta.remove_section(&format!("replica_{interval}"));
-        self.meta.remove_section(&format!("gather_{interval}"));
-        self.meta.remove_section(&format!("msglog_{interval}"));
-        // Dedup GC ordering: this persists the manifest removal *before*
-        // the caller decrefs and sweeps the interval's chunks (see the
-        // `gc` model) — a crash here leaks references, never dangles them.
-        self.meta.remove_section(&format!("manifest_{interval}"));
-        self.save_meta()
-    }
-
-    /// Store the original launch parameters (MCA dump) so restart needs no
-    /// user-supplied configuration.
-    pub fn record_launch_params<'a>(
-        &mut self,
-        params: impl IntoIterator<Item = (&'a str, &'a str)>,
-    ) -> Result<(), CrError> {
-        for (k, v) in params {
-            self.meta.set("launch", k, v);
-        }
-        self.save_meta()
+        Ok(())
     }
 
     /// Launch parameters recorded at checkpoint time.
@@ -680,8 +693,12 @@ impl GlobalSnapshot {
             .sum()
     }
 
-    fn save_meta(&self) -> Result<(), CrError> {
-        write_meta(&self.dir.join(GLOBAL_META_FILE), &self.meta)
+    /// Write `meta` as the metadata file, then adopt it: when the write
+    /// fails, neither the file nor `self` has changed.
+    fn persist(&mut self, meta: MetaDoc) -> Result<(), CrError> {
+        write_meta(&self.dir, GLOBAL_META_FILE, &meta)?;
+        self.meta = meta;
+        Ok(())
     }
 }
 
@@ -700,13 +717,39 @@ mod tests {
         dir
     }
 
+    /// An [`IntervalRecord`] of just these `(rank, hostname)` pairs.
+    fn on(ranks: &[(u32, &str)]) -> IntervalRecord {
+        IntervalRecord {
+            ranks: ranks
+                .iter()
+                .map(|(r, h)| (Rank(*r), h.to_string()))
+                .collect(),
+            ..IntervalRecord::default()
+        }
+    }
+
+    /// A complete (finished) local snapshot with no context.
+    fn finished_local(dir: &Path, rank: u32, interval: u64) {
+        let local = LocalSnapshot::create(dir, Rank(rank), "self", interval, "node00").unwrap();
+        local.finish().unwrap();
+    }
+
     #[test]
     fn local_snapshot_lifecycle() {
         let base = tmpdir("local");
         let mut snap =
             LocalSnapshot::create(&base, Rank(3), "blcr_sim", 2, "node01").unwrap();
+        // Until it is finished there is no metadata file and nothing opens.
+        assert!(!snap.dir().join(LOCAL_META_FILE).exists());
+        assert!(LocalSnapshot::open(snap.dir()).is_err());
         snap.write_context(b"image bytes").unwrap();
-        snap.set_param("app_phase", "42").unwrap();
+        snap.set_param("app_phase", "42");
+        snap.set_param("sections", "app,pml");
+        assert!(
+            LocalSnapshot::open(snap.dir()).is_err(),
+            "context alone is not a reference"
+        );
+        snap.finish().unwrap();
 
         let reopened = LocalSnapshot::open(snap.dir()).unwrap();
         assert_eq!(reopened.rank(), Rank(3));
@@ -714,6 +757,7 @@ mod tests {
         assert_eq!(reopened.interval(), 2);
         assert_eq!(reopened.hostname(), Some("node01"));
         assert_eq!(reopened.param("app_phase"), Some("42"));
+        assert_eq!(reopened.param("sections"), Some("app,pml"));
         assert_eq!(reopened.read_context().unwrap(), b"image bytes");
         assert!(reopened.size_bytes().unwrap() > 0);
     }
@@ -742,23 +786,24 @@ mod tests {
         ));
     }
 
+    /// A fresh global reference with an empty launch record.
+    fn fresh_global(tag: &str, job: u32, nprocs: u32) -> GlobalSnapshot {
+        GlobalSnapshot::create(&tmpdir(tag), JobId(job), nprocs, &LaunchRecord::default()).unwrap()
+    }
+
     #[test]
     fn global_snapshot_lifecycle() {
-        let base = tmpdir("global");
-        let mut global = GlobalSnapshot::create(&base, JobId(9), 2).unwrap();
-        global
-            .record_launch_params([("crs", "blcr_sim"), ("np", "2")])
-            .unwrap();
-
+        let mut global = fresh_global("global", 9, 2);
         let (interval, dir) = global.begin_interval().unwrap();
         assert_eq!(interval, 0);
         for r in 0..2 {
             let local =
                 LocalSnapshot::create(&dir, Rank(r), "blcr_sim", interval, "node00").unwrap();
             local.write_context(format!("rank {r}").as_bytes()).unwrap();
+            local.finish().unwrap();
         }
         global
-            .commit_interval(interval, &[(Rank(0), "node00".into()), (Rank(1), "node00".into())])
+            .commit_interval(interval, &on(&[(0, "node00"), (1, "node00")]))
             .unwrap();
 
         let reopened = GlobalSnapshot::open(global.dir()).unwrap();
@@ -770,21 +815,39 @@ mod tests {
         assert_eq!(locals.len(), 2);
         assert_eq!(locals[1].read_context().unwrap(), b"rank 1");
         assert_eq!(reopened.rank_hostname(0, Rank(1)), Some("node00"));
-        let params = reopened.launch_params();
-        assert!(params.contains(&("crs".to_string(), "blcr_sim".to_string())));
         assert!(reopened.interval_size_bytes(0).unwrap() > 0);
     }
 
     #[test]
+    fn create_carries_the_whole_launch_record() {
+        let base = tmpdir("launch");
+        let launch = LaunchRecord {
+            params: vec![("crs".into(), "blcr_sim".into()), ("np".into(), "2".into())],
+            spare_pool: vec![4, 3],
+            resumed_from: Some(4),
+        };
+        let global = GlobalSnapshot::create(&base, JobId(2), 2, &launch).unwrap();
+        let mut reopened = GlobalSnapshot::open(global.dir()).unwrap();
+        assert_eq!(reopened.launch_params(), launch.params);
+        assert_eq!(reopened.spare_pool(), vec![3, 4]);
+        let (interval, _) = reopened.begin_interval().unwrap();
+        assert_eq!(interval, 5, "restart resumes numbering past interval 4");
+        // Nothing recorded: no spares, numbering from zero.
+        let mut plain = fresh_global("launch_plain", 2, 1);
+        assert!(plain.spare_pool().is_empty());
+        assert!(plain.launch_params().is_empty());
+        assert_eq!(plain.begin_interval().unwrap().0, 0);
+    }
+
+    #[test]
     fn intervals_are_monotone() {
-        let base = tmpdir("intervals");
-        let mut global = GlobalSnapshot::create(&base, JobId(1), 1).unwrap();
+        let mut global = fresh_global("intervals", 1, 1);
         for expected in 0..3 {
             let (interval, dir) = global.begin_interval().unwrap();
             assert_eq!(interval, expected);
-            LocalSnapshot::create(&dir, Rank(0), "self", interval, "node00").unwrap();
+            finished_local(&dir, 0, interval);
             global
-                .commit_interval(interval, &[(Rank(0), "node00".into())])
+                .commit_interval(interval, &on(&[(0, "node00")]))
                 .unwrap();
         }
         assert_eq!(global.intervals(), vec![0, 1, 2]);
@@ -792,8 +855,7 @@ mod tests {
 
     #[test]
     fn uncommitted_interval_is_invisible() {
-        let base = tmpdir("uncommitted");
-        let mut global = GlobalSnapshot::create(&base, JobId(1), 1).unwrap();
+        let mut global = fresh_global("uncommitted", 1, 1);
         let (interval, _dir) = global.begin_interval().unwrap();
         // Crash before commit: reopening must not list the interval.
         let reopened = GlobalSnapshot::open(global.dir()).unwrap();
@@ -802,79 +864,28 @@ mod tests {
     }
 
     #[test]
-    fn resume_floor_continues_numbering() {
-        let base = tmpdir("resume");
-        let mut global = GlobalSnapshot::create(&base, JobId(2), 1).unwrap();
-        global.set_resume_floor(4).unwrap();
-        let (interval, _) = global.begin_interval().unwrap();
-        assert_eq!(interval, 5, "restart resumes numbering past interval 4");
-    }
-
-    #[test]
     fn missing_rank_reference_reported() {
-        let base = tmpdir("missingrank");
-        let mut global = GlobalSnapshot::create(&base, JobId(3), 2).unwrap();
+        let mut global = fresh_global("missingrank", 3, 2);
         let (interval, dir) = global.begin_interval().unwrap();
         // Only rank 0 written and committed; rank 1 forgotten.
-        LocalSnapshot::create(&dir, Rank(0), "self", interval, "node00").unwrap();
+        finished_local(&dir, 0, interval);
         global
-            .commit_interval(interval, &[(Rank(0), "node00".into())])
+            .commit_interval(interval, &on(&[(0, "node00")]))
             .unwrap();
         let err = global.local_snapshots(interval).unwrap_err();
         assert!(err.to_string().contains("rank 1"));
     }
 
-    #[test]
-    fn replica_holders_roundtrip_and_retire() {
-        let base = tmpdir("replicas");
-        let mut global = GlobalSnapshot::create(&base, JobId(5), 2).unwrap();
-        for _ in 0..2 {
-            let (interval, dir) = global.begin_interval().unwrap();
-            for r in 0..2 {
-                LocalSnapshot::create(&dir, Rank(r), "self", interval, "node00").unwrap();
-            }
-            global
-                .commit_interval(
-                    interval,
-                    &[(Rank(0), "node00".into()), (Rank(1), "node01".into())],
-                )
-                .unwrap();
-            global
-                .record_replica_holders(
-                    interval,
-                    &[(Rank(0), vec![0, 1]), (Rank(1), vec![1, 0])],
-                )
-                .unwrap();
-        }
-        let reopened = GlobalSnapshot::open(global.dir()).unwrap();
-        assert_eq!(reopened.replica_holders(0, Rank(0)), vec![0, 1]);
-        assert_eq!(reopened.replica_holders(1, Rank(1)), vec![1, 0]);
-        // Unknown interval or pre-replica snapshot: empty, not an error.
-        assert!(reopened.replica_holders(7, Rank(0)).is_empty());
-
-        let mut global = reopened;
-        global.retire_interval(0).unwrap();
-        assert_eq!(global.intervals(), vec![1]);
-        assert!(!global.interval_dir(0).exists());
-        assert!(global.replica_holders(0, Rank(0)).is_empty());
-        assert!(global.local_snapshots(0).is_err());
-        // Interval 1 untouched.
-        assert_eq!(global.local_snapshots(1).unwrap().len(), 2);
-        assert_eq!(global.replica_holders(1, Rank(0)), vec![0, 1]);
-    }
-
     /// Commit `intervals` empty committed intervals on a fresh global.
     fn committed_global(tag: &str, nprocs: u32, intervals: u64) -> GlobalSnapshot {
-        let base = tmpdir(tag);
-        let mut global = GlobalSnapshot::create(&base, JobId(11), nprocs).unwrap();
+        let mut global = fresh_global(tag, 11, nprocs);
+        let ranks: Vec<(u32, &str)> = (0..nprocs).map(|r| (r, "node00")).collect();
         for _ in 0..intervals {
             let (interval, dir) = global.begin_interval().unwrap();
             for r in 0..nprocs {
-                LocalSnapshot::create(&dir, Rank(r), "self", interval, "node00").unwrap();
+                finished_local(&dir, r, interval);
             }
-            let info: Vec<(Rank, String)> =
-                (0..nprocs).map(|r| (Rank(r), "node00".into())).collect();
-            global.commit_interval(interval, &info).unwrap();
+            global.commit_interval(interval, &on(&ranks)).unwrap();
         }
         global
     }
@@ -894,47 +905,66 @@ mod tests {
         assert!(reopened.intervals().is_empty());
     }
 
-    #[test]
-    fn chunk_manifests_roundtrip_and_die_with_retire() {
-        let mut global = committed_global("manifests", 2, 2);
-        global
-            .record_chunk_manifests(
-                1,
-                &[(Rank(0), "v1 c4096|app=8:0.ab.8".into()), (Rank(1), "v1 c4096|app=8:0.ab.8".into())],
-            )
-            .unwrap();
-        let reopened = GlobalSnapshot::open(global.dir()).unwrap();
-        assert_eq!(reopened.chunk_manifest(1, Rank(0)), Some("v1 c4096|app=8:0.ab.8"));
-        assert_eq!(reopened.chunk_manifests(1).len(), 2);
-        // Classic intervals have no manifests.
-        assert_eq!(reopened.chunk_manifest(0, Rank(0)), None);
-        assert!(reopened.chunk_manifests(0).is_empty());
-
-        let mut global = reopened;
-        global.retire_interval(1).unwrap();
-        assert_eq!(global.chunk_manifest(1, Rank(0)), None);
-        let reopened = GlobalSnapshot::open(global.dir()).unwrap();
-        assert!(reopened.chunk_manifests(1).is_empty());
+    /// Everything an interval can record, in one record.
+    fn full_record() -> IntervalRecord {
+        IntervalRecord {
+            replica_holders: vec![(Rank(0), vec![0, 1]), (Rank(1), vec![1, 0])],
+            chunk_manifests: vec![
+                (Rank(0), "v1 c4096|app=8:0.ab.8".into()),
+                (Rank(1), "v1 c4096|app=8:0.cd.8".into()),
+            ],
+            msg_log_bytes: vec![(Rank(0), 1024), (Rank(1), 0)],
+            gather_stats: Some("waves=2 peak=1 wall=3ms".into()),
+            ..on(&[(0, "node00"), (1, "node01")])
+        }
     }
 
     #[test]
-    fn spare_pool_and_msg_log_roundtrip_and_retire() {
-        let mut global = committed_global("partialmeta", 2, 2);
-        global.record_spare_pool(&[4, 3]).unwrap();
-        global
-            .record_msg_log_bytes(1, &[(Rank(0), 1024), (Rank(1), 0)])
-            .unwrap();
+    fn one_commit_carries_the_whole_interval_record_and_retire_drops_it() {
+        let mut global = committed_global("record", 2, 1);
+        let (interval, dir) = global.begin_interval().unwrap();
+        assert_eq!(interval, 1);
+        for r in 0..2 {
+            finished_local(&dir, r, interval);
+        }
+        global.commit_interval(1, &full_record()).unwrap();
+
         let reopened = GlobalSnapshot::open(global.dir()).unwrap();
-        assert_eq!(reopened.spare_pool(), vec![3, 4]);
-        assert_eq!(reopened.msg_log_bytes(1), vec![(Rank(0), 1024), (Rank(1), 0)]);
-        // Pre-message-log intervals and pre-spare snapshots: empty.
+        assert_eq!(reopened.intervals(), vec![0, 1]);
+        assert_eq!(reopened.rank_hostname(1, Rank(1)), Some("node01"));
+        assert_eq!(reopened.replica_holders(1, Rank(0)), vec![0, 1]);
+        assert_eq!(reopened.replica_holders(1, Rank(1)), vec![1, 0]);
+        assert_eq!(
+            reopened.chunk_manifest(1, Rank(0)),
+            Some("v1 c4096|app=8:0.ab.8")
+        );
+        assert_eq!(reopened.chunk_manifests(1).len(), 2);
+        assert_eq!(
+            reopened.msg_log_bytes(1),
+            vec![(Rank(0), 1024), (Rank(1), 0)]
+        );
+        assert_eq!(reopened.gather_stats(1), Some("waves=2 peak=1 wall=3ms"));
+        // An interval (or a whole snapshot) that recorded none of it:
+        // empty, not an error.
+        assert!(reopened.replica_holders(0, Rank(0)).is_empty());
+        assert!(reopened.replica_holders(7, Rank(0)).is_empty());
+        assert_eq!(reopened.chunk_manifest(0, Rank(0)), None);
+        assert!(reopened.chunk_manifests(0).is_empty());
         assert!(reopened.msg_log_bytes(0).is_empty());
-        // The per-interval log record dies with its interval; the pool is
-        // job-level and survives.
+        assert_eq!(reopened.gather_stats(0), None);
+
         let mut global = reopened;
         global.retire_interval(1).unwrap();
-        assert!(global.msg_log_bytes(1).is_empty());
-        assert_eq!(global.spare_pool(), vec![3, 4]);
+        assert!(!global.interval_dir(1).exists());
+        let reopened = GlobalSnapshot::open(global.dir()).unwrap();
+        assert_eq!(reopened.intervals(), vec![0]);
+        assert!(reopened.local_snapshots(1).is_err());
+        assert!(reopened.replica_holders(1, Rank(0)).is_empty());
+        assert!(reopened.chunk_manifests(1).is_empty());
+        assert!(reopened.msg_log_bytes(1).is_empty());
+        assert_eq!(reopened.gather_stats(1), None);
+        // Interval 0 untouched.
+        assert_eq!(reopened.local_snapshots(0).unwrap().len(), 2);
     }
 
     #[test]
@@ -946,13 +976,12 @@ mod tests {
 
     #[test]
     fn local_commit_is_invisible_until_promoted() {
-        let base = tmpdir("localcommit");
-        let mut global = GlobalSnapshot::create(&base, JobId(6), 1).unwrap();
+        let mut global = fresh_global("localcommit", 6, 1);
         let (interval, dir) = global.begin_interval().unwrap();
         assert_eq!(global.commit_state(interval), CommitState::Uncommitted);
-        LocalSnapshot::create(&dir, Rank(0), "self", interval, "node00").unwrap();
+        finished_local(&dir, 0, interval);
         global
-            .local_commit_interval(interval, &[(Rank(0), "node00".into())])
+            .local_commit_interval(interval, &on(&[(0, "node00")]))
             .unwrap();
 
         // Locally committed: recorded, but no restart-facing accessor
@@ -963,34 +992,35 @@ mod tests {
         assert!(reopened.intervals().is_empty());
         assert_eq!(reopened.latest_interval(), None);
         assert!(reopened.local_snapshots(interval).is_err());
+        assert_eq!(reopened.gather_stats(interval), None);
 
         let mut global = reopened;
-        global.promote_interval(interval).unwrap();
+        global.promote_interval(interval, "waves=1").unwrap();
+        let global = GlobalSnapshot::open(global.dir()).unwrap();
         assert_eq!(global.commit_state(interval), CommitState::GlobalCommitted);
         assert!(global.local_committed_intervals().is_empty());
         assert_eq!(global.intervals(), vec![interval]);
         assert_eq!(global.local_snapshots(interval).unwrap().len(), 1);
+        assert_eq!(global.gather_stats(interval), Some("waves=1"));
         // Per-rank metadata is identical to a direct commit's.
         assert_eq!(global.rank_hostname(interval, Rank(0)), Some("node00"));
     }
 
     #[test]
     fn promote_requires_prior_local_commit() {
-        let base = tmpdir("promotebad");
-        let mut global = GlobalSnapshot::create(&base, JobId(6), 1).unwrap();
+        let mut global = fresh_global("promotebad", 6, 1);
         let (interval, _dir) = global.begin_interval().unwrap();
-        let err = global.promote_interval(interval).unwrap_err();
+        let err = global.promote_interval(interval, "waves=1").unwrap_err();
         assert!(err.to_string().contains("never locally committed"));
     }
 
     #[test]
     fn begin_interval_numbers_past_local_commits() {
-        let base = tmpdir("numbering");
-        let mut global = GlobalSnapshot::create(&base, JobId(6), 1).unwrap();
+        let mut global = fresh_global("numbering", 6, 1);
         let (i0, d0) = global.begin_interval().unwrap();
-        LocalSnapshot::create(&d0, Rank(0), "self", i0, "node00").unwrap();
+        finished_local(&d0, 0, i0);
         global
-            .local_commit_interval(i0, &[(Rank(0), "node00".into())])
+            .local_commit_interval(i0, &on(&[(0, "node00")]))
             .unwrap();
         // Gather for i0 still in flight; a new interval must not collide.
         let (i1, _d1) = global.begin_interval().unwrap();
@@ -999,16 +1029,193 @@ mod tests {
 
     #[test]
     fn retire_drops_local_commit_record() {
-        let base = tmpdir("retirelocal");
-        let mut global = GlobalSnapshot::create(&base, JobId(6), 1).unwrap();
+        let mut global = fresh_global("retirelocal", 6, 1);
         let (interval, dir) = global.begin_interval().unwrap();
-        LocalSnapshot::create(&dir, Rank(0), "self", interval, "node00").unwrap();
+        finished_local(&dir, 0, interval);
         global
-            .local_commit_interval(interval, &[(Rank(0), "node00".into())])
+            .local_commit_interval(interval, &on(&[(0, "node00")]))
             .unwrap();
         global.retire_interval(interval).unwrap();
         assert_eq!(global.commit_state(interval), CommitState::Uncommitted);
         assert!(global.local_committed_intervals().is_empty());
+    }
+
+    #[test]
+    fn stale_temp_files_are_ignored_by_open_and_replaced_by_the_next_write() {
+        let mut global = committed_global("staletmp", 1, 1);
+        let local_dir = global.interval_dir(0).join(local_dir_name(Rank(0)));
+        let global_tmp = global.dir().join(format!("{GLOBAL_META_FILE}.tmp"));
+        let local_tmp = local_dir.join(format!("{LOCAL_META_FILE}.tmp"));
+        // What a crash between the temp write and the rename leaves: a cut
+        // (or garbage) temp file beside an intact reference.
+        fs::write(&global_tmp, b"[global]\njobid = 9").unwrap();
+        fs::write(&local_tmp, b"\xff\xfe not a metadata file").unwrap();
+
+        let reopened = GlobalSnapshot::open(global.dir()).unwrap();
+        assert_eq!(reopened.job(), JobId(11));
+        assert_eq!(reopened.intervals(), vec![0]);
+        assert_eq!(reopened.local_snapshots(0).unwrap()[0].rank(), Rank(0));
+
+        // The next write of each reference goes through the same temp name
+        // and renames it away.
+        let (interval, dir) = global.begin_interval().unwrap();
+        finished_local(&dir, 0, interval);
+        global
+            .commit_interval(interval, &on(&[(0, "node00")]))
+            .unwrap();
+        assert!(!global_tmp.exists());
+        LocalSnapshot::open(&local_dir).unwrap().finish().unwrap();
+        assert!(!local_tmp.exists());
+        let reopened = GlobalSnapshot::open(global.dir()).unwrap();
+        assert_eq!(reopened.intervals(), vec![0, 1]);
+        assert_eq!(reopened.local_snapshots(0).unwrap().len(), 1);
+    }
+
+    /// `global_snapshot_meta.data` exactly as the last build with the
+    /// twelve `record_*`/`set_*` writers rendered it for the sequence
+    /// [`scripted_sequence`] replays: a launch record, then one interval of
+    /// each kind.
+    const PARENT_RENDERING: &str = "\
+[global]
+jobid = 7
+nprocs = 2
+resume_floor = 5
+spare_nodes = 3,2
+interval = 5
+interval = 6
+interval = 7
+interval = 8
+local_interval = 9
+
+[launch]
+crs = blcr_sim
+np = 2
+
+[msglog_5]
+rank_0 = 1024
+rank_1 = 0
+
+[gather_5]
+stats = waves=2 peak=1 wall=3ms
+
+[interval_5]
+rank_0_ref = opal_snapshot_0.ckpt
+rank_0_host = node00
+rank_1_ref = opal_snapshot_1.ckpt
+rank_1_host = node01
+
+[replica_6]
+rank_0_nodes = 0,1
+rank_1_nodes = 1,0
+
+[interval_6]
+rank_0_ref = opal_snapshot_0.ckpt
+rank_0_host = node00
+rank_1_ref = opal_snapshot_1.ckpt
+rank_1_host = node01
+
+[manifest_7]
+rank_0 = v1 c4096|app=8:0.ab.8
+rank_1 = v1 c4096|app=8:0.cd.8
+
+[interval_7]
+rank_0_ref = opal_snapshot_0.ckpt
+rank_0_host = node00
+rank_1_ref = opal_snapshot_1.ckpt
+rank_1_host = node01
+
+[interval_8]
+rank_0_ref = opal_snapshot_0.ckpt
+rank_0_host = node00
+rank_1_ref = opal_snapshot_1.ckpt
+rank_1_host = node01
+
+[gather_8]
+stats = waves=1 peak=2 wall=1ms
+
+[interval_9]
+rank_0_ref = opal_snapshot_0.ckpt
+rank_0_host = node00
+rank_1_ref = opal_snapshot_1.ckpt
+rank_1_host = node01
+";
+
+    /// The sequence behind [`PARENT_RENDERING`], through today's calls.
+    fn scripted_sequence(base: &Path) -> GlobalSnapshot {
+        let launch = LaunchRecord {
+            params: vec![("crs".into(), "blcr_sim".into()), ("np".into(), "2".into())],
+            spare_pool: vec![3, 2],
+            resumed_from: Some(4),
+        };
+        let mut g = GlobalSnapshot::create(base, JobId(7), 2, &launch).unwrap();
+        let ranks = on(&[(0, "node00"), (1, "node01")]);
+        let full = full_record();
+        // 5: blocking gather with the message log on.
+        let blocking = IntervalRecord {
+            msg_log_bytes: full.msg_log_bytes,
+            gather_stats: full.gather_stats,
+            ..ranks.clone()
+        };
+        // 6: peer-memory commit; 7: dedup commit.
+        let replica = IntervalRecord {
+            replica_holders: full.replica_holders,
+            ..ranks.clone()
+        };
+        let dedup = IntervalRecord {
+            chunk_manifests: full.chunk_manifests,
+            ..ranks.clone()
+        };
+        for (expected, record) in [(5, &blocking), (6, &replica), (7, &dedup)] {
+            assert_eq!(g.begin_interval().unwrap().0, expected);
+            g.commit_interval(expected, record).unwrap();
+        }
+        // 8: early release, gather landed; 9: early release, still gathering.
+        assert_eq!(g.begin_interval().unwrap().0, 8);
+        g.local_commit_interval(8, &ranks).unwrap();
+        g.promote_interval(8, "waves=1 peak=2 wall=1ms").unwrap();
+        assert_eq!(g.begin_interval().unwrap().0, 9);
+        g.local_commit_interval(9, &ranks).unwrap();
+        g
+    }
+
+    fn triples(doc: &MetaDoc) -> std::collections::BTreeSet<(String, String, String)> {
+        doc.sections()
+            .iter()
+            .flat_map(|s| {
+                s.entries()
+                    .iter()
+                    .map(|(k, v)| (s.name().to_string(), k.clone(), v.clone()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn on_disk_sections_keys_and_values_are_what_the_parent_wrote() {
+        // A reference written by the parent opens and answers as before.
+        let old_dir = tmpdir("format_old").join(global_dir_name(JobId(7)));
+        fs::create_dir_all(&old_dir).unwrap();
+        fs::write(old_dir.join(GLOBAL_META_FILE), PARENT_RENDERING).unwrap();
+        let old = GlobalSnapshot::open(&old_dir).unwrap();
+        let new = scripted_sequence(&tmpdir("format_new"));
+        let new = GlobalSnapshot::open(new.dir()).unwrap();
+        for g in [&old, &new] {
+            assert_eq!((g.job(), g.nprocs()), (JobId(7), 2));
+            assert_eq!(g.intervals(), vec![5, 6, 7, 8]);
+            assert_eq!(g.local_committed_intervals(), vec![9]);
+            assert_eq!(g.commit_state(9), CommitState::LocalCommitted);
+            assert_eq!(g.spare_pool(), vec![2, 3]);
+            assert_eq!(g.launch_params().len(), 2);
+            assert_eq!(g.msg_log_bytes(5), vec![(Rank(0), 1024), (Rank(1), 0)]);
+            assert_eq!(g.gather_stats(5), Some("waves=2 peak=1 wall=3ms"));
+            assert_eq!(g.replica_holders(6, Rank(1)), vec![1, 0]);
+            assert_eq!(g.chunk_manifest(7, Rank(1)), Some("v1 c4096|app=8:0.cd.8"));
+            assert_eq!(g.gather_stats(8), Some("waves=1 peak=2 wall=1ms"));
+            assert_eq!(g.rank_hostname(9, Rank(1)), Some("node01"));
+            assert_eq!(g.clone().begin_interval().unwrap().0, 10);
+        }
+        // And the same sequence through the new calls writes the same
+        // (section, key, value) triples — only section order may differ.
+        assert_eq!(triples(&new.meta), triples(&old.meta));
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! an existing one, re-verifying the whole chain and continuing from the
 //! recovered tail — so one journal accumulates across runtime restarts
 //! into the same directory, and any corruption is refused at open time
-//! rather than silently extended.  Each [`JournalWriter::append`] writes
-//! exactly one framed record at the tail: O(1) in the journal length.
+//! rather than silently extended.  The one break that is repaired is a
+//! final record cut short — an append that never finished (disk full,
+//! power loss): the file is cut back to the last whole record.  Each
+//! [`JournalWriter::append`] writes exactly one framed record at the tail:
+//! O(1) in the journal length.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -15,7 +18,7 @@ use cr_core::CrError;
 
 use crate::entry::{JournalEntry, GENESIS_HASH};
 use crate::format::{encode_record, header_bytes};
-use crate::read::parse_bytes;
+use crate::read::{parse_bytes, Break};
 
 /// Conventional file name of a runtime's journal (`<dir>/ft.jrnl`).
 pub const FILE_NAME: &str = "ft.jrnl";
@@ -38,7 +41,9 @@ impl JournalWriter {
     /// Open `path` for appending, creating it (and its parent directory)
     /// if needed.  An existing file is fully re-verified; a broken
     /// journal is refused so tampering or corruption can never be buried
-    /// under fresh valid records.
+    /// under fresh valid records — except a truncated last record, which
+    /// is dropped: refusing that would turn one partial append into a
+    /// runtime directory no job can launch into again.
     pub fn open(path: &Path, fsync_every: u64) -> Result<Self, CrError> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)
@@ -48,14 +53,25 @@ impl JournalWriter {
         let (next_seq, prev_hash, bytes) = if path.exists() {
             let data = std::fs::read(path).map_err(|e| CrError::io(ctx(), &e))?;
             let (entries, broken) = parse_bytes(&data);
-            if let Some(b) = broken {
-                return Err(CrError::protocol(format!(
-                    "refusing to append to broken journal {}: {b}",
-                    path.display()
-                )));
-            }
+            let bytes = match broken {
+                None => data.len() as u64,
+                Some(Break::Truncated { offset, .. }) => {
+                    OpenOptions::new()
+                        .write(true)
+                        .open(path)
+                        .and_then(|file| file.set_len(offset))
+                        .map_err(|e| CrError::io(ctx(), &e))?;
+                    offset
+                }
+                Some(b) => {
+                    return Err(CrError::protocol(format!(
+                        "refusing to append to broken journal {}: {b}",
+                        path.display()
+                    )))
+                }
+            };
             let tail = entries.last().map(|e| e.hash).unwrap_or(GENESIS_HASH);
-            (entries.len() as u64, tail, data.len() as u64)
+            (entries.len() as u64, tail, bytes)
         } else {
             let mut file = File::create(path).map_err(|e| CrError::io(ctx(), &e))?;
             file.write_all(&header_bytes())
@@ -190,6 +206,56 @@ mod tests {
         std::fs::write(&path, &data).unwrap();
         let err = JournalWriter::open(&path, 0).unwrap_err();
         assert!(err.to_string().contains("broken journal"), "{err}");
+    }
+
+    #[test]
+    fn record_cut_short_is_dropped_at_open_and_appending_goes_on() {
+        const N: u64 = 4;
+        let path = tmpfile("torn");
+        {
+            let mut w = JournalWriter::open(&path, 0).unwrap();
+            for i in 0..N {
+                w.append("rank0", "a.b", &format!("entry {i}"), i).unwrap();
+            }
+        }
+        let whole = std::fs::read(&path).unwrap();
+        let last_record = whole.len() - read_offsets(&whole)[N as usize - 1];
+        // Every way the last append can have stopped short, from one byte
+        // missing to one byte written.
+        for chop in 1..last_record {
+            std::fs::write(&path, &whole[..whole.len() - chop]).unwrap();
+            let mut w = JournalWriter::open(&path, 0).unwrap();
+            assert_eq!(w.next_seq(), N - 1, "chop {chop}");
+            assert_eq!(w.append("rank0", "a.b", "after the cut", 9).unwrap(), N - 1);
+            assert_eq!(w.bytes(), std::fs::metadata(&path).unwrap().len());
+            drop(w);
+            let report = verify(&path).unwrap();
+            assert!(report.ok(), "chop {chop}: {}", report.render());
+            assert_eq!(report.entries as u64, N, "chop {chop}");
+            let newest = &read_entries(&path).unwrap()[N as usize - 1];
+            assert_eq!(newest.detail, "after the cut");
+        }
+        // A flipped byte in the middle of the file is still refused.
+        let mut flipped = whole.clone();
+        flipped[read_offsets(&whole)[1] + crate::format::RECORD_HEADER_LEN + 2] ^= 0x40;
+        std::fs::write(&path, &flipped).unwrap();
+        let err = JournalWriter::open(&path, 0).unwrap_err();
+        assert!(err.to_string().contains("broken journal"), "{err}");
+    }
+
+    /// Byte offset of each record of a clean journal.
+    fn read_offsets(data: &[u8]) -> Vec<usize> {
+        let (entries, broken) = parse_bytes(data);
+        assert!(broken.is_none());
+        let mut at = header_bytes().len();
+        entries
+            .iter()
+            .map(|e| {
+                let start = at;
+                at += encode_record(e).unwrap().len();
+                start
+            })
+            .collect()
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //! snapshot authority.
 //!
 //! The commit lattice (`Uncommitted < LocalCommitted < GlobalCommitted`)
-//! is owned by `cr_core::snapshot`: every transition must go through
+//! is owned by `cr_core::snapshot`: every transition must go through one
+//! of the calls that write the global reference —
 //! `GlobalSnapshot::{commit_interval, local_commit_interval,
-//! promote_interval}` so the persisted metadata, the promotion
-//! monotonicity checked by `cr-model` (see `crates/model/src/commit.rs`),
-//! and the in-memory view can never disagree.  A component that builds a
+//! promote_interval, retire_interval}` (`create`, the fifth writer, starts
+//! with every interval `Uncommitted`) — so the persisted metadata, the
+//! promotion monotonicity checked by `cr-model` (see
+//! `crates/model/src/commit.rs`), and the in-memory view can never
+//! disagree.  A component that builds a
 //! `CommitState::…` value by hand is asserting a commit status the
 //! authority never recorded — read it back with
 //! `GlobalSnapshot::commit_state(interval)` instead.
@@ -66,8 +69,9 @@ pub fn check(file: &FileModel, findings: &mut Vec<Finding>) {
                     format!(
                         "CommitState::{} is constructed outside cr_core::snapshot: \
                          commit transitions must go through commit_interval / \
-                         local_commit_interval / promote_interval; read the status \
-                         back with GlobalSnapshot::commit_state(interval)",
+                         local_commit_interval / promote_interval / retire_interval; \
+                         read the status back with \
+                         GlobalSnapshot::commit_state(interval)",
                         variant.text
                     ),
                 ));

@@ -1,6 +1,6 @@
 //! Fixture: commit status read back from the snapshot authority.
 
-use cr_core::{CommitState, GlobalSnapshot};
+use cr_core::{CommitState, GlobalSnapshot, IntervalRecord};
 
 pub struct Stats {
     pub commit: CommitState,
@@ -8,8 +8,10 @@ pub struct Stats {
 
 /// Clean: the status comes from `commit_state`, never a hand-built value.
 pub fn finish_interval(global: &mut GlobalSnapshot, interval: u64) -> Stats {
-    global.local_commit_interval(interval, &[]).ok();
-    global.promote_interval(interval).ok();
+    global
+        .local_commit_interval(interval, &IntervalRecord::default())
+        .ok();
+    global.promote_interval(interval, "waves=1").ok();
     Stats {
         commit: global.commit_state(interval),
     }

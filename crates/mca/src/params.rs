@@ -161,13 +161,6 @@ impl McaParams {
         }
     }
 
-    /// Apply pairs parsed from a command line (`--mca key value` sequences).
-    pub fn apply_cli_pairs<'a>(&self, pairs: impl IntoIterator<Item = (&'a str, &'a str)>) {
-        for (k, v) in pairs {
-            self.set_from(k, v, ParamSource::CommandLine);
-        }
-    }
-
     /// Parse `--mca key value` occurrences out of an argument vector,
     /// returning the arguments that were not consumed.
     pub fn consume_cli_args(&self, args: &[String]) -> Result<Vec<String>, ParamParseError> {
@@ -191,23 +184,6 @@ impl McaParams {
             }
         }
         Ok(rest)
-    }
-
-    /// Load `key = value` lines (comments with `#`) as [`ParamSource::File`].
-    pub fn load_conf(&self, text: &str) -> Result<(), ParamParseError> {
-        for raw_line in text.lines() {
-            let line = raw_line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (k, v) = line.split_once('=').ok_or_else(|| ParamParseError {
-                key: line.to_string(),
-                raw: line.to_string(),
-                wanted: "key = value",
-            })?;
-            self.set_from(k.trim(), v.trim(), ParamSource::File);
-        }
-        Ok(())
     }
 
     /// Snapshot of every key/value pair, for embedding in snapshot metadata.
@@ -351,15 +327,6 @@ mod tests {
         assert!(p.consume_cli_args(&args).is_err());
         let args: Vec<String> = ["--mca"].iter().map(|s| s.to_string()).collect();
         assert!(p.consume_cli_args(&args).is_err());
-    }
-
-    #[test]
-    fn conf_loading() {
-        let p = McaParams::new();
-        p.load_conf("# comment\ncrs = blcr_sim\n\nsnapc=full\n").unwrap();
-        assert_eq!(p.get("crs").as_deref(), Some("blcr_sim"));
-        assert_eq!(p.get("snapc").as_deref(), Some("full"));
-        assert!(p.load_conf("not a kv line\n").is_err());
     }
 
     #[test]

@@ -124,21 +124,6 @@ pub const KNOWN_PARAMS: &[ParamDef] = &[
         default: Some("2"),
         help: "slots per node for map-by-slot placement",
     },
-    ParamDef {
-        key: "plm_rsh_sim_session_ms",
-        default: Some("150"),
-        help: "rsh launcher: simulated per-node session setup time",
-    },
-    ParamDef {
-        key: "plm_slurm_sim_wave_ms",
-        default: Some("40"),
-        help: "slurm launcher: simulated per-wave launch time",
-    },
-    ParamDef {
-        key: "plm_slurm_sim_setup_ms",
-        default: Some("500"),
-        help: "slurm launcher: simulated allocation setup time",
-    },
     // SNAPC commit-pipeline tunables.
     ParamDef {
         key: "snapc_early_release",
@@ -152,24 +137,9 @@ pub const KNOWN_PARAMS: &[ParamDef] = &[
     },
     // FILEM component tunables.
     ParamDef {
-        key: "filem_rsh_sim_session_ms",
-        default: Some("120"),
-        help: "rsh file mover: simulated per-session transfer setup time",
-    },
-    ParamDef {
-        key: "filem_oob_stream_session_ms",
-        default: Some("20"),
-        help: "OOB-stream file mover: simulated per-session setup time",
-    },
-    ParamDef {
         key: "filem_replica_factor",
         default: Some("1"),
         help: "replica file mover: ring-replication factor k (copies beyond the rank's own node)",
-    },
-    ParamDef {
-        key: "filem_replica_session_ms",
-        default: Some("2"),
-        help: "replica file mover: simulated per-tree session setup for the write-behind drain",
     },
     ParamDef {
         key: "filem_dedup_enabled",

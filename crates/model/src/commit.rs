@@ -8,6 +8,12 @@
 //! mid-gather, failing every in-flight gather.  A restart observes the
 //! newest `GlobalCommitted` interval.
 //!
+//! Each transition here is one call that replaces the global reference
+//! whole (`GlobalSnapshot::{local_commit_interval, promote_interval,
+//! commit_interval}`; gather stats travel inside the promotion, the rest of
+//! the interval's record inside the commit), so no state between two model
+//! steps can be on disk.
+//!
 //! Invariants:
 //! - safety: a `GlobalCommitted` (restart-visible) interval has a fully
 //!   drained gather — restart never depends on data that is not durable;

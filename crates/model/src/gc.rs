@@ -7,8 +7,9 @@
 //! * `prepare(i)` — insert interval `i`'s blobs and increment their
 //!   refcounts (`ChunkStore::insert` + `incref_all`), *before* any
 //!   manifest exists;
-//! * `record(i)` — record the manifest (`record_chunk_manifests` +
-//!   `commit_interval`): the interval is now restartable ("live");
+//! * `record(i)` — commit the interval with its manifests in the record
+//!   (one `GlobalSnapshot::commit_interval`): the interval is now
+//!   restartable ("live");
 //! * `retire(i)` — drop the manifest record first
 //!   (`GlobalSnapshot::retire_interval`);
 //! * `decref(i)` — decrement the retired chunks' refcounts

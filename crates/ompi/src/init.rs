@@ -59,12 +59,6 @@ impl RunConfig {
             params: Arc::new(McaParams::new()),
         }
     }
-
-    /// Set one MCA parameter (builder style).
-    pub fn with_param(self, key: &str, value: &str) -> Self {
-        self.params.set(key, value);
-        self
-    }
 }
 
 type RankResult<S> = Option<Result<(S, RunEnd), String>>;
@@ -119,10 +113,18 @@ pub struct MpiJob<S> {
     handle: Arc<JobHandle>,
     results: Arc<Mutex<Vec<RankResult<S>>>>,
     sync_thread: Mutex<Option<JoinHandle<()>>>,
-    // Tells the sync-checkpoint service to exit.  The job handle retains
-    // the entry closure for respawns, and that closure holds a sender
-    // clone — so the service cannot rely on channel disconnection alone.
-    sync_stop: Arc<std::sync::atomic::AtomicBool>,
+    // `None` on this channel tells the sync-checkpoint service to exit.
+    // The job handle retains the entry closure for respawns, and that
+    // closure holds a sender clone — so the service cannot rely on channel
+    // disconnection alone.
+    sync_tx: Sender<Option<CheckpointOptions>>,
+}
+
+impl<S> Drop for MpiJob<S> {
+    fn drop(&mut self) {
+        // The service may already be gone (after `wait`).
+        let _ = self.sync_tx.send(None);
+    }
 }
 
 impl<S: Send + 'static> MpiJob<S> {
@@ -383,11 +385,7 @@ impl<S: Send + 'static> MpiJob<S> {
         for (&(rank, spare), image) in targets.iter().zip(images) {
             handle.respawn_rank(rank, spare, image, Arc::clone(&rejoin))?;
         }
-        let session_ms = handle
-            .params()
-            .get_parsed_or("plm_rsh_sim_session_ms", 150u64)
-            .unwrap_or(150);
-        sim_cost += netsim::SimTime::from_millis(session_ms.saturating_mul(spares.len() as u64));
+        sim_cost += orte::plm::RSH_SESSION * spares.len() as u64;
 
         runtime.tracer().record(
             "ompi.restart",
@@ -410,7 +408,7 @@ impl<S: Send + 'static> MpiJob<S> {
     /// Wait for completion and collect every rank's final state.
     pub fn wait(self) -> Result<Vec<(S, RunEnd)>, CrError> {
         self.handle.join()?;
-        self.sync_stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        let _ = self.sync_tx.send(None);
         if let Some(t) = self.sync_thread.lock().take() {
             let _ = t.join();
         }
@@ -474,7 +472,7 @@ impl<T: FtEvent + Send> FtEvent for OnceFt<T> {
 fn proc_body<A: MpiApp>(
     app: &A,
     ctx: &LaunchCtx,
-    sync_tx: Sender<CheckpointOptions>,
+    sync_tx: Sender<Option<CheckpointOptions>>,
 ) -> Result<(A::State, RunEnd), MpiError> {
     let runtime = &ctx.runtime;
     let me = ctx.name.rank.0;
@@ -673,7 +671,7 @@ fn proc_body<A: MpiApp>(
 fn make_proc_main<A: MpiApp>(
     app: Arc<A>,
     results: Arc<Mutex<Vec<RankResult<A::State>>>>,
-    sync_tx: Sender<CheckpointOptions>,
+    sync_tx: Sender<Option<CheckpointOptions>>,
 ) -> ProcMain {
     Arc::new(move |ctx: LaunchCtx| {
         let rank = ctx.name.rank.index();
@@ -722,11 +720,11 @@ fn spawn_job<A: MpiApp>(
 ) -> Result<MpiJob<A::State>, CrError> {
     let results: Arc<Mutex<Vec<RankResult<A::State>>>> =
         Arc::new(Mutex::new((0..config.nprocs).map(|_| None).collect()));
-    let (sync_tx, sync_rx) = crossbeam::channel::unbounded::<CheckpointOptions>();
+    let (sync_tx, sync_rx) = crossbeam::channel::unbounded::<Option<CheckpointOptions>>();
     let spec = JobSpec {
         nprocs: config.nprocs,
         params: Arc::clone(&config.params),
-        proc_main: make_proc_main(app, Arc::clone(&results), sync_tx),
+        proc_main: make_proc_main(app, Arc::clone(&results), sync_tx.clone()),
         restored,
         resume_floor,
     };
@@ -736,25 +734,18 @@ fn spawn_job<A: MpiApp>(
     // requests; this thread plays the global coordinator for them.
     let service_handle = Arc::clone(&handle);
     let tracer = runtime.tracer().clone();
-    let sync_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let stop = Arc::clone(&sync_stop);
     let sync_thread = std::thread::Builder::new()
         .name("ompi-sync-ckpt".into())
-        .spawn(move || loop {
-            match sync_rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(options) => match service_handle.checkpoint(&options) {
+        .spawn(move || {
+            // Until the stop message (`None`) or the last sender goes.
+            while let Ok(Some(options)) = sync_rx.recv() {
+                match service_handle.checkpoint(&options) {
                     Ok(outcome) => tracer.record(
                         "ompi.sync_ckpt.done",
                         &outcome.global_snapshot.display().to_string(),
                     ),
                     Err(e) => tracer.record("ompi.sync_ckpt.failed", &e.to_string()),
-                },
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    if stop.load(std::sync::atomic::Ordering::SeqCst) {
-                        return;
-                    }
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
             }
         })
         .map_err(|e| CrError::Io {
@@ -766,7 +757,7 @@ fn spawn_job<A: MpiApp>(
         handle,
         results,
         sync_thread: Mutex::new(Some(sync_thread)),
-        sync_stop,
+        sync_tx,
     })
 }
 
@@ -829,33 +820,19 @@ pub struct PartialRestartOutcome {
 }
 
 /// Everything a restart can be told, in one struct. `Default` restores
-/// the newest committed interval from the best available tier with digest
-/// verification on.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// the newest committed interval from the best available tier. Chunks
+/// fetched from peer memory are always digest-verified, as the stable tier
+/// verifies on read.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RestartOptions {
     /// Which tier(s) images may come from (`ompi-restart --source`).
     pub source: RestartSource,
     /// Interval to restore; `None` picks the newest committed one.
     pub interval: Option<u64>,
-    /// Digest-verify chunks fetched from peer memory on the dedup path
-    /// (`ompi-restart --no-verify` clears it; the stable tier always
-    /// verifies on read).
-    pub verify: bool,
     /// Restrict recovery to these ranks (partial restart). Only honoured
     /// by [`MpiJob::restart_ranks`] on a live job; the whole-job
     /// [`restart`] entry point refuses it.
     pub ranks: Option<Vec<u32>>,
-}
-
-impl Default for RestartOptions {
-    fn default() -> Self {
-        RestartOptions {
-            source: RestartSource::Auto,
-            interval: None,
-            verify: true,
-            ranks: None,
-        }
-    }
 }
 
 impl RestartOptions {
@@ -868,12 +845,6 @@ impl RestartOptions {
     /// Restrict (or widen) where images may come from.
     pub fn with_source(mut self, source: RestartSource) -> Self {
         self.source = source;
-        self
-    }
-
-    /// Skip digest verification of peer-memory chunks.
-    pub fn without_verify(mut self) -> Self {
-        self.verify = false;
         self
     }
 
@@ -1026,7 +997,7 @@ fn fetch_images(
                         ),
                     })?;
             let manifest = codec::ChunkManifest::parse(rendered).map_err(CrError::Codec)?;
-            let (image, stats) = store.fetch_image(&manifest, source, opts.verify)?;
+            let (image, stats) = store.fetch_image(&manifest, source, true)?;
             summary.sim_cost += stats.sim_cost;
             if stats.replica_chunks > 0 {
                 summary.replica_images += 1;

@@ -45,7 +45,7 @@ pub struct Mpi {
     container: Arc<ProcessContainer>,
     self_callbacks: Arc<SelfCallbacks>,
     terminate: Arc<AtomicBool>,
-    sync_ckpt: Option<Sender<CheckpointOptions>>,
+    sync_ckpt: Option<Sender<Option<CheckpointOptions>>>,
     tracer: Tracer,
 }
 
@@ -58,7 +58,7 @@ impl Mpi {
         container: Arc<ProcessContainer>,
         self_callbacks: Arc<SelfCallbacks>,
         terminate: Arc<AtomicBool>,
-        sync_ckpt: Option<Sender<CheckpointOptions>>,
+        sync_ckpt: Option<Sender<Option<CheckpointOptions>>>,
         tracer: Tracer,
     ) -> Mpi {
         let world = Comm::world(pml.nprocs(), pml.me());
@@ -547,7 +547,7 @@ impl Mpi {
         }))?;
         self.tracer
             .record("ompi.sync_ckpt.request", &format!("rank {}", self.rank()));
-        tx.send(options).map_err(|_| {
+        tx.send(Some(options)).map_err(|_| {
             MpiError::Cr(CrError::Unsupported {
                 detail: "job coordinator is gone".into(),
             })

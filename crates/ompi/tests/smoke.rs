@@ -105,6 +105,33 @@ fn ring_runs_to_completion() {
     rt.shutdown();
 }
 
+/// `wait` on a job whose ranks are done only has threads to join: it must
+/// not sit out a poll period of the sync-checkpoint service (it used to be
+/// quantised to that thread's 50 ms receive timeout, 25 ms on average).
+#[test]
+fn wait_on_a_finished_job_returns_at_once() {
+    let rt = runtime("wait", 1);
+    let mut waits_ms: Vec<f64> = (0..7)
+        .map(|_| {
+            let job = mpirun(&rt, Arc::new(RingApp { rounds: 1 }), RunConfig::new(2)).unwrap();
+            while !job.is_settled() {
+                std::thread::yield_now();
+            }
+            let started = std::time::Instant::now();
+            job.wait().unwrap();
+            started.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    rt.shutdown();
+    // The median, so that one descheduled join on a loaded host is not a
+    // failure.
+    waits_ms.sort_by(f64::total_cmp);
+    assert!(
+        waits_ms[3] < 10.0,
+        "wait() of a finished job took {waits_ms:?} ms"
+    );
+}
+
 #[test]
 fn checkpoint_then_restart_reproduces_the_answer() {
     let rt = runtime("cr", 2);

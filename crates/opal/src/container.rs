@@ -284,6 +284,7 @@ impl ProcessContainer {
             &self.hostname,
         )?;
         crs.checkpoint(&image, &mut snapshot)?;
+        snapshot.finish()?;
         // The capture is durable on node-local disk from here on: this is
         // the local-commit point SNAPC's early release pivots on.
         self.tracer.record(

@@ -18,6 +18,15 @@
 //!   capture, supporting application-level checkpointing.
 //! * **`none`** — no checkpointer available; the process declares itself
 //!   non-checkpointable.
+//!
+//! Both checkpointing components write the same context (`write_image`):
+//! always the complete [`ProcessImage`], so every interval restores from
+//! itself alone. With `filem_dedup_enabled` they also cut each section into
+//! fixed-size chunks ([`codec::chunk`], sized by `crs_incr_chunk_kb`),
+//! digest them over the hash pool, and record the resulting manifest in the
+//! snapshot metadata — the key the commit path uses to move only
+//! never-before-seen chunks into the content-addressed store
+//! ([`crate::store`]).
 
 use std::sync::Arc;
 
@@ -28,7 +37,79 @@ use cr_core::snapshot::LocalSnapshot;
 use cr_core::{CrError, FtEventState};
 
 use crate::image::ProcessImage;
-use crate::incr::IncrEngine;
+
+/// Snapshot metadata key: `"full"`, or `"dedup"` when the manifest is
+/// recorded too.
+const PARAM_KIND: &str = "ckpt_kind";
+/// Snapshot metadata key: rendered [`codec::ChunkManifest`] of the image
+/// (only written in dedup mode).
+pub const PARAM_MANIFEST: &str = "manifest";
+
+/// How to build the chunk manifest of a dedup-mode checkpoint.
+#[derive(Debug, Clone, Copy)]
+struct ManifestCfg {
+    /// Chunk size in bytes (`crs_incr_chunk_kb` × 1024).
+    chunk_bytes: usize,
+    /// Hash lanes (`opal_hash_workers`).
+    workers: usize,
+}
+
+impl ManifestCfg {
+    /// `Some` when `filem_dedup_enabled` is set (defaults mirror the
+    /// registry).
+    fn from_params(params: &McaParams) -> Option<Self> {
+        params
+            .get_bool_or("filem_dedup_enabled", false)
+            .unwrap_or(false)
+            .then(|| ManifestCfg {
+                chunk_bytes: params
+                    .get_parsed_or("crs_incr_chunk_kb", 4u64)
+                    .unwrap_or(4)
+                    .max(1) as usize
+                    * 1024,
+                workers: crate::pool::hash_workers(params),
+            })
+    }
+}
+
+/// Write `image` into `snapshot` as a full context and record its kind and
+/// section names; with a `manifest` configuration also build and record
+/// the chunk manifest.
+fn write_image(
+    image: &ProcessImage,
+    snapshot: &mut LocalSnapshot,
+    manifest: Option<ManifestCfg>,
+) -> Result<(), CrError> {
+    snapshot.write_context(&image.to_bytes()?)?;
+    let kind = if manifest.is_some() { "dedup" } else { "full" };
+    snapshot.set_param(PARAM_KIND, kind);
+    if let Some(cfg) = manifest {
+        let sections: Vec<(&str, &[u8])> = image.iter().collect();
+        let built = crate::pool::manifest_parallel(&sections, cfg.chunk_bytes, cfg.workers);
+        snapshot.set_param(PARAM_MANIFEST, &built.render());
+    }
+    snapshot.set_param("sections", &image.names().join(","));
+    Ok(())
+}
+
+/// Decode a snapshot's context into its image. A snapshot whose metadata
+/// says `ckpt_kind=delta` was written by an older build as a link of a
+/// base→delta chain; its context is not an image and is refused by name
+/// instead of failing somewhere inside the decoder.
+pub fn read_full_image(snapshot: &LocalSnapshot) -> Result<ProcessImage, CrError> {
+    if snapshot.param(PARAM_KIND) == Some("delta") {
+        return Err(CrError::BadSnapshot {
+            detail: format!(
+                "rank {} interval {} is a delta-chain context written by an older \
+                 build; this build restores only self-contained (full or dedup) \
+                 intervals",
+                snapshot.rank(),
+                snapshot.interval()
+            ),
+        });
+    }
+    ProcessImage::from_bytes(&snapshot.read_context()?)
+}
 
 /// Callback the application may register through the SELF component.
 pub type SelfCallback = Box<dyn FnMut() -> Result<(), CrError> + Send>;
@@ -69,8 +150,9 @@ pub trait CrsComponent: Send + Sync {
         true
     }
 
-    /// Persist `image` into `snapshot` (write the context file and any
-    /// component-specific metadata).
+    /// Persist `image` into `snapshot`: write the context file and set any
+    /// component-specific parameters. The caller
+    /// [`finish`](LocalSnapshot::finish)es the snapshot.
     fn checkpoint(
         &self,
         image: &ProcessImage,
@@ -104,9 +186,8 @@ pub struct BlcrSim {
     /// Excluded state must be reconstructible by its owner at restart —
     /// the classic use is scratch buffers the application can recompute.
     exclude: Vec<String>,
-    /// Context writer: the full image, plus its chunk manifest when
-    /// `filem_dedup_enabled` is set (see [`crate::incr`]).
-    incr: IncrEngine,
+    /// Set in dedup mode: record the image's chunk manifest too.
+    manifest: Option<ManifestCfg>,
 }
 
 impl BlcrSim {
@@ -128,7 +209,7 @@ impl BlcrSim {
                 .unwrap_or(0),
             attempts: Mutex::new(0),
             exclude,
-            incr: IncrEngine::from_params(params),
+            manifest: ManifestCfg::from_params(params),
         }
     }
 }
@@ -167,16 +248,15 @@ impl CrsComponent for BlcrSim {
             pruned = kept;
             &pruned
         };
-        self.incr.write_image(image, snapshot)?;
-        snapshot.set_param("sections", &image.names().join(","))?;
+        write_image(image, snapshot, self.manifest)?;
         if !self.exclude.is_empty() {
-            snapshot.set_param("excluded", &self.exclude.join(","))?;
+            snapshot.set_param("excluded", &self.exclude.join(","));
         }
         Ok(())
     }
 
     fn restart(&self, snapshot: &LocalSnapshot) -> Result<ProcessImage, CrError> {
-        crate::incr::read_full_image(snapshot)
+        read_full_image(snapshot)
     }
 }
 
@@ -188,23 +268,15 @@ impl CrsComponent for BlcrSim {
 /// capture that otherwise matches `blcr_sim`'s on-disk format.
 pub struct SelfCrs {
     callbacks: Arc<SelfCallbacks>,
-    incr: IncrEngine,
+    manifest: Option<ManifestCfg>,
 }
 
 impl SelfCrs {
-    /// Build over a process's callback registry (dedup mode off).
-    pub fn new(callbacks: Arc<SelfCallbacks>) -> Self {
-        SelfCrs {
-            callbacks,
-            incr: IncrEngine::disabled(),
-        }
-    }
-
-    /// Build with the context writer configured from MCA parameters.
+    /// Build with dedup mode as the MCA parameters say.
     pub fn from_params(callbacks: Arc<SelfCallbacks>, params: &McaParams) -> Self {
         SelfCrs {
             callbacks,
-            incr: IncrEngine::from_params(params),
+            manifest: ManifestCfg::from_params(params),
         }
     }
 }
@@ -220,13 +292,11 @@ impl CrsComponent for SelfCrs {
         snapshot: &mut LocalSnapshot,
     ) -> Result<(), CrError> {
         SelfCallbacks::fire(&self.callbacks.on_checkpoint)?;
-        self.incr.write_image(image, snapshot)?;
-        snapshot.set_param("sections", &image.names().join(","))?;
-        Ok(())
+        write_image(image, snapshot, self.manifest)
     }
 
     fn restart(&self, snapshot: &LocalSnapshot) -> Result<ProcessImage, CrError> {
-        crate::incr::read_full_image(snapshot)
+        read_full_image(snapshot)
     }
 
     fn post_event(&self, state: FtEventState) -> Result<(), CrError> {
@@ -371,7 +441,7 @@ mod tests {
             Ok(())
         }));
 
-        let crs = SelfCrs::new(Arc::clone(&callbacks));
+        let crs = SelfCrs::from_params(Arc::clone(&callbacks), &McaParams::new());
         let mut snap = LocalSnapshot::create(&dir, Rank(1), crs.name(), 0, "node00").unwrap();
         crs.checkpoint(&sample_image(), &mut snap).unwrap();
         crs.post_event(FtEventState::Continue).unwrap();
@@ -389,7 +459,7 @@ mod tests {
                 detail: "app refuses".into(),
             })
         }));
-        let crs = SelfCrs::new(callbacks);
+        let crs = SelfCrs::from_params(callbacks, &McaParams::new());
         let mut snap = LocalSnapshot::create(&dir, Rank(0), crs.name(), 0, "node00").unwrap();
         assert!(crs.checkpoint(&sample_image(), &mut snap).is_err());
         // No context file must have been written.
@@ -425,11 +495,72 @@ mod tests {
         // one can be inspected by the other (heterogeneous support, §4).
         let dir = tmpdir("hetero");
         let blcr = BlcrSim::from_params(&McaParams::new());
-        let selfcrs = SelfCrs::new(SelfCallbacks::new());
+        let selfcrs = SelfCrs::from_params(SelfCallbacks::new(), &McaParams::new());
         let mut snap = LocalSnapshot::create(&dir, Rank(0), blcr.name(), 0, "node00").unwrap();
         let img = sample_image();
         blcr.checkpoint(&img, &mut snap).unwrap();
         assert_eq!(selfcrs.restart(&snap).unwrap(), img);
+    }
+
+    #[test]
+    fn default_mode_writes_plain_full_images_and_hashes_nothing() {
+        let dir = tmpdir("fullmode");
+        assert!(ManifestCfg::from_params(&McaParams::new()).is_none());
+        let crs = BlcrSim::from_params(&McaParams::new());
+        let img = sample_image();
+        for interval in 0..3 {
+            let parent = dir.join(format!("i{interval}"));
+            let mut s =
+                LocalSnapshot::create(&parent, Rank(0), crs.name(), interval, "node00").unwrap();
+            crs.checkpoint(&img, &mut s).unwrap();
+            assert_eq!(s.param(PARAM_KIND), Some("full"));
+            assert!(s.param(PARAM_MANIFEST).is_none(), "no manifest");
+            assert_eq!(crs.restart(&s).unwrap(), img);
+        }
+    }
+
+    #[test]
+    fn dedup_mode_writes_self_contained_manifested_images() {
+        let dir = tmpdir("dedupmode");
+        let params = McaParams::new();
+        params.set("filem_dedup_enabled", "true");
+        assert_eq!(
+            ManifestCfg::from_params(&params).map(|c| c.chunk_bytes),
+            Some(4096),
+            "default mirrors the registry"
+        );
+        params.set("crs_incr_chunk_kb", "1");
+        let crs = SelfCrs::from_params(SelfCallbacks::new(), &params);
+        let mut img = ProcessImage::new();
+        img.insert("app", vec![7u8; 4096]);
+        for interval in 0..3 {
+            let parent = dir.join(format!("i{interval}"));
+            let mut s =
+                LocalSnapshot::create(&parent, Rank(0), crs.name(), interval, "node00").unwrap();
+            crs.checkpoint(&img, &mut s).unwrap();
+            assert_eq!(s.param(PARAM_KIND), Some("dedup"));
+            let manifest =
+                codec::ChunkManifest::parse(s.param(PARAM_MANIFEST).expect("manifest")).unwrap();
+            assert_eq!(manifest.chunk_bytes, 1024);
+            assert_eq!(manifest.total_bytes(), 4096);
+            // Self-contained: the context alone restores the image.
+            assert_eq!(crs.restart(&s).unwrap(), img);
+        }
+    }
+
+    #[test]
+    fn delta_context_from_an_older_build_is_refused_by_name() {
+        let dir = tmpdir("refuse");
+        let mut s = LocalSnapshot::create(&dir, Rank(0), "blcr_sim", 1, "node00").unwrap();
+        // Hand-written stand-in for what an older build left on disk: a
+        // context that is not an image, tagged as a delta.
+        s.write_context(b"dirty chunks only").unwrap();
+        s.set_param(PARAM_KIND, "delta");
+        s.finish().unwrap();
+        let reopened = LocalSnapshot::open(s.dir()).unwrap();
+        let err = read_full_image(&reopened).unwrap_err();
+        assert!(matches!(err, CrError::BadSnapshot { .. }), "got: {err}");
+        assert!(err.to_string().contains("older build"), "got: {err}");
     }
 
     #[test]
@@ -441,7 +572,7 @@ mod tests {
             c.fetch_add(1, Ordering::SeqCst);
             Ok(())
         }));
-        let crs = SelfCrs::new(callbacks);
+        let crs = SelfCrs::from_params(callbacks, &McaParams::new());
         crs.post_event(FtEventState::Continue).unwrap();
         crs.post_event(FtEventState::Continue).unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 2);

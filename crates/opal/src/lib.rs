@@ -18,9 +18,6 @@
 //!   (system-level style, no application cooperation), `self` (application
 //!   callbacks, as in LAM/MPI and Open MPI), and `none` (declares the
 //!   process non-checkpointable).
-//! * [`incr`] — the context writer the checkpointing components delegate
-//!   to: always the full image, plus its chunk manifest when
-//!   `filem_dedup_enabled` is set. Every interval restores on its own.
 //! * [`store`] — the content-addressed chunk store: digest-keyed,
 //!   frame-wrapped blobs with persisted refcounts, shared across ranks and
 //!   intervals when `filem_dedup_enabled` is set.
@@ -42,14 +39,12 @@ pub mod container;
 pub mod crs;
 pub mod gate;
 pub mod image;
-pub mod incr;
 pub mod pool;
 pub mod progress;
 pub mod store;
 
 pub use container::{OpalCtrl, ProcessContainer};
 pub use crs::{crs_framework, CrsComponent, SelfCallbacks};
-pub use incr::{CkptKind, IncrEngine};
 pub use store::{ChunkId, ChunkStore};
 pub use gate::SafePointGate;
 pub use image::ProcessImage;

@@ -1,6 +1,6 @@
 //! Content-addressed chunk store: digest-keyed blobs with refcount GC.
 //!
-//! In dedup mode the context writer ([`crate::incr`]) digests every chunk
+//! In dedup mode the CRS context writer ([`crate::crs`]) digests every chunk
 //! of every capture section; this module promotes that digest to the
 //! *storage key*.  A [`ChunkId`] names a chunk by `(digest, len)`; a [`ChunkStore`]
 //! holds one frame-wrapped blob per distinct id plus a persisted refcount
@@ -26,6 +26,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use cr_core::snapshot::replace_file;
 use cr_core::CrError;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -132,9 +133,7 @@ impl ChunkStore {
         for (id, count) in refs {
             doc.set(REFCOUNT_SECTION, &id.render(), &count.to_string());
         }
-        let path = self.dir.join(REFCOUNT_FILE);
-        std::fs::write(&path, doc.render())
-            .map_err(|e| CrError::io(path.display().to_string(), &e))
+        replace_file(&self.dir.join(REFCOUNT_FILE), doc.render().as_bytes())
     }
 
     /// Store `bytes` under their content address.  Returns the id and
@@ -161,19 +160,22 @@ impl ChunkStore {
         bytes: &[u8],
         scratch: &mut Vec<u8>,
     ) -> Result<bool, CrError> {
-        let path = self.blob_path(id);
-        if path.exists() {
+        if self.contains(id) {
             return Ok(false);
         }
         codec::write_frame_into(scratch, bytes);
-        std::fs::write(&path, &scratch)
-            .map_err(|e| CrError::io(path.display().to_string(), &e))?;
+        replace_file(&self.blob_path(id), scratch)?;
         Ok(true)
     }
 
-    /// True when a blob for `id` is present.
+    /// True when a whole blob for `id` is present. A file of any other
+    /// length than `id`'s frame is a write cut short (by a crash, by a
+    /// build that wrote blobs in place): it counts as absent, so the next
+    /// insert rewrites it instead of every later interval deduplicating
+    /// against bytes [`get`](ChunkStore::get) will refuse.
     pub fn contains(&self, id: &ChunkId) -> bool {
-        self.blob_path(id).exists()
+        let whole = (codec::frame::HEADER_LEN + id.len as usize) as u64;
+        std::fs::metadata(self.blob_path(id)).is_ok_and(|m| m.len() == whole)
     }
 
     /// The subset of `ids` that have no blob in this store yet.
@@ -326,6 +328,48 @@ mod tests {
         std::fs::write(store.blob_path(&id), codec::write_frame(b"impostor")).unwrap();
         let err = store.get(&id).unwrap_err();
         assert!(err.to_string().contains("digest"), "{err}");
+    }
+
+    #[test]
+    fn blob_cut_short_is_absent_and_the_next_insert_rewrites_it() {
+        let store = ChunkStore::open(&tmp("tornblob")).unwrap();
+        let bytes = [0xABu8; 300];
+        let id = ChunkId::of(&bytes);
+        // What a crash mid-write left at the blob's own path.
+        let framed = codec::write_frame(&bytes);
+        std::fs::write(store.blob_path(&id), &framed[..framed.len() / 2]).unwrap();
+        assert!(!store.contains(&id));
+        assert_eq!(store.missing(&[id]), vec![id]);
+        assert_eq!(store.insert(&bytes).unwrap(), (id, true), "not a dedup hit");
+        assert_eq!(store.get(&id).unwrap(), bytes);
+        assert_eq!(store.insert(&bytes).unwrap(), (id, false));
+        // A write in flight is not a blob to the listing or the sweep.
+        std::fs::write(
+            store.dir().join(format!("{}.blob.tmp", id.render())),
+            b"cut",
+        )
+        .unwrap();
+        assert_eq!(store.disk_ids().unwrap(), vec![id]);
+        assert_eq!(store.sweep(64).unwrap(), vec![id]);
+        assert_eq!(store.chunk_count().unwrap(), 0);
+    }
+
+    #[test]
+    fn stale_refcount_temp_file_is_ignored_by_open_and_replaced_by_the_next_write() {
+        let dir = tmp("staletmp");
+        let id = {
+            let store = ChunkStore::open(&dir).unwrap();
+            let (id, _) = store.insert(b"counted").unwrap();
+            store.incref_all(&[id]).unwrap();
+            id
+        };
+        let stale = dir.join(format!("{REFCOUNT_FILE}.tmp"));
+        std::fs::write(&stale, b"[refcounts]\n0000").unwrap();
+        let store = ChunkStore::open(&dir).unwrap();
+        assert_eq!(store.refcount(&id), 1);
+        store.incref_all(&[id]).unwrap();
+        assert!(!stale.exists());
+        assert_eq!(ChunkStore::open(&dir).unwrap().refcount(&id), 2);
     }
 
     #[test]

@@ -584,7 +584,7 @@ pub(crate) mod tests {
             .unwrap();
         hold.store(false, Ordering::SeqCst);
 
-        match checkpoint.recv().unwrap() {
+        match checkpoint.recv().unwrap().0 {
             DaemonReply::TreeDone { node, results } => {
                 assert_eq!(node, 0);
                 let mut ranks: Vec<(u32, u32)> =
@@ -595,7 +595,7 @@ pub(crate) mod tests {
             other => panic!("unexpected reply {other:?}"),
         }
         assert_eq!(
-            inventory.recv().unwrap(),
+            inventory.recv().unwrap().0,
             DaemonReply::ReplicaHolding {
                 node: 0,
                 entries: Vec::new(),

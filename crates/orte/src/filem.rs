@@ -17,8 +17,8 @@
 //! * **`replica`** — peer-memory first (see [`crate::replica`]): SNAPC
 //!   commits images into surviving daemons' memory and drains them to
 //!   stable storage asynchronously (write-behind). Its `copy_tree` is the
-//!   drain/preload engine — a streamed copy with a near-zero session
-//!   setup, since the stream originates from memory, not an `scp`
+//!   drain/preload engine — `oob_stream`'s streamed copy with a near-zero
+//!   session setup, since the stream originates from memory, not an `scp`
 //!   handshake.
 //!
 //! All components physically copy files on the host filesystem (the trees
@@ -27,7 +27,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use mca::{Framework, McaParams};
+use mca::Framework;
 use netsim::{NetView, NodeId, SimTime};
 
 use cr_core::CrError;
@@ -135,19 +135,10 @@ fn copy_tree_files(src: &Path, dest: &Path) -> Result<Vec<u64>, CrError> {
 }
 
 /// `scp`-style copier: one session per file.
-pub struct RshSimFilem {
-    session: SimTime,
-}
+pub struct RshSimFilem;
 
-impl RshSimFilem {
-    /// Build from MCA parameters (`filem_rsh_sim_session_ms`).
-    pub fn from_params(params: &McaParams) -> Self {
-        let ms = params.get_parsed_or("filem_rsh_sim_session_ms", 120u64).unwrap_or(120);
-        RshSimFilem {
-            session: SimTime::from_millis(ms),
-        }
-    }
-}
+/// Simulated setup time of one `scp` session.
+const RSH_SESSION: SimTime = SimTime::from_millis(120);
 
 impl FilemComponent for RshSimFilem {
     fn name(&self) -> &'static str {
@@ -159,63 +150,42 @@ impl FilemComponent for RshSimFilem {
         let mut cost = SimTime::ZERO;
         let mut bytes = 0u64;
         for size in &sizes {
-            cost += self.session + net.cost(req.src_node, req.dest_node, *size as usize);
+            cost += RSH_SESSION + net.cost(req.src_node, req.dest_node, *size as usize);
             bytes += size;
         }
         Ok(FilemReport::single(sizes.len() as u64, bytes, cost))
     }
 }
 
-/// Streaming copier: one session per tree.
-pub struct OobStreamFilem {
+/// Streaming copier: a whole tree through one session. Registered under
+/// two names that differ in what a session costs to set up.
+pub struct StreamFilem {
+    name: &'static str,
     session: SimTime,
 }
 
-impl OobStreamFilem {
-    /// Build from MCA parameters (`filem_oob_stream_session_ms`).
-    pub fn from_params(params: &McaParams) -> Self {
-        let ms = params.get_parsed_or("filem_oob_stream_session_ms", 20u64).unwrap_or(20);
-        OobStreamFilem {
-            session: SimTime::from_millis(ms),
-        }
-    }
+impl StreamFilem {
+    /// `oob_stream`: tar-over-ssh style, one connection establishment per
+    /// tree.
+    pub const OOB_STREAM: StreamFilem = StreamFilem {
+        name: "oob_stream",
+        session: SimTime::from_millis(20),
+    };
+    /// `replica`: the write-behind drain / stable-fallback engine of the
+    /// replica store. The stream originates from memory, not an `scp`
+    /// handshake, so its session setup is near zero. Selecting
+    /// `filem=replica` additionally switches SNAPC's gather to commit into
+    /// peer memory before the drain (see `snapc`); this `copy_tree` is what
+    /// the asynchronous drain and the restart preload run on.
+    pub const REPLICA: StreamFilem = StreamFilem {
+        name: "replica",
+        session: SimTime::from_millis(2),
+    };
 }
 
-impl FilemComponent for OobStreamFilem {
+impl FilemComponent for StreamFilem {
     fn name(&self) -> &'static str {
-        "oob_stream"
-    }
-
-    fn copy_tree(&self, net: NetView<'_>, req: &CopyRequest) -> Result<FilemReport, CrError> {
-        let sizes = copy_tree_files(&req.src, &req.dest)?;
-        let bytes: u64 = sizes.iter().sum();
-        let cost = self.session + net.cost(req.src_node, req.dest_node, bytes as usize);
-        Ok(FilemReport::single(sizes.len() as u64, bytes, cost))
-    }
-}
-
-/// Peer-memory-first copier: the write-behind drain / stable-fallback
-/// engine of the replica store. Selecting `filem=replica` additionally
-/// switches SNAPC's gather to commit into peer memory before the drain
-/// (see `snapc`); this component's `copy_tree` is what the asynchronous
-/// drain and the restart preload run on.
-pub struct ReplicaFilem {
-    session: SimTime,
-}
-
-impl ReplicaFilem {
-    /// Build from MCA parameters (`filem_replica_session_ms`).
-    pub fn from_params(params: &McaParams) -> Self {
-        let ms = params.get_parsed_or("filem_replica_session_ms", 2u64).unwrap_or(2);
-        ReplicaFilem {
-            session: SimTime::from_millis(ms),
-        }
-    }
-}
-
-impl FilemComponent for ReplicaFilem {
-    fn name(&self) -> &'static str {
-        "replica"
+        self.name
     }
 
     fn copy_tree(&self, net: NetView<'_>, req: &CopyRequest) -> Result<FilemReport, CrError> {
@@ -230,20 +200,23 @@ impl FilemComponent for ReplicaFilem {
 /// first component).
 pub fn filem_framework() -> Framework<dyn FilemComponent> {
     let mut fw: Framework<dyn FilemComponent> = Framework::new("filem");
-    fw.register("rsh_sim", 20, "RSH/SCP remote copy, one session per file", |p| {
-        Box::new(RshSimFilem::from_params(p))
-    });
+    fw.register(
+        "rsh_sim",
+        20,
+        "RSH/SCP remote copy, one session per file",
+        |_| Box::new(RshSimFilem),
+    );
     fw.register(
         "oob_stream",
         10,
         "streamed tree copy over one connection",
-        |p| Box::new(OobStreamFilem::from_params(p)),
+        |_| Box::new(StreamFilem::OOB_STREAM),
     );
     fw.register(
         "replica",
         5,
         "peer-memory replication with write-behind drain to stable storage",
-        |p| Box::new(ReplicaFilem::from_params(p)),
+        |_| Box::new(StreamFilem::REPLICA),
     );
     fw
 }
@@ -282,7 +255,7 @@ mod tests {
         let src = base.join("src");
         let expected_bytes = make_tree(&src);
         let dest = base.join("dest");
-        let filem = RshSimFilem::from_params(&McaParams::new());
+        let filem = RshSimFilem;
         let report = filem
             .copy_tree(
                 NetView::uncontended(&topo()),
@@ -312,7 +285,7 @@ mod tests {
         let src = base.join("one.bin");
         fs::write(&src, vec![7u8; 64]).unwrap();
         let dest = base.join("out").join("one.bin");
-        let filem = OobStreamFilem::from_params(&McaParams::new());
+        let filem = StreamFilem::OOB_STREAM;
         let report = filem
             .copy_tree(
                 NetView::uncontended(&topo()),
@@ -332,7 +305,7 @@ mod tests {
     #[test]
     fn missing_source_is_io_error() {
         let base = tmpdir("missing");
-        let filem = RshSimFilem::from_params(&McaParams::new());
+        let filem = RshSimFilem;
         let err = filem
             .copy_tree(
                 NetView::uncontended(&topo()),
@@ -357,9 +330,8 @@ mod tests {
         for i in 0..50 {
             fs::write(src.join(format!("f{i}")), vec![0u8; 128]).unwrap();
         }
-        let params = McaParams::new();
-        let rsh = RshSimFilem::from_params(&params);
-        let stream = OobStreamFilem::from_params(&params);
+        let rsh = RshSimFilem;
+        let stream = StreamFilem::OOB_STREAM;
         let req = |dest: &str| CopyRequest {
             src: src.clone(),
             src_node: NodeId(1),
@@ -376,7 +348,7 @@ mod tests {
     fn remove_tree_is_idempotent() {
         let base = tmpdir("remove");
         make_tree(&base.join("dest0"));
-        let filem = RshSimFilem::from_params(&McaParams::new());
+        let filem = RshSimFilem;
         filem.remove_tree(&base.join("dest0")).unwrap();
         assert!(!base.join("dest0").exists());
         // Removing twice is fine.
@@ -386,7 +358,7 @@ mod tests {
     #[test]
     fn framework_selection() {
         let fw = filem_framework();
-        let params = McaParams::new();
+        let params = mca::McaParams::new();
         assert_eq!(fw.select(&params).unwrap().name(), "rsh_sim");
         params.set("filem", "oob_stream");
         assert_eq!(fw.select(&params).unwrap().name(), "oob_stream");
@@ -419,9 +391,8 @@ mod tests {
         let base = tmpdir("replica_session");
         let src = base.join("src");
         make_tree(&src);
-        let params = McaParams::new();
-        let stream = OobStreamFilem::from_params(&params);
-        let replica = ReplicaFilem::from_params(&params);
+        let stream = StreamFilem::OOB_STREAM;
+        let replica = StreamFilem::REPLICA;
         let req = |dest: &str| CopyRequest {
             src: src.clone(),
             src_node: NodeId(1),

@@ -19,7 +19,7 @@ use netsim::NodeId;
 use parking_lot::Mutex;
 
 use cr_core::request::{CheckpointOptions, CheckpointOutcome};
-use cr_core::snapshot::{CommitState, GlobalSnapshot};
+use cr_core::snapshot::{CommitState, GlobalSnapshot, LaunchRecord};
 use cr_core::{CrError, JobId, ProcessName, Rank};
 use opal::container::OpalCtrl;
 use opal::{ProcessContainer, ProcessImage};
@@ -220,22 +220,22 @@ impl JobHandle {
     pub fn global_snapshot(&self) -> Result<parking_lot::MappedMutexGuard<'_, GlobalSnapshot>, CrError> {
         let mut guard = self.global_snapshot.lock();
         if guard.is_none() {
-            let mut snap =
-                GlobalSnapshot::create(&self.runtime.stable_dir(), self.job, self.nprocs)?;
-            if let Some(floor) = self.resume_floor {
-                snap.set_resume_floor(floor)?;
-            }
-            let mut dump = self.params.dump();
+            let mut params = self.params.dump();
             // Intrinsic launch facts are always recorded, even when every
             // MCA parameter was defaulted: a restart must never depend on
             // the user re-supplying anything (paper §4).
-            dump.push(("np".to_string(), self.nprocs.to_string()));
-            snap.record_launch_params(dump.iter().map(|(k, v)| (k.as_str(), v.as_str())))?;
-            let spares: Vec<u32> = self.runtime.spare_nodes().iter().map(|n| n.0).collect();
-            if !spares.is_empty() {
-                snap.record_spare_pool(&spares)?;
-            }
-            *guard = Some(snap);
+            params.push(("np".to_string(), self.nprocs.to_string()));
+            let launch = LaunchRecord {
+                params,
+                spare_pool: self.runtime.spare_nodes().iter().map(|n| n.0).collect(),
+                resumed_from: self.resume_floor,
+            };
+            *guard = Some(GlobalSnapshot::create(
+                &self.runtime.stable_dir(),
+                self.job,
+                self.nprocs,
+                &launch,
+            )?);
         }
         Ok(parking_lot::MutexGuard::map(guard, |g| {
             g.as_mut().expect("just initialized")

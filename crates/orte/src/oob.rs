@@ -311,8 +311,9 @@ impl Caller {
         post(&self.reply, to, &(self.reply.id().0, msg))
     }
 
-    /// The next reply, whatever its kind; a silent daemon is `PeerLost`.
-    fn recv_any(&self) -> Result<DaemonReply, CrError> {
+    /// The next reply, whatever its kind, and the simulated wire time the
+    /// fabric charged to deliver it; a silent daemon is `PeerLost`.
+    fn recv_any(&self) -> Result<(DaemonReply, SimTime), CrError> {
         let delivery = self
             .reply
             .recv_timeout(self.timeout)
@@ -322,24 +323,27 @@ impl Caller {
                     other => format!("OOB recv: {other}"),
                 },
             })?;
-        Ok(codec::from_bytes(&delivery.payload)?)
+        Ok((codec::from_bytes(&delivery.payload)?, delivery.wire_time))
     }
 
-    /// The next reply. A daemon-side [`DaemonReply::Error`] is an `Err`
-    /// naming the node.
-    pub fn recv(&self) -> Result<DaemonReply, CrError> {
+    /// The next reply and its wire time. A daemon-side
+    /// [`DaemonReply::Error`] is an `Err` naming the node.
+    pub fn recv(&self) -> Result<(DaemonReply, SimTime), CrError> {
         match self.recv_any()? {
-            DaemonReply::Error { node, detail } => {
+            (DaemonReply::Error { node, detail }, _) => {
                 Err(CrError::protocol(format!("node {node}: {detail}")))
             }
             reply => Ok(reply),
         }
     }
 
-    /// `send` then `recv`: the reply and the request's wire time.
+    /// `send` then `recv`: the reply and the wire time of the whole
+    /// exchange — request *and* reply, so a fetch is charged for the bytes
+    /// it brings back.
     pub fn call(&self, to: EndpointId, msg: &DaemonMsg) -> Result<(DaemonReply, SimTime), CrError> {
-        let cost = self.send(to, msg)?;
-        Ok((self.recv()?, cost))
+        let request = self.send(to, msg)?;
+        let (reply, response) = self.recv()?;
+        Ok((reply, request + response))
     }
 
     /// The collect half of a fan-out (`send` × n first, so every daemon
@@ -354,7 +358,7 @@ impl Caller {
     ) -> Result<(), CrError> {
         let mut failures = Vec::new();
         for _ in 0..n {
-            match self.recv_any()? {
+            match self.recv_any()?.0 {
                 DaemonReply::Error { node, detail } => {
                     failures.push(format!("node {node}: {detail}"))
                 }
@@ -424,7 +428,7 @@ mod tests {
             )],
         };
         post(&serving, request.reply_to, &reply).unwrap();
-        assert_eq!(hnp.recv().unwrap(), reply);
+        assert_eq!(hnp.recv().unwrap().0, reply);
     }
 
     #[test]

@@ -114,20 +114,16 @@ fn assign_nodes(
     }
 }
 
-/// ssh-style sequential launcher.
-pub struct RshSimPlm {
-    per_proc: SimTime,
-}
+/// Simulated time of one `rsh_sim` launcher session: one ssh per process
+/// at launch, one per spare node in a partial restart.
+pub const RSH_SESSION: SimTime = SimTime::from_millis(150);
+/// Simulated time of one `slurm_sim` launch wave.
+const SLURM_WAVE: SimTime = SimTime::from_millis(40);
+/// Simulated `slurm_sim` allocation setup time.
+const SLURM_SETUP: SimTime = SimTime::from_millis(500);
 
-impl RshSimPlm {
-    /// Build from MCA parameters (`plm_rsh_sim_session_ms`).
-    pub fn from_params(params: &McaParams) -> Self {
-        let ms = params.get_parsed_or("plm_rsh_sim_session_ms", 150u64).unwrap_or(150);
-        RshSimPlm {
-            per_proc: SimTime::from_millis(ms),
-        }
-    }
-}
+/// ssh-style sequential launcher.
+pub struct RshSimPlm;
 
 impl PlmComponent for RshSimPlm {
     fn name(&self) -> &'static str {
@@ -143,30 +139,14 @@ impl PlmComponent for RshSimPlm {
         let node_of = assign_nodes(nprocs, topology, params)?;
         // One ssh session per process, strictly sequential.
         Ok(Placement {
-            launch_cost: self.per_proc * u64::from(nprocs),
+            launch_cost: RSH_SESSION * u64::from(nprocs),
             node_of,
         })
     }
 }
 
 /// Batch-scheduler-style parallel launcher.
-pub struct SlurmSimPlm {
-    per_wave: SimTime,
-    setup: SimTime,
-}
-
-impl SlurmSimPlm {
-    /// Build from MCA parameters (`plm_slurm_sim_wave_ms`,
-    /// `plm_slurm_sim_setup_ms`).
-    pub fn from_params(params: &McaParams) -> Self {
-        let wave = params.get_parsed_or("plm_slurm_sim_wave_ms", 40u64).unwrap_or(40);
-        let setup = params.get_parsed_or("plm_slurm_sim_setup_ms", 500u64).unwrap_or(500);
-        SlurmSimPlm {
-            per_wave: SimTime::from_millis(wave),
-            setup: SimTime::from_millis(setup),
-        }
-    }
-}
+pub struct SlurmSimPlm;
 
 impl PlmComponent for SlurmSimPlm {
     fn name(&self) -> &'static str {
@@ -188,7 +168,7 @@ impl PlmComponent for SlurmSimPlm {
         }
         let max_waves = per_node.values().copied().max().unwrap_or(0);
         Ok(Placement {
-            launch_cost: self.setup + self.per_wave * max_waves,
+            launch_cost: SLURM_SETUP + SLURM_WAVE * max_waves,
             node_of,
         })
     }
@@ -198,11 +178,11 @@ impl PlmComponent for SlurmSimPlm {
 /// no batch scheduler — the environment the paper's tools target).
 pub fn plm_framework() -> Framework<dyn PlmComponent> {
     let mut fw: Framework<dyn PlmComponent> = Framework::new("plm");
-    fw.register("rsh_sim", 20, "ssh-style sequential launch", |p| {
-        Box::new(RshSimPlm::from_params(p))
+    fw.register("rsh_sim", 20, "ssh-style sequential launch", |_| {
+        Box::new(RshSimPlm)
     });
-    fw.register("slurm_sim", 10, "batch-scheduler parallel launch", |p| {
-        Box::new(SlurmSimPlm::from_params(p))
+    fw.register("slurm_sim", 10, "batch-scheduler parallel launch", |_| {
+        Box::new(SlurmSimPlm)
     });
     fw
 }
@@ -218,7 +198,7 @@ mod tests {
 
     #[test]
     fn round_robin_by_node_default() {
-        let plm = RshSimPlm::from_params(&McaParams::new());
+        let plm = RshSimPlm;
         let p = plm.map_job(5, &topo(3), &McaParams::new()).unwrap();
         assert_eq!(
             p.node_of,
@@ -233,7 +213,7 @@ mod tests {
         let params = McaParams::new();
         params.set("plm_map_by", "slot");
         params.set("plm_slots_per_node", "2");
-        let plm = RshSimPlm::from_params(&params);
+        let plm = RshSimPlm;
         let p = plm.map_job(4, &topo(3), &params).unwrap();
         assert_eq!(p.node_of, vec![NodeId(0), NodeId(0), NodeId(1), NodeId(1)]);
     }
@@ -243,7 +223,7 @@ mod tests {
         let params = McaParams::new();
         params.set("plm_map_by", "slot");
         params.set("plm_slots_per_node", "1");
-        let plm = RshSimPlm::from_params(&params);
+        let plm = RshSimPlm;
         assert!(plm.map_job(4, &topo(2), &params).is_err());
     }
 
@@ -251,7 +231,7 @@ mod tests {
     fn spare_nodes_held_out_of_placement() {
         let params = McaParams::new();
         params.set("orte_spare_nodes", "1");
-        let plm = RshSimPlm::from_params(&params);
+        let plm = RshSimPlm;
         // 3-node cluster, 1 spare: ranks round-robin over nodes 0 and 1 only.
         let p = plm.map_job(4, &topo(3), &params).unwrap();
         assert_eq!(
@@ -265,7 +245,7 @@ mod tests {
 
     #[test]
     fn zero_procs_rejected() {
-        let plm = RshSimPlm::from_params(&McaParams::new());
+        let plm = RshSimPlm;
         assert!(plm.map_job(0, &topo(1), &McaParams::new()).is_err());
     }
 
@@ -273,7 +253,7 @@ mod tests {
     fn unknown_policy_rejected() {
         let params = McaParams::new();
         params.set("plm_map_by", "rack");
-        let plm = RshSimPlm::from_params(&params);
+        let plm = RshSimPlm;
         let err = plm.map_job(2, &topo(2), &params).unwrap_err();
         assert!(err.to_string().contains("rack"));
     }
@@ -281,8 +261,8 @@ mod tests {
     #[test]
     fn rsh_cost_scales_linearly_slurm_does_not() {
         let params = McaParams::new();
-        let rsh = RshSimPlm::from_params(&params);
-        let slurm = SlurmSimPlm::from_params(&params);
+        let rsh = RshSimPlm;
+        let slurm = SlurmSimPlm;
         let t = topo(8);
         let rsh8 = rsh.map_job(8, &t, &params).unwrap().launch_cost;
         let rsh16 = rsh.map_job(16, &t, &params).unwrap().launch_cost;

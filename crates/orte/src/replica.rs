@@ -305,8 +305,9 @@ pub fn replicate(
 /// `holders` comes from the global snapshot's replica-location metadata,
 /// primary first. Only running daemons are asked: a holder that is dead
 /// or was never started has nothing to offer. Returns the image and the
-/// simulated wire cost of the successful transfer, or `None` when every
-/// holder is gone or answers with a miss.
+/// simulated wire cost of the successful exchange (request plus the reply
+/// carrying the image), or `None` when every holder is gone or answers
+/// with a miss.
 pub fn fetch_image(
     runtime: &Runtime,
     job: JobId,
@@ -629,6 +630,36 @@ mod tests {
         let (_, shipped) = put_chunks(&rt, JobId(1), &[1, 2], vec![chunk]).unwrap();
         assert_eq!(shipped, 1);
         assert!(rt.node_failed(NodeId(2)));
+        rt.shutdown();
+    }
+
+    /// A fetch moves its bytes in the reply: it costs at least what the
+    /// link charges for them, not the few bytes of the request.
+    #[test]
+    fn fetch_is_charged_for_the_bytes_it_brings_back() {
+        let rt = crate::snapc::tests::runtime("replica_fetch_cost", 2);
+        let src = tmpdir("fetch_src");
+        fs::write(src.join("ctx"), vec![1u8; 256 * 1024]).unwrap();
+        let job = JobId(1);
+        // Held by node 1 only; the asker (the HNP) is on node 0.
+        let placed = replicate(&rt, job, 0, &[(Rank(0), 1, src)], 0).unwrap();
+        let (image, cost) = fetch_image(&rt, job, 0, Rank(0), &placed.holders[0].1).unwrap();
+        let link = rt.topology().link(NodeId(0), NodeId(1));
+        assert!(
+            cost >= link.transfer_cost(image.total_bytes() as usize),
+            "fetch of {} B charged {cost}",
+            image.total_bytes()
+        );
+
+        let chunk = vec![2u8; 64 * 1024];
+        let id = ChunkId::of(&chunk);
+        put_chunks(&rt, job, &[1], vec![(id, chunk.clone())]).unwrap();
+        let (found, cost) = fetch_chunks_partial(&rt, job, &[id], &[1]);
+        assert_eq!(found, vec![Some(chunk)]);
+        assert!(
+            cost >= link.transfer_cost(id.len as usize),
+            "chunk fetch charged {cost}"
+        );
         rt.shutdown();
     }
 

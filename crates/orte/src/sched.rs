@@ -279,8 +279,7 @@ pub fn copy_all_scheduled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filem::{OobStreamFilem, RshSimFilem};
-    use mca::McaParams;
+    use crate::filem::{RshSimFilem, StreamFilem};
     use netsim::{LinkMeter, LinkSpec, NodeId};
     use std::path::PathBuf;
 
@@ -451,7 +450,7 @@ mod tests {
         let base = tmpdir("moves");
         let (batch, total_bytes) = tree_batch(&base, 6);
         let topo = Topology::uniform(3, LinkSpec::gigabit_ethernet());
-        let filem = OobStreamFilem::from_params(&McaParams::new());
+        let filem = StreamFilem::OOB_STREAM;
         let (report, stats) =
             copy_all_scheduled(&filem, NetView::uncontended(&topo), &batch, 3).unwrap();
         assert_eq!(report.files, 18);
@@ -478,7 +477,7 @@ mod tests {
         let (batch, total_bytes) = tree_batch(&base, 5);
         let topo = Topology::uniform(3, LinkSpec::gigabit_ethernet());
         let net = NetView::uncontended(&topo);
-        let filem = RshSimFilem::from_params(&McaParams::new());
+        let filem = RshSimFilem;
         let (seq, stats) = copy_all_scheduled(&filem, net, &batch, 1).unwrap();
         assert_eq!(stats.waves, 5, "one lane: one wave per request");
         assert_eq!(plan(&batch, 1), plan_fifo(&batch, 1), "in batch order");
@@ -497,7 +496,7 @@ mod tests {
     fn charges_contention_when_metered() {
         let base = tmpdir("meter");
         let (batch, total_bytes) = tree_batch(&base, 6);
-        let filem = OobStreamFilem::from_params(&McaParams::new());
+        let filem = StreamFilem::OOB_STREAM;
         let topo = Topology::uniform(3, LinkSpec::gigabit_ethernet());
         let meter = LinkMeter::new();
         let (report, _) =
@@ -524,7 +523,7 @@ mod tests {
             dest: base.join("err_out"),
             dest_node: NodeId(0),
         });
-        let filem = OobStreamFilem::from_params(&McaParams::new());
+        let filem = StreamFilem::OOB_STREAM;
         let topo = Topology::uniform(3, LinkSpec::gigabit_ethernet());
         let err =
             copy_all_scheduled(&filem, NetView::uncontended(&topo), &batch, 4).unwrap_err();

@@ -31,6 +31,7 @@ use mca::Framework;
 use netsim::{EndpointId, NodeId};
 
 use cr_core::request::{CheckpointOptions, CheckpointOutcome, CkptStats};
+use cr_core::snapshot::IntervalRecord;
 use cr_core::{CrError, JobId, Rank};
 use opal::container::OpalCtrl;
 
@@ -96,6 +97,18 @@ fn cleanup_scratch(
         hnp.send(*daemon, &DaemonMsg::Cleanup { job, interval })?;
     }
     hnp.collect("scratch cleanup", live.len(), |_| Ok(()))
+}
+
+/// The start of every interval's commit record: each rank with the
+/// hostname it runs on.
+fn rank_hosts(job: &JobHandle) -> IntervalRecord {
+    let hostname = |rank| job.runtime().topology().hostname(job.node_of(rank));
+    IntervalRecord {
+        ranks: (0..job.nprocs())
+            .map(|r| (Rank(r), hostname(Rank(r)).to_string()))
+            .collect(),
+        ..IntervalRecord::default()
+    }
 }
 
 /// Gather/commit/cleanup tail shared by the `full` and `tree` components.
@@ -177,19 +190,14 @@ fn gather_commit_cleanup(
         })
         .collect();
 
-    let ranks_info: Vec<(Rank, String)> = (0..job.nprocs())
-        .map(|r| {
-            let rank = Rank(r);
-            (rank, runtime.topology().hostname(job.node_of(rank)).to_string())
-        })
-        .collect();
-
-    // Partial-restart accounting: ranks running with the CRCP message log
-    // expose its footprint through a container probe; record the per-rank
-    // bytes for this interval so `ompi-snapshot-info` can show how much
-    // in-flight traffic a partial restart would have to replay. Ranks
-    // without the probe (log disabled) leave the section absent.
-    let msg_log: Vec<(Rank, u64)> = (0..job.nprocs())
+    // One record per interval, handed whole to the one commit call its path
+    // makes. Partial-restart accounting: ranks running with the CRCP
+    // message log expose its footprint through a container probe; the
+    // per-rank bytes let `ompi-snapshot-info` show how much in-flight
+    // traffic a partial restart would have to replay. Ranks without the
+    // probe (log disabled) leave the list empty.
+    let mut record = rank_hosts(job);
+    record.msg_log_bytes = (0..job.nprocs())
         .filter_map(|r| {
             job.container(Rank(r))
                 .probe("crcp.msglog")
@@ -197,9 +205,6 @@ fn gather_commit_cleanup(
                 .map(|b| (Rank(r), b))
         })
         .collect();
-    if !msg_log.is_empty() {
-        job.global_snapshot()?.record_msg_log_bytes(interval, &msg_log)?;
-    }
 
     let dedup = params
         .get_bool_or("filem_dedup_enabled", false)
@@ -207,7 +212,7 @@ fn gather_commit_cleanup(
     if dedup {
         // Content-addressed commit: chunk manifests + refcounted blobs
         // replace whole-image gathers. Only never-before-seen chunks move.
-        let stats = crate::store::dedup_commit(job, interval, results, &ranks_info, tag)?;
+        let stats = crate::store::dedup_commit(job, interval, results, record, tag)?;
         cleanup_scratch(runtime, job_id, interval, &nodes)?;
         return Ok(stats);
     }
@@ -228,10 +233,10 @@ fn gather_commit_cleanup(
                 outcome.bytes, outcome.sim_cost
             ),
         );
+        record.replica_holders = outcome.holders;
         let commit = {
             let mut global = job.global_snapshot()?;
-            global.record_replica_holders(interval, &outcome.holders)?;
-            global.commit_interval(interval, &ranks_info)?;
+            global.commit_interval(interval, &record)?;
             global.commit_state(interval)
         };
         // Write-behind: the stable-storage copy (and the scratch cleanup
@@ -281,7 +286,7 @@ fn gather_commit_cleanup(
         // interval until the promotion below lands.
         let commit = {
             let mut global = job.global_snapshot()?;
-            global.local_commit_interval(interval, &ranks_info)?;
+            global.local_commit_interval(interval, &record)?;
             global.commit_state(interval)
         };
         tracer.record(
@@ -322,9 +327,7 @@ fn gather_commit_cleanup(
                         &format!("interval {interval}: {}{tag}", sched.render()),
                     );
                     let promoted = match cell.lock().as_mut() {
-                        Some(global) => global
-                            .record_gather_stats(interval, &sched.render())
-                            .and_then(|()| global.promote_interval(interval)),
+                        Some(global) => global.promote_interval(interval, &sched.render()),
                         None => Err(CrError::protocol(
                             "global snapshot cell empty during promotion",
                         )),
@@ -393,10 +396,10 @@ fn gather_commit_cleanup(
             report.files, report.bytes, report.serialized_cost, report.critical_path_cost
         ),
     );
+    record.gather_stats = Some(sched.render());
     let commit = {
         let mut global = job.global_snapshot()?;
-        global.record_gather_stats(interval, &sched.render())?;
-        global.commit_interval(interval, &ranks_info)?;
+        global.commit_interval(interval, &record)?;
         global.commit_state(interval)
     };
     cleanup_scratch(runtime, job_id, interval, &nodes)?;
@@ -683,19 +686,13 @@ impl SnapcComponent for DirectSnapc {
             )));
         }
 
-        let ranks_info: Vec<(Rank, String)> = (0..job.nprocs())
-            .map(|r| {
-                let rank = Rank(r);
-                let node = job.node_of(rank);
-                (rank, job.runtime().topology().hostname(node).to_string())
-            })
-            .collect();
         // Every rank wrote straight to stable storage, so bytes moved is
         // the sum of what landed there; there is no simulated fabric leg.
         let bytes_moved: u64 = replies.iter().map(|(_, reply)| reply.size_bytes).sum();
+        let record = rank_hosts(job);
         let commit = {
             let mut global = job.global_snapshot()?;
-            global.commit_interval(interval, &ranks_info)?;
+            global.commit_interval(interval, &record)?;
             global.commit_state(interval)
         };
         Ok(CheckpointOutcome {

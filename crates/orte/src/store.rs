@@ -35,7 +35,7 @@ use std::path::Path;
 use netsim::SimTime;
 
 use cr_core::request::CkptStats;
-use cr_core::snapshot::{GlobalSnapshot, LocalSnapshot};
+use cr_core::snapshot::{GlobalSnapshot, IntervalRecord, LocalSnapshot};
 use cr_core::{CrError, JobId, Rank};
 use opal::image::ProcessImage;
 use opal::store::{ChunkId, ChunkStore};
@@ -223,7 +223,8 @@ impl<'rt> SnapshotStore<'rt> {
 /// chunks, move only never-before-seen chunks into the stable tier (and
 /// push them to the rank's node plus its `filem_replica_factor` ring
 /// neighbors' peer memory), take one reference per manifest occurrence
-/// *before* recording the manifests, then commit the interval.
+/// *before* the one commit call that records `record` — the rest of the
+/// interval's commit record — with the manifests added.
 ///
 /// Returns stats whose `dedup_ratio` is logical image bytes over bytes
 /// actually written — the cross-rank/cross-interval savings the bench
@@ -232,7 +233,7 @@ pub fn dedup_commit(
     job: &JobHandle,
     interval: u64,
     results: &[(u32, RankCkpt)],
-    ranks_info: &[(Rank, String)],
+    mut record: IntervalRecord,
     tag: &str,
 ) -> Result<CkptStats, CrError> {
     let runtime = job.runtime();
@@ -245,7 +246,6 @@ pub fn dedup_commit(
         .unwrap_or(1);
 
     let store = SnapshotStore::open(runtime, job_id, &job.global_snapshot_path())?;
-    let mut manifests: Vec<(Rank, String)> = Vec::with_capacity(results.len());
     let mut all_ids: Vec<ChunkId> = Vec::new();
     let mut logical = 0u64;
     let mut moved = 0u64;
@@ -261,7 +261,7 @@ pub fn dedup_commit(
     for (node, ckpt) in results {
         let local = LocalSnapshot::open(&ckpt.dir)?;
         let rendered = local
-            .param(opal::incr::PARAM_MANIFEST)
+            .param(opal::crs::PARAM_MANIFEST)
             .ok_or_else(|| CrError::BadSnapshot {
                 detail: format!(
                     "rank {} wrote no chunk manifest; the dedup store needs \
@@ -271,7 +271,7 @@ pub fn dedup_commit(
             })?
             .to_string();
         let manifest = codec::ChunkManifest::parse(&rendered).map_err(CrError::Codec)?;
-        let image = opal::incr::read_full_image(&local)?;
+        let image = opal::crs::read_full_image(&local)?;
         logical += manifest.total_bytes();
 
         let chunk_bytes = manifest.chunk_bytes as usize;
@@ -348,7 +348,7 @@ pub fn dedup_commit(
         targets.extend(replica::ring_neighbors(*node, nnodes, factor));
         let (cost, _) = replica::put_chunks(runtime, job_id, &targets, fresh)?;
         sim_cost += cost;
-        manifests.push((Rank(ckpt.rank), rendered));
+        record.chunk_manifests.push((Rank(ckpt.rank), rendered));
     }
 
     tracer.record(
@@ -371,8 +371,7 @@ pub fn dedup_commit(
     store.stable.incref_all(&all_ids)?;
     let commit = {
         let mut global = job.global_snapshot()?;
-        global.record_chunk_manifests(interval, &manifests)?;
-        global.commit_interval(interval, ranks_info)?;
+        global.commit_interval(interval, &record)?;
         global.commit_state(interval)
     };
     let dedup_ratio = logical as f64 / moved.max(1) as f64;

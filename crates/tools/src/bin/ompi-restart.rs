@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ompi-restart [--nodes N] [--interval I] [--base DIR] [--source S] \
-//!              [--no-verify] <global-snapshot-ref>
+//!              <global-snapshot-ref>
 //! ```
 //!
 //! The only required input is the snapshot reference directory: the
@@ -12,8 +12,7 @@
 //! `--source` picks where the images come from: `auto` (default;
 //! surviving peer-memory replicas first, stable storage fallback),
 //! `replica` (peer memory only, fail otherwise), or `stable` (disk only).
-//! `--no-verify` skips digest verification of peer-memory chunks on the
-//! dedup restart path. Every knob lands in one [`ompi::RestartOptions`].
+//! Every knob lands in one [`ompi::RestartOptions`].
 //!
 //! `--ranks R1,R2,...` prints a *partial-restart plan* instead of
 //! relaunching: which tier would serve each failed rank's image, the
@@ -68,7 +67,6 @@ fn run() -> Result<(), String> {
     let opts = ompi::RestartOptions {
         source,
         interval: if interval < 0 { None } else { Some(interval as u64) },
-        verify: !spec.flag("no-verify"),
         ranks: None,
     };
     let job = restart_named_with(&rt, std::path::Path::new(reference), opts)

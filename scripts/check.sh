@@ -89,3 +89,16 @@ fi
 if grep -rnE '#\[deprecated|allow\(deprecated\)' crates src tests examples; then exit 1; fi
 # Only oob.rs may encode, decode or address an OOB message.
 if grep -rnE 'send_oob|recv_oob|TAG_OOB' crates --include=*.rs | grep -v crates/orte/src/oob.rs; then exit 1; fi
+# Every file of a snapshot reference and of the chunk store is replaced
+# whole by cr_core::snapshot::replace_file (temp + rename): no other write
+# call in the non-test code of these two files, and the global reference
+# keeps its five writers (no record_* setter that rewrites it on its own).
+for f in crates/core/src/snapshot.rs crates/opal/src/store.rs; do
+  if awk -v f="$f" '/^#\[cfg\(test\)\]/ {exit}
+                    /^pub fn replace_file/ {helper=1}
+                    !helper {print f":"FNR": "$0}
+                    helper && /^}/ {helper=0}' "$f" | grep -E 'fs::write|File::create'; then
+    exit 1
+  fi
+done
+if grep -n 'fn record_' crates/core/src/snapshot.rs; then exit 1; fi

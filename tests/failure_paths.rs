@@ -226,29 +226,40 @@ proptest! {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let mut global = GlobalSnapshot::create(&dir, cr_core::JobId(9), 2).unwrap();
+        let launch = cr_core::LaunchRecord::default();
+        let mut global = GlobalSnapshot::create(&dir, cr_core::JobId(9), 2, &launch).unwrap();
+        let record = cr_core::IntervalRecord::default();
         let mut promoted = Vec::new();
         let mut local_only = Vec::new();
+        // Every step is one whole-file replace, so what a restart (a fresh
+        // reader of the directory) sees after it is what the writer holds.
+        let reopen = |global: &GlobalSnapshot| GlobalSnapshot::open(global.dir()).unwrap();
         for promote in &promotions {
             let (interval, _) = global.begin_interval().unwrap();
-            global.local_commit_interval(interval, &[]).unwrap();
+            global.local_commit_interval(interval, &record).unwrap();
+            local_only.push(interval);
+            prop_assert_eq!(reopen(&global).intervals(), promoted.clone());
+            prop_assert_eq!(reopen(&global).local_committed_intervals(), local_only.clone());
             if *promote {
-                global.promote_interval(interval).unwrap();
+                global.promote_interval(interval, "waves=1").unwrap();
+                local_only.pop();
                 promoted.push(interval);
-            } else {
-                local_only.push(interval);
+                prop_assert_eq!(reopen(&global).intervals(), promoted.clone());
+                prop_assert_eq!(reopen(&global).local_committed_intervals(), local_only.clone());
             }
         }
-        prop_assert_eq!(global.intervals(), promoted.clone());
-        prop_assert_eq!(global.latest_interval(), promoted.last().copied());
-        prop_assert_eq!(global.local_committed_intervals(), local_only.clone());
-        for interval in &local_only {
-            prop_assert_eq!(global.commit_state(*interval), CommitState::LocalCommitted);
-            let err = global.local_snapshots(*interval).unwrap_err();
-            prop_assert!(err.to_string().contains("never committed"));
-        }
-        for interval in &promoted {
-            prop_assert_eq!(global.commit_state(*interval), CommitState::GlobalCommitted);
+        for global in [&global, &reopen(&global)] {
+            prop_assert_eq!(global.intervals(), promoted.clone());
+            prop_assert_eq!(global.latest_interval(), promoted.last().copied());
+            prop_assert_eq!(global.local_committed_intervals(), local_only.clone());
+            for interval in &local_only {
+                prop_assert_eq!(global.commit_state(*interval), CommitState::LocalCommitted);
+                let err = global.local_snapshots(*interval).unwrap_err();
+                prop_assert!(err.to_string().contains("never committed"));
+            }
+            for interval in &promoted {
+                prop_assert_eq!(global.commit_state(*interval), CommitState::GlobalCommitted);
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
