@@ -9,10 +9,15 @@
 //! between versions does not corrupt restarts.
 //!
 //! The format is deliberately *not* the most compact possible encoding:
-//! checkpoint images are dominated by application byte buffers (stored as
-//! raw `Bytes`), and the self-description of the surrounding skeleton is
-//! noise by comparison, while the debuggability of a tagged stream is worth
-//! a great deal when a restart goes wrong.
+//! checkpoint images are dominated by application byte buffers, stored as
+//! raw `BYTES` runs (one tag, one varint length, then the bytes) because
+//! every bulk field is a [`crate::ByteBuf`], and the self-description of
+//! the surrounding skeleton is noise by comparison, while the
+//! debuggability of a tagged stream is worth a great deal when a restart
+//! goes wrong. A plain `Vec<u8>` is still a `SEQ` of tagged integers (2–3
+//! bytes per byte) — fine for a digest, wrong for a payload; `ByteBuf`
+//! reads that legacy form too, so contexts written before a field became
+//! a `ByteBuf` still restore.
 
 use serde::de::{self, Deserialize, DeserializeOwned, IntoDeserializer, Visitor};
 use serde::ser::{self, Serialize};
@@ -48,7 +53,15 @@ mod tag {
 
 /// Serialize `value` into a tagged binary byte vector.
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
-    let mut ser = Serializer { out: Vec::new() };
+    to_bytes_into(Vec::new(), value)
+}
+
+/// Serialize `value` onto the end of `out` and hand the buffer back. A
+/// caller that knows roughly how large the encoding will be passes a
+/// buffer with that capacity (and any prefix it wants in front), so a bulk
+/// value is written once into its final allocation.
+pub fn to_bytes_into<T: Serialize + ?Sized>(out: Vec<u8>, value: &T) -> Result<Vec<u8>> {
+    let mut ser = Serializer { out };
     value.serialize(&mut ser)?;
     Ok(ser.out)
 }

@@ -14,6 +14,9 @@
 //! CRC-32 detects truncation and corruption before a process image is
 //! resurrected from it.
 
+use serde::Serialize;
+
+use crate::binary::to_bytes_into;
 use crate::crc32::crc32;
 use crate::error::{Error, Result};
 
@@ -43,11 +46,40 @@ pub fn write_frame(payload: &[u8]) -> Vec<u8> {
 pub fn write_frame_into(out: &mut Vec<u8>, payload: &[u8]) {
     out.clear();
     out.reserve(HEADER_LEN + payload.len());
+    write_header(out, payload);
+    out.extend_from_slice(payload);
+}
+
+/// Append the header describing `payload`.
+fn write_header(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+}
+
+/// Serialize `value` straight into a frame: the header is reserved up
+/// front in a buffer sized for `payload_hint` encoded bytes, the value is
+/// encoded behind it, and the length and CRC are patched in afterwards.
+/// The result equals `write_frame(&to_bytes(value)?)` without building the
+/// payload anywhere else first.
+pub fn to_framed_bytes<T: Serialize + ?Sized>(value: &T, payload_hint: usize) -> Result<Vec<u8>> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_hint);
+    out.resize(HEADER_LEN, 0);
+    let mut out = to_bytes_into(out, value)?;
+    let (header, payload) = out.split_at_mut(HEADER_LEN);
+    let mut fields = Vec::with_capacity(HEADER_LEN);
+    write_header(&mut fields, payload);
+    header.copy_from_slice(&fields);
+    Ok(out)
+}
+
+/// Validate a frame held in an owned buffer and strip its header in place:
+/// the returned vector is `framed`'s own allocation, holding the payload.
+pub fn into_payload(mut framed: Vec<u8>) -> Result<Vec<u8>> {
+    read_frame(&framed)?;
+    framed.drain(..HEADER_LEN);
+    Ok(framed)
 }
 
 /// Fixed-size header field at `at`, or a truncation error.

@@ -9,6 +9,16 @@
 //!   encoded with the self-describing binary format in [`binary`], and
 //!   wrapped in a checksummed frame ([`frame`]) so corruption is detected at
 //!   restart time rather than producing a silently wrong process image.
+//!   The bulk of an image — and of every replica, chunk and message payload
+//!   the runtime moves — is a [`ByteBuf`]: a `Vec<u8>` that crosses the
+//!   codec as one raw run (tag, length, bytes) instead of serde's default
+//!   element-by-element sequence, which costs 2–3 bytes and one visitor
+//!   call per byte. The frame and the self-describing skeleton around the
+//!   run are the whole container; there is no second, flat format. A
+//!   `ByteBuf` also reads the legacy sequence form, so a context written
+//!   when the field was a plain `Vec<u8>` still restores; a build from
+//!   before `ByteBuf` reading a new context fails with the codec's
+//!   type-mismatch error.
 //!
 //! * **Metadata files** — the human-readable `snapshot_meta.data` files that
 //!   live inside local and global snapshot references and record which
@@ -26,9 +36,9 @@
 //! use serde::{Deserialize, Serialize};
 //!
 //! #[derive(Debug, PartialEq, Serialize, Deserialize)]
-//! struct RankState { rank: u32, iteration: u64, data: Vec<u8> }
+//! struct RankState { rank: u32, iteration: u64, data: codec::ByteBuf }
 //!
-//! let state = RankState { rank: 3, iteration: 42, data: vec![1, 2, 3] };
+//! let state = RankState { rank: 3, iteration: 42, data: vec![1, 2, 3].into() };
 //! // Context-file round trip: encode, frame with a CRC, unframe, decode.
 //! let payload = codec::to_bytes(&state).unwrap();
 //! let framed = codec::write_frame(&payload);
@@ -46,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod binary;
+pub mod bytebuf;
 pub mod chunk;
 pub mod crc32;
 pub mod error;
@@ -53,8 +64,9 @@ pub mod frame;
 pub mod meta;
 pub mod varint;
 
-pub use binary::{from_bytes, to_bytes};
+pub use binary::{from_bytes, to_bytes, to_bytes_into};
+pub use bytebuf::ByteBuf;
 pub use chunk::{chunk_digest, ChunkManifest, ChunkRecord, SectionManifest};
 pub use error::{Error, Result};
-pub use frame::{read_frame, write_frame, write_frame_into};
+pub use frame::{into_payload, read_frame, to_framed_bytes, write_frame, write_frame_into};
 pub use meta::MetaDoc;

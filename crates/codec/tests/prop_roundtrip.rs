@@ -1,6 +1,7 @@
 //! Property tests: the binary codec and the metadata format are round-trip
 //! exact for arbitrary inputs (DESIGN.md invariant 4).
 
+use codec::ByteBuf;
 use proptest::collection::{btree_map, vec};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -15,6 +16,7 @@ enum TreeValue {
     Float(u32), // bit pattern, to keep Eq semantics simple
     Text(String),
     Blob(Vec<u8>),
+    Run(ByteBuf),
     List(Vec<TreeValue>),
     Table(BTreeMap<String, TreeValue>),
     Labeled { label: String, inner: Box<TreeValue> },
@@ -29,6 +31,7 @@ fn arb_tree() -> impl Strategy<Value = TreeValue> {
         any::<u32>().prop_map(TreeValue::Float),
         ".*".prop_map(TreeValue::Text),
         vec(any::<u8>(), 0..64).prop_map(TreeValue::Blob),
+        vec(any::<u8>(), 0..64).prop_map(|b| TreeValue::Run(b.into())),
     ];
     leaf.prop_recursive(4, 64, 8, |inner| {
         prop_oneof![
@@ -40,6 +43,127 @@ fn arb_tree() -> impl Strategy<Value = TreeValue> {
             }),
         ]
     })
+}
+
+/// `len` bytes that exercise every varint width of the legacy form.
+fn pattern(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i * 131 % 256) as u8).collect()
+}
+
+/// A struct whose bulk field sits between two small ones.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Holder {
+    before: u8,
+    blob: ByteBuf,
+    after: u8,
+}
+
+/// What `Holder` encoded to before its field became a `ByteBuf`.
+#[derive(Serialize)]
+struct LegacyHolder {
+    before: u8,
+    blob: Vec<u8>,
+    after: u8,
+}
+
+#[test]
+fn byte_buf_roundtrips_as_one_raw_run_at_every_length_class() {
+    for len in [0, 1, 127, 128, 65_536, 65_537, 200_000] {
+        let buf = ByteBuf::from(pattern(len));
+        let bytes = codec::to_bytes(&buf).unwrap();
+        // Tag, varint length, then the bytes verbatim.
+        let mut head = vec![0x0B];
+        codec::varint::write_u64(&mut head, len as u64);
+        assert_eq!(bytes.len(), head.len() + len, "len {len}");
+        assert!(bytes.starts_with(&head) && bytes.ends_with(&buf), "len {len}");
+        assert_eq!(codec::from_bytes::<ByteBuf>(&bytes).unwrap(), buf, "len {len}");
+    }
+}
+
+#[test]
+fn byte_buf_reads_the_legacy_sequence_form() {
+    for len in [0, 1, 127, 128, 70_000] {
+        let legacy = LegacyHolder { before: 1, blob: pattern(len), after: 2 };
+        let old = codec::to_bytes(&legacy).unwrap();
+        let back: Holder = codec::from_bytes(&old).unwrap();
+        assert_eq!(back.blob, legacy.blob, "len {len}");
+        assert_eq!((back.before, back.after), (1, 2));
+        // The writer only ever emits the raw form, which is never longer.
+        let new = codec::to_bytes(&back).unwrap();
+        assert!(new.len() <= old.len(), "len {len}: {} > {}", new.len(), old.len());
+        assert_eq!(codec::from_bytes::<Holder>(&new).unwrap(), back);
+    }
+    // A legacy element that is not a byte is an error, not a truncation.
+    let old = codec::to_bytes(&vec![1u32, 256]).unwrap();
+    assert!(codec::from_bytes::<ByteBuf>(&old).is_err());
+}
+
+#[test]
+fn struct_holding_a_byte_buf_is_skipped_by_ignored_any() {
+    #[derive(Serialize)]
+    struct Wide {
+        before: u8,
+        blob: ByteBuf,
+        nested: Holder,
+        maybe: Option<ByteBuf>,
+        after: u8,
+    }
+    #[derive(Debug, PartialEq, Deserialize)]
+    struct Narrow {
+        before: u8,
+        after: u8,
+    }
+    let wide = Wide {
+        before: 7,
+        blob: pattern(70_000).into(),
+        nested: Holder { before: 1, blob: pattern(300).into(), after: 2 },
+        maybe: Some(pattern(5).into()),
+        after: 9,
+    };
+    let narrow: Narrow = codec::from_bytes(&codec::to_bytes(&wide).unwrap()).unwrap();
+    assert_eq!(narrow, Narrow { before: 7, after: 9 });
+}
+
+#[test]
+fn every_truncation_of_a_byte_buf_encoding_is_an_error() {
+    let holder = Holder { before: 3, blob: pattern(300).into(), after: 4 };
+    let legacy = LegacyHolder { before: 3, blob: pattern(300), after: 4 };
+    for whole in [codec::to_bytes(&holder).unwrap(), codec::to_bytes(&legacy).unwrap()] {
+        assert_eq!(codec::from_bytes::<Holder>(&whole).unwrap(), holder);
+        for cut in 0..whole.len() {
+            assert!(codec::from_bytes::<Holder>(&whole[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+}
+
+#[test]
+fn byte_buf_never_reserves_from_an_unchecked_length() {
+    // A raw run declaring more bytes than the input holds.
+    let mut lying = vec![0x0B];
+    codec::varint::write_u64(&mut lying, u64::MAX / 2);
+    lying.extend_from_slice(b"short");
+    assert!(matches!(
+        codec::from_bytes::<ByteBuf>(&lying),
+        Err(codec::Error::LengthOverrun { .. })
+    ));
+
+    // A sequence whose size hint lies: the reservation is capped, so this
+    // is an empty buffer, not an abort on a `usize::MAX`-byte allocation.
+    struct Liar;
+    impl<'de> serde::de::SeqAccess<'de> for Liar {
+        type Error = serde::de::value::Error;
+        fn next_element_seed<T: serde::de::DeserializeSeed<'de>>(
+            &mut self,
+            _seed: T,
+        ) -> Result<Option<T::Value>, Self::Error> {
+            Ok(None)
+        }
+        fn size_hint(&self) -> Option<usize> {
+            Some(usize::MAX)
+        }
+    }
+    let seq = serde::de::value::SeqAccessDeserializer::new(Liar);
+    assert!(ByteBuf::deserialize(seq).unwrap().is_empty());
 }
 
 proptest! {
@@ -66,6 +190,24 @@ proptest! {
         let _ = codec::from_bytes::<TreeValue>(&data);
         let _ = codec::from_bytes::<Vec<String>>(&data);
         let _ = codec::from_bytes::<u64>(&data);
+        let _ = codec::from_bytes::<ByteBuf>(&data);
+        let _ = codec::from_bytes::<Holder>(&data);
+    }
+
+    #[test]
+    fn byte_buf_roundtrip(blob in vec(any::<u8>(), 0..4096), before in any::<u8>(), after in any::<u8>()) {
+        let holder = Holder { before, blob: blob.into(), after };
+        let bytes = codec::to_bytes(&holder).unwrap();
+        prop_assert_eq!(codec::from_bytes::<Holder>(&bytes).unwrap(), holder);
+    }
+
+    #[test]
+    fn framed_value_equals_frame_of_encoding(blob in vec(any::<u8>(), 0..4096), hint in 0..8192usize) {
+        let holder = Holder { before: 1, blob: blob.into(), after: 2 };
+        let framed = codec::to_framed_bytes(&holder, hint).unwrap();
+        prop_assert_eq!(&framed, &codec::write_frame(&codec::to_bytes(&holder).unwrap()));
+        let payload = codec::into_payload(framed).unwrap();
+        prop_assert_eq!(codec::from_bytes::<Holder>(&payload).unwrap(), holder);
     }
 
     #[test]

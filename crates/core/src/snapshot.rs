@@ -178,16 +178,21 @@ impl LocalSnapshot {
         self.dir.join(name)
     }
 
-    /// Write the process image, wrapped in a checksummed frame.
-    pub fn write_context(&self, payload: &[u8]) -> Result<(), CrError> {
-        replace_file(&self.context_path(), &codec::write_frame(payload))
+    /// Write the context file. `framed` is the process image already
+    /// inside its checksummed frame ([`codec::to_framed_bytes`],
+    /// [`codec::write_frame`]), so the buffer the image was encoded into
+    /// is the buffer that reaches the disk.
+    pub fn write_context(&self, framed: &[u8]) -> Result<(), CrError> {
+        debug_assert!(codec::read_frame(framed).is_ok(), "context is not a frame");
+        replace_file(&self.context_path(), framed)
     }
 
-    /// Read and validate the process image.
+    /// Read and validate the process image: the frame's payload, in the
+    /// buffer the file was read into.
     pub fn read_context(&self) -> Result<Vec<u8>, CrError> {
         let path = self.context_path();
         let raw = fs::read(&path).map_err(|e| CrError::io(path.display().to_string(), &e))?;
-        Ok(codec::read_frame(&raw)?.to_vec())
+        Ok(codec::into_payload(raw)?)
     }
 
     /// Record an application/checkpointer-specific parameter (persisted by
@@ -742,7 +747,8 @@ mod tests {
         // Until it is finished there is no metadata file and nothing opens.
         assert!(!snap.dir().join(LOCAL_META_FILE).exists());
         assert!(LocalSnapshot::open(snap.dir()).is_err());
-        snap.write_context(b"image bytes").unwrap();
+        snap.write_context(&codec::write_frame(b"image bytes"))
+            .unwrap();
         snap.set_param("app_phase", "42");
         snap.set_param("sections", "app,pml");
         assert!(
@@ -773,7 +779,8 @@ mod tests {
     fn corrupted_context_detected() {
         let base = tmpdir("corrupt");
         let snap = LocalSnapshot::create(&base, Rank(0), "self", 0, "node00").unwrap();
-        snap.write_context(b"pristine state").unwrap();
+        snap.write_context(&codec::write_frame(b"pristine state"))
+            .unwrap();
         // Flip a byte in the stored context file.
         let path = snap.context_path();
         let mut raw = fs::read(&path).unwrap();
@@ -799,7 +806,9 @@ mod tests {
         for r in 0..2 {
             let local =
                 LocalSnapshot::create(&dir, Rank(r), "blcr_sim", interval, "node00").unwrap();
-            local.write_context(format!("rank {r}").as_bytes()).unwrap();
+            local
+                .write_context(&codec::write_frame(format!("rank {r}").as_bytes()))
+                .unwrap();
             local.finish().unwrap();
         }
         global

@@ -1,5 +1,6 @@
-//! The seven rule families (see crate docs and DESIGN.md "Static analysis").
+//! The eight rule families (see crate docs and DESIGN.md "Static analysis").
 
+pub mod bulk_bytes;
 pub mod commit_state;
 pub mod dead_events;
 pub mod ft_event;

@@ -78,7 +78,7 @@ pub fn bcast_bytes(
             let vsrc = vrank - mask;
             let src = comm.world_rank((vsrc + root) % n)?;
             let frame = pml.recv(ctx, Some(src), Some(coll_tag(OP_BCAST, 0)))?;
-            *data = frame.payload;
+            *data = frame.payload.into();
             break;
         }
         mask <<= 1;
@@ -122,7 +122,7 @@ pub fn reduce_bytes(
             if vsrc < n {
                 let src = comm.world_rank((vsrc + root) % n)?;
                 let frame = pml.recv(ctx, Some(src), Some(coll_tag(OP_REDUCE, 0)))?;
-                acc = combine(acc, frame.payload)?;
+                acc = combine(acc, frame.payload.into())?;
             }
         } else {
             let vdst = vrank - mask;
@@ -156,7 +156,7 @@ pub fn gather_bytes(
             parts.push(mine.to_vec());
         } else {
             let frame = pml.recv(ctx, Some(comm.world_rank(r)?), Some(coll_tag(OP_GATHER, 0)))?;
-            parts.push(frame.payload);
+            parts.push(frame.payload.into());
         }
     }
     Ok(Some(parts))
@@ -194,7 +194,7 @@ pub fn scatter_bytes(
         Ok(parts[root as usize].clone())
     } else {
         let frame = pml.recv(ctx, Some(comm.world_rank(root)?), Some(coll_tag(OP_SCATTER, 0)))?;
-        Ok(frame.payload)
+        Ok(frame.payload.into())
     }
 }
 
@@ -258,7 +258,7 @@ pub fn alltoall_bytes(
                 Some(comm.world_rank(q)?),
                 Some(coll_tag(OP_ALLTOALL, 0)),
             )?;
-            out[q as usize] = frame.payload;
+            out[q as usize] = frame.payload.into();
         }
     }
     Ok(out)

@@ -287,7 +287,7 @@ impl CrcpComponent for CoordCrcp {
             ctx,
             tag,
             seq,
-            payload: payload.to_vec(),
+            payload: payload.to_vec().into(),
         });
         st.msg_log_bytes += add;
     }
@@ -559,7 +559,7 @@ impl CrcpComponent for LoggerCrcp {
             ctx,
             tag,
             seq,
-            payload: payload.to_vec(),
+            payload: payload.to_vec().into(),
         });
     }
 

@@ -13,6 +13,7 @@
 //!   bookmarks themselves.
 
 use bytes::{Bytes, BytesMut};
+use codec::ByteBuf;
 use serde::{Deserialize, Serialize};
 
 use crate::error::MpiError;
@@ -37,7 +38,7 @@ pub struct AppFrame {
     /// Per-(src, dst) sequence number.
     pub seq: u64,
     /// Payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: ByteBuf,
 }
 
 /// Encode an application frame into wire bytes.
@@ -63,7 +64,7 @@ pub fn decode_app(bytes: &[u8]) -> Result<AppFrame, MpiError> {
         ctx: u32::from_le_bytes(bytes[4..8].try_into().expect("4")),
         tag: u32::from_le_bytes(bytes[8..12].try_into().expect("4")),
         seq: u64::from_le_bytes(bytes[12..20].try_into().expect("8")),
-        payload: bytes[HEADER_LEN..].to_vec(),
+        payload: bytes[HEADER_LEN..].to_vec().into(),
     })
 }
 
@@ -143,7 +144,7 @@ mod tests {
                 ctx: 7,
                 tag: 42,
                 seq: 19,
-                payload: b"payload".to_vec(),
+                payload: b"payload".to_vec().into(),
             }
         );
     }

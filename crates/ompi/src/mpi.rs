@@ -160,7 +160,7 @@ impl Mpi {
         let frame = self.pml.recv(comm.ctx_p2p(), src_world, tag)?;
         let source = comm.comm_rank_of_world(frame.src).unwrap_or(frame.src);
         Ok((
-            frame.payload,
+            frame.payload.into(),
             Status {
                 source,
                 tag: frame.tag,

@@ -78,7 +78,7 @@ pub struct LoggedSend {
     /// Sequence number of the send.
     pub seq: u64,
     /// Payload.
-    pub payload: Vec<u8>,
+    pub payload: codec::ByteBuf,
 }
 
 /// One completed operation of the current application step.

@@ -129,6 +129,40 @@ fn posted_receives_match_before_unexpected_queue() {
     assert_eq!(blocking.payload, b"second");
 }
 
+/// The two payload-carrying types of the "pml" image section encode to
+/// their payload plus a small skeleton, and so does the section.
+#[test]
+fn pml_section_carries_payloads_as_raw_runs() {
+    use ompi::frame::AppFrame;
+    use ompi::pml::LoggedSend;
+    let payload: Vec<u8> = (0..=255u8).cycle().take(300_000).collect();
+    let (tag, seq) = (9, u64::MAX);
+    let frame = AppFrame { src: 0, ctx: 0, tag, seq, payload: payload.clone().into() };
+    let logged = LoggedSend { dst: 1, ctx: 0, tag, seq, payload: payload.clone().into() };
+    let frame_len = codec::to_bytes(&frame).unwrap().len();
+    let logged_len = codec::to_bytes(&logged).unwrap().len();
+    assert!(frame_len <= payload.len() + 64, "AppFrame: {frame_len}");
+    assert!(logged_len <= payload.len() + 64, "LoggedSend: {logged_len}");
+    assert_eq!(codec::from_bytes::<AppFrame>(&codec::to_bytes(&frame).unwrap()).unwrap(), frame);
+
+    let pmls = mesh(2);
+    let empty = pmls[1].capture().unwrap().len();
+    pmls[1].with_state(|st| {
+        st.unmatched.push_back(frame);
+        st.msg_log.push(logged);
+    });
+    let section = pmls[1].capture().unwrap();
+    assert!(
+        section.len() <= empty + 2 * (payload.len() + 64),
+        "pml section: {} B for 2 x {} B of payload",
+        section.len(),
+        payload.len()
+    );
+    let restored = mesh(2);
+    restored[1].restore(&section).unwrap();
+    assert_eq!(restored[1].recv(0, Some(0), Some(9)).unwrap().payload, payload);
+}
+
 #[test]
 fn capture_restore_preserves_unmatched_and_counts() {
     let pmls = mesh(2);
@@ -283,9 +317,9 @@ fn logger_records_prunes_and_resends() {
     pmls2[0].with_state(|st| {
         st.sent_counts[1] = 3;
         st.sender_log = vec![
-            ompi::pml::LoggedSend { dst: 1, ctx: 0, tag: 1, seq: 0, payload: b"m0".to_vec() },
-            ompi::pml::LoggedSend { dst: 1, ctx: 0, tag: 1, seq: 1, payload: b"m1".to_vec() },
-            ompi::pml::LoggedSend { dst: 1, ctx: 0, tag: 1, seq: 2, payload: b"m2".to_vec() },
+            ompi::pml::LoggedSend { dst: 1, ctx: 0, tag: 1, seq: 0, payload: b"m0".to_vec().into() },
+            ompi::pml::LoggedSend { dst: 1, ctx: 0, tag: 1, seq: 1, payload: b"m1".to_vec().into() },
+            ompi::pml::LoggedSend { dst: 1, ctx: 0, tag: 1, seq: 2, payload: b"m2".to_vec().into() },
         ];
     });
     pmls2[1].with_state(|st| st.recv_counts[0] = 1);

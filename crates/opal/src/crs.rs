@@ -80,7 +80,7 @@ fn write_image(
     snapshot: &mut LocalSnapshot,
     manifest: Option<ManifestCfg>,
 ) -> Result<(), CrError> {
-    snapshot.write_context(&image.to_bytes()?)?;
+    snapshot.write_context(&image.to_context()?)?;
     let kind = if manifest.is_some() { "dedup" } else { "full" };
     snapshot.set_param(PARAM_KIND, kind);
     if let Some(cfg) = manifest {
@@ -549,12 +549,40 @@ mod tests {
     }
 
     #[test]
+    fn context_file_is_the_image_bytes_plus_a_frame_and_still_checksummed() {
+        const MIB: usize = 1 << 20;
+        let dir = tmpdir("rawctx");
+        let crs = BlcrSim::from_params(&McaParams::new());
+        let mut snap = LocalSnapshot::create(&dir, Rank(0), crs.name(), 0, "node00").unwrap();
+        let mut img = ProcessImage::new();
+        img.insert("app", (0..MIB).map(|i| (i * 31 % 251) as u8).collect());
+        crs.checkpoint(&img, &mut snap).unwrap();
+        let path = snap.context_path();
+        let on_disk = std::fs::metadata(&path).unwrap().len() as usize;
+        assert!(
+            (MIB..=MIB + MIB / 100).contains(&on_disk),
+            "context of a 1 MiB section is {on_disk} B"
+        );
+        assert_eq!(crs.restart(&snap).unwrap(), img);
+
+        // A flipped payload byte, deep inside the raw run, is still caught.
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[MIB / 2] ^= 0x10;
+        std::fs::write(&path, &raw).unwrap();
+        assert!(matches!(
+            crs.restart(&snap),
+            Err(CrError::Codec(codec::Error::ChecksumMismatch { .. }))
+        ));
+    }
+
+    #[test]
     fn delta_context_from_an_older_build_is_refused_by_name() {
         let dir = tmpdir("refuse");
         let mut s = LocalSnapshot::create(&dir, Rank(0), "blcr_sim", 1, "node00").unwrap();
         // Hand-written stand-in for what an older build left on disk: a
         // context that is not an image, tagged as a delta.
-        s.write_context(b"dirty chunks only").unwrap();
+        s.write_context(&codec::write_frame(b"dirty chunks only"))
+            .unwrap();
         s.set_param(PARAM_KIND, "delta");
         s.finish().unwrap();
         let reopened = LocalSnapshot::open(s.dir()).unwrap();

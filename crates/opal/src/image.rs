@@ -6,7 +6,14 @@
 //! queues and counters, the collective module, ...) contributes one named
 //! byte section. The union of sections is the process image that a CRS
 //! component persists into the local snapshot's context file.
+//!
+//! A section's bytes are a [`codec::ByteBuf`], so an encoded image is its
+//! sections' bytes verbatim plus a few dozen bytes of names, tags and
+//! lengths per section — the image is as opaque to the codec as a BLCR
+//! context is to Open MPI. What is *inside* a section is its owner's
+//! business (the application state still encodes field by field).
 
+use codec::ByteBuf;
 use serde::{Deserialize, Serialize};
 
 use cr_core::CrError;
@@ -17,7 +24,7 @@ pub struct Section {
     /// Section name (e.g. `"app"`, `"pml"`).
     pub name: String,
     /// Serialized subsystem state.
-    pub bytes: Vec<u8>,
+    pub bytes: ByteBuf,
 }
 
 /// A complete captured process state: ordered named sections.
@@ -35,6 +42,7 @@ impl ProcessImage {
     /// Add or replace a section.
     pub fn insert(&mut self, name: impl Into<String>, bytes: Vec<u8>) {
         let name = name.into();
+        let bytes = ByteBuf::from(bytes);
         if let Some(existing) = self.sections.iter_mut().find(|s| s.name == name) {
             existing.bytes = bytes;
         } else {
@@ -98,9 +106,23 @@ impl ProcessImage {
         self.sections.iter().map(|s| s.bytes.len()).sum()
     }
 
+    /// Capacity that holds the encoded image without regrowing: the
+    /// payload plus generous slack for names, tags and lengths.
+    fn encoded_hint(&self) -> usize {
+        self.total_bytes() + 64 * (self.len() + 1)
+    }
+
     /// Serialize the whole image to context-file payload bytes.
     pub fn to_bytes(&self) -> Result<Vec<u8>, CrError> {
-        Ok(codec::to_bytes(self)?)
+        let out = Vec::with_capacity(self.encoded_hint());
+        Ok(codec::to_bytes_into(out, self)?)
+    }
+
+    /// Serialize the whole image as a context file — the payload of
+    /// [`ProcessImage::to_bytes`] inside its checksummed frame — built in
+    /// one buffer.
+    pub fn to_context(&self) -> Result<Vec<u8>, CrError> {
+        Ok(codec::to_framed_bytes(self, self.encoded_hint())?)
     }
 
     /// Parse an image from context-file payload bytes.
@@ -161,6 +183,47 @@ mod tests {
         let back: AppState = img.decode_section("app").unwrap();
         assert_eq!(back, AppState { iteration: 7, sum: 1.5 });
         assert!(img.decode_section::<AppState>("nope").is_err());
+    }
+
+    /// `to_bytes()` of the image `{"app": [0, 1, 127, 128, 255, 42],
+    /// "pml": []}` as the build before `Section.bytes` became a `ByteBuf`
+    /// wrote it: each section a `SEQ` of tagged integers.
+    const PARENT_IMAGE: &[u8] = &[
+        0x10, 0x01, 0x08, 0x73, 0x65, 0x63, 0x74, 0x69, 0x6f, 0x6e, 0x73, 0x0e, 0x02, 0x10, 0x02,
+        0x04, 0x6e, 0x61, 0x6d, 0x65, 0x0a, 0x03, 0x61, 0x70, 0x70, 0x05, 0x62, 0x79, 0x74, 0x65,
+        0x73, 0x0e, 0x06, 0x04, 0x00, 0x04, 0x01, 0x04, 0x7f, 0x04, 0x80, 0x01, 0x04, 0xff, 0x01,
+        0x04, 0x2a, 0x10, 0x02, 0x04, 0x6e, 0x61, 0x6d, 0x65, 0x0a, 0x03, 0x70, 0x6d, 0x6c, 0x05,
+        0x62, 0x79, 0x74, 0x65, 0x73, 0x0e, 0x00,
+    ];
+
+    #[test]
+    fn image_written_by_the_parent_build_still_decodes() {
+        let mut want = ProcessImage::new();
+        want.insert("app", vec![0, 1, 127, 128, 255, 42]);
+        want.insert("pml", vec![]);
+        let old = ProcessImage::from_bytes(PARENT_IMAGE).unwrap();
+        assert_eq!(old, want);
+        let new = old.to_bytes().unwrap();
+        assert!(new.len() < PARENT_IMAGE.len(), "{} bytes", new.len());
+        assert_eq!(ProcessImage::from_bytes(&new).unwrap(), want);
+    }
+
+    #[test]
+    fn encoded_image_is_its_payload_plus_a_small_skeleton() {
+        let mut img = ProcessImage::new();
+        img.insert("app", (0..=255u8).cycle().take(300_000).collect());
+        img.insert("pml", vec![0xFF; 70_000]);
+        img.insert("ompi", vec![]);
+        let bound = img.total_bytes() + 64 * img.len();
+        let bytes = img.to_bytes().unwrap();
+        assert!(bytes.len() <= bound, "{} > {bound}", bytes.len());
+        // The context form is the same payload behind the frame header.
+        let context = img.to_context().unwrap();
+        assert_eq!(context, codec::write_frame(&bytes));
+        assert_eq!(
+            ProcessImage::from_bytes(&codec::into_payload(context).unwrap()).unwrap(),
+            img
+        );
     }
 
     #[test]

@@ -205,7 +205,7 @@ impl Orted {
             },
             DaemonMsg::ChunkPut { job, chunks } => {
                 for (id, bytes) in chunks {
-                    self.replicas.put_chunk(job, id, bytes);
+                    self.replicas.put_chunk(job, id, bytes.into());
                 }
                 DaemonReply::Ack { node }
             }
@@ -213,7 +213,7 @@ impl Orted {
                 node,
                 chunks: ids
                     .iter()
-                    .map(|id| self.replicas.get_chunk(job, id))
+                    .map(|id| self.replicas.get_chunk(job, id).map(Into::into))
                     .collect(),
             },
             DaemonMsg::ChunkExpire { job, ids } => DaemonReply::Removed {

@@ -18,9 +18,11 @@
 //! Only this module encodes, decodes or addresses an OOB message.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use codec::ByteBuf;
 use netsim::{Endpoint, EndpointId, Fabric, NetError, NodeId, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -131,7 +133,7 @@ pub enum DaemonMsg {
         /// Job the chunks belong to.
         job: JobId,
         /// `(id, bytes)` of each chunk to hold.
-        chunks: Vec<(ChunkId, Vec<u8>)>,
+        chunks: Vec<(ChunkId, ByteBuf)>,
     },
     /// Fetch chunks by id from the daemon's in-memory chunk tier.
     ChunkFetch {
@@ -190,8 +192,9 @@ pub enum DaemonReply {
     ReplicaImageReply {
         /// Daemon's node id.
         node: u32,
-        /// The image, when this daemon holds it.
-        image: Option<ReplicaImage>,
+        /// The image, when this daemon holds it (shared with the store
+        /// on the sending side; the wire form is the image itself).
+        image: Option<Arc<ReplicaImage>>,
     },
     /// Entries dropped (reply to [`DaemonMsg::ReplicaExpire`] and
     /// [`DaemonMsg::ChunkExpire`]).
@@ -214,7 +217,7 @@ pub enum DaemonReply {
         /// Daemon's node id.
         node: u32,
         /// Chunk bytes (or `None` on a miss), in request order.
-        chunks: Vec<Option<Vec<u8>>>,
+        chunks: Vec<Option<ByteBuf>>,
     },
 }
 
@@ -431,6 +434,76 @@ mod tests {
         assert_eq!(hnp.recv().unwrap().0, reply);
     }
 
+    /// `codec::to_bytes` of the `ReplicaPut` built in the test below, as
+    /// the build before `ReplicaImage.files` held `ByteBuf`s wrote it.
+    const PARENT_REPLICA_PUT: &[u8] = &[
+        0x14, 0x0a, 0x52, 0x65, 0x70, 0x6c, 0x69, 0x63, 0x61, 0x50, 0x75, 0x74, 0x03, 0x03, 0x6a,
+        0x6f, 0x62, 0x04, 0x07, 0x08, 0x69, 0x6e, 0x74, 0x65, 0x72, 0x76, 0x61, 0x6c, 0x04, 0x03,
+        0x05, 0x69, 0x6d, 0x61, 0x67, 0x65, 0x10, 0x02, 0x04, 0x72, 0x61, 0x6e, 0x6b, 0x04, 0x02,
+        0x05, 0x66, 0x69, 0x6c, 0x65, 0x73, 0x0e, 0x02, 0x0e, 0x02, 0x0a, 0x0b, 0x63, 0x6f, 0x6e,
+        0x74, 0x65, 0x78, 0x74, 0x2e, 0x62, 0x69, 0x6e, 0x0e, 0x04, 0x04, 0x00, 0x04, 0xc8, 0x01,
+        0x04, 0x01, 0x04, 0x81, 0x01, 0x0e, 0x02, 0x0a, 0x12, 0x73, 0x6e, 0x61, 0x70, 0x73, 0x68,
+        0x6f, 0x74, 0x5f, 0x6d, 0x65, 0x74, 0x61, 0x2e, 0x64, 0x61, 0x74, 0x61, 0x0e, 0x04, 0x04,
+        0x5b, 0x04, 0x73, 0x04, 0x5d, 0x04, 0x0a,
+    ];
+
+    #[test]
+    fn replica_put_written_by_the_parent_build_still_decodes() {
+        let want = DaemonMsg::ReplicaPut {
+            job: JobId(7),
+            interval: 3,
+            image: ReplicaImage {
+                rank: 2,
+                files: vec![
+                    ("context.bin".into(), vec![0, 200, 1, 129].into()),
+                    ("snapshot_meta.data".into(), b"[s]\n".to_vec().into()),
+                ],
+            },
+        };
+        let old: DaemonMsg = codec::from_bytes(PARENT_REPLICA_PUT).unwrap();
+        assert_eq!(old, want);
+        let new = codec::to_bytes(&old).unwrap();
+        assert!(new.len() < PARENT_REPLICA_PUT.len(), "{} bytes", new.len());
+        assert_eq!(codec::from_bytes::<DaemonMsg>(&new).unwrap(), want);
+    }
+
+    /// Bulk payloads cross the wire as raw runs: an encoded message is its
+    /// payload plus a small skeleton per payload-carrying entry.
+    #[test]
+    fn bulk_messages_encode_to_their_payload_plus_a_small_skeleton() {
+        let blob = |len: usize| ByteBuf::from((0..=255u8).cycle().take(len).collect::<Vec<_>>());
+        let fits = |what: &str, encoded: usize, payload: usize, entries: usize| {
+            let bound = payload + 64 * (entries + 1);
+            assert!(encoded <= bound, "{what}: {encoded} > {bound}");
+        };
+
+        let image = ReplicaImage {
+            rank: 1,
+            files: vec![
+                ("context.bin".into(), blob(300_000)),
+                ("snapshot_meta.data".into(), blob(400)),
+            ],
+        };
+        let payload = image.total_bytes() as usize;
+        let put = DaemonMsg::ReplicaPut { job: JobId(1), interval: 0, image: image.clone() };
+        fits("ReplicaPut", codec::to_bytes(&put).unwrap().len(), payload, 2);
+        let reply = DaemonReply::ReplicaImageReply { node: 0, image: Some(Arc::new(image)) };
+        fits("ReplicaImageReply", codec::to_bytes(&reply).unwrap().len(), payload, 2);
+
+        let chunks: Vec<(ChunkId, ByteBuf)> = (1..=4)
+            .map(|i| blob(64 * 1024 + i))
+            .map(|b| (ChunkId::of(&b), b))
+            .collect();
+        let payload: usize = chunks.iter().map(|(_, b)| b.len()).sum();
+        let data = DaemonReply::ChunkData {
+            node: 0,
+            chunks: chunks.iter().map(|(_, b)| Some(b.clone())).chain([None]).collect(),
+        };
+        fits("ChunkData", codec::to_bytes(&data).unwrap().len(), payload, 5);
+        let put = DaemonMsg::ChunkPut { job: JobId(1), chunks };
+        fits("ChunkPut", codec::to_bytes(&put).unwrap().len(), payload, 4);
+    }
+
     #[test]
     fn every_request_gets_exactly_one_reply_of_its_kind() {
         let fabric = fabric(1);
@@ -443,7 +516,7 @@ mod tests {
 
         let image = ReplicaImage {
             rank: 0,
-            files: vec![("ctx".into(), vec![7; 16])],
+            files: vec![("ctx".into(), vec![7; 16].into())],
         };
         let chunk = ChunkId::of(b"chunk");
         type Check = fn(&DaemonReply) -> bool;
@@ -489,7 +562,7 @@ mod tests {
             (
                 DaemonMsg::ChunkPut {
                     job,
-                    chunks: vec![(chunk, b"chunk".to_vec())],
+                    chunks: vec![(chunk, b"chunk".to_vec().into())],
                 },
                 |r| matches!(r, DaemonReply::Ack { node: 0 }),
             ),
@@ -498,7 +571,7 @@ mod tests {
                     job,
                     ids: vec![chunk],
                 },
-                |r| matches!(r, DaemonReply::ChunkData { chunks, .. } if chunks == &[Some(b"chunk".to_vec())]),
+                |r| matches!(r, DaemonReply::ChunkData { chunks, .. } if chunks == &[Some(b"chunk".to_vec().into())]),
             ),
             (
                 DaemonMsg::ChunkExpire {

@@ -22,7 +22,9 @@
 
 use std::fs;
 use std::path::Path;
+use std::sync::Arc;
 
+use codec::ByteBuf;
 use netsim::{NodeId, SimTime};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -43,7 +45,7 @@ pub struct ReplicaImage {
     pub rank: u32,
     /// `(path relative to the snapshot directory, contents)`, sorted by
     /// path for deterministic equality.
-    pub files: Vec<(String, Vec<u8>)>,
+    pub files: Vec<(String, ByteBuf)>,
 }
 
 fn io_err(path: &Path, e: &std::io::Error) -> CrError {
@@ -53,7 +55,7 @@ fn io_err(path: &Path, e: &std::io::Error) -> CrError {
 fn collect_files(
     root: &Path,
     dir: &Path,
-    out: &mut Vec<(String, Vec<u8>)>,
+    out: &mut Vec<(String, ByteBuf)>,
 ) -> Result<(), CrError> {
     let entries = fs::read_dir(dir).map_err(|e| io_err(dir, &e))?;
     for entry in entries {
@@ -70,7 +72,7 @@ fn collect_files(
                 ))
             })?;
             let bytes = fs::read(&path).map_err(|e| io_err(&path, &e))?;
-            out.push((rel.to_string_lossy().into_owned(), bytes));
+            out.push((rel.to_string_lossy().into_owned(), bytes.into()));
         }
     }
     Ok(())
@@ -116,7 +118,7 @@ impl ReplicaImage {
 /// surviving daemons before touching stable storage.
 #[derive(Debug, Default)]
 pub struct ReplicaStore {
-    entries: Mutex<std::collections::HashMap<(JobId, u64, u32), ReplicaImage>>,
+    entries: Mutex<std::collections::HashMap<(JobId, u64, u32), Arc<ReplicaImage>>>,
     chunks: Mutex<std::collections::HashMap<(JobId, ChunkId), Vec<u8>>>,
 }
 
@@ -130,11 +132,11 @@ impl ReplicaStore {
     pub fn put(&self, job: JobId, interval: u64, image: ReplicaImage) {
         self.entries
             .lock()
-            .insert((job, interval, image.rank), image);
+            .insert((job, interval, image.rank), Arc::new(image));
     }
 
-    /// Copy of the stored image, if held.
-    pub fn get(&self, job: JobId, interval: u64, rank: u32) -> Option<ReplicaImage> {
+    /// The stored image, if held — shared, not copied.
+    pub fn get(&self, job: JobId, interval: u64, rank: u32) -> Option<Arc<ReplicaImage>> {
         self.entries.lock().get(&(job, interval, rank)).cloned()
     }
 
@@ -339,7 +341,8 @@ pub fn fetch_image(
                 "filem.replica.fetch",
                 &format!("rank {rank} <- node {node} interval {interval}"),
             );
-            return Some((image, cost));
+            // Just decoded, so unshared: this unwraps, it does not copy.
+            return Some((Arc::unwrap_or_clone(image), cost));
         }
     }
     None
@@ -393,7 +396,7 @@ pub fn put_chunks(
     runtime: &Runtime,
     job: JobId,
     targets: &[u32],
-    chunks: Vec<(ChunkId, Vec<u8>)>,
+    chunks: Vec<(ChunkId, ByteBuf)>,
 ) -> Result<(SimTime, u64), CrError> {
     if chunks.is_empty() || targets.is_empty() {
         return Ok((SimTime::ZERO, 0));
@@ -429,13 +432,13 @@ pub fn fetch_chunks_partial(
     job: JobId,
     ids: &[ChunkId],
     holders: &[u32],
-) -> (Vec<Option<Vec<u8>>>, SimTime) {
+) -> (Vec<Option<ByteBuf>>, SimTime) {
     if ids.is_empty() {
         return (Vec::new(), SimTime::ZERO);
     }
     let ctl = Caller::new(runtime.fabric(), NodeId(0));
     let alive = runtime.daemons();
-    let mut found: Vec<Option<Vec<u8>>> = vec![None; ids.len()];
+    let mut found: Vec<Option<ByteBuf>> = vec![None; ids.len()];
     let mut cost = SimTime::ZERO;
     for holder in holders {
         let missing: Vec<usize> = found
@@ -549,7 +552,7 @@ mod tests {
         assert!(store.is_empty());
         let img = |rank: u32| ReplicaImage {
             rank,
-            files: vec![("ctx".into(), vec![rank as u8; 10])],
+            files: vec![("ctx".into(), vec![rank as u8; 10].into())],
         };
         store.put(JobId(1), 0, img(0));
         store.put(JobId(1), 0, img(1));
@@ -557,7 +560,7 @@ mod tests {
         store.put(JobId(2), 0, img(0));
         assert_eq!(store.len(), 4);
         assert_eq!(store.total_bytes(), 40);
-        assert_eq!(store.get(JobId(1), 0, 1), Some(img(1)));
+        assert_eq!(store.get(JobId(1), 0, 1).as_deref(), Some(&img(1)));
         assert_eq!(store.get(JobId(1), 0, 9), None);
         assert_eq!(store.inventory(JobId(1)), vec![(0, 0), (0, 1), (1, 0)]);
 
@@ -570,12 +573,12 @@ mod tests {
     #[test]
     fn put_replaces_same_key() {
         let store = ReplicaStore::new();
-        let a = ReplicaImage { rank: 0, files: vec![("x".into(), vec![1])] };
-        let b = ReplicaImage { rank: 0, files: vec![("x".into(), vec![2, 3])] };
+        let a = ReplicaImage { rank: 0, files: vec![("x".into(), vec![1].into())] };
+        let b = ReplicaImage { rank: 0, files: vec![("x".into(), vec![2, 3].into())] };
         store.put(JobId(1), 0, a);
         store.put(JobId(1), 0, b.clone());
         assert_eq!(store.len(), 1);
-        assert_eq!(store.get(JobId(1), 0, 0), Some(b));
+        assert_eq!(store.get(JobId(1), 0, 0).as_deref(), Some(&b));
     }
 
     #[test]
@@ -626,7 +629,7 @@ mod tests {
         assert_eq!(puts, vec!["rank 5 -> nodes [1] interval 0".to_string()]);
 
         // The chunk tier obeys the same rule.
-        let chunk = (ChunkId::of(b"c"), b"c".to_vec());
+        let chunk = (ChunkId::of(b"c"), b"c".to_vec().into());
         let (_, shipped) = put_chunks(&rt, JobId(1), &[1, 2], vec![chunk]).unwrap();
         assert_eq!(shipped, 1);
         assert!(rt.node_failed(NodeId(2)));
@@ -653,9 +656,9 @@ mod tests {
 
         let chunk = vec![2u8; 64 * 1024];
         let id = ChunkId::of(&chunk);
-        put_chunks(&rt, job, &[1], vec![(id, chunk.clone())]).unwrap();
+        put_chunks(&rt, job, &[1], vec![(id, chunk.clone().into())]).unwrap();
         let (found, cost) = fetch_chunks_partial(&rt, job, &[id], &[1]);
-        assert_eq!(found, vec![Some(chunk)]);
+        assert_eq!(found, vec![Some(chunk.into())]);
         assert!(
             cost >= link.transfer_cost(id.len as usize),
             "chunk fetch charged {cost}"

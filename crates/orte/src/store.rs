@@ -155,7 +155,7 @@ impl<'rt> SnapshotStore<'rt> {
                     }
                     continue; // corrupt copy in peer memory: refetch from disk
                 }
-                bytes_of.insert(*id, chunk);
+                bytes_of.insert(*id, chunk.into());
                 stats.replica_chunks += 1;
             }
         }
@@ -332,11 +332,11 @@ pub fn dedup_commit(
             }
         }
         let fresh_flags = opal::pool::insert_all_parallel(&store.stable, &unique, workers)?;
-        let mut fresh: Vec<(ChunkId, Vec<u8>)> = Vec::new();
+        let mut fresh: Vec<(ChunkId, codec::ByteBuf)> = Vec::new();
         for ((id, slice), is_fresh) in unique.iter().zip(&fresh_flags) {
             if *is_fresh {
                 moved += slice.len() as u64;
-                fresh.push((*id, slice.to_vec()));
+                fresh.push((*id, slice.to_vec().into()));
             }
         }
         hits += occs.len() as u64 - fresh.len() as u64;

@@ -1,7 +1,10 @@
 //! Offline shim for `bytes`: cheaply cloneable immutable byte buffers.
 //!
-//! `Bytes` is an `Arc<[u8]>` (or a borrowed `&'static [u8]`), which gives
-//! the same O(1) clone the real crate provides for whole-buffer sharing.
+//! `Bytes` is an `Arc<Vec<u8>>` (or a borrowed `&'static [u8]`), which
+//! gives the same O(1) clone the real crate provides for whole-buffer
+//! sharing and, like it, adopts a `Vec<u8>`'s allocation instead of
+//! copying it (`Arc<[u8]>` cannot: the counts live in front of the bytes,
+//! so `Arc::<[u8]>::from(vec)` allocates anew and `memcpy`s).
 //! Sub-slicing (`slice`, `split_off`, …) is not implemented because the
 //! workspace never sub-slices a `Bytes`.
 
@@ -19,7 +22,7 @@ pub struct Bytes {
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
-    Shared(Arc<[u8]>),
+    Shared(Arc<Vec<u8>>),
 }
 
 impl Bytes {
@@ -40,7 +43,7 @@ impl Bytes {
     /// Copy `data` into a new shared buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes {
-            repr: Repr::Shared(Arc::from(data)),
+            repr: Repr::Shared(Arc::new(data.to_vec())),
         }
     }
 
@@ -87,9 +90,10 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Take over `v`'s allocation without copying.
     fn from(v: Vec<u8>) -> Self {
         Bytes {
-            repr: Repr::Shared(Arc::from(v)),
+            repr: Repr::Shared(Arc::new(v)),
         }
     }
 }
@@ -222,6 +226,18 @@ mod tests {
         assert_eq!(b, c);
         assert_eq!(&b[..], &[1, 2, 3]);
         assert_eq!(b.to_vec(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_adopt_the_allocation() {
+        let v = vec![7u8; 4096];
+        let at = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), at);
+
+        let mut m = BytesMut::with_capacity(4096);
+        m.extend_from_slice(&[9u8; 4096]);
+        let at = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), at);
     }
 
     #[test]

@@ -1072,6 +1072,14 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Box<T> {
     }
 }
 
+/// Like serde's `rc` feature (the `Serialize` half is in `ser`): a fresh,
+/// unshared `Arc` around the decoded value.
+impl<'de, T: Deserialize<'de>> Deserialize<'de> for std::sync::Arc<T> {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        T::deserialize(deserializer).map(std::sync::Arc::new)
+    }
+}
+
 macro_rules! seq_deserialize {
     ($ty:ident <T $(: $bound:ident $(+ $bound2:ident)*)?>, $with:expr, $insert:expr) => {
         impl<'de, T: Deserialize<'de> $(+ $bound $(+ $bound2)*)?> Deserialize<'de> for $ty<T> {

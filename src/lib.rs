@@ -51,4 +51,25 @@ mod tests {
         assert!(rt.stable_dir().is_dir());
         rt.shutdown();
     }
+
+    /// The "app" image section is the application's own encoding, one
+    /// tagged `f64` (9 bytes) per cell. `benchmark/src/app.rs` aligns its
+    /// dirty regions to 64 KiB chunks of exactly this layout
+    /// (`CHUNK_CELLS = 7282`), so the layout may change only together with
+    /// that constant. Captured from the build before PR 20.
+    #[test]
+    fn stencil_state_encoding_is_pinned() {
+        let state = workloads::stencil::StencilState {
+            iter: 3,
+            cells: vec![1.0, -0.5],
+            residual: 0.25,
+        };
+        let pinned: &[u8] = &[
+            0x10, 0x03, 0x04, 0x69, 0x74, 0x65, 0x72, 0x04, 0x03, 0x05, 0x63, 0x65, 0x6c, 0x6c, 0x73,
+            0x0e, 0x02, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x08, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0xe0, 0xbf, 0x08, 0x72, 0x65, 0x73, 0x69, 0x64, 0x75, 0x61, 0x6c, 0x08,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f,
+        ];
+        assert_eq!(codec::to_bytes(&state).expect("encode"), pinned);
+    }
 }
