@@ -9,7 +9,7 @@
 //! * [`JournalEntry`] — one event with rank/node attribution plus the
 //!   hash chain (`prev_hash`/`hash` via `codec::chunk_digest`); the
 //!   newest hash commits to the entire history ([`entry`]).
-//! * [`format`] — the framed on-disk codec (`OCRJ` header; per-record
+//! * [`format`](mod@format) — the framed on-disk codec (`OCRJ` header; per-record
 //!   length + CRC-32 frames) with O(1) append.
 //! * [`JournalWriter`] — append handle that recovers the chain tail on
 //!   reopen and refuses broken files ([`writer`]).
@@ -19,7 +19,7 @@
 //! * [`JournalSink`] — the `cr_core::trace::TraceSink` bridge: attach it
 //!   to a `Tracer` and every existing `record` call-site in the
 //!   workspace is journaled without being rewritten ([`sink`]).
-//! * [`diff`] — positional first-divergence report between two runs.
+//! * [`diff()`] — positional first-divergence report between two runs.
 //!
 //! Replay-conformance against the `cr-model` protocol models lives in
 //! `model::replay` (the models cannot depend on this crate); the

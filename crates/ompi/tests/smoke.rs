@@ -1,6 +1,7 @@
 //! End-to-end smoke tests: launch, communicate, checkpoint, restart.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cr_core::request::CheckpointOptions;
@@ -24,6 +25,54 @@ fn runtime(tag: &str, nodes: u32) -> Runtime {
 /// Token ring: each step passes an accumulating token around the ring.
 struct RingApp {
     rounds: u64,
+    hold: Option<Arc<Hold>>,
+}
+
+impl RingApp {
+    fn new(rounds: u64) -> Self {
+        RingApp { rounds, hold: None }
+    }
+}
+
+/// A round every rank idles at — safe points open, nothing in flight —
+/// until the test releases it. A checkpoint taken once every rank has
+/// arrived finds the job live however fast the host runs it, so no sleep
+/// decides whether it lands before `MPI_Finalize`.
+struct Hold {
+    at: u64,
+    /// One bit per rank that has reached `at`.
+    arrived: AtomicU64,
+    released: AtomicBool,
+}
+
+impl Hold {
+    fn at(round: u64) -> Arc<Self> {
+        Arc::new(Hold {
+            at: round,
+            arrived: AtomicU64::new(0),
+            released: AtomicBool::new(false),
+        })
+    }
+
+    /// Whether `rank` at `round` must idle this step.
+    fn holds(&self, rank: u32, round: u64) -> bool {
+        if round != self.at || self.released.load(Ordering::SeqCst) {
+            return false;
+        }
+        self.arrived.fetch_or(1 << rank, Ordering::SeqCst);
+        std::thread::yield_now();
+        true
+    }
+
+    fn wait_arrived(&self, nprocs: u32) {
+        while self.arrived.load(Ordering::SeqCst).count_ones() < nprocs {
+            std::thread::yield_now();
+        }
+    }
+
+    fn release(&self) {
+        self.released.store(true, Ordering::SeqCst);
+    }
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -49,6 +98,9 @@ impl MpiApp for RingApp {
     fn step(&self, mpi: &Mpi, state: &mut RingState) -> Result<StepOutcome, MpiError> {
         let comm = mpi.world().clone();
         let me = comm.rank();
+        if self.hold.as_ref().is_some_and(|h| h.holds(me, state.round)) {
+            return Ok(StepOutcome::Continue);
+        }
         let n = comm.size();
         let next = (me + 1) % n;
         let prev = (me + n - 1) % n;
@@ -93,7 +145,7 @@ fn expected_ring_sums(nprocs: u64, rounds: u64) -> Vec<u64> {
 #[test]
 fn ring_runs_to_completion() {
     let rt = runtime("ring", 2);
-    let job = mpirun(&rt, Arc::new(RingApp { rounds: 10 }), RunConfig::new(4)).unwrap();
+    let job = mpirun(&rt, Arc::new(RingApp::new(10)), RunConfig::new(4)).unwrap();
     let results = job.wait().unwrap();
     assert_eq!(results.len(), 4);
     let expected = expected_ring_sums(4, 10);
@@ -113,7 +165,7 @@ fn wait_on_a_finished_job_returns_at_once() {
     let rt = runtime("wait", 1);
     let mut waits_ms: Vec<f64> = (0..7)
         .map(|_| {
-            let job = mpirun(&rt, Arc::new(RingApp { rounds: 1 }), RunConfig::new(2)).unwrap();
+            let job = mpirun(&rt, Arc::new(RingApp::new(1)), RunConfig::new(2)).unwrap();
             while !job.is_settled() {
                 std::thread::yield_now();
             }
@@ -132,33 +184,46 @@ fn wait_on_a_finished_job_returns_at_once() {
     );
 }
 
-#[test]
-fn checkpoint_then_restart_reproduces_the_answer() {
-    let rt = runtime("cr", 2);
-    let app = Arc::new(RingApp { rounds: 2000 });
-    let job = mpirun(&rt, Arc::clone(&app), RunConfig::new(4)).unwrap();
+/// Checkpoint a 4-rank ring held halfway through its 2000 rounds, kill
+/// it, restart it in a fresh runtime and check it ends where a fault-free
+/// run does.
+fn checkpoint_then_restart_reproduces_the_answer_with(tag: &str, params: Arc<McaParams>) {
+    let rt = runtime(tag, 2);
+    let hold = Hold::at(1000);
+    let app = Arc::new(RingApp {
+        rounds: 2000,
+        hold: Some(Arc::clone(&hold)),
+    });
+    let config = RunConfig { nprocs: 4, params };
+    let job = mpirun(&rt, Arc::clone(&app), config.clone()).unwrap();
 
-    // Let it get going, checkpoint mid-flight, then kill the job.
-    std::thread::sleep(std::time::Duration::from_millis(50));
+    hold.wait_arrived(4);
     let outcome = job
         .checkpoint(&CheckpointOptions::tool().and_terminate())
         .unwrap();
+    hold.release();
     let terminated = job.wait().unwrap();
     assert!(terminated
         .iter()
         .any(|(_, end)| *end == RunEnd::Terminated || *end == RunEnd::Completed));
 
     // Fault-free reference run.
-    let rt2 = runtime("cr_ref", 2);
-    let reference = mpirun(&rt2, Arc::clone(&app), RunConfig::new(4))
+    let rt2 = runtime(&format!("{tag}_ref"), 2);
+    let reference = mpirun(&rt2, Arc::clone(&app), config)
         .unwrap()
         .wait()
         .unwrap();
     rt2.shutdown();
 
     // Restart from the snapshot in a fresh runtime and compare.
-    let rt3 = runtime("cr_restart", 3);
-    let job = restart(&rt3, Arc::clone(&app), &outcome.global_snapshot, RestartOptions::default()).unwrap();
+    let rt3 = runtime(&format!("{tag}_restart"), 3);
+    let job = restart(
+        &rt3,
+        Arc::clone(&app),
+        &outcome.global_snapshot,
+        RestartOptions::default(),
+    )
+    .unwrap();
     let restarted = job.wait().unwrap();
     assert_eq!(restarted.len(), 4);
     for (r, (state, end)) in restarted.iter().enumerate() {
@@ -168,6 +233,23 @@ fn checkpoint_then_restart_reproduces_the_answer() {
     }
     rt.shutdown();
     rt3.shutdown();
+}
+
+#[test]
+fn checkpoint_then_restart_reproduces_the_answer() {
+    checkpoint_then_restart_reproduces_the_answer_with("cr", Arc::new(McaParams::new()));
+}
+
+/// `direct` SNAPC commits each rank's local snapshot as written; in dedup
+/// mode that is its chunk manifest plus a pack of every distinct chunk,
+/// which the CRS reassembles at restart.
+#[test]
+fn direct_dedup_checkpoint_then_restart_reproduces_the_answer() {
+    let params = Arc::new(McaParams::new());
+    params.set("snapc", "direct");
+    params.set("filem_dedup_enabled", "true");
+    params.set("crs_incr_chunk_kb", "1");
+    checkpoint_then_restart_reproduces_the_answer_with("cr_direct_dedup", params);
 }
 
 #[test]
@@ -253,8 +335,13 @@ fn params_select_components() {
         nprocs: 2,
         params,
     };
-    let job = mpirun(&rt, Arc::new(RingApp { rounds: 3000 }), config).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(30));
+    let hold = Hold::at(100);
+    let app = RingApp {
+        rounds: 3000,
+        hold: Some(Arc::clone(&hold)),
+    };
+    let job = mpirun(&rt, Arc::new(app), config).unwrap();
+    hold.wait_arrived(2);
     let outcome = job.checkpoint(&CheckpointOptions::tool()).unwrap();
     assert!(outcome.global_snapshot.exists());
     job.request_terminate();

@@ -50,6 +50,10 @@ pub enum OpalCtrl {
         snapshot_parent: PathBuf,
         /// Checkpoint interval number.
         interval: u64,
+        /// Newest globally committed interval, when it has chunk manifests:
+        /// what a dedup-mode CRS need not pack
+        /// ([`crate::crs::CrsComponent::checkpoint`]).
+        base: Option<u64>,
         /// Request options (origin, terminate).
         options: CheckpointOptions,
         /// Where to deliver the result.
@@ -77,6 +81,7 @@ enum Window {
 struct Pending {
     snapshot_parent: PathBuf,
     interval: u64,
+    base: Option<u64>,
     result: Option<LocalSnapshot>,
 }
 
@@ -263,12 +268,12 @@ impl ProcessContainer {
 
     /// The INC bottom action: capture sections and run the CRS.
     fn run_local_checkpoint(&self) -> Result<FtEventState, CrError> {
-        let (snapshot_parent, interval) = {
+        let (snapshot_parent, interval, base) = {
             let pending = self.pending.lock();
             let p = pending
                 .as_ref()
                 .ok_or_else(|| CrError::protocol("CRS reached with no pending request"))?;
-            (p.snapshot_parent.clone(), p.interval)
+            (p.snapshot_parent.clone(), p.interval, p.base)
         };
         let crs = self
             .crs()
@@ -283,7 +288,7 @@ impl ProcessContainer {
             interval,
             &self.hostname,
         )?;
-        crs.checkpoint(&image, &mut snapshot)?;
+        crs.checkpoint(&image, &mut snapshot, base)?;
         snapshot.finish()?;
         // The capture is durable on node-local disk from here on: this is
         // the local-commit point SNAPC's early release pivots on.
@@ -303,10 +308,12 @@ impl ProcessContainer {
 
     /// Handle one checkpoint request end to end: pause, INC chain, CRS,
     /// resume. Runs on the notification thread (or directly in tests).
+    /// `base` is handed to the CRS ([`OpalCtrl::Checkpoint`]).
     pub fn handle_checkpoint_request(
         &self,
         snapshot_parent: PathBuf,
         interval: u64,
+        base: Option<u64>,
         _options: &CheckpointOptions,
     ) -> Result<CkptReply, CrError> {
         if !self.is_checkpointable() {
@@ -331,6 +338,7 @@ impl ProcessContainer {
         *self.pending.lock() = Some(Pending {
             snapshot_parent,
             interval,
+            base,
             result: None,
         });
 
@@ -384,11 +392,16 @@ impl ProcessContainer {
                     Ok(OpalCtrl::Checkpoint {
                         snapshot_parent,
                         interval,
+                        base,
                         options,
                         reply,
                     }) => {
-                        let result =
-                            this.handle_checkpoint_request(snapshot_parent, interval, &options);
+                        let result = this.handle_checkpoint_request(
+                            snapshot_parent,
+                            interval,
+                            base,
+                            &options,
+                        );
                         let _ = reply.send(result);
                     }
                     Ok(OpalCtrl::Shutdown) | Err(_) => return,
@@ -470,7 +483,7 @@ mod tests {
         let app = run_fake_app(&container, &state, 2_000_000);
 
         let reply = container
-            .handle_checkpoint_request(dir.clone(), 0, &CheckpointOptions::tool())
+            .handle_checkpoint_request(dir.clone(), 0, None, &CheckpointOptions::tool())
             .unwrap();
         assert!(reply.snapshot_dir.exists());
         assert!(reply.size_bytes > 0);
@@ -507,7 +520,7 @@ mod tests {
         let (container, _state, dir) = ready_container("window");
         container.disable_checkpointing("inside finalize");
         let err = container
-            .handle_checkpoint_request(dir, 0, &CheckpointOptions::tool())
+            .handle_checkpoint_request(dir, 0, None, &CheckpointOptions::tool())
             .unwrap_err();
         assert!(matches!(err, CrError::CheckpointDisabled { .. }));
         assert!(err.to_string().contains("finalize"));
@@ -519,7 +532,7 @@ mod tests {
         container.set_checkpointable(false);
         let app = run_fake_app(&container, &state, 1000);
         let err = container
-            .handle_checkpoint_request(dir.clone(), 0, &CheckpointOptions::tool())
+            .handle_checkpoint_request(dir.clone(), 0, None, &CheckpointOptions::tool())
             .unwrap_err();
         assert!(matches!(err, CrError::NotCheckpointable { .. }));
         // No snapshot directory was created.
@@ -551,6 +564,7 @@ mod tests {
             tx.send(OpalCtrl::Checkpoint {
                 snapshot_parent: idir,
                 interval,
+                base: None,
                 options: CheckpointOptions::tool(),
                 reply: rtx,
             })
@@ -577,7 +591,7 @@ mod tests {
         );
         let app = run_fake_app(&container, &state, 100_000);
         let err = container
-            .handle_checkpoint_request(dir, 0, &CheckpointOptions::tool())
+            .handle_checkpoint_request(dir, 0, None, &CheckpointOptions::tool())
             .unwrap_err();
         assert!(err.to_string().contains("cannot serialize"));
         // App resumed and finishes.
@@ -594,7 +608,7 @@ mod tests {
         container.set_crs(Arc::from(fw.select(&params).unwrap()));
         let app = run_fake_app(&container, &state, 100_000);
         let err = container
-            .handle_checkpoint_request(dir, 0, &CheckpointOptions::tool())
+            .handle_checkpoint_request(dir, 0, None, &CheckpointOptions::tool())
             .unwrap_err();
         assert!(err.to_string().contains("injected failure"));
         app.join().unwrap();
@@ -608,7 +622,7 @@ mod tests {
         let app = run_fake_app(&container, &state, 0);
         app.join().unwrap();
         let err = container
-            .handle_checkpoint_request(dir, 0, &CheckpointOptions::tool())
+            .handle_checkpoint_request(dir, 0, None, &CheckpointOptions::tool())
             .unwrap_err();
         assert!(matches!(
             err,
@@ -647,7 +661,7 @@ mod tests {
         let state = Arc::new(Mutex::new(FakeAppState { iteration: 0 }));
         let app = run_fake_app(&container, &state, 1_000_000);
         container
-            .handle_checkpoint_request(tmpdir("selfcb"), 0, &CheckpointOptions::tool())
+            .handle_checkpoint_request(tmpdir("selfcb"), 0, None, &CheckpointOptions::tool())
             .unwrap();
         app.join().unwrap();
         assert_eq!(fired.load(Ordering::SeqCst), 101, "checkpoint + continue");

@@ -19,15 +19,22 @@
 //! * **`none`** — no checkpointer available; the process declares itself
 //!   non-checkpointable.
 //!
-//! Both checkpointing components write the same context (`write_image`):
-//! always the complete [`ProcessImage`], so every interval restores from
-//! itself alone. With `filem_dedup_enabled` they also cut each section into
-//! fixed-size chunks ([`codec::chunk`], sized by `crs_incr_chunk_kb`),
-//! digest them over the hash pool, and record the resulting manifest in the
-//! snapshot metadata — the key the commit path uses to move only
-//! never-before-seen chunks into the content-addressed store
-//! ([`crate::store`]).
+//! Both checkpointing components write the same context. By default it is
+//! the complete [`ProcessImage`] (`ckpt_kind=full`). With
+//! `filem_dedup_enabled` (`ckpt_kind=dedup`) the CRS cuts each section
+//! into fixed-size chunks ([`codec::chunk`], sized by `crs_incr_chunk_kb`),
+//! digests them once over the hash pool, and records the resulting
+//! manifest in the snapshot metadata. The context is then a *pack*: a
+//! [`ProcessImage`] whose sections are chunks named by
+//! [`ChunkId::render`], holding each distinct chunk the request's *base*
+//! lacks. The base is the newest globally committed interval, when it has
+//! chunk manifests. When it is the interval this CRS last wrote, the
+//! chunks of that manifest are in the content-addressed store
+//! ([`crate::store`]) already and stay out of the pack. With no base (or another one) the
+//! pack holds every distinct chunk, so manifest + pack restores on its
+//! own ([`CrsComponent::restart`]).
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use mca::{Framework, McaParams};
@@ -37,78 +44,143 @@ use cr_core::snapshot::LocalSnapshot;
 use cr_core::{CrError, FtEventState};
 
 use crate::image::ProcessImage;
+use crate::store::ChunkId;
 
-/// Snapshot metadata key: `"full"`, or `"dedup"` when the manifest is
-/// recorded too.
+/// Snapshot metadata key: `"full"`, or `"dedup"` when the context is a
+/// chunk pack described by a recorded manifest.
 const PARAM_KIND: &str = "ckpt_kind";
 /// Snapshot metadata key: rendered [`codec::ChunkManifest`] of the image
 /// (only written in dedup mode).
 pub const PARAM_MANIFEST: &str = "manifest";
 
-/// How to build the chunk manifest of a dedup-mode checkpoint.
-#[derive(Debug, Clone, Copy)]
-struct ManifestCfg {
+/// Dedup-mode capture of one CRS instance (`filem_dedup_enabled`).
+#[derive(Debug)]
+struct DedupCapture {
     /// Chunk size in bytes (`crs_incr_chunk_kb` × 1024).
     chunk_bytes: usize,
     /// Hash lanes (`opal_hash_workers`).
     workers: usize,
+    /// Interval and distinct chunk ids of the last manifest this CRS
+    /// wrote: what a pack against that interval as base leaves out.
+    last: Mutex<Option<(u64, HashSet<ChunkId>)>>,
 }
 
-impl ManifestCfg {
+impl DedupCapture {
     /// `Some` when `filem_dedup_enabled` is set (defaults mirror the
     /// registry).
     fn from_params(params: &McaParams) -> Option<Self> {
         params
             .get_bool_or("filem_dedup_enabled", false)
             .unwrap_or(false)
-            .then(|| ManifestCfg {
+            .then(|| DedupCapture {
                 chunk_bytes: params
                     .get_parsed_or("crs_incr_chunk_kb", 4u64)
                     .unwrap_or(4)
                     .max(1) as usize
                     * 1024,
                 workers: crate::pool::hash_workers(params),
+                last: Mutex::new(None),
             })
+    }
+
+    /// Record `image`'s manifest in `snapshot` and write the pack of its
+    /// distinct chunks that `base` lacks as the context.
+    fn write(
+        &self,
+        image: &ProcessImage,
+        snapshot: &mut LocalSnapshot,
+        base: Option<u64>,
+    ) -> Result<(), CrError> {
+        let sections: Vec<(&str, &[u8])> = image.iter().collect();
+        let manifest = crate::pool::manifest_parallel(&sections, self.chunk_bytes, self.workers);
+        let mut last = self.last.lock();
+        let stored = last
+            .as_ref()
+            .filter(|(interval, _)| Some(*interval) == base)
+            .map(|(_, ids)| ids);
+        let mut ids = HashSet::new();
+        let mut pack = Vec::new();
+        for ((_, bytes), sec) in sections.iter().zip(&manifest.sections) {
+            for (chunk, rec) in bytes.chunks(self.chunk_bytes).zip(&sec.chunks) {
+                let id = ChunkId::from(rec);
+                if ids.insert(id) && !stored.is_some_and(|s| s.contains(&id)) {
+                    pack.push((id.render(), chunk.to_vec()));
+                }
+            }
+        }
+        snapshot.write_context(&ProcessImage::from_distinct(pack).to_context()?)?;
+        snapshot.set_param(PARAM_MANIFEST, &manifest.render());
+        *last = Some((snapshot.interval(), ids));
+        Ok(())
     }
 }
 
-/// Write `image` into `snapshot` as a full context and record its kind and
-/// section names; with a `manifest` configuration also build and record
-/// the chunk manifest.
+/// Write `image` into `snapshot` — whole, or as manifest + pack in dedup
+/// mode — and record its kind and section names.
 fn write_image(
     image: &ProcessImage,
     snapshot: &mut LocalSnapshot,
-    manifest: Option<ManifestCfg>,
+    dedup: Option<&DedupCapture>,
+    base: Option<u64>,
 ) -> Result<(), CrError> {
-    snapshot.write_context(&image.to_context()?)?;
-    let kind = if manifest.is_some() { "dedup" } else { "full" };
-    snapshot.set_param(PARAM_KIND, kind);
-    if let Some(cfg) = manifest {
-        let sections: Vec<(&str, &[u8])> = image.iter().collect();
-        let built = crate::pool::manifest_parallel(&sections, cfg.chunk_bytes, cfg.workers);
-        snapshot.set_param(PARAM_MANIFEST, &built.render());
+    match dedup {
+        Some(capture) => capture.write(image, snapshot, base)?,
+        None => snapshot.write_context(&image.to_context()?)?,
     }
+    snapshot.set_param(PARAM_KIND, if dedup.is_some() { "dedup" } else { "full" });
     snapshot.set_param("sections", &image.names().join(","));
     Ok(())
 }
 
-/// Decode a snapshot's context into its image. A snapshot whose metadata
-/// says `ckpt_kind=delta` was written by an older build as a link of a
-/// base→delta chain; its context is not an image and is refused by name
-/// instead of failing somewhere inside the decoder.
-pub fn read_full_image(snapshot: &LocalSnapshot) -> Result<ProcessImage, CrError> {
-    if snapshot.param(PARAM_KIND) == Some("delta") {
-        return Err(CrError::BadSnapshot {
-            detail: format!(
-                "rank {} interval {} is a delta-chain context written by an older \
-                 build; this build restores only self-contained (full or dedup) \
-                 intervals",
-                snapshot.rank(),
-                snapshot.interval()
-            ),
-        });
+/// Decode a snapshot's context into its whole image (what both components'
+/// `restart` does). A `ckpt_kind=dedup` snapshot is reassembled from
+/// its manifest and pack. Two contexts are refused by name instead of
+/// failing somewhere inside the decoder: a pack that does not cover its
+/// manifest (it was cut against a base interval, so it restores only
+/// through the chunk store), and `ckpt_kind=delta`, a link of a base→delta
+/// chain an older build wrote.
+fn read_full_image(snapshot: &LocalSnapshot) -> Result<ProcessImage, CrError> {
+    let refuse = |why: String| CrError::BadSnapshot {
+        detail: format!(
+            "rank {} interval {} {why}",
+            snapshot.rank(),
+            snapshot.interval()
+        ),
+    };
+    let kind = snapshot.param(PARAM_KIND);
+    if kind == Some("delta") {
+        return Err(refuse(
+            "is a delta-chain context written by an older build; this build \
+             restores only self-contained (full or dedup) intervals"
+                .into(),
+        ));
     }
-    ProcessImage::from_bytes(&snapshot.read_context()?)
+    let context = ProcessImage::from_bytes(&snapshot.read_context()?)?;
+    if kind != Some("dedup") {
+        return Ok(context);
+    }
+    let rendered = snapshot
+        .param(PARAM_MANIFEST)
+        .ok_or_else(|| refuse("is a dedup context with no chunk manifest".into()))?;
+    let manifest = codec::ChunkManifest::parse(rendered).map_err(CrError::Codec)?;
+    // Older builds wrote the whole image as a dedup context.
+    if context
+        .names()
+        .into_iter()
+        .eq(manifest.sections.iter().map(|s| s.name.as_str()))
+    {
+        return Ok(context);
+    }
+    let pack: HashMap<ChunkId, &[u8]> = context
+        .iter()
+        .filter_map(|(name, bytes)| Some((ChunkId::parse(name)?, bytes)))
+        .collect();
+    ProcessImage::assemble(&manifest, |id| pack.get(id).copied()).map_err(|e| {
+        refuse(format!(
+            "is a dedup pack that does not cover its manifest ({e}); it was \
+             cut against a base interval and restores only through the chunk store"
+        ))
+    })
 }
 
 /// Callback the application may register through the SELF component.
@@ -151,12 +223,16 @@ pub trait CrsComponent: Send + Sync {
     }
 
     /// Persist `image` into `snapshot`: write the context file and set any
-    /// component-specific parameters. The caller
-    /// [`finish`](LocalSnapshot::finish)es the snapshot.
+    /// component-specific parameters. `base` is the newest globally
+    /// committed interval when it has chunk manifests, as the coordinator
+    /// saw it (dedup mode packs only what it lacks; `None` packs every
+    /// chunk).
+    /// The caller [`finish`](LocalSnapshot::finish)es the snapshot.
     fn checkpoint(
         &self,
         image: &ProcessImage,
         snapshot: &mut LocalSnapshot,
+        base: Option<u64>,
     ) -> Result<(), CrError>;
 
     /// Reconstruct a process image from `snapshot`.
@@ -186,8 +262,8 @@ pub struct BlcrSim {
     /// Excluded state must be reconstructible by its owner at restart —
     /// the classic use is scratch buffers the application can recompute.
     exclude: Vec<String>,
-    /// Set in dedup mode: record the image's chunk manifest too.
-    manifest: Option<ManifestCfg>,
+    /// Set in dedup mode: write manifest + pack instead of the image.
+    dedup: Option<DedupCapture>,
 }
 
 impl BlcrSim {
@@ -209,7 +285,7 @@ impl BlcrSim {
                 .unwrap_or(0),
             attempts: Mutex::new(0),
             exclude,
-            manifest: ManifestCfg::from_params(params),
+            dedup: DedupCapture::from_params(params),
         }
     }
 }
@@ -223,6 +299,7 @@ impl CrsComponent for BlcrSim {
         &self,
         image: &ProcessImage,
         snapshot: &mut LocalSnapshot,
+        base: Option<u64>,
     ) -> Result<(), CrError> {
         {
             let mut attempts = self.attempts.lock();
@@ -248,7 +325,7 @@ impl CrsComponent for BlcrSim {
             pruned = kept;
             &pruned
         };
-        write_image(image, snapshot, self.manifest)?;
+        write_image(image, snapshot, self.dedup.as_ref(), base)?;
         if !self.exclude.is_empty() {
             snapshot.set_param("excluded", &self.exclude.join(","));
         }
@@ -268,7 +345,7 @@ impl CrsComponent for BlcrSim {
 /// capture that otherwise matches `blcr_sim`'s on-disk format.
 pub struct SelfCrs {
     callbacks: Arc<SelfCallbacks>,
-    manifest: Option<ManifestCfg>,
+    dedup: Option<DedupCapture>,
 }
 
 impl SelfCrs {
@@ -276,7 +353,7 @@ impl SelfCrs {
     pub fn from_params(callbacks: Arc<SelfCallbacks>, params: &McaParams) -> Self {
         SelfCrs {
             callbacks,
-            manifest: ManifestCfg::from_params(params),
+            dedup: DedupCapture::from_params(params),
         }
     }
 }
@@ -290,9 +367,10 @@ impl CrsComponent for SelfCrs {
         &self,
         image: &ProcessImage,
         snapshot: &mut LocalSnapshot,
+        base: Option<u64>,
     ) -> Result<(), CrError> {
         SelfCallbacks::fire(&self.callbacks.on_checkpoint)?;
-        write_image(image, snapshot, self.manifest)
+        write_image(image, snapshot, self.dedup.as_ref(), base)
     }
 
     fn restart(&self, snapshot: &LocalSnapshot) -> Result<ProcessImage, CrError> {
@@ -328,6 +406,7 @@ impl CrsComponent for NoneCrs {
         &self,
         _image: &ProcessImage,
         _snapshot: &mut LocalSnapshot,
+        _base: Option<u64>,
     ) -> Result<(), CrError> {
         Err(CrError::Unsupported {
             detail: "the none CRS component cannot take checkpoints".into(),
@@ -399,7 +478,7 @@ mod tests {
         let crs = BlcrSim::from_params(&McaParams::new());
         let mut snap = LocalSnapshot::create(&dir, Rank(0), crs.name(), 0, "node00").unwrap();
         let img = sample_image();
-        crs.checkpoint(&img, &mut snap).unwrap();
+        crs.checkpoint(&img, &mut snap, None).unwrap();
         let restored = crs.restart(&snap).unwrap();
         assert_eq!(restored, img);
         assert_eq!(snap.param("sections"), Some("app,pml"));
@@ -413,10 +492,10 @@ mod tests {
         let crs = BlcrSim::from_params(&params);
         let mut snap = LocalSnapshot::create(&dir, Rank(0), crs.name(), 0, "node00").unwrap();
         let img = sample_image();
-        assert!(crs.checkpoint(&img, &mut snap).is_ok()); // 1
-        assert!(crs.checkpoint(&img, &mut snap).is_ok()); // 2
-        assert!(crs.checkpoint(&img, &mut snap).is_err()); // 3 fails
-        assert!(crs.checkpoint(&img, &mut snap).is_ok()); // 4
+        assert!(crs.checkpoint(&img, &mut snap, None).is_ok()); // 1
+        assert!(crs.checkpoint(&img, &mut snap, None).is_ok()); // 2
+        assert!(crs.checkpoint(&img, &mut snap, None).is_err()); // 3 fails
+        assert!(crs.checkpoint(&img, &mut snap, None).is_ok()); // 4
     }
 
     #[test]
@@ -443,7 +522,7 @@ mod tests {
 
         let crs = SelfCrs::from_params(Arc::clone(&callbacks), &McaParams::new());
         let mut snap = LocalSnapshot::create(&dir, Rank(1), crs.name(), 0, "node00").unwrap();
-        crs.checkpoint(&sample_image(), &mut snap).unwrap();
+        crs.checkpoint(&sample_image(), &mut snap, None).unwrap();
         crs.post_event(FtEventState::Continue).unwrap();
         crs.post_event(FtEventState::Restart).unwrap();
         crs.post_event(FtEventState::Error).unwrap();
@@ -461,7 +540,7 @@ mod tests {
         }));
         let crs = SelfCrs::from_params(callbacks, &McaParams::new());
         let mut snap = LocalSnapshot::create(&dir, Rank(0), crs.name(), 0, "node00").unwrap();
-        assert!(crs.checkpoint(&sample_image(), &mut snap).is_err());
+        assert!(crs.checkpoint(&sample_image(), &mut snap, None).is_err());
         // No context file must have been written.
         assert!(!snap.context_path().exists());
     }
@@ -472,7 +551,7 @@ mod tests {
         let crs = NoneCrs;
         assert!(!crs.can_checkpoint());
         let mut snap = LocalSnapshot::create(&dir, Rank(0), crs.name(), 0, "node00").unwrap();
-        assert!(crs.checkpoint(&sample_image(), &mut snap).is_err());
+        assert!(crs.checkpoint(&sample_image(), &mut snap, None).is_err());
         assert!(crs.restart(&snap).is_err());
     }
 
@@ -498,54 +577,159 @@ mod tests {
         let selfcrs = SelfCrs::from_params(SelfCallbacks::new(), &McaParams::new());
         let mut snap = LocalSnapshot::create(&dir, Rank(0), blcr.name(), 0, "node00").unwrap();
         let img = sample_image();
-        blcr.checkpoint(&img, &mut snap).unwrap();
+        blcr.checkpoint(&img, &mut snap, None).unwrap();
         assert_eq!(selfcrs.restart(&snap).unwrap(), img);
     }
 
     #[test]
     fn default_mode_writes_plain_full_images_and_hashes_nothing() {
         let dir = tmpdir("fullmode");
-        assert!(ManifestCfg::from_params(&McaParams::new()).is_none());
+        assert!(DedupCapture::from_params(&McaParams::new()).is_none());
         let crs = BlcrSim::from_params(&McaParams::new());
         let img = sample_image();
         for interval in 0..3 {
             let parent = dir.join(format!("i{interval}"));
             let mut s =
                 LocalSnapshot::create(&parent, Rank(0), crs.name(), interval, "node00").unwrap();
-            crs.checkpoint(&img, &mut s).unwrap();
+            crs.checkpoint(&img, &mut s, None).unwrap();
             assert_eq!(s.param(PARAM_KIND), Some("full"));
             assert!(s.param(PARAM_MANIFEST).is_none(), "no manifest");
             assert_eq!(crs.restart(&s).unwrap(), img);
         }
     }
 
-    #[test]
-    fn dedup_mode_writes_self_contained_manifested_images() {
-        let dir = tmpdir("dedupmode");
+    fn dedup_crs(chunk_kb: &str) -> SelfCrs {
         let params = McaParams::new();
         params.set("filem_dedup_enabled", "true");
+        params.set("crs_incr_chunk_kb", chunk_kb);
+        SelfCrs::from_params(SelfCallbacks::new(), &params)
+    }
+
+    /// Checkpoint `img` as `interval` against `base`; the finished
+    /// snapshot, its manifest and its context's size on disk.
+    fn dedup_checkpoint(
+        crs: &SelfCrs,
+        dir: &std::path::Path,
+        img: &ProcessImage,
+        interval: u64,
+        base: Option<u64>,
+    ) -> (LocalSnapshot, codec::ChunkManifest, u64) {
+        let parent = dir.join(format!("i{interval}"));
+        let mut s =
+            LocalSnapshot::create(&parent, Rank(0), crs.name(), interval, "node00").unwrap();
+        crs.checkpoint(img, &mut s, base).unwrap();
+        s.finish().unwrap();
+        assert_eq!(s.param(PARAM_KIND), Some("dedup"));
+        let manifest = codec::ChunkManifest::parse(s.param(PARAM_MANIFEST).unwrap()).unwrap();
+        let on_disk = std::fs::metadata(s.context_path()).unwrap().len();
+        (s, manifest, on_disk)
+    }
+
+    /// 1 MiB of bytes no two 4 KiB chunks of which are equal.
+    fn distinct_mib() -> Vec<u8> {
+        (0..1u64 << 20)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8 ^ (i >> 12) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn dedup_without_a_base_packs_each_distinct_chunk_once_and_restores_alone() {
         assert_eq!(
-            ManifestCfg::from_params(&params).map(|c| c.chunk_bytes),
+            DedupCapture::from_params(&{
+                let p = McaParams::new();
+                p.set("filem_dedup_enabled", "true");
+                p
+            })
+            .map(|c| c.chunk_bytes),
             Some(4096),
             "default mirrors the registry"
         );
-        params.set("crs_incr_chunk_kb", "1");
-        let crs = SelfCrs::from_params(SelfCallbacks::new(), &params);
+        let dir = tmpdir("dedupnobase");
+        let crs = dedup_crs("1");
         let mut img = ProcessImage::new();
-        img.insert("app", vec![7u8; 4096]);
-        for interval in 0..3 {
-            let parent = dir.join(format!("i{interval}"));
-            let mut s =
-                LocalSnapshot::create(&parent, Rank(0), crs.name(), interval, "node00").unwrap();
-            crs.checkpoint(&img, &mut s).unwrap();
-            assert_eq!(s.param(PARAM_KIND), Some("dedup"));
-            let manifest =
-                codec::ChunkManifest::parse(s.param(PARAM_MANIFEST).expect("manifest")).unwrap();
-            assert_eq!(manifest.chunk_bytes, 1024);
-            assert_eq!(manifest.total_bytes(), 4096);
-            // Self-contained: the context alone restores the image.
+        // Two equal chunks, then a distinct one.
+        img.insert("app", [vec![7u8; 2048], vec![9u8; 1024]].concat());
+        let (s, manifest, _) = dedup_checkpoint(&crs, &dir, &img, 0, None);
+        assert_eq!(manifest.chunk_bytes, 1024);
+        assert_eq!(manifest.total_bytes(), 3072);
+        let pack = ProcessImage::from_bytes(&s.read_context().unwrap()).unwrap();
+        assert_eq!(
+            pack.len(),
+            2,
+            "one copy of the repeated chunk: {:?}",
+            pack.names()
+        );
+        assert_eq!(pack.total_bytes(), 2048);
+        for (name, bytes) in pack.iter() {
+            assert_eq!(ChunkId::parse(name), Some(ChunkId::of(bytes)));
+        }
+        // Manifest + pack restore on their own.
+        assert_eq!(crs.restart(&s).unwrap(), img);
+    }
+
+    #[test]
+    fn dedup_against_the_last_interval_written_packs_only_the_dirty_chunks() {
+        const MIB: u64 = 1 << 20;
+        let dir = tmpdir("dedupbase");
+        let crs = dedup_crs("4");
+        let mut img = ProcessImage::new();
+        img.insert("app", distinct_mib());
+        let (_, _, cold) = dedup_checkpoint(&crs, &dir, &img, 0, None);
+        assert!(cold >= MIB, "no base: every chunk packed ({cold} B)");
+
+        let mut app = img.section("app").unwrap().to_vec();
+        for b in &mut app[300_000..300_000 + MIB as usize / 10] {
+            *b = b.wrapping_add(1);
+        }
+        img.insert("app", app);
+        let (s, _, warm) = dedup_checkpoint(&crs, &dir, &img, 1, Some(0));
+        assert!(warm <= MIB * 15 / 100, "10 % dirty packs {warm} B of {MIB}");
+        // The pack alone does not cover its manifest: refused by name.
+        let err = crs.restart(&s).unwrap_err();
+        assert!(matches!(err, CrError::BadSnapshot { .. }), "{err}");
+        assert!(
+            err.to_string().contains("does not cover its manifest"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn dedup_against_any_other_base_packs_every_distinct_chunk() {
+        let dir = tmpdir("dedupother");
+        let crs = dedup_crs("4");
+        let mut img = ProcessImage::new();
+        img.insert("app", distinct_mib());
+        let (_, _, cold) = dedup_checkpoint(&crs, &dir, &img, 0, None);
+        // The base is never the interval written just before (say that
+        // one failed to commit, so an older one is the newest committed):
+        // nothing may be left out.
+        for (interval, base) in [(1, Some(7)), (2, Some(0)), (3, None)] {
+            let (s, _, size) = dedup_checkpoint(&crs, &dir, &img, interval, base);
+            assert_eq!(size, cold, "interval {interval} base {base:?}");
             assert_eq!(crs.restart(&s).unwrap(), img);
         }
+        // Against the interval written last, the same image packs nothing.
+        let (_, _, size) = dedup_checkpoint(&crs, &dir, &img, 4, Some(3));
+        assert!(size < cold / 100, "{size} B");
+    }
+
+    #[test]
+    fn dedup_context_an_older_build_wrote_whole_still_restores() {
+        let dir = tmpdir("dedupold");
+        let img = sample_image();
+        let mut s = LocalSnapshot::create(&dir, Rank(0), "self", 2, "node00").unwrap();
+        s.write_context(&img.to_context().unwrap()).unwrap();
+        s.set_param(PARAM_KIND, "dedup");
+        let sections: Vec<(&str, &[u8])> = img.iter().collect();
+        s.set_param(
+            PARAM_MANIFEST,
+            &codec::ChunkManifest::of_sections(sections, 4096).render(),
+        );
+        s.finish().unwrap();
+        assert_eq!(
+            read_full_image(&LocalSnapshot::open(s.dir()).unwrap()).unwrap(),
+            img
+        );
     }
 
     #[test]
@@ -556,7 +740,7 @@ mod tests {
         let mut snap = LocalSnapshot::create(&dir, Rank(0), crs.name(), 0, "node00").unwrap();
         let mut img = ProcessImage::new();
         img.insert("app", (0..MIB).map(|i| (i * 31 % 251) as u8).collect());
-        crs.checkpoint(&img, &mut snap).unwrap();
+        crs.checkpoint(&img, &mut snap, None).unwrap();
         let path = snap.context_path();
         let on_disk = std::fs::metadata(&path).unwrap().len() as usize;
         assert!(
@@ -635,13 +819,13 @@ mod exclusion_tests {
         let params = McaParams::new();
         let full = BlcrSim::from_params(&params);
         let mut full_snap = LocalSnapshot::create(&dir, Rank(0), "blcr_sim", 0, "n0").unwrap();
-        full.checkpoint(&image, &mut full_snap).unwrap();
+        full.checkpoint(&image, &mut full_snap, None).unwrap();
 
         params.set("crs_blcr_sim_exclude", "scratch");
         let pruned = BlcrSim::from_params(&params);
         let dir2 = tmpdir("shrink2");
         let mut small_snap = LocalSnapshot::create(&dir2, Rank(0), "blcr_sim", 0, "n0").unwrap();
-        pruned.checkpoint(&image, &mut small_snap).unwrap();
+        pruned.checkpoint(&image, &mut small_snap, None).unwrap();
 
         let full_size = full_snap.size_bytes().unwrap();
         let small_size = small_snap.size_bytes().unwrap();
@@ -667,7 +851,7 @@ mod exclusion_tests {
         image.insert("app", vec![5u8; 16]);
         let dir = tmpdir("harmless");
         let mut snap = LocalSnapshot::create(&dir, Rank(0), "blcr_sim", 0, "n0").unwrap();
-        crs.checkpoint(&image, &mut snap).unwrap();
+        crs.checkpoint(&image, &mut snap, None).unwrap();
         let restored = crs.restart(&snap).unwrap();
         assert_eq!(restored.section("app"), Some(&[5u8; 16][..]));
     }

@@ -13,10 +13,12 @@
 //! context is to Open MPI. What is *inside* a section is its owner's
 //! business (the application state still encodes field by field).
 
-use codec::ByteBuf;
+use codec::{ByteBuf, ChunkManifest};
 use serde::{Deserialize, Serialize};
 
 use cr_core::CrError;
+
+use crate::store::ChunkId;
 
 /// One named section of a process image.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -129,6 +131,69 @@ impl ProcessImage {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CrError> {
         Ok(codec::from_bytes(bytes)?)
     }
+
+    /// An image of `sections`, in order; the caller guarantees the names
+    /// are distinct (no lookup per section, unlike [`insert`](Self::insert)).
+    pub(crate) fn from_distinct(sections: impl IntoIterator<Item = (String, Vec<u8>)>) -> Self {
+        ProcessImage {
+            sections: sections
+                .into_iter()
+                .map(|(name, bytes)| Section {
+                    name,
+                    bytes: bytes.into(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Take the image apart into its `(name, bytes)` sections, in order.
+    pub fn into_sections(self) -> impl Iterator<Item = (String, ByteBuf)> {
+        self.sections.into_iter().map(|s| (s.name, s.bytes))
+    }
+
+    /// Rebuild the image `manifest` describes, taking each chunk's bytes
+    /// from `chunk`. The one assembly of a manifested image: restart from
+    /// the chunk tiers and from a dedup local snapshot's pack both end
+    /// here. A chunk `chunk` cannot supply, or supplies at another length
+    /// than the manifest records, is a [`CrError::BadSnapshot`] naming the
+    /// chunk and its section.
+    pub fn assemble<'a>(
+        manifest: &ChunkManifest,
+        chunk: impl Fn(&ChunkId) -> Option<&'a [u8]>,
+    ) -> Result<ProcessImage, CrError> {
+        let mut sections = Vec::with_capacity(manifest.sections.len());
+        for sec in &manifest.sections {
+            let chunks = sec
+                .chunks
+                .iter()
+                .map(|rec| {
+                    let id = ChunkId::from(rec);
+                    chunk(&id)
+                        .filter(|bytes| bytes.len() == rec.len as usize)
+                        .ok_or_else(|| CrError::BadSnapshot {
+                            detail: format!(
+                                "section {} chunk {}: no bytes for {id}",
+                                sec.name, rec.id
+                            ),
+                        })
+                })
+                .collect::<Result<Vec<&[u8]>, CrError>>()?;
+            // Sized by the bytes at hand, never by a length the manifest claims.
+            let assembled = chunks.concat();
+            if assembled.len() as u64 != sec.total_len {
+                return Err(CrError::BadSnapshot {
+                    detail: format!(
+                        "section {} reassembled to {} bytes, manifest says {}",
+                        sec.name,
+                        assembled.len(),
+                        sec.total_len
+                    ),
+                });
+            }
+            sections.push((sec.name.clone(), assembled));
+        }
+        Ok(Self::from_distinct(sections))
+    }
 }
 
 #[cfg(test)]
@@ -224,6 +289,32 @@ mod tests {
             ProcessImage::from_bytes(&codec::into_payload(context).unwrap()).unwrap(),
             img
         );
+    }
+
+    #[test]
+    fn assemble_rebuilds_a_manifested_image_and_names_what_is_missing() {
+        let app: Vec<u8> = (0..=255u8).cycle().take(2500).collect();
+        let mut img = ProcessImage::new();
+        img.insert("app", app.clone());
+        img.insert("pml", vec![]);
+        let sections: Vec<(&str, &[u8])> = img.iter().collect();
+        let manifest = ChunkManifest::of_sections(sections, 1024);
+        let chunks: Vec<(ChunkId, &[u8])> = app.chunks(1024).map(|c| (ChunkId::of(c), c)).collect();
+        let lookup = |id: &ChunkId| chunks.iter().find(|(k, _)| k == id).map(|(_, c)| *c);
+        assert_eq!(ProcessImage::assemble(&manifest, lookup).unwrap(), img);
+
+        // A chunk nobody supplies, or one supplied at another length.
+        let last = ChunkId::of(&app[2048..]);
+        for wrong in [None, Some(&app[..10])] {
+            let supply = |id: &ChunkId| if *id == last { wrong } else { lookup(id) };
+            let err = ProcessImage::assemble(&manifest, supply).unwrap_err();
+            let named = format!("section app chunk 2: no bytes for {last}");
+            assert!(err.to_string().contains(&named), "{err}");
+        }
+        // A manifest whose section length disagrees with its chunks.
+        let mut lying = manifest.clone();
+        lying.sections[0].total_len += 1;
+        assert!(ProcessImage::assemble(&lying, lookup).is_err());
     }
 
     #[test]

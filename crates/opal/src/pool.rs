@@ -1,20 +1,24 @@
 //! The shared parallel hash/copy pool of the checkpoint data path.
 //!
-//! Every byte a checkpoint moves is digested at least once — chunk
-//! manifests at capture ([`crate::incr`]), digest verification at dedup
-//! commit, and blob framing in the chunk store ([`crate::store`]). This
-//! module makes that work scale with cores instead of running on one
-//! thread, and bounds its allocations:
+//! On the dedup path every image byte is digested once, into the chunk
+//! manifest at capture ([`crate::crs`]), and every byte that enters the
+//! chunk store ([`crate::store`]) is checked against its id once more at
+//! commit: one batch per interval, over every rank's pack. This module
+//! makes that work scale with cores instead of running on one thread, and
+//! bounds its allocations:
 //!
 //! * [`manifest_parallel`] / [`digest_all_parallel`] — a bounded worker
 //!   pool (`opal_hash_workers`, `thread::scope` + atomic work-claiming)
-//!   that chunks and digests a rank's sections concurrently. Output is
+//!   that chunks and digests sections concurrently. Output is
 //!   byte-identical to the sequential path — asserted by tests here and
 //!   ratcheted by the `ckpt_datapath` bench.
 //! * [`insert_all_parallel`] — fan a batch of content-addressed chunks
 //!   into a [`crate::store::ChunkStore`] over the same pool, each lane
 //!   framing through one scratch buffer it owns, so a commit allocates
 //!   O(workers) frame buffers, not O(chunks).
+//! * [`map_claimed`] — the pool itself, for other per-item work of the
+//!   data path (the dedup commit reads and decodes its ranks' packs on
+//!   it).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -37,7 +41,7 @@ pub fn hash_workers(params: &McaParams) -> usize {
 /// lane owns one `S::default()` scratch value for its whole run and claims
 /// the next unprocessed index atomically; a lane stops at its first error.
 /// With one worker (or one item) the sequential path runs inline.
-fn map_claimed<T: Sync, R: Send, S: Default>(
+pub fn map_claimed<T: Sync, R: Send, S: Default>(
     items: &[T],
     workers: usize,
     f: impl Fn(&T, &mut S) -> Result<R, CrError> + Sync,

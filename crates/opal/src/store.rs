@@ -1,8 +1,10 @@
 //! Content-addressed chunk store: digest-keyed blobs with refcount GC.
 //!
-//! In dedup mode the CRS context writer ([`crate::crs`]) digests every chunk
-//! of every capture section; this module promotes that digest to the
-//! *storage key*.  A [`ChunkId`] names a chunk by `(digest, len)`; a [`ChunkStore`]
+//! In dedup mode the CRS ([`crate::crs`]) digests every chunk of every
+//! capture section once, into the manifest it records, and packs only the
+//! distinct chunks its base interval lacks; this module promotes that
+//! digest to the *storage key*.  A [`ChunkId`] names a chunk by
+//! `(digest, len)`; a [`ChunkStore`]
 //! holds one frame-wrapped blob per distinct id plus a persisted refcount
 //! table.  Identical chunks — across ranks of an SPMD job, or across
 //! checkpoint intervals — are stored once and shared by every manifest that
@@ -75,6 +77,16 @@ impl ChunkId {
             digest: u64::from_str_radix(digest, 16).ok()?,
             len: len.parse().ok()?,
         })
+    }
+}
+
+impl From<&codec::chunk::ChunkRecord> for ChunkId {
+    /// The content address a manifest records for one chunk.
+    fn from(rec: &codec::chunk::ChunkRecord) -> ChunkId {
+        ChunkId {
+            digest: rec.digest,
+            len: rec.len,
+        }
     }
 }
 

@@ -164,8 +164,9 @@ impl Orted {
             DaemonMsg::CheckpointTree {
                 job,
                 interval,
+                base,
                 children,
-            } => match self.checkpoint_tree(job, interval, children) {
+            } => match self.checkpoint_tree(job, interval, base, children) {
                 Ok(results) => DaemonReply::TreeDone { node, results },
                 Err(e) => DaemonReply::Error {
                     node,
@@ -226,11 +227,13 @@ impl Orted {
     /// Checkpoint this node's subtree: forward into the child subtrees
     /// first (children proceed concurrently), then checkpoint the local
     /// ranks, then aggregate local and subtree results. With no children
-    /// this is the plain local checkpoint.
+    /// this is the plain local checkpoint. `base` travels unchanged to the
+    /// children and to every local rank's CRS.
     fn checkpoint_tree(
         &self,
         job: JobId,
         interval: u64,
+        base: Option<u64>,
         children: Vec<TreeSpec>,
     ) -> Result<Vec<(u32, RankCkpt)>, CrError> {
         // A leaf forwards nothing, so it registers no reply endpoint: each
@@ -245,6 +248,7 @@ impl Orted {
                     &DaemonMsg::CheckpointTree {
                         job,
                         interval,
+                        base,
                         children: child.children,
                     },
                 )?;
@@ -254,7 +258,7 @@ impl Orted {
                 );
             }
         }
-        let waits = self.notify_local(job, interval)?;
+        let waits = self.notify_local(job, interval, base)?;
         let mut results: Vec<(u32, RankCkpt)> = self
             .collect_local(interval, waits)?
             .into_iter()
@@ -279,6 +283,7 @@ impl Orted {
         &self,
         job: JobId,
         interval: u64,
+        base: Option<u64>,
     ) -> Result<PendingLocal, CrError> {
         let dir = self.local_interval_dir(job, interval);
         std::fs::create_dir_all(&dir).map_err(|e| CrError::io(dir.display().to_string(), &e))?;
@@ -300,6 +305,7 @@ impl Orted {
                     .send(OpalCtrl::Checkpoint {
                         snapshot_parent: dir.clone(),
                         interval,
+                        base,
                         options: CheckpointOptions::tool(),
                         reply: rtx,
                     })
@@ -419,6 +425,7 @@ pub(crate) mod tests {
         DaemonMsg::CheckpointTree {
             job,
             interval: 0,
+            base: None,
             children: Vec::new(),
         }
     }
@@ -568,6 +575,7 @@ pub(crate) mod tests {
                 &DaemonMsg::CheckpointTree {
                     job,
                     interval: 0,
+                    base: None,
                     children: vec![TreeSpec {
                         endpoint: child.endpoint().0,
                         node: 1,

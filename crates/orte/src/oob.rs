@@ -85,6 +85,10 @@ pub enum DaemonMsg {
         job: JobId,
         /// Interval number assigned by the global coordinator.
         interval: u64,
+        /// Newest globally committed interval when it has chunk manifests,
+        /// as the global coordinator read it before beginning `interval`:
+        /// what a dedup-mode CRS need not pack. Never persisted.
+        base: Option<u64>,
         /// Subtrees rooted at child daemons.
         children: Vec<TreeSpec>,
     },
@@ -529,6 +533,7 @@ mod tests {
                 DaemonMsg::CheckpointTree {
                     job,
                     interval: 0,
+                    base: None,
                     children: Vec::new(),
                 },
                 |r| matches!(r, DaemonReply::TreeDone { results, .. } if results.len() == 1),
@@ -623,6 +628,7 @@ mod tests {
         let no_procs = DaemonMsg::CheckpointTree {
             job: JobId(1),
             interval: 0,
+            base: None,
             children: Vec::new(),
         };
         let err = hnp

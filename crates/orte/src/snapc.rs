@@ -147,12 +147,14 @@ fn rank_hosts(job: &JobHandle) -> IntervalRecord {
 /// minted here — enforced by the `commit-state` cr-lint rule.
 ///
 /// With `filem_dedup_enabled=true` the tail is replaced wholesale by the
-/// content-addressed commit ([`crate::store`]): each rank's manifested
-/// image is sliced into chunks, only chunks the stable
-/// [`opal::store::ChunkStore`] has never seen are written (and pushed to
-/// the peer-memory chunk tier), references are taken *before* the
-/// manifests are recorded, and the interval commits with a dedup ratio in
-/// its stats. The refcount lifecycle is model-checked by `cr-model gc`.
+/// content-addressed commit ([`crate::store::dedup_commit`]): each rank
+/// left its chunk manifest plus a pack of the chunks the interval's base
+/// lacks; the packs are merged and each packed chunk verified once, only
+/// chunks the stable [`opal::store::ChunkStore`] has never seen are
+/// written (and pushed to the peer-memory chunk tier), references are
+/// taken *before* the manifests are recorded, and the interval commits
+/// with a dedup ratio in its stats. The refcount lifecycle is
+/// model-checked by `cr-model gc`.
 fn gather_commit_cleanup(
     job: &JobHandle,
     interval: u64,
@@ -458,6 +460,7 @@ fn checkpoint_subtrees(
     job: &JobHandle,
     hnp: &Caller,
     interval: u64,
+    base: Option<u64>,
     tag: &str,
     roots: Vec<TreeSpec>,
     root_done: impl Fn(u32),
@@ -467,6 +470,7 @@ fn checkpoint_subtrees(
         let request = DaemonMsg::CheckpointTree {
             job: job.job(),
             interval,
+            base,
             children: root.children,
         };
         hnp.send(EndpointId(root.endpoint), &request)?;
@@ -522,17 +526,25 @@ fn coordinate(
     // All-or-nothing: refuse before any process is disturbed.
     verify_checkpointable(job, &hnp, &daemons)?;
 
-    // Begin the interval on stable storage (uncommitted until the end).
-    let (interval, interval_dir) = {
+    // Begin the interval on stable storage (uncommitted until the end),
+    // noting first the base a dedup-mode rank packs against: the newest
+    // committed interval, when the dedup store holds its chunks. (Only
+    // that one is looked at, so a job without dedup pays one lookup per
+    // checkpoint, not one per interval it ever committed.)
+    let (base, interval, interval_dir) = {
         let mut global = job.global_snapshot()?;
-        global.begin_interval()?
+        let base = global
+            .latest_interval()
+            .filter(|i| !global.chunk_manifests(*i).is_empty());
+        let (interval, dir) = global.begin_interval()?;
+        (base, interval, dir)
     };
     runtime.tracer().record(
         "snapc.global.initiate",
         &format!("interval {interval}{tag}"),
     );
 
-    let results = checkpoint_subtrees(job, &hnp, interval, tag, shape(daemons), root_done)
+    let results = checkpoint_subtrees(job, &hnp, interval, base, tag, shape(daemons), root_done)
         .inspect_err(|_| {
             // Leave the interval uncommitted (invisible) and report.
             let _ = std::fs::remove_dir_all(&interval_dir);
@@ -661,6 +673,8 @@ impl SnapcComponent for DirectSnapc {
                 .send(OpalCtrl::Checkpoint {
                     snapshot_parent: interval_dir.clone(),
                     interval,
+                    // No gather, no chunk store: every pack is whole.
+                    base: None,
                     options: CheckpointOptions::tool(),
                     reply: rtx,
                 })
@@ -1013,7 +1027,7 @@ mod tree_tests {
         let handle = launch_spinning(&rt, 8, Arc::new(McaParams::new()));
         let hnp = Caller::new(rt.fabric(), NodeId(0));
         let listing = |interval: u64, roots: Vec<TreeSpec>| -> Vec<(u32, u32)> {
-            checkpoint_subtrees(&handle, &hnp, interval, "", roots, |_| ())
+            checkpoint_subtrees(&handle, &hnp, interval, None, "", roots, |_| ())
                 .unwrap()
                 .iter()
                 .map(|(node, ckpt)| (*node, ckpt.rank))

@@ -2,13 +2,16 @@
 //! refcount GC over the two chunk tiers.
 //!
 //! With `filem_dedup_enabled=true` the SNAPC gather tail stops shipping
-//! whole context files and instead commits through this module: each
-//! rank's manifested image is sliced into content-addressed chunks
-//! ([`opal::store::ChunkId`]), only chunks the stable
-//! [`opal::store::ChunkStore`] has never seen move off the compute nodes,
-//! and the per-rank manifests recorded in the global metadata become the
-//! store's liveness roots. Identical chunks across ranks of an SPMD job
-//! and across checkpoint intervals are stored exactly once.
+//! whole context files and instead commits through this module. Each
+//! rank's local snapshot is its chunk manifest plus a pack of the distinct
+//! content-addressed chunks ([`opal::store::ChunkId`]) that the interval's
+//! base lacks ([`opal::crs`]). [`dedup_commit`] merges the packs, checks
+//! each packed chunk against its id once, moves only chunks the stable
+//! [`opal::store::ChunkStore`] has never seen, and records the per-rank
+//! manifests in the global metadata, where they become the store's
+//! liveness roots. No image is read back or re-digested whole. Identical
+//! chunks across ranks of an SPMD job and across checkpoint intervals are
+//! stored exactly once.
 //!
 //! [`SnapshotStore`] fronts both tiers behind one API:
 //!
@@ -30,8 +33,10 @@
 //! sweep_before_decrement` shows the minimal violation when the ordering
 //! is broken.
 
+use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 
+use codec::ByteBuf;
 use netsim::SimTime;
 
 use cr_core::request::CkptStats;
@@ -81,10 +86,7 @@ pub fn manifest_ids(manifest: &codec::ChunkManifest) -> Vec<ChunkId> {
         .sections
         .iter()
         .flat_map(|sec| sec.chunks.iter())
-        .map(|rec| ChunkId {
-            digest: rec.digest,
-            len: rec.len,
-        })
+        .map(ChunkId::from)
         .collect()
 }
 
@@ -117,8 +119,9 @@ impl<'rt> SnapshotStore<'rt> {
         &self.stable
     }
 
-    /// Assemble one rank's full image from its chunk manifest, fetching
-    /// each distinct chunk from the tiers `source` allows. Peer-memory
+    /// Assemble one rank's full image from its chunk manifest
+    /// ([`ProcessImage::assemble`]), fetching each distinct chunk from the
+    /// tiers `source` allows. Peer-memory
     /// bytes are digest-verified when `verify` is set (the stable tier
     /// always verifies on read); a corrupt replica chunk falls back to
     /// stable under [`ChunkSource::Auto`] and fails loudly under
@@ -129,13 +132,11 @@ impl<'rt> SnapshotStore<'rt> {
         source: ChunkSource,
         verify: bool,
     ) -> Result<(ProcessImage, FetchStats), CrError> {
-        let occurrences = manifest_ids(manifest);
-        let mut unique: Vec<ChunkId> = occurrences.clone();
+        let mut unique = manifest_ids(manifest);
         unique.sort();
         unique.dedup();
 
-        let mut bytes_of: std::collections::BTreeMap<ChunkId, Vec<u8>> =
-            std::collections::BTreeMap::new();
+        let mut bytes_of: BTreeMap<ChunkId, Vec<u8>> = BTreeMap::new();
         let mut stats = FetchStats::default();
 
         if source != ChunkSource::StableOnly {
@@ -179,31 +180,8 @@ impl<'rt> SnapshotStore<'rt> {
             });
         }
 
-        let mut image = ProcessImage::new();
-        for sec in &manifest.sections {
-            let mut assembled = Vec::with_capacity(sec.total_len as usize);
-            for rec in &sec.chunks {
-                let id = ChunkId {
-                    digest: rec.digest,
-                    len: rec.len,
-                };
-                if let Some(chunk) = bytes_of.get(&id) {
-                    assembled.extend_from_slice(chunk);
-                }
-            }
-            if assembled.len() as u64 != sec.total_len {
-                return Err(CrError::BadSnapshot {
-                    detail: format!(
-                        "section {} reassembled to {} bytes, manifest says {}",
-                        sec.name,
-                        assembled.len(),
-                        sec.total_len
-                    ),
-                });
-            }
-            stats.bytes += sec.total_len;
-            image.insert(sec.name.clone(), assembled);
-        }
+        let image = ProcessImage::assemble(manifest, |id| bytes_of.get(id).map(Vec::as_slice))?;
+        stats.bytes = manifest.total_bytes();
         self.runtime.tracer().record(
             "store.restart.fetch",
             &format!(
@@ -218,13 +196,26 @@ impl<'rt> SnapshotStore<'rt> {
     }
 }
 
+/// One distinct chunk of an interval's merged packs.
+struct Packed {
+    id: ChunkId,
+    bytes: ByteBuf,
+    /// The first rank that packed it, and that rank's node.
+    rank: u32,
+    node: u32,
+}
+
 /// The content-addressed commit tail of a distributed checkpoint
-/// (`filem_dedup_enabled=true`): slice every rank's manifested image into
-/// chunks, move only never-before-seen chunks into the stable tier (and
-/// push them to the rank's node plus its `filem_replica_factor` ring
-/// neighbors' peer memory), take one reference per manifest occurrence
-/// *before* the one commit call that records `record` — the rest of the
-/// interval's commit record — with the manifests added.
+/// (`filem_dedup_enabled=true`), one batch per interval: merge every
+/// rank's pack by chunk id, digest-verify each packed chunk once, check
+/// that every manifest chunk is packed or stored already, move the
+/// never-before-seen chunks into the stable tier (and push them to their
+/// source node plus its `filem_replica_factor` ring neighbors' peer
+/// memory), and take one reference per manifest occurrence *before* the
+/// one commit call that records `record` — the rest of the interval's
+/// commit record — with the manifests added. A manifest chunk that is
+/// neither packed nor stored fails the interval before anything is
+/// written.
 ///
 /// Returns stats whose `dedup_ratio` is logical image bytes over bytes
 /// actually written — the cross-rank/cross-interval savings the bench
@@ -244,21 +235,13 @@ pub fn dedup_commit(
     let factor = params
         .get_parsed_or("filem_replica_factor", 1u32)
         .unwrap_or(1);
-
-    let store = SnapshotStore::open(runtime, job_id, &job.global_snapshot_path())?;
-    let mut all_ids: Vec<ChunkId> = Vec::new();
-    let mut logical = 0u64;
-    let mut moved = 0u64;
-    let mut hits = 0u64;
-    let mut sim_cost = SimTime::ZERO;
-
-    // Digest verification and blob writes run over the bounded OPAL hash
-    // pool; each insert lane frames through one scratch buffer of its own
-    // instead of allocating per chunk.
     let workers = opal::pool::hash_workers(params);
-    let mut verified_chunks = 0u64;
+    let store = SnapshotStore::open(runtime, job_id, &job.global_snapshot_path())?;
 
-    for (node, ckpt) in results {
+    // Every rank's manifest and pack, read (the frame CRC is checked) and
+    // decoded over the pool, then merged in rank order by chunk id: the
+    // first rank to pack a chunk is its source.
+    let read = opal::pool::map_claimed(results, workers, |(node, ckpt), _: &mut ()| {
         let local = LocalSnapshot::open(&ckpt.dir)?;
         let rendered = local
             .param(opal::crs::PARAM_MANIFEST)
@@ -271,91 +254,99 @@ pub fn dedup_commit(
             })?
             .to_string();
         let manifest = codec::ChunkManifest::parse(&rendered).map_err(CrError::Codec)?;
-        let image = opal::crs::read_full_image(&local)?;
+        let pack = ProcessImage::from_bytes(&local.read_context()?)?;
+        Ok((*node, ckpt.rank, rendered, manifest, pack))
+    })?;
+    let mut manifests: Vec<(u32, codec::ChunkManifest)> = Vec::with_capacity(read.len());
+    let mut packed: Vec<Packed> = Vec::new();
+    let mut covered: HashSet<ChunkId> = HashSet::new();
+    let mut logical = 0u64;
+    for (node, rank, rendered, manifest, pack) in read {
         logical += manifest.total_bytes();
-
-        let chunk_bytes = manifest.chunk_bytes as usize;
-        // Collect every manifest occurrence with its backing slice, then
-        // verify all digests in one parallel pass over the hash pool.
-        let mut occs: Vec<(ChunkId, &[u8], &str, u32)> = Vec::new();
-        for sec in &manifest.sections {
-            let section = image.require_section(&sec.name)?;
-            for rec in &sec.chunks {
-                let id = ChunkId {
-                    digest: rec.digest,
-                    len: rec.len,
-                };
-                all_ids.push(id);
-                let start = rec.id as usize * chunk_bytes;
-                let end = start + rec.len as usize;
-                let slice = section.get(start..end).ok_or_else(|| CrError::BadSnapshot {
-                    detail: format!(
-                        "rank {} section {}: manifest chunk {} spans {start}..{end} \
-                         but the section holds {} bytes",
-                        ckpt.rank,
-                        sec.name,
-                        rec.id,
-                        section.len()
-                    ),
-                })?;
-                occs.push((id, slice, sec.name.as_str(), rec.id));
-            }
-        }
-        let slices: Vec<&[u8]> = occs.iter().map(|(_, s, _, _)| *s).collect();
-        let digests = opal::pool::digest_all_parallel(&slices, workers);
-        for ((id, slice, sec_name, rec_id), digest) in occs.iter().zip(&digests) {
-            let actual = ChunkId {
-                digest: *digest,
-                len: slice.len() as u32,
-            };
-            if actual != *id {
-                return Err(CrError::BadSnapshot {
-                    detail: format!(
-                        "rank {} section {} chunk {}: manifest says {id}, \
-                         bytes hash to {actual}",
-                        ckpt.rank, sec_name, rec_id
-                    ),
+        for (name, bytes) in pack.into_sections() {
+            let id = ChunkId::parse(&name).ok_or_else(|| CrError::BadSnapshot {
+                detail: format!("rank {rank} packed a section {name:?} that is not a chunk id"),
+            })?;
+            if covered.insert(id) {
+                packed.push(Packed {
+                    id,
+                    bytes,
+                    rank,
+                    node,
                 });
             }
         }
-        verified_chunks += occs.len() as u64;
+        manifests.push((rank, manifest));
+        record.chunk_manifests.push((Rank(rank), rendered));
+    }
 
-        // Write never-before-seen blobs in parallel. Duplicate ids within
-        // the batch are collapsed first — the parallel inserter requires
-        // unique ids — which preserves the serial loop's accounting exactly:
-        // one fresh write per new id, every other occurrence a hit.
-        let mut unique: Vec<(ChunkId, &[u8])> = Vec::new();
-        let mut seen: std::collections::HashSet<ChunkId> = std::collections::HashSet::new();
-        for (id, slice, _, _) in &occs {
-            if seen.insert(*id) {
-                unique.push((*id, slice));
-            }
+    // Every byte that enters the store is checked against its id, once,
+    // in one pass over the hash pool.
+    let verified = packed.len();
+    let slices: Vec<&[u8]> = packed.iter().map(|p| p.bytes.as_slice()).collect();
+    let digests = opal::pool::digest_all_parallel(&slices, workers);
+    for (chunk, digest) in packed.iter().zip(digests) {
+        if digest != chunk.id.digest || chunk.bytes.len() != chunk.id.len as usize {
+            return Err(CrError::BadSnapshot {
+                detail: format!(
+                    "rank {} packed chunk {}, whose {} bytes hash to {digest:016x}",
+                    chunk.rank,
+                    chunk.id,
+                    chunk.bytes.len()
+                ),
+            });
         }
-        let fresh_flags = opal::pool::insert_all_parallel(&store.stable, &unique, workers)?;
-        let mut fresh: Vec<(ChunkId, codec::ByteBuf)> = Vec::new();
-        for ((id, slice), is_fresh) in unique.iter().zip(&fresh_flags) {
-            if *is_fresh {
-                moved += slice.len() as u64;
-                fresh.push((*id, slice.to_vec().into()));
-            }
-        }
-        hits += occs.len() as u64 - fresh.len() as u64;
+    }
 
-        // Push this rank's fresh chunks into peer memory on its own node
-        // plus its ring neighbors, so a dedup restart can come from
-        // surviving memory exactly like a replica restart.
-        let mut targets = vec![*node];
-        targets.extend(replica::ring_neighbors(*node, nnodes, factor));
-        let (cost, _) = replica::put_chunks(runtime, job_id, &targets, fresh)?;
-        sim_cost += cost;
-        record.chunk_manifests.push((Rank(ckpt.rank), rendered));
+    // What a pack leaves out, its base put in the store already; a chunk
+    // in neither fails the interval before anything is written.
+    let mut all_ids: Vec<ChunkId> = Vec::new();
+    for (rank, manifest) in &manifests {
+        for id in manifest_ids(manifest) {
+            if covered.insert(id) && !store.stable.contains(&id) {
+                return Err(CrError::BadSnapshot {
+                    detail: format!(
+                        "rank {rank}: manifest chunk {id} is neither in its pack nor in \
+                         the chunk store"
+                    ),
+                });
+            }
+            all_ids.push(id);
+        }
+    }
+
+    let units: Vec<(ChunkId, &[u8])> = packed.iter().map(|p| (p.id, p.bytes.as_slice())).collect();
+    let fresh_flags = opal::pool::insert_all_parallel(&store.stable, &units, workers)?;
+
+    // Push the fresh chunks into peer memory on their source node plus its
+    // ring neighbors, one put per node, so a dedup restart can come from
+    // surviving memory exactly like a replica restart.
+    let mut fresh_by_node: BTreeMap<u32, Vec<(ChunkId, ByteBuf)>> = BTreeMap::new();
+    let mut moved = 0u64;
+    let mut fresh = 0u64;
+    for (chunk, is_fresh) in packed.into_iter().zip(fresh_flags) {
+        if is_fresh {
+            moved += chunk.bytes.len() as u64;
+            fresh += 1;
+            fresh_by_node
+                .entry(chunk.node)
+                .or_default()
+                .push((chunk.id, chunk.bytes));
+        }
+    }
+    let hits = all_ids.len() as u64 - fresh;
+    let mut sim_cost = SimTime::ZERO;
+    for (node, chunks) in fresh_by_node {
+        let mut targets = vec![node];
+        targets.extend(replica::ring_neighbors(node, nnodes, factor));
+        sim_cost += replica::put_chunks(runtime, job_id, &targets, chunks)?.0;
     }
 
     tracer.record(
         "opal.hash.pool",
         &format!(
-            "interval {interval}: {workers} workers verified {verified_chunks} chunks \
-             ({logical} B){tag}"
+            "interval {interval}: {workers} workers verified {verified} packed chunks \
+             ({logical} logical B){tag}"
         ),
     );
 

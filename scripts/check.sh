@@ -7,6 +7,8 @@ cd "$(dirname "$0")/.."
 cargo build --release
 # --workspace: the root package alone is 66 of the workspace's tests.
 cargo test -q --workspace
+# Rustdoc runs clean: every intra-doc link resolves.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 cargo run --release -q -p lint --bin cr-lint
 
 # Model-checker smoke: exhaustively explore the commit/quiesce/replica
@@ -102,3 +104,7 @@ for f in crates/core/src/snapshot.rs crates/opal/src/store.rs; do
   fi
 done
 if grep -n 'fn record_' crates/core/src/snapshot.rs; then exit 1; fi
+# Only the CRS decodes a local snapshot's context into a whole image: the
+# dedup commit reads packs and never reads back or re-digests an image.
+if grep -rn 'read_full_image' crates src tests examples --include=*.rs |
+  grep -v '^crates/opal/src/crs.rs:'; then exit 1; fi

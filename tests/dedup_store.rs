@@ -141,6 +141,28 @@ fn live_ids(global: &GlobalSnapshot, intervals: &[u64]) -> Vec<ChunkId> {
     ids
 }
 
+/// The stable tier holds exactly the chunks `intervals`' manifests name,
+/// each with one reference per occurrence.
+fn assert_store_matches_manifests(
+    store: &SnapshotStore<'_>,
+    global: &GlobalSnapshot,
+    intervals: &[u64],
+) {
+    let mut occurrences: std::collections::BTreeMap<ChunkId, u64> = Default::default();
+    for i in intervals {
+        for (_, rendered) in global.chunk_manifests(*i) {
+            for id in manifest_ids(&codec::ChunkManifest::parse(rendered).unwrap()) {
+                *occurrences.entry(id).or_default() += 1;
+            }
+        }
+    }
+    let stored = store.stable().disk_ids().unwrap();
+    assert_eq!(stored, occurrences.keys().copied().collect::<Vec<_>>());
+    for (id, count) in &occurrences {
+        assert_eq!(store.stable().refcount(id), *count, "chunk {id}");
+    }
+}
+
 /// Fetch rank `rank` of `interval` through the unified store and return
 /// its `app` section bytes.
 fn fetch_app_section(
@@ -196,6 +218,11 @@ proptest! {
 
         let mut global = GlobalSnapshot::open(&snapshot_path.unwrap()).unwrap();
         let job_id = global.job();
+        assert_store_matches_manifests(
+            &SnapshotStore::open(&rt, job_id, global.dir()).unwrap(),
+            &global,
+            &global.intervals(),
+        );
 
         // Random retirement order, random GC batch size per retirement.
         let mut order: Vec<u64> = (0..intervals).collect();
@@ -310,6 +337,70 @@ fn dedup_restart_byte_identical_from_both_tiers() {
             );
             assert!(stats.stable_chunks > 0);
             assert_eq!(stats.replica_chunks, 0);
+        }
+    }
+    rt.shutdown();
+}
+
+/// A pack that leaves out a chunk the store lacks fails its interval,
+/// naming the rank and the chunk, and records nothing. The next
+/// checkpoint's base is the last committed interval again, which no rank
+/// wrote last, so every pack is whole: it commits and restores
+/// byte-identically from both tiers.
+#[test]
+fn pack_missing_a_chunk_the_store_lacks_fails_only_its_interval() {
+    let _serial = serial();
+    let mut rng = 5u64;
+    let nprocs = 2u32;
+    let rt = test_runtime("dedup_uncovered", 2);
+    let state = spmd_state(nprocs, &mut rng);
+    let handle = launch_state_job(&rt, nprocs, &state, dedup_params());
+    let first = handle.checkpoint(&CheckpointOptions::tool()).unwrap();
+    let global_dir = first.global_snapshot.clone();
+
+    // Rank 1's header chunk is its own and unchanged, so its next pack
+    // (base: interval 0, the interval it wrote last) leaves it out.
+    let header = {
+        let global = GlobalSnapshot::open(&global_dir).unwrap();
+        let rendered = global.chunk_manifest(0, Rank(1)).unwrap();
+        manifest_ids(&codec::ChunkManifest::parse(rendered).unwrap())[0]
+    };
+    let store = SnapshotStore::open(&rt, handle.job(), &global_dir).unwrap();
+    let refs_before = store.stable().refcount(&header);
+    std::fs::remove_file(store.stable().dir().join(format!("{header}.blob"))).unwrap();
+    let chunks_before = store.stable().chunk_count().unwrap();
+
+    let err = handle.checkpoint(&CheckpointOptions::tool()).unwrap_err();
+    assert!(matches!(err, cr_core::CrError::BadSnapshot { .. }), "{err}");
+    let msg = err.to_string();
+    assert!(
+        msg.contains(&format!("rank 1: manifest chunk {header}")),
+        "{msg}"
+    );
+    let global = GlobalSnapshot::open(&global_dir).unwrap();
+    assert_eq!(global.intervals(), vec![0]);
+    assert!(global.chunk_manifests(1).is_empty());
+    let store = SnapshotStore::open(&rt, handle.job(), &global_dir).unwrap();
+    assert_eq!(store.stable().chunk_count().unwrap(), chunks_before);
+    assert_eq!(store.stable().refcount(&header), refs_before);
+
+    let next = handle.checkpoint(&CheckpointOptions::tool()).unwrap();
+    assert_eq!(next.interval, 1);
+    let expect: Vec<Vec<u8>> = state.iter().map(|c| c.lock().clone()).collect();
+    handle.request_terminate();
+    handle.join().unwrap();
+    rt.drain_writebehind();
+
+    let global = GlobalSnapshot::open(&global_dir).unwrap();
+    let store = SnapshotStore::open(&rt, global.job(), global.dir()).unwrap();
+    assert!(
+        store.stable().contains(&header),
+        "the whole packs put it back"
+    );
+    for r in 0..nprocs {
+        for source in [ChunkSource::ReplicaOnly, ChunkSource::StableOnly] {
+            let got = fetch_app_section(&store, &global, 1, Rank(r), source);
+            assert_eq!(got, expect[r as usize], "rank {r} from {source:?}");
         }
     }
     rt.shutdown();

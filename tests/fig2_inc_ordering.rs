@@ -7,13 +7,15 @@
 use std::sync::Arc;
 
 use cr_core::request::CheckpointOptions;
+use cr_core::Rank;
 use ompi::app::{MpiApp, StepOutcome};
-use ompi::{mpirun, Mpi, MpiError, RunConfig};
+use ompi::{mpirun, Mpi, MpiError, MpiJob, RunConfig};
 use ompi_cr::test_runtime;
 use serde::{Deserialize, Serialize};
 
 /// App that registers SELF callbacks so the application layer's
-/// participation is visible in the trace.
+/// participation is visible in the trace. It runs until terminated, so a
+/// checkpoint never races its `MPI_Finalize`.
 struct CallbackApp;
 
 #[derive(Serialize, Deserialize)]
@@ -42,12 +44,18 @@ impl MpiApp for CallbackApp {
         let comm = mpi.world().clone();
         mpi.barrier(&comm)?;
         state.rounds += 1;
-        Ok(if state.rounds >= 200_000 {
-            StepOutcome::Done
-        } else {
-            StepOutcome::Continue
-        })
+        Ok(StepOutcome::Continue)
     }
+}
+
+/// Launch `nprocs` ranks of [`CallbackApp`] and return once every rank's
+/// checkpoint window is open (its `MPI_Init` finished).
+fn launch_live(rt: &orte::Runtime, params: Arc<mca::McaParams>, nprocs: u32) -> MpiJob<CbState> {
+    let job = mpirun(rt, Arc::new(CallbackApp), RunConfig { nprocs, params }).unwrap();
+    while !(0..nprocs).all(|r| job.handle().container(Rank(r)).checkpointing_enabled()) {
+        std::thread::yield_now();
+    }
+    job
 }
 
 #[test]
@@ -55,17 +63,7 @@ fn inc_stack_order_is_a_palindrome_around_the_crs() {
     let rt = test_runtime("fig2", 1);
     let params = Arc::new(mca::McaParams::new());
     params.set("crs", "self");
-    let job = mpirun(
-        &rt,
-        Arc::new(CallbackApp),
-        RunConfig {
-            nprocs: 2,
-            params,
-        },
-    )
-    .unwrap();
-
-    std::thread::sleep(std::time::Duration::from_millis(30));
+    let job = launch_live(&rt, params, 2);
     rt.tracer().clear();
     job.checkpoint(&CheckpointOptions::tool()).unwrap();
     let tracer = rt.tracer();
@@ -91,8 +89,7 @@ fn inc_stack_order_is_a_palindrome_around_the_crs() {
 #[test]
 fn full_layer_enter_exit_palindrome() {
     let rt = test_runtime("fig2b", 1);
-    let job = mpirun(&rt, Arc::new(CallbackApp), RunConfig::new(1)).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(20));
+    let job = launch_live(&rt, Arc::new(mca::McaParams::new()), 1);
     rt.tracer().clear();
     job.checkpoint(&CheckpointOptions::tool()).unwrap();
     let phases = rt.tracer().phases();
