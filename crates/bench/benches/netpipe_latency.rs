@@ -2,8 +2,8 @@
 //! infrastructure. The paper reports ~3% added latency for small messages
 //! and ~0% for large ones when the interposition layers run with
 //! passthrough components; `disabled` is the infrastructure-off baseline,
-//! `passthrough` the paper's measured configuration, `coord`/`logger` the
-//! real protocols' failure-free paths.
+//! `passthrough` the paper's measured configuration, `coord` the real
+//! protocol's failure-free path.
 
 use std::time::{Duration, Instant};
 

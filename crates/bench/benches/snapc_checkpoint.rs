@@ -1,7 +1,7 @@
 //! Experiment E3 companion: end-to-end distributed checkpoint latency
 //! through the full Figure-1 pipeline, comparing the centralized `full`
-//! coordinator (daemons + FILEM gather + cleanup) against the `direct`
-//! coordinator (straight to stable storage).
+//! coordinator against the hierarchical `tree` coordinator (the same
+//! daemons + FILEM gather + cleanup, fanned out over a binomial tree).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,9 +15,9 @@ use orte::Runtime;
 use workloads::stencil::StencilApp;
 
 fn snapc_checkpoint(c: &mut Criterion) {
-    let mut group = c.benchmark_group("snapc_full_vs_direct");
+    let mut group = c.benchmark_group("snapc_full_vs_tree");
     group.sample_size(10).measurement_time(Duration::from_secs(3));
-    for snapc in ["full", "direct"] {
+    for snapc in ["full", "tree"] {
         let dir = std::env::temp_dir().join(format!("bench_snapc_{snapc}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let rt = Runtime::new(Topology::uniform(4, LinkSpec::gigabit_ethernet()), dir).unwrap();

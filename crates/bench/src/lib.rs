@@ -7,10 +7,9 @@
 //! |---|---|
 //! | `netpipe_latency` | E1 — §7 latency overhead |
 //! | `netpipe_bandwidth` | E2 — §7 bandwidth overhead |
-//! | `snapc_checkpoint` | E3 — Figure 1 pipeline cost, full vs direct |
+//! | `snapc_checkpoint` | E3 — Figure 1 pipeline cost, full vs tree |
 //! | `ckpt_scaling` | A1 — checkpoint latency vs rank count |
 //! | `ckpt_size` | A2 — checkpoint latency vs snapshot size |
-//! | `crcp_protocols` | A3 — coord vs logger vs none vs disabled |
 //! | `drain_cost` | A4 — channel drain vs in-flight traffic |
 //! | `filem_gather` | A5 — aggregation strategies |
 //!

@@ -94,18 +94,6 @@ pub const KNOWN_TRACE_EVENTS: &[TraceEventDef] = &[
         help: "CRCP coordination (bookmark exchange + drain) started",
     },
     TraceEventDef {
-        phase: "ompi.crcp.logger.gc",
-        help: "message logger garbage-collected entries up to an interval",
-    },
-    TraceEventDef {
-        phase: "ompi.crcp.logger.replay",
-        help: "message logger replayed logged frames after restart",
-    },
-    TraceEventDef {
-        phase: "ompi.crcp.logger.resent",
-        help: "message logger re-sent an unacknowledged frame",
-    },
-    TraceEventDef {
         phase: "ompi.crcp.quiesced",
         help: "rank verified its drain and announced Quiesced",
     },

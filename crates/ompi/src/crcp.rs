@@ -15,13 +15,9 @@
 //!   drains its channels until its received counts match the senders'
 //!   bookmarks, buffering drained-but-unmatched messages into the process
 //!   image. Operates on whole messages (the paper's refinement over
-//!   LAM/MPI's byte counts).
-//! * **`logger`** — pessimistic sender-based message logging (the paper's
-//!   future-work extension): every outgoing payload is retained by the
-//!   sender; nothing is drained at checkpoint time (cheap checkpoints),
-//!   and at restart the peers exchange received-counts and senders resend
-//!   whatever was in flight. Sequence numbers make resends idempotent.
-//!   Checkpoints double as garbage-collection points for the log.
+//!   LAM/MPI's byte counts). With `crcp_msg_log_enabled` it also keeps
+//!   the sender-side message log partial restart replays over the
+//!   `ReplayBegin`/`ReplayDone` handshake ([`rejoin_replay`]).
 //! * **`none`** — passthrough. With this component installed the full
 //!   interposition machinery runs but does nothing: the configuration the
 //!   paper benchmarks against the infrastructure-disabled build (§7).
@@ -35,7 +31,7 @@ use mca::{Framework, McaParams};
 
 use cr_core::{CrError, FtEvent, FtEventState, Tracer};
 
-use crate::frame::{AppFrame, CrcpMsg};
+use crate::frame::CrcpMsg;
 use crate::pml::{PmlShared, PmlState};
 
 /// How long coordination waits for peers before declaring them lost.
@@ -61,10 +57,6 @@ pub trait CrcpComponent: Send + Sync {
     ) {
     }
 
-    /// Interposition hook: called (with the PML state locked) when a
-    /// receive operation consumes a message.
-    fn on_recv(&self, _st: &mut PmlState, _frame: &AppFrame) {}
-
     /// Bring the channels into a checkpointable state. Runs on the
     /// checkpoint notification thread with the application thread parked;
     /// every rank runs this concurrently.
@@ -82,13 +74,12 @@ pub trait CrcpComponent: Send + Sync {
     fn resume(&self, pml: &PmlShared, state: FtEventState) -> Result<(), CrError>;
 
     /// Wire up the job's global-commit watermark (highest globally
-    /// committed interval + 1; 0 = nothing committed yet). Components
-    /// that garbage-collect replay state must key the GC off this rather
-    /// than off `Continue`: the INC chain delivers `Continue` at *local*
-    /// commit, and a checkpoint that quiesces but never reaches global
-    /// commit (a rank dies mid-interval) must leave survivor logs intact
-    /// or a later partial restart replays with a sequence gap. No-op for
-    /// components without replay state.
+    /// committed interval + 1; 0 = nothing committed yet). It is the
+    /// message log's only garbage-collection rule: the INC chain delivers
+    /// `Continue` at *local* commit, and a checkpoint that quiesces but
+    /// never reaches global commit (a rank dies mid-interval) must leave
+    /// survivor logs intact or a later partial restart replays with a
+    /// sequence gap. No-op for components without a log.
     fn set_commit_watermark(&self, _watermark: Arc<AtomicU64>) {}
 }
 
@@ -97,8 +88,6 @@ pub trait CrcpComponent: Send + Sync {
 enum CollectKind {
     /// Sent-count bookmarks (coordinated protocol, phase one).
     Bookmark,
-    /// Received-count exchanges (logger GC / restart negotiation).
-    Have,
     /// Quiesce acknowledgements (coordinated protocol, exit barrier).
     Quiesced,
 }
@@ -124,9 +113,6 @@ fn collect_counts(pml: &PmlShared, kind: CollectKind) -> Result<HashMap<u32, u64
                 match (msg, kind) {
                     (CrcpMsg::Bookmark { from, sent }, CollectKind::Bookmark) => {
                         counts.insert(from, sent);
-                    }
-                    (CrcpMsg::Have { from, have }, CollectKind::Have) => {
-                        counts.insert(from, have);
                     }
                     (CrcpMsg::Quiesced { from }, CollectKind::Quiesced) => {
                         counts.insert(from, 0);
@@ -174,9 +160,8 @@ pub struct CoordCrcp {
     /// Message-log cap in bytes (`crcp_msg_log_cap_kb`); sends past the
     /// cap are not logged and mark the log overflowed.
     msg_log_cap: u64,
-    /// The job's global-commit watermark, when running under a real
-    /// SNAPC (set once at bring-up). Absent in standalone use, where the
-    /// caller's `Continue` is taken as the commit signal.
+    /// The job's global-commit watermark (set once at bring-up). Until it
+    /// is set, nothing is garbage-collected.
     commit_watermark: OnceLock<Arc<AtomicU64>>,
 }
 
@@ -360,40 +345,29 @@ impl CrcpComponent for CoordCrcp {
         // Mark the log at the quiesce point: everything below the mark
         // belongs to the interval being captured and becomes garbage once
         // that interval reaches global commit. The INC handle stashes
-        // SNAPC's interval number before the chain runs; standalone
-        // callers (no SNAPC) have none, and their single anonymous mark
-        // commits on the caller's `Continue`.
+        // SNAPC's interval number before the chain runs; a round with no
+        // interval marks nothing.
         if self.msg_log {
             pml.with_state(|st| {
                 self.gc_committed(st, me);
-                let len = st.msg_log.len() as u64;
+                let Some(interval) = st.ckpt_interval else {
+                    return;
+                };
                 // The quiesce closes an overflow window: fold the flag
                 // into the mark (where the commit-watermark GC can retire
                 // it once the interval commits) and start a fresh window.
                 let overflow = std::mem::take(&mut st.msg_log_overflow);
-                match st.ckpt_interval {
-                    Some(interval) => {
-                        let prior = st
-                            .msg_log_marks
-                            .iter()
-                            .any(|m| m.interval == interval && m.overflow);
-                        st.msg_log_marks.retain(|m| m.interval != interval);
-                        st.msg_log_marks.push(crate::pml::MsgLogMark {
-                            interval,
-                            mark: len,
-                            overflow: overflow || prior,
-                        });
-                    }
-                    None => {
-                        let prior = st.msg_log_marks.iter().any(|m| m.overflow);
-                        st.msg_log_marks.clear();
-                        st.msg_log_marks.push(crate::pml::MsgLogMark {
-                            interval: u64::MAX,
-                            mark: len,
-                            overflow: overflow || prior,
-                        });
-                    }
-                }
+                let prior = st
+                    .msg_log_marks
+                    .iter()
+                    .any(|m| m.interval == interval && m.overflow);
+                st.msg_log_marks.retain(|m| m.interval != interval);
+                let mark = st.msg_log.len() as u64;
+                st.msg_log_marks.push(crate::pml::MsgLogMark {
+                    interval,
+                    mark,
+                    overflow: overflow || prior,
+                });
             });
         }
         Ok(())
@@ -405,21 +379,12 @@ impl CrcpComponent for CoordCrcp {
             .record("ompi.crcp.resume", &format!("rank {me} {state}"));
         // The INC chain delivers `Continue` at *local* commit — global
         // commit lands later (and, for a checkpoint whose rank dies
-        // mid-interval, never). With a watermark wired up the GC keys off
-        // that instead; draining here would strand a later partial
-        // restart (restored from the last *committed* interval) without
-        // the frames its survivors must replay. Standalone components
-        // keep the caller-driven contract: `Continue` commits the mark.
+        // mid-interval, never). The GC keys off the watermark instead;
+        // draining here would strand a later partial restart (restored
+        // from the last *committed* interval) without the frames its
+        // survivors must replay.
         if self.msg_log && state == FtEventState::Continue {
-            pml.with_state(|st| {
-                if self.commit_watermark.get().is_some() {
-                    self.gc_committed(st, me);
-                } else {
-                    let drain_to = st.msg_log_marks.iter().map(|m| m.mark).max().unwrap_or(0);
-                    st.msg_log_marks.clear();
-                    self.gc_to(st, me, drain_to);
-                }
-            });
+            pml.with_state(|st| self.gc_committed(st, me));
         }
         Ok(())
     }
@@ -508,108 +473,6 @@ pub fn rejoin_replay(
 }
 
 // ---------------------------------------------------------------------------
-// logger
-// ---------------------------------------------------------------------------
-
-/// Pessimistic sender-based message logging.
-pub struct LoggerCrcp {
-    tracer: Tracer,
-}
-
-impl LoggerCrcp {
-    /// Build with a tracer for phase events.
-    pub fn new(tracer: Tracer) -> Self {
-        LoggerCrcp { tracer }
-    }
-
-    /// Exchange received-counts with every peer.
-    fn exchange_have(&self, pml: &PmlShared) -> Result<HashMap<u32, u64>, CrError> {
-        let me = pml.me();
-        let n = pml.nprocs();
-        for q in 0..n {
-            if q == me {
-                continue;
-            }
-            let have = pml.with_state(|st| st.recv_counts[q as usize]);
-            pml.send_crcp(q, &CrcpMsg::Have { from: me, have })
-                .map_err(|e| CrError::protocol(e.to_string()))?;
-        }
-        collect_counts(pml, CollectKind::Have)
-    }
-}
-
-impl CrcpComponent for LoggerCrcp {
-    fn name(&self) -> &'static str {
-        "logger"
-    }
-
-    fn on_send(
-        &self,
-        st: &mut PmlState,
-        _me: u32,
-        dst: u32,
-        ctx: u32,
-        tag: u32,
-        seq: u64,
-        payload: &[u8],
-    ) {
-        // The failure-free tax of pessimistic logging: retain the payload.
-        st.sender_log.push(crate::pml::LoggedSend {
-            dst,
-            ctx,
-            tag,
-            seq,
-            payload: payload.to_vec().into(),
-        });
-    }
-
-    fn coordinate(&self, pml: &PmlShared) -> Result<(), CrError> {
-        // No channel drain. Checkpoints double as garbage collection: learn
-        // what peers have received and prune the log below those counts.
-        self.tracer.record(
-            "ompi.crcp.logger.gc",
-            &format!("rank {}", pml.me()),
-        );
-        let have = self.exchange_have(pml)?;
-        pml.with_state(|st| {
-            st.sender_log
-                .retain(|entry| entry.seq >= *have.get(&entry.dst).unwrap_or(&0));
-        });
-        Ok(())
-    }
-
-    fn resume(&self, pml: &PmlShared, state: FtEventState) -> Result<(), CrError> {
-        if state != FtEventState::Restart {
-            return Ok(());
-        }
-        // In-flight messages died with the old incarnation: learn what each
-        // peer actually received and resend the tail of the log. Sequence
-        // numbers de-duplicate anything that did arrive.
-        self.tracer.record(
-            "ompi.crcp.logger.replay",
-            &format!("rank {}", pml.me()),
-        );
-        let have = self.exchange_have(pml)?;
-        let to_resend: Vec<crate::pml::LoggedSend> = pml.with_state(|st| {
-            st.sender_log
-                .iter()
-                .filter(|entry| entry.seq >= *have.get(&entry.dst).unwrap_or(&0))
-                .cloned()
-                .collect()
-        });
-        for entry in &to_resend {
-            pml.resend_logged(entry)
-                .map_err(|e| CrError::protocol(e.to_string()))?;
-        }
-        self.tracer.record(
-            "ompi.crcp.logger.resent",
-            &format!("rank {}: {} messages", pml.me(), to_resend.len()),
-        );
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // none
 // ---------------------------------------------------------------------------
 
@@ -638,17 +501,9 @@ impl CrcpComponent for NoneCrcp {
 /// first implementation).
 pub fn crcp_framework(tracer: Tracer) -> Framework<dyn CrcpComponent> {
     let mut fw: Framework<dyn CrcpComponent> = Framework::new("crcp");
-    let t = tracer.clone();
     fw.register("coord", 20, "coordinated bookmark-exchange protocol", move |p| {
-        Box::new(CoordCrcp::from_params(t.clone(), p))
+        Box::new(CoordCrcp::from_params(tracer.clone(), p))
     });
-    let t = tracer.clone();
-    fw.register(
-        "logger",
-        10,
-        "pessimistic sender-based message logging",
-        move |_| Box::new(LoggerCrcp::new(t.clone())),
-    );
     fw.register("none", 0, "passthrough (overhead measurement)", |_| {
         Box::new(NoneCrcp)
     });
@@ -661,26 +516,17 @@ pub fn crcp_framework(tracer: Tracer) -> Framework<dyn CrcpComponent> {
 pub struct CrcpFtHandle {
     pml: Arc<PmlShared>,
     /// The process control plane, queried for the in-flight request's
-    /// interval so quiesce marks carry SNAPC's numbering. Absent in
-    /// standalone use (tests driving the component directly).
-    container: Option<Arc<opal::ProcessContainer>>,
+    /// interval so quiesce marks carry SNAPC's numbering.
+    container: Arc<opal::ProcessContainer>,
 }
 
 impl CrcpFtHandle {
-    /// Wrap a PML for INC registration.
-    pub fn new(pml: Arc<PmlShared>) -> Self {
-        CrcpFtHandle { pml, container: None }
-    }
-
     /// Wrap a PML whose checkpoints run under a process container: the
     /// handle tags each coordination round with the container's pending
     /// interval, which the message-log GC needs to match quiesce marks
     /// against the job's global-commit watermark.
     pub fn with_container(pml: Arc<PmlShared>, container: Arc<opal::ProcessContainer>) -> Self {
-        CrcpFtHandle {
-            pml,
-            container: Some(container),
-        }
+        CrcpFtHandle { pml, container }
     }
 }
 
@@ -691,7 +537,7 @@ impl FtEvent for CrcpFtHandle {
         };
         match state {
             FtEventState::Checkpoint => {
-                let interval = self.container.as_ref().and_then(|c| c.pending_interval());
+                let interval = self.container.pending_interval();
                 self.pml.with_state(|st| st.ckpt_interval = interval);
                 component.coordinate(&self.pml)
             }
@@ -790,6 +636,23 @@ mod tests {
         });
     }
 
+    /// `coord` is the one protocol with a message log; `logger` is refused
+    /// by name.
+    #[test]
+    fn logger_is_an_unknown_component() {
+        let params = McaParams::new();
+        params.set("crcp", "logger");
+        let err = crcp_framework(Tracer::new()).select(&params).err();
+        assert_eq!(
+            err,
+            Some(mca::SelectError::UnknownComponent {
+                framework: "crcp".into(),
+                requested: "logger".into(),
+                available: vec!["coord", "none"],
+            })
+        );
+    }
+
     fn msg_log_coord(cap_kb: u64) -> Arc<CoordCrcp> {
         let params = McaParams::new();
         params.set("crcp_msg_log_enabled", "true");
@@ -849,14 +712,18 @@ mod tests {
         );
     }
 
-    /// Coordination marks the log at the quiesce point and `Continue`
-    /// (delivered at global commit) garbage-collects below the mark.
+    /// Coordination marks the log at the quiesce point; nothing below the
+    /// mark is dropped until the job's watermark passes the interval, and
+    /// the `Continue` after that garbage-collects it.
     #[test]
     fn msg_log_gc_at_global_commit() {
         let (pml0, pml1) = pair();
         let crcp0 = msg_log_coord(256);
+        let watermark = Arc::new(AtomicU64::new(0));
+        crcp0.set_commit_watermark(Arc::clone(&watermark));
         pml0.set_crcp(Some(Arc::clone(&crcp0) as Arc<dyn CrcpComponent>));
         pml0.send(0, 1, 7, b"logged before quiesce").unwrap();
+        pml0.with_state(|st| st.ckpt_interval = Some(0));
         let t0 = {
             let (pml0, crcp0) = (Arc::clone(&pml0), Arc::clone(&crcp0));
             std::thread::spawn(move || crcp0.coordinate(&pml0))
@@ -867,8 +734,10 @@ mod tests {
         };
         t0.join().unwrap().unwrap();
         t1.join().unwrap().unwrap();
+        crcp0.resume(&pml0, FtEventState::Continue).unwrap();
         let (entries, _, _) = pml0.msg_log_stats();
-        assert_eq!(entries, 1, "log survives until global commit");
+        assert_eq!(entries, 1, "log survives the local commit's Continue");
+        watermark.store(1, Ordering::SeqCst);
         crcp0.resume(&pml0, FtEventState::Continue).unwrap();
         let (entries, bytes, _) = pml0.msg_log_stats();
         assert_eq!(entries, 0, "global commit drops the committed interval's log");

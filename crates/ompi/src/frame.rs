@@ -6,11 +6,11 @@
 //! * **application frames** ([`CLASS_APP`]) — MPI point-to-point messages
 //!   (collectives decompose into these). A fixed 20-byte header carries
 //!   the communicator context, the MPI tag, and a per-(sender, receiver)
-//!   sequence number used for duplicate suppression after message-logging
-//!   recovery.
+//!   sequence number used for duplicate suppression after partial-restart
+//!   replay.
 //! * **CRCP control frames** ([`CLASS_CRCP`]) — coordination protocol
-//!   traffic (bookmarks, received-count exchanges). Not counted by the
-//!   bookmarks themselves.
+//!   traffic (bookmarks, quiesce acknowledgements, the replay handshake).
+//!   Not counted by the bookmarks themselves.
 
 use bytes::{Bytes, BytesMut};
 use codec::ByteBuf;
@@ -79,15 +79,6 @@ pub enum CrcpMsg {
         from: u32,
         /// Messages sent from `from` to the destination so far.
         sent: u64,
-    },
-    /// Received-count exchange: "I have received `have` application
-    /// messages from you" (message-logging garbage collection at
-    /// checkpoint, and resend negotiation at restart).
-    Have {
-        /// Sender's world rank.
-        from: u32,
-        /// Messages received from the destination so far.
-        have: u64,
     },
     /// Exit barrier for the coordinated protocol: "my channels are
     /// quiesced". A rank that finished draining must not resume the
@@ -166,7 +157,6 @@ mod tests {
     fn crcp_roundtrip() {
         for msg in [
             CrcpMsg::Bookmark { from: 1, sent: 99 },
-            CrcpMsg::Have { from: 2, have: 0 },
             CrcpMsg::Quiesced { from: 3 },
             CrcpMsg::ReplayBegin {
                 from: 4,

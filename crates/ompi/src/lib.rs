@@ -11,10 +11,9 @@
 //!   replayable after a restart (our substitute for BLCR's native stack
 //!   capture — see DESIGN.md).
 //! * [`crcp`] — the Checkpoint/Restart Coordination Protocol framework,
-//!   interposed on every PML operation as a wrapper (paper §6.3):
-//!   `coord` (LAM/MPI-style bookmark exchange operating on whole
-//!   messages), `logger` (pessimistic sender-based message logging — the
-//!   paper's future-work extension), and `none` (passthrough, used to
+//!   interposed on every PML send as a wrapper (paper §6.3): `coord`
+//!   (LAM/MPI-style bookmark exchange operating on whole messages, plus
+//!   the partial-restart message log) and `none` (passthrough, used to
 //!   measure the interposition overhead of §7).
 //! * [`comm`] + [`coll`] — communicators and collectives layered over
 //!   point-to-point.

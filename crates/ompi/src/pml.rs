@@ -6,7 +6,7 @@
 //! PML component allows the OMPI CRCP components the opportunity to take
 //! action before and after each message is processed" (§6.3). Our
 //! equivalent is the optional [`CrcpComponent`] hook consulted on every
-//! send and receive; building with the hook absent gives the
+//! send; building with the hook absent gives the
 //! "infrastructure disabled" baseline of the paper's §7 overhead
 //! experiment.
 //!
@@ -30,8 +30,8 @@
 //!
 //! Every application frame carries a per-(sender, receiver) sequence
 //! number. Receivers drop frames whose sequence they have already counted
-//! — the duplicate-suppression that makes message-logging recovery (the
-//! `crcp logger` component) idempotent.
+//! — the duplicate-suppression that makes a survivor's partial-restart
+//! replay idempotent.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,7 +66,7 @@ pub struct PostedRecv {
     pub tag: Option<u32>,
 }
 
-/// A message retained by the sender-based logging protocol.
+/// A message retained in the partial-restart message log.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LoggedSend {
     /// Destination world rank.
@@ -161,8 +161,7 @@ pub enum OpRecord {
 /// (a partial restart restores from the latest committed interval).
 #[derive(Debug, Clone, Copy)]
 pub struct MsgLogMark {
-    /// SNAPC interval the mark belongs to (`u64::MAX` for standalone
-    /// coordination rounds with no SNAPC in sight).
+    /// SNAPC interval the mark belongs to.
     pub interval: u64,
     /// `msg_log` length at that interval's quiesce.
     pub mark: u64,
@@ -192,8 +191,6 @@ pub struct PmlState {
     pub next_req: u64,
     /// Op log of the current application step.
     pub step_log: Vec<OpRecord>,
-    /// Sender-based message log (used by the `logger` CRCP component).
-    pub sender_log: Vec<LoggedSend>,
     /// Partial-restart message log (`crcp_msg_log_enabled`): every
     /// application send since the last global-commit GC, replayed by
     /// survivors to a restarted peer over the `ReplayBegin` handshake.
@@ -211,8 +208,7 @@ pub struct PmlState {
     pub msg_log_marks: Vec<MsgLogMark>,
     /// Interval of the checkpoint currently coordinating, stashed by the
     /// INC handle before the CRCP runs (the component has no view of
-    /// SNAPC's numbering). `None` outside a checkpoint or in standalone
-    /// use.
+    /// SNAPC's numbering). `None` outside a checkpoint.
     #[serde(skip)]
     pub ckpt_interval: Option<u64>,
     /// Set when `crcp_msg_log_cap_kb` truncated the log in the current
@@ -410,7 +406,8 @@ impl PmlShared {
                     });
                 }
                 if frame.seq < st.recv_counts[src] {
-                    // Duplicate (message-logging resend): drop silently.
+                    // Duplicate (a replayed frame the restored counters
+                    // already account for): drop silently.
                     return Ok(());
                 }
                 if frame.seq > st.recv_counts[src] {
@@ -517,10 +514,9 @@ impl PmlShared {
         Ok(())
     }
 
-    /// Resend a logged application frame verbatim (message-logging
-    /// recovery). Bypasses counters: the original send was already
-    /// counted.
-    pub fn resend_logged(&self, logged: &LoggedSend) -> Result<(), MpiError> {
+    /// Resend a logged application frame verbatim (partial-restart
+    /// replay). Bypasses counters: the original send was already counted.
+    fn resend_logged(&self, logged: &LoggedSend) -> Result<(), MpiError> {
         let wire = encode_app(self.me, logged.ctx, logged.tag, logged.seq, &logged.payload);
         self.fabric
             .send(self.endpoint.id(), self.peer(logged.dst), CLASS_APP, wire)
@@ -611,7 +607,6 @@ impl PmlShared {
             self.check_rank(s)?;
         }
         loop {
-            let crcp = self.crcp();
             {
                 let mut st = self.state.lock();
                 if let Some(record) = st.replay_next() {
@@ -631,9 +626,6 @@ impl PmlShared {
                 }
                 self.pump_locked(&mut st)?;
                 if let Some(frame) = st.match_unmatched(ctx, src, tag) {
-                    if let Some(c) = &crcp {
-                        c.on_recv(&mut st, &frame);
-                    }
                     st.step_log.push(OpRecord::Recv {
                         ctx,
                         src,
@@ -933,8 +925,8 @@ impl PmlShared {
 
     /// Arm replay of the restored step log. Called by the application
     /// runner immediately before re-entering the partial step; arming is
-    /// deferred so restart-time housekeeping traffic (message-logging
-    /// resends, rendezvous) does not consume replay records.
+    /// deferred so restart-time housekeeping traffic (partial-restart
+    /// replay, rendezvous) does not consume replay records.
     pub fn arm_replay(&self) {
         let mut st = self.state.lock();
         st.replay_cursor = if st.step_log.is_empty() { None } else { Some(0) };

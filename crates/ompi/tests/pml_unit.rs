@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use cr_core::Tracer;
 use netsim::{Fabric, LinkSpec, NodeId, Topology};
-use ompi::crcp::{CoordCrcp, CrcpComponent, LoggerCrcp, NoneCrcp};
+use ompi::crcp::{CoordCrcp, CrcpComponent, NoneCrcp};
 use ompi::pml::PmlShared;
 use opal::SafePointGate;
 
@@ -283,62 +283,51 @@ fn coord_bookmark_exchange_drains_in_flight() {
     assert_eq!(pmls[2].recv(0, Some(1), Some(1)).unwrap().payload, b"d");
 }
 
+/// `capture()` of a rank-0 `pml` section as the build that kept a second,
+/// logger-only log beside `msg_log` wrote it: one unmatched frame, one
+/// entry in each log, counts `sent [0, 2]` / `recv [1, 0]`.
+const PARENT_PML: &[u8] = &[
+    0x10, 0x0c, 0x09, 0x75, 0x6e, 0x6d, 0x61, 0x74, 0x63, 0x68, 0x65, 0x64, 0x0e, 0x01, 0x10, 0x05,
+    0x03, 0x73, 0x72, 0x63, 0x04, 0x01, 0x03, 0x63, 0x74, 0x78, 0x04, 0x00, 0x03, 0x74, 0x61, 0x67,
+    0x04, 0x07, 0x03, 0x73, 0x65, 0x71, 0x04, 0x00, 0x07, 0x70, 0x61, 0x79, 0x6c, 0x6f, 0x61, 0x64,
+    0x0b, 0x02, 0x68, 0x69, 0x06, 0x70, 0x6f, 0x73, 0x74, 0x65, 0x64, 0x0e, 0x00, 0x09, 0x63, 0x6f,
+    0x6d, 0x70, 0x6c, 0x65, 0x74, 0x65, 0x64, 0x0f, 0x00, 0x0b, 0x73, 0x65, 0x6e, 0x74, 0x5f, 0x63,
+    0x6f, 0x75, 0x6e, 0x74, 0x73, 0x0e, 0x02, 0x04, 0x00, 0x04, 0x02, 0x0b, 0x72, 0x65, 0x63, 0x76,
+    0x5f, 0x63, 0x6f, 0x75, 0x6e, 0x74, 0x73, 0x0e, 0x02, 0x04, 0x01, 0x04, 0x00, 0x08, 0x6e, 0x65,
+    0x78, 0x74, 0x5f, 0x72, 0x65, 0x71, 0x04, 0x03, 0x08, 0x73, 0x74, 0x65, 0x70, 0x5f, 0x6c, 0x6f,
+    0x67, 0x0e, 0x00, 0x0a, 0x73, 0x65, 0x6e, 0x64, 0x65, 0x72, 0x5f, 0x6c, 0x6f, 0x67, 0x0e, 0x01,
+    0x10, 0x05, 0x03, 0x64, 0x73, 0x74, 0x04, 0x01, 0x03, 0x63, 0x74, 0x78, 0x04, 0x00, 0x03, 0x74,
+    0x61, 0x67, 0x04, 0x07, 0x03, 0x73, 0x65, 0x71, 0x04, 0x00, 0x07, 0x70, 0x61, 0x79, 0x6c, 0x6f,
+    0x61, 0x64, 0x0b, 0x03, 0x6f, 0x6c, 0x64, 0x07, 0x6d, 0x73, 0x67, 0x5f, 0x6c, 0x6f, 0x67, 0x0e,
+    0x01, 0x10, 0x05, 0x03, 0x64, 0x73, 0x74, 0x04, 0x01, 0x03, 0x63, 0x74, 0x78, 0x04, 0x00, 0x03,
+    0x74, 0x61, 0x67, 0x04, 0x07, 0x03, 0x73, 0x65, 0x71, 0x04, 0x01, 0x07, 0x70, 0x61, 0x79, 0x6c,
+    0x6f, 0x61, 0x64, 0x0b, 0x03, 0x6c, 0x6f, 0x67, 0x0d, 0x6d, 0x73, 0x67, 0x5f, 0x6c, 0x6f, 0x67,
+    0x5f, 0x62, 0x79, 0x74, 0x65, 0x73, 0x04, 0x03, 0x10, 0x6d, 0x73, 0x67, 0x5f, 0x6c, 0x6f, 0x67,
+    0x5f, 0x6f, 0x76, 0x65, 0x72, 0x66, 0x6c, 0x6f, 0x77, 0x01, 0x0a, 0x63, 0x72, 0x63, 0x70, 0x5f,
+    0x69, 0x6e, 0x62, 0x6f, 0x78, 0x0e, 0x00,
+];
+
 #[test]
-fn logger_records_prunes_and_resends() {
+fn pml_section_from_before_the_single_log_still_restores() {
     let pmls = mesh(2);
-    let logger: Arc<dyn CrcpComponent> = Arc::new(LoggerCrcp::new(Tracer::new()));
-    pmls[0].set_crcp(Some(Arc::clone(&logger)));
-    pmls[1].set_crcp(Some(Arc::clone(&logger)));
-
-    pmls[0].send(0, 1, 1, b"m0").unwrap();
-    pmls[0].send(0, 1, 1, b"m1").unwrap();
-    pmls[0].send(0, 1, 1, b"m2").unwrap();
-    // Receiver consumes only the first; m1/m2 stay in flight or unmatched.
-    assert_eq!(pmls[1].recv(0, Some(0), Some(1)).unwrap().payload, b"m0");
-    assert_eq!(pmls[0].with_state(|st| st.sender_log.len()), 3);
-
-    // Checkpoint-time GC: both coordinate; receiver has counted m1/m2 into
-    // its PML by then (they were already delivered by the fabric), so the
-    // whole log can be pruned... but only what the receiver acknowledges.
-    let a = Arc::clone(&pmls[0]);
-    let b = Arc::clone(&pmls[1]);
-    let ta = std::thread::spawn(move || a.crcp().unwrap().coordinate(&a));
-    let tb = std::thread::spawn(move || b.crcp().unwrap().coordinate(&b));
-    ta.join().unwrap().unwrap();
-    tb.join().unwrap().unwrap();
-    let remaining = pmls[0].with_state(|st| st.sender_log.len());
-    assert!(remaining <= 3);
-
-    // Simulate restart where the receiver never got m1/m2: fresh mesh,
-    // sender keeps its log, receiver restored with recv_count == 1.
-    let pmls2 = mesh(2);
-    pmls2[0].set_crcp(Some(Arc::clone(&logger)));
-    pmls2[1].set_crcp(Some(Arc::clone(&logger)));
-    pmls2[0].with_state(|st| {
-        st.sent_counts[1] = 3;
-        st.sender_log = vec![
-            ompi::pml::LoggedSend { dst: 1, ctx: 0, tag: 1, seq: 0, payload: b"m0".to_vec().into() },
-            ompi::pml::LoggedSend { dst: 1, ctx: 0, tag: 1, seq: 1, payload: b"m1".to_vec().into() },
-            ompi::pml::LoggedSend { dst: 1, ctx: 0, tag: 1, seq: 2, payload: b"m2".to_vec().into() },
-        ];
+    pmls[0].restore(PARENT_PML).unwrap();
+    let restored = pmls[0].with_state(|st| {
+        assert_eq!(st.sent_counts, vec![0, 2]);
+        assert_eq!(st.recv_counts, vec![1, 0]);
+        assert_eq!(st.next_req, 3);
+        assert_eq!(st.unmatched.len(), 1);
+        assert_eq!((st.unmatched[0].src, st.unmatched[0].tag), (1, 7));
+        assert_eq!(st.unmatched[0].payload, b"hi");
+        assert_eq!(st.msg_log.len(), 1, "only msg_log's entry is kept");
+        assert_eq!((st.msg_log[0].dst, st.msg_log[0].seq), (1, 1));
+        assert_eq!(st.msg_log[0].payload, b"log");
+        assert_eq!(st.msg_log_bytes, 3);
+        st.msg_log.clone()
     });
-    pmls2[1].with_state(|st| st.recv_counts[0] = 1);
-
-    let a = Arc::clone(&pmls2[0]);
-    let b = Arc::clone(&pmls2[1]);
-    let ta = std::thread::spawn(move || {
-        a.crcp().unwrap().resume(&a, cr_core::FtEventState::Restart)
-    });
-    let tb = std::thread::spawn(move || {
-        b.crcp().unwrap().resume(&b, cr_core::FtEventState::Restart)
-    });
-    ta.join().unwrap().unwrap();
-    tb.join().unwrap().unwrap();
-
-    // m1 and m2 arrive exactly once (m0's resend is deduplicated by seq).
-    assert_eq!(pmls2[1].recv(0, Some(0), Some(1)).unwrap().payload, b"m1");
-    assert_eq!(pmls2[1].recv(0, Some(0), Some(1)).unwrap().payload, b"m2");
-    assert_eq!(pmls2[1].recv_count(0), 3);
+    // What this build captures from it restores to the same log.
+    let again = mesh(2);
+    again[0].restore(&pmls[0].capture().unwrap()).unwrap();
+    assert_eq!(again[0].with_state(|st| st.msg_log.clone()), restored);
 }
 
 #[test]
@@ -349,7 +338,7 @@ fn none_component_is_pure_passthrough() {
     pmls[0].send(0, 1, 1, b"x").unwrap();
     assert_eq!(pmls[1].recv(0, Some(0), Some(1)).unwrap().payload, b"x");
     // No logging tax.
-    assert_eq!(pmls[0].with_state(|st| st.sender_log.len()), 0);
+    assert_eq!(pmls[0].with_state(|st| st.msg_log.len()), 0);
     pmls[0].crcp().unwrap().coordinate(&pmls[0]).unwrap();
 }
 

@@ -240,18 +240,6 @@ fn checkpoint_then_restart_reproduces_the_answer() {
     checkpoint_then_restart_reproduces_the_answer_with("cr", Arc::new(McaParams::new()));
 }
 
-/// `direct` SNAPC commits each rank's local snapshot as written; in dedup
-/// mode that is its chunk manifest plus a pack of every distinct chunk,
-/// which the CRS reassembles at restart.
-#[test]
-fn direct_dedup_checkpoint_then_restart_reproduces_the_answer() {
-    let params = Arc::new(McaParams::new());
-    params.set("snapc", "direct");
-    params.set("filem_dedup_enabled", "true");
-    params.set("crs_incr_chunk_kb", "1");
-    checkpoint_then_restart_reproduces_the_answer_with("cr_direct_dedup", params);
-}
-
 #[test]
 fn collectives_work() {
     struct CollApp;
@@ -329,8 +317,8 @@ fn params_select_components() {
     let rt = runtime("params", 1);
     let params = Arc::new(McaParams::new());
     params.set("crs", "self");
-    params.set("crcp", "logger");
-    params.set("snapc", "direct");
+    params.set("snapc", "tree");
+    params.set("filem", "oob_stream");
     let config = RunConfig {
         nprocs: 2,
         params,
@@ -352,6 +340,79 @@ fn params_select_components() {
     for local in global.local_snapshots(outcome.interval).unwrap() {
         assert_eq!(local.crs_component(), "self");
     }
+    rt.shutdown();
+}
+
+const NO_LOGGER: &str = r#"framework "crcp" has no component "logger" (available: coord, none)"#;
+const NO_DIRECT: &str = r#"framework "snapc" has no component "direct" (available: full, tree)"#;
+
+/// Rewrite one `[launch]` value of a global snapshot reference, as a build
+/// that still had the component would have recorded it.
+fn record_launch_param(global: &std::path::Path, line: &str, recorded: &str) {
+    let meta = global.join(cr_core::snapshot::GLOBAL_META_FILE);
+    let text = std::fs::read_to_string(&meta).unwrap();
+    assert!(text.contains(line), "{line:?} not recorded");
+    std::fs::write(&meta, text.replace(line, recorded)).unwrap();
+}
+
+/// The deleted `logger` CRCP and `direct` SNAPC are refused by name, with
+/// the framework's list of what remains — at launch, at a restart whose
+/// recorded launch parameters name them, and at checkpoint time. A tree
+/// recorded under `snapc=direct` still restores; only its next
+/// checkpoint refuses.
+#[test]
+fn removed_components_are_refused_by_name() {
+    let rt = runtime("removed", 2);
+    let logger = Arc::new(McaParams::new());
+    logger.set("crcp", "logger");
+    let config = RunConfig {
+        nprocs: 2,
+        params: logger,
+    };
+    let err = mpirun(&rt, Arc::new(RingApp::new(10)), config)
+        .unwrap()
+        .wait()
+        .unwrap_err();
+    assert!(err.to_string().contains(NO_LOGGER), "{err}");
+
+    let params = Arc::new(McaParams::new());
+    params.set("crcp", "coord");
+    params.set("snapc", "full");
+    let hold = Hold::at(100);
+    let app = Arc::new(RingApp {
+        rounds: 200,
+        hold: Some(Arc::clone(&hold)),
+    });
+    let job = mpirun(&rt, Arc::clone(&app), RunConfig { nprocs: 2, params }).unwrap();
+    hold.wait_arrived(2);
+    let outcome = job
+        .checkpoint(&CheckpointOptions::tool().and_terminate())
+        .unwrap();
+    hold.release();
+    job.wait().unwrap();
+    let global = outcome.global_snapshot;
+
+    record_launch_param(&global, "crcp = coord", "crcp = logger");
+    let rt2 = runtime("removed_logger", 2);
+    let err = restart(&rt2, Arc::clone(&app), &global, RestartOptions::default())
+        .unwrap()
+        .wait()
+        .unwrap_err();
+    assert!(err.to_string().contains(NO_LOGGER), "{err}");
+    rt2.shutdown();
+
+    record_launch_param(&global, "crcp = logger", "crcp = coord");
+    record_launch_param(&global, "snapc = full", "snapc = direct");
+    let rt3 = runtime("removed_direct", 2);
+    let job = restart(&rt3, Arc::clone(&app), &global, RestartOptions::default()).unwrap();
+    let err = job.checkpoint(&CheckpointOptions::tool()).unwrap_err();
+    assert!(err.to_string().contains(NO_DIRECT), "{err}");
+    let expected = expected_ring_sums(2, 200);
+    for (r, (state, end)) in job.wait().unwrap().iter().enumerate() {
+        assert_eq!(*end, RunEnd::Completed, "rank {r}");
+        assert_eq!(state.token_sum, expected[r], "rank {r}");
+    }
+    rt3.shutdown();
     rt.shutdown();
 }
 

@@ -134,7 +134,8 @@ fn write_image(
 
 /// Decode a snapshot's context into its whole image (what both components'
 /// `restart` does). A `ckpt_kind=dedup` snapshot is reassembled from
-/// its manifest and pack. Two contexts are refused by name instead of
+/// its manifest and pack (a whole pack, as the daemon-less `direct` SNAPC
+/// of earlier builds committed it to stable storage). Two contexts are refused by name instead of
 /// failing somewhere inside the decoder: a pack that does not cover its
 /// manifest (it was cut against a base interval, so it restores only
 /// through the chunk store), and `ckpt_kind=delta`, a link of a base→delta

@@ -175,12 +175,6 @@ impl JobHandle {
         Arc::clone(&self.procs[rank.index()].container.lock())
     }
 
-    /// Notification channel of `rank` (used by the `direct` SNAPC
-    /// component and by tests).
-    pub fn ctrl(&self, rank: Rank) -> Sender<OpalCtrl> {
-        self.procs[rank.index()].ctrl.lock().clone()
-    }
-
     /// The cooperative termination flag.
     pub fn terminate_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.terminate)

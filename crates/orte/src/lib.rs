@@ -9,7 +9,8 @@
 //!   and aggregating distributed checkpoint requests. The `full` component
 //!   reproduces the paper's centralized design — a *global coordinator* in
 //!   `mpirun`, a *local coordinator* in each `orted`, and an *application
-//!   coordinator* in each process (Figure 1).
+//!   coordinator* in each process (Figure 1); `tree` runs the same
+//!   protocol over a binomial daemon tree.
 //! * **FILEM** ([`filem`]) — remote file management: gathering local
 //!   snapshots to stable storage, preloading files at restart, and cleanup
 //!   (broadcast / gather / remove).
@@ -25,8 +26,8 @@
 //!   fabric, the one caller, and the dead-node rule.
 //! * [`modex`] — the rendezvous key-value store processes use to exchange
 //!   endpoint addresses at `MPI_Init` and after restart.
-//! * [`plm`] — the process launch framework (`rsh_sim`, `slurm_sim`
-//!   components) computing placements and simulated launch costs.
+//! * [`plm`] — the process launch framework (the `rsh_sim` component)
+//!   computing placements and simulated launch costs.
 //! * [`job`] — job specification, launch, and the job handle the OMPI
 //!   layer and the tools operate on.
 //! * [`replica`] — the peer-memory replicated snapshot store backing the

@@ -1,12 +1,10 @@
 //! PLM — the process launch framework.
 //!
 //! Maps a job's ranks onto nodes and accounts the simulated cost of
-//! launching them. Two components mirror the real framework's spread:
+//! launching them. One component:
 //!
 //! * **`rsh_sim`** — ssh-style launch: one session per remote process,
 //!   started sequentially from the head node. Cheap to have, slow at scale.
-//! * **`slurm_sim`** — batch-scheduler launch: the daemons start processes
-//!   in parallel, one launch wave per node.
 //!
 //! Placement policy is controlled by the `plm_map_by` MCA parameter:
 //! `node` (round-robin across nodes, the default) or `slot` (fill each
@@ -117,10 +115,6 @@ fn assign_nodes(
 /// Simulated time of one `rsh_sim` launcher session: one ssh per process
 /// at launch, one per spare node in a partial restart.
 pub const RSH_SESSION: SimTime = SimTime::from_millis(150);
-/// Simulated time of one `slurm_sim` launch wave.
-const SLURM_WAVE: SimTime = SimTime::from_millis(40);
-/// Simulated `slurm_sim` allocation setup time.
-const SLURM_SETUP: SimTime = SimTime::from_millis(500);
 
 /// ssh-style sequential launcher.
 pub struct RshSimPlm;
@@ -145,44 +139,12 @@ impl PlmComponent for RshSimPlm {
     }
 }
 
-/// Batch-scheduler-style parallel launcher.
-pub struct SlurmSimPlm;
-
-impl PlmComponent for SlurmSimPlm {
-    fn name(&self) -> &'static str {
-        "slurm_sim"
-    }
-
-    fn map_job(
-        &self,
-        nprocs: u32,
-        topology: &Topology,
-        params: &McaParams,
-    ) -> Result<Placement, CrError> {
-        let node_of = assign_nodes(nprocs, topology, params)?;
-        // All nodes launch in parallel: cost = setup + waves on the busiest
-        // node.
-        let mut per_node = std::collections::HashMap::new();
-        for n in &node_of {
-            *per_node.entry(*n).or_insert(0u64) += 1;
-        }
-        let max_waves = per_node.values().copied().max().unwrap_or(0);
-        Ok(Placement {
-            launch_cost: SLURM_SETUP + SLURM_WAVE * max_waves,
-            node_of,
-        })
-    }
-}
-
 /// Assemble the PLM framework (rsh_sim is the default, as in clusters with
 /// no batch scheduler — the environment the paper's tools target).
 pub fn plm_framework() -> Framework<dyn PlmComponent> {
     let mut fw: Framework<dyn PlmComponent> = Framework::new("plm");
     fw.register("rsh_sim", 20, "ssh-style sequential launch", |_| {
         Box::new(RshSimPlm)
-    });
-    fw.register("slurm_sim", 10, "batch-scheduler parallel launch", |_| {
-        Box::new(SlurmSimPlm)
     });
     fw
 }
@@ -259,20 +221,13 @@ mod tests {
     }
 
     #[test]
-    fn rsh_cost_scales_linearly_slurm_does_not() {
+    fn rsh_cost_scales_linearly() {
         let params = McaParams::new();
         let rsh = RshSimPlm;
-        let slurm = SlurmSimPlm;
         let t = topo(8);
         let rsh8 = rsh.map_job(8, &t, &params).unwrap().launch_cost;
         let rsh16 = rsh.map_job(16, &t, &params).unwrap().launch_cost;
         assert_eq!(rsh16, rsh8 * 2);
-        let slurm8 = slurm.map_job(8, &t, &params).unwrap().launch_cost;
-        let slurm16 = slurm.map_job(16, &t, &params).unwrap().launch_cost;
-        // Doubling procs on the same nodes adds one wave, not 8 sessions.
-        assert!(slurm16 < slurm8 * 2);
-        // At scale, slurm beats rsh.
-        assert!(slurm16 < rsh16);
     }
 
     #[test]
@@ -281,6 +236,9 @@ mod tests {
         let params = McaParams::new();
         assert_eq!(fw.select(&params).unwrap().name(), "rsh_sim");
         params.set("plm", "slurm_sim");
-        assert_eq!(fw.select(&params).unwrap().name(), "slurm_sim");
+        assert!(matches!(
+            fw.select(&params),
+            Err(mca::SelectError::UnknownComponent { .. })
+        ));
     }
 }

@@ -20,10 +20,6 @@
 //!   global coordinator handles O(1) messages — the "hierarchal tree
 //!   structure" technique §5.1 names as a motivating alternative. `full`
 //!   is the same protocol over a depth-1 tree: every node a childless root.
-//! * **`direct`** — a contrast component: no daemons, no gather; each
-//!   process checkpoints straight into the global snapshot directory on
-//!   shared storage. Fewer moving parts, but every rank hammers stable
-//!   storage at once — the trade-off the A5 ablation measures.
 
 use std::path::PathBuf;
 
@@ -33,7 +29,6 @@ use netsim::{EndpointId, NodeId};
 use cr_core::request::{CheckpointOptions, CheckpointOutcome, CkptStats};
 use cr_core::snapshot::IntervalRecord;
 use cr_core::{CrError, JobId, Rank};
-use opal::container::OpalCtrl;
 
 use crate::filem::{filem_framework, CopyRequest};
 use crate::sched::copy_all_scheduled;
@@ -70,9 +65,6 @@ pub fn snapc_framework() -> Framework<dyn SnapcComponent> {
         "hierarchical coordination over a binomial daemon tree",
         |_| Box::new(TreeSnapc),
     );
-    fw.register("direct", 10, "checkpoint directly to stable storage", |_| {
-        Box::new(DirectSnapc)
-    });
     fw
 }
 
@@ -629,95 +621,6 @@ impl SnapcComponent for TreeSnapc {
     }
 }
 
-// ---------------------------------------------------------------------------
-// direct
-// ---------------------------------------------------------------------------
-
-/// Daemon-less coordinator writing local snapshots straight to stable
-/// storage.
-pub struct DirectSnapc;
-
-impl SnapcComponent for DirectSnapc {
-    fn name(&self) -> &'static str {
-        "direct"
-    }
-
-    fn checkpoint_job(
-        &self,
-        job: &JobHandle,
-        _options: &CheckpointOptions,
-    ) -> Result<CheckpointOutcome, CrError> {
-        // All-or-nothing check straight off the containers.
-        let refusing: Vec<Rank> = (0..job.nprocs())
-            .map(Rank)
-            .filter(|r| !job.container(*r).is_checkpointable())
-            .collect();
-        if !refusing.is_empty() {
-            return Err(CrError::NotCheckpointable { ranks: refusing });
-        }
-
-        let (interval, interval_dir) = {
-            let mut global = job.global_snapshot()?;
-            global.begin_interval()?
-        };
-        job.runtime()
-            .tracer()
-            .record("snapc.global.initiate", &format!("interval {interval} (direct)"));
-
-        // Notify everyone first, then collect.
-        let mut waits = Vec::new();
-        for r in 0..job.nprocs() {
-            let rank = Rank(r);
-            let (rtx, rrx) = crossbeam::channel::bounded(1);
-            job.ctrl(rank)
-                .send(OpalCtrl::Checkpoint {
-                    snapshot_parent: interval_dir.clone(),
-                    interval,
-                    // No gather, no chunk store: every pack is whole.
-                    base: None,
-                    options: CheckpointOptions::tool(),
-                    reply: rtx,
-                })
-                .map_err(|_| CrError::PeerLost {
-                    detail: format!("rank {rank} notification channel closed"),
-                })?;
-            waits.push((rank, rrx));
-        }
-        let mut failures = Vec::new();
-        let mut replies: Vec<(Rank, opal::container::CkptReply)> = Vec::new();
-        for (rank, rrx) in waits {
-            match rrx.recv() {
-                Ok(Ok(reply)) => replies.push((rank, reply)),
-                Ok(Err(e)) => failures.push(format!("rank {rank}: {e}")),
-                Err(_) => failures.push(format!("rank {rank}: notification thread died")),
-            }
-        }
-        if !failures.is_empty() {
-            let _ = std::fs::remove_dir_all(&interval_dir);
-            return Err(CrError::protocol(format!(
-                "checkpoint failed: {}",
-                failures.join("; ")
-            )));
-        }
-
-        // Every rank wrote straight to stable storage, so bytes moved is
-        // the sum of what landed there; there is no simulated fabric leg.
-        let bytes_moved: u64 = replies.iter().map(|(_, reply)| reply.size_bytes).sum();
-        let record = rank_hosts(job);
-        let commit = {
-            let mut global = job.global_snapshot()?;
-            global.commit_interval(interval, &record)?;
-            global.commit_state(interval)
-        };
-        Ok(CheckpointOutcome {
-            global_snapshot: job.global_snapshot_path(),
-            interval,
-            ranks: job.nprocs(),
-            stats: CkptStats::plain(bytes_moved, 0, commit),
-        })
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -845,18 +748,21 @@ pub(crate) mod tests {
         rt.shutdown();
     }
 
+    /// Every checkpoint goes through the daemons: `direct` is refused by
+    /// name.
     #[test]
-    fn direct_component_skips_daemons() {
-        let rt = runtime("direct", 2);
-        let params = Arc::new(McaParams::new());
+    fn direct_is_an_unknown_component() {
+        let params = McaParams::new();
         params.set("snapc", "direct");
-        let handle = launch_spinning(&rt, 2, params);
-        let outcome = handle.checkpoint(&CheckpointOptions::tool()).unwrap();
-        let global = GlobalSnapshot::open(&outcome.global_snapshot).unwrap();
-        assert_eq!(global.local_snapshots(0).unwrap().len(), 2);
-        handle.request_terminate();
-        handle.join().unwrap();
-        rt.shutdown();
+        let err = snapc_framework().select(&params).err();
+        assert_eq!(
+            err,
+            Some(mca::SelectError::UnknownComponent {
+                framework: "snapc".into(),
+                requested: "direct".into(),
+                available: vec!["full", "tree"],
+            })
+        );
     }
 
     #[test]

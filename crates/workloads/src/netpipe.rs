@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use cr_core::Tracer;
 use netsim::{Fabric, LinkSpec, NodeId, Topology};
-use ompi::crcp::{CoordCrcp, CrcpComponent, LoggerCrcp, NoneCrcp};
+use ompi::crcp::{CoordCrcp, CrcpComponent, NoneCrcp};
 use ompi::pml::PmlShared;
 use ompi::MpiError;
 use opal::SafePointGate;
@@ -29,18 +29,11 @@ pub enum FtMode {
     Passthrough,
     /// The coordinated bookmark protocol (failure-free path).
     Coord,
-    /// Pessimistic sender-based message logging (pays a per-message copy).
-    Logger,
 }
 
 impl FtMode {
     /// All modes, for sweep harnesses.
-    pub const ALL: [FtMode; 4] = [
-        FtMode::Disabled,
-        FtMode::Passthrough,
-        FtMode::Coord,
-        FtMode::Logger,
-    ];
+    pub const ALL: [FtMode; 3] = [FtMode::Disabled, FtMode::Passthrough, FtMode::Coord];
 
     /// Display label used in benchmark output.
     pub fn label(&self) -> &'static str {
@@ -48,7 +41,6 @@ impl FtMode {
             FtMode::Disabled => "disabled",
             FtMode::Passthrough => "passthrough",
             FtMode::Coord => "coord",
-            FtMode::Logger => "logger",
         }
     }
 
@@ -57,7 +49,6 @@ impl FtMode {
             FtMode::Disabled => None,
             FtMode::Passthrough => Some(Arc::new(NoneCrcp)),
             FtMode::Coord => Some(Arc::new(CoordCrcp::new(tracer.clone()))),
-            FtMode::Logger => Some(Arc::new(LoggerCrcp::new(tracer.clone()))),
         }
     }
 }
@@ -147,13 +138,9 @@ impl PingPongPair {
         echo.join().expect("echo thread")?;
 
         // Reset step logs so long sweeps do not accumulate unbounded
-        // replay records (we never checkpoint inside the sweep), and prune
-        // the message-logging component's retained payloads as a
-        // checkpoint's garbage collection would (steady-state behaviour).
+        // replay records (we never checkpoint inside the sweep).
         self.a.begin_step();
         self.b.begin_step();
-        self.a.with_state(|st| st.sender_log.clear());
-        self.b.with_state(|st| st.sender_log.clear());
 
         let latency_ns = elapsed.as_nanos() as f64 / f64::from(reps) / 2.0;
         let bandwidth_mbps = if latency_ns > 0.0 {
@@ -239,24 +226,5 @@ mod tests {
         let small = pair.measure(16, 200).unwrap();
         let large = pair.measure(65536, 200).unwrap();
         assert!(large.bandwidth_mbps > small.bandwidth_mbps);
-    }
-
-    #[test]
-    fn logger_retains_payloads_others_do_not() {
-        // Drive sends directly (measure() garbage-collects the log after
-        // each sample, mimicking checkpoint-time pruning).
-        let pair = PingPongPair::new(FtMode::Logger);
-        pair.a.send(0, 1, 1, &[0u8; 128]).unwrap();
-        pair.a.send(0, 1, 1, &[0u8; 128]).unwrap();
-        assert_eq!(pair.a.with_state(|st| st.sender_log.len()), 2);
-
-        let pair = PingPongPair::new(FtMode::Passthrough);
-        pair.a.send(0, 1, 1, &[0u8; 128]).unwrap();
-        assert!(pair.a.with_state(|st| st.sender_log.is_empty()));
-
-        // And measure() leaves no residue in either mode.
-        let pair = PingPongPair::new(FtMode::Logger);
-        pair.measure(128, 10).unwrap();
-        assert!(pair.a.with_state(|st| st.sender_log.is_empty()));
     }
 }

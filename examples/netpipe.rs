@@ -24,27 +24,24 @@ fn main() {
     let baseline = results[0].1.clone();
 
     println!(
-        "{:>9} | {:>12} {:>12} {:>8} | {:>12} {:>8} | {:>12} {:>8} | {:>12} {:>8}",
-        "size", "disabled", "passthru", "ovh%", "coord", "ovh%", "logger", "ovh%", "bw base", "bw pass%"
+        "{:>9} | {:>12} {:>12} {:>8} | {:>12} {:>8} | {:>12} {:>8}",
+        "size", "disabled", "passthru", "ovh%", "coord", "ovh%", "bw base", "bw pass%"
     );
-    println!("{}", "-".repeat(130));
+    println!("{}", "-".repeat(106));
     for (i, base) in baseline.iter().enumerate() {
         let get = |m: usize| &results[m].1[i];
         let ovh = |s: &NetpipeSample| (s.latency_ns / base.latency_ns - 1.0) * 100.0;
         let pass = get(1);
         let coord = get(2);
-        let logger = get(3);
         let bw_overhead = (1.0 - pass.bandwidth_mbps / base.bandwidth_mbps) * 100.0;
         println!(
-            "{:>9} | {:>10.0}ns {:>10.0}ns {:>7.1}% | {:>10.0}ns {:>7.1}% | {:>10.0}ns {:>7.1}% | {:>9.1}MB/s {:>7.1}%",
+            "{:>9} | {:>10.0}ns {:>10.0}ns {:>7.1}% | {:>10.0}ns {:>7.1}% | {:>9.1}MB/s {:>7.1}%",
             base.size,
             base.latency_ns,
             pass.latency_ns,
             ovh(pass),
             coord.latency_ns,
             ovh(coord),
-            logger.latency_ns,
-            ovh(logger),
             base.bandwidth_mbps,
             bw_overhead,
         );

@@ -108,3 +108,14 @@ if grep -n 'fn record_' crates/core/src/snapshot.rs; then exit 1; fi
 # dedup commit reads packs and never reads back or re-digests an image.
 if grep -rn 'read_full_image' crates src tests examples --include=*.rs |
   grep -v '^crates/opal/src/crs.rs:'; then exit 1; fi
+# One component per capability: the PML keeps one sender-side log, and
+# the second log with its handshake, the daemon-less SNAPC and the unused
+# launcher stay deleted.
+logs=$(awk '/^pub struct PmlState/,/^}/' crates/ompi/src/pml.rs | grep -c 'Vec<LoggedSend>' || true)
+if [ "$logs" -ne 1 ]; then
+  echo "PmlState holds $logs Vec<LoggedSend> fields, expected 1" >&2
+  exit 1
+fi
+if grep -rnE 'sender_log|CrcpMsg::Have|LoggerCrcp|DirectSnapc|SlurmSimPlm' crates src tests examples; then
+  exit 1
+fi

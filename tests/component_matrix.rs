@@ -63,10 +63,12 @@ fn run_combination(crs: &str, crcp: &str, snapc: &str, filem: &str) {
     rt2.shutdown();
 }
 
-// The full matrix, one test per combination so failures localize.
-// CRS: blcr_sim | self; CRCP: coord | logger; SNAPC: full | direct;
-// FILEM: rsh_sim | oob_stream | replica (FILEM only matters under
-// snapc=full).
+// The matrix, one test per combination so failures localize.
+// CRS: blcr_sim | self; CRCP: coord (`none` coordinates nothing, so a
+// checkpoint under it is not restartable in general); SNAPC: full | tree;
+// FILEM: rsh_sim | oob_stream | replica. Every CRS and every FILEM is
+// crossed with `full`; `tree` runs the same gather tail, so two rows
+// cover it.
 
 #[test]
 fn blcr_coord_full_rsh() {
@@ -84,21 +86,6 @@ fn blcr_coord_full_oobstream() {
 }
 
 #[test]
-fn blcr_coord_direct() {
-    run_combination("blcr_sim", "coord", "direct", "rsh_sim");
-}
-
-#[test]
-fn blcr_logger_full_rsh() {
-    run_combination("blcr_sim", "logger", "full", "rsh_sim");
-}
-
-#[test]
-fn blcr_logger_direct() {
-    run_combination("blcr_sim", "logger", "direct", "rsh_sim");
-}
-
-#[test]
 fn self_coord_full_rsh() {
     run_combination("self", "coord", "full", "rsh_sim");
 }
@@ -109,23 +96,8 @@ fn self_coord_full_oobstream() {
 }
 
 #[test]
-fn self_logger_full_replica() {
-    run_combination("self", "logger", "full", "replica");
-}
-
-#[test]
-fn self_coord_direct() {
-    run_combination("self", "coord", "direct", "rsh_sim");
-}
-
-#[test]
-fn self_logger_full_rsh() {
-    run_combination("self", "logger", "full", "rsh_sim");
-}
-
-#[test]
-fn self_logger_direct() {
-    run_combination("self", "logger", "direct", "rsh_sim");
+fn self_coord_full_replica() {
+    run_combination("self", "coord", "full", "replica");
 }
 
 #[test]
@@ -158,6 +130,6 @@ fn blcr_coord_tree_rsh() {
 }
 
 #[test]
-fn self_logger_tree_oobstream() {
-    run_combination("self", "logger", "tree", "oob_stream");
+fn self_coord_tree_oobstream() {
+    run_combination("self", "coord", "tree", "oob_stream");
 }
