@@ -239,7 +239,7 @@ pub const KNOWN_TRACE_EVENTS: &[TraceEventDef] = &[
     },
     TraceEventDef {
         phase: "store.restart.fetch",
-        help: "restart assembled an image from manifest chunks (per-tier counts)",
+        help: "restart assembled all its images from one batch of manifest chunks (per-tier counts)",
     },
     TraceEventDef {
         phase: "supervisor.incarnation",

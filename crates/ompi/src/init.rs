@@ -957,9 +957,11 @@ struct FetchSummary {
 /// placement, [`MpiJob::restart_ranks`] the failed ranks on their spares.
 ///
 /// Intervals committed through the dedup chunk store carry per-rank chunk
-/// manifests and are assembled straight out of the chunk tiers
-/// ([`orte::store::SnapshotStore::fetch_image`]); no local snapshot
-/// directory is materialized. Every other interval holds one
+/// manifests. Every target's image comes out of one fetch batch over the
+/// chunk tiers ([`orte::store::SnapshotStore::fetch_images`]): each
+/// distinct chunk of the target set is fetched and verified once, its
+/// digest checks and stable reads spread over the `opal_hash_workers`
+/// pool; no local snapshot directory is materialized. Every other interval holds one
 /// self-contained local snapshot per rank: peer memory serves what it can,
 /// one FILEM batch preloads the misses from stable storage onto the
 /// destination nodes, and each image is rebuilt by the CRS component named
@@ -974,38 +976,40 @@ fn fetch_images(
     params: &McaParams,
 ) -> Result<(Vec<opal::ProcessImage>, FetchSummary), CrError> {
     let job = global.job();
-    let mut summary = FetchSummary {
-        replica_images: 0,
-        sim_cost: netsim::SimTime::ZERO,
-    };
-    let mut images = Vec::with_capacity(targets.len());
-
     if !global.chunk_manifests(interval).is_empty() {
         let source = match opts.source {
             RestartSource::Auto => orte::store::ChunkSource::Auto,
             RestartSource::Replica => orte::store::ChunkSource::ReplicaOnly,
             RestartSource::Stable => orte::store::ChunkSource::StableOnly,
         };
+        let manifests = targets
+            .iter()
+            .map(|&(rank, _)| {
+                let rendered =
+                    global
+                        .chunk_manifest(interval, rank)
+                        .ok_or_else(|| CrError::BadSnapshot {
+                            detail: format!(
+                                "dedup interval {interval} has no chunk manifest for rank {rank}"
+                            ),
+                        })?;
+                codec::ChunkManifest::parse(rendered).map_err(CrError::Codec)
+            })
+            .collect::<Result<Vec<_>, CrError>>()?;
         let store = orte::store::SnapshotStore::open(runtime, job, global.dir())?;
-        for &(rank, _) in targets {
-            let rendered =
-                global
-                    .chunk_manifest(interval, rank)
-                    .ok_or_else(|| CrError::BadSnapshot {
-                        detail: format!(
-                            "dedup interval {interval} has no chunk manifest for rank {rank}"
-                        ),
-                    })?;
-            let manifest = codec::ChunkManifest::parse(rendered).map_err(CrError::Codec)?;
-            let (image, stats) = store.fetch_image(&manifest, source, true)?;
-            summary.sim_cost += stats.sim_cost;
-            if stats.replica_chunks > 0 {
-                summary.replica_images += 1;
-            }
-            images.push(image);
-        }
+        let workers = opal::pool::hash_workers(params);
+        let (images, stats) = store.fetch_images(&manifests, source, true, workers)?;
+        let summary = FetchSummary {
+            replica_images: stats.replica_images as u32,
+            sim_cost: stats.sim_cost,
+        };
         return Ok((images, summary));
     }
+
+    let mut summary = FetchSummary {
+        replica_images: 0,
+        sim_cost: netsim::SimTime::ZERO,
+    };
 
     let filem = orte::filem::filem_framework()
         .select(params)
@@ -1098,6 +1102,7 @@ fn fetch_images(
 
     // Rebuild every image from its node-local copy; the preloaded scratch
     // copy has then served its purpose (FILEM remove).
+    let mut images = Vec::with_capacity(targets.len());
     let crs_fw = crs_framework(SelfCallbacks::new());
     for &(rank, node) in targets {
         let dir = dest_of(rank, node);

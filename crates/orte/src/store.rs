@@ -65,14 +65,16 @@ pub enum ChunkSource {
     StableOnly,
 }
 
-/// Bookkeeping of one [`SnapshotStore::fetch_image`] call.
+/// Bookkeeping of one [`SnapshotStore::fetch_images`] batch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FetchStats {
     /// Distinct chunks served from peer memory.
     pub replica_chunks: usize,
     /// Distinct chunks served from the stable tier.
     pub stable_chunks: usize,
-    /// Logical bytes assembled into the image.
+    /// Images that took at least one chunk from peer memory.
+    pub replica_images: usize,
+    /// Logical bytes assembled into the images.
     pub bytes: u64,
     /// Simulated wire time of the peer-memory transfers.
     pub sim_cost: SimTime,
@@ -119,80 +121,152 @@ impl<'rt> SnapshotStore<'rt> {
         &self.stable
     }
 
-    /// Assemble one rank's full image from its chunk manifest
-    /// ([`ProcessImage::assemble`]), fetching each distinct chunk from the
-    /// tiers `source` allows. Peer-memory
-    /// bytes are digest-verified when `verify` is set (the stable tier
-    /// always verifies on read); a corrupt replica chunk falls back to
-    /// stable under [`ChunkSource::Auto`] and fails loudly under
-    /// [`ChunkSource::ReplicaOnly`].
+    /// Assemble one rank's full image from its chunk manifest: a
+    /// [`fetch_images`](Self::fetch_images) batch of one, on one lane.
     pub fn fetch_image(
         &self,
         manifest: &codec::ChunkManifest,
         source: ChunkSource,
         verify: bool,
     ) -> Result<(ProcessImage, FetchStats), CrError> {
-        let mut unique = manifest_ids(manifest);
-        unique.sort();
-        unique.dedup();
+        let (images, stats) =
+            self.fetch_images(std::slice::from_ref(manifest), source, verify, 1)?;
+        let image = images
+            .into_iter()
+            .next()
+            .ok_or_else(|| CrError::protocol("a fetch batch of one manifest built no image"))?;
+        Ok((image, stats))
+    }
 
-        let mut bytes_of: BTreeMap<ChunkId, Vec<u8>> = BTreeMap::new();
+    /// Rebuild the image of every manifest in `manifests`, in order, out
+    /// of one fetch batch: the distinct chunk ids of all of them are
+    /// fetched once — one `ChunkFetch` per surviving peer-memory holder,
+    /// then one stable-tier read per chunk peer memory could not serve —
+    /// and each is digest-verified once, over `workers` pool lanes. Then
+    /// every image is assembled ([`ProcessImage::assemble`]) on the
+    /// calling thread, and one `store.restart.fetch` event closes the
+    /// batch. A chunk shared by several manifests crosses the wire, the
+    /// disk and the hash once.
+    ///
+    /// Assembly stays off the lanes: it is a copy, assembling on the lanes
+    /// bought no recovery time, and it slowed the next job's messaging
+    /// (EXPERIMENTS.md A16).
+    ///
+    /// Peer-memory bytes are digest-verified when `verify` is set (the
+    /// stable tier always verifies on read); a corrupt replica chunk falls
+    /// back to stable under [`ChunkSource::Auto`] and fails loudly under
+    /// [`ChunkSource::ReplicaOnly`].
+    pub fn fetch_images(
+        &self,
+        manifests: &[codec::ChunkManifest],
+        source: ChunkSource,
+        verify: bool,
+        workers: usize,
+    ) -> Result<(Vec<ProcessImage>, FetchStats), CrError> {
+        let mut ids: Vec<ChunkId> = manifests.iter().flat_map(manifest_ids).collect();
+        ids.sort_unstable();
+        ids.dedup();
         let mut stats = FetchStats::default();
 
+        let mut chunks: Vec<Option<ByteBuf>> = vec![None; ids.len()];
         if source != ChunkSource::StableOnly {
             let holders: Vec<u32> = self.runtime.daemons().iter().map(|d| d.node().0).collect();
             let (found, cost) =
-                replica::fetch_chunks_partial(self.runtime, self.job, &unique, &holders);
+                replica::fetch_chunks_partial(self.runtime, self.job, &ids, &holders);
             stats.sim_cost += cost;
-            for (id, chunk) in unique.iter().zip(found) {
-                let Some(chunk) = chunk else { continue };
-                if verify && ChunkId::of(&chunk) != *id {
-                    if source == ChunkSource::ReplicaOnly {
+            let held: Vec<(&ChunkId, &Option<ByteBuf>)> = ids.iter().zip(&found).collect();
+            let intact = opal::pool::map_claimed(&held, workers, |(id, chunk), _: &mut ()| {
+                Ok(chunk
+                    .as_ref()
+                    .is_some_and(|bytes| !verify || ChunkId::of(bytes) == **id))
+            })?;
+            for ((slot, (id, chunk)), intact) in
+                chunks.iter_mut().zip(ids.iter().zip(found)).zip(intact)
+            {
+                match chunk {
+                    Some(bytes) if intact => {
+                        *slot = Some(bytes);
+                        stats.replica_chunks += 1;
+                    }
+                    Some(_) if source == ChunkSource::ReplicaOnly => {
                         return Err(CrError::BadSnapshot {
-                            detail: format!(
-                                "replica chunk {id} failed digest verification"
-                            ),
+                            detail: format!("replica chunk {id} failed digest verification"),
                         });
                     }
-                    continue; // corrupt copy in peer memory: refetch from disk
+                    // No holder, or a corrupt copy in peer memory: the
+                    // stable tier serves it.
+                    _ => {}
                 }
-                bytes_of.insert(*id, chunk.into());
-                stats.replica_chunks += 1;
+            }
+            if stats.replica_chunks > 0 {
+                let in_memory = |id: &ChunkId| {
+                    ids.binary_search(id)
+                        .ok()
+                        .and_then(|at| chunks.get(at))
+                        .is_some_and(Option::is_some)
+                };
+                stats.replica_images = manifests
+                    .iter()
+                    .filter(|m| manifest_ids(m).iter().any(in_memory))
+                    .count();
             }
         }
 
         if source != ChunkSource::ReplicaOnly {
-            for id in &unique {
-                if bytes_of.contains_key(id) {
-                    continue;
-                }
-                bytes_of.insert(*id, self.stable.get(id)?);
-                stats.stable_chunks += 1;
+            let misses: Vec<ChunkId> = ids
+                .iter()
+                .zip(&chunks)
+                .filter(|(_, chunk)| chunk.is_none())
+                .map(|(id, _)| *id)
+                .collect();
+            let stable = &self.stable;
+            let mut read =
+                opal::pool::map_claimed(&misses, workers, |id, _: &mut ()| stable.get(id))?
+                    .into_iter();
+            stats.stable_chunks = misses.len();
+            for slot in chunks.iter_mut().filter(|chunk| chunk.is_none()) {
+                *slot = read.next().map(ByteBuf::from);
             }
         }
 
-        if let Some(missing) = unique.iter().find(|id| !bytes_of.contains_key(id)) {
-            return Err(CrError::BadSnapshot {
-                detail: format!(
-                    "chunk {missing} has no surviving peer-memory holder \
-                     (restart source forbids the stable tier)"
-                ),
-            });
-        }
-
-        let image = ProcessImage::assemble(manifest, |id| bytes_of.get(id).map(Vec::as_slice))?;
-        stats.bytes = manifest.total_bytes();
+        let chunks: Vec<ByteBuf> = ids
+            .iter()
+            .zip(chunks)
+            .map(|(id, chunk)| {
+                chunk.ok_or_else(|| CrError::BadSnapshot {
+                    detail: format!(
+                        "chunk {id} has no surviving peer-memory holder \
+                         (restart source forbids the stable tier)"
+                    ),
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        let lookup = |id: &ChunkId| {
+            ids.binary_search(id)
+                .ok()
+                .and_then(|at| chunks.get(at))
+                .map(|c| c.as_slice())
+        };
+        let images = manifests
+            .iter()
+            .map(|manifest| ProcessImage::assemble(manifest, lookup))
+            .collect::<Result<Vec<_>, CrError>>()?;
+        stats.bytes = manifests
+            .iter()
+            .map(codec::ChunkManifest::total_bytes)
+            .sum();
         self.runtime.tracer().record(
             "store.restart.fetch",
             &format!(
-                "{} chunks ({} B): {} from peer memory, {} from stable",
-                unique.len(),
+                "{} images, {} distinct chunks ({} B assembled): {} from peer memory, {} from stable",
+                manifests.len(),
+                ids.len(),
                 stats.bytes,
                 stats.replica_chunks,
                 stats.stable_chunks
             ),
         );
-        Ok((image, stats))
+        Ok((images, stats))
     }
 }
 

@@ -119,3 +119,7 @@ fi
 if grep -rnE 'sender_log|CrcpMsg::Have|LoggerCrcp|DirectSnapc|SlurmSimPlm' crates src tests examples; then
   exit 1
 fi
+# One fetch batch per recovery: a restart fetches the chunks of all its
+# dedup images with one SnapshotStore::fetch_images call, never a per-rank
+# fetch_image loop.
+if grep -rn '\.fetch_image(' crates/ompi/src; then exit 1; fi

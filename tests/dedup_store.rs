@@ -342,6 +342,76 @@ fn dedup_restart_byte_identical_from_both_tiers() {
     rt.shutdown();
 }
 
+/// One fetch batch serves every rank of a recovery: each distinct chunk of
+/// the rank set is fetched once — one peer-memory request per holder, one
+/// stable read per miss — and every image it assembles is byte-identical
+/// to the rank's own single-manifest fetch, from either tier or both.
+#[test]
+fn one_fetch_batch_reads_each_distinct_chunk_once_for_every_rank() {
+    let _serial = serial();
+    let mut rng = 11u64;
+    let nprocs = 4u32;
+    let rt = test_runtime("dedup_batch", 4);
+    let state = spmd_state(nprocs, &mut rng);
+    let handle = launch_state_job(&rt, nprocs, &state, dedup_params());
+    let outcome = handle.checkpoint(&CheckpointOptions::tool()).unwrap();
+    let expect: Vec<Vec<u8>> = state.iter().map(|c| c.lock().clone()).collect();
+    handle.request_terminate();
+    handle.join().unwrap();
+    rt.drain_writebehind();
+
+    let global = GlobalSnapshot::open(&outcome.global_snapshot).unwrap();
+    let store = SnapshotStore::open(&rt, global.job(), global.dir()).unwrap();
+    let manifests: Vec<codec::ChunkManifest> = (0..nprocs)
+        .map(|r| {
+            codec::ChunkManifest::parse(global.chunk_manifest(outcome.interval, Rank(r)).unwrap())
+                .unwrap()
+        })
+        .collect();
+    let mut distinct: Vec<ChunkId> = manifests.iter().flat_map(manifest_ids).collect();
+    distinct.sort();
+    distinct.dedup();
+    let per_rank: usize = manifests
+        .iter()
+        .map(|m| {
+            let mut ids = manifest_ids(m);
+            ids.sort();
+            ids.dedup();
+            ids.len()
+        })
+        .sum();
+    assert!(distinct.len() < per_rank, "SPMD ranks share chunks");
+
+    let tracer = rt.tracer();
+    for source in [ChunkSource::StableOnly, ChunkSource::ReplicaOnly, ChunkSource::Auto] {
+        let batches = tracer.count_prefix("store.restart.fetch");
+        let requests = tracer.count_prefix("store.chunk.fetch");
+        let (images, stats) = store.fetch_images(&manifests, source, true, 3).unwrap();
+        assert_eq!(tracer.count_prefix("store.restart.fetch"), batches + 1);
+        assert!(
+            tracer.count_prefix("store.chunk.fetch") - requests <= rt.daemons().len(),
+            "{source:?}: at most one chunk request per holder"
+        );
+        assert_eq!(
+            stats.replica_chunks + stats.stable_chunks,
+            distinct.len(),
+            "{source:?}: each distinct chunk fetched once"
+        );
+        let from_memory = if source == ChunkSource::StableOnly { 0 } else { nprocs as usize };
+        assert_eq!(stats.replica_images, from_memory, "{source:?}");
+        assert_eq!(images.len(), manifests.len());
+        for (r, (image, manifest)) in images.iter().zip(&manifests).enumerate() {
+            assert_eq!(
+                image.require_section("app").unwrap(),
+                &expect[r][..],
+                "{source:?}, rank {r}"
+            );
+            assert_eq!(&store.fetch_image(manifest, source, true).unwrap().0, image);
+        }
+    }
+    rt.shutdown();
+}
+
 /// A pack that leaves out a chunk the store lacks fails its interval,
 /// naming the rank and the chunk, and records nothing. The next
 /// checkpoint's base is the last committed interval again, which no rank
@@ -455,7 +525,7 @@ fn dedup_restart_survives_stable_store_deletion() {
     .unwrap();
     restarted.handle().request_terminate();
     assert_eq!(restarted.wait().unwrap().len(), 4);
-    assert!(rt.tracer().count_prefix("store.restart.fetch") > 0);
+    assert_eq!(rt.tracer().count_prefix("store.restart.fetch"), 1, "one fetch batch");
     assert_eq!(rt.tracer().count_prefix("filem.preload"), 0);
     assert_eq!(rt.tracer().count_prefix("filem.replica.preload"), 0);
     rt.shutdown();
@@ -513,8 +583,9 @@ fn dedup_restart_needs_no_chain_after_retiring_every_earlier_interval() {
     .unwrap();
     restarted.handle().request_terminate();
     assert_eq!(restarted.wait().unwrap().len(), 4);
-    // The dedup fetch path ran; no local snapshot was preloaded.
-    assert!(rt.tracer().count_prefix("store.restart.fetch") > 0);
+    // The dedup fetch path ran, as one batch for all four ranks; no local
+    // snapshot was preloaded.
+    assert_eq!(rt.tracer().count_prefix("store.restart.fetch"), 1);
     assert_eq!(rt.tracer().count_prefix("filem.preload"), 0);
     assert_eq!(rt.tracer().count_prefix("filem.replica.preload"), 0);
     rt.shutdown();
@@ -568,7 +639,7 @@ fn tampered_stable_chunk_fails_stable_restart_and_auto_routes_around_it() {
     .unwrap();
     restarted.handle().request_terminate();
     let results = restarted.wait().unwrap();
-    assert!(rt.tracer().count_prefix("store.restart.fetch") > 0);
+    assert_eq!(rt.tracer().count_prefix("store.restart.fetch"), 1);
     // Every rank resumed from intact mid-run state: wherever it stopped,
     // its checksum is the fault-free one for that many rounds.
     assert_eq!(results.len(), nprocs as usize);

@@ -217,6 +217,58 @@ fn partial_restart_recovers_a_lost_node_with_survivors_live() {
     rt.shutdown();
 }
 
+/// A dedup interval restores a lost rank through the same one fetch batch
+/// a whole-job restart uses: its image is assembled from the chunk tiers,
+/// no local snapshot is preloaded, and the job still finishes with the
+/// fault-free answer.
+#[test]
+fn partial_restart_of_a_dedup_interval_takes_one_chunk_batch() {
+    let _serial = serial();
+    let rounds = 40_000;
+    let rt = test_runtime("partial_dedup", 5);
+    let armed = Arc::new(AtomicBool::new(false));
+    let app = Arc::new(GatedRing {
+        inner: RingApp { rounds },
+        fail_rank: 2,
+        armed: Arc::clone(&armed),
+    });
+    let params = partial_params(1);
+    params.set("filem_dedup_enabled", "true");
+    params.set("crs_incr_chunk_kb", "1");
+    let job = mpirun(&rt, Arc::clone(&app), RunConfig { nprocs: NPROCS, params }).unwrap();
+    job.handle().set_partial_recovery(true);
+    std::thread::sleep(Duration::from_millis(30));
+    let ck = job.checkpoint(&CheckpointOptions::tool()).unwrap();
+    let global = GlobalSnapshot::open(&ck.global_snapshot).unwrap();
+    assert!(global.chunk_manifest(ck.interval, Rank(2)).is_some());
+
+    armed.store(true, Ordering::SeqCst);
+    await_failure(&job, 2);
+    rt.kill_daemon(NodeId(2));
+
+    let tracer = rt.tracer();
+    let batches = tracer.count_prefix("store.restart.fetch");
+    let outcome = job
+        .restart_ranks(
+            &ck.global_snapshot,
+            &RestartOptions::default().with_ranks(vec![2]),
+        )
+        .unwrap();
+    assert_eq!(outcome.spares, vec![NodeId(4)]);
+    assert_eq!(tracer.count_prefix("store.restart.fetch"), batches + 1);
+    assert_eq!(tracer.count_prefix("filem.preload"), 0);
+    assert_eq!(tracer.count_prefix("filem.replica.fetch"), 0);
+    assert_eq!(outcome.replica_images, 1, "chunks from the ring neighbor's memory");
+
+    let results = job.wait().unwrap();
+    let expected = reference_checksums(u64::from(NPROCS), rounds);
+    for (r, (state, end)) in results.iter().enumerate() {
+        assert_eq!(*end, RunEnd::Completed, "rank {r}");
+        assert_eq!(state.checksum, expected[r], "rank {r} checksum");
+    }
+    rt.shutdown();
+}
+
 /// The supervisor's watchdog drives the same recovery transparently: the
 /// job completes within one incarnation (zero full restarts).
 #[test]
