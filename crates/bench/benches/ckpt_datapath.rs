@@ -81,8 +81,8 @@ fn assert_parallel_manifest_identical(data: &[u8]) {
     for workers in WORKER_COUNTS {
         let parallel = manifest_parallel(&sections, CHUNK_BYTES, workers);
         assert_eq!(
-            codec::to_bytes(&parallel).unwrap(),
-            codec::to_bytes(&sequential).unwrap(),
+            parallel.render(),
+            sequential.render(),
             "parallel manifest diverges at {workers} workers"
         );
     }

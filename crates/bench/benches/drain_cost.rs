@@ -76,7 +76,7 @@ fn drain_cost(c: &mut Criterion) {
 }
 
 /// FILEM write-behind drain: 8 per-rank scratch trees pulled to stable
-/// storage over 1 vs 4 gather workers. Serialized cost is identical;
+/// storage over 1 vs 4 gather workers. Sequential cost is identical;
 /// more lanes only shorten the critical path.
 fn filem_drain_cost(c: &mut Criterion) {
     let topo = Topology::uniform(4, LinkSpec::gigabit_ethernet());

@@ -11,8 +11,6 @@
 //! The manifest is stored in snapshot *metadata* (a [`crate::MetaDoc`]
 //! value), so it renders to and parses from a compact single-line string.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// Manifest wire-format version (leading token of [`ChunkManifest::render`]).
@@ -46,7 +44,7 @@ pub fn chunk_digest(data: &[u8]) -> u64 {
 }
 
 /// Identity and digest of one fixed-size chunk of a section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRecord {
     /// Position of the chunk: byte offset is `id * chunk_bytes`.
     pub id: u32,
@@ -57,7 +55,7 @@ pub struct ChunkRecord {
 }
 
 /// Chunk listing of one named image section.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SectionManifest {
     /// Section name (as registered with the process image).
     pub name: String,
@@ -88,7 +86,7 @@ impl SectionManifest {
 }
 
 /// Per-section chunk manifest of a whole process image at one interval.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ChunkManifest {
     /// Chunk size every section was cut with.
     pub chunk_bytes: u32,

@@ -1,4 +1,4 @@
-//! Error type shared by the binary and metadata codecs.
+//! Error type shared by the wire, frame and metadata codecs.
 
 use std::fmt;
 
@@ -8,7 +8,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Errors produced while encoding or decoding checkpoint data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
-    /// A custom message produced by serde's derive machinery.
+    /// A malformed chunk manifest string (see [`crate::ChunkManifest::parse`]).
     Message(String),
     /// The input ended before a complete value was decoded.
     UnexpectedEof {
@@ -45,6 +45,35 @@ pub enum Error {
     InvalidChar {
         /// The raw 32-bit value.
         value: u32,
+    },
+    /// An integer did not fit the type being decoded.
+    IntOutOfRange {
+        /// The type being decoded.
+        ty: &'static str,
+        /// Byte offset of the integer's tag.
+        offset: usize,
+    },
+    /// A struct lacked a field that has no default.
+    MissingField {
+        /// The field's name.
+        field: &'static str,
+    },
+    /// A struct carried the same field twice.
+    DuplicateField {
+        /// The field's name.
+        field: &'static str,
+    },
+    /// An enum variant name the type does not have.
+    UnknownVariant {
+        /// The name that was read.
+        name: String,
+    },
+    /// A tuple or tuple variant held the wrong number of values.
+    LengthMismatch {
+        /// Values the type has.
+        expected: usize,
+        /// Values the input declared.
+        found: usize,
     },
     /// Trailing bytes remained after the top-level value was decoded.
     TrailingBytes {
@@ -105,6 +134,15 @@ impl fmt::Display for Error {
             Error::InvalidChar { value } => {
                 write!(f, "invalid char scalar value {value:#x}")
             }
+            Error::IntOutOfRange { ty, offset } => {
+                write!(f, "integer out of range for {ty} at offset {offset}")
+            }
+            Error::MissingField { field } => write!(f, "missing field `{field}`"),
+            Error::DuplicateField { field } => write!(f, "duplicate field `{field}`"),
+            Error::UnknownVariant { name } => write!(f, "unknown variant `{name}`"),
+            Error::LengthMismatch { expected, found } => {
+                write!(f, "expected {expected} values, found {found}")
+            }
             Error::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after top-level value")
             }
@@ -128,15 +166,22 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl serde::ser::Error for Error {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        Error::Message(msg.to_string())
-    }
-}
-
-impl serde::de::Error for Error {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        Error::Message(msg.to_string())
+impl Error {
+    /// Turn an offset counted back from the end of a `total`-byte input
+    /// (how [`crate::Wire`] decoders report one) into one counted from its
+    /// start.
+    pub(crate) fn rebase(mut self, total: usize) -> Self {
+        if let Error::UnexpectedEof { offset }
+        | Error::BadTag { offset, .. }
+        | Error::WrongTag { offset, .. }
+        | Error::VarintOverflow { offset }
+        | Error::InvalidUtf8 { offset }
+        | Error::IntOutOfRange { offset, .. }
+        | Error::LengthOverrun { offset, .. } = &mut self
+        {
+            *offset = total.saturating_sub(*offset);
+        }
+        self
     }
 }
 
@@ -166,13 +211,5 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("0x00000001"));
         assert!(s.contains("0x00000002"));
-    }
-
-    #[test]
-    fn serde_custom_maps_to_message() {
-        let e = <Error as serde::ser::Error>::custom("boom");
-        assert_eq!(e, Error::Message("boom".into()));
-        let e = <Error as serde::de::Error>::custom("bust");
-        assert_eq!(e, Error::Message("bust".into()));
     }
 }

@@ -14,11 +14,9 @@
 //! CRC-32 detects truncation and corruption before a process image is
 //! resurrected from it.
 
-use serde::Serialize;
-
-use crate::binary::to_bytes_into;
 use crate::crc32::crc32;
 use crate::error::{Error, Result};
+use crate::wire::Wire;
 
 /// Magic bytes at the start of every context file.
 pub const MAGIC: [u8; 4] = *b"OCRX";
@@ -58,20 +56,20 @@ fn write_header(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&crc32(payload).to_le_bytes());
 }
 
-/// Serialize `value` straight into a frame: the header is reserved up
+/// Encode `value` straight into a frame: the header is reserved up
 /// front in a buffer sized for `payload_hint` encoded bytes, the value is
 /// encoded behind it, and the length and CRC are patched in afterwards.
-/// The result equals `write_frame(&to_bytes(value)?)` without building the
+/// The result equals `write_frame(&to_bytes(value))` without building the
 /// payload anywhere else first.
-pub fn to_framed_bytes<T: Serialize + ?Sized>(value: &T, payload_hint: usize) -> Result<Vec<u8>> {
+pub fn to_framed_bytes<T: Wire>(value: &T, payload_hint: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload_hint);
     out.resize(HEADER_LEN, 0);
-    let mut out = to_bytes_into(out, value)?;
+    value.encode_into(&mut out);
     let (header, payload) = out.split_at_mut(HEADER_LEN);
     let mut fields = Vec::with_capacity(HEADER_LEN);
     write_header(&mut fields, payload);
     header.copy_from_slice(&fields);
-    Ok(out)
+    out
 }
 
 /// Validate a frame held in an owned buffer and strip its header in place:

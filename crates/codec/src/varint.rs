@@ -39,14 +39,18 @@ pub fn zigzag_decode(value: u64) -> i64 {
     ((value >> 1) as i64) ^ -((value & 1) as i64)
 }
 
-/// Decode an unsigned varint from `buf` starting at `*pos`, advancing `*pos`.
-pub fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
-    let start = *pos;
+/// Decode an unsigned varint from the front of `input`, advancing it.
+/// Error offsets count back from the end of the input, as in
+/// [`crate::Wire::decode`].
+pub fn read_u64(input: &mut &[u8]) -> Result<u64> {
+    let start = input.len();
     let mut shift = 0u32;
     let mut value = 0u64;
     loop {
-        let byte = *buf.get(*pos).ok_or(Error::UnexpectedEof { offset: *pos })?;
-        *pos += 1;
+        let (&byte, rest) = input
+            .split_first()
+            .ok_or(Error::UnexpectedEof { offset: 0 })?;
+        *input = rest;
         if shift == 63 && byte > 1 {
             return Err(Error::VarintOverflow { offset: start });
         }
@@ -61,9 +65,9 @@ pub fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
     }
 }
 
-/// Decode a zigzag signed varint from `buf` starting at `*pos`.
-pub fn read_i64(buf: &[u8], pos: &mut usize) -> Result<i64> {
-    Ok(zigzag_decode(read_u64(buf, pos)?))
+/// Decode a zigzag signed varint from the front of `input`, advancing it.
+pub fn read_i64(input: &mut &[u8]) -> Result<i64> {
+    Ok(zigzag_decode(read_u64(input)?))
 }
 
 #[cfg(test)]
@@ -73,17 +77,16 @@ mod tests {
     fn roundtrip_u(v: u64) -> u64 {
         let mut out = Vec::new();
         write_u64(&mut out, v);
-        let mut pos = 0;
-        let back = read_u64(&out, &mut pos).unwrap();
-        assert_eq!(pos, out.len(), "all bytes consumed");
+        let mut input = out.as_slice();
+        let back = read_u64(&mut input).unwrap();
+        assert!(input.is_empty(), "all bytes consumed");
         back
     }
 
     fn roundtrip_i(v: i64) -> i64 {
         let mut out = Vec::new();
         write_i64(&mut out, v);
-        let mut pos = 0;
-        read_i64(&out, &mut pos).unwrap()
+        read_i64(&mut out.as_slice()).unwrap()
     }
 
     #[test]
@@ -130,9 +133,8 @@ mod tests {
         let mut out = Vec::new();
         write_u64(&mut out, u64::from(u32::MAX));
         out.pop();
-        let mut pos = 0;
         assert!(matches!(
-            read_u64(&out, &mut pos),
+            read_u64(&mut out.as_slice()),
             Err(Error::UnexpectedEof { .. })
         ));
     }
@@ -141,9 +143,8 @@ mod tests {
     fn overlong_varint_is_overflow() {
         // Eleven continuation bytes can never be a valid u64.
         let buf = [0xffu8; 11];
-        let mut pos = 0;
         assert!(matches!(
-            read_u64(&buf, &mut pos),
+            read_u64(&mut buf.as_slice()),
             Err(Error::VarintOverflow { .. })
         ));
     }
@@ -153,9 +154,8 @@ mod tests {
         // 9 continuation bytes then a final byte with bits above the 64th.
         let mut buf = vec![0x80u8; 9];
         buf.push(0x02);
-        let mut pos = 0;
         assert!(matches!(
-            read_u64(&buf, &mut pos),
+            read_u64(&mut buf.as_slice()),
             Err(Error::VarintOverflow { .. })
         ));
     }

@@ -1,13 +1,11 @@
 //! Property tests: the binary codec and the metadata format are round-trip
 //! exact for arbitrary inputs (DESIGN.md invariant 4).
 
-use codec::ByteBuf;
 use proptest::collection::{btree_map, vec};
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum TreeValue {
     Null,
     Bool(bool),
@@ -16,11 +14,15 @@ enum TreeValue {
     Float(u32), // bit pattern, to keep Eq semantics simple
     Text(String),
     Blob(Vec<u8>),
-    Run(ByteBuf),
+    Run(Vec<u8>),
     List(Vec<TreeValue>),
     Table(BTreeMap<String, TreeValue>),
     Labeled { label: String, inner: Box<TreeValue> },
 }
+codec::wire_enum!(TreeValue {
+    Null, Bool(v), Int(v), Uint(v), Float(v), Text(v), Blob(v), Run(v), List(v), Table(v),
+    Labeled { label, inner },
+});
 
 fn arb_tree() -> impl Strategy<Value = TreeValue> {
     let leaf = prop_oneof![
@@ -31,7 +33,7 @@ fn arb_tree() -> impl Strategy<Value = TreeValue> {
         any::<u32>().prop_map(TreeValue::Float),
         ".*".prop_map(TreeValue::Text),
         vec(any::<u8>(), 0..64).prop_map(TreeValue::Blob),
-        vec(any::<u8>(), 0..64).prop_map(|b| TreeValue::Run(b.into())),
+        vec(any::<u8>(), 0..64).prop_map(TreeValue::Run),
     ];
     leaf.prop_recursive(4, 64, 8, |inner| {
         prop_oneof![
@@ -51,84 +53,104 @@ fn pattern(len: usize) -> Vec<u8> {
 }
 
 /// A struct whose bulk field sits between two small ones.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Holder {
-    before: u8,
-    blob: ByteBuf,
-    after: u8,
-}
-
-/// What `Holder` encoded to before its field became a `ByteBuf`.
-#[derive(Serialize)]
-struct LegacyHolder {
     before: u8,
     blob: Vec<u8>,
     after: u8,
 }
+codec::wire_struct!(Holder { before, blob, after });
+
+/// What `Holder` encoded to when a `Vec<u8>` was a sequence of tagged
+/// bytes: a `VecDeque<u8>` still writes that form.
+struct LegacyHolder {
+    before: u8,
+    blob: VecDeque<u8>,
+    after: u8,
+}
+codec::wire_struct!(LegacyHolder { before, blob, after });
 
 #[test]
-fn byte_buf_roundtrips_as_one_raw_run_at_every_length_class() {
+fn byte_vec_roundtrips_as_one_raw_run_at_every_length_class() {
     for len in [0, 1, 127, 128, 65_536, 65_537, 200_000] {
-        let buf = ByteBuf::from(pattern(len));
-        let bytes = codec::to_bytes(&buf).unwrap();
+        let buf = pattern(len);
+        let bytes = codec::to_bytes(&buf);
         // Tag, varint length, then the bytes verbatim.
         let mut head = vec![0x0B];
         codec::varint::write_u64(&mut head, len as u64);
         assert_eq!(bytes.len(), head.len() + len, "len {len}");
         assert!(bytes.starts_with(&head) && bytes.ends_with(&buf), "len {len}");
-        assert_eq!(codec::from_bytes::<ByteBuf>(&bytes).unwrap(), buf, "len {len}");
+        assert_eq!(codec::from_bytes::<Vec<u8>>(&bytes).unwrap(), buf, "len {len}");
     }
 }
 
+/// `to_bytes(&vec![0u8, 1, 127, 128, 255])` as the build before `Wire`
+/// wrote it: a `SEQ` of five tagged `UINT`s.
+const PARENT_BYTE_VEC: &[u8] = &[
+    0x0E, 0x05, 0x04, 0x00, 0x04, 0x01, 0x04, 0x7F, 0x04, 0x80, 0x01, 0x04, 0xFF, 0x01,
+];
+
 #[test]
-fn byte_buf_reads_the_legacy_sequence_form() {
+fn bare_byte_vec_from_before_the_run_still_decodes() {
+    let want = vec![0u8, 1, 127, 128, 255];
+    assert_eq!(codec::from_bytes::<Vec<u8>>(PARENT_BYTE_VEC).unwrap(), want);
+    // Written again, it is the run: tag, length, the five bytes.
+    assert_eq!(codec::to_bytes(&want), [0x0B, 0x05, 0, 1, 127, 128, 255]);
+}
+
+#[test]
+fn byte_vec_reads_the_legacy_sequence_form() {
     for len in [0, 1, 127, 128, 70_000] {
-        let legacy = LegacyHolder { before: 1, blob: pattern(len), after: 2 };
-        let old = codec::to_bytes(&legacy).unwrap();
+        let legacy = LegacyHolder { before: 1, blob: pattern(len).into(), after: 2 };
+        let old = codec::to_bytes(&legacy);
         let back: Holder = codec::from_bytes(&old).unwrap();
-        assert_eq!(back.blob, legacy.blob, "len {len}");
+        assert_eq!(back.blob, pattern(len), "len {len}");
         assert_eq!((back.before, back.after), (1, 2));
         // The writer only ever emits the raw form, which is never longer.
-        let new = codec::to_bytes(&back).unwrap();
+        let new = codec::to_bytes(&back);
         assert!(new.len() <= old.len(), "len {len}: {} > {}", new.len(), old.len());
         assert_eq!(codec::from_bytes::<Holder>(&new).unwrap(), back);
     }
     // A legacy element that is not a byte is an error, not a truncation.
-    let old = codec::to_bytes(&vec![1u32, 256]).unwrap();
-    assert!(codec::from_bytes::<ByteBuf>(&old).is_err());
+    let old = codec::to_bytes(&vec![1u32, 256]);
+    assert!(matches!(
+        codec::from_bytes::<Vec<u8>>(&old),
+        Err(codec::Error::IntOutOfRange { ty: "u8", .. })
+    ));
 }
 
 #[test]
-fn struct_holding_a_byte_buf_is_skipped_by_ignored_any() {
-    #[derive(Serialize)]
+fn struct_holding_a_byte_vec_is_skipped_as_an_unknown_field() {
     struct Wide {
         before: u8,
-        blob: ByteBuf,
+        blob: Vec<u8>,
         nested: Holder,
-        maybe: Option<ByteBuf>,
+        maybe: Option<Vec<u8>>,
         after: u8,
     }
-    #[derive(Debug, PartialEq, Deserialize)]
+    codec::wire_struct!(Wide { before, blob, nested, maybe, after });
+    #[derive(Debug, PartialEq)]
     struct Narrow {
         before: u8,
         after: u8,
     }
+    codec::wire_struct!(Narrow { before, after });
     let wide = Wide {
         before: 7,
-        blob: pattern(70_000).into(),
-        nested: Holder { before: 1, blob: pattern(300).into(), after: 2 },
-        maybe: Some(pattern(5).into()),
+        blob: pattern(70_000),
+        nested: Holder { before: 1, blob: pattern(300), after: 2 },
+        maybe: Some(pattern(5)),
         after: 9,
     };
-    let narrow: Narrow = codec::from_bytes(&codec::to_bytes(&wide).unwrap()).unwrap();
+    let narrow: Narrow = codec::from_bytes(&codec::to_bytes(&wide)).unwrap();
     assert_eq!(narrow, Narrow { before: 7, after: 9 });
 }
 
 #[test]
-fn every_truncation_of_a_byte_buf_encoding_is_an_error() {
-    let holder = Holder { before: 3, blob: pattern(300).into(), after: 4 };
-    let legacy = LegacyHolder { before: 3, blob: pattern(300), after: 4 };
-    for whole in [codec::to_bytes(&holder).unwrap(), codec::to_bytes(&legacy).unwrap()] {
+fn every_truncation_of_a_byte_vec_encoding_is_an_error() {
+    let holder = Holder { before: 3, blob: pattern(300), after: 4 };
+    let legacy = LegacyHolder { before: 3, blob: pattern(300).into(), after: 4 };
+    for whole in [codec::to_bytes(&holder), codec::to_bytes(&legacy)] {
         assert_eq!(codec::from_bytes::<Holder>(&whole).unwrap(), holder);
         for cut in 0..whole.len() {
             assert!(codec::from_bytes::<Holder>(&whole[..cut]).is_err(), "cut at {cut}");
@@ -137,33 +159,24 @@ fn every_truncation_of_a_byte_buf_encoding_is_an_error() {
 }
 
 #[test]
-fn byte_buf_never_reserves_from_an_unchecked_length() {
+fn byte_vec_never_reserves_from_an_unchecked_length() {
     // A raw run declaring more bytes than the input holds.
     let mut lying = vec![0x0B];
     codec::varint::write_u64(&mut lying, u64::MAX / 2);
     lying.extend_from_slice(b"short");
     assert!(matches!(
-        codec::from_bytes::<ByteBuf>(&lying),
+        codec::from_bytes::<Vec<u8>>(&lying),
         Err(codec::Error::LengthOverrun { .. })
     ));
 
-    // A sequence whose size hint lies: the reservation is capped, so this
-    // is an empty buffer, not an abort on a `usize::MAX`-byte allocation.
-    struct Liar;
-    impl<'de> serde::de::SeqAccess<'de> for Liar {
-        type Error = serde::de::value::Error;
-        fn next_element_seed<T: serde::de::DeserializeSeed<'de>>(
-            &mut self,
-            _seed: T,
-        ) -> Result<Option<T::Value>, Self::Error> {
-            Ok(None)
-        }
-        fn size_hint(&self) -> Option<usize> {
-            Some(usize::MAX)
-        }
-    }
-    let seq = serde::de::value::SeqAccessDeserializer::new(Liar);
-    assert!(ByteBuf::deserialize(seq).unwrap().is_empty());
+    // A legacy sequence whose count lies: rejected before any element is
+    // read or any reservation made, not an abort on a huge allocation.
+    let mut lying = vec![0x0E];
+    codec::varint::write_u64(&mut lying, usize::MAX as u64);
+    assert!(matches!(
+        codec::from_bytes::<Vec<u8>>(&lying),
+        Err(codec::Error::LengthOverrun { .. })
+    ));
 }
 
 proptest! {
@@ -171,7 +184,7 @@ proptest! {
 
     #[test]
     fn binary_roundtrip_tree(value in arb_tree()) {
-        let bytes = codec::to_bytes(&value).unwrap();
+        let bytes = codec::to_bytes(&value);
         let back: TreeValue = codec::from_bytes(&bytes).unwrap();
         prop_assert_eq!(back, value);
     }
@@ -179,7 +192,7 @@ proptest! {
     #[test]
     fn binary_roundtrip_scalars(i in any::<i64>(), u in any::<u64>(), s in ".*", b in vec(any::<u8>(), 0..512)) {
         let v = (i, u, s.clone(), b.clone());
-        let bytes = codec::to_bytes(&v).unwrap();
+        let bytes = codec::to_bytes(&v);
         let back: (i64, u64, String, Vec<u8>) = codec::from_bytes(&bytes).unwrap();
         prop_assert_eq!(back, v);
     }
@@ -190,22 +203,22 @@ proptest! {
         let _ = codec::from_bytes::<TreeValue>(&data);
         let _ = codec::from_bytes::<Vec<String>>(&data);
         let _ = codec::from_bytes::<u64>(&data);
-        let _ = codec::from_bytes::<ByteBuf>(&data);
+        let _ = codec::from_bytes::<Vec<u8>>(&data);
         let _ = codec::from_bytes::<Holder>(&data);
     }
 
     #[test]
-    fn byte_buf_roundtrip(blob in vec(any::<u8>(), 0..4096), before in any::<u8>(), after in any::<u8>()) {
-        let holder = Holder { before, blob: blob.into(), after };
-        let bytes = codec::to_bytes(&holder).unwrap();
+    fn byte_vec_roundtrip(blob in vec(any::<u8>(), 0..4096), before in any::<u8>(), after in any::<u8>()) {
+        let holder = Holder { before, blob, after };
+        let bytes = codec::to_bytes(&holder);
         prop_assert_eq!(codec::from_bytes::<Holder>(&bytes).unwrap(), holder);
     }
 
     #[test]
     fn framed_value_equals_frame_of_encoding(blob in vec(any::<u8>(), 0..4096), hint in 0..8192usize) {
-        let holder = Holder { before: 1, blob: blob.into(), after: 2 };
-        let framed = codec::to_framed_bytes(&holder, hint).unwrap();
-        prop_assert_eq!(&framed, &codec::write_frame(&codec::to_bytes(&holder).unwrap()));
+        let holder = Holder { before: 1, blob, after: 2 };
+        let framed = codec::to_framed_bytes(&holder, hint);
+        prop_assert_eq!(&framed, &codec::write_frame(&codec::to_bytes(&holder)));
         let payload = codec::into_payload(framed).unwrap();
         prop_assert_eq!(codec::from_bytes::<Holder>(&payload).unwrap(), holder);
     }
@@ -247,9 +260,9 @@ proptest! {
         let mut buf = Vec::new();
         codec::varint::write_u64(&mut buf, v);
         codec::varint::write_i64(&mut buf, s);
-        let mut pos = 0;
-        prop_assert_eq!(codec::varint::read_u64(&buf, &mut pos).unwrap(), v);
-        prop_assert_eq!(codec::varint::read_i64(&buf, &mut pos).unwrap(), s);
-        prop_assert_eq!(pos, buf.len());
+        let mut input = buf.as_slice();
+        prop_assert_eq!(codec::varint::read_u64(&mut input).unwrap(), v);
+        prop_assert_eq!(codec::varint::read_i64(&mut input).unwrap(), s);
+        prop_assert!(input.is_empty());
     }
 }

@@ -2,11 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of one parallel job (an `mpirun` invocation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u32);
+codec::wire_struct!(JobId(_));
 
 impl fmt::Display for JobId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -15,8 +14,9 @@ impl fmt::Display for JobId {
 }
 
 /// MPI rank within `MPI_COMM_WORLD` (ORTE calls this the vpid).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Rank(pub u32);
+codec::wire_struct!(Rank(_));
 
 impl Rank {
     /// Rank as a usize index.
@@ -32,13 +32,14 @@ impl fmt::Display for Rank {
 }
 
 /// Fully qualified process name: job plus rank (ORTE process name).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcessName {
     /// Owning job.
     pub job: JobId,
     /// Rank within the job.
     pub rank: Rank,
 }
+codec::wire_struct!(ProcessName { job, rank });
 
 impl ProcessName {
     /// Construct from raw parts.
@@ -74,9 +75,9 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn wire_roundtrip() {
         let name = ProcessName::new(JobId(4), Rank(2));
-        let bytes = codec::to_bytes(&name).unwrap();
+        let bytes = codec::to_bytes(&name);
         let back: ProcessName = codec::from_bytes(&bytes).unwrap();
         assert_eq!(back, name);
     }

@@ -3,12 +3,10 @@
 use std::fmt;
 use std::path::PathBuf;
 
-use serde::{Deserialize, Serialize};
-
 use crate::snapshot::CommitState;
 
 /// Who initiated a checkpoint request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointOrigin {
     /// Asynchronous: a command line tool / scheduler outside the job
     /// (`ompi-checkpoint`).
@@ -19,6 +17,7 @@ pub enum CheckpointOrigin {
         rank: u32,
     },
 }
+codec::wire_enum!(CheckpointOrigin { Tool, Application { rank } });
 
 impl fmt::Display for CheckpointOrigin {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -30,7 +29,7 @@ impl fmt::Display for CheckpointOrigin {
 }
 
 /// Options accompanying a checkpoint request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointOptions {
     /// Terminate the job once the global snapshot is on stable storage
     /// ("checkpoint and terminate" — used before scheduled maintenance).
@@ -38,6 +37,7 @@ pub struct CheckpointOptions {
     /// Who asked.
     pub origin: CheckpointOrigin,
 }
+codec::wire_struct!(CheckpointOptions { terminate, origin });
 
 impl Default for CheckpointOptions {
     fn default() -> Self {
@@ -161,10 +161,18 @@ mod tests {
     }
 
     #[test]
-    fn options_serde_roundtrip() {
+    fn options_wire_roundtrip() {
         let o = CheckpointOptions::from_rank(1).and_terminate();
-        let bytes = codec::to_bytes(&o).unwrap();
+        let bytes = codec::to_bytes(&o);
         let back: CheckpointOptions = codec::from_bytes(&bytes).unwrap();
         assert_eq!(back, o);
+        // A struct holding a struct variant, as the build before
+        // `codec::Wire` wrote it.
+        let parent: &[u8] = &[
+            0x10, 0x02, 0x09, 0x74, 0x65, 0x72, 0x6d, 0x69, 0x6e, 0x61, 0x74, 0x65, 0x01, 0x06,
+            0x6f, 0x72, 0x69, 0x67, 0x69, 0x6e, 0x14, 0x0b, 0x41, 0x70, 0x70, 0x6c, 0x69, 0x63,
+            0x61, 0x74, 0x69, 0x6f, 0x6e, 0x01, 0x04, 0x72, 0x61, 0x6e, 0x6b, 0x04, 0x03,
+        ];
+        assert_eq!(codec::to_bytes(&CheckpointOptions::from_rank(3)), parent);
     }
 }

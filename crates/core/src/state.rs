@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CrError;
 
 /// The state of the checkpoint/restart protocol delivered to `ft_event`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FtEventState {
     /// A checkpoint has been requested: quiesce, flush, prepare to be
     /// imaged. Delivered *before* the local checkpoint is taken.
@@ -26,6 +24,7 @@ pub enum FtEventState {
     /// The checkpoint attempt failed; undo any preparation.
     Error,
 }
+codec::wire_enum!(FtEventState { Checkpoint, Continue, Restart, Error });
 
 impl FtEventState {
     /// All states, in no particular order (useful for exhaustive tests).

@@ -6,8 +6,6 @@
 //! first link after the tampered record, and `verify` reports exactly
 //! that seq.  Entry 0 chains from [`GENESIS_HASH`].
 
-use serde::{Deserialize, Serialize};
-
 /// `prev_hash` of entry 0: a fixed, format-versioned seed (not a digest
 /// of anything — there is no history yet to commit to).
 pub const GENESIS_HASH: u64 = 0x6372_6a72_6e6c_3031; // "crjrnl01"
@@ -17,7 +15,7 @@ pub const GENESIS_HASH: u64 = 0x6372_6a72_6e6c_3031; // "crjrnl01"
 /// Mirrors `cr_core::trace::TraceEvent` plus the chain fields; `seq` is
 /// the journal's own append index (a journal outlives any single
 /// `Tracer`, e.g. across restarts into the same runtime directory).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalEntry {
     /// Position in the journal (0-based, dense).
     pub seq: u64,
@@ -36,6 +34,7 @@ pub struct JournalEntry {
     /// Chain hash of this entry (see [`JournalEntry::compute_hash`]).
     pub hash: u64,
 }
+codec::wire_struct!(JournalEntry { seq, actor, phase, detail, elapsed_ns, prev_hash, hash });
 
 impl JournalEntry {
     /// Build entry `seq` chained onto `prev_hash`, with `hash` filled in.

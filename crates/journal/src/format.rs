@@ -41,7 +41,7 @@ pub fn header_bytes() -> [u8; HEADER_LEN] {
 
 /// Encode one entry as a framed record (`len | crc | payload`).
 pub fn encode_record(entry: &JournalEntry) -> Result<Vec<u8>, CrError> {
-    let payload = codec::to_bytes(entry)?;
+    let payload = codec::to_bytes(entry);
     let len = u32::try_from(payload.len()).map_err(|_| {
         CrError::protocol(format!(
             "journal entry {} payload is {} bytes (over the 4 GiB record cap)",
@@ -77,6 +77,29 @@ mod tests {
         let crc = u32::from_le_bytes(rec[4..8].try_into().unwrap());
         assert_eq!(crc, codec::crc32::crc32(&rec[8..]));
         let back: JournalEntry = codec::from_bytes(&rec[8..]).unwrap();
+        assert_eq!(back, e);
+    }
+
+    /// `encode_record` of entry 3 below, as the build before `codec::Wire`
+    /// replaced the generic (de)serializer wrote it.
+    const PARENT_RECORD: &[u8] = &[
+        0x6d, 0x00, 0x00, 0x00, 0x19, 0xda, 0xf3, 0xed, 0x10, 0x07, 0x03, 0x73, 0x65, 0x71, 0x04,
+        0x03, 0x05, 0x61, 0x63, 0x74, 0x6f, 0x72, 0x0a, 0x05, 0x72, 0x61, 0x6e, 0x6b, 0x31, 0x05,
+        0x70, 0x68, 0x61, 0x73, 0x65, 0x0a, 0x0c, 0x63, 0x72, 0x63, 0x70, 0x2e, 0x71, 0x75, 0x69,
+        0x65, 0x73, 0x63, 0x65, 0x06, 0x64, 0x65, 0x74, 0x61, 0x69, 0x6c, 0x0a, 0x0a, 0x69, 0x6e,
+        0x74, 0x65, 0x72, 0x76, 0x61, 0x6c, 0x20, 0x32, 0x0a, 0x65, 0x6c, 0x61, 0x70, 0x73, 0x65,
+        0x64, 0x5f, 0x6e, 0x73, 0x04, 0xb9, 0x60, 0x09, 0x70, 0x72, 0x65, 0x76, 0x5f, 0x68, 0x61,
+        0x73, 0x68, 0x04, 0xb1, 0xe0, 0xb0, 0xf3, 0xa6, 0xce, 0x9a, 0xb9, 0x63, 0x04, 0x68, 0x61,
+        0x73, 0x68, 0x04, 0xcf, 0x9c, 0xaf, 0x81, 0x81, 0xbc, 0xc1, 0xef, 0x67,
+    ];
+
+    #[test]
+    fn record_written_by_the_parent_build_is_pinned() {
+        let e =
+            JournalEntry::chained(3, GENESIS_HASH, "rank1", "crcp.quiesce", "interval 2", 12345);
+        assert_eq!(e.hash, 0x67df_05e0_102b_ce4f);
+        assert_eq!(encode_record(&e).unwrap(), PARENT_RECORD);
+        let back: JournalEntry = codec::from_bytes(&PARENT_RECORD[RECORD_HEADER_LEN..]).unwrap();
         assert_eq!(back, e);
     }
 }

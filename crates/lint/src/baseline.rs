@@ -103,7 +103,7 @@ impl Baseline {
         }
     }
 
-    /// Serialize the current findings as a fresh baseline.
+    /// Render the current findings as a fresh baseline.
     pub fn render_from(findings: &[Finding]) -> String {
         let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
         for f in findings {

@@ -10,11 +10,9 @@
 //! every trace-event phase recorded is registered in
 //! `cr_core::events::KNOWN_TRACE_EVENTS` — and, inversely, that every
 //! registered phase is recorded somewhere (no dead registry rows rotting
-//! under the replay tooling) — and that a bulk byte field of a serialised
-//! data-path type is a `codec::ByteBuf`, not a `Vec<u8>` the codec would
-//! write one tagged integer per byte. `cr-lint` walks the workspace's
+//! under the replay tooling). `cr-lint` walks the workspace's
 //! Rust sources with a lightweight tokenizer (no syntax tree, no external
-//! dependencies) and enforces those eight invariants; see DESIGN.md section
+//! dependencies) and enforces those seven invariants; see DESIGN.md section
 //! "Static analysis" for the rationale and ROADMAP.md for its place in the
 //! tier-1 checks.
 //!
@@ -41,7 +39,7 @@ use report::{Finding, Rule};
 #[derive(Debug)]
 pub struct LintRun {
     /// Hard findings (lock-order, ft-event, mca-keys, commit-state,
-    /// trace-keys, bulk-bytes): always violations.
+    /// trace-keys): always violations.
     pub hard: Vec<Finding>,
     /// Baselined findings (panic-path, dead-events): all sites,
     /// pre-ratchet.
@@ -87,7 +85,6 @@ pub fn analyze_sources(sources: &[(String, String)], baseline: &Baseline) -> Lin
         rules::ft_event::check(m, &mut hard);
         rules::panic_path::check(m, &mut baselined);
         rules::commit_state::check(m, &mut hard);
-        rules::bulk_bytes::check(m, &mut hard);
         rules::mca_keys::collect_registered(m, &mut registered, &mut defaulted);
         rules::mca_keys::collect_uses(m, &mut uses);
         rules::trace_keys::collect_registered(m, &mut trace_registered);
@@ -182,11 +179,10 @@ pub fn summary_line(run: &LintRun) -> String {
 pub use report::{render_human, render_json};
 
 /// Which rules are hard (non-baselined). Exposed for documentation tests.
-pub const HARD_RULES: [Rule; 6] = [
+pub const HARD_RULES: [Rule; 5] = [
     Rule::LockOrder,
     Rule::FtEvent,
     Rule::McaKeys,
     Rule::CommitState,
     Rule::TraceKeys,
-    Rule::BulkBytes,
 ];

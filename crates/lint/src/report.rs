@@ -17,8 +17,6 @@ pub enum Rule {
     CommitState,
     /// Trace-event phase strings recorded must be registered.
     TraceKeys,
-    /// Bulk byte fields of serialised data-path types are `codec::ByteBuf`.
-    BulkBytes,
     /// Registered trace events must be recorded somewhere (no dead rows).
     DeadEvents,
 }
@@ -33,7 +31,6 @@ impl Rule {
             Rule::McaKeys => "mca-keys",
             Rule::CommitState => "commit-state",
             Rule::TraceKeys => "trace-keys",
-            Rule::BulkBytes => "bulk-bytes",
             Rule::DeadEvents => "dead-events",
         }
     }

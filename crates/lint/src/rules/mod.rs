@@ -1,6 +1,5 @@
-//! The eight rule families (see crate docs and DESIGN.md "Static analysis").
+//! The seven rule families (see crate docs and DESIGN.md "Static analysis").
 
-pub mod bulk_bytes;
 pub mod commit_state;
 pub mod dead_events;
 pub mod ft_event;

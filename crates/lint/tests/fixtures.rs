@@ -361,42 +361,3 @@ fn panic_path_counted_and_ratcheted() {
         out.baseline_check.notes
     );
 }
-
-#[test]
-fn bulk_bytes_vec_u8_fields_detected() {
-    let out = run(&[(
-        "crates/orte/src/wire.rs",
-        include_str!("fixtures/bulk_vec.rs"),
-    )]);
-    let bulk: Vec<_> = out
-        .hard
-        .iter()
-        .filter(|f| f.rule == Rule::BulkBytes)
-        .collect();
-    // Section.bytes, Msg::Put, Msg::Data, Wrapped.1 — not Scratch (no
-    // Serialize), not Counts (not bytes), not the test module.
-    assert_eq!(bulk.len(), 4, "{bulk:?}");
-    assert!(bulk.iter().all(|f| f.message.contains("codec::ByteBuf")));
-    for ty in ["`Section`", "`Msg`", "`Wrapped`"] {
-        assert!(bulk.iter().any(|f| f.message.contains(ty)), "{ty}: {bulk:?}");
-    }
-    // Only the data-path crates are held to the rule.
-    let elsewhere = run(&[(
-        "crates/tools/src/wire.rs",
-        include_str!("fixtures/bulk_vec.rs"),
-    )]);
-    assert!(elsewhere.hard.iter().all(|f| f.rule != Rule::BulkBytes));
-}
-
-#[test]
-fn bulk_bytes_byte_buf_fields_are_clean() {
-    let out = run(&[(
-        "crates/orte/src/wire.rs",
-        include_str!("fixtures/bulk_clean.rs"),
-    )]);
-    assert!(
-        out.hard.iter().all(|f| f.rule != Rule::BulkBytes),
-        "clean fixture flagged: {:?}",
-        out.hard
-    );
-}

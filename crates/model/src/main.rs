@@ -139,7 +139,7 @@ fn main() -> ExitCode {
     }
 }
 
-/// Hand-rolled stats JSON (the workspace has no real serde), shaped for
+/// Hand-rolled stats JSON (the workspace has no JSON library), shaped for
 /// `BENCH_model.json`: per-model states/transitions/depth/wall-time so
 /// protocol-surface growth shows up as a visible diff.
 fn render_reports_json(reports: &[CheckReport], smoke: bool) -> String {

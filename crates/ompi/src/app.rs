@@ -19,9 +19,8 @@
 //! * long compute-only phases should call [`Mpi::progress`] so a
 //!   checkpoint request is not delayed to the next step boundary.
 
+use codec::Wire;
 use parking_lot::Mutex;
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 use std::sync::Arc;
 
 use cr_core::CrError;
@@ -41,7 +40,7 @@ pub enum StepOutcome {
 /// A checkpointable MPI application.
 pub trait MpiApp: Send + Sync + 'static {
     /// The application's explicit, serializable state.
-    type State: Serialize + DeserializeOwned + Send + 'static;
+    type State: Wire + Send + 'static;
 
     /// Human-readable application name (snapshot metadata, logs).
     fn name(&self) -> &str {
@@ -114,7 +113,7 @@ pub fn run_app<A: MpiApp>(
         }
         None => {
             let state = app.init_state(mpi)?;
-            boundary.set(codec::to_bytes(&state)?);
+            boundary.set(codec::to_bytes(&state));
             state
         }
     };
@@ -132,7 +131,7 @@ pub fn run_app<A: MpiApp>(
             // Step boundary: ops of the finished step are accounted for by
             // the fresh boundary image; drop the log.
             mpi.pml().begin_step();
-            boundary.set(codec::to_bytes(&state)?);
+            boundary.set(codec::to_bytes(&state));
         }
         resuming = false;
 

@@ -207,7 +207,7 @@ pub fn allgather_bytes(
 ) -> Result<Vec<Vec<u8>>, MpiError> {
     let gathered = gather_bytes(pml, comm, 0, mine)?;
     let mut blob: Vec<u8> = match gathered {
-        Some(parts) => codec::to_bytes(&parts)?,
+        Some(parts) => codec::to_bytes(&parts),
         None => Vec::new(),
     };
     bcast_bytes(pml, comm, 0, &mut blob)?;
@@ -348,11 +348,11 @@ mod tests {
         for n in [1u32, 2, 4, 5] {
             for root in 0..n {
                 let results = run_ranks(n, move |r, pml, comm| {
-                    let mine = codec::to_bytes(&u64::from(r + 1)).unwrap();
+                    let mine = codec::to_bytes(&u64::from(r + 1));
                     let mut combine = |a: Vec<u8>, b: Vec<u8>| -> Result<Vec<u8>, MpiError> {
                         let x: u64 = codec::from_bytes(&a)?;
                         let y: u64 = codec::from_bytes(&b)?;
-                        Ok(codec::to_bytes(&(x + y))?)
+                        Ok(codec::to_bytes(&(x + y)))
                     };
                     reduce_bytes(&pml, &comm, root, mine, &mut combine).unwrap()
                 });

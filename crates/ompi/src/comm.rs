@@ -10,15 +10,13 @@
 //! collectively (an allreduce over each process's next free id), so
 //! creation is deterministic and therefore replay-safe after a restart.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MpiError;
 
 /// A communicator handle.
 ///
 /// `Comm` is plain serializable data: applications may store communicators
 /// in their checkpointable state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Comm {
     ctx_p2p: u32,
     ctx_coll: u32,
@@ -27,6 +25,7 @@ pub struct Comm {
     /// This process's rank within the communicator.
     my_rank: u32,
 }
+codec::wire_struct!(Comm { ctx_p2p, ctx_coll, ranks, my_rank });
 
 impl Comm {
     /// `MPI_COMM_WORLD` for a world of `nprocs`, viewed from `me`.
@@ -129,9 +128,9 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn wire_roundtrip() {
         let c = Comm::from_parts(6, vec![0, 2], 2);
-        let bytes = codec::to_bytes(&c).unwrap();
+        let bytes = codec::to_bytes(&c);
         let back: Comm = codec::from_bytes(&bytes).unwrap();
         assert_eq!(back, c);
     }

@@ -272,7 +272,7 @@ impl CrcpComponent for CoordCrcp {
             ctx,
             tag,
             seq,
-            payload: payload.to_vec().into(),
+            payload: payload.to_vec(),
         });
         st.msg_log_bytes += add;
     }

@@ -13,8 +13,6 @@
 //!   Not counted by the bookmarks themselves.
 
 use bytes::{Bytes, BytesMut};
-use codec::ByteBuf;
-use serde::{Deserialize, Serialize};
 
 use crate::error::MpiError;
 
@@ -27,7 +25,7 @@ pub const CLASS_CRCP: u64 = 2;
 pub const HEADER_LEN: usize = 4 + 4 + 4 + 8;
 
 /// A decoded application frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppFrame {
     /// Sender's world rank.
     pub src: u32,
@@ -38,8 +36,9 @@ pub struct AppFrame {
     /// Per-(src, dst) sequence number.
     pub seq: u64,
     /// Payload bytes.
-    pub payload: ByteBuf,
+    pub payload: Vec<u8>,
 }
+codec::wire_struct!(AppFrame { src, ctx, tag, seq, payload });
 
 /// Encode an application frame into wire bytes.
 pub fn encode_app(src: u32, ctx: u32, tag: u32, seq: u64, payload: &[u8]) -> Bytes {
@@ -64,12 +63,12 @@ pub fn decode_app(bytes: &[u8]) -> Result<AppFrame, MpiError> {
         ctx: u32::from_le_bytes(bytes[4..8].try_into().expect("4")),
         tag: u32::from_le_bytes(bytes[8..12].try_into().expect("4")),
         seq: u64::from_le_bytes(bytes[12..20].try_into().expect("8")),
-        payload: bytes[HEADER_LEN..].to_vec().into(),
+        payload: bytes[HEADER_LEN..].to_vec(),
     })
 }
 
 /// CRCP control messages.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CrcpMsg {
     /// Bookmark: "I have sent you `sent` application messages so far"
     /// (the coordinated protocol's whole-message refinement of LAM/MPI's
@@ -109,10 +108,16 @@ pub enum CrcpMsg {
         from: u32,
     },
 }
+codec::wire_enum!(CrcpMsg {
+    Bookmark { from, sent },
+    Quiesced { from },
+    ReplayBegin { from, endpoint },
+    ReplayDone { from },
+});
 
 /// Encode a CRCP control message.
-pub fn encode_crcp(msg: &CrcpMsg) -> Result<Bytes, MpiError> {
-    Ok(Bytes::from(codec::to_bytes(msg)?))
+pub fn encode_crcp(msg: &CrcpMsg) -> Bytes {
+    Bytes::from(codec::to_bytes(msg))
 }
 
 /// Decode a CRCP control message.
@@ -135,7 +140,7 @@ mod tests {
                 ctx: 7,
                 tag: 42,
                 seq: 19,
-                payload: b"payload".to_vec().into(),
+                payload: b"payload".to_vec(),
             }
         );
     }
@@ -164,7 +169,7 @@ mod tests {
             },
             CrcpMsg::ReplayDone { from: 5 },
         ] {
-            let wire = encode_crcp(&msg).unwrap();
+            let wire = encode_crcp(&msg);
             assert_eq!(decode_crcp(&wire).unwrap(), msg);
         }
     }
@@ -172,5 +177,61 @@ mod tests {
     #[test]
     fn classes_are_distinct() {
         assert_ne!(CLASS_APP, CLASS_CRCP);
+    }
+
+    /// `codec::to_bytes` of each message as the build before `codec::Wire`
+    /// replaced the generic (de)serializer wrote it.
+    #[test]
+    fn crcp_messages_and_app_frames_keep_their_parent_encoding() {
+        let crcp: [(CrcpMsg, &[u8]); 4] = [
+            (
+                CrcpMsg::Bookmark { from: 1, sent: 99 },
+                &[
+                    0x14, 0x08, 0x42, 0x6f, 0x6f, 0x6b, 0x6d, 0x61, 0x72, 0x6b, 0x02, 0x04, 0x66,
+                    0x72, 0x6f, 0x6d, 0x04, 0x01, 0x04, 0x73, 0x65, 0x6e, 0x74, 0x04, 0x63,
+                ],
+            ),
+            (
+                CrcpMsg::Quiesced { from: 3 },
+                &[
+                    0x14, 0x08, 0x51, 0x75, 0x69, 0x65, 0x73, 0x63, 0x65, 0x64, 0x01, 0x04, 0x66,
+                    0x72, 0x6f, 0x6d, 0x04, 0x03,
+                ],
+            ),
+            (
+                CrcpMsg::ReplayBegin {
+                    from: 4,
+                    endpoint: 77,
+                },
+                &[
+                    0x14, 0x0b, 0x52, 0x65, 0x70, 0x6c, 0x61, 0x79, 0x42, 0x65, 0x67, 0x69, 0x6e,
+                    0x02, 0x04, 0x66, 0x72, 0x6f, 0x6d, 0x04, 0x04, 0x08, 0x65, 0x6e, 0x64, 0x70,
+                    0x6f, 0x69, 0x6e, 0x74, 0x04, 0x4d,
+                ],
+            ),
+            (
+                CrcpMsg::ReplayDone { from: 5 },
+                &[
+                    0x14, 0x0a, 0x52, 0x65, 0x70, 0x6c, 0x61, 0x79, 0x44, 0x6f, 0x6e, 0x65, 0x01,
+                    0x04, 0x66, 0x72, 0x6f, 0x6d, 0x04, 0x05,
+                ],
+            ),
+        ];
+        for (msg, parent) in crcp {
+            assert_eq!(&encode_crcp(&msg)[..], parent, "{msg:?}");
+            assert_eq!(decode_crcp(parent).unwrap(), msg);
+        }
+
+        // An `AppFrame` as the pml section holds it: a struct whose payload
+        // is one raw run.
+        const PARENT_FRAME: &[u8] = &[
+            0x10, 0x05, 0x03, 0x73, 0x72, 0x63, 0x04, 0x03, 0x03, 0x63, 0x74, 0x78, 0x04, 0x07,
+            0x03, 0x74, 0x61, 0x67, 0x04, 0x2a, 0x03, 0x73, 0x65, 0x71, 0x04, 0x13, 0x07, 0x70,
+            0x61, 0x79, 0x6c, 0x6f, 0x61, 0x64, 0x0b, 0x07, 0x70, 0x61, 0x79, 0x6c, 0x6f, 0x61,
+            0x64,
+        ];
+        let frame = decode_app(&encode_app(3, 7, 42, 19, b"payload")).unwrap();
+        assert_eq!(codec::to_bytes(&frame), PARENT_FRAME);
+        assert_eq!(codec::from_bytes::<AppFrame>(PARENT_FRAME).unwrap(), frame);
     }
 }

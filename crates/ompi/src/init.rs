@@ -591,7 +591,7 @@ fn proc_body<A: MpiApp>(
     let nc = Arc::clone(&next_ctx);
     ctx.container.register_capture(
         "ompi",
-        Arc::new(move || Ok(codec::to_bytes(&nc.load(Ordering::SeqCst))?)),
+        Arc::new(move || Ok(codec::to_bytes(&nc.load(Ordering::SeqCst)))),
     );
 
     // 6. INC stack: OPAL (bottom, runs the CRS), ORTE, OMPI (top).

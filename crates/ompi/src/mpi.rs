@@ -10,9 +10,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
+use codec::Wire;
 use crossbeam::channel::Sender;
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 
 use cr_core::request::CheckpointOptions;
 use cr_core::{CrError, Tracer};
@@ -102,20 +101,20 @@ impl Mpi {
     // -- point-to-point ------------------------------------------------------
 
     /// Blocking typed send on `comm`.
-    pub fn send<T: Serialize + ?Sized>(
+    pub fn send<T: Wire>(
         &self,
         comm: &Comm,
         dst: u32,
         tag: u32,
         value: &T,
     ) -> Result<(), MpiError> {
-        let payload = codec::to_bytes(value)?;
+        let payload = codec::to_bytes(value);
         self.pml
             .send(comm.ctx_p2p(), comm.world_rank(dst)?, tag, &payload)
     }
 
     /// Blocking typed receive on `comm`. `src`/`tag` of `None` = any.
-    pub fn recv<T: DeserializeOwned>(
+    pub fn recv<T: Wire>(
         &self,
         comm: &Comm,
         src: Option<u32>,
@@ -169,14 +168,14 @@ impl Mpi {
     }
 
     /// Non-blocking typed send.
-    pub fn isend<T: Serialize + ?Sized>(
+    pub fn isend<T: Wire>(
         &self,
         comm: &Comm,
         dst: u32,
         tag: u32,
         value: &T,
     ) -> Result<Request, MpiError> {
-        let payload = codec::to_bytes(value)?;
+        let payload = codec::to_bytes(value);
         Ok(Request(self.pml.isend(
             comm.ctx_p2p(),
             comm.world_rank(dst)?,
@@ -200,7 +199,7 @@ impl Mpi {
     }
 
     /// Wait for a receive request, decoding the payload.
-    pub fn wait_recv<T: DeserializeOwned>(&self, req: Request) -> Result<(T, Status), MpiError> {
+    pub fn wait_recv<T: Wire>(&self, req: Request) -> Result<(T, Status), MpiError> {
         match self.pml.wait(req.0)? {
             Some(frame) => Ok((
                 codec::from_bytes(&frame.payload)?,
@@ -220,7 +219,7 @@ impl Mpi {
     }
 
     /// Non-blocking completion test for a receive request.
-    pub fn test_recv<T: DeserializeOwned>(
+    pub fn test_recv<T: Wire>(
         &self,
         req: Request,
     ) -> Result<Option<(T, Status)>, MpiError> {
@@ -268,8 +267,8 @@ impl Mpi {
         recv_tag: Option<u32>,
     ) -> Result<(R, Status), MpiError>
     where
-        S: Serialize + ?Sized,
-        R: DeserializeOwned,
+        S: Wire,
+        R: Wire,
     {
         self.send(comm, dst, send_tag, value)?;
         self.recv(comm, src, recv_tag)
@@ -281,7 +280,7 @@ impl Mpi {
     /// traffic), so `combine` need only be associative.
     pub fn scan<T, F>(&self, comm: &Comm, value: T, combine: F) -> Result<T, MpiError>
     where
-        T: Serialize + DeserializeOwned,
+        T: Wire,
         F: Fn(T, T) -> T,
     {
         const SCAN_TAG: u32 = 7 << 8; // op 7 in the collective tag space
@@ -298,7 +297,7 @@ impl Mpi {
             combine(prev, value)
         };
         if me + 1 < n {
-            let bytes = codec::to_bytes(&acc)?;
+            let bytes = codec::to_bytes(&acc);
             self.pml
                 .send(ctx, comm.world_rank(me + 1)?, SCAN_TAG, &bytes)?;
         }
@@ -313,14 +312,14 @@ impl Mpi {
     }
 
     /// Broadcast `value` from `root`; every rank returns the root's value.
-    pub fn bcast<T: Serialize + DeserializeOwned>(
+    pub fn bcast<T: Wire>(
         &self,
         comm: &Comm,
         root: u32,
         value: T,
     ) -> Result<T, MpiError> {
         let mut blob = if comm.rank() == root {
-            codec::to_bytes(&value)?
+            codec::to_bytes(&value)
         } else {
             Vec::new()
         };
@@ -337,19 +336,19 @@ impl Mpi {
         combine: F,
     ) -> Result<Option<T>, MpiError>
     where
-        T: Serialize + DeserializeOwned,
+        T: Wire,
         F: Fn(T, T) -> T,
     {
         let mut combine_bytes = |a: Vec<u8>, b: Vec<u8>| -> Result<Vec<u8>, MpiError> {
             let av: T = codec::from_bytes(&a)?;
             let bv: T = codec::from_bytes(&b)?;
-            Ok(codec::to_bytes(&combine(av, bv))?)
+            Ok(codec::to_bytes(&combine(av, bv)))
         };
         let out = coll::reduce_bytes(
             &self.pml,
             comm,
             root,
-            codec::to_bytes(&value)?,
+            codec::to_bytes(&value),
             &mut combine_bytes,
         )?;
         match out {
@@ -361,31 +360,31 @@ impl Mpi {
     /// All-reduce with `combine`.
     pub fn allreduce<T, F>(&self, comm: &Comm, value: T, combine: F) -> Result<T, MpiError>
     where
-        T: Serialize + DeserializeOwned,
+        T: Wire,
         F: Fn(T, T) -> T,
     {
         let mut combine_bytes = |a: Vec<u8>, b: Vec<u8>| -> Result<Vec<u8>, MpiError> {
             let av: T = codec::from_bytes(&a)?;
             let bv: T = codec::from_bytes(&b)?;
-            Ok(codec::to_bytes(&combine(av, bv))?)
+            Ok(codec::to_bytes(&combine(av, bv)))
         };
         let bytes = coll::allreduce_bytes(
             &self.pml,
             comm,
-            codec::to_bytes(&value)?,
+            codec::to_bytes(&value),
             &mut combine_bytes,
         )?;
         Ok(codec::from_bytes(&bytes)?)
     }
 
     /// Gather to `root`: `Some(values)` (comm-rank order) at root.
-    pub fn gather<T: Serialize + DeserializeOwned>(
+    pub fn gather<T: Wire>(
         &self,
         comm: &Comm,
         root: u32,
         value: &T,
     ) -> Result<Option<Vec<T>>, MpiError> {
-        let mine = codec::to_bytes(value)?;
+        let mine = codec::to_bytes(value);
         match coll::gather_bytes(&self.pml, comm, root, &mine)? {
             Some(parts) => {
                 let mut out = Vec::with_capacity(parts.len());
@@ -399,7 +398,7 @@ impl Mpi {
     }
 
     /// Scatter from `root`: rank `r` receives `parts[r]`.
-    pub fn scatter<T: Serialize + DeserializeOwned>(
+    pub fn scatter<T: Wire>(
         &self,
         comm: &Comm,
         root: u32,
@@ -409,7 +408,7 @@ impl Mpi {
             Some(v) => {
                 let mut out = Vec::with_capacity(v.len());
                 for item in &v {
-                    out.push(codec::to_bytes(item)?);
+                    out.push(codec::to_bytes(item));
                 }
                 Some(out)
             }
@@ -420,12 +419,12 @@ impl Mpi {
     }
 
     /// All-gather: every rank receives every rank's value.
-    pub fn allgather<T: Serialize + DeserializeOwned>(
+    pub fn allgather<T: Wire>(
         &self,
         comm: &Comm,
         value: &T,
     ) -> Result<Vec<T>, MpiError> {
-        let mine = codec::to_bytes(value)?;
+        let mine = codec::to_bytes(value);
         let parts = coll::allgather_bytes(&self.pml, comm, &mine)?;
         let mut out = Vec::with_capacity(parts.len());
         for p in parts {
@@ -435,14 +434,14 @@ impl Mpi {
     }
 
     /// All-to-all: rank `r` sends `parts[q]` to rank `q`.
-    pub fn alltoall<T: Serialize + DeserializeOwned>(
+    pub fn alltoall<T: Wire>(
         &self,
         comm: &Comm,
         parts: Vec<T>,
     ) -> Result<Vec<T>, MpiError> {
         let mut encoded = Vec::with_capacity(parts.len());
         for item in &parts {
-            encoded.push(codec::to_bytes(item)?);
+            encoded.push(codec::to_bytes(item));
         }
         let raw = coll::alltoall_bytes(&self.pml, comm, &encoded)?;
         let mut out = Vec::with_capacity(raw.len());

@@ -40,7 +40,6 @@ use std::time::Duration;
 
 use netsim::{Endpoint, EndpointId, Fabric, NetError};
 use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
 
 use cr_core::{CrError, FtEvent, FtEventState, Tracer};
 use opal::SafePointGate;
@@ -54,7 +53,7 @@ use crate::frame::{decode_app, decode_crcp, encode_app, AppFrame, CrcpMsg, CLASS
 const WIRE_POLL: Duration = Duration::from_micros(200);
 
 /// A posted (not yet matched) non-blocking receive.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PostedRecv {
     /// Request id.
     pub req: u64,
@@ -65,9 +64,10 @@ pub struct PostedRecv {
     /// Tag filter (`None` = any tag).
     pub tag: Option<u32>,
 }
+codec::wire_struct!(PostedRecv { req, ctx, src, tag });
 
 /// A message retained in the partial-restart message log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoggedSend {
     /// Destination world rank.
     pub dst: u32,
@@ -78,11 +78,12 @@ pub struct LoggedSend {
     /// Sequence number of the send.
     pub seq: u64,
     /// Payload.
-    pub payload: codec::ByteBuf,
+    pub payload: Vec<u8>,
 }
+codec::wire_struct!(LoggedSend { dst, ctx, tag, seq, payload });
 
 /// One completed operation of the current application step.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpRecord {
     /// A completed blocking send.
     Send {
@@ -154,6 +155,14 @@ pub enum OpRecord {
         len: u64,
     },
 }
+codec::wire_enum!(OpRecord {
+    Send { dst, ctx, tag, len },
+    Recv { ctx, src, tag, frame },
+    Isend { req, dst, ctx, tag, len },
+    Irecv { req, ctx, src, tag },
+    Wait { req, frame },
+    Probe { ctx, src, tag, found_src, found_tag, len },
+});
 
 /// A quiesce-point mark in the partial-restart message log: `mark` is
 /// the log length when `interval` quiesced. Once `interval` reaches
@@ -175,7 +184,7 @@ pub struct MsgLogMark {
 }
 
 /// The serializable PML state — the "pml" section of the process image.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PmlState {
     /// Received application frames not yet matched by any receive.
     pub unmatched: VecDeque<AppFrame>,
@@ -204,12 +213,10 @@ pub struct PmlState {
     /// checkpoint that dies mid-interval must leave the log intact for a
     /// partial restart from the previous commit. Never persisted: a
     /// restarted incarnation re-marks from scratch.
-    #[serde(skip)]
     pub msg_log_marks: Vec<MsgLogMark>,
     /// Interval of the checkpoint currently coordinating, stashed by the
     /// INC handle before the CRCP runs (the component has no view of
     /// SNAPC's numbering). `None` outside a checkpoint.
-    #[serde(skip)]
     pub ckpt_interval: Option<u64>,
     /// Set when `crcp_msg_log_cap_kb` truncated the log in the current
     /// window (since the last quiesce mark); each quiesce folds it into
@@ -222,9 +229,12 @@ pub struct PmlState {
     pub crcp_inbox: VecDeque<CrcpMsg>,
     /// Replay position into `step_log` (never persisted: restarts always
     /// replay from the beginning).
-    #[serde(skip)]
     pub replay_cursor: Option<usize>,
 }
+codec::wire_struct!(PmlState {
+    unmatched, posted, completed, sent_counts, recv_counts, next_req, step_log, msg_log,
+    msg_log_bytes, msg_log_overflow, crcp_inbox
+} skip { msg_log_marks, ckpt_interval, replay_cursor });
 
 impl PmlState {
     fn new(nprocs: u32) -> Self {
@@ -505,7 +515,7 @@ impl PmlShared {
 
     /// Send a CRCP control message to `dst` (not counted by bookmarks).
     pub fn send_crcp(&self, dst: u32, msg: &CrcpMsg) -> Result<(), MpiError> {
-        let wire = crate::frame::encode_crcp(msg)?;
+        let wire = crate::frame::encode_crcp(msg);
         self.fabric
             .send(self.endpoint.id(), self.peer(dst), CLASS_CRCP, wire)
             .map_err(|e| MpiError::PeerLost {
@@ -898,17 +908,17 @@ impl PmlShared {
         self.state.lock().replaying()
     }
 
-    /// Serialize the PML state (the "pml" image section). Called by the
+    /// Encode the PML state (the "pml" image section). Called by the
     /// capture registry with the application thread parked.
     pub fn capture(&self) -> Result<Vec<u8>, CrError> {
         let st = self.state.lock();
-        Ok(codec::to_bytes(&*st)?)
+        Ok(codec::to_bytes(&*st))
     }
 
     /// Restore state from a captured section, arming replay if the
     /// captured step had completed operations.
     pub fn restore(&self, bytes: &[u8]) -> Result<(), CrError> {
-        let mut restored: PmlState = codec::from_bytes(bytes)?;
+        let restored: PmlState = codec::from_bytes(bytes)?;
         if restored.sent_counts.len() != self.nprocs as usize {
             return Err(CrError::BadSnapshot {
                 detail: format!(
@@ -918,7 +928,6 @@ impl PmlShared {
                 ),
             });
         }
-        restored.replay_cursor = None;
         *self.state.lock() = restored;
         Ok(())
     }

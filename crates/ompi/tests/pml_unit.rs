@@ -139,11 +139,11 @@ fn pml_section_carries_payloads_as_raw_runs() {
     let (tag, seq) = (9, u64::MAX);
     let frame = AppFrame { src: 0, ctx: 0, tag, seq, payload: payload.clone().into() };
     let logged = LoggedSend { dst: 1, ctx: 0, tag, seq, payload: payload.clone().into() };
-    let frame_len = codec::to_bytes(&frame).unwrap().len();
-    let logged_len = codec::to_bytes(&logged).unwrap().len();
+    let frame_len = codec::to_bytes(&frame).len();
+    let logged_len = codec::to_bytes(&logged).len();
     assert!(frame_len <= payload.len() + 64, "AppFrame: {frame_len}");
     assert!(logged_len <= payload.len() + 64, "LoggedSend: {logged_len}");
-    assert_eq!(codec::from_bytes::<AppFrame>(&codec::to_bytes(&frame).unwrap()).unwrap(), frame);
+    assert_eq!(codec::from_bytes::<AppFrame>(&codec::to_bytes(&frame)).unwrap(), frame);
 
     let pmls = mesh(2);
     let empty = pmls[1].capture().unwrap().len();

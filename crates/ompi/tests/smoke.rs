@@ -10,7 +10,6 @@ use netsim::{LinkSpec, Topology};
 use ompi::app::{MpiApp, RunEnd, StepOutcome};
 use ompi::{mpirun, restart, Mpi, MpiError, RestartOptions, RunConfig};
 use orte::Runtime;
-use serde::{Deserialize, Serialize};
 
 fn runtime(tag: &str, nodes: u32) -> Runtime {
     let dir = std::env::temp_dir().join(format!(
@@ -75,11 +74,12 @@ impl Hold {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct RingState {
     round: u64,
     token_sum: u64,
 }
+codec::wire_struct!(RingState { round, token_sum });
 
 impl MpiApp for RingApp {
     type State = RingState;
@@ -244,12 +244,12 @@ fn checkpoint_then_restart_reproduces_the_answer() {
 fn collectives_work() {
     struct CollApp;
 
-    #[derive(Serialize, Deserialize)]
     struct CollState {
         phase: u32,
         sum: u64,
         gathered: Vec<u32>,
     }
+    codec::wire_struct!(CollState { phase, sum, gathered });
 
     impl MpiApp for CollApp {
         type State = CollState;

@@ -417,13 +417,13 @@ mod tests {
     use crate::crs::{crs_framework, SelfCallbacks};
     use cr_core::{JobId, Rank};
     use mca::McaParams;
-    use serde::{Deserialize, Serialize};
     use std::sync::atomic::AtomicU64;
 
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq)]
     struct FakeAppState {
         iteration: u64,
     }
+    codec::wire_struct!(FakeAppState { iteration });
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -453,7 +453,7 @@ mod tests {
         let cap_state = Arc::clone(&state);
         container.register_capture(
             "app",
-            Arc::new(move || Ok(codec::to_bytes(&*cap_state.lock())?)),
+            Arc::new(move || Ok(codec::to_bytes(&*cap_state.lock()))),
         );
         container.install_opal_inc(LayerInc::new("opal", tracer));
         container.enable_checkpointing();

@@ -108,7 +108,7 @@ impl DedupCapture {
                 }
             }
         }
-        snapshot.write_context(&ProcessImage::from_distinct(pack).to_context()?)?;
+        snapshot.write_context(&ProcessImage::from_distinct(pack).to_context())?;
         snapshot.set_param(PARAM_MANIFEST, &manifest.render());
         *last = Some((snapshot.interval(), ids));
         Ok(())
@@ -125,7 +125,7 @@ fn write_image(
 ) -> Result<(), CrError> {
     match dedup {
         Some(capture) => capture.write(image, snapshot, base)?,
-        None => snapshot.write_context(&image.to_context()?)?,
+        None => snapshot.write_context(&image.to_context())?,
     }
     snapshot.set_param(PARAM_KIND, if dedup.is_some() { "dedup" } else { "full" });
     snapshot.set_param("sections", &image.names().join(","));
@@ -719,7 +719,7 @@ mod tests {
         let dir = tmpdir("dedupold");
         let img = sample_image();
         let mut s = LocalSnapshot::create(&dir, Rank(0), "self", 2, "node00").unwrap();
-        s.write_context(&img.to_context().unwrap()).unwrap();
+        s.write_context(&img.to_context()).unwrap();
         s.set_param(PARAM_KIND, "dedup");
         let sections: Vec<(&str, &[u8])> = img.iter().collect();
         s.set_param(

@@ -7,33 +7,35 @@
 //! byte section. The union of sections is the process image that a CRS
 //! component persists into the local snapshot's context file.
 //!
-//! A section's bytes are a [`codec::ByteBuf`], so an encoded image is its
-//! sections' bytes verbatim plus a few dozen bytes of names, tags and
-//! lengths per section — the image is as opaque to the codec as a BLCR
-//! context is to Open MPI. What is *inside* a section is its owner's
-//! business (the application state still encodes field by field).
+//! A section's bytes are a `Vec<u8>`, which the codec writes as one raw
+//! run, so an encoded image is its sections' bytes verbatim plus a few
+//! dozen bytes of names, tags and lengths per section — the image is as
+//! opaque to the codec as a BLCR context is to Open MPI. What is *inside*
+//! a section is its owner's business (the application state still encodes
+//! field by field).
 
-use codec::{ByteBuf, ChunkManifest};
-use serde::{Deserialize, Serialize};
+use codec::{ChunkManifest, Wire};
 
 use cr_core::CrError;
 
 use crate::store::ChunkId;
 
 /// One named section of a process image.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Section {
     /// Section name (e.g. `"app"`, `"pml"`).
     pub name: String,
-    /// Serialized subsystem state.
-    pub bytes: ByteBuf,
+    /// Encoded subsystem state.
+    pub bytes: Vec<u8>,
 }
+codec::wire_struct!(Section { name, bytes });
 
 /// A complete captured process state: ordered named sections.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ProcessImage {
     sections: Vec<Section>,
 }
+codec::wire_struct!(ProcessImage { sections });
 
 impl ProcessImage {
     /// Empty image.
@@ -44,7 +46,6 @@ impl ProcessImage {
     /// Add or replace a section.
     pub fn insert(&mut self, name: impl Into<String>, bytes: Vec<u8>) {
         let name = name.into();
-        let bytes = ByteBuf::from(bytes);
         if let Some(existing) = self.sections.iter_mut().find(|s| s.name == name) {
             existing.bytes = bytes;
         } else {
@@ -71,13 +72,14 @@ impl ProcessImage {
     }
 
     /// Decode `name`'s section as a typed value.
-    pub fn decode_section<T: serde::de::DeserializeOwned>(&self, name: &str) -> Result<T, CrError> {
+    pub fn decode_section<T: Wire>(&self, name: &str) -> Result<T, CrError> {
         Ok(codec::from_bytes(self.require_section(name)?)?)
     }
 
-    /// Encode `value` and store it as section `name`.
-    pub fn encode_section<T: Serialize>(&mut self, name: &str, value: &T) -> Result<(), CrError> {
-        self.insert(name, codec::to_bytes(value)?);
+    /// Encode `value` and store it as section `name`. Never fails; the
+    /// `Result` is kept for callers that chain it.
+    pub fn encode_section<T: Wire>(&mut self, name: &str, value: &T) -> Result<(), CrError> {
+        self.insert(name, codec::to_bytes(value));
         Ok(())
     }
 
@@ -114,17 +116,19 @@ impl ProcessImage {
         self.total_bytes() + 64 * (self.len() + 1)
     }
 
-    /// Serialize the whole image to context-file payload bytes.
+    /// Encode the whole image to context-file payload bytes. Never fails;
+    /// the `Result` is kept for callers that chain it.
     pub fn to_bytes(&self) -> Result<Vec<u8>, CrError> {
-        let out = Vec::with_capacity(self.encoded_hint());
-        Ok(codec::to_bytes_into(out, self)?)
+        let mut out = Vec::with_capacity(self.encoded_hint());
+        self.encode_into(&mut out);
+        Ok(out)
     }
 
-    /// Serialize the whole image as a context file — the payload of
+    /// Encode the whole image as a context file — the payload of
     /// [`ProcessImage::to_bytes`] inside its checksummed frame — built in
     /// one buffer.
-    pub fn to_context(&self) -> Result<Vec<u8>, CrError> {
-        Ok(codec::to_framed_bytes(self, self.encoded_hint())?)
+    pub fn to_context(&self) -> Vec<u8> {
+        codec::to_framed_bytes(self, self.encoded_hint())
     }
 
     /// Parse an image from context-file payload bytes.
@@ -138,16 +142,13 @@ impl ProcessImage {
         ProcessImage {
             sections: sections
                 .into_iter()
-                .map(|(name, bytes)| Section {
-                    name,
-                    bytes: bytes.into(),
-                })
+                .map(|(name, bytes)| Section { name, bytes })
                 .collect(),
         }
     }
 
     /// Take the image apart into its `(name, bytes)` sections, in order.
-    pub fn into_sections(self) -> impl Iterator<Item = (String, ByteBuf)> {
+    pub fn into_sections(self) -> impl Iterator<Item = (String, Vec<u8>)> {
         self.sections.into_iter().map(|s| (s.name, s.bytes))
     }
 
@@ -237,11 +238,12 @@ mod tests {
 
     #[test]
     fn typed_sections() {
-        #[derive(Debug, PartialEq, Serialize, Deserialize)]
+        #[derive(Debug, PartialEq)]
         struct AppState {
             iteration: u64,
             sum: f64,
         }
+        codec::wire_struct!(AppState { iteration, sum });
         let mut img = ProcessImage::new();
         img.encode_section("app", &AppState { iteration: 7, sum: 1.5 })
             .unwrap();
@@ -251,7 +253,7 @@ mod tests {
     }
 
     /// `to_bytes()` of the image `{"app": [0, 1, 127, 128, 255, 42],
-    /// "pml": []}` as the build before `Section.bytes` became a `ByteBuf`
+    /// "pml": []}` as the build before `Section.bytes` became a raw run
     /// wrote it: each section a `SEQ` of tagged integers.
     const PARENT_IMAGE: &[u8] = &[
         0x10, 0x01, 0x08, 0x73, 0x65, 0x63, 0x74, 0x69, 0x6f, 0x6e, 0x73, 0x0e, 0x02, 0x10, 0x02,
@@ -283,7 +285,7 @@ mod tests {
         let bytes = img.to_bytes().unwrap();
         assert!(bytes.len() <= bound, "{} > {bound}", bytes.len());
         // The context form is the same payload behind the frame header.
-        let context = img.to_context().unwrap();
+        let context = img.to_context();
         assert_eq!(context, codec::write_frame(&bytes));
         assert_eq!(
             ProcessImage::from_bytes(&codec::into_payload(context).unwrap()).unwrap(),

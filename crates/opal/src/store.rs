@@ -31,7 +31,6 @@ use std::path::{Path, PathBuf};
 use cr_core::snapshot::replace_file;
 use cr_core::CrError;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// File holding the persisted refcount table inside a store directory.
 const REFCOUNT_FILE: &str = "refcounts.meta";
@@ -46,15 +45,14 @@ const BLOB_EXT: &str = "blob";
 /// manifests record — with the length as a collision backstop and
 /// so callers can size fetches without reading blobs.  Rendered as
 /// `{digest:016x}-{len}`, which is also the blob file stem.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChunkId {
     /// Content digest of the chunk bytes ([`codec::chunk_digest`]).
     pub digest: u64,
     /// Chunk length in bytes.
     pub len: u32,
 }
+codec::wire_struct!(ChunkId { digest, len });
 
 impl ChunkId {
     /// The content address of `bytes`.

@@ -128,7 +128,7 @@ pub struct JobHandle {
     /// write, or a save via a stale copy would lose the promotion.
     global_snapshot: Arc<Mutex<Option<GlobalSnapshot>>>,
     resume_floor: Option<u64>,
-    /// Serializes distributed checkpoint requests: overlapping requests
+    /// Orders distributed checkpoint requests: overlapping requests
     /// would interleave at the daemons in inconsistent orders across
     /// nodes, so the global coordinator admits one at a time (as the
     /// original implementation does).
@@ -199,7 +199,7 @@ impl JobHandle {
         self.partial_recovery.store(on, Ordering::SeqCst);
     }
 
-    /// Serialize a recovery operation against distributed checkpoints:
+    /// Excludes distributed checkpoints for the length of a recovery operation:
     /// while the guard is held no interval can open, commit, or advance
     /// the commit watermark (which would GC survivor message logs
     /// mid-recovery). `MpiJob::restart_ranks` holds this for its whole

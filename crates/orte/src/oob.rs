@@ -22,9 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use codec::ByteBuf;
 use netsim::{Endpoint, EndpointId, Fabric, NetError, NodeId, SimTime};
-use serde::{Deserialize, Serialize};
 
 use cr_core::{CrError, JobId};
 use opal::store::ChunkId;
@@ -40,7 +38,7 @@ const REPLY_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// A subtree of daemons for hierarchical coordination: the daemon at
 /// `endpoint` checkpoints its own ranks and forwards to its `children`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TreeSpec {
     /// The subtree root daemon's raw endpoint id.
     pub endpoint: u64,
@@ -49,10 +47,11 @@ pub struct TreeSpec {
     /// Subtrees below it.
     pub children: Vec<TreeSpec>,
 }
+codec::wire_struct!(TreeSpec { endpoint, node, children });
 
 /// One rank's completed local checkpoint as reported by its daemon:
 /// where the local snapshot lives and how big it is.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankCkpt {
     /// The rank.
     pub rank: u32,
@@ -61,11 +60,12 @@ pub struct RankCkpt {
     /// Bytes on disk.
     pub bytes: u64,
 }
+codec::wire_struct!(RankCkpt { rank, dir, bytes });
 
 /// Requests the global coordinator (HNP) — or a forwarding daemon — sends
 /// to a daemon. Variants carry only their payload; the reply address
 /// travels in the `Request` envelope.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DaemonMsg {
     /// Report which local ranks of `job` are checkpointable.
     QueryCheckpointable {
@@ -137,7 +137,7 @@ pub enum DaemonMsg {
         /// Job the chunks belong to.
         job: JobId,
         /// `(id, bytes)` of each chunk to hold.
-        chunks: Vec<(ChunkId, ByteBuf)>,
+        chunks: Vec<(ChunkId, Vec<u8>)>,
     },
     /// Fetch chunks by id from the daemon's in-memory chunk tier.
     ChunkFetch {
@@ -157,9 +157,22 @@ pub enum DaemonMsg {
     /// Stop the daemon thread. The only request that gets no reply.
     Shutdown,
 }
+codec::wire_enum!(DaemonMsg {
+    QueryCheckpointable { job },
+    CheckpointTree { job, interval, base, children },
+    Cleanup { job, interval },
+    ReplicaPut { job, interval, image },
+    ReplicaFetch { job, interval, rank },
+    ReplicaExpire { job, interval },
+    ReplicaInventory { job },
+    ChunkPut { job, chunks },
+    ChunkFetch { job, ids },
+    ChunkExpire { job, ids },
+    Shutdown,
+});
 
 /// The one reply a daemon sends for each request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DaemonReply {
     /// Answer to [`DaemonMsg::QueryCheckpointable`].
     Checkpointable {
@@ -221,9 +234,19 @@ pub enum DaemonReply {
         /// Daemon's node id.
         node: u32,
         /// Chunk bytes (or `None` on a miss), in request order.
-        chunks: Vec<Option<ByteBuf>>,
+        chunks: Vec<Option<Vec<u8>>>,
     },
 }
+codec::wire_enum!(DaemonReply {
+    Checkpointable { node, ranks },
+    TreeDone { node, results },
+    Error { node, detail },
+    Ack { node },
+    ReplicaImageReply { node, image },
+    Removed { node, removed },
+    ReplicaHolding { node, entries },
+    ChunkData { node, chunks },
+});
 
 impl DaemonReply {
     /// The error for a reply of a kind the request cannot produce.
@@ -232,8 +255,7 @@ impl DaemonReply {
     }
 }
 
-fn post<T: Serialize>(from: &Endpoint, to: EndpointId, value: &T) -> Result<SimTime, CrError> {
-    let bytes = codec::to_bytes(value)?;
+fn post(from: &Endpoint, to: EndpointId, bytes: Vec<u8>) -> Result<SimTime, CrError> {
     from.send_to(to, TAG_OOB, Bytes::from(bytes))
         .map_err(|e| CrError::PeerLost {
             detail: format!("OOB send to {to}: {e}"),
@@ -274,7 +296,7 @@ pub(crate) fn serve(serving: &Endpoint, mut handle: impl FnMut(DaemonMsg) -> Opt
     while let Ok(Request { reply_to, msg }) = Request::recv(serving) {
         let Some(reply) = handle(msg) else { return };
         // Best effort: a caller that gave up has dropped its reply endpoint.
-        let _ = post(serving, reply_to, &reply);
+        let _ = post(serving, reply_to, codec::to_bytes(&reply));
     }
 }
 
@@ -315,7 +337,9 @@ impl Caller {
     /// wire time the fabric charged, so callers that ship bulk payloads
     /// (replica images, chunks) can account it along their critical path.
     pub fn send(&self, to: EndpointId, msg: &DaemonMsg) -> Result<SimTime, CrError> {
-        post(&self.reply, to, &(self.reply.id().0, msg))
+        let mut envelope = Vec::new();
+        codec::wire::encode_pair(&self.reply.id().0, msg, &mut envelope);
+        post(&self.reply, to, envelope)
     }
 
     /// The next reply, whatever its kind, and the simulated wire time the
@@ -434,12 +458,12 @@ mod tests {
                 },
             )],
         };
-        post(&serving, request.reply_to, &reply).unwrap();
+        post(&serving, request.reply_to, codec::to_bytes(&reply)).unwrap();
         assert_eq!(hnp.recv().unwrap().0, reply);
     }
 
     /// `codec::to_bytes` of the `ReplicaPut` built in the test below, as
-    /// the build before `ReplicaImage.files` held `ByteBuf`s wrote it.
+    /// the build before `ReplicaImage.files` held raw byte runs wrote it.
     const PARENT_REPLICA_PUT: &[u8] = &[
         0x14, 0x0a, 0x52, 0x65, 0x70, 0x6c, 0x69, 0x63, 0x61, 0x50, 0x75, 0x74, 0x03, 0x03, 0x6a,
         0x6f, 0x62, 0x04, 0x07, 0x08, 0x69, 0x6e, 0x74, 0x65, 0x72, 0x76, 0x61, 0x6c, 0x04, 0x03,
@@ -466,16 +490,102 @@ mod tests {
         };
         let old: DaemonMsg = codec::from_bytes(PARENT_REPLICA_PUT).unwrap();
         assert_eq!(old, want);
-        let new = codec::to_bytes(&old).unwrap();
+        let new = codec::to_bytes(&old);
         assert!(new.len() < PARENT_REPLICA_PUT.len(), "{} bytes", new.len());
         assert_eq!(codec::from_bytes::<DaemonMsg>(&new).unwrap(), want);
+    }
+
+    /// `codec::to_bytes` of one message per variant shape the OOB types
+    /// use — unit, struct (with a newtype `JobId`, a `PathBuf`, tuples,
+    /// options, a shared image and byte runs) — and of the request
+    /// envelope, as the build before `codec::Wire` replaced the generic
+    /// (de)serializer wrote them.
+    #[test]
+    fn daemon_messages_keep_their_parent_encoding() {
+        let image = ReplicaImage {
+            rank: 1,
+            files: vec![("ctx".into(), vec![9, 8])],
+        };
+        let cases: [(Vec<u8>, &[u8]); 5] = [
+            (codec::to_bytes(&DaemonMsg::Shutdown), &[
+                0x11, 0x08, 0x53, 0x68, 0x75, 0x74, 0x64, 0x6f, 0x77, 0x6e,
+            ]),
+            (
+                codec::to_bytes(&DaemonMsg::ChunkFetch {
+                    job: JobId(2),
+                    ids: vec![ChunkId { digest: 0xDEAD_BEEF, len: 4096 }],
+                }),
+                &[
+                    0x14, 0x0a, 0x43, 0x68, 0x75, 0x6e, 0x6b, 0x46, 0x65, 0x74, 0x63, 0x68, 0x02,
+                    0x03, 0x6a, 0x6f, 0x62, 0x04, 0x02, 0x03, 0x69, 0x64, 0x73, 0x0e, 0x01, 0x10,
+                    0x02, 0x06, 0x64, 0x69, 0x67, 0x65, 0x73, 0x74, 0x04, 0xef, 0xfd, 0xb6, 0xf5,
+                    0x0d, 0x03, 0x6c, 0x65, 0x6e, 0x04, 0x80, 0x20,
+                ],
+            ),
+            (
+                codec::to_bytes(&DaemonReply::ChunkData {
+                    node: 1,
+                    chunks: vec![Some(vec![1, 2, 3]), None],
+                }),
+                &[
+                    0x14, 0x09, 0x43, 0x68, 0x75, 0x6e, 0x6b, 0x44, 0x61, 0x74, 0x61, 0x02, 0x04,
+                    0x6e, 0x6f, 0x64, 0x65, 0x04, 0x01, 0x06, 0x63, 0x68, 0x75, 0x6e, 0x6b, 0x73,
+                    0x0e, 0x02, 0x0d, 0x0b, 0x03, 0x01, 0x02, 0x03, 0x0c,
+                ],
+            ),
+            (
+                codec::to_bytes(&DaemonReply::TreeDone {
+                    node: 0,
+                    results: vec![(
+                        1,
+                        RankCkpt { rank: 1, dir: "/tmp/r1".into(), bytes: 300 },
+                    )],
+                }),
+                &[
+                    0x14, 0x08, 0x54, 0x72, 0x65, 0x65, 0x44, 0x6f, 0x6e, 0x65, 0x02, 0x04, 0x6e,
+                    0x6f, 0x64, 0x65, 0x04, 0x00, 0x07, 0x72, 0x65, 0x73, 0x75, 0x6c, 0x74, 0x73,
+                    0x0e, 0x01, 0x0e, 0x02, 0x04, 0x01, 0x10, 0x03, 0x04, 0x72, 0x61, 0x6e, 0x6b,
+                    0x04, 0x01, 0x03, 0x64, 0x69, 0x72, 0x0a, 0x07, 0x2f, 0x74, 0x6d, 0x70, 0x2f,
+                    0x72, 0x31, 0x05, 0x62, 0x79, 0x74, 0x65, 0x73, 0x04, 0xac, 0x02,
+                ],
+            ),
+            (
+                codec::to_bytes(&DaemonReply::ReplicaImageReply {
+                    node: 2,
+                    image: Some(Arc::new(image)),
+                }),
+                &[
+                    0x14, 0x11, 0x52, 0x65, 0x70, 0x6c, 0x69, 0x63, 0x61, 0x49, 0x6d, 0x61, 0x67,
+                    0x65, 0x52, 0x65, 0x70, 0x6c, 0x79, 0x02, 0x04, 0x6e, 0x6f, 0x64, 0x65, 0x04,
+                    0x02, 0x05, 0x69, 0x6d, 0x61, 0x67, 0x65, 0x0d, 0x10, 0x02, 0x04, 0x72, 0x61,
+                    0x6e, 0x6b, 0x04, 0x01, 0x05, 0x66, 0x69, 0x6c, 0x65, 0x73, 0x0e, 0x01, 0x0e,
+                    0x02, 0x0a, 0x03, 0x63, 0x74, 0x78, 0x0b, 0x02, 0x09, 0x08,
+                ],
+            ),
+        ];
+        for (now, parent) in cases {
+            assert_eq!(now, parent);
+        }
+        assert_eq!(
+            codec::from_bytes::<DaemonMsg>(&codec::to_bytes(&DaemonMsg::Shutdown)).unwrap(),
+            DaemonMsg::Shutdown
+        );
+
+        // The `(reply_to, msg)` envelope a `Caller` writes from a borrow.
+        let mut envelope = Vec::new();
+        codec::wire::encode_pair(&7u64, &DaemonMsg::Shutdown, &mut envelope);
+        assert_eq!(envelope, [
+            0x0e, 0x02, 0x04, 0x07, 0x11, 0x08, 0x53, 0x68, 0x75, 0x74, 0x64, 0x6f, 0x77, 0x6e,
+        ]);
+        let (reply_to, msg): (u64, DaemonMsg) = codec::from_bytes(&envelope).unwrap();
+        assert_eq!((reply_to, msg), (7, DaemonMsg::Shutdown));
     }
 
     /// Bulk payloads cross the wire as raw runs: an encoded message is its
     /// payload plus a small skeleton per payload-carrying entry.
     #[test]
     fn bulk_messages_encode_to_their_payload_plus_a_small_skeleton() {
-        let blob = |len: usize| ByteBuf::from((0..=255u8).cycle().take(len).collect::<Vec<_>>());
+        let blob = |len: usize| (0..=255u8).cycle().take(len).collect::<Vec<u8>>();
         let fits = |what: &str, encoded: usize, payload: usize, entries: usize| {
             let bound = payload + 64 * (entries + 1);
             assert!(encoded <= bound, "{what}: {encoded} > {bound}");
@@ -490,11 +600,11 @@ mod tests {
         };
         let payload = image.total_bytes() as usize;
         let put = DaemonMsg::ReplicaPut { job: JobId(1), interval: 0, image: image.clone() };
-        fits("ReplicaPut", codec::to_bytes(&put).unwrap().len(), payload, 2);
+        fits("ReplicaPut", codec::to_bytes(&put).len(), payload, 2);
         let reply = DaemonReply::ReplicaImageReply { node: 0, image: Some(Arc::new(image)) };
-        fits("ReplicaImageReply", codec::to_bytes(&reply).unwrap().len(), payload, 2);
+        fits("ReplicaImageReply", codec::to_bytes(&reply).len(), payload, 2);
 
-        let chunks: Vec<(ChunkId, ByteBuf)> = (1..=4)
+        let chunks: Vec<(ChunkId, Vec<u8>)> = (1..=4)
             .map(|i| blob(64 * 1024 + i))
             .map(|b| (ChunkId::of(&b), b))
             .collect();
@@ -503,9 +613,9 @@ mod tests {
             node: 0,
             chunks: chunks.iter().map(|(_, b)| Some(b.clone())).chain([None]).collect(),
         };
-        fits("ChunkData", codec::to_bytes(&data).unwrap().len(), payload, 5);
+        fits("ChunkData", codec::to_bytes(&data).len(), payload, 5);
         let put = DaemonMsg::ChunkPut { job: JobId(1), chunks };
-        fits("ChunkPut", codec::to_bytes(&put).unwrap().len(), payload, 4);
+        fits("ChunkPut", codec::to_bytes(&put).len(), payload, 4);
     }
 
     #[test]
@@ -567,7 +677,7 @@ mod tests {
             (
                 DaemonMsg::ChunkPut {
                     job,
-                    chunks: vec![(chunk, b"chunk".to_vec().into())],
+                    chunks: vec![(chunk, b"chunk".to_vec())],
                 },
                 |r| matches!(r, DaemonReply::Ack { node: 0 }),
             ),
@@ -576,7 +686,7 @@ mod tests {
                     job,
                     ids: vec![chunk],
                 },
-                |r| matches!(r, DaemonReply::ChunkData { chunks, .. } if chunks == &[Some(b"chunk".to_vec().into())]),
+                |r| matches!(r, DaemonReply::ChunkData { chunks, .. } if chunks == &[Some(b"chunk".to_vec())]),
             ),
             (
                 DaemonMsg::ChunkExpire {

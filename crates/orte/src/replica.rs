@@ -24,10 +24,8 @@ use std::fs;
 use std::path::Path;
 use std::sync::Arc;
 
-use codec::ByteBuf;
 use netsim::{NodeId, SimTime};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use cr_core::{CrError, JobId, Rank};
 use opal::store::ChunkId;
@@ -39,14 +37,15 @@ use crate::runtime::Runtime;
 /// the local snapshot reference directory (metadata and context), stored
 /// as `(relative path, bytes)` pairs so it can be re-materialized on any
 /// node at restart.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaImage {
     /// Rank this image belongs to.
     pub rank: u32,
     /// `(path relative to the snapshot directory, contents)`, sorted by
     /// path for deterministic equality.
-    pub files: Vec<(String, ByteBuf)>,
+    pub files: Vec<(String, Vec<u8>)>,
 }
+codec::wire_struct!(ReplicaImage { rank, files });
 
 fn io_err(path: &Path, e: &std::io::Error) -> CrError {
     CrError::io(path.display().to_string(), e)
@@ -55,7 +54,7 @@ fn io_err(path: &Path, e: &std::io::Error) -> CrError {
 fn collect_files(
     root: &Path,
     dir: &Path,
-    out: &mut Vec<(String, ByteBuf)>,
+    out: &mut Vec<(String, Vec<u8>)>,
 ) -> Result<(), CrError> {
     let entries = fs::read_dir(dir).map_err(|e| io_err(dir, &e))?;
     for entry in entries {
@@ -396,7 +395,7 @@ pub fn put_chunks(
     runtime: &Runtime,
     job: JobId,
     targets: &[u32],
-    chunks: Vec<(ChunkId, ByteBuf)>,
+    chunks: Vec<(ChunkId, Vec<u8>)>,
 ) -> Result<(SimTime, u64), CrError> {
     if chunks.is_empty() || targets.is_empty() {
         return Ok((SimTime::ZERO, 0));
@@ -432,13 +431,13 @@ pub fn fetch_chunks_partial(
     job: JobId,
     ids: &[ChunkId],
     holders: &[u32],
-) -> (Vec<Option<ByteBuf>>, SimTime) {
+) -> (Vec<Option<Vec<u8>>>, SimTime) {
     if ids.is_empty() {
         return (Vec::new(), SimTime::ZERO);
     }
     let ctl = Caller::new(runtime.fabric(), NodeId(0));
     let alive = runtime.daemons();
-    let mut found: Vec<Option<ByteBuf>> = vec![None; ids.len()];
+    let mut found: Vec<Option<Vec<u8>>> = vec![None; ids.len()];
     let mut cost = SimTime::ZERO;
     for holder in holders {
         let missing: Vec<usize> = found
@@ -629,7 +628,7 @@ mod tests {
         assert_eq!(puts, vec!["rank 5 -> nodes [1] interval 0".to_string()]);
 
         // The chunk tier obeys the same rule.
-        let chunk = (ChunkId::of(b"c"), b"c".to_vec().into());
+        let chunk = (ChunkId::of(b"c"), b"c".to_vec());
         let (_, shipped) = put_chunks(&rt, JobId(1), &[1, 2], vec![chunk]).unwrap();
         assert_eq!(shipped, 1);
         assert!(rt.node_failed(NodeId(2)));

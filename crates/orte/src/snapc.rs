@@ -655,7 +655,7 @@ pub(crate) mod tests {
             let rank = ctx.name.rank;
             ctx.container.register_capture(
                 "app",
-                Arc::new(move || Ok(codec::to_bytes(&format!("state of rank {rank}"))?)),
+                Arc::new(move || Ok(codec::to_bytes(&format!("state of rank {rank}")))),
             );
             ctx.container
                 .install_opal_inc(LayerInc::new("opal", ctx.runtime.tracer().clone()));

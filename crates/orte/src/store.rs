@@ -36,7 +36,6 @@
 use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 
-use codec::ByteBuf;
 use netsim::SimTime;
 
 use cr_core::request::CkptStats;
@@ -168,13 +167,13 @@ impl<'rt> SnapshotStore<'rt> {
         ids.dedup();
         let mut stats = FetchStats::default();
 
-        let mut chunks: Vec<Option<ByteBuf>> = vec![None; ids.len()];
+        let mut chunks: Vec<Option<Vec<u8>>> = vec![None; ids.len()];
         if source != ChunkSource::StableOnly {
             let holders: Vec<u32> = self.runtime.daemons().iter().map(|d| d.node().0).collect();
             let (found, cost) =
                 replica::fetch_chunks_partial(self.runtime, self.job, &ids, &holders);
             stats.sim_cost += cost;
-            let held: Vec<(&ChunkId, &Option<ByteBuf>)> = ids.iter().zip(&found).collect();
+            let held: Vec<(&ChunkId, &Option<Vec<u8>>)> = ids.iter().zip(&found).collect();
             let intact = opal::pool::map_claimed(&held, workers, |(id, chunk), _: &mut ()| {
                 Ok(chunk
                     .as_ref()
@@ -225,11 +224,11 @@ impl<'rt> SnapshotStore<'rt> {
                     .into_iter();
             stats.stable_chunks = misses.len();
             for slot in chunks.iter_mut().filter(|chunk| chunk.is_none()) {
-                *slot = read.next().map(ByteBuf::from);
+                *slot = read.next();
             }
         }
 
-        let chunks: Vec<ByteBuf> = ids
+        let chunks: Vec<Vec<u8>> = ids
             .iter()
             .zip(chunks)
             .map(|(id, chunk)| {
@@ -273,7 +272,7 @@ impl<'rt> SnapshotStore<'rt> {
 /// One distinct chunk of an interval's merged packs.
 struct Packed {
     id: ChunkId,
-    bytes: ByteBuf,
+    bytes: Vec<u8>,
     /// The first rank that packed it, and that rank's node.
     rank: u32,
     node: u32,
@@ -395,7 +394,7 @@ pub fn dedup_commit(
     // Push the fresh chunks into peer memory on their source node plus its
     // ring neighbors, one put per node, so a dedup restart can come from
     // surviving memory exactly like a replica restart.
-    let mut fresh_by_node: BTreeMap<u32, Vec<(ChunkId, ByteBuf)>> = BTreeMap::new();
+    let mut fresh_by_node: BTreeMap<u32, Vec<(ChunkId, Vec<u8>)>> = BTreeMap::new();
     let mut moved = 0u64;
     let mut fresh = 0u64;
     for (chunk, is_fresh) in packed.into_iter().zip(fresh_flags) {

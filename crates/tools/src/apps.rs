@@ -30,7 +30,7 @@ pub struct AnyJob {
 }
 
 impl AnyJob {
-    fn new<S: serde::Serialize + Send + 'static>(job: MpiJob<S>) -> AnyJob {
+    fn new<S: codec::Wire + Send + 'static>(job: MpiJob<S>) -> AnyJob {
         let handle = Arc::clone(job.handle());
         AnyJob {
             handle,
@@ -39,9 +39,7 @@ impl AnyJob {
                 Ok(results
                     .into_iter()
                     .map(|(state, end)| {
-                        let summary = codec::to_bytes(&state)
-                            .map(|b| format!("{} state bytes", b.len()))
-                            .unwrap_or_else(|e| format!("unencodable state: {e}"));
+                        let summary = format!("{} state bytes", codec::to_bytes(&state).len());
                         (summary, end)
                     })
                     .collect())

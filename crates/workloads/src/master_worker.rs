@@ -11,7 +11,6 @@
 
 use ompi::app::{MpiApp, StepOutcome};
 use ompi::{Mpi, MpiError};
-use serde::{Deserialize, Serialize};
 
 /// Work item: collatz-style iteration count (cheap, deterministic,
 /// uneven across items — classic bag-of-tasks shape).
@@ -34,7 +33,7 @@ pub struct MasterWorkerApp {
 }
 
 /// Master/worker state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MwState {
     /// Next task id to dispatch.
     pub next_task: u64,
@@ -43,6 +42,7 @@ pub struct MwState {
     /// Tasks this rank completed (workers) or collected (master).
     pub completed: u64,
 }
+codec::wire_struct!(MwState { next_task, total, completed });
 
 const TAG_TASK: u32 = 31;
 const TAG_RESULT: u32 = 32;

@@ -2,7 +2,6 @@
 
 use ompi::app::{MpiApp, StepOutcome};
 use ompi::{Mpi, MpiError};
-use serde::{Deserialize, Serialize};
 
 /// Passes an accumulating token around the ring once per step.
 pub struct RingApp {
@@ -11,13 +10,14 @@ pub struct RingApp {
 }
 
 /// Ring state: the round counter and an order-sensitive checksum.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RingState {
     /// Completed rounds.
     pub round: u64,
     /// Order-sensitive accumulator over every token this rank handled.
     pub checksum: u64,
 }
+codec::wire_struct!(RingState { round, checksum });
 
 impl MpiApp for RingApp {
     type State = RingState;

@@ -8,7 +8,6 @@
 
 use ompi::app::{MpiApp, StepOutcome};
 use ompi::{Mpi, MpiError};
-use serde::{Deserialize, Serialize};
 
 /// Jacobi relaxation on a 1-D rod split across ranks.
 pub struct StencilApp {
@@ -34,7 +33,7 @@ impl Default for StencilApp {
 }
 
 /// Stencil state: the local slab plus progress.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StencilState {
     /// Completed iterations.
     pub iter: u64,
@@ -43,6 +42,7 @@ pub struct StencilState {
     /// Residual from the last iteration (global max change).
     pub residual: f64,
 }
+codec::wire_struct!(StencilState { iter, cells, residual });
 
 impl MpiApp for StencilApp {
     type State = StencilState;

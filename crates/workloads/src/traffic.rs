@@ -10,7 +10,6 @@
 
 use ompi::app::{MpiApp, StepOutcome};
 use ompi::{Mpi, MpiError};
-use serde::{Deserialize, Serialize};
 
 /// SplitMix64: deterministic, serializable randomness derived from state.
 fn splitmix(x: &mut u64) -> u64 {
@@ -54,7 +53,7 @@ impl Default for TrafficApp {
 
 /// Traffic state: progress plus an order-sensitive digest of everything
 /// sent and received.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficState {
     /// Completed rounds.
     pub round: u64,
@@ -63,6 +62,7 @@ pub struct TrafficState {
     /// Digest over sent bytes.
     pub sent_digest: u64,
 }
+codec::wire_struct!(TrafficState { round, recv_digest, sent_digest });
 
 fn digest(acc: u64, bytes: &[u8]) -> u64 {
     bytes

@@ -20,7 +20,6 @@ use mca::McaParams;
 use ompi::app::{MpiApp, StepOutcome};
 use ompi::{mpirun, restart, Mpi, MpiError, RestartOptions, RunConfig};
 use ompi_cr::test_runtime;
-use serde::{Deserialize, Serialize};
 
 static CALLBACK_FIRES: AtomicU64 = AtomicU64::new(0);
 
@@ -30,11 +29,12 @@ struct SelfCheckpointingApp {
     ckpt_every: u64,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SolverState {
     step: u64,
     value: f64,
 }
+codec::wire_struct!(SolverState { step, value });
 
 impl MpiApp for SelfCheckpointingApp {
     type State = SolverState;

@@ -123,3 +123,11 @@ fi
 # dedup images with one SnapshotStore::fetch_images call, never a per-rank
 # fetch_image loop.
 if grep -rn '\.fetch_image(' crates/ompi/src; then exit 1; fi
+# One explicit wire format: every type states its encoding through
+# codec::Wire, so no serialization framework, derive or ByteBuf remains.
+if grep -rnE 'serde|Serialize|Deserialize|ByteBuf' crates src tests examples \
+  $(find . -name Cargo.toml -not -path '*/target/*'); then exit 1; fi
+if compgen -G 'shims/serde*' > /dev/null; then
+  echo "shims/serde* is back; the wire format is codec::Wire" >&2
+  exit 1
+fi

@@ -70,6 +70,6 @@ mod tests {
             0x00, 0x00, 0x00, 0xe0, 0xbf, 0x08, 0x72, 0x65, 0x73, 0x69, 0x64, 0x75, 0x61, 0x6c, 0x08,
             0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f,
         ];
-        assert_eq!(codec::to_bytes(&state).expect("encode"), pinned);
+        assert_eq!(codec::to_bytes(&state), pinned);
     }
 }

@@ -11,7 +11,6 @@ use ompi::app::{MpiApp, RunEnd, StepOutcome};
 use ompi::supervisor::{run_with_recovery, RecoveryPolicy};
 use ompi::{Mpi, MpiError, RunConfig};
 use ompi_cr::test_runtime;
-use serde::{Deserialize, Serialize};
 use workloads::ring::{reference_checksums, RingApp};
 
 /// Ring workload with one injected failure: rank `fail_rank` dies at
@@ -117,10 +116,10 @@ fn supervisor_gives_up_after_max_restarts() {
     // max_restarts and report every failure.
     struct AlwaysFails;
 
-    #[derive(Serialize, Deserialize)]
     struct NoState {
         round: u64,
     }
+    codec::wire_struct!(NoState { round });
 
     impl MpiApp for AlwaysFails {
         type State = NoState;

@@ -11,17 +11,16 @@ use cr_core::Rank;
 use ompi::app::{MpiApp, StepOutcome};
 use ompi::{mpirun, Mpi, MpiError, MpiJob, RunConfig};
 use ompi_cr::test_runtime;
-use serde::{Deserialize, Serialize};
 
 /// App that registers SELF callbacks so the application layer's
 /// participation is visible in the trace. It runs until terminated, so a
 /// checkpoint never races its `MPI_Finalize`.
 struct CallbackApp;
 
-#[derive(Serialize, Deserialize)]
 struct CbState {
     rounds: u64,
 }
+codec::wire_struct!(CbState { rounds });
 
 impl MpiApp for CallbackApp {
     type State = CbState;

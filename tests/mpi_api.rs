@@ -6,18 +6,18 @@ use std::sync::Arc;
 use ompi::app::{MpiApp, StepOutcome};
 use ompi::{mpirun, Mpi, MpiError, RunConfig};
 use ompi_cr::test_runtime;
-use serde::{Deserialize, Serialize};
 
 /// Splits the world into even/odd sub-communicators, reduces within each,
 /// then exchanges the sub-results through a duplicated world.
 struct CommApp;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct CommState {
     parity_sum: u32,
     world_total: u32,
     done: bool,
 }
+codec::wire_struct!(CommState { parity_sum, world_total, done });
 
 impl MpiApp for CommApp {
     type State = CommState;
@@ -78,11 +78,12 @@ fn comm_split_and_dup() {
 /// Pipelined non-blocking exchange with wildcard receives and statuses.
 struct NonBlockingApp;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct NbState {
     round: u32,
     from_sources: Vec<u32>,
 }
+codec::wire_struct!(NbState { round, from_sources });
 
 impl MpiApp for NonBlockingApp {
     type State = NbState;
@@ -150,17 +151,19 @@ fn nonblocking_wildcards_and_statuses() {
 /// Typed payloads: structs, enums, vectors move through send/recv intact.
 struct TypedApp;
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Shape {
     Point,
     Circle { radius: f64 },
     Poly(Vec<(i32, i32)>),
 }
+codec::wire_enum!(Shape { Point, Circle { radius }, Poly(v) });
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct TypedState {
     ok: bool,
 }
+codec::wire_struct!(TypedState { ok });
 
 impl MpiApp for TypedApp {
     type State = TypedState;
@@ -206,8 +209,8 @@ fn typed_payloads_roundtrip() {
 /// Invalid arguments surface as errors, not hangs or panics.
 struct InvalidApp;
 
-#[derive(Serialize, Deserialize)]
 struct InvalidState;
+codec::wire_struct!(InvalidState);
 
 impl MpiApp for InvalidApp {
     type State = InvalidState;
@@ -241,12 +244,12 @@ fn invalid_arguments_are_errors() {
 /// Probe, sendrecv, and scan coverage.
 struct ExtendedApp;
 
-#[derive(Serialize, Deserialize)]
 struct ExtState {
     scan: u64,
     probed: (u32, u32),
     swapped: u32,
 }
+codec::wire_struct!(ExtState { scan, probed, swapped });
 
 impl MpiApp for ExtendedApp {
     type State = ExtState;

@@ -26,8 +26,8 @@ use workloads::ring::{reference_checksums, RingApp, RingState};
 const NPROCS: u32 = 4;
 
 /// Each test spins multi-rank jobs; running them concurrently on a small
-/// host starves the spinning ranks until OOB replies time out. Serialize
-/// the file.
+/// host starves the spinning ranks until OOB replies time out. Run the
+/// file's tests one at a time.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {

@@ -11,17 +11,17 @@ use cr_core::request::CheckpointOptions;
 use ompi::app::{MpiApp, RunEnd, StepOutcome};
 use ompi::{mpirun, restart, Mpi, MpiError, RestartOptions, RunConfig};
 use ompi_cr::test_runtime;
-use serde::{Deserialize, Serialize};
 
 struct KitchenSinkApp {
     rounds: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct SinkState {
     round: u64,
     digest: u64,
 }
+codec::wire_struct!(SinkState { round, digest });
 
 fn mix(acc: u64, v: u64) -> u64 {
     acc.wrapping_mul(0x100000001B3).wrapping_add(v)

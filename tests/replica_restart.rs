@@ -21,7 +21,7 @@ const NPROCS: u32 = 4;
 
 /// Each test here spins a 4-rank job; running them concurrently on a
 /// small host starves the spinning ranks until OOB replies time out.
-/// Serialize the file.
+/// Run the file's tests one at a time.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
