@@ -110,11 +110,6 @@ impl ChunkManifest {
         }
     }
 
-    /// Look up one section's manifest by name.
-    pub fn section(&self, name: &str) -> Option<&SectionManifest> {
-        self.sections.iter().find(|s| s.name == name)
-    }
-
     /// Sum of all section lengths.
     pub fn total_bytes(&self) -> u64 {
         self.sections.iter().map(|s| s.total_len).sum()
@@ -289,7 +284,5 @@ mod tests {
     fn total_bytes_sums_sections() {
         let m = ChunkManifest::of_sections([("a", &[1u8; 10][..]), ("b", &[2u8; 30][..])], 8);
         assert_eq!(m.total_bytes(), 40);
-        assert_eq!(m.section("b").unwrap().total_len, 30);
-        assert!(m.section("c").is_none());
     }
 }

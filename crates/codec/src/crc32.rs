@@ -6,9 +6,9 @@
 //! payload (see [`crate::frame`]), and the dedup context writer digests
 //! every chunk (see [`crate::chunk`]) — so this routine sits on the
 //! checkpoint critical path and is implemented with slicing-by-8 (eight
-//! bytes folded per table round). The classic 256-entry single-table path
-//! is kept as [`Crc32::update_bytewise`]: it handles the unaligned tail and
-//! serves as the reference the sliced path is tested against.
+//! bytes folded per table round). The classic 256-entry single-table fold
+//! handles the unaligned tail and serves as the reference the sliced path
+//! is tested against.
 
 /// Reflected polynomial for CRC-32/IEEE (the one used by zlib, Ethernet).
 const POLY: u32 = 0xEDB8_8320;
@@ -114,13 +114,6 @@ impl Crc32 {
         self.state = fold_bytewise(crc, words.remainder());
     }
 
-    /// Fold `data` byte-at-a-time through the single 256-entry table — the
-    /// pre-slicing algorithm, kept as a fallback and as the reference
-    /// implementation the fast path is verified against.
-    pub fn update_bytewise(&mut self, data: &[u8]) {
-        self.state = fold_bytewise(self.state, data);
-    }
-
     /// Finish and return the checksum value.
     pub fn finalize(&self) -> u32 {
         self.state ^ 0xFFFF_FFFF
@@ -183,7 +176,7 @@ mod tests {
             let mut fast = Crc32::new();
             fast.update(&data);
             let mut slow = Crc32::new();
-            slow.update_bytewise(&data);
+            slow.state = fold_bytewise(slow.state, &data);
             assert_eq!(
                 fast.finalize(),
                 slow.finalize(),
@@ -194,7 +187,7 @@ mod tests {
             let cut = (next() as usize) % (len + 1);
             let mut mixed = Crc32::new();
             let (head, tail) = data.split_at(cut);
-            mixed.update_bytewise(head);
+            mixed.state = fold_bytewise(mixed.state, head);
             mixed.update(tail);
             assert_eq!(mixed.finalize(), fast.finalize());
         }

@@ -5,8 +5,7 @@
 //! The unit tests in `crc32.rs` cover known vectors and random whole
 //! buffers; these properties additionally drive *subslices* (so the fast
 //! path sees every word-alignment class relative to the allocation) and
-//! multi-way streaming splits (mixing `update` and `update_bytewise`
-//! entry points mid-stream), against an independent reference that
+//! multi-way streaming splits, against an independent reference that
 //! shares no tables with the implementation.
 
 use codec::crc32::{crc32, Crc32};
@@ -55,23 +54,16 @@ proptest! {
     fn streaming_split_points_agree(
         data in vec(any::<u8>(), 0..1024),
         cuts in vec(any::<prop::sample::Index>(), 0..8),
-        bytewise_mask in any::<u8>(),
     ) {
-        // Feed the same input in arbitrary pieces, each piece through
-        // either entry point (fast or bytewise), and require the running
+        // Feed the same input in arbitrary pieces and require the running
         // state to agree with the one-shot reference at the end.
         let mut offsets: Vec<usize> = cuts.iter().map(|c| c.index(data.len() + 1)).collect();
         offsets.push(0);
         offsets.push(data.len());
         offsets.sort_unstable();
         let mut h = Crc32::new();
-        for (i, pair) in offsets.windows(2).enumerate() {
-            let piece = &data[pair[0]..pair[1]];
-            if bytewise_mask >> (i % 8) & 1 == 1 {
-                h.update_bytewise(piece);
-            } else {
-                h.update(piece);
-            }
+        for pair in offsets.windows(2) {
+            h.update(&data[pair[0]..pair[1]]);
         }
         prop_assert_eq!(h.finalize(), crc32_bitwise(&data));
     }

@@ -259,11 +259,6 @@ pub const KNOWN_TRACE_EVENTS: &[TraceEventDef] = &[
     },
 ];
 
-/// True when `phase` is a registered trace event.
-pub fn is_known_event(phase: &str) -> bool {
-    KNOWN_TRACE_EVENTS.iter().any(|def| def.phase == phase)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,11 +285,5 @@ mod tests {
             );
             assert!(!def.help.is_empty(), "{} needs help text", def.phase);
         }
-    }
-
-    #[test]
-    fn lookup_works() {
-        assert!(is_known_event("snapc.global.request"));
-        assert!(!is_known_event("snapc.global.requset"));
     }
 }

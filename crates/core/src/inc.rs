@@ -85,11 +85,6 @@ impl IncRegistry {
         *top = Some(make(prev));
     }
 
-    /// True once at least one INC is registered.
-    pub fn is_armed(&self) -> bool {
-        self.top.lock().is_some()
-    }
-
     /// Entry point: deliver `state` to the topmost INC and run the whole
     /// chain. Called by the checkpoint notification thread (paper Fig. 2's
     /// `entry_point()`).
@@ -385,7 +380,6 @@ mod tests {
     #[test]
     fn delivery_without_registration_is_a_protocol_error() {
         let registry = IncRegistry::new();
-        assert!(!registry.is_armed());
         assert!(registry.deliver(FtEventState::Checkpoint).is_err());
     }
 
@@ -395,7 +389,6 @@ mod tests {
         let tracer = Tracer::new();
         let layer = LayerInc::new("opal", tracer);
         registry.register(move |prev| layer.build(prev, None));
-        assert!(registry.is_armed());
         let out = registry.deliver(FtEventState::Checkpoint).unwrap();
         // No bottom action: the entering state is returned unchanged.
         assert_eq!(out, FtEventState::Checkpoint);

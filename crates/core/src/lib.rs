@@ -34,7 +34,7 @@ pub mod state;
 pub mod trace;
 
 pub use error::CrError;
-pub use events::{is_known_event, TraceEventDef, KNOWN_TRACE_EVENTS};
+pub use events::{TraceEventDef, KNOWN_TRACE_EVENTS};
 pub use ids::{JobId, ProcessName, Rank};
 pub use inc::IncRegistry;
 pub use request::{CheckpointOptions, CheckpointOutcome, CkptStats};

@@ -34,12 +34,6 @@ impl FtEventState {
         FtEventState::Restart,
         FtEventState::Error,
     ];
-
-    /// True for the two states delivered after the local checkpoint
-    /// operation (the "resume" side of the protocol).
-    pub fn is_resume(self) -> bool {
-        matches!(self, FtEventState::Continue | FtEventState::Restart)
-    }
 }
 
 impl fmt::Display for FtEventState {
@@ -74,14 +68,6 @@ mod tests {
         assert_eq!(FtEventState::Continue.to_string(), "continue");
         assert_eq!(FtEventState::Restart.to_string(), "restart");
         assert_eq!(FtEventState::Error.to_string(), "error");
-    }
-
-    #[test]
-    fn resume_classification() {
-        assert!(!FtEventState::Checkpoint.is_resume());
-        assert!(FtEventState::Continue.is_resume());
-        assert!(FtEventState::Restart.is_resume());
-        assert!(!FtEventState::Error.is_resume());
     }
 
     #[test]

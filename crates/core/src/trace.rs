@@ -129,16 +129,6 @@ impl Tracer {
         *self.inner.sink.lock() = Some(sink);
     }
 
-    /// Detach and return the current sink, if any.
-    pub fn clear_sink(&self) -> Option<Arc<dyn TraceSink>> {
-        self.inner.sink.lock().take()
-    }
-
-    /// True when a sink is attached.
-    pub fn has_sink(&self) -> bool {
-        self.inner.sink.lock().is_some()
-    }
-
     /// Record an event.
     pub fn record(&self, phase: &str, detail: &str) {
         let mut events = self.inner.events.lock();
@@ -329,7 +319,6 @@ mod tests {
         t.record("before", "not forwarded");
         let sink = Arc::new(VecSink(Mutex::new(Vec::new())));
         t.set_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
-        assert!(t.has_sink());
         let r1 = t.with_actor("rank1");
         r1.record("x", "1");
         t.record("y", "2");
@@ -339,10 +328,6 @@ mod tests {
         assert_eq!(captured[0].actor, "rank1");
         assert_eq!(captured[0].seq, 1);
         assert_eq!(captured[1].seq, 2);
-        assert!(t.clear_sink().is_some());
-        t.record("z", "3");
-        assert_eq!(sink.0.lock().len(), 2);
-        assert!(!t.has_sink());
     }
 
     #[test]

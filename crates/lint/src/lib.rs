@@ -10,14 +10,17 @@
 //! every trace-event phase recorded is registered in
 //! `cr_core::events::KNOWN_TRACE_EVENTS` — and, inversely, that every
 //! registered phase is recorded somewhere (no dead registry rows rotting
-//! under the replay tooling). `cr-lint` walks the workspace's
+//! under the replay tooling), and that every library `pub fn` has a
+//! caller outside test code. `cr-lint` walks the workspace's
 //! Rust sources with a lightweight tokenizer (no syntax tree, no external
-//! dependencies) and enforces those seven invariants; see DESIGN.md section
+//! dependencies) and enforces those eight invariants; see DESIGN.md section
 //! "Static analysis" for the rationale and ROADMAP.md for its place in the
 //! tier-1 checks.
 //!
 //! Scope: `src/` of every workspace member under `crates/`, plus the root
-//! package's `src/`. The `shims/` crates are vendored stand-ins for
+//! package's `src/`; `examples/`, `benchmark/src/` and
+//! `crates/*/benches/` are read only as callers for `dead-pub`. The
+//! `shims/` crates are vendored stand-ins for
 //! external dependencies and are not held to C/R invariants. Test code
 //! (`#[cfg(test)]` modules, `#[test]` functions, `tests/`, `benches/`) is
 //! exempt from the panic-path and MCA rules by construction.
@@ -41,7 +44,7 @@ pub struct LintRun {
     /// Hard findings (lock-order, ft-event, mca-keys, commit-state,
     /// trace-keys): always violations.
     pub hard: Vec<Finding>,
-    /// Baselined findings (panic-path, dead-events): all sites,
+    /// Baselined findings (panic-path, dead-events, dead-pub): all sites,
     /// pre-ratchet.
     pub baselined: Vec<Finding>,
     /// Result of comparing `baselined` against `lint.allow`.
@@ -60,14 +63,23 @@ impl LintRun {
 }
 
 /// Analyze a set of already-loaded `(relative path, source)` pairs.
+/// `callers` are further sources that are not linted but whose non-test
+/// code counts as calling a `pub fn` (see [`caller_sources`]).
 ///
 /// This is the test entry point: fixtures feed sources directly without
 /// touching the filesystem.
-pub fn analyze_sources(sources: &[(String, String)], baseline: &Baseline) -> LintRun {
-    let models: Vec<FileModel> = sources
-        .iter()
-        .map(|(rel, src)| model::parse_file(rel, src))
-        .collect();
+pub fn analyze_sources(
+    sources: &[(String, String)],
+    callers: &[(String, String)],
+    baseline: &Baseline,
+) -> LintRun {
+    let parse = |files: &[(String, String)]| -> Vec<FileModel> {
+        files
+            .iter()
+            .map(|(rel, src)| model::parse_file(rel, src))
+            .collect()
+    };
+    let models = parse(sources);
 
     let mut hard = Vec::new();
     let mut baselined = Vec::new();
@@ -95,6 +107,7 @@ pub fn analyze_sources(sources: &[(String, String)], baseline: &Baseline) -> Lin
     rules::mca_keys::check(&registered, &defaulted, &uses, &mut hard);
     rules::trace_keys::check(&trace_registered, &trace_uses, &mut hard);
     rules::dead_events::check(&event_rows, &recorded, &mut baselined);
+    rules::dead_pub::check(&models, &parse(callers), &mut baselined);
 
     let baseline_check = baseline.check(&baselined);
     LintRun {
@@ -125,6 +138,28 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> 
     if root_src.is_dir() {
         collect_rs(&root_src, &mut files)?;
     }
+    read_sources(root, files)
+}
+
+/// Discover the sources that may call library functions without being
+/// linted themselves: `examples/`, `benchmark/src/` and every crate's
+/// `benches/`.
+pub fn caller_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+    let mut files: Vec<PathBuf> = Vec::new();
+    let mut dirs = vec![root.join("examples"), root.join("benchmark").join("src")];
+    let crates_dir = root.join("crates");
+    if crates_dir.is_dir() {
+        for entry in std::fs::read_dir(&crates_dir)? {
+            dirs.push(entry?.path().join("benches"));
+        }
+    }
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        collect_rs(dir, &mut files)?;
+    }
+    read_sources(root, files)
+}
+
+fn read_sources(root: &Path, mut files: Vec<PathBuf>) -> std::io::Result<Vec<(String, String)>> {
     files.sort();
     let mut out = Vec::with_capacity(files.len());
     for path in files {

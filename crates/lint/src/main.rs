@@ -64,7 +64,15 @@ fn main() -> ExitCode {
         }
     };
 
-    let run = lint::analyze_sources(&sources, &baseline);
+    let callers = match lint::caller_sources(&root) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("cr-lint: cannot read caller sources: {e}");
+            return ExitCode::from(2);
+        }
+    };
+
+    let run = lint::analyze_sources(&sources, &callers, &baseline);
 
     if update_baseline {
         let text = Baseline::render_from(&run.baselined);

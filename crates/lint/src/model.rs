@@ -25,6 +25,16 @@ pub struct FileModel {
     pub fns: Vec<FnDecl>,
     /// Crate-qualified module path of the file, e.g. `ompi::pml`.
     pub module: String,
+    /// Token ranges of test code: `#[cfg(test)]` modules and `#[test]`
+    /// functions.
+    pub test_spans: Vec<Range<usize>>,
+}
+
+impl FileModel {
+    /// True when token `i` lies inside test code.
+    pub fn in_test(&self, i: usize) -> bool {
+        self.test_spans.iter().any(|r| r.contains(&i))
+    }
 }
 
 /// A function declaration with its body span.
@@ -40,6 +50,8 @@ pub struct FnDecl {
     pub trait_name: Option<String>,
     /// True when inside `#[cfg(test)]` / `#[test]` scope.
     pub is_test: bool,
+    /// True when declared plain `pub` (not `pub(crate)` or private).
+    pub is_pub: bool,
     /// Token range of the signature, from after `fn name` to the body `{`.
     pub sig: Range<usize>,
     /// Token range of the body, inside (excluding) the braces.
@@ -71,9 +83,11 @@ pub fn parse_file(rel: &str, src: &str) -> FileModel {
     let toks = lex(src);
     let module = module_of(rel);
     let mut fns = Vec::new();
+    let mut test_spans = Vec::new();
     let mut p = Parser {
         toks: &toks,
         fns: &mut fns,
+        test_spans: &mut test_spans,
     };
     p.items(0, toks.len(), &module, None, None, false);
     FileModel {
@@ -81,12 +95,14 @@ pub fn parse_file(rel: &str, src: &str) -> FileModel {
         toks,
         fns,
         module,
+        test_spans,
     }
 }
 
 struct Parser<'a> {
     toks: &'a [Tok],
     fns: &'a mut Vec<FnDecl>,
+    test_spans: &'a mut Vec<Range<usize>>,
 }
 
 impl Parser<'_> {
@@ -141,6 +157,9 @@ impl Parser<'_> {
                 if self.tok(i + 2).is_some_and(|t| t.is_punct('{')) {
                     let after = self.skip_block(i + 2, end);
                     let sub = format!("{module}::{name}");
+                    if attr_test && !in_test {
+                        self.test_spans.push(i..after);
+                    }
                     self.items(i + 3, after - 1, &sub, None, None, in_test || attr_test);
                     i = after;
                 } else {
@@ -306,6 +325,18 @@ impl Parser<'_> {
             return end;
         }
         let after = self.skip_block(j, end);
+        if is_test {
+            self.test_spans.push(i..after);
+        }
+        let is_pub = match i.checked_sub(1).and_then(|k| self.tok(k)) {
+            Some(t) if t.is_ident("pub") => true,
+            Some(t) if ["const", "async", "unsafe"].iter().any(|q| t.is_ident(q)) => {
+                i.checked_sub(2)
+                    .and_then(|k| self.tok(k))
+                    .is_some_and(|t| t.is_ident("pub"))
+            }
+            _ => false,
+        };
         let qual = match self_ty {
             Some(ty) => format!("{module}::{ty}::{name}"),
             None => format!("{module}::{name}"),
@@ -316,6 +347,7 @@ impl Parser<'_> {
             self_ty: self_ty.map(str::to_string),
             trait_name: trait_name.map(str::to_string),
             is_test,
+            is_pub,
             sig: (i + 2)..j,
             body: (j + 1)..(after - 1),
         });
@@ -369,6 +401,11 @@ mod tests {
                 ("a_test", None, None, true),
             ]
         );
+        let public: Vec<bool> = m.fns.iter().map(|f| f.is_pub).collect();
+        assert_eq!(public, [true, false, false, true, false]);
+        let test_fn = m.toks.iter().position(|t| t.is_ident("a_test"));
+        assert!(test_fn.is_some_and(|i| m.in_test(i)));
+        assert!(!m.in_test(1), "`free` is library code");
         assert_eq!(m.fns[0].qual, "demo::w::free");
         assert_eq!(m.fns[1].qual, "demo::w::Widget::method");
         assert_eq!(m.fns[3].qual, "demo::w::inner::nested");

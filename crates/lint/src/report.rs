@@ -19,6 +19,8 @@ pub enum Rule {
     TraceKeys,
     /// Registered trace events must be recorded somewhere (no dead rows).
     DeadEvents,
+    /// Library `pub fn`s must have a caller outside test code.
+    DeadPub,
 }
 
 impl Rule {
@@ -32,6 +34,7 @@ impl Rule {
             Rule::CommitState => "commit-state",
             Rule::TraceKeys => "trace-keys",
             Rule::DeadEvents => "dead-events",
+            Rule::DeadPub => "dead-pub",
         }
     }
 }

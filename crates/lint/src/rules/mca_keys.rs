@@ -4,7 +4,7 @@
 //! Open MPI registers every MCA parameter (`mca_base_param_reg_*`) so that
 //! `ompi_info` can enumerate it and a typo'd `--mca` key is diagnosable.
 //! The reproduction keeps the same discipline: a string key passed to a
-//! typed accessor (`get_parsed_or`, `get_bool_or`, `get_with_source`, or a
+//! typed accessor (`get_parsed_or`, `get_bool_or`, or a
 //! single-argument `.get("...")`) in non-test code must be one of:
 //!
 //! - the first argument of a `.default_value("key", ..)` call, or
@@ -105,7 +105,7 @@ pub fn collect_uses(file: &FileModel, uses: &mut Vec<UseSite>) {
             if let (true, Some(k)) = (open, lit) {
                 let typed = matches!(
                     name.text.as_str(),
-                    "get_parsed_or" | "get_bool_or" | "get_with_source"
+                    "get_parsed_or" | "get_bool_or"
                 );
                 // `.get("key")` only with exactly one argument: metadata
                 // documents use `.get(section, key)`.

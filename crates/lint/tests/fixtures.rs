@@ -11,12 +11,18 @@ fn run(files: &[(&str, &str)]) -> LintRun {
 }
 
 fn run_with_baseline(files: &[(&str, &str)], baseline: &str) -> LintRun {
-    let sources: Vec<(String, String)> = files
-        .iter()
-        .map(|(rel, src)| (rel.to_string(), src.to_string()))
-        .collect();
+    run_with_callers(files, &[], baseline)
+}
+
+fn run_with_callers(files: &[(&str, &str)], callers: &[(&str, &str)], baseline: &str) -> LintRun {
+    let owned = |pairs: &[(&str, &str)]| -> Vec<(String, String)> {
+        pairs
+            .iter()
+            .map(|(rel, src)| (rel.to_string(), src.to_string()))
+            .collect()
+    };
     let baseline = Baseline::parse(baseline).expect("fixture baseline parses");
-    analyze_sources(&sources, &baseline)
+    analyze_sources(&owned(files), &owned(callers), &baseline)
 }
 
 #[test]
@@ -300,7 +306,7 @@ fn dead_event_detected() {
             ),
             (
                 "crates/demo/src/ready_only.rs",
-                "pub fn ready(tracer: &cr_core::Tracer) {\n    \
+                "fn ready(tracer: &cr_core::Tracer) {\n    \
                  tracer.record(\"demo.component.ready\", \"ok\");\n}\n",
             ),
         ],
@@ -359,5 +365,60 @@ fn panic_path_counted_and_ratcheted() {
         out.baseline_check.notes.iter().any(|n| n.contains("5")),
         "ratchet opportunity not noted: {:?}",
         out.baseline_check.notes
+    );
+}
+
+#[test]
+fn dead_pub_detected() {
+    let files = &[
+        (
+            "crates/demo/src/surface.rs",
+            include_str!("fixtures/dead_pub_dirty.rs"),
+        ),
+        // A re-export is not a call.
+        ("crates/demo/src/lib.rs", "pub use surface::only_tested;\n"),
+    ];
+    let callers = &[("examples/demo.rs", "fn main() {\n    demo::surface::used();\n}\n")];
+    let out = run_with_callers(files, callers, "");
+    let dead: Vec<&str> = out
+        .baselined
+        .iter()
+        .filter(|f| f.rule == Rule::DeadPub)
+        .map(|f| f.message.as_str())
+        .collect();
+    assert_eq!(dead.len(), 2, "{dead:?}");
+    assert!(dead[0].contains("demo::surface::only_tested"), "{}", dead[0]);
+    assert!(dead[1].contains("demo::surface::countdown"), "{}", dead[1]);
+    assert_eq!(out.violations().len(), 2);
+
+    // Without the example, `used` is dead too.
+    let out = run_with_callers(files, &[], "");
+    assert_eq!(out.violations().len(), 3, "{:?}", out.violations());
+
+    // A baseline that grandfathers both sites makes the run clean.
+    let out = run_with_callers(files, callers, "dead-pub\tcrates/demo/src/surface.rs\t2\n");
+    assert!(out.violations().is_empty(), "{:?}", out.violations());
+}
+
+#[test]
+fn dead_pub_called_everywhere_is_clean() {
+    let out = run_with_callers(
+        &[(
+            "crates/demo/src/flow.rs",
+            include_str!("fixtures/dead_pub_clean.rs"),
+        )],
+        &[
+            ("examples/demo.rs", "fn main() {\n    demo::flow::start();\n}\n"),
+            (
+                "crates/demo/benches/flow.rs",
+                "fn bench() {\n    demo::flow::measured();\n}\n",
+            ),
+        ],
+        "",
+    );
+    assert!(
+        out.baselined.iter().all(|f| f.rule != Rule::DeadPub),
+        "clean fixture flagged: {:?}",
+        out.baselined
     );
 }

@@ -1,7 +1,7 @@
 //! Fixture: one unwrap in library code (counted, ratcheted via the
 //! baseline) and one in a test function (exempt).
 
-pub fn risky(v: Option<u32>) -> u32 {
+fn risky(v: Option<u32>) -> u32 {
     v.unwrap()
 }
 

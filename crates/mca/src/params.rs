@@ -121,14 +121,6 @@ impl McaParams {
         self.entries.read().get(key).map(|e| e.value.clone())
     }
 
-    /// Value and provenance of `key`.
-    pub fn get_with_source(&self, key: &str) -> Option<(String, ParamSource)> {
-        self.entries
-            .read()
-            .get(key)
-            .map(|e| (e.value.clone(), e.source))
-    }
-
     /// Parse `key` as `T`, falling back to `default` when absent.
     ///
     /// A present-but-unparsable value returns `Err` rather than silently
@@ -204,16 +196,6 @@ impl McaParams {
         }
         params
     }
-
-    /// Number of parameters set.
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    /// True when no parameters are set.
-    pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
-    }
 }
 
 /// A parameter existed but could not be parsed as the requested type.
@@ -259,10 +241,6 @@ mod tests {
         assert_eq!(p.get("crs").as_deref(), Some("self"), "file must not beat cli");
         p.set_from("crs", "none", ParamSource::Api);
         assert_eq!(p.get("crs").as_deref(), Some("none"), "api beats cli");
-        assert_eq!(
-            p.get_with_source("crs"),
-            Some(("none".into(), ParamSource::Api))
-        );
     }
 
     #[test]
@@ -338,8 +316,7 @@ mod tests {
         let rebuilt = McaParams::from_dump(dump.iter().map(|(k, v)| (k.as_str(), v.as_str())));
         assert_eq!(rebuilt.get("a").as_deref(), Some("1"));
         assert_eq!(rebuilt.get("b").as_deref(), Some("2"));
-        assert_eq!(rebuilt.len(), 2);
-        assert!(!rebuilt.is_empty());
+        assert_eq!(rebuilt.dump(), dump);
     }
 
     #[test]

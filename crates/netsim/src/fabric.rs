@@ -3,15 +3,15 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use parking_lot::{Mutex, RwLock};
 
 use crate::error::NetError;
-use crate::stats::{EndpointStats, FabricStats};
+use crate::stats::FabricStats;
 use crate::time::SimTime;
 use crate::topology::{NodeId, Topology};
 
@@ -126,11 +126,6 @@ impl<'a> NetView<'a> {
         }
     }
 
-    /// The underlying topology.
-    pub fn topology(&self) -> &'a Topology {
-        self.topology
-    }
-
     /// Price moving `bytes` from `a` to `b` given the current number of
     /// transfers sharing the link (at least this one).
     pub fn cost(&self, a: NodeId, b: NodeId, bytes: usize) -> SimTime {
@@ -179,7 +174,8 @@ struct FabricInner {
     topology: Topology,
     next_id: AtomicU64,
     mailboxes: RwLock<HashMap<EndpointId, Mailbox>>,
-    stats: RwLock<FabricStats>,
+    total_msgs: AtomicU64,
+    total_bytes: AtomicU64,
     link_meter: LinkMeter,
 }
 
@@ -207,7 +203,8 @@ impl Fabric {
                 topology,
                 next_id: AtomicU64::new(1),
                 mailboxes: RwLock::new(HashMap::new()),
-                stats: RwLock::new(FabricStats::default()),
+                total_msgs: AtomicU64::new(0),
+                total_bytes: AtomicU64::new(0),
                 link_meter: LinkMeter::new(),
             }),
         }
@@ -240,7 +237,7 @@ impl Fabric {
             "{node} is not in the topology"
         );
         let id = EndpointId(self.inner.next_id.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         self.inner
             .mailboxes
             .write()
@@ -249,18 +246,8 @@ impl Fabric {
             id,
             node,
             fabric: self.clone(),
-            rx,
+            rx: Mutex::new(rx),
         }
-    }
-
-    /// Node an endpoint lives on, if it is alive.
-    pub fn node_of(&self, ep: EndpointId) -> Option<NodeId> {
-        self.inner.mailboxes.read().get(&ep).map(|m| m.node)
-    }
-
-    /// True when `ep` is registered and not killed.
-    pub fn is_alive(&self, ep: EndpointId) -> bool {
-        self.inner.mailboxes.read().contains_key(&ep)
     }
 
     /// Send `payload` from `src` to `dst`.
@@ -304,13 +291,8 @@ impl Fabric {
             .map_err(|_| NetError::Unreachable { dst })?;
         drop(boxes);
 
-        let mut stats = self.inner.stats.write();
-        stats.total_msgs += 1;
-        stats.total_bytes += bytes;
-        let s = stats.endpoints.entry(src).or_default();
-        s.msgs_sent += 1;
-        s.bytes_sent += bytes;
-        s.sim_time_sent += wire_time;
+        self.inner.total_msgs.fetch_add(1, Ordering::Relaxed);
+        self.inner.total_bytes.fetch_add(bytes, Ordering::Relaxed);
         Ok(wire_time)
     }
 
@@ -323,24 +305,10 @@ impl Fabric {
 
     /// Snapshot of traffic counters.
     pub fn stats(&self) -> FabricStats {
-        self.inner.stats.read().clone()
-    }
-
-    /// Reset traffic counters (benchmark warm-up hygiene).
-    pub fn reset_stats(&self) {
-        *self.inner.stats.write() = FabricStats::default();
-    }
-
-    fn note_received(&self, ep: EndpointId, delivery: &Delivery) {
-        let mut stats = self.inner.stats.write();
-        let s = stats.endpoints.entry(ep).or_default();
-        s.msgs_received += 1;
-        s.bytes_received += delivery.payload.len() as u64;
-    }
-
-    /// Per-endpoint counters convenience accessor.
-    pub fn endpoint_stats(&self, ep: EndpointId) -> EndpointStats {
-        self.inner.stats.read().endpoint(ep)
+        FabricStats {
+            total_msgs: self.inner.total_msgs.load(Ordering::Relaxed),
+            total_bytes: self.inner.total_bytes.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -349,11 +317,17 @@ impl Fabric {
 /// The sender side is addressed by [`EndpointId`] through the fabric, which
 /// is how MPI-style any-to-any communication works here: there are no
 /// per-pair connections to set up.
+///
+/// An endpoint is `Sync`: several threads of one process may receive on
+/// it, and each message goes to exactly one of them. One thread receives
+/// at a time; [`try_recv`](Endpoint::try_recv) and
+/// [`recv_timeout`](Endpoint::recv_timeout) do not queue behind a thread
+/// that is receiving.
 pub struct Endpoint {
     id: EndpointId,
     node: NodeId,
     fabric: Fabric,
-    rx: Receiver<Delivery>,
+    rx: Mutex<Receiver<Delivery>>,
 }
 
 impl fmt::Debug for Endpoint {
@@ -369,11 +343,6 @@ impl Endpoint {
     /// This endpoint's id (its address for senders).
     pub fn id(&self) -> EndpointId {
         self.id
-    }
-
-    /// Node this endpoint lives on.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// The fabric this endpoint belongs to.
@@ -393,42 +362,38 @@ impl Endpoint {
     /// processes may still have in-flight messages that coordination
     /// protocols need to observe.
     pub fn recv(&self) -> Result<Delivery, NetError> {
-        match self.rx.recv() {
-            Ok(d) => {
-                self.fabric.note_received(self.id, &d);
-                Ok(d)
-            }
-            Err(_) => Err(NetError::Disconnected),
-        }
+        self.rx.lock().recv().map_err(|_| NetError::Disconnected)
     }
 
     /// Non-blocking receive.
+    ///
+    /// Reports [`NetError::Empty`] without waiting while another thread
+    /// is receiving on this endpoint: that thread takes whatever arrives.
     pub fn try_recv(&self) -> Result<Delivery, NetError> {
-        match self.rx.try_recv() {
-            Ok(d) => {
-                self.fabric.note_received(self.id, &d);
-                Ok(d)
-            }
-            Err(TryRecvError::Empty) => Err(NetError::Empty),
-            Err(TryRecvError::Disconnected) => Err(NetError::Disconnected),
-        }
+        let Some(rx) = self.rx.try_lock() else {
+            return Err(NetError::Empty);
+        };
+        rx.try_recv().map_err(|e| match e {
+            TryRecvError::Empty => NetError::Empty,
+            TryRecvError::Disconnected => NetError::Disconnected,
+        })
     }
 
     /// Receive with a wall-clock timeout.
+    ///
+    /// If another thread is receiving on this endpoint, waits until that
+    /// thread's receive returns and then reports [`NetError::Timeout`] at
+    /// once, so the caller rechecks whatever the other thread delivered
+    /// before it waits on the wire again.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Delivery, NetError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(d) => {
-                self.fabric.note_received(self.id, &d);
-                Ok(d)
-            }
-            Err(channel::RecvTimeoutError::Timeout) => Err(NetError::Timeout),
-            Err(channel::RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
-        }
-    }
-
-    /// Number of queued, undelivered messages.
-    pub fn queued(&self) -> usize {
-        self.rx.len()
+        let Some(rx) = self.rx.try_lock() else {
+            drop(self.rx.lock());
+            return Err(NetError::Timeout);
+        };
+        rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => NetError::Timeout,
+            RecvTimeoutError::Disconnected => NetError::Disconnected,
+        })
     }
 }
 
@@ -537,10 +502,9 @@ mod tests {
         let a = fabric.register(NodeId(0));
         let b_id = {
             let b = fabric.register(NodeId(1));
-            assert!(fabric.is_alive(b.id()));
+            a.send_to(b.id(), 0, Bytes::new()).unwrap();
             b.id()
         };
-        assert!(!fabric.is_alive(b_id));
         assert!(matches!(
             a.send_to(b_id, 0, Bytes::new()),
             Err(NetError::Unreachable { .. })
@@ -558,15 +522,6 @@ mod tests {
         let stats = fabric.stats();
         assert_eq!(stats.total_msgs, 2);
         assert_eq!(stats.total_bytes, 6);
-        let sa = stats.endpoint(a.id());
-        assert_eq!(sa.msgs_sent, 2);
-        assert_eq!(sa.bytes_sent, 6);
-        assert!(sa.sim_time_sent > SimTime::ZERO);
-        let sb = stats.endpoint(b.id());
-        assert_eq!(sb.msgs_received, 1);
-        assert_eq!(sb.bytes_received, 4);
-        fabric.reset_stats();
-        assert_eq!(fabric.stats().total_msgs, 0);
     }
 
     #[test]
@@ -592,6 +547,71 @@ mod tests {
         }
         producer.join().unwrap();
         drop(a);
+    }
+
+    /// The PML pattern: an app thread and a CRCP thread receive on one
+    /// endpoint.
+    #[test]
+    fn one_endpoint_shared_by_two_receiving_threads() {
+        const N: u64 = 1000;
+        let fabric = two_node_fabric();
+        let a = fabric.register(NodeId(0));
+        let b = fabric.register(NodeId(1));
+
+        // `try_recv` reports Empty at once while another thread is blocked
+        // in a receive (waiting for it would hang: nothing is queued).
+        std::thread::scope(|s| {
+            let blocked = s.spawn(|| b.recv());
+            while b.rx.try_lock().is_some() {
+                std::thread::yield_now();
+            }
+            assert_eq!(b.try_recv().err(), Some(NetError::Empty));
+            a.send_to(b.id(), N, Bytes::new()).unwrap();
+            assert_eq!(blocked.join().unwrap().unwrap().tag, N);
+        });
+
+        // Two threads in `recv_timeout` get every message exactly once, and
+        // `kill` wakes both with Disconnected only after the queue drains:
+        // by then every message has been taken, and the other thread holds
+        // at most one it has not counted yet.
+        let start = std::sync::Barrier::new(3);
+        let taken = AtomicU64::new(0);
+        let got: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let receivers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let mut tags = Vec::new();
+                        loop {
+                            match b.recv_timeout(Duration::from_secs(60)) {
+                                Ok(d) => {
+                                    tags.push(d.tag);
+                                    taken.fetch_add(1, Ordering::SeqCst);
+                                }
+                                Err(NetError::Timeout) => {}
+                                Err(e) => {
+                                    assert_eq!(e, NetError::Disconnected);
+                                    assert!(taken.load(Ordering::SeqCst) >= N - 1);
+                                    return tags;
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            for i in 0..N {
+                a.send_to(b.id(), i, Bytes::new()).unwrap();
+            }
+            fabric.kill(b.id());
+            receivers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for tags in &got {
+            assert!(tags.windows(2).all(|w| w[0] < w[1]), "out of queue order: {tags:?}");
+        }
+        let mut all = got.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..N).collect::<Vec<_>>());
     }
 
     #[test]
@@ -639,15 +659,6 @@ mod tests {
         let _slot = fabric.link_meter().begin(NodeId(0), NodeId(1));
         let busy = a.send_to(b.id(), 0, payload).unwrap();
         assert!(busy > quiet);
-    }
-
-    #[test]
-    fn node_of_and_is_alive() {
-        let fabric = two_node_fabric();
-        let a = fabric.register(NodeId(1));
-        assert_eq!(fabric.node_of(a.id()), Some(NodeId(1)));
-        assert!(fabric.is_alive(a.id()));
-        assert_eq!(fabric.node_of(EndpointId(424242)), None);
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod topology;
 
 pub use error::NetError;
 pub use fabric::{Delivery, Endpoint, EndpointId, Fabric, LinkMeter, LinkSlot, NetView};
-pub use stats::{EndpointStats, FabricStats};
+pub use stats::FabricStats;
 pub use time::SimTime;
 pub use topology::{LinkSpec, NodeId, Topology};

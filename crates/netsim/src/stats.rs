@@ -1,43 +1,15 @@
 //! Traffic accounting.
 //!
-//! The CRCP bookmark-exchange protocol needs per-peer sent/received message
-//! counts; the benchmarks need bytes-on-the-wire and simulated wire time.
-//! The fabric maintains both per endpoint and in aggregate.
-
-use std::collections::HashMap;
-
-use crate::fabric::EndpointId;
-use crate::time::SimTime;
-
-/// Counters for one endpoint.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EndpointStats {
-    /// Messages successfully sent.
-    pub msgs_sent: u64,
-    /// Messages delivered out of the receive queue.
-    pub msgs_received: u64,
-    /// Payload bytes sent.
-    pub bytes_sent: u64,
-    /// Payload bytes received.
-    pub bytes_received: u64,
-    /// Total simulated wire time of everything sent from this endpoint.
-    pub sim_time_sent: SimTime,
-}
+//! The benchmarks need messages and bytes on the wire; the fabric keeps
+//! both as job-wide totals. Nothing else is counted here: the CRCP
+//! bookmark exchange counts messages per peer in the PML's `PmlState`
+//! (crate `ompi`), not on the fabric.
 
 /// Aggregate fabric counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FabricStats {
-    /// Per-endpoint counters.
-    pub endpoints: HashMap<EndpointId, EndpointStats>,
     /// Total messages moved through the fabric.
     pub total_msgs: u64,
     /// Total payload bytes moved through the fabric.
     pub total_bytes: u64,
-}
-
-impl FabricStats {
-    /// Counters for `ep` (zeroes when the endpoint moved no traffic).
-    pub fn endpoint(&self, ep: EndpointId) -> EndpointStats {
-        self.endpoints.get(&ep).cloned().unwrap_or_default()
-    }
 }

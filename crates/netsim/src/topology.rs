@@ -1,6 +1,5 @@
 //! Cluster topology and the link cost model.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::time::SimTime;
@@ -31,14 +30,6 @@ impl LinkSpec {
         LinkSpec {
             latency: SimTime::from_micros(50),
             bandwidth_bytes_per_sec: 118 * 1024 * 1024,
-        }
-    }
-
-    /// InfiniBand-like defaults (~4us latency, ~900 MB/s).
-    pub fn infiniband() -> Self {
-        LinkSpec {
-            latency: SimTime::from_micros(4),
-            bandwidth_bytes_per_sec: 900 * 1024 * 1024,
         }
     }
 
@@ -85,9 +76,6 @@ impl LinkSpec {
 pub struct Topology {
     hostnames: Vec<String>,
     default_link: LinkSpec,
-    loopback: LinkSpec,
-    /// Per-pair overrides, keyed with the smaller node id first.
-    overrides: HashMap<(NodeId, NodeId), LinkSpec>,
 }
 
 impl Topology {
@@ -98,23 +86,7 @@ impl Topology {
         Topology {
             hostnames: (0..nodes).map(|i| format!("node{i:02}")).collect(),
             default_link,
-            loopback: LinkSpec::loopback(),
-            overrides: HashMap::new(),
         }
-    }
-
-    /// Override the loopback (intra-node) parameters.
-    pub fn with_loopback(mut self, loopback: LinkSpec) -> Self {
-        self.loopback = loopback;
-        self
-    }
-
-    /// Override one node pair's link.
-    pub fn with_link(mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> Self {
-        assert!(a != b, "use with_loopback for intra-node paths");
-        let key = if a.0 < b.0 { (a, b) } else { (b, a) };
-        self.overrides.insert(key, spec);
-        self
     }
 
     /// Number of nodes.
@@ -140,13 +112,10 @@ impl Topology {
     /// Link parameters between two nodes (loopback when equal).
     pub fn link(&self, a: NodeId, b: NodeId) -> LinkSpec {
         if a == b {
-            return self.loopback;
+            LinkSpec::loopback()
+        } else {
+            self.default_link
         }
-        let key = if a.0 < b.0 { (a, b) } else { (b, a) };
-        self.overrides
-            .get(&key)
-            .copied()
-            .unwrap_or(self.default_link)
     }
 
     /// Simulated cost of moving `bytes` from `a` to `b`.
@@ -206,19 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn per_pair_override_is_symmetric() {
-        let fast = LinkSpec::infiniband();
-        let t = Topology::uniform(3, LinkSpec::gigabit_ethernet()).with_link(
-            NodeId(2),
-            NodeId(0),
-            fast,
-        );
-        assert_eq!(t.link(NodeId(0), NodeId(2)), fast);
-        assert_eq!(t.link(NodeId(2), NodeId(0)), fast);
-        assert_eq!(t.link(NodeId(0), NodeId(1)), LinkSpec::gigabit_ethernet());
-    }
-
-    #[test]
     fn contended_cost_scales_serialization_only() {
         let link = LinkSpec {
             latency: SimTime::from_micros(10),
@@ -257,12 +213,5 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn zero_nodes_rejected() {
         let _ = Topology::uniform(0, LinkSpec::gigabit_ethernet());
-    }
-
-    #[test]
-    fn infiniband_faster_than_ethernet() {
-        let ib = LinkSpec::infiniband().transfer_cost(1 << 16);
-        let eth = LinkSpec::gigabit_ethernet().transfer_cost(1 << 16);
-        assert!(ib < eth);
     }
 }

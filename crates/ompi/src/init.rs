@@ -18,11 +18,11 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::Sender;
 use mca::McaParams;
 use netsim::EndpointId;
 use parking_lot::Mutex;
@@ -720,7 +720,7 @@ fn spawn_job<A: MpiApp>(
 ) -> Result<MpiJob<A::State>, CrError> {
     let results: Arc<Mutex<Vec<RankResult<A::State>>>> =
         Arc::new(Mutex::new((0..config.nprocs).map(|_| None).collect()));
-    let (sync_tx, sync_rx) = crossbeam::channel::unbounded::<Option<CheckpointOptions>>();
+    let (sync_tx, sync_rx) = mpsc::channel::<Option<CheckpointOptions>>();
     let spec = JobSpec {
         nprocs: config.nprocs,
         params: Arc::clone(&config.params),
@@ -836,12 +836,6 @@ pub struct RestartOptions {
 }
 
 impl RestartOptions {
-    /// Restore from a specific interval instead of the newest.
-    pub fn at_interval(mut self, interval: u64) -> Self {
-        self.interval = Some(interval);
-        self
-    }
-
     /// Restrict (or widen) where images may come from.
     pub fn with_source(mut self, source: RestartSource) -> Self {
         self.source = source;

@@ -8,10 +8,10 @@
 //! checkpoint requests.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use codec::Wire;
-use crossbeam::channel::Sender;
 
 use cr_core::request::CheckpointOptions;
 use cr_core::{CrError, Tracer};

@@ -378,11 +378,6 @@ impl PmlShared {
         self.nprocs
     }
 
-    /// The safe-point gate (shared with the container).
-    pub fn gate(&self) -> &Arc<SafePointGate> {
-        &self.gate
-    }
-
     /// Install (or remove) the CRCP interposition component.
     pub fn set_crcp(&self, crcp: Option<Arc<dyn CrcpComponent>>) {
         *self.crcp.write() = crcp;
@@ -964,16 +959,6 @@ impl PmlShared {
                 .msg_log_marks
                 .iter()
                 .any(|m| m.overflow && m.interval >= watermark)
-    }
-
-    /// Messages sent to `dst` so far.
-    pub fn sent_count(&self, dst: u32) -> u64 {
-        self.state.lock().sent_counts[dst as usize]
-    }
-
-    /// Messages received from `src` so far.
-    pub fn recv_count(&self, src: u32) -> u64 {
-        self.state.lock().recv_counts[src as usize]
     }
 }
 

@@ -38,8 +38,8 @@ fn send_recv_basic() {
     assert_eq!(frame.payload, b"hello");
     assert_eq!(frame.src, 0);
     assert_eq!(frame.tag, 5);
-    assert_eq!(pmls[0].sent_count(1), 1);
-    assert_eq!(pmls[1].recv_count(0), 1);
+    assert_eq!(pmls[0].with_state(|st| st.sent_counts[1]), 1);
+    assert_eq!(pmls[1].with_state(|st| st.recv_counts[0]), 1);
 }
 
 #[test]
@@ -177,7 +177,7 @@ fn capture_restore_preserves_unmatched_and_counts() {
     // "Restart": fresh mesh, restore rank 1's state.
     let pmls2 = mesh(2);
     pmls2[1].restore(&section).unwrap();
-    assert_eq!(pmls2[1].recv_count(0), 2);
+    assert_eq!(pmls2[1].with_state(|st| st.recv_counts[0]), 2);
     // The unmatched tag-1 message survives into the new incarnation.
     let f = pmls2[1].recv(0, Some(0), Some(1)).unwrap();
     assert_eq!(f.payload, b"one");
@@ -230,8 +230,8 @@ fn step_replay_skips_sends_and_replays_recvs() {
     assert_eq!(ping.payload, b"ping");
     pmls2[1].send(0, 0, 2, &ping.payload).unwrap();
     // No duplicate traffic: counters unchanged from the captured values.
-    assert_eq!(pmls2[0].sent_count(1), 1);
-    assert_eq!(pmls2[1].sent_count(0), 1);
+    assert_eq!(pmls2[0].with_state(|st| st.sent_counts[1]), 1);
+    assert_eq!(pmls2[1].with_state(|st| st.sent_counts[0]), 1);
 }
 
 #[test]
@@ -273,9 +273,9 @@ fn coord_bookmark_exchange_drains_in_flight() {
     let _ = coord;
 
     // Channels quiesced: every sent message is in its receiver's PML.
-    assert_eq!(pmls[1].recv_count(0), 2);
-    assert_eq!(pmls[1].recv_count(2), 1);
-    assert_eq!(pmls[2].recv_count(1), 1);
+    assert_eq!(pmls[1].with_state(|st| st.recv_counts[0]), 2);
+    assert_eq!(pmls[1].with_state(|st| st.recv_counts[2]), 1);
+    assert_eq!(pmls[2].with_state(|st| st.recv_counts[1]), 1);
     // And the drained messages are consumable.
     assert_eq!(pmls[1].recv(0, Some(0), Some(1)).unwrap().payload, b"a");
     assert_eq!(pmls[1].recv(0, Some(0), Some(1)).unwrap().payload, b"b");

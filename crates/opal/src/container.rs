@@ -18,11 +18,11 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
 use cr_core::inc::{IncCallback, IncRegistry, LayerInc};
@@ -33,6 +33,10 @@ use cr_core::{CrError, FtEventState, ProcessName, Tracer};
 use crate::crs::CrsComponent;
 use crate::gate::SafePointGate;
 use crate::image::ProcessImage;
+
+/// How long the notification thread waits for the application to reach a
+/// safe point before failing the checkpoint.
+const PARK_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Closure that serializes one subsystem's state for the process image.
 pub type CaptureFn = Arc<dyn Fn() -> Result<Vec<u8>, CrError> + Send + Sync>;
@@ -97,7 +101,6 @@ pub struct ProcessContainer {
     probes: Mutex<Vec<(String, ProbeFn)>>,
     crs: Mutex<Option<Arc<dyn CrsComponent>>>,
     pending: Mutex<Option<Pending>>,
-    park_timeout: Mutex<Duration>,
     tracer: Tracer,
 }
 
@@ -115,19 +118,8 @@ impl ProcessContainer {
             probes: Mutex::new(Vec::new()),
             crs: Mutex::new(None),
             pending: Mutex::new(None),
-            park_timeout: Mutex::new(Duration::from_secs(30)),
             tracer,
         })
-    }
-
-    /// Process name.
-    pub fn name(&self) -> ProcessName {
-        self.name
-    }
-
-    /// Hostname this process runs on.
-    pub fn hostname(&self) -> &str {
-        &self.hostname
     }
 
     /// The safe-point gate shared with the application thread.
@@ -143,12 +135,6 @@ impl ProcessContainer {
     /// The event tracer.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// How long the notification thread waits for the application to reach
-    /// a safe point before failing the checkpoint.
-    pub fn set_park_timeout(&self, timeout: Duration) {
-        *self.park_timeout.lock() = timeout;
     }
 
     // -- configuration ----------------------------------------------------
@@ -330,8 +316,7 @@ impl ProcessContainer {
         self.tracer
             .record("opal.notify.request", &format!("{}", self.name));
         self.gate.request_pause()?;
-        let timeout = *self.park_timeout.lock();
-        self.gate.wait_until_parked(timeout)?;
+        self.gate.wait_until_parked(PARK_TIMEOUT)?;
         self.tracer
             .record("opal.notify.parked", &format!("{}", self.name));
 
@@ -493,7 +478,7 @@ mod tests {
         assert_eq!(snap.crs_component(), "blcr_sim");
         let crs = container.crs().unwrap();
         let image = crs.restart(&snap).unwrap();
-        let captured: FakeAppState = image.decode_section("app").unwrap();
+        let captured: FakeAppState = codec::from_bytes(image.section("app").unwrap()).unwrap();
         assert!(captured.iteration > 0);
 
         // The app keeps running afterwards.
@@ -554,13 +539,13 @@ mod tests {
     fn notification_thread_serves_requests() {
         let (container, state, dir) = ready_container("notif");
         let app = run_fake_app(&container, &state, 5_000_000);
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         let notify = container.spawn_notification_thread(rx);
 
         for interval in 0..3u64 {
             let idir = dir.join(interval.to_string());
             std::fs::create_dir_all(&idir).unwrap();
-            let (rtx, rrx) = crossbeam::channel::bounded(1);
+            let (rtx, rrx) = std::sync::mpsc::channel();
             tx.send(OpalCtrl::Checkpoint {
                 snapshot_parent: idir,
                 interval,
@@ -617,7 +602,6 @@ mod tests {
     #[test]
     fn finalized_app_fails_pending_checkpoint() {
         let (container, state, dir) = ready_container("finalized");
-        container.set_park_timeout(Duration::from_secs(5));
         // App retires immediately.
         let app = run_fake_app(&container, &state, 0);
         app.join().unwrap();

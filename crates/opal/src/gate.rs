@@ -159,16 +159,6 @@ impl SafePointGate {
 
     // -- queries ---------------------------------------------------------------
 
-    /// True while a pause request is outstanding (not yet parked).
-    pub fn pause_requested(&self) -> bool {
-        self.inner.lock().phase == Phase::PauseRequested
-    }
-
-    /// True while the application thread is parked.
-    pub fn is_parked(&self) -> bool {
-        self.inner.lock().phase == Phase::Parked
-    }
-
     /// Completed pause/resume cycles.
     pub fn generations(&self) -> u64 {
         self.inner.lock().generations
@@ -185,7 +175,6 @@ mod tests {
     fn no_pause_means_no_park() {
         let gate = SafePointGate::new();
         assert!(!gate.checkpoint_point());
-        assert!(!gate.is_parked());
         assert_eq!(gate.generations(), 0);
     }
 
@@ -207,7 +196,6 @@ mod tests {
 
         gate.request_pause().unwrap();
         gate.wait_until_parked(Duration::from_secs(5)).unwrap();
-        assert!(gate.is_parked());
         // The checkpoint would run here, app fully stopped.
         gate.resume();
         app.join().unwrap();
@@ -248,7 +236,6 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("safe point"));
         // The request was cancelled: the app never blocks afterwards.
-        assert!(!gate.pause_requested());
         assert!(!gate.checkpoint_point());
     }
 
@@ -263,9 +250,7 @@ mod tests {
     fn resume_cancels_unreached_pause() {
         let gate = SafePointGate::new();
         gate.request_pause().unwrap();
-        assert!(gate.pause_requested());
         gate.resume();
-        assert!(!gate.pause_requested());
         assert!(!gate.checkpoint_point());
     }
 

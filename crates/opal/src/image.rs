@@ -71,11 +71,6 @@ impl ProcessImage {
         })
     }
 
-    /// Decode `name`'s section as a typed value.
-    pub fn decode_section<T: Wire>(&self, name: &str) -> Result<T, CrError> {
-        Ok(codec::from_bytes(self.require_section(name)?)?)
-    }
-
     /// Encode `value` and store it as section `name`. Never fails; the
     /// `Result` is kept for callers that chain it.
     pub fn encode_section<T: Wire>(&mut self, name: &str, value: &T) -> Result<(), CrError> {
@@ -247,9 +242,8 @@ mod tests {
         let mut img = ProcessImage::new();
         img.encode_section("app", &AppState { iteration: 7, sum: 1.5 })
             .unwrap();
-        let back: AppState = img.decode_section("app").unwrap();
+        let back: AppState = codec::from_bytes(img.section("app").unwrap()).unwrap();
         assert_eq!(back, AppState { iteration: 7, sum: 1.5 });
-        assert!(img.decode_section::<AppState>("nope").is_err());
     }
 
     /// `to_bytes()` of the image `{"app": [0, 1, 127, 128, 255, 42],

@@ -5,29 +5,23 @@
 //! asynchronous progress (timers, socket readiness). An event loop captured
 //! mid-dispatch cannot be restored, so OPAL's INC quiesces it before the
 //! CRS runs and resumes it afterwards. This module provides the simulated
-//! equivalent: a ticker thread dispatching registered periodic callbacks,
-//! with `ft_event` pausing and resuming dispatch.
+//! equivalent: a ticker thread, with `ft_event` pausing and resuming it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
 use cr_core::{CrError, FtEvent, FtEventState};
-
-type TickCallback = Box<dyn FnMut() + Send>;
 
 struct Shared {
     paused: AtomicBool,
     shutdown: AtomicBool,
     ticks: AtomicU64,
-    callbacks: Mutex<Vec<TickCallback>>,
 }
 
-/// A ticker thread dispatching registered callbacks every `period`, unless
-/// paused by a checkpoint.
+/// A ticker thread that ticks every `period`, unless paused by a
+/// checkpoint.
 pub struct ProgressEngine {
     shared: Arc<Shared>,
     handle: Option<JoinHandle<()>>,
@@ -40,7 +34,6 @@ impl ProgressEngine {
             paused: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             ticks: AtomicU64::new(0),
-            callbacks: Mutex::new(Vec::new()),
         });
         let thread_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
@@ -51,10 +44,6 @@ impl ProgressEngine {
                 }
                 if !thread_shared.paused.load(Ordering::Acquire) {
                     thread_shared.ticks.fetch_add(1, Ordering::Relaxed);
-                    let mut cbs = thread_shared.callbacks.lock();
-                    for cb in cbs.iter_mut() {
-                        cb();
-                    }
                 }
                 std::thread::sleep(period);
             })
@@ -65,19 +54,9 @@ impl ProgressEngine {
         }
     }
 
-    /// Register a callback dispatched on every tick.
-    pub fn register(&self, cb: impl FnMut() + Send + 'static) {
-        self.shared.callbacks.lock().push(Box::new(cb));
-    }
-
     /// Ticks dispatched so far.
     pub fn ticks(&self) -> u64 {
         self.shared.ticks.load(Ordering::Relaxed)
-    }
-
-    /// True while dispatch is paused (quiesced for a checkpoint).
-    pub fn is_paused(&self) -> bool {
-        self.shared.paused.load(Ordering::Acquire)
     }
 
     /// Stop the ticker thread and wait for it.
@@ -124,15 +103,9 @@ mod tests {
     }
 
     #[test]
-    fn ticks_advance_and_callbacks_fire() {
+    fn ticks_advance() {
         let engine = ProgressEngine::start(Duration::from_millis(1));
-        let count = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&count);
-        engine.register(move || {
-            c.fetch_add(1, Ordering::Relaxed);
-        });
-        wait_for(|| count.load(Ordering::Relaxed) >= 3, "callbacks");
-        assert!(engine.ticks() >= 3);
+        wait_for(|| engine.ticks() >= 3, "ticks");
     }
 
     #[test]
@@ -140,7 +113,6 @@ mod tests {
         let mut engine = ProgressEngine::start(Duration::from_millis(1));
         wait_for(|| engine.ticks() > 0, "first tick");
         engine.ft_event(FtEventState::Checkpoint).unwrap();
-        assert!(engine.is_paused());
         // Allow the tick thread to observe the pause, then assert quiet.
         std::thread::sleep(Duration::from_millis(10));
         let frozen = engine.ticks();
@@ -153,12 +125,12 @@ mod tests {
     #[test]
     fn restart_and_error_also_resume() {
         let mut engine = ProgressEngine::start(Duration::from_millis(1));
-        engine.ft_event(FtEventState::Checkpoint).unwrap();
-        engine.ft_event(FtEventState::Restart).unwrap();
-        assert!(!engine.is_paused());
-        engine.ft_event(FtEventState::Checkpoint).unwrap();
-        engine.ft_event(FtEventState::Error).unwrap();
-        assert!(!engine.is_paused());
+        for resume in [FtEventState::Restart, FtEventState::Error] {
+            engine.ft_event(FtEventState::Checkpoint).unwrap();
+            engine.ft_event(resume).unwrap();
+            let before = engine.ticks();
+            wait_for(|| engine.ticks() > before, "resume");
+        }
     }
 
     #[test]

@@ -15,10 +15,10 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::Sender;
 use netsim::{EndpointId, Fabric, NodeId};
 use parking_lot::Mutex;
 
@@ -32,7 +32,7 @@ use crate::replica::ReplicaStore;
 
 /// Pending per-rank checkpoint completions (phase 1 output of a local
 /// checkpoint).
-type PendingLocal = Vec<(Rank, crossbeam::channel::Receiver<Result<CkptReply, CrError>>)>;
+type PendingLocal = Vec<(Rank, mpsc::Receiver<Result<CkptReply, CrError>>)>;
 
 /// A process registered with its node daemon.
 struct LocalProc {
@@ -117,19 +117,6 @@ impl Orted {
     /// Remove a job's processes from this daemon (job teardown).
     pub fn deregister_job(&self, job: JobId) {
         self.procs.lock().retain(|(j, _), _| *j != job);
-    }
-
-    /// Ranks of `job` hosted on this node, ascending.
-    pub fn local_ranks(&self, job: JobId) -> Vec<Rank> {
-        let mut ranks: Vec<Rank> = self
-            .procs
-            .lock()
-            .keys()
-            .filter(|(j, _)| *j == job)
-            .map(|(_, r)| *r)
-            .collect();
-        ranks.sort_unstable();
-        ranks
     }
 
     /// Ask the daemon thread to exit and wait for it.
@@ -299,7 +286,7 @@ impl Orted {
                 procs.iter().filter(|((j, _), _)| *j == job).collect();
             local.sort_by_key(|((_, r), _)| *r);
             for ((_, rank), proc_entry) in local {
-                let (rtx, rrx) = crossbeam::channel::bounded(1);
+                let (rtx, rrx) = mpsc::channel();
                 proc_entry
                     .ctrl
                     .send(OpalCtrl::Checkpoint {
@@ -406,7 +393,7 @@ pub(crate) mod tests {
         container.register_capture("app", Arc::new(move || Ok(vec![0xAB; 64])));
         container.install_opal_inc(LayerInc::new("opal", tracer.clone()));
         container.enable_checkpointing();
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         container.spawn_notification_thread(rx);
         let gate = Arc::clone(container.gate());
         let app = std::thread::spawn(move || {
@@ -445,7 +432,6 @@ pub(crate) mod tests {
             daemon.register_proc(job, Rank(r), container, tx);
             apps.push(app);
         }
-        assert_eq!(daemon.local_ranks(job), vec![Rank(0), Rank(1), Rank(2)]);
 
         // Act as the global coordinator.
         let hnp = Caller::new(&fabric, NodeId(0));

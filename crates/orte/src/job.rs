@@ -10,10 +10,10 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::Sender;
 use mca::McaParams;
 use netsim::NodeId;
 use parking_lot::Mutex;
@@ -320,7 +320,7 @@ impl JobHandle {
             self.runtime.tracer().with_actor(&name.to_string()),
         );
         let daemon = self.runtime.ensure_daemon(node);
-        let (ctrl_tx, ctrl_rx) = crossbeam::channel::unbounded();
+        let (ctrl_tx, ctrl_rx) = mpsc::channel();
         daemon.register_proc(self.job, rank, Arc::clone(&container), ctrl_tx.clone());
         let notify = container.spawn_notification_thread(ctrl_rx);
 
@@ -476,7 +476,7 @@ pub fn launch(runtime: &Runtime, spec: JobSpec) -> Result<JobHandle, CrError> {
             ProcessContainer::new(name, hostname, runtime.tracer().with_actor(&name.to_string()));
 
         let daemon = runtime.ensure_daemon(node);
-        let (ctrl_tx, ctrl_rx) = crossbeam::channel::unbounded();
+        let (ctrl_tx, ctrl_rx) = mpsc::channel();
         daemon.register_proc(job, rank, Arc::clone(&container), ctrl_tx.clone());
         let notify = container.spawn_notification_thread(ctrl_rx);
 

@@ -101,16 +101,6 @@ impl Modex {
         inner.entries.retain(|(j, _), _| *j != job);
         self.cv.notify_all();
     }
-
-    /// Number of published entries (diagnostics).
-    pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    /// True when nothing is published.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -121,11 +111,10 @@ mod tests {
     #[test]
     fn publish_then_get() {
         let m = Modex::new();
-        assert!(m.is_empty());
+        assert_eq!(m.get(JobId(1), "pml.0"), None);
         m.publish(JobId(1), "pml.0", vec![1, 2]);
         assert_eq!(m.get(JobId(1), "pml.0"), Some(vec![1, 2]));
         assert_eq!(m.get(JobId(2), "pml.0"), None);
-        assert_eq!(m.len(), 1);
     }
 
     #[test]

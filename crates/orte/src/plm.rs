@@ -32,16 +32,6 @@ impl Placement {
         nodes.dedup();
         nodes
     }
-
-    /// Ranks placed on `node`, ascending.
-    pub fn ranks_on(&self, node: NodeId) -> Vec<u32> {
-        self.node_of
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| **n == node)
-            .map(|(r, _)| r as u32)
-            .collect()
-    }
 }
 
 /// A process launch component.
@@ -167,7 +157,6 @@ mod tests {
             vec![NodeId(0), NodeId(1), NodeId(2), NodeId(0), NodeId(1)]
         );
         assert_eq!(p.nodes(), vec![NodeId(0), NodeId(1), NodeId(2)]);
-        assert_eq!(p.ranks_on(NodeId(0)), vec![0, 3]);
     }
 
     #[test]

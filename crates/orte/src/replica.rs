@@ -148,18 +148,6 @@ impl ReplicaStore {
         before - entries.len()
     }
 
-    /// Drop every entry of `job` (job teardown), images and chunks alike.
-    /// Returns how many were removed.
-    pub fn expire_job(&self, job: JobId) -> usize {
-        let mut entries = self.entries.lock();
-        let before = entries.len();
-        entries.retain(|(j, _, _), _| *j != job);
-        let mut chunks = self.chunks.lock();
-        let chunks_before = chunks.len();
-        chunks.retain(|(j, _), _| *j != job);
-        (before - entries.len()) + (chunks_before - chunks.len())
-    }
-
     /// Hold one content-addressed chunk for `job` in peer memory.
     pub fn put_chunk(&self, job: JobId, id: ChunkId, bytes: Vec<u8>) {
         self.chunks.lock().insert((job, id), bytes);
@@ -178,11 +166,6 @@ impl ReplicaStore {
             .count()
     }
 
-    /// Number of chunks held for `job`.
-    pub fn chunk_count(&self, job: JobId) -> usize {
-        self.chunks.lock().keys().filter(|(j, _)| *j == job).count()
-    }
-
     /// `(interval, rank)` pairs currently held for `job`, sorted.
     pub fn inventory(&self, job: JobId) -> Vec<(u64, u32)> {
         let mut v: Vec<(u64, u32)> = self
@@ -194,21 +177,6 @@ impl ReplicaStore {
             .collect();
         v.sort_unstable();
         v
-    }
-
-    /// Number of images held.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// Whether the store holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
-    }
-
-    /// Total bytes of payload held.
-    pub fn total_bytes(&self) -> u64 {
-        self.entries.lock().values().map(|i| i.total_bytes()).sum()
     }
 }
 
@@ -548,7 +516,7 @@ mod tests {
     #[test]
     fn store_put_get_expire() {
         let store = ReplicaStore::new();
-        assert!(store.is_empty());
+        assert!(store.inventory(JobId(1)).is_empty());
         let img = |rank: u32| ReplicaImage {
             rank,
             files: vec![("ctx".into(), vec![rank as u8; 10].into())],
@@ -557,16 +525,13 @@ mod tests {
         store.put(JobId(1), 0, img(1));
         store.put(JobId(1), 1, img(0));
         store.put(JobId(2), 0, img(0));
-        assert_eq!(store.len(), 4);
-        assert_eq!(store.total_bytes(), 40);
         assert_eq!(store.get(JobId(1), 0, 1).as_deref(), Some(&img(1)));
         assert_eq!(store.get(JobId(1), 0, 9), None);
         assert_eq!(store.inventory(JobId(1)), vec![(0, 0), (0, 1), (1, 0)]);
 
         assert_eq!(store.expire_interval(JobId(1), 0), 2);
         assert_eq!(store.inventory(JobId(1)), vec![(1, 0)]);
-        assert_eq!(store.expire_job(JobId(2)), 1);
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.inventory(JobId(2)), vec![(0, 0)], "other jobs' images are untouched");
     }
 
     #[test]
@@ -576,7 +541,7 @@ mod tests {
         let b = ReplicaImage { rank: 0, files: vec![("x".into(), vec![2, 3].into())] };
         store.put(JobId(1), 0, a);
         store.put(JobId(1), 0, b.clone());
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.inventory(JobId(1)), vec![(0, 0)]);
         assert_eq!(store.get(JobId(1), 0, 0).as_deref(), Some(&b));
     }
 
@@ -588,17 +553,14 @@ mod tests {
         store.put_chunk(JobId(1), a, b"chunk a".to_vec());
         store.put_chunk(JobId(1), b, b"chunk b".to_vec());
         store.put_chunk(JobId(2), a, b"chunk a".to_vec());
-        assert_eq!(store.chunk_count(JobId(1)), 2);
         assert_eq!(store.get_chunk(JobId(1), &a), Some(b"chunk a".to_vec()));
         assert_eq!(store.get_chunk(JobId(3), &a), None);
         // Expire is per job and per id; double-expire counts zero.
         assert_eq!(store.expire_chunks(JobId(1), &[a]), 1);
         assert_eq!(store.expire_chunks(JobId(1), &[a]), 0);
-        assert_eq!(store.chunk_count(JobId(1)), 1);
+        assert_eq!(store.get_chunk(JobId(1), &a), None);
+        assert_eq!(store.get_chunk(JobId(1), &b), Some(b"chunk b".to_vec()));
         assert_eq!(store.get_chunk(JobId(2), &a), Some(b"chunk a".to_vec()));
-        // Job teardown drops images and chunks alike.
-        assert_eq!(store.expire_job(JobId(2)), 1);
-        assert_eq!(store.chunk_count(JobId(2)), 0);
     }
 
     /// A checkpoint must not bring a fenced node back: a failed ring

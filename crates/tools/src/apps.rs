@@ -114,26 +114,9 @@ pub fn launch_named(
     }
 }
 
-/// Restart whatever workload a global snapshot reference recorded.
+/// Restart whatever workload a global snapshot reference recorded, as
+/// `opts` says ([`RestartOptions`]: source tier, interval, ranks).
 pub fn restart_named(
-    runtime: &Runtime,
-    global_ref: &std::path::Path,
-    interval: Option<u64>,
-) -> Result<AnyJob, CrError> {
-    restart_named_with(
-        runtime,
-        global_ref,
-        RestartOptions {
-            interval,
-            ..RestartOptions::default()
-        },
-    )
-}
-
-/// Restart whatever workload a global snapshot reference recorded, with
-/// full control over how ([`RestartOptions`]: source tier, interval,
-/// chunk verification).
-pub fn restart_named_with(
     runtime: &Runtime,
     global_ref: &std::path::Path,
     opts: RestartOptions,
@@ -251,7 +234,7 @@ mod tests {
         rt.shutdown();
 
         let rt2 = tool_runtime(&tmp("cr_restart"), 1).unwrap();
-        let job = restart_named(&rt2, &outcome.global_snapshot, None).unwrap();
+        let job = restart_named(&rt2, &outcome.global_snapshot, RestartOptions::default()).unwrap();
         job.handle().request_terminate();
         let results = job.wait().unwrap();
         assert_eq!(results.len(), 3);

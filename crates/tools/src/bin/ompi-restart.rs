@@ -21,7 +21,7 @@
 //! (`MpiJob::restart_ranks`, driven by the recovery supervisor) — a tool
 //! invoked after the job is gone can only relaunch everything.
 
-use tools::apps::{restart_named_with, tool_runtime};
+use tools::apps::{restart_named, tool_runtime};
 use tools::ArgSpec;
 
 fn main() {
@@ -69,7 +69,7 @@ fn run() -> Result<(), String> {
         interval: if interval < 0 { None } else { Some(interval as u64) },
         ranks: None,
     };
-    let job = restart_named_with(&rt, std::path::Path::new(reference), opts)
+    let job = restart_named(&rt, std::path::Path::new(reference), opts)
         .map_err(|e| e.to_string())?;
     println!("ompi-restart: job {} resumed on {nodes} nodes", job.handle().job());
     let results = job.wait().map_err(|e| e.to_string())?;

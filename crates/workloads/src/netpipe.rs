@@ -157,14 +157,6 @@ impl PingPongPair {
     }
 }
 
-/// Run a full sweep: one sample per size.
-pub fn sweep(mode: FtMode, sizes: &[usize], reps: u32) -> Result<Vec<NetpipeSample>, MpiError> {
-    let pair = PingPongPair::new(mode);
-    // Warm up allocators and code paths.
-    pair.measure(8, reps.min(64))?;
-    sizes.iter().map(|s| pair.measure(*s, reps)).collect()
-}
-
 /// Measure every mode at every size, interleaved, discarding warm-up
 /// passes: per size, all modes are sampled back to back so allocator and
 /// scheduler warm-up costs do not bias whichever mode runs first (the

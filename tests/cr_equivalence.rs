@@ -206,7 +206,10 @@ fn multiple_checkpoints_then_restart_from_each() {
             &rt2,
             Arc::clone(&app),
             &outcome.global_snapshot,
-            RestartOptions::default().at_interval(outcome.interval),
+            RestartOptions {
+                interval: Some(outcome.interval),
+                ..RestartOptions::default()
+            },
         )
         .unwrap();
         let results = job.wait().unwrap();

@@ -120,7 +120,10 @@ fn restart_from_missing_interval_fails_loudly() {
         &rt2,
         Arc::clone(&app),
         &outcome.global_snapshot,
-        RestartOptions::default().at_interval(7),
+        RestartOptions {
+            interval: Some(7),
+            ..RestartOptions::default()
+        },
     ) {
         Err(e) => e,
         Ok(_) => panic!("restart from uncommitted interval must fail"),
