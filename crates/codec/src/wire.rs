@@ -22,7 +22,7 @@
 //! | `0x08` | `F64` | 8 bytes LE | `f64` |
 //! | `0x09` | `CHAR` | varint scalar value | `char` |
 //! | `0x0A` | `STR` | varint length, UTF-8 | `String`, `PathBuf` |
-//! | `0x0B` | `BYTES` | varint length, raw bytes | `Vec<u8>` |
+//! | `0x0B` | `BYTES` | varint length, raw bytes | `Vec<u8>`, `Bytes` |
 //! | `0x0C` | `NONE` | — | `Option` |
 //! | `0x0D` | `SOME` | value | `Option` |
 //! | `0x0E` | `SEQ` | varint count, values | `Vec<T>`, `VecDeque`, tuples |
@@ -41,6 +41,7 @@
 //! A `Vec<u8>` is one `BYTES` run — a `memcpy` each way. Every other
 //! `Vec<T>` is a `SEQ`. A `Vec<u8>` also reads the `SEQ` of tagged bytes
 //! that builds before the run existed wrote, so their snapshots restore.
+//! A [`bytes::Bytes`] is written and read exactly as a `Vec<u8>`.
 //!
 //! Decoding expects one specific type and checks everything it reads:
 //!
@@ -638,6 +639,16 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn decode(input: &mut &[u8]) -> Result<Self> {
         T::decode_vec(input)
+    }
+}
+
+/// The same bytes as a `Vec<u8>`: one run, or an old build's `SEQ`.
+impl Wire for bytes::Bytes {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        u8::encode_slice(self, out);
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self> {
+        u8::decode_vec(input).map(bytes::Bytes::from)
     }
 }
 
@@ -1275,6 +1286,21 @@ mod tests {
     fn large_byte_vectors_roundtrip() {
         let blob: Vec<u8> = (0..=255u8).cycle().take(70_000).collect();
         roundtrip(&blob);
+    }
+
+    #[test]
+    fn shared_bytes_write_and_read_what_a_byte_vector_does() {
+        let blob: Vec<u8> = (0..=255u8).cycle().take(70_000).collect();
+        let shared = bytes::Bytes::from(blob.clone()).slice(3..);
+        assert_eq!(to_bytes(&shared), to_bytes(&blob[3..].to_vec()));
+        assert_eq!(roundtrip(&shared), shared);
+        // The per-byte `SEQ` builds before the run wrote.
+        let mut old = vec![tag::SEQ];
+        varint::write_u64(&mut old, 2);
+        for b in [7u8, 9] {
+            b.encode_into(&mut old);
+        }
+        assert_eq!(from_bytes::<bytes::Bytes>(&old).unwrap(), &[7u8, 9][..]);
     }
 
     #[test]

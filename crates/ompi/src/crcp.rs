@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use mca::{Framework, McaParams};
 
 use cr_core::{CrError, FtEvent, FtEventState, Tracer};
@@ -43,7 +44,8 @@ pub trait CrcpComponent: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Interposition hook: called (with the PML state locked) before each
-    /// application message is sent.
+    /// application message is sent. `payload` views the encoded frame's
+    /// wire buffer, so keeping a clone of it copies nothing.
     #[allow(clippy::too_many_arguments)] // mirrors the PML send signature
     fn on_send(
         &self,
@@ -53,7 +55,7 @@ pub trait CrcpComponent: Send + Sync {
         _ctx: u32,
         _tag: u32,
         _seq: u64,
-        _payload: &[u8],
+        _payload: &Bytes,
     ) {
     }
 
@@ -253,7 +255,7 @@ impl CrcpComponent for CoordCrcp {
         ctx: u32,
         tag: u32,
         seq: u64,
-        payload: &[u8],
+        payload: &Bytes,
     ) {
         // The partial-restart tax: retain the payload so a survivor can
         // replay it to a restarted peer. Dropped below the quiesce mark
@@ -272,7 +274,7 @@ impl CrcpComponent for CoordCrcp {
             ctx,
             tag,
             seq,
-            payload: payload.to_vec(),
+            payload: payload.clone(),
         });
         st.msg_log_bytes += add;
     }
@@ -674,6 +676,21 @@ mod tests {
         assert!(overflow, "cap hit must be flagged");
     }
 
+    /// A logged send keeps a view of the frame it put on the wire: the
+    /// log and the receiver's frame share one buffer.
+    #[test]
+    fn msg_log_shares_the_wire_buffer() {
+        let (pml0, pml1) = pair();
+        pml0.set_crcp(Some(msg_log_coord(256)));
+        let payload = vec![0x5Au8; 100 * 1024];
+        pml0.send(0, 1, 7, &payload).unwrap();
+        let logged = pml0.with_state(|st| st.msg_log[0].payload.clone());
+        assert_eq!(logged, payload);
+        let frame = pml1.recv(0, Some(0), Some(7)).unwrap();
+        assert_eq!(frame.payload.as_ptr(), logged.as_ptr());
+        assert_eq!(pml0.msg_log_stats(), (1, payload.len() as u64, false));
+    }
+
     /// An overflow window is pinned to the quiesce that closes it: the
     /// gap blocks partial restarts from any earlier interval, and is
     /// retired once the closing interval reaches global commit (a
@@ -800,8 +817,8 @@ mod tests {
         // The rolled-back receiver re-consumes the backlog in order, then
         // fresh traffic rides the replacement endpoint.
         pml0.send(0, 1, 7, b"fresh").unwrap();
-        assert_eq!(pml1b.recv(0, Some(0), Some(7)).unwrap().payload, b"lost one");
-        assert_eq!(pml1b.recv(0, Some(0), Some(7)).unwrap().payload, b"lost two");
-        assert_eq!(pml1b.recv(0, Some(0), Some(7)).unwrap().payload, b"fresh");
+        assert_eq!(&pml1b.recv(0, Some(0), Some(7)).unwrap().payload[..], b"lost one");
+        assert_eq!(&pml1b.recv(0, Some(0), Some(7)).unwrap().payload[..], b"lost two");
+        assert_eq!(&pml1b.recv(0, Some(0), Some(7)).unwrap().payload[..], b"fresh");
     }
 }

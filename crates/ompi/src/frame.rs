@@ -12,7 +12,10 @@
 //!   traffic (bookmarks, quiesce acknowledgements, the replay handshake).
 //!   Not counted by the bookmarks themselves.
 
-use bytes::{Bytes, BytesMut};
+use std::sync::{Arc, Weak};
+
+use bytes::Bytes;
+use parking_lot::Mutex;
 
 use crate::error::MpiError;
 
@@ -23,6 +26,17 @@ pub const CLASS_CRCP: u64 = 2;
 
 /// Bytes of the application frame header.
 pub const HEADER_LEN: usize = 4 + 4 + 4 + 8;
+
+/// Smallest frame whose payload stays in its wire buffer: a [`WirePool`]
+/// encodes it into a recycled buffer and [`decode_app`] slices it. A
+/// fresh large buffer costs a page fault per page it touches, and a large
+/// copy costs more than holding the buffer. Smaller frames stay on the
+/// allocator, which already reuses small freed blocks, and their payload
+/// is copied out at decode so the sender's buffer is freed at once.
+const LARGE_FRAME: usize = 64 * 1024;
+
+/// Most bytes of buffer capacity one [`WirePool`] keeps free.
+const POOL_MAX_BYTES: usize = 32 * 1024 * 1024;
 
 /// A decoded application frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,36 +49,131 @@ pub struct AppFrame {
     pub tag: u32,
     /// Per-(src, dst) sequence number.
     pub seq: u64,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
+    /// Payload bytes, shared by every copy of the frame: a view of the
+    /// delivered wire buffer for a frame of at least 64 KiB.
+    pub payload: Bytes,
 }
 codec::wire_struct!(AppFrame { src, ctx, tag, seq, payload });
 
-/// Encode an application frame into wire bytes.
-pub fn encode_app(src: u32, ctx: u32, tag: u32, seq: u64, payload: &[u8]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());
+/// Append the header and payload of an application frame to `buf`.
+fn put_app(buf: &mut Vec<u8>, src: u32, ctx: u32, tag: u32, seq: u64, payload: &[u8]) {
     buf.extend_from_slice(&src.to_le_bytes());
     buf.extend_from_slice(&ctx.to_le_bytes());
     buf.extend_from_slice(&tag.to_le_bytes());
     buf.extend_from_slice(&seq.to_le_bytes());
     buf.extend_from_slice(payload);
-    buf.freeze()
 }
 
-/// Decode wire bytes into an application frame.
-pub fn decode_app(bytes: &[u8]) -> Result<AppFrame, MpiError> {
-    if bytes.len() < HEADER_LEN {
+/// Encode an application frame into a fresh buffer.
+pub fn encode_app(src: u32, ctx: u32, tag: u32, seq: u64, payload: &[u8]) -> Bytes {
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
+    put_app(&mut buf, src, ctx, tag, seq, payload);
+    Bytes::from(buf)
+}
+
+/// Decode a delivered wire buffer into an application frame. The payload
+/// of a large frame shares the buffer; a small one gets its own.
+pub fn decode_app(wire: &Bytes) -> Result<AppFrame, MpiError> {
+    let Some((header, rest)) = wire.split_first_chunk::<HEADER_LEN>() else {
         return Err(MpiError::PeerLost {
-            detail: format!("application frame too short: {} bytes", bytes.len()),
+            detail: format!("application frame too short: {} bytes", wire.len()),
         });
-    }
+    };
+    let [s0, s1, s2, s3, c0, c1, c2, c3, t0, t1, t2, t3, q0, q1, q2, q3, q4, q5, q6, q7] = *header;
     Ok(AppFrame {
-        src: u32::from_le_bytes(bytes[0..4].try_into().expect("4")),
-        ctx: u32::from_le_bytes(bytes[4..8].try_into().expect("4")),
-        tag: u32::from_le_bytes(bytes[8..12].try_into().expect("4")),
-        seq: u64::from_le_bytes(bytes[12..20].try_into().expect("8")),
-        payload: bytes[HEADER_LEN..].to_vec(),
+        src: u32::from_le_bytes([s0, s1, s2, s3]),
+        ctx: u32::from_le_bytes([c0, c1, c2, c3]),
+        tag: u32::from_le_bytes([t0, t1, t2, t3]),
+        seq: u64::from_le_bytes([q0, q1, q2, q3, q4, q5, q6, q7]),
+        payload: if wire.len() >= LARGE_FRAME {
+            wire.slice(HEADER_LEN..)
+        } else {
+            // Measured faster than holding the sender's small allocation
+            // until the receiver's step ends (EXPERIMENTS.md A19).
+            Bytes::copy_from_slice(rest)
+        },
     })
+}
+
+/// One process's free list of large wire buffers. A frame of at least
+/// [`LARGE_FRAME`] bytes is encoded into a buffer from the list, and
+/// the buffer returns to the list when the last view of it drops (the
+/// receiver's step log, unexpected queue or completion, or the sender's
+/// message log). The list keeps at most [`POOL_MAX_BYTES`] of capacity.
+#[derive(Default)]
+pub(crate) struct WirePool {
+    free: Arc<Mutex<FreeList>>,
+}
+
+#[derive(Default)]
+struct FreeList {
+    bufs: Vec<Vec<u8>>,
+    /// Sum of the capacities in `bufs`.
+    bytes: usize,
+}
+
+impl FreeList {
+    /// A free buffer that holds `len` bytes without growing.
+    fn take(&mut self, len: usize) -> Option<Vec<u8>> {
+        let at = self.bufs.iter().rposition(|b| b.capacity() >= len)?;
+        let buf = self.bufs.swap_remove(at);
+        self.bytes -= buf.capacity();
+        Some(buf)
+    }
+
+    /// Keep `buf`, emptied, unless that would pass the byte cap.
+    fn put(&mut self, mut buf: Vec<u8>) {
+        if self.bytes + buf.capacity() <= POOL_MAX_BYTES {
+            buf.clear();
+            self.bytes += buf.capacity();
+            self.bufs.push(buf);
+        }
+    }
+}
+
+/// A wire buffer on loan from a [`WirePool`].
+struct Pooled {
+    buf: Vec<u8>,
+    home: Weak<Mutex<FreeList>>,
+}
+
+impl AsRef<[u8]> for Pooled {
+    fn as_ref(&self) -> &[u8] {
+        &self.buf
+    }
+}
+
+impl Drop for Pooled {
+    fn drop(&mut self) {
+        if let Some(home) = self.home.upgrade() {
+            home.lock().put(std::mem::take(&mut self.buf));
+        }
+    }
+}
+
+impl WirePool {
+    /// Encode an application frame, into a recycled buffer when it is
+    /// large enough to be worth one.
+    pub(crate) fn encode_app(
+        &self,
+        src: u32,
+        ctx: u32,
+        tag: u32,
+        seq: u64,
+        payload: &[u8],
+    ) -> Bytes {
+        let len = HEADER_LEN + payload.len();
+        if len < LARGE_FRAME {
+            return encode_app(src, ctx, tag, seq, payload);
+        }
+        let recycled = self.free.lock().take(len);
+        let mut buf = recycled.unwrap_or_else(|| Vec::with_capacity(len));
+        put_app(&mut buf, src, ctx, tag, seq, payload);
+        Bytes::from_owner(Pooled {
+            buf,
+            home: Arc::downgrade(&self.free),
+        })
+    }
 }
 
 /// CRCP control messages.
@@ -140,7 +249,7 @@ mod tests {
                 ctx: 7,
                 tag: 42,
                 seq: 19,
-                payload: b"payload".to_vec(),
+                payload: Bytes::from_static(b"payload"),
             }
         );
     }
@@ -155,7 +264,8 @@ mod tests {
 
     #[test]
     fn short_frame_rejected() {
-        assert!(decode_app(&[1, 2, 3]).is_err());
+        assert!(decode_app(&Bytes::from_static(&[1, 2, 3])).is_err());
+        assert!(decode_app(&Bytes::from_static(&[0; HEADER_LEN - 1])).is_err());
     }
 
     #[test]
@@ -233,5 +343,84 @@ mod tests {
         let frame = decode_app(&encode_app(3, 7, 42, 19, b"payload")).unwrap();
         assert_eq!(codec::to_bytes(&frame), PARENT_FRAME);
         assert_eq!(codec::from_bytes::<AppFrame>(PARENT_FRAME).unwrap(), frame);
+    }
+
+    fn pooled_bytes(pool: &WirePool) -> (usize, usize) {
+        let free = pool.free.lock();
+        (free.bufs.len(), free.bytes)
+    }
+
+    #[test]
+    fn only_a_large_payload_stays_in_its_wire_buffer() {
+        let small = encode_app(0, 0, 0, 0, &[1; 64]);
+        let own = decode_app(&small).unwrap().payload;
+        assert_eq!(own, &[1u8; 64][..]);
+        assert_ne!(own.as_ptr(), small[HEADER_LEN..].as_ptr());
+        let large = encode_app(0, 0, 0, 0, &vec![2; LARGE_FRAME - HEADER_LEN]);
+        let view = decode_app(&large).unwrap().payload;
+        assert_eq!(view.as_ptr(), large[HEADER_LEN..].as_ptr());
+    }
+
+    #[test]
+    fn small_frames_are_never_pooled() {
+        let pool = WirePool::default();
+        for _ in 0..4 {
+            let wire = pool.encode_app(0, 0, 0, 0, &[7; 64]);
+            assert_eq!(decode_app(&wire).unwrap().payload, &[7u8; 64][..]);
+        }
+        let just_under = pool.encode_app(0, 0, 0, 0, &vec![1; LARGE_FRAME - HEADER_LEN - 1]);
+        drop(just_under);
+        assert_eq!(pooled_bytes(&pool), (0, 0));
+    }
+
+    #[test]
+    fn a_large_frame_returns_to_the_pool_with_its_last_view() {
+        let pool = WirePool::default();
+        let wire = pool.encode_app(1, 2, 3, 4, &vec![9; LARGE_FRAME]);
+        let payload = decode_app(&wire).unwrap().payload;
+        drop(wire);
+        assert_eq!(pooled_bytes(&pool).0, 0, "the payload view keeps it on loan");
+        let at = payload.as_ptr();
+        drop(payload);
+        assert_eq!(pooled_bytes(&pool).0, 1);
+        let again = pool.encode_app(1, 2, 3, 5, &vec![8; LARGE_FRAME]);
+        assert_eq!(decode_app(&again).unwrap().payload.as_ptr(), at);
+        assert_eq!(pooled_bytes(&pool), (0, 0));
+    }
+
+    #[test]
+    fn the_pool_never_holds_more_than_its_cap() {
+        let pool = WirePool::default();
+        let frame = 1 << 20;
+        let live: Vec<Bytes> = (0..POOL_MAX_BYTES / frame + 3)
+            .map(|i| pool.encode_app(0, 0, 0, i as u64, &vec![0; frame]))
+            .collect();
+        drop(live);
+        let (bufs, bytes) = pooled_bytes(&pool);
+        assert!(bytes <= POOL_MAX_BYTES, "{bytes} B pooled");
+        assert!(bufs > 0 && bytes + frame + HEADER_LEN > POOL_MAX_BYTES, "{bufs} buffers, {bytes} B");
+    }
+
+    #[test]
+    fn a_shorter_frame_in_a_recycled_buffer_decodes_to_its_own_payload() {
+        let pool = WirePool::default();
+        drop(pool.encode_app(0, 0, 0, 0, &vec![0xEE; 2 * LARGE_FRAME]));
+        assert_eq!(pooled_bytes(&pool).0, 1);
+        let short: Vec<u8> = (0..LARGE_FRAME).map(|i| i as u8).collect();
+        let wire = pool.encode_app(5, 6, 7, 8, &short);
+        assert_eq!(pooled_bytes(&pool).0, 0, "the larger buffer was reused");
+        assert_eq!(wire.len(), HEADER_LEN + short.len());
+        let frame = decode_app(&wire).unwrap();
+        assert_eq!((frame.src, frame.ctx, frame.tag, frame.seq), (5, 6, 7, 8));
+        assert_eq!(frame.payload, short);
+    }
+
+    /// A pool that dies before its loans frees them instead.
+    #[test]
+    fn a_loan_outlives_its_pool() {
+        let pool = WirePool::default();
+        let wire = pool.encode_app(0, 0, 0, 0, &vec![3; LARGE_FRAME]);
+        drop(pool);
+        assert_eq!(decode_app(&wire).unwrap().payload.len(), LARGE_FRAME);
     }
 }

@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use netsim::{Endpoint, EndpointId, Fabric, NetError};
 use parking_lot::{Mutex, RwLock};
 
@@ -46,7 +47,9 @@ use opal::SafePointGate;
 
 use crate::crcp::CrcpComponent;
 use crate::error::MpiError;
-use crate::frame::{decode_app, decode_crcp, encode_app, AppFrame, CrcpMsg, CLASS_APP, CLASS_CRCP};
+use crate::frame::{
+    decode_app, decode_crcp, AppFrame, CrcpMsg, WirePool, CLASS_APP, CLASS_CRCP, HEADER_LEN,
+};
 
 /// How long a blocking operation waits on the wire before re-checking the
 /// safe-point gate.
@@ -77,8 +80,8 @@ pub struct LoggedSend {
     pub tag: u32,
     /// Sequence number of the send.
     pub seq: u64,
-    /// Payload.
-    pub payload: Vec<u8>,
+    /// Payload: a view of the frame's wire buffer.
+    pub payload: Bytes,
 }
 codec::wire_struct!(LoggedSend { dst, ctx, tag, seq, payload });
 
@@ -312,6 +315,8 @@ pub struct PmlShared {
     gate: Arc<SafePointGate>,
     tracer: Tracer,
     state: Mutex<PmlState>,
+    /// Recycled wire buffers for this rank's large frames.
+    wire: WirePool,
     crcp: RwLock<Option<Arc<dyn CrcpComponent>>>,
     /// Job-wide cooperative termination flag. Blocked operations observe
     /// it and unwind with [`MpiError::Terminating`] — without this, a rank
@@ -343,6 +348,7 @@ impl PmlShared {
             gate,
             tracer,
             state: Mutex::new(PmlState::new(nprocs)),
+            wire: WirePool::default(),
             crcp: RwLock::new(None),
             terminate: RwLock::new(None),
         })
@@ -522,7 +528,9 @@ impl PmlShared {
     /// Resend a logged application frame verbatim (partial-restart
     /// replay). Bypasses counters: the original send was already counted.
     fn resend_logged(&self, logged: &LoggedSend) -> Result<(), MpiError> {
-        let wire = encode_app(self.me, logged.ctx, logged.tag, logged.seq, &logged.payload);
+        let wire = self
+            .wire
+            .encode_app(self.me, logged.ctx, logged.tag, logged.seq, &logged.payload);
         self.fabric
             .send(self.endpoint.id(), self.peer(logged.dst), CLASS_APP, wire)
             .map_err(|e| MpiError::PeerLost {
@@ -569,12 +577,12 @@ impl PmlShared {
         let crcp = self.crcp();
         let mut st = self.state.lock();
         let seq = st.sent_counts[dst as usize];
+        let wire = self.wire.encode_app(self.me, ctx, tag, seq, payload);
         let logged_before = st.msg_log.len();
         if let Some(c) = &crcp {
-            c.on_send(&mut st, self.me, dst, ctx, tag, seq, payload);
+            c.on_send(&mut st, self.me, dst, ctx, tag, seq, &wire.slice(HEADER_LEN..));
         }
         let in_msg_log = st.msg_log.len() > logged_before;
-        let wire = encode_app(self.me, ctx, tag, seq, payload);
         match self.fabric.send(self.endpoint.id(), self.peer(dst), CLASS_APP, wire) {
             Ok(_) => {}
             Err(NetError::Unreachable { .. }) if in_msg_log => {
@@ -631,6 +639,7 @@ impl PmlShared {
                 }
                 self.pump_locked(&mut st)?;
                 if let Some(frame) = st.match_unmatched(ctx, src, tag) {
+                    // The record shares the frame's wire buffer.
                     st.step_log.push(OpRecord::Recv {
                         ctx,
                         src,
@@ -685,10 +694,10 @@ impl PmlShared {
         let crcp = self.crcp();
         let mut st = self.state.lock();
         let seq = st.sent_counts[dst as usize];
+        let wire = self.wire.encode_app(self.me, ctx, tag, seq, payload);
         if let Some(c) = &crcp {
-            c.on_send(&mut st, self.me, dst, ctx, tag, seq, payload);
+            c.on_send(&mut st, self.me, dst, ctx, tag, seq, &wire.slice(HEADER_LEN..));
         }
-        let wire = encode_app(self.me, ctx, tag, seq, payload);
         self.fabric
             .send(self.endpoint.id(), self.peer(dst), CLASS_APP, wire)
             .map_err(|e| MpiError::PeerLost {

@@ -35,7 +35,7 @@ fn send_recv_basic() {
     let pmls = mesh(2);
     pmls[0].send(0, 1, 5, b"hello").unwrap();
     let frame = pmls[1].recv(0, Some(0), Some(5)).unwrap();
-    assert_eq!(frame.payload, b"hello");
+    assert_eq!(&frame.payload[..], b"hello");
     assert_eq!(frame.src, 0);
     assert_eq!(frame.tag, 5);
     assert_eq!(pmls[0].with_state(|st| st.sent_counts[1]), 1);
@@ -57,7 +57,7 @@ fn tag_and_source_filtering() {
     assert_eq!(got, vec![b"from0tag2".to_vec(), b"from1tag2".to_vec()]);
     // Source-filtered any-tag.
     let c = pmls[2].recv(0, Some(0), None).unwrap();
-    assert_eq!(c.payload, b"from0tag1");
+    assert_eq!(&c.payload[..], b"from0tag1");
 }
 
 #[test]
@@ -66,9 +66,9 @@ fn context_isolation() {
     pmls[0].send(7, 1, 1, b"ctx7").unwrap();
     pmls[0].send(9, 1, 1, b"ctx9").unwrap();
     let frame = pmls[1].recv(9, Some(0), Some(1)).unwrap();
-    assert_eq!(frame.payload, b"ctx9");
+    assert_eq!(&frame.payload[..], b"ctx9");
     let frame = pmls[1].recv(7, Some(0), Some(1)).unwrap();
-    assert_eq!(frame.payload, b"ctx7");
+    assert_eq!(&frame.payload[..], b"ctx7");
 }
 
 #[test]
@@ -79,7 +79,7 @@ fn per_pair_fifo_order() {
     }
     for i in 0..100u32 {
         let frame = pmls[1].recv(0, Some(0), Some(9)).unwrap();
-        assert_eq!(frame.payload, i.to_le_bytes());
+        assert_eq!(&frame.payload[..], i.to_le_bytes());
     }
 }
 
@@ -88,7 +88,7 @@ fn self_send() {
     let pmls = mesh(1);
     pmls[0].send(0, 0, 3, b"to myself").unwrap();
     let frame = pmls[0].recv(0, Some(0), Some(3)).unwrap();
-    assert_eq!(frame.payload, b"to myself");
+    assert_eq!(&frame.payload[..], b"to myself");
 }
 
 #[test]
@@ -98,7 +98,7 @@ fn blocking_recv_across_threads() {
     let t = std::thread::spawn(move || receiver.recv(0, Some(0), Some(1)).unwrap());
     std::thread::sleep(Duration::from_millis(20));
     pmls[0].send(0, 1, 1, b"late").unwrap();
-    assert_eq!(t.join().unwrap().payload, b"late");
+    assert_eq!(&t.join().unwrap().payload[..], b"late");
 }
 
 #[test]
@@ -110,7 +110,7 @@ fn nonblocking_requests() {
     let s = pmls[0].isend(0, 1, 4, b"async").unwrap();
     assert_eq!(pmls[0].wait(s).unwrap(), None); // send request
     let frame = pmls[1].wait(r).unwrap().expect("recv request has payload");
-    assert_eq!(frame.payload, b"async");
+    assert_eq!(&frame.payload[..], b"async");
     // Waiting on an unknown request errors.
     assert!(pmls[1].wait(9999).is_err());
 }
@@ -125,8 +125,46 @@ fn posted_receives_match_before_unexpected_queue() {
     // second.
     let blocking = pmls[1].recv(0, Some(0), Some(1)).unwrap();
     let posted = pmls[1].wait(r).unwrap().unwrap();
-    assert_eq!(posted.payload, b"first");
-    assert_eq!(blocking.payload, b"second");
+    assert_eq!(&posted.payload[..], b"first");
+    assert_eq!(&blocking.payload[..], b"second");
+}
+
+/// A received frame is a view of the delivered wire buffer, and the op
+/// log's record of the receive shares it instead of copying it.
+#[test]
+fn recv_record_shares_the_returned_payload() {
+    use ompi::pml::OpRecord;
+    let pmls = mesh(2);
+    for size in [64, 1 << 20] {
+        pmls[0].send(0, 1, 1, &vec![5u8; size]).unwrap();
+        let frame = pmls[1].recv(0, Some(0), Some(1)).unwrap();
+        assert_eq!(frame.payload.len(), size);
+        let recorded = pmls[1].with_state(|st| match st.step_log.last() {
+            Some(OpRecord::Recv { frame, .. }) => frame.payload.as_ptr(),
+            other => panic!("expected a Recv record, got {other:?}"),
+        });
+        assert_eq!(frame.payload.as_ptr(), recorded, "{size} B");
+        pmls[1].begin_step();
+    }
+}
+
+/// Once the receiver's step boundary drops the last view of a large
+/// frame, the sender's next large frame is encoded into the same buffer.
+#[test]
+fn large_wire_buffers_are_recycled_after_the_receiver_lets_go() {
+    let pmls = mesh(2);
+    let payload = vec![0x3Cu8; 1 << 20];
+    let mut seen = Vec::new();
+    for _ in 0..4 {
+        pmls[0].send(0, 1, 1, &payload).unwrap();
+        let frame = pmls[1].recv(0, Some(0), Some(1)).unwrap();
+        assert_eq!(frame.payload, payload);
+        seen.push(frame.payload.as_ptr());
+        drop(frame);
+        pmls[1].begin_step();
+        pmls[0].begin_step();
+    }
+    assert!(seen.iter().all(|&at| at == seen[0]), "{seen:?}");
 }
 
 /// The two payload-carrying types of the "pml" image section encode to
@@ -163,6 +201,96 @@ fn pml_section_carries_payloads_as_raw_runs() {
     assert_eq!(restored[1].recv(0, Some(0), Some(9)).unwrap().payload, payload);
 }
 
+/// The "pml" sections of a sender with a message log and of a receiver
+/// with an unexpected frame, a completed receive request and a recorded
+/// receive, as the build before payloads shared the wire buffer wrote
+/// them for the same operations.
+#[rustfmt::skip]
+const PARENT_SENDER_SECTION: &[u8] = &[
+    0x10, 0x0b, 0x09, 0x75, 0x6e, 0x6d, 0x61, 0x74, 0x63, 0x68, 0x65, 0x64, 0x0e,
+    0x00, 0x06, 0x70, 0x6f, 0x73, 0x74, 0x65, 0x64, 0x0e, 0x00, 0x09, 0x63, 0x6f,
+    0x6d, 0x70, 0x6c, 0x65, 0x74, 0x65, 0x64, 0x0f, 0x01, 0x04, 0x00, 0x0c, 0x0b,
+    0x73, 0x65, 0x6e, 0x74, 0x5f, 0x63, 0x6f, 0x75, 0x6e, 0x74, 0x73, 0x0e, 0x02,
+    0x04, 0x00, 0x04, 0x03, 0x0b, 0x72, 0x65, 0x63, 0x76, 0x5f, 0x63, 0x6f, 0x75,
+    0x6e, 0x74, 0x73, 0x0e, 0x02, 0x04, 0x00, 0x04, 0x00, 0x08, 0x6e, 0x65, 0x78,
+    0x74, 0x5f, 0x72, 0x65, 0x71, 0x04, 0x01, 0x08, 0x73, 0x74, 0x65, 0x70, 0x5f,
+    0x6c, 0x6f, 0x67, 0x0e, 0x03, 0x14, 0x04, 0x53, 0x65, 0x6e, 0x64, 0x04, 0x03,
+    0x64, 0x73, 0x74, 0x04, 0x01, 0x03, 0x63, 0x74, 0x78, 0x04, 0x00, 0x03, 0x74,
+    0x61, 0x67, 0x04, 0x03, 0x03, 0x6c, 0x65, 0x6e, 0x04, 0x03, 0x14, 0x04, 0x53,
+    0x65, 0x6e, 0x64, 0x04, 0x03, 0x64, 0x73, 0x74, 0x04, 0x01, 0x03, 0x63, 0x74,
+    0x78, 0x04, 0x00, 0x03, 0x74, 0x61, 0x67, 0x04, 0x04, 0x03, 0x6c, 0x65, 0x6e,
+    0x04, 0x03, 0x14, 0x05, 0x49, 0x73, 0x65, 0x6e, 0x64, 0x05, 0x03, 0x72, 0x65,
+    0x71, 0x04, 0x00, 0x03, 0x64, 0x73, 0x74, 0x04, 0x01, 0x03, 0x63, 0x74, 0x78,
+    0x04, 0x00, 0x03, 0x74, 0x61, 0x67, 0x04, 0x05, 0x03, 0x6c, 0x65, 0x6e, 0x04,
+    0x05, 0x07, 0x6d, 0x73, 0x67, 0x5f, 0x6c, 0x6f, 0x67, 0x0e, 0x03, 0x10, 0x05,
+    0x03, 0x64, 0x73, 0x74, 0x04, 0x01, 0x03, 0x63, 0x74, 0x78, 0x04, 0x00, 0x03,
+    0x74, 0x61, 0x67, 0x04, 0x03, 0x03, 0x73, 0x65, 0x71, 0x04, 0x00, 0x07, 0x70,
+    0x61, 0x79, 0x6c, 0x6f, 0x61, 0x64, 0x0b, 0x03, 0x6f, 0x6e, 0x65, 0x10, 0x05,
+    0x03, 0x64, 0x73, 0x74, 0x04, 0x01, 0x03, 0x63, 0x74, 0x78, 0x04, 0x00, 0x03,
+    0x74, 0x61, 0x67, 0x04, 0x04, 0x03, 0x73, 0x65, 0x71, 0x04, 0x01, 0x07, 0x70,
+    0x61, 0x79, 0x6c, 0x6f, 0x61, 0x64, 0x0b, 0x03, 0x74, 0x77, 0x6f, 0x10, 0x05,
+    0x03, 0x64, 0x73, 0x74, 0x04, 0x01, 0x03, 0x63, 0x74, 0x78, 0x04, 0x00, 0x03,
+    0x74, 0x61, 0x67, 0x04, 0x05, 0x03, 0x73, 0x65, 0x71, 0x04, 0x02, 0x07, 0x70,
+    0x61, 0x79, 0x6c, 0x6f, 0x61, 0x64, 0x0b, 0x05, 0x74, 0x68, 0x72, 0x65, 0x65,
+    0x0d, 0x6d, 0x73, 0x67, 0x5f, 0x6c, 0x6f, 0x67, 0x5f, 0x62, 0x79, 0x74, 0x65,
+    0x73, 0x04, 0x0b, 0x10, 0x6d, 0x73, 0x67, 0x5f, 0x6c, 0x6f, 0x67, 0x5f, 0x6f,
+    0x76, 0x65, 0x72, 0x66, 0x6c, 0x6f, 0x77, 0x01, 0x0a, 0x63, 0x72, 0x63, 0x70,
+    0x5f, 0x69, 0x6e, 0x62, 0x6f, 0x78, 0x0e, 0x00,
+];
+#[rustfmt::skip]
+const PARENT_RECEIVER_SECTION: &[u8] = &[
+    0x10, 0x0b, 0x09, 0x75, 0x6e, 0x6d, 0x61, 0x74, 0x63, 0x68, 0x65, 0x64, 0x0e,
+    0x01, 0x10, 0x05, 0x03, 0x73, 0x72, 0x63, 0x04, 0x00, 0x03, 0x63, 0x74, 0x78,
+    0x04, 0x00, 0x03, 0x74, 0x61, 0x67, 0x04, 0x04, 0x03, 0x73, 0x65, 0x71, 0x04,
+    0x01, 0x07, 0x70, 0x61, 0x79, 0x6c, 0x6f, 0x61, 0x64, 0x0b, 0x03, 0x74, 0x77,
+    0x6f, 0x06, 0x70, 0x6f, 0x73, 0x74, 0x65, 0x64, 0x0e, 0x00, 0x09, 0x63, 0x6f,
+    0x6d, 0x70, 0x6c, 0x65, 0x74, 0x65, 0x64, 0x0f, 0x01, 0x04, 0x00, 0x0d, 0x10,
+    0x05, 0x03, 0x73, 0x72, 0x63, 0x04, 0x00, 0x03, 0x63, 0x74, 0x78, 0x04, 0x00,
+    0x03, 0x74, 0x61, 0x67, 0x04, 0x05, 0x03, 0x73, 0x65, 0x71, 0x04, 0x02, 0x07,
+    0x70, 0x61, 0x79, 0x6c, 0x6f, 0x61, 0x64, 0x0b, 0x05, 0x74, 0x68, 0x72, 0x65,
+    0x65, 0x0b, 0x73, 0x65, 0x6e, 0x74, 0x5f, 0x63, 0x6f, 0x75, 0x6e, 0x74, 0x73,
+    0x0e, 0x02, 0x04, 0x00, 0x04, 0x00, 0x0b, 0x72, 0x65, 0x63, 0x76, 0x5f, 0x63,
+    0x6f, 0x75, 0x6e, 0x74, 0x73, 0x0e, 0x02, 0x04, 0x03, 0x04, 0x00, 0x08, 0x6e,
+    0x65, 0x78, 0x74, 0x5f, 0x72, 0x65, 0x71, 0x04, 0x01, 0x08, 0x73, 0x74, 0x65,
+    0x70, 0x5f, 0x6c, 0x6f, 0x67, 0x0e, 0x02, 0x14, 0x05, 0x49, 0x72, 0x65, 0x63,
+    0x76, 0x04, 0x03, 0x72, 0x65, 0x71, 0x04, 0x00, 0x03, 0x63, 0x74, 0x78, 0x04,
+    0x00, 0x03, 0x73, 0x72, 0x63, 0x0d, 0x04, 0x00, 0x03, 0x74, 0x61, 0x67, 0x0d,
+    0x04, 0x05, 0x14, 0x04, 0x52, 0x65, 0x63, 0x76, 0x04, 0x03, 0x63, 0x74, 0x78,
+    0x04, 0x00, 0x03, 0x73, 0x72, 0x63, 0x0d, 0x04, 0x00, 0x03, 0x74, 0x61, 0x67,
+    0x0d, 0x04, 0x03, 0x05, 0x66, 0x72, 0x61, 0x6d, 0x65, 0x10, 0x05, 0x03, 0x73,
+    0x72, 0x63, 0x04, 0x00, 0x03, 0x63, 0x74, 0x78, 0x04, 0x00, 0x03, 0x74, 0x61,
+    0x67, 0x04, 0x03, 0x03, 0x73, 0x65, 0x71, 0x04, 0x00, 0x07, 0x70, 0x61, 0x79,
+    0x6c, 0x6f, 0x61, 0x64, 0x0b, 0x03, 0x6f, 0x6e, 0x65, 0x07, 0x6d, 0x73, 0x67,
+    0x5f, 0x6c, 0x6f, 0x67, 0x0e, 0x00, 0x0d, 0x6d, 0x73, 0x67, 0x5f, 0x6c, 0x6f,
+    0x67, 0x5f, 0x62, 0x79, 0x74, 0x65, 0x73, 0x04, 0x00, 0x10, 0x6d, 0x73, 0x67,
+    0x5f, 0x6c, 0x6f, 0x67, 0x5f, 0x6f, 0x76, 0x65, 0x72, 0x66, 0x6c, 0x6f, 0x77,
+    0x01, 0x0a, 0x63, 0x72, 0x63, 0x70, 0x5f, 0x69, 0x6e, 0x62, 0x6f, 0x78, 0x0e,
+    0x00,
+];
+
+#[test]
+fn pml_sections_of_shared_payloads_keep_their_parent_bytes() {
+    let pmls = mesh(2);
+    let params = mca::McaParams::new();
+    params.set("crcp_msg_log_enabled", "true");
+    pmls[0].set_crcp(Some(Arc::new(CoordCrcp::from_params(Tracer::new(), &params))));
+    pmls[0].send(0, 1, 3, b"one").unwrap();
+    pmls[0].send(0, 1, 4, b"two").unwrap();
+    let posted = pmls[1].irecv(0, Some(0), Some(5)).unwrap();
+    pmls[0].isend(0, 1, 5, b"three").unwrap();
+    assert_eq!(&pmls[1].recv(0, Some(0), Some(3)).unwrap().payload[..], b"one");
+    for (pml, parent) in pmls.iter().zip([PARENT_SENDER_SECTION, PARENT_RECEIVER_SECTION]) {
+        assert_eq!(pml.capture().unwrap(), parent);
+        let restored = mesh(2);
+        restored[pml.me() as usize].restore(parent).unwrap();
+        assert_eq!(restored[pml.me() as usize].capture().unwrap(), parent);
+    }
+    let restored = mesh(2);
+    restored[1].restore(PARENT_RECEIVER_SECTION).unwrap();
+    assert_eq!(&restored[1].wait(posted).unwrap().unwrap().payload[..], b"three");
+    assert_eq!(&restored[1].recv(0, Some(0), Some(4)).unwrap().payload[..], b"two");
+}
+
 #[test]
 fn capture_restore_preserves_unmatched_and_counts() {
     let pmls = mesh(2);
@@ -170,7 +298,7 @@ fn capture_restore_preserves_unmatched_and_counts() {
     pmls[0].send(0, 1, 2, b"two").unwrap();
     // Receive only the tag-2 message; tag-1 stays unmatched after a pump.
     let f = pmls[1].recv(0, Some(0), Some(2)).unwrap();
-    assert_eq!(f.payload, b"two");
+    assert_eq!(&f.payload[..], b"two");
 
     let section = pmls[1].capture().unwrap();
 
@@ -180,7 +308,7 @@ fn capture_restore_preserves_unmatched_and_counts() {
     assert_eq!(pmls2[1].with_state(|st| st.recv_counts[0]), 2);
     // The unmatched tag-1 message survives into the new incarnation.
     let f = pmls2[1].recv(0, Some(0), Some(1)).unwrap();
-    assert_eq!(f.payload, b"one");
+    assert_eq!(&f.payload[..], b"one");
 }
 
 #[test]
@@ -205,7 +333,7 @@ fn step_replay_skips_sends_and_replays_recvs() {
     let ping = pmls[1].recv(0, Some(0), Some(1)).unwrap();
     pmls[1].send(0, 0, 2, &ping.payload).unwrap();
     let echo = pmls[0].wait(echo_req).unwrap().unwrap();
-    assert_eq!(echo.payload, b"ping");
+    assert_eq!(&echo.payload[..], b"ping");
 
     // Checkpoint both mid-step.
     let s0 = pmls[0].capture().unwrap();
@@ -223,11 +351,11 @@ fn step_replay_skips_sends_and_replays_recvs() {
     pmls2[0].send(0, 1, 1, b"ping").unwrap();
     let echo_req = pmls2[0].irecv(0, Some(1), Some(2)).unwrap();
     let echo = pmls2[0].wait(echo_req).unwrap().unwrap();
-    assert_eq!(echo.payload, b"ping");
+    assert_eq!(&echo.payload[..], b"ping");
     assert!(!pmls2[0].is_replaying());
     // Re-execute rank 1's step.
     let ping = pmls2[1].recv(0, Some(0), Some(1)).unwrap();
-    assert_eq!(ping.payload, b"ping");
+    assert_eq!(&ping.payload[..], b"ping");
     pmls2[1].send(0, 0, 2, &ping.payload).unwrap();
     // No duplicate traffic: counters unchanged from the captured values.
     assert_eq!(pmls2[0].with_state(|st| st.sent_counts[1]), 1);
@@ -277,10 +405,10 @@ fn coord_bookmark_exchange_drains_in_flight() {
     assert_eq!(pmls[1].with_state(|st| st.recv_counts[2]), 1);
     assert_eq!(pmls[2].with_state(|st| st.recv_counts[1]), 1);
     // And the drained messages are consumable.
-    assert_eq!(pmls[1].recv(0, Some(0), Some(1)).unwrap().payload, b"a");
-    assert_eq!(pmls[1].recv(0, Some(0), Some(1)).unwrap().payload, b"b");
-    assert_eq!(pmls[1].recv(0, Some(2), Some(1)).unwrap().payload, b"c");
-    assert_eq!(pmls[2].recv(0, Some(1), Some(1)).unwrap().payload, b"d");
+    assert_eq!(&pmls[1].recv(0, Some(0), Some(1)).unwrap().payload[..], b"a");
+    assert_eq!(&pmls[1].recv(0, Some(0), Some(1)).unwrap().payload[..], b"b");
+    assert_eq!(&pmls[1].recv(0, Some(2), Some(1)).unwrap().payload[..], b"c");
+    assert_eq!(&pmls[2].recv(0, Some(1), Some(1)).unwrap().payload[..], b"d");
 }
 
 /// `capture()` of a rank-0 `pml` section as the build that kept a second,
@@ -317,10 +445,10 @@ fn pml_section_from_before_the_single_log_still_restores() {
         assert_eq!(st.next_req, 3);
         assert_eq!(st.unmatched.len(), 1);
         assert_eq!((st.unmatched[0].src, st.unmatched[0].tag), (1, 7));
-        assert_eq!(st.unmatched[0].payload, b"hi");
+        assert_eq!(&st.unmatched[0].payload[..], b"hi");
         assert_eq!(st.msg_log.len(), 1, "only msg_log's entry is kept");
         assert_eq!((st.msg_log[0].dst, st.msg_log[0].seq), (1, 1));
-        assert_eq!(st.msg_log[0].payload, b"log");
+        assert_eq!(&st.msg_log[0].payload[..], b"log");
         assert_eq!(st.msg_log_bytes, 3);
         st.msg_log.clone()
     });
@@ -336,7 +464,7 @@ fn none_component_is_pure_passthrough() {
     pmls[0].set_crcp(Some(Arc::new(NoneCrcp)));
     pmls[1].set_crcp(Some(Arc::new(NoneCrcp)));
     pmls[0].send(0, 1, 1, b"x").unwrap();
-    assert_eq!(pmls[1].recv(0, Some(0), Some(1)).unwrap().payload, b"x");
+    assert_eq!(&pmls[1].recv(0, Some(0), Some(1)).unwrap().payload[..], b"x");
     // No logging tax.
     assert_eq!(pmls[0].with_state(|st| st.msg_log.len()), 0);
     pmls[0].crcp().unwrap().coordinate(&pmls[0]).unwrap();

@@ -134,6 +134,14 @@ if compgen -G 'shims/serde*' > /dev/null; then
   echo "shims/serde* is back; the wire format is codec::Wire" >&2
   exit 1
 fi
+# One copy per large message: a large frame's payload and every message-log
+# entry are views of the wire buffer, so the non-test code of the frame
+# codec and of the CRCP never copies a payload into a Vec.
+for f in crates/ompi/src/frame.rs crates/ompi/src/crcp.rs; do
+  if awk -v f="$f" '/^#\[cfg\(test\)\]/ {exit} {print f":"FNR": "$0}' "$f" | grep -F 'to_vec()'; then
+    exit 1
+  fi
+done
 # One channel, std's: endpoints and reply slots are std::sync::mpsc, and
 # the fabric counts two job-wide totals and nothing per endpoint.
 if grep -rnE 'crossbeam|EndpointStats|note_received|reset_stats' crates src tests examples \
