@@ -798,7 +798,9 @@ macro_rules! wire_struct {
 /// definition: `Unit`, `Newtype(x)`, `Tuple(a, b)` and `Struct { f, g }`
 /// (the names inside `(..)` only bind the values). Every variant is
 /// written by name; the match over `self` makes a missing variant a
-/// compile error.
+/// compile error. A struct variant's field may be marked `#[default]`, as
+/// in [`wire_struct!`]: bytes written before the field existed decode
+/// with its `Default`.
 ///
 /// ```
 /// #[derive(Debug, PartialEq)]
@@ -810,7 +812,8 @@ macro_rules! wire_struct {
 /// ```
 #[macro_export]
 macro_rules! wire_enum {
-    ($name:ident { $( $variant:ident $( ( $( $elem:ident ),* ) )? $( { $( $field:ident ),* $(,)? } )? ),* $(,)? }) => {
+    ($name:ident { $( $variant:ident $( ( $( $elem:ident ),* ) )?
+        $( { $( $(#[$default:ident])? $field:ident ),* $(,)? } )? ),* $(,)? }) => {
         impl $crate::Wire for $name {
             fn encode_into(&self, out: &mut ::std::vec::Vec<u8>) {
                 match self {
@@ -823,7 +826,8 @@ macro_rules! wire_enum {
                 let (kind, name) = $crate::wire::take_variant(input)?;
                 match name {
                     $( stringify!($variant) => $crate::__wire_decode_variant!(
-                        input, kind, $name :: $variant $( ( $( $elem ),* ) )? $( { $( $field ),* } )?
+                        input, kind, $name :: $variant $( ( $( $elem ),* ) )?
+                        $( { $( $(#[$default])? $field ),* } )?
                     ), )*
                     other => ::std::result::Result::Err($crate::Error::UnknownVariant {
                         name: other.to_string(),
@@ -906,10 +910,12 @@ macro_rules! __wire_decode_variant {
             $elem
         } ),*))
     }};
-    ($input:ident, $kind:ident, $name:ident :: $variant:ident { $( $field:ident ),* }) => {{
+    ($input:ident, $kind:ident, $name:ident :: $variant:ident
+     { $( $(#[$default:ident])? $field:ident ),* }) => {{
         let count =
             $crate::wire::variant_shape($input, $kind, $crate::wire::tag::STRUCT_VARIANT, None)?;
-        $crate::__wire_fields!($input, count, $name :: $variant { $( $field ),* } skip {})
+        $crate::__wire_fields!($input, count, $name :: $variant { $( $(#[$default])? $field ),* }
+            skip {})
     }};
 }
 
@@ -1134,6 +1140,23 @@ mod tests {
         let bytes = to_bytes(&Old { rank: 1 });
         let new: New = from_bytes(&bytes).unwrap();
         assert_eq!(new, New { rank: 1, retries: 0 });
+    }
+
+    #[test]
+    fn default_variant_fields_fill_in() {
+        enum Old {
+            Mark { from: u32 },
+        }
+        crate::wire_enum!(Old { Mark { from } });
+        #[derive(Debug, PartialEq)]
+        enum New {
+            Mark { from: u32, epoch: u64 },
+        }
+        crate::wire_enum!(New { Mark { from, #[default] epoch } });
+        let new: New = from_bytes(&to_bytes(&Old::Mark { from: 3 })).unwrap();
+        assert_eq!(new, New::Mark { from: 3, epoch: 0 });
+        let back: New = from_bytes(&to_bytes(&New::Mark { from: 3, epoch: 7 })).unwrap();
+        assert_eq!(back, New::Mark { from: 3, epoch: 7 });
     }
 
     #[test]

@@ -90,16 +90,20 @@ pub const KNOWN_TRACE_EVENTS: &[TraceEventDef] = &[
         help: "durable FT event journal opened (all later records are chained into it)",
     },
     TraceEventDef {
+        phase: "ompi.crcp.aborted",
+        help: "rank's coordination round ended without a cut (a peer refused, aborted or died, a bookmark overran, or this rank refused the order)",
+    },
+    TraceEventDef {
         phase: "ompi.crcp.coordinate",
         help: "CRCP coordination (bookmark exchange + drain) started",
     },
     TraceEventDef {
         phase: "ompi.crcp.quiesced",
-        help: "rank verified its drain and announced Quiesced",
+        help: "rank left coordination: its drain verified and every peer's Quiesced arrived (the exit barrier)",
     },
     TraceEventDef {
         phase: "ompi.crcp.resume",
-        help: "rank left coordination after the Quiesced exit barrier",
+        help: "CRCP handled the post-checkpoint state (continue, restart or error)",
     },
     TraceEventDef {
         phase: "ompi.init.restart",

@@ -1,13 +1,15 @@
-//! cr-model: a dependency-free explicit-state model checker for the
-//! checkpoint/restart protocols, in the style of `cr-lint`.
+//! cr-model: an explicit-state model checker for the checkpoint/restart
+//! protocols, in the style of `cr-lint`.
 //!
-//! The crate ships four small hand-written transition models mirroring
-//! the production state machines, checked exhaustively by BFS:
+//! The crate ships small transition models, checked exhaustively by BFS.
+//! `quiesce` is a harness around the shipped `ompi::crcp::round::Round`;
+//! the others are hand-written models mirroring production state
+//! machines:
 //!
 //! | model     | mirrors                                   | invariant |
 //! |-----------|-------------------------------------------|-----------|
 //! | `commit`  | `orte::snapc` early-release commit lattice | restart only observes `GlobalCommitted`; promotion monotone |
-//! | `quiesce` | `ompi::crcp` bookmark/quiesce barrier      | no cross-round frame in an earlier round's drain |
+//! | `quiesce` | runs `ompi::crcp::round::Round` itself     | no cross-round frame or overrun in a clean epoch's drain; no message counted in another epoch; no survivor stuck in a round |
 //! | `replica` | `orte::replica` ring placement             | committed images stay fetchable under `k` losses |
 //! | `gc`      | `opal::store` refcount GC at retirement    | no live-manifest chunk is ever swept; refcounts match manifests |
 //! | `partial` | `ompi::crcp` partial-restart replay        | survivors never regress past global commit; every logged gap replayed exactly once |
@@ -36,7 +38,8 @@ pub const MODEL_NAMES: &[&str] = &["commit", "quiesce", "replica", "gc", "partia
 /// `bounds`.  Returns `None` for an unknown model or mutation name.
 ///
 /// Mutations: `commit` accepts `promote_before_gather` and
-/// `allow_regress`; `quiesce` accepts `skip_barrier`; `replica` accepts
+/// `allow_regress`; `quiesce` accepts `skip_barrier`, `drop_epoch` and
+/// `ignore_peer_down`; `replica` accepts
 /// `under_replicate`; `gc` accepts `sweep_before_decrement`; `partial`
 /// accepts `skip_replay`.
 pub fn run_model(name: &str, mutation: Option<&str>, bounds: &Bounds) -> Option<CheckReport> {
@@ -51,9 +54,18 @@ pub fn run_model(name: &str, mutation: Option<&str>, bounds: &Bounds) -> Option<
             bounds,
         )),
         ("quiesce", None) => Some(check(&quiesce::QuiesceModel::default(), bounds)),
-        ("quiesce", Some("skip_barrier")) => {
-            Some(check(&quiesce::QuiesceModel { skip_barrier: true }, bounds))
-        }
+        ("quiesce", Some("skip_barrier")) => Some(check(
+            &quiesce::QuiesceModel { skip_barrier: true, ..Default::default() },
+            bounds,
+        )),
+        ("quiesce", Some("drop_epoch")) => Some(check(
+            &quiesce::QuiesceModel { drop_epoch: true, ..Default::default() },
+            bounds,
+        )),
+        ("quiesce", Some("ignore_peer_down")) => Some(check(
+            &quiesce::QuiesceModel { ignore_peer_down: true, ..Default::default() },
+            bounds,
+        )),
         ("replica", None) => Some(check(&replica::ReplicaModel::default(), bounds)),
         ("replica", Some("under_replicate")) => Some(check(
             &replica::ReplicaModel { under_replicate: true, ..Default::default() },

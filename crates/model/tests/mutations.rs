@@ -63,17 +63,45 @@ fn commit_regression_violates_monotonicity() {
 fn deleting_quiesced_barrier_rediscovers_bookmark_overrun() {
     // The PR 1/PR 3 bug: without the Quiesced exit barrier a fast rank
     // resumes and its round-1 frame lands in the slow peer's round-0
-    // drain.  Expected minimal trace (8 steps): both ranks notify and
-    // exchange bookmarks, rank 0 finishes its drain, exits early, sends
-    // a round-1 frame, and rank 1 ingests it mid-drain.
-    let report = check(&QuiesceModel { skip_barrier: true }, &Bounds::exhaustive());
+    // drain.  Expected minimal trace (7 steps): both ranks notify, rank
+    // 0 receives rank 1's bookmark and finishes its drain, exits early,
+    // sends a round-1 frame, and rank 1 ingests it before rank 0's
+    // bookmark reaches it.
+    let m = QuiesceModel { skip_barrier: true, ..Default::default() };
+    let report = check(&m, &Bounds::exhaustive());
     let cx = report.violation.expect("barrier-free quiesce model must fail");
-    assert_eq!(cx.len(), 8, "trace: {}", cx.render());
+    assert_eq!(cx.len(), 7, "trace: {}", cx.render());
     assert!(cx.invariant.contains("cross-round"), "{}", cx.invariant);
     let actions = cx.actions().join(" ");
     assert!(actions.contains("exit(0)"), "fast rank must exit early: {actions}");
     assert!(actions.contains("send_app(0,round=1)"), "round-1 send: {actions}");
     assert!(actions.contains("ingest(1,tag=1)"), "cross-round ingest: {actions}");
+}
+
+#[test]
+fn dropping_the_epoch_counts_a_refused_orders_bookmark_in_the_next() {
+    // Every message stamped with the receiver's current epoch: rank 0's
+    // bookmark of order 0, which rank 1 refused, reaches rank 1's round
+    // of order 1 and is counted there.
+    let m = QuiesceModel { drop_epoch: true, ..Default::default() };
+    let cx = check(&m, &Bounds::exhaustive()).violation.expect("epoch-free model must fail");
+    assert_eq!(
+        cx.actions(),
+        vec!["notify(0)", "refuse(1)", "abort(1)", "notify(1)", "recv(1<-0,bookmark)"]
+    );
+    assert!(cx.invariant.contains("message of epoch 0 counted in epoch 1"), "{}", cx.invariant);
+}
+
+#[test]
+fn ignoring_peer_down_leaves_a_survivor_stuck() {
+    // Today's hang before this protocol: rank 2 dies while ranks 0 and
+    // 1 wait for its bookmark, and with death notices ignored no step
+    // is ever enabled again.
+    let m = QuiesceModel { ignore_peer_down: true, ..Default::default() };
+    let cx = check(&m, &Bounds::exhaustive()).violation.expect("deaf model must fail");
+    assert_eq!(cx.len(), 7, "trace: {}", cx.render());
+    assert!(cx.actions().contains(&"kill(2)"), "{}", cx.render());
+    assert!(cx.invariant.contains("stuck survivor"), "{}", cx.invariant);
 }
 
 #[test]
@@ -159,8 +187,9 @@ fn with_the_replay_guard_partial_restart_is_green() {
 
 #[test]
 fn counterexample_traces_are_deterministic() {
-    let a = check(&QuiesceModel { skip_barrier: true }, &Bounds::exhaustive());
-    let b = check(&QuiesceModel { skip_barrier: true }, &Bounds::exhaustive());
+    let m = QuiesceModel { skip_barrier: true, ..Default::default() };
+    let a = check(&m, &Bounds::exhaustive());
+    let b = check(&m, &Bounds::exhaustive());
     let ca = a.violation.expect("violation").render();
     let cb = b.violation.expect("violation").render();
     assert_eq!(ca, cb);

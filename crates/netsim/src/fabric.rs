@@ -152,6 +152,12 @@ impl fmt::Display for EndpointId {
     }
 }
 
+/// The [`Delivery::tag`] of a death notice: an endpoint this one
+/// [watches](Fabric::watch) was killed. `src` is the dead endpoint, the
+/// payload is empty, and the notice is queued after every message the
+/// dead endpoint sent. No sender can use this tag.
+pub const PEER_DOWN: u64 = u64::MAX;
+
 /// A message as seen by the receiver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delivery {
@@ -174,6 +180,9 @@ struct FabricInner {
     topology: Topology,
     next_id: AtomicU64,
     mailboxes: RwLock<HashMap<EndpointId, Mailbox>>,
+    /// For each endpoint, the endpoints that get a [`PEER_DOWN`] notice
+    /// when it is killed.
+    watchers: Mutex<HashMap<EndpointId, Vec<EndpointId>>>,
     total_msgs: AtomicU64,
     total_bytes: AtomicU64,
     link_meter: LinkMeter,
@@ -203,6 +212,7 @@ impl Fabric {
                 topology,
                 next_id: AtomicU64::new(1),
                 mailboxes: RwLock::new(HashMap::new()),
+                watchers: Mutex::new(HashMap::new()),
                 total_msgs: AtomicU64::new(0),
                 total_bytes: AtomicU64::new(0),
                 link_meter: LinkMeter::new(),
@@ -262,6 +272,9 @@ impl Fabric {
         tag: u64,
         payload: Bytes,
     ) -> Result<SimTime, NetError> {
+        if tag == PEER_DOWN {
+            return Err(NetError::Unreachable { dst });
+        }
         let boxes = self.inner.mailboxes.read();
         let src_node = boxes
             .get(&src)
@@ -298,9 +311,42 @@ impl Fabric {
 
     /// Kill an endpoint: simulates process death. Its queue is torn down;
     /// subsequent sends to it fail with [`NetError::Unreachable`]; blocked
-    /// receivers on it wake with [`NetError::Disconnected`].
+    /// receivers on it wake with [`NetError::Disconnected`]. Every live
+    /// endpoint that [watches](Fabric::watch) it gets one [`PEER_DOWN`]
+    /// notice; no other endpoint hears of the death.
     pub fn kill(&self, ep: EndpointId) {
-        self.inner.mailboxes.write().remove(&ep);
+        let mut boxes = self.inner.mailboxes.write();
+        if boxes.remove(&ep).is_none() {
+            return;
+        }
+        let watchers = self.inner.watchers.lock().remove(&ep).unwrap_or_default();
+        for w in watchers {
+            if let Some(mbox) = boxes.get(&w) {
+                let _ = mbox.tx.send(Self::down_notice(ep));
+            }
+        }
+    }
+
+    /// Have `watcher` notified with a [`PEER_DOWN`] delivery when
+    /// `target` is killed — at once, if `target` is already dead. An
+    /// endpoint that serves requests must never watch anything: the
+    /// notice is not a request.
+    pub fn watch(&self, watcher: EndpointId, target: EndpointId) {
+        let boxes = self.inner.mailboxes.read();
+        if boxes.contains_key(&target) {
+            self.inner.watchers.lock().entry(target).or_default().push(watcher);
+        } else if let Some(mbox) = boxes.get(&watcher) {
+            let _ = mbox.tx.send(Self::down_notice(target));
+        }
+    }
+
+    fn down_notice(dead: EndpointId) -> Delivery {
+        Delivery {
+            src: dead,
+            tag: PEER_DOWN,
+            payload: Bytes::new(),
+            wire_time: SimTime::ZERO,
+        }
     }
 
     /// Snapshot of traffic counters.
@@ -480,6 +526,28 @@ mod tests {
         assert_eq!(b.recv().unwrap().tag, 1);
         assert_eq!(b.recv().unwrap().tag, 2);
         assert_eq!(b.recv(), Err(NetError::Disconnected));
+    }
+
+    #[test]
+    fn only_watchers_hear_of_a_death_after_its_last_message() {
+        let fabric = Fabric::new(Topology::uniform(3, LinkSpec::gigabit_ethernet()));
+        let a = fabric.register(NodeId(0));
+        let b = fabric.register(NodeId(1));
+        let bystander = fabric.register(NodeId(2));
+        fabric.watch(a.id(), b.id());
+        b.send_to(a.id(), 1, Bytes::from_static(b"last")).unwrap();
+        b.send_to(bystander.id(), 1, Bytes::new()).unwrap();
+        drop(b);
+        assert_eq!(&a.recv().unwrap().payload[..], b"last");
+        let notice = a.recv().unwrap();
+        assert_eq!(notice.tag, PEER_DOWN);
+        assert_eq!(a.try_recv().err(), Some(NetError::Empty), "one notice per death");
+        assert_eq!(bystander.recv().unwrap().tag, 1);
+        assert_eq!(bystander.try_recv().err(), Some(NetError::Empty));
+        // Watching the dead is answered at once; nobody can send the tag.
+        fabric.watch(bystander.id(), notice.src);
+        assert_eq!(bystander.recv().unwrap(), notice);
+        assert!(a.send_to(bystander.id(), PEER_DOWN, Bytes::new()).is_err());
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //!   memory speed.
 //!
 //! Failure injection ([`Fabric::kill`]) models process
-//! death: senders observe peer-unreachable errors and receivers' queues
-//! drain then disconnect — the raw material for restart experiments.
+//! death: senders observe peer-unreachable errors, receivers' queues
+//! drain then disconnect, and endpoints that [`Fabric::watch`] the dead
+//! one get a [`PEER_DOWN`] notice — the raw material for restart
+//! experiments.
 //!
 //! Everything higher up (OOB daemon traffic in ORTE, the PML point-to-point
 //! layer in OMPI, FILEM file movement costs) runs over this one fabric.
@@ -30,7 +32,9 @@ pub mod time;
 pub mod topology;
 
 pub use error::NetError;
-pub use fabric::{Delivery, Endpoint, EndpointId, Fabric, LinkMeter, LinkSlot, NetView};
+pub use fabric::{
+    Delivery, Endpoint, EndpointId, Fabric, LinkMeter, LinkSlot, NetView, PEER_DOWN,
+};
 pub use stats::FabricStats;
 pub use time::SimTime;
 pub use topology::{LinkSpec, NodeId, Topology};

@@ -33,13 +33,13 @@
 //! — the duplicate-suppression that makes a survivor's partial-restart
 //! replay idempotent.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use netsim::{Endpoint, EndpointId, Fabric, NetError};
+use netsim::{Endpoint, EndpointId, Fabric, NetError, PEER_DOWN};
 use parking_lot::{Mutex, RwLock};
 
 use cr_core::{CrError, FtEvent, FtEventState, Tracer};
@@ -221,6 +221,14 @@ pub struct PmlState {
     /// INC handle before the CRCP runs (the component has no view of
     /// SNAPC's numbering). `None` outside a checkpoint.
     pub ckpt_interval: Option<u64>,
+    /// Epoch of the checkpoint order currently coordinating, stashed with
+    /// `ckpt_interval`: SNAPC numbers every initiation, so a retry of an
+    /// aborted interval gets a new epoch.
+    pub ckpt_epoch: u64,
+    /// Ranks the fabric reported dead (a `PEER_DOWN` notice for the
+    /// rank's current endpoint), until a restarted incarnation re-points
+    /// the rank. Never persisted.
+    pub peers_down: BTreeSet<u32>,
     /// Set when `crcp_msg_log_cap_kb` truncated the log in the current
     /// window (since the last quiesce mark); each quiesce folds it into
     /// its [`MsgLogMark::overflow`] bit and clears it. A partial restart
@@ -237,7 +245,7 @@ pub struct PmlState {
 codec::wire_struct!(PmlState {
     unmatched, posted, completed, sent_counts, recv_counts, next_req, step_log, msg_log,
     msg_log_bytes, msg_log_overflow, crcp_inbox
-} skip { msg_log_marks, ckpt_interval, replay_cursor });
+} skip { msg_log_marks, ckpt_interval, ckpt_epoch, peers_down, replay_cursor });
 
 impl PmlState {
     fn new(nprocs: u32) -> Self {
@@ -338,6 +346,12 @@ impl PmlShared {
     ) -> Arc<Self> {
         assert_eq!(peers.len(), nprocs as usize, "one endpoint per rank");
         let fabric = endpoint.fabric().clone();
+        // Coordination rounds end when a peer dies, so hear of each death.
+        for (rank, peer) in peers.iter().enumerate() {
+            if rank != me as usize {
+                fabric.watch(endpoint.id(), *peer);
+            }
+        }
         let peers = peers.into_iter().map(|e| AtomicU64::new(e.0)).collect();
         Arc::new(PmlShared {
             me,
@@ -437,6 +451,14 @@ impl PmlShared {
                 }
                 Ok(())
             }
+            PEER_DOWN => {
+                // A notice for an endpoint the rank has since left (it
+                // restarted elsewhere) names nobody.
+                if let Some(rank) = (0..self.nprocs).find(|r| self.peer(*r) == delivery.src) {
+                    st.peers_down.insert(rank);
+                }
+                Ok(())
+            }
             CLASS_CRCP => {
                 let msg = decode_crcp(&delivery.payload)?;
                 if let CrcpMsg::ReplayBegin { from, endpoint } = msg {
@@ -472,6 +494,8 @@ impl PmlShared {
             });
         }
         self.peers[from as usize].store(endpoint, Ordering::SeqCst);
+        st.peers_down.remove(&from);
+        self.fabric.watch(self.endpoint.id(), EndpointId(endpoint));
         let mut resent = 0u64;
         for logged in st.msg_log.iter().filter(|l| l.dst == from) {
             self.resend_logged(logged)?;
@@ -522,6 +546,39 @@ impl PmlShared {
             .map_err(|e| MpiError::PeerLost {
                 detail: format!("CRCP send to rank {dst}: {e}"),
             })?;
+        Ok(())
+    }
+
+    /// Encode and send one application frame through the CRCP hook, and
+    /// count it. A frame the message log keeps counts as sent even when
+    /// the peer's endpoint is gone (it died): the logged copy is replayed
+    /// over the `ReplayBegin` handshake once the rank rejoins on a spare
+    /// node, and sequence numbers keep advancing so the log stays
+    /// gap-free.
+    fn post_app(
+        &self,
+        st: &mut PmlState,
+        crcp: Option<&dyn CrcpComponent>,
+        dst: u32,
+        ctx: u32,
+        tag: u32,
+        payload: &[u8],
+    ) -> Result<(), NetError> {
+        let seq = st.sent_counts[dst as usize];
+        let wire = self.wire.encode_app(self.me, ctx, tag, seq, payload);
+        if let Some(c) = crcp {
+            c.on_send(st, self.me, dst, ctx, tag, seq, &wire.slice(HEADER_LEN..));
+        }
+        // The hook may also have garbage-collected older entries, so look
+        // for this frame rather than at the log's length.
+        let in_msg_log = st.msg_log.last().is_some_and(|l| l.dst == dst && l.seq == seq);
+        match self.fabric.send(self.endpoint.id(), self.peer(dst), CLASS_APP, wire) {
+            Err(NetError::Unreachable { .. }) if in_msg_log => {}
+            sent => {
+                sent?;
+            }
+        }
+        st.sent_counts[dst as usize] += 1;
         Ok(())
     }
 
@@ -576,30 +633,10 @@ impl PmlShared {
         self.gate.checkpoint_point();
         let crcp = self.crcp();
         let mut st = self.state.lock();
-        let seq = st.sent_counts[dst as usize];
-        let wire = self.wire.encode_app(self.me, ctx, tag, seq, payload);
-        let logged_before = st.msg_log.len();
-        if let Some(c) = &crcp {
-            c.on_send(&mut st, self.me, dst, ctx, tag, seq, &wire.slice(HEADER_LEN..));
-        }
-        let in_msg_log = st.msg_log.len() > logged_before;
-        match self.fabric.send(self.endpoint.id(), self.peer(dst), CLASS_APP, wire) {
-            Ok(_) => {}
-            Err(NetError::Unreachable { .. }) if in_msg_log => {
-                // The peer's endpoint is gone — it died. The frame is in
-                // the partial-restart message log, so the send succeeds
-                // from the survivor's point of view: the logged copy is
-                // replayed over the `ReplayBegin` handshake once the rank
-                // rejoins on a spare node. Sequence numbers keep
-                // advancing so the log stays gap-free.
-            }
-            Err(e) => {
-                return Err(MpiError::PeerLost {
-                    detail: format!("send to rank {dst}: {e}"),
-                })
-            }
-        }
-        st.sent_counts[dst as usize] += 1;
+        self.post_app(&mut st, crcp.as_deref(), dst, ctx, tag, payload)
+            .map_err(|e| MpiError::PeerLost {
+                detail: format!("send to rank {dst}: {e}"),
+            })?;
         st.step_log.push(OpRecord::Send {
             dst,
             ctx,
@@ -619,49 +656,51 @@ impl PmlShared {
         if let Some(s) = src {
             self.check_rank(s)?;
         }
+        self.block(|st| {
+            if let Some(record) = st.replay_next() {
+                return match record {
+                    OpRecord::Recv {
+                        ctx: rc,
+                        src: rs,
+                        tag: rt,
+                        frame,
+                    } if rc == ctx && rs == src && rt == tag => Ok(Some(frame)),
+                    other => Err(MpiError::ReplayDiverged {
+                        detail: format!(
+                            "expected {other:?}, got recv(ctx={ctx}, src={src:?}, tag={tag:?})"
+                        ),
+                    }),
+                };
+            }
+            self.pump_locked(st)?;
+            let frame = st.match_unmatched(ctx, src, tag);
+            if let Some(frame) = &frame {
+                // The record shares the frame's wire buffer.
+                let frame = frame.clone();
+                st.step_log.push(OpRecord::Recv { ctx, src, tag, frame });
+            }
+            Ok(frame)
+        })
+    }
+
+    /// Run `step` with the state locked until it yields, waiting on the
+    /// wire between tries. Between waits the caller holds at the
+    /// safe-point gate, and it unwinds once the job terminates.
+    fn block<R>(
+        &self,
+        mut step: impl FnMut(&mut PmlState) -> Result<Option<R>, MpiError>,
+    ) -> Result<R, MpiError> {
         loop {
-            {
+            let done = {
                 let mut st = self.state.lock();
-                if let Some(record) = st.replay_next() {
-                    return match record {
-                        OpRecord::Recv {
-                            ctx: rc,
-                            src: rs,
-                            tag: rt,
-                            frame,
-                        } if rc == ctx && rs == src && rt == tag => Ok(frame),
-                        other => Err(MpiError::ReplayDiverged {
-                            detail: format!(
-                                "expected {other:?}, got recv(ctx={ctx}, src={src:?}, tag={tag:?})"
-                            ),
-                        }),
-                    };
-                }
-                self.pump_locked(&mut st)?;
-                if let Some(frame) = st.match_unmatched(ctx, src, tag) {
-                    // The record shares the frame's wire buffer.
-                    st.step_log.push(OpRecord::Recv {
-                        ctx,
-                        src,
-                        tag,
-                        frame: frame.clone(),
-                    });
-                    return Ok(frame);
-                }
+                step(&mut st)?
+            };
+            if let Some(done) = done {
+                return Ok(done);
             }
             self.gate.checkpoint_point();
-            match self.endpoint.recv_timeout(WIRE_POLL) {
-                Ok(d) => self.classify(&mut self.state.lock(), d)?,
-                Err(NetError::Timeout) => {
-                    if self.terminating() {
-                        return Err(MpiError::Terminating);
-                    }
-                }
-                Err(e) => {
-                    return Err(MpiError::PeerLost {
-                        detail: format!("endpoint failed while receiving: {e}"),
-                    })
-                }
+            if !self.poll_wire_once(WIRE_POLL)? && self.terminating() {
+                return Err(MpiError::Terminating);
             }
         }
     }
@@ -693,17 +732,10 @@ impl PmlShared {
         self.gate.checkpoint_point();
         let crcp = self.crcp();
         let mut st = self.state.lock();
-        let seq = st.sent_counts[dst as usize];
-        let wire = self.wire.encode_app(self.me, ctx, tag, seq, payload);
-        if let Some(c) = &crcp {
-            c.on_send(&mut st, self.me, dst, ctx, tag, seq, &wire.slice(HEADER_LEN..));
-        }
-        self.fabric
-            .send(self.endpoint.id(), self.peer(dst), CLASS_APP, wire)
+        self.post_app(&mut st, crcp.as_deref(), dst, ctx, tag, payload)
             .map_err(|e| MpiError::PeerLost {
                 detail: format!("isend to rank {dst}: {e}"),
             })?;
-        st.sent_counts[dst as usize] += 1;
         let req = st.next_req;
         st.next_req += 1;
         st.completed.insert(req, None);
@@ -751,49 +783,27 @@ impl PmlShared {
     /// Wait for a request. Returns the frame for receive requests, `None`
     /// for send requests.
     pub fn wait(&self, req: u64) -> Result<Option<AppFrame>, MpiError> {
-        loop {
-            {
-                let mut st = self.state.lock();
-                if let Some(record) = st.replay_next() {
-                    return match record {
-                        OpRecord::Wait { req: rr, frame } if rr == req => {
-                            // The restored state still holds the completion
-                            // (it was consumed at original execution, so it
-                            // is not present; nothing to clean up).
-                            Ok(frame)
-                        }
-                        other => Err(MpiError::ReplayDiverged {
-                            detail: format!("expected {other:?}, got wait({req})"),
-                        }),
-                    };
-                }
-                self.pump_locked(&mut st)?;
-                if let Some(entry) = st.completed.remove(&req) {
-                    st.step_log.push(OpRecord::Wait {
-                        req,
-                        frame: entry.clone(),
-                    });
-                    return Ok(entry);
-                }
-                if !st.posted.iter().any(|p| p.req == req) {
-                    return Err(MpiError::BadRequest { request: req });
-                }
+        self.block(|st| {
+            if let Some(record) = st.replay_next() {
+                return match record {
+                    // The completion was consumed at original execution,
+                    // so the restored state holds nothing to clean up.
+                    OpRecord::Wait { req: rr, frame } if rr == req => Ok(Some(frame)),
+                    other => Err(MpiError::ReplayDiverged {
+                        detail: format!("expected {other:?}, got wait({req})"),
+                    }),
+                };
             }
-            self.gate.checkpoint_point();
-            match self.endpoint.recv_timeout(WIRE_POLL) {
-                Ok(d) => self.classify(&mut self.state.lock(), d)?,
-                Err(NetError::Timeout) => {
-                    if self.terminating() {
-                        return Err(MpiError::Terminating);
-                    }
-                }
-                Err(e) => {
-                    return Err(MpiError::PeerLost {
-                        detail: format!("endpoint failed while waiting: {e}"),
-                    })
-                }
+            self.pump_locked(st)?;
+            if let Some(entry) = st.completed.remove(&req) {
+                st.step_log.push(OpRecord::Wait { req, frame: entry.clone() });
+                return Ok(Some(entry));
             }
-        }
+            if !st.posted.iter().any(|p| p.req == req) {
+                return Err(MpiError::BadRequest { request: req });
+            }
+            Ok(None)
+        })
     }
 
     /// Non-blocking completion test.
@@ -838,59 +848,35 @@ impl PmlShared {
         if let Some(s) = src {
             self.check_rank(s)?;
         }
-        loop {
-            {
-                let mut st = self.state.lock();
-                if let Some(record) = st.replay_next() {
-                    return match record {
-                        OpRecord::Probe {
-                            ctx: rc,
-                            src: rs,
-                            tag: rt,
-                            found_src,
-                            found_tag,
-                            len,
-                        } if rc == ctx && rs == src && rt == tag => {
-                            Ok((found_src, found_tag, len))
-                        }
-                        other => Err(MpiError::ReplayDiverged {
-                            detail: format!("expected {other:?}, got probe(ctx={ctx})"),
-                        }),
-                    };
-                }
-                self.pump_locked(&mut st)?;
-                let found = st
-                    .unmatched
-                    .iter()
-                    .find(|f| PmlState::matches(f, ctx, src, tag))
-                    .map(|f| (f.src, f.tag, f.payload.len() as u64));
-                if let Some((found_src, found_tag, len)) = found {
-                    st.step_log.push(OpRecord::Probe {
-                        ctx,
-                        src,
-                        tag,
+        self.block(|st| {
+            if let Some(record) = st.replay_next() {
+                return match record {
+                    OpRecord::Probe {
+                        ctx: rc,
+                        src: rs,
+                        tag: rt,
                         found_src,
                         found_tag,
                         len,
-                    });
-                    return Ok((found_src, found_tag, len));
-                }
-            }
-            self.gate.checkpoint_point();
-            match self.endpoint.recv_timeout(WIRE_POLL) {
-                Ok(d) => self.classify(&mut self.state.lock(), d)?,
-                Err(NetError::Timeout) => {
-                    if self.terminating() {
-                        return Err(MpiError::Terminating);
+                    } if rc == ctx && rs == src && rt == tag => {
+                        Ok(Some((found_src, found_tag, len)))
                     }
-                }
-                Err(e) => {
-                    return Err(MpiError::PeerLost {
-                        detail: format!("endpoint failed while probing: {e}"),
-                    })
-                }
+                    other => Err(MpiError::ReplayDiverged {
+                        detail: format!("expected {other:?}, got probe(ctx={ctx})"),
+                    }),
+                };
             }
-        }
+            self.pump_locked(st)?;
+            let found = st
+                .unmatched
+                .iter()
+                .find(|f| PmlState::matches(f, ctx, src, tag))
+                .map(|f| (f.src, f.tag, f.payload.len() as u64));
+            if let Some((found_src, found_tag, len)) = found {
+                st.step_log.push(OpRecord::Probe { ctx, src, tag, found_src, found_tag, len });
+            }
+            Ok(found)
+        })
     }
 
     // -- step boundaries and checkpoint integration ----------------------------

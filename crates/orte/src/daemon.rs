@@ -151,9 +151,10 @@ impl Orted {
             DaemonMsg::CheckpointTree {
                 job,
                 interval,
+                epoch,
                 base,
                 children,
-            } => match self.checkpoint_tree(job, interval, base, children) {
+            } => match self.checkpoint_tree(job, interval, epoch, base, children) {
                 Ok(results) => DaemonReply::TreeDone { node, results },
                 Err(e) => DaemonReply::Error {
                     node,
@@ -220,6 +221,7 @@ impl Orted {
         &self,
         job: JobId,
         interval: u64,
+        epoch: u64,
         base: Option<u64>,
         children: Vec<TreeSpec>,
     ) -> Result<Vec<(u32, RankCkpt)>, CrError> {
@@ -235,6 +237,7 @@ impl Orted {
                     &DaemonMsg::CheckpointTree {
                         job,
                         interval,
+                        epoch,
                         base,
                         children: child.children,
                     },
@@ -245,7 +248,7 @@ impl Orted {
                 );
             }
         }
-        let waits = self.notify_local(job, interval, base)?;
+        let waits = self.notify_local(job, interval, epoch, base)?;
         let mut results: Vec<(u32, RankCkpt)> = self
             .collect_local(interval, waits)?
             .into_iter()
@@ -270,6 +273,7 @@ impl Orted {
         &self,
         job: JobId,
         interval: u64,
+        epoch: u64,
         base: Option<u64>,
     ) -> Result<PendingLocal, CrError> {
         let dir = self.local_interval_dir(job, interval);
@@ -292,6 +296,7 @@ impl Orted {
                     .send(OpalCtrl::Checkpoint {
                         snapshot_parent: dir.clone(),
                         interval,
+                        epoch,
                         base,
                         options: CheckpointOptions::tool(),
                         reply: rtx,
@@ -412,6 +417,7 @@ pub(crate) mod tests {
         DaemonMsg::CheckpointTree {
             job,
             interval: 0,
+            epoch: 0,
             base: None,
             children: Vec::new(),
         }
@@ -561,6 +567,7 @@ pub(crate) mod tests {
                 &DaemonMsg::CheckpointTree {
                     job,
                     interval: 0,
+                    epoch: 0,
                     base: None,
                     children: vec![TreeSpec {
                         endpoint: child.endpoint().0,

@@ -133,6 +133,10 @@ pub struct JobHandle {
     /// nodes, so the global coordinator admits one at a time (as the
     /// original implementation does).
     checkpoint_serial: Mutex<()>,
+    /// Checkpoint orders initiated so far; each order's epoch is its
+    /// ordinal. Unlike the interval number it never repeats, so a round
+    /// never mistakes an aborted order's messages for its own.
+    epochs: AtomicU64,
     /// See [`LaunchCtx::commit_watermark`]; bumped here (blocking SNAPC
     /// paths) and by write-behind gather threads at promotion.
     commit_watermark: Arc<AtomicU64>,
@@ -208,6 +212,11 @@ impl JobHandle {
     /// ticker blocks until recovery completes.
     pub fn checkpoint_guard(&self) -> parking_lot::MutexGuard<'_, ()> {
         self.checkpoint_serial.lock()
+    }
+
+    /// Number a new checkpoint order: every initiation gets the next epoch.
+    pub(crate) fn next_epoch(&self) -> u64 {
+        self.epochs.fetch_add(1, Ordering::SeqCst) + 1
     }
 
     /// The job's global snapshot reference, created on first use.
@@ -523,6 +532,7 @@ pub fn launch(runtime: &Runtime, spec: JobSpec) -> Result<JobHandle, CrError> {
         global_snapshot: Arc::new(Mutex::new(None)),
         resume_floor: spec.resume_floor,
         checkpoint_serial: Mutex::new(()),
+        epochs: AtomicU64::new(0),
         commit_watermark,
     })
 }

@@ -85,6 +85,9 @@ pub enum DaemonMsg {
         job: JobId,
         /// Interval number assigned by the global coordinator.
         interval: u64,
+        /// The order's epoch, which SNAPC bumps at every initiation (a
+        /// retried interval reuses its number, never its epoch).
+        epoch: u64,
         /// Newest globally committed interval when it has chunk manifests,
         /// as the global coordinator read it before beginning `interval`:
         /// what a dedup-mode CRS need not pack. Never persisted.
@@ -159,7 +162,7 @@ pub enum DaemonMsg {
 }
 codec::wire_enum!(DaemonMsg {
     QueryCheckpointable { job },
-    CheckpointTree { job, interval, base, children },
+    CheckpointTree { job, interval, #[default] epoch, base, children },
     Cleanup { job, interval },
     ReplicaPut { job, interval, image },
     ReplicaFetch { job, interval, rank },
@@ -643,6 +646,7 @@ mod tests {
                 DaemonMsg::CheckpointTree {
                     job,
                     interval: 0,
+                    epoch: 0,
                     base: None,
                     children: Vec::new(),
                 },
@@ -742,6 +746,7 @@ mod tests {
         let no_procs = DaemonMsg::CheckpointTree {
             job: JobId(1),
             interval: 0,
+            epoch: 0,
             base: None,
             children: Vec::new(),
         };

@@ -452,6 +452,7 @@ fn checkpoint_subtrees(
     job: &JobHandle,
     hnp: &Caller,
     interval: u64,
+    epoch: u64,
     base: Option<u64>,
     tag: &str,
     roots: Vec<TreeSpec>,
@@ -462,6 +463,7 @@ fn checkpoint_subtrees(
         let request = DaemonMsg::CheckpointTree {
             job: job.job(),
             interval,
+            epoch,
             base,
             children: root.children,
         };
@@ -535,8 +537,10 @@ fn coordinate(
         "snapc.global.initiate",
         &format!("interval {interval}{tag}"),
     );
+    let epoch = job.next_epoch();
 
-    let results = checkpoint_subtrees(job, &hnp, interval, base, tag, shape(daemons), root_done)
+    let results =
+        checkpoint_subtrees(job, &hnp, interval, epoch, base, tag, shape(daemons), root_done)
         .inspect_err(|_| {
             // Leave the interval uncommitted (invisible) and report.
             let _ = std::fs::remove_dir_all(&interval_dir);
@@ -933,7 +937,7 @@ mod tree_tests {
         let handle = launch_spinning(&rt, 8, Arc::new(McaParams::new()));
         let hnp = Caller::new(rt.fabric(), NodeId(0));
         let listing = |interval: u64, roots: Vec<TreeSpec>| -> Vec<(u32, u32)> {
-            checkpoint_subtrees(&handle, &hnp, interval, None, "", roots, |_| ())
+            checkpoint_subtrees(&handle, &hnp, interval, interval, None, "", roots, |_| ())
                 .unwrap()
                 .iter()
                 .map(|(node, ckpt)| (*node, ckpt.rank))

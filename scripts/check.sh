@@ -150,3 +150,12 @@ if [ -e shims/crossbeam ]; then
   echo "shims/crossbeam is back; channels are std::sync::mpsc" >&2
   exit 1
 fi
+# One CRCP round, no deadline: every coordination wait ends on a message
+# or a death notice, so the non-test code of the CRCP reads no wall-clock
+# deadline.
+for f in crates/ompi/src/crcp.rs crates/ompi/src/crcp/*.rs; do
+  if awk -v f="$f" '/^#\[cfg\(test\)\]/ {exit} {print f":"FNR": "$0}' "$f" |
+    grep -E 'COORD_TIMEOUT|Instant::now\(\) \+'; then
+    exit 1
+  fi
+done
