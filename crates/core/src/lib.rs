@@ -38,6 +38,6 @@ pub use events::{TraceEventDef, KNOWN_TRACE_EVENTS};
 pub use ids::{JobId, ProcessName, Rank};
 pub use inc::IncRegistry;
 pub use request::{CheckpointOptions, CheckpointOutcome, CkptStats};
-pub use snapshot::{CommitState, GlobalSnapshot, IntervalRecord, LaunchRecord, LocalSnapshot};
+pub use snapshot::{CommitListing, CommitState, GlobalSnapshot, IntervalRecord, LaunchRecord, LocalSnapshot};
 pub use state::{FtEvent, FtEventState};
 pub use trace::Tracer;

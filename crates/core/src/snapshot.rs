@@ -23,6 +23,7 @@
 //! continues numbering past the interval it was restored from (invariant 5
 //! in DESIGN.md).
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -272,6 +273,106 @@ impl std::fmt::Display for CommitState {
     }
 }
 
+/// Which intervals of a global reference are committed, and where a
+/// restarted job's numbering starts: the `[global]` `interval` and
+/// `local_interval` lists and `resume_floor`, as one value with no I/O.
+///
+/// Every commit-state change of a [`GlobalSnapshot`] is one call here,
+/// persisted whole by the reference's single metadata write; `cr-model
+/// commit` runs the same calls under every interleaving.
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct CommitListing {
+    global: BTreeSet<u64>,
+    local: BTreeSet<u64>,
+    floor: u64,
+}
+
+impl CommitListing {
+    fn read(meta: &MetaDoc) -> Self {
+        let list = |key| meta.get_all("global", key).into_iter().filter_map(|s| s.parse().ok()).collect();
+        let floor = meta.get_parsed("global", "resume_floor").unwrap_or(0);
+        CommitListing { global: list("interval"), local: list("local_interval"), floor }
+    }
+
+    /// Turn `meta`'s lists, which say `old`, into this listing's: drop
+    /// what left a list and append what joined it (the floor is written
+    /// once, at create).
+    fn write(&self, old: &CommitListing, meta: &mut MetaDoc) {
+        for (key, old, new) in [("interval", &old.global, &self.global), ("local_interval", &old.local, &self.local)] {
+            for interval in old.difference(new) {
+                meta.remove_value("global", key, &interval.to_string());
+            }
+            for interval in new.difference(old) {
+                meta.append("global", key, interval.to_string());
+            }
+        }
+    }
+
+    /// The number the next interval gets: past every committed and
+    /// locally committed interval (with early release a new interval can
+    /// begin while the previous one's gather is in flight), else the
+    /// floor. An interval that never committed leaves no trace, so its
+    /// retry gets its number again.
+    pub fn next_interval(&self) -> u64 {
+        self.global.iter().chain(&self.local).max().map_or(self.floor, |n| n + 1)
+    }
+
+    /// List `interval` as globally committed.
+    pub fn commit(&mut self, interval: u64) {
+        self.local.remove(&interval);
+        self.global.insert(interval);
+    }
+
+    /// List `interval` as locally committed.
+    pub fn local_commit(&mut self, interval: u64) {
+        self.local.insert(interval);
+    }
+
+    /// Move a locally committed interval to globally committed; refuses
+    /// one that was never locally committed.
+    pub fn promote(&mut self, interval: u64) -> Result<(), CrError> {
+        if !self.local.remove(&interval) {
+            return Err(CrError::BadSnapshot {
+                detail: format!("cannot promote interval {interval}: it was never locally committed"),
+            });
+        }
+        self.global.insert(interval);
+        Ok(())
+    }
+
+    /// Unlist `interval`, whatever its state.
+    pub fn retire(&mut self, interval: u64) {
+        self.global.remove(&interval);
+        self.local.remove(&interval);
+    }
+
+    /// Commit progress of `interval`.
+    pub fn commit_state(&self, interval: u64) -> CommitState {
+        if self.global.contains(&interval) {
+            CommitState::GlobalCommitted
+        } else if self.local.contains(&interval) {
+            CommitState::LocalCommitted
+        } else {
+            CommitState::Uncommitted
+        }
+    }
+
+    /// Globally committed intervals, ascending.
+    pub fn intervals(&self) -> Vec<u64> {
+        self.global.iter().copied().collect()
+    }
+
+    /// Locally committed intervals not yet promoted, ascending.
+    pub fn local_committed_intervals(&self) -> Vec<u64> {
+        self.local.iter().copied().collect()
+    }
+
+    /// Most recent globally committed interval: the one a restart reads.
+    pub fn latest_interval(&self) -> Option<u64> {
+        self.global.last().copied()
+    }
+}
+
 /// What is known about a job when its global reference is created, written
 /// by [`GlobalSnapshot::create`].
 #[derive(Debug, Clone, Default)]
@@ -342,6 +443,8 @@ fn node_list(nodes: &[u32]) -> String {
 pub struct GlobalSnapshot {
     dir: PathBuf,
     meta: MetaDoc,
+    /// What `meta`'s listing says, kept parsed.
+    listing: CommitListing,
 }
 
 impl GlobalSnapshot {
@@ -367,7 +470,8 @@ impl GlobalSnapshot {
             meta.set("launch", k, v.as_str());
         }
         write_meta(&dir, GLOBAL_META_FILE, &meta)?;
-        Ok(GlobalSnapshot { dir, meta })
+        let listing = CommitListing::read(&meta);
+        Ok(GlobalSnapshot { dir, meta, listing })
     }
 
     /// Open an existing global snapshot reference.
@@ -384,6 +488,7 @@ impl GlobalSnapshot {
         let meta = read_meta(&meta_path)?;
         let snap = GlobalSnapshot {
             dir: dir.to_path_buf(),
+            listing: CommitListing::read(&meta),
             meta,
         };
         snap.meta.require("global", "jobid")?;
@@ -413,19 +518,12 @@ impl GlobalSnapshot {
 
     /// Committed intervals, ascending.
     pub fn intervals(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .meta
-            .get_all("global", "interval")
-            .into_iter()
-            .filter_map(|s| s.parse().ok())
-            .collect();
-        v.sort_unstable();
-        v
+        self.listing.intervals()
     }
 
     /// Most recent committed interval.
     pub fn latest_interval(&self) -> Option<u64> {
-        self.intervals().into_iter().max()
+        self.listing.latest_interval()
     }
 
     /// Directory of one interval's local snapshots.
@@ -439,23 +537,10 @@ impl GlobalSnapshot {
     /// [`GlobalSnapshot::commit_interval`] runs — a crash mid-checkpoint
     /// must never leave a half-written interval looking restorable.
     pub fn begin_interval(&mut self) -> Result<(u64, PathBuf), CrError> {
-        // Number past locally committed intervals too: with early release a
-        // new interval can begin while the previous one's gather is still
-        // in flight, and the two must never collide.
-        let next = self
-            .intervals()
-            .into_iter()
-            .chain(self.local_committed_intervals())
-            .max()
-            .map(|n| n + 1)
-            .unwrap_or_else(|| self.resume_floor());
+        let next = self.listing.next_interval();
         let dir = self.interval_dir(next);
         fs::create_dir_all(&dir).map_err(|e| CrError::io(dir.display().to_string(), &e))?;
         Ok((next, dir))
-    }
-
-    fn resume_floor(&self) -> u64 {
-        self.meta.get_parsed("global", "resume_floor").unwrap_or(0)
     }
 
     /// Commit an interval: write its whole [`IntervalRecord`] and list it as
@@ -465,7 +550,9 @@ impl GlobalSnapshot {
         interval: u64,
         record: &IntervalRecord,
     ) -> Result<(), CrError> {
-        self.write_interval("interval", interval, record)
+        let mut listing = self.listing.clone();
+        listing.commit(interval);
+        self.write_interval(listing, interval, record)
     }
 
     /// Locally commit an interval: write its [`IntervalRecord`] exactly as
@@ -479,14 +566,15 @@ impl GlobalSnapshot {
         interval: u64,
         record: &IntervalRecord,
     ) -> Result<(), CrError> {
-        self.write_interval("local_interval", interval, record)
+        let mut listing = self.listing.clone();
+        listing.local_commit(interval);
+        self.write_interval(listing, interval, record)
     }
 
-    /// The one body of the two commit calls; `listing` is the `[global]`
-    /// key the interval is listed under.
+    /// The one body of the two commit calls; `listing` lists the interval.
     fn write_interval(
         &mut self,
-        listing: &str,
+        listing: CommitListing,
         interval: u64,
         record: &IntervalRecord,
     ) -> Result<(), CrError> {
@@ -523,50 +611,29 @@ impl GlobalSnapshot {
         if let Some(stats) = &record.gather_stats {
             meta.set(&format!("gather_{interval}"), "stats", stats.as_str());
         }
-        meta.append("global", listing, interval.to_string());
-        self.persist(meta)
+        self.persist(meta, listing)
     }
 
     /// Promote a locally committed interval to globally committed, once
     /// its gather has fully landed on stable storage; `gather_stats` is the
     /// finished gather's [`IntervalRecord::gather_stats`] line.
     pub fn promote_interval(&mut self, interval: u64, gather_stats: &str) -> Result<(), CrError> {
-        if !self.local_committed_intervals().contains(&interval) {
-            return Err(CrError::BadSnapshot {
-                detail: format!(
-                    "cannot promote interval {interval}: it was never locally committed"
-                ),
-            });
-        }
+        let mut listing = self.listing.clone();
+        listing.promote(interval)?;
         let mut meta = self.meta.clone();
         meta.set(&format!("gather_{interval}"), "stats", gather_stats);
-        meta.remove_value("global", "local_interval", &interval.to_string());
-        meta.append("global", "interval", interval.to_string());
-        self.persist(meta)
+        self.persist(meta, listing)
     }
 
     /// Intervals recorded as locally committed but not yet promoted,
     /// ascending.
     pub fn local_committed_intervals(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .meta
-            .get_all("global", "local_interval")
-            .into_iter()
-            .filter_map(|s| s.parse().ok())
-            .collect();
-        v.sort_unstable();
-        v
+        self.listing.local_committed_intervals()
     }
 
     /// Commit progress of `interval` (see [`CommitState`]).
     pub fn commit_state(&self, interval: u64) -> CommitState {
-        if self.intervals().contains(&interval) {
-            CommitState::GlobalCommitted
-        } else if self.local_committed_intervals().contains(&interval) {
-            CommitState::LocalCommitted
-        } else {
-            CommitState::Uncommitted
-        }
+        self.listing.commit_state(interval)
     }
 
     /// Nodes recorded as holding in-memory replicas of `rank`'s image for
@@ -638,13 +705,13 @@ impl GlobalSnapshot {
     /// interval's chunks: the manifest removal is on disk *before* the
     /// caller decrefs and sweeps (see the `gc` model).
     pub fn retire_interval(&mut self, interval: u64) -> Result<(), CrError> {
+        let mut listing = self.listing.clone();
+        listing.retire(interval);
         let mut meta = self.meta.clone();
-        meta.remove_value("global", "interval", &interval.to_string());
-        meta.remove_value("global", "local_interval", &interval.to_string());
         for kind in ["interval", "replica", "gather", "msglog", "manifest"] {
             meta.remove_section(&format!("{kind}_{interval}"));
         }
-        self.persist(meta)?;
+        self.persist(meta, listing)?;
         let dir = self.interval_dir(interval);
         if dir.exists() {
             fs::remove_dir_all(&dir).map_err(|e| CrError::io(dir.display().to_string(), &e))?;
@@ -698,11 +765,14 @@ impl GlobalSnapshot {
             .sum()
     }
 
-    /// Write `meta` as the metadata file, then adopt it: when the write
-    /// fails, neither the file nor `self` has changed.
-    fn persist(&mut self, meta: MetaDoc) -> Result<(), CrError> {
+    /// Write `meta` listing `listing` as the metadata file, then adopt
+    /// both: when the write fails, neither the file nor `self` has
+    /// changed.
+    fn persist(&mut self, mut meta: MetaDoc, listing: CommitListing) -> Result<(), CrError> {
+        listing.write(&self.listing, &mut meta);
         write_meta(&self.dir, GLOBAL_META_FILE, &meta)?;
         self.meta = meta;
+        self.listing = listing;
         Ok(())
     }
 }

@@ -1,7 +1,7 @@
 //! Explicit-state model checker: breadth-first exploration of the full
 //! reachable state space of a small hand-written transition system, with
-//! invariant checking, deterministic counterexample traces, and a
-//! delta-debug style trace-minimization pass.
+//! invariant checking and deterministic, minimal-length counterexample
+//! traces.
 //!
 //! The engine is intentionally tiny and dependency-free, mirroring how
 //! `cr-lint` keeps the static-analysis layer in-tree.  States must be
@@ -27,7 +27,7 @@ pub trait Model {
 
     /// Push every enabled `(action-label, successor)` pair for `state`
     /// onto `out`.  Labels must uniquely identify the transition from a
-    /// given state (they are used to replay traces during minimization).
+    /// given state (they name the steps of a counterexample trace).
     fn transitions(&self, state: &Self::State, out: &mut Vec<(String, Self::State)>);
 
     /// State invariant, checked on every reachable state.
@@ -133,7 +133,7 @@ pub struct CheckReport {
     pub depth: usize,
     /// True when a bound stopped exploration before the frontier emptied.
     pub truncated: bool,
-    /// First (minimal-depth, then minimized) violation found, if any.
+    /// First (minimal-length) violation found, if any.
     pub violation: Option<Counterexample>,
     /// Wall-clock time of the run.
     pub wall: Duration,
@@ -154,8 +154,7 @@ impl CheckReport {
 /// Explore the reachable state space of `model` breadth-first up to
 /// `bounds`, checking [`Model::invariant`] on every state and
 /// [`Model::step_invariant`] on every edge.  The first violation found
-/// is at minimal BFS depth; its trace is additionally run through a
-/// shrink pass before being returned.
+/// is at minimal BFS depth, so no shorter trace reaches any violation.
 pub fn check<M: Model>(model: &M, bounds: &Bounds) -> CheckReport {
     let start = Instant::now();
     let mut states: Vec<M::State> = Vec::new();
@@ -233,10 +232,6 @@ pub fn check<M: Model>(model: &M, bounds: &Bounds) -> CheckReport {
         }
     }
 
-    if let Some(cx) = violation.take() {
-        violation = Some(shrink(model, cx));
-    }
-
     CheckReport {
         model: model.name(),
         states: states.len(),
@@ -281,99 +276,6 @@ fn trace_to<S: Clone + Debug>(
         .map(|s| format!("{s:?}"))
         .unwrap_or_else(|| "<missing>".to_owned());
     Counterexample { invariant, initial, steps: rev }
-}
-
-/// Outcome of replaying an action list from the (single) initial state.
-enum Replay<S> {
-    /// All actions applied, no violation; final state returned.
-    Clean(S),
-    /// A violation occurred after applying `upto` actions (the violating
-    /// edge, if any, is included in the count).
-    Violates { upto: usize },
-    /// Some action label was not enabled; the candidate trace is invalid.
-    Stuck,
-}
-
-fn replay<M: Model>(model: &M, init: &M::State, actions: &[String]) -> Replay<M::State> {
-    if model.invariant(init).is_err() {
-        return Replay::Violates { upto: 0 };
-    }
-    let mut cur = init.clone();
-    let mut succs: Vec<(String, M::State)> = Vec::new();
-    for (i, action) in actions.iter().enumerate() {
-        succs.clear();
-        model.transitions(&cur, &mut succs);
-        let next = succs.iter().find(|(a, _)| a == action).map(|(_, s)| s.clone());
-        let next = match next {
-            Some(s) => s,
-            None => return Replay::Stuck,
-        };
-        if model.step_invariant(&cur, action, &next).is_err()
-            || model.invariant(&next).is_err()
-        {
-            return Replay::Violates { upto: i + 1 };
-        }
-        cur = next;
-    }
-    Replay::Clean(cur)
-}
-
-/// Delta-debug style minimization: repeatedly try dropping single steps
-/// from the trace, keeping any deletion after which a replay still
-/// violates an invariant; finally truncate at the first violation point.
-/// BFS already yields minimal-depth traces, so this mostly confirms
-/// minimality — but it also tightens traces whose violating edge leads
-/// to an already-visited state.
-fn shrink<M: Model>(model: &M, cx: Counterexample) -> Counterexample {
-    let init = model
-        .initial()
-        .into_iter()
-        .find(|s| format!("{s:?}") == cx.initial);
-    let init = match init {
-        Some(s) => s,
-        None => return cx,
-    };
-    let mut actions: Vec<String> =
-        cx.steps.iter().map(|s| s.action.clone()).collect();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        let mut i = 0;
-        while i < actions.len() {
-            let mut candidate = actions.clone();
-            candidate.remove(i);
-            match replay(model, &init, &candidate) {
-                Replay::Violates { upto, .. } => {
-                    candidate.truncate(upto);
-                    actions = candidate;
-                    changed = true;
-                }
-                _ => i += 1,
-            }
-        }
-    }
-    // Rebuild the concrete states along the minimized action list.
-    let mut steps: Vec<TraceStep> = Vec::new();
-    let mut cur = init.clone();
-    let mut succs: Vec<(String, M::State)> = Vec::new();
-    let mut invariant = cx.invariant.clone();
-    for action in &actions {
-        succs.clear();
-        model.transitions(&cur, &mut succs);
-        let next = succs.iter().find(|(a, _)| a == action).map(|(_, s)| s.clone());
-        let next = match next {
-            Some(s) => s,
-            None => return cx,
-        };
-        if let Err(msg) = model.step_invariant(&cur, action, &next) {
-            invariant = msg;
-        } else if let Err(msg) = model.invariant(&next) {
-            invariant = msg;
-        }
-        steps.push(TraceStep { action: action.clone(), state: format!("{next:?}") });
-        cur = next;
-    }
-    Counterexample { invariant, initial: cx.initial, steps }
 }
 
 #[cfg(test)]

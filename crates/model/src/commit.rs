@@ -1,101 +1,88 @@
-//! Model 1: the `CommitState` lattice under `snapc_early_release`.
+//! Model 1: the commit listing under `snapc_early_release`, as it ships.
 //!
-//! Mirrors the production pipeline in `orte::snapc::gather_commit_cleanup`
-//! (see DESIGN.md §2.3): an interval is captured and *locally* committed,
-//! the stable-storage gather proceeds in a write-behind thread, and only
-//! when the gather drains is the interval *promoted* to `GlobalCommitted`.
-//! The classic blocking path commits atomically.  A node can be killed
-//! mid-gather, failing every in-flight gather.  A restart observes the
-//! newest `GlobalCommitted` interval.
+//! The harness holds a real [`CommitListing`] — the value every
+//! `GlobalSnapshot` commit-state change goes through — and plays the world
+//! around it (DESIGN.md §2.3): the stable-storage gather of each interval,
+//! the death of the node holding the local scratch, and a restart that
+//! reads [`CommitListing::latest_interval`]. `begin` takes the listing's
+//! next number; the early-release path locally commits, the write-behind
+//! gather drains, and `promote` asks the listing; the classic path commits
+//! once its gather is done. Each step is one call that `GlobalSnapshot`
+//! persists whole, so no state between two steps can be on disk.
 //!
-//! Each transition here is one call that replaces the global reference
-//! whole (`GlobalSnapshot::{local_commit_interval, promote_interval,
-//! commit_interval}`; gather stats travel inside the promotion, the rest of
-//! the interval's record inside the commit), so no state between two model
-//! steps can be on disk.
+//! Invariants: a `GlobalCommitted` interval's gather is done, and so is
+//! the one a restart observed; a new interval never gets a listed number;
+//! an interval's commit state never moves down its lattice.
 //!
-//! Invariants:
-//! - safety: a `GlobalCommitted` (restart-visible) interval has a fully
-//!   drained gather — restart never depends on data that is not durable;
-//! - monotonicity (step invariant): an interval's commit state never
-//!   moves down the `Uncommitted < LocalCommitted < GlobalCommitted`
-//!   lattice.
-//!
-//! Mutations (for the self-tests in `tests/mutations.rs`):
-//! - [`CommitModel::promote_before_gather`] drops the gather-drained
-//!   guard on promotion, exactly the bug `snapc_early_release` would
-//!   have if promotion did not wait on the write-behind drain;
-//! - [`CommitModel::allow_regress`] adds a direct "field write" that
-//!   demotes a `GlobalCommitted` interval, the class of bug the
-//!   `commit-state` cr-lint rule keeps out of production code.
+//! Mutations ([`CommitModel`]): `promote_before_gather` promotes without
+//! waiting for the gather, the bug early release would have without its
+//! drain; `allow_regress` retires a committed interval and locally
+//! commits it again, a demotion the lattice must never see.
+
+use cr_core::snapshot::{CommitListing, CommitState};
 
 use crate::checker::Model;
-
-/// Commit lattice, mirroring `cr_core::snapshot::CommitState`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum Commit {
-    /// Captured but not yet locally durable.
-    Uncommitted,
-    /// Locally durable; gather to stable storage may still be in flight.
-    LocalCommitted,
-    /// Globally durable and restart-visible.
-    GlobalCommitted,
-}
 
 /// Progress of the write-behind gather for one interval.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Gather {
-    /// No gather started (pre-commit, or classic path pre-drain).
+    /// No gather started.
     NotStarted,
     /// Write-behind transfer running on the source node.
     InFlight,
     /// All bytes on stable storage.
     Done,
-    /// Source node died mid-transfer.
+    /// The source node died mid-transfer.
     Failed,
 }
 
-/// Per-interval state.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub struct IntervalSt {
-    /// Position in the commit lattice.
-    pub commit: Commit,
-    /// Write-behind gather progress.
-    pub gather: Gather,
-}
-
-/// Global state: the interval table, source-node liveness, and the
-/// interval (if any) that a restart has observed.
+/// Global state: the shipped listing and the world around it.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct CommitSt {
-    /// Intervals in begin order (index = interval id).
-    pub intervals: Vec<IntervalSt>,
+    /// The commit listing, changed only through its own calls.
+    pub listing: CommitListing,
+    /// Gather progress of each begun interval (index = interval number).
+    pub gathers: Vec<Gather>,
     /// Whether the source node (holding local scratch) is alive.
     pub node_alive: bool,
-    /// Interval id a restart chose, sticky once set.
-    pub observed: Option<usize>,
+    /// Interval a restart chose, sticky once set.
+    pub observed: Option<u64>,
 }
 
-/// The commit-pipeline model; flags select mutated (buggy) variants.
+/// The commit-listing harness; flags select mutated (buggy) worlds.
 #[derive(Clone, Copy)]
 pub struct CommitModel {
     /// Mutation: promote without waiting for the gather to drain.
     pub promote_before_gather: bool,
-    /// Mutation: allow a direct demotion of a committed interval.
+    /// Mutation: demote a committed interval by retiring and locally
+    /// committing it again.
     pub allow_regress: bool,
-    /// Maximum concurrent intervals (default 2: tiny space that still
-    /// covers cross-interval interleavings; journal replay sizes it to
-    /// the number of `begin`s actually observed).
+    /// Intervals explored (default 3: a third begins while two gathers
+    /// may still be in flight; journal replay sizes it to the `begin`s
+    /// observed).
     pub max_intervals: usize,
 }
 
 impl Default for CommitModel {
     fn default() -> Self {
-        CommitModel {
-            promote_before_gather: false,
-            allow_regress: false,
-            max_intervals: 2,
+        CommitModel { promote_before_gather: false, allow_regress: false, max_intervals: 3 }
+    }
+}
+
+impl CommitSt {
+    fn state(&self, i: u64) -> CommitState {
+        self.listing.commit_state(i)
+    }
+
+    /// A successor with interval `i`'s gather set to `gather` and `step`
+    /// applied to its listing.
+    fn with(&self, i: usize, gather: Gather, step: impl FnOnce(&mut CommitListing)) -> CommitSt {
+        let mut t = self.clone();
+        if let Some(g) = t.gathers.get_mut(i) {
+            *g = gather;
         }
+        step(&mut t.listing);
+        t
     }
 }
 
@@ -107,49 +94,44 @@ impl Model for CommitModel {
     }
 
     fn initial(&self) -> Vec<CommitSt> {
-        vec![CommitSt { intervals: Vec::new(), node_alive: true, observed: None }]
+        let listing = CommitListing::default();
+        vec![CommitSt { listing, gathers: Vec::new(), node_alive: true, observed: None }]
     }
 
     fn transitions(&self, s: &CommitSt, out: &mut Vec<(String, CommitSt)>) {
-        // begin: open a new interval on a live node.
-        if s.node_alive && s.intervals.len() < self.max_intervals {
+        // begin: SNAPC opens the listing's next interval (a retry of one
+        // that never committed reuses its number).
+        let next = s.listing.next_interval();
+        if s.node_alive && (next as usize) < self.max_intervals {
             let mut t = s.clone();
-            t.intervals.push(IntervalSt { commit: Commit::Uncommitted, gather: Gather::NotStarted });
-            out.push((format!("begin({})", s.intervals.len()), t));
+            t.gathers.truncate(next as usize);
+            t.gathers.push(Gather::NotStarted);
+            out.push((format!("begin({next})"), t));
         }
-        for (i, iv) in s.intervals.iter().enumerate() {
-            // local_commit: early-release path — locally durable, hand
-            // the gather to the write-behind drain.
-            if s.node_alive && iv.commit == Commit::Uncommitted {
-                let mut t = s.clone();
-                t.set(i, IntervalSt { commit: Commit::LocalCommitted, gather: Gather::InFlight });
+        for (i, &gather) in s.gathers.iter().enumerate() {
+            let n = i as u64;
+            if s.node_alive && s.state(n) == CommitState::Uncommitted {
+                // Early release: locally durable, the gather drains behind.
+                let t = s.with(i, Gather::InFlight, |l| l.local_commit(n));
                 out.push((format!("local_commit({i})"), t));
-
-                // blocking_commit: classic path — gather and global
-                // commit complete atomically before release.
-                let mut t = s.clone();
-                t.set(i, IntervalSt { commit: Commit::GlobalCommitted, gather: Gather::Done });
+                // Classic path: gather, then commit, before release.
+                let t = s.with(i, Gather::Done, |l| l.commit(n));
                 out.push((format!("blocking_commit({i})"), t));
             }
-            // gather_done: the write-behind drain finishes.
-            if s.node_alive && iv.gather == Gather::InFlight {
-                let mut t = s.clone();
-                t.set(i, IntervalSt { commit: iv.commit, gather: Gather::Done });
-                out.push((format!("gather_done({i})"), t));
+            if s.node_alive && gather == Gather::InFlight {
+                out.push((format!("gather_done({i})"), s.with(i, Gather::Done, |_| {})));
             }
-            // promote: LocalCommitted -> GlobalCommitted once durable.
-            let gather_ok = iv.gather == Gather::Done || self.promote_before_gather;
-            if iv.commit == Commit::LocalCommitted && gather_ok {
+            if gather == Gather::Done || self.promote_before_gather {
                 let mut t = s.clone();
-                t.set(i, IntervalSt { commit: Commit::GlobalCommitted, gather: iv.gather });
-                out.push((format!("promote({i})"), t));
+                if t.listing.promote(n).is_ok() {
+                    out.push((format!("promote({i})"), t));
+                }
             }
-            // regress (mutation only): direct demotion, the kind of
-            // write the commit-state lint rule forbids outside the
-            // snapshot authority.
-            if self.allow_regress && iv.commit == Commit::GlobalCommitted {
-                let mut t = s.clone();
-                t.set(i, IntervalSt { commit: Commit::LocalCommitted, gather: iv.gather });
+            if self.allow_regress && s.state(n) == CommitState::GlobalCommitted {
+                let t = s.with(i, gather, |l| {
+                    l.retire(n);
+                    l.local_commit(n);
+                });
                 out.push((format!("regress({i})"), t));
             }
         }
@@ -157,90 +139,48 @@ impl Model for CommitModel {
         if s.node_alive {
             let mut t = s.clone();
             t.node_alive = false;
-            t.intervals = t
-                .intervals
-                .iter()
-                .map(|iv| {
-                    if iv.gather == Gather::InFlight {
-                        IntervalSt { commit: iv.commit, gather: Gather::Failed }
-                    } else {
-                        *iv
-                    }
-                })
-                .collect();
+            for g in t.gathers.iter_mut().filter(|g| **g == Gather::InFlight) {
+                *g = Gather::Failed;
+            }
             out.push(("kill".to_owned(), t));
         }
-        // restart: observe the newest GlobalCommitted interval.
-        let newest_global = s
-            .intervals
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, iv)| iv.commit == Commit::GlobalCommitted)
-            .map(|(i, _)| i);
-        if let Some(i) = newest_global {
-            if s.observed != Some(i) {
-                let mut t = s.clone();
-                t.observed = Some(i);
-                out.push((format!("restart({i})"), t));
-            }
+        // restart: read the newest globally committed interval.
+        if let Some(i) = s.listing.latest_interval().filter(|i| s.observed != Some(*i)) {
+            let mut t = s.clone();
+            t.observed = Some(i);
+            out.push((format!("restart({i})"), t));
         }
     }
 
     fn invariant(&self, s: &CommitSt) -> Result<(), String> {
-        for (i, iv) in s.intervals.iter().enumerate() {
-            if iv.commit == Commit::GlobalCommitted && iv.gather != Gather::Done {
-                return Err(format!(
-                    "interval {i} is GlobalCommitted but its gather is {:?}: \
-                     a restart-visible interval must be fully durable",
-                    iv.gather
-                ));
+        for (i, gather) in s.gathers.iter().enumerate() {
+            let state = s.state(i as u64);
+            if *gather == Gather::NotStarted && state != CommitState::Uncommitted {
+                return Err(format!("interval {i} began again while {state}: numbering collided"));
             }
         }
-        if let Some(i) = s.observed {
-            let ok = s
-                .intervals
-                .get(i)
-                .map(|iv| iv.commit == Commit::GlobalCommitted)
-                .unwrap_or(false);
-            if !ok {
+        for i in s.listing.intervals().into_iter().chain(s.observed) {
+            let gather = s.gathers.get(i as usize).copied();
+            if gather != Some(Gather::Done) {
                 return Err(format!(
-                    "restart observed interval {i} which is not GlobalCommitted"
+                    "interval {i} is GlobalCommitted (or a restart read it) but its gather is \
+                     {gather:?}: a restart-visible interval must be fully durable"
                 ));
             }
         }
         Ok(())
     }
 
-    fn step_invariant(
-        &self,
-        from: &CommitSt,
-        action: &str,
-        to: &CommitSt,
-    ) -> Result<(), String> {
-        for (i, (a, b)) in from.intervals.iter().zip(to.intervals.iter()).enumerate() {
-            if b.commit < a.commit {
+    fn step_invariant(&self, from: &CommitSt, action: &str, to: &CommitSt) -> Result<(), String> {
+        for i in 0..to.gathers.len() as u64 {
+            let (a, b) = (from.state(i), to.state(i));
+            if b < a {
                 return Err(format!(
-                    "interval {i} regressed {:?} -> {:?} on `{action}`: \
-                     promotion must be monotone",
-                    a.commit, b.commit
+                    "interval {i} regressed {a} -> {b} on `{action}`: promotion must be monotone"
                 ));
             }
         }
-        if to.intervals.len() < from.intervals.len() {
-            return Err(format!("interval table shrank on `{action}`"));
-        }
         Ok(())
-    }
-}
-
-impl CommitSt {
-    /// Replace interval `i` (no-op when out of range; transitions only
-    /// pass indices obtained by enumerating the live table).
-    fn set(&mut self, i: usize, iv: IntervalSt) {
-        if let Some(slot) = self.intervals.get_mut(i) {
-            *slot = iv;
-        }
     }
 }
 

@@ -2,17 +2,17 @@
 //! protocols, in the style of `cr-lint`.
 //!
 //! The crate ships small transition models, checked exhaustively by BFS.
-//! `quiesce` is a harness around the shipped `ompi::crcp::round::Round`;
-//! the others are hand-written models mirroring production state
-//! machines:
+//! All but `gc` are harnesses: each holds the shipped machine in its
+//! state, makes every protocol step a call into it, and plays only the
+//! world around it.
 //!
-//! | model     | mirrors                                   | invariant |
-//! |-----------|-------------------------------------------|-----------|
-//! | `commit`  | `orte::snapc` early-release commit lattice | restart only observes `GlobalCommitted`; promotion monotone |
-//! | `quiesce` | runs `ompi::crcp::round::Round` itself     | no cross-round frame or overrun in a clean epoch's drain; no message counted in another epoch; no survivor stuck in a round |
-//! | `replica` | `orte::replica` ring placement             | committed images stay fetchable under `k` losses |
-//! | `gc`      | `opal::store` refcount GC at retirement    | no live-manifest chunk is ever swept; refcounts match manifests |
-//! | `partial` | `ompi::crcp` partial-restart replay        | survivors never regress past global commit; every logged gap replayed exactly once |
+//! | model     | runs                                       | invariant |
+//! |-----------|--------------------------------------------|-----------|
+//! | `commit`  | `cr_core::snapshot::CommitListing`         | restart only observes `GlobalCommitted`; promotion monotone |
+//! | `quiesce` | `ompi::crcp::round::Round`                 | no cross-round frame or overrun in a clean epoch's drain; no message counted in another epoch; no survivor stuck in a round |
+//! | `replica` | `orte::replica::ring_neighbors`            | committed images stay fetchable under `k` losses |
+//! | `gc`      | a hand-written copy of `opal::store`'s refcount GC | no live-manifest chunk is ever swept; refcounts match manifests |
+//! | `partial` | `ompi::crcp::msglog::{MsgLog, arrival}`    | survivors never regress past global commit; every logged gap replayed exactly once |
 //!
 //! See DESIGN.md §2.4 "Model-checked protocols" for how the models map
 //! to code and how to add a new one.  The `cr-model` binary runs them

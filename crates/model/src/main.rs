@@ -9,7 +9,7 @@
 //! `--smoke` applies the bounded tier-1 limits (the in-repo models still
 //! finish exhaustively inside them — truncation is reported and fails).
 //! `--mutate NAME` runs a named mutated variant of the selected model and
-//! expects a counterexample, printing its minimized trace.
+//! expects a counterexample, printing its minimal-length trace.
 //!
 //! Exit codes: 0 all models green (or mutation found its counterexample),
 //! 1 violation/truncation (or mutation found nothing), 2 usage error.
@@ -115,7 +115,7 @@ fn main() -> ExitCode {
             );
             if let Some(cx) = &report.violation {
                 print!("{}", cx.render());
-                println!("  ({} steps after minimization)", cx.len());
+                println!("  ({} steps)", cx.len());
             }
         }
         reports.push(report);

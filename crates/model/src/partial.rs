@@ -1,80 +1,98 @@
-//! Model 5: partial restart with sender-side message-log replay.
+//! Model 5: partial restart with sender-side message-log replay, as it
+//! ships.
 //!
-//! Mirrors `ompi::crcp` partial recovery (DESIGN.md §2.8): a survivor
-//! `s` keeps sending to a failable rank `f` and logs every frame sent
-//! since the last global commit; the log is garbage-collected exactly at
-//! global commit (the coordinated checkpoint drains the channel first,
-//! so the commit point has no in-flight traffic).  When `f` is killed,
-//! everything sent past the commit point exists only in the survivor's
-//! log.  Recovery restores `f` from the committed checkpoint
-//! (`restore`), replays the logged backlog frame by frame
-//! (`replay_one`), and only then fences the channel (`replay_done`) so
-//! the application resumes.
+//! The harness holds a survivor's real [`MsgLog`] and classifies every
+//! frame the failable rank `f` takes with the PML's own [`arrival`] rule
+//! (DESIGN.md §2.8). It plays the world around them: the FIFO channel to
+//! `f`'s endpoint, the kill that empties it, and the restore. The survivor
+//! logs every send (a send to a dead `f` is logged and counted all the
+//! same). A checkpoint quiesces the channel and marks the log; its global
+//! commit comes at once or after more traffic, or never, and raises the
+//! commit watermark the survivor trims its log to at its next send or
+//! quiesce, as `CoordCrcp` does. A restore rolls `f` back to the
+//! committed counts, and the survivor answers its `ReplayBegin` at once,
+//! as `handle_replay_begin` does under the state lock: it resends
+//! [`MsgLog::backlog`] and fences it with `ReplayDone`.
 //!
-//! Invariants:
-//! - a rank that has finished rejoining has no gap: every message the
-//!   failure lost was replayed from the log before the fence
-//!   (`replay_done` is guarded on the backlog being drained);
-//! - replay is exactly-once: the consume cursor never overtakes the send
-//!   cursor;
-//! - survivors never regress past the global commit: the send cursor and
-//!   the committed floor are monotone on every edge, and the consume
-//!   cursor only moves backwards on the `restore` edge of the restarted
-//!   rank itself — never on a survivor edge.
+//! Invariants: a live `f` has every frame it has not yet counted still in
+//! its channel; no frame arrives past a hole; `f` never counts more than
+//! was sent; survivors never regress, and `f` rolls back only on its own
+//! restore.
 //!
-//! Mutation: [`PartialModel::skip_replay`] drops the backlog guard from
-//! `replay_done`, modelling a fence sent before the logged frames — the
-//! restarted rank resumes with a hole in its message sequence.
+//! Mutation: [`PartialModel::skip_replay`] fences without resending the
+//! backlog, so the restarted rank resumes with a hole in its sequence.
+
+use std::collections::VecDeque;
+
+use ompi::crcp::msglog::{arrival, Arrival, LoggedSend, MsgLog};
 
 use crate::checker::Model;
 
 /// Liveness of the failable rank.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum FState {
-    /// Running and consuming messages.
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum Peer {
+    /// Running and counting frames.
+    #[default]
     Live,
     /// Killed; its endpoint (and everything queued on it) is gone.
     Dead,
-    /// Restored from the committed checkpoint, replay handshake open.
+    /// Restored, waiting for the survivor's `ReplayDone`.
     Rejoining,
 }
 
-/// Global state of the two-rank system.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub struct PartialSt {
-    /// Messages the survivor has sent (logged since the last commit).
-    pub s_sent: u8,
-    /// Messages the failable rank has consumed.
-    pub f_recv: u8,
-    /// Consume cursor recorded in the last committed checkpoint; the
-    /// quiesce drains the channel, so this equals the send cursor at
-    /// commit time and is also the log-GC floor.
-    pub ckpt_recv: u8,
-    /// Send cursor at the moment of the last kill: messages in
-    /// `(ckpt_recv..lost_hi]` survive only in the sender log.
-    pub lost_hi: u8,
-    /// A committed checkpoint exists (restore needs one).
-    pub ckpted: bool,
-    /// Kills so far (bounded exploration budget).
-    pub killed: u8,
-    /// The failable rank's liveness.
-    pub f: FState,
+/// What the channel to `f` carries.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum Item {
+    /// An application frame with its sequence number.
+    Frame(u64),
+    /// The survivor's `ReplayDone`.
+    Fence,
 }
 
-/// The partial-restart replay model.
+/// Global state of the two-rank system.
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub struct PartialSt {
+    /// The survivor's message log.
+    pub log: MsgLog,
+    /// Frames the survivor has sent to `f` (its `sent_counts` entry).
+    pub sent: u64,
+    /// Frames `f` has counted from the survivor (its `recv_counts` entry).
+    pub recv: u64,
+    /// The newest globally committed checkpoint: its interval and `recv`.
+    pub committed: Option<(u64, u64)>,
+    /// A quiesced checkpoint not yet committed: its interval and `recv`.
+    pub pending: Option<(u64, u64)>,
+    /// The channel to `f`'s current endpoint.
+    pub chan: VecDeque<Item>,
+    /// `f`'s liveness.
+    pub peer: Peer,
+    /// Kills so far (bounded exploration budget).
+    pub kills: u8,
+    /// A frame arrived past a hole.
+    pub gap: Option<String>,
+}
+
+/// The partial-restart harness.
 #[derive(Clone, Copy)]
 pub struct PartialModel {
     /// Messages the survivor may send in an execution.
-    pub max_msgs: u8,
+    pub max_msgs: u64,
     /// Kills explored per execution.
     pub max_kills: u8,
-    /// Mutation: fence the channel without draining the backlog.
+    /// Mutation: fence the channel without replaying the backlog.
     pub skip_replay: bool,
 }
 
 impl Default for PartialModel {
     fn default() -> Self {
         PartialModel { max_msgs: 3, max_kills: 2, skip_replay: false }
+    }
+}
+
+impl PartialSt {
+    /// The job's commit watermark: newest committed interval + 1.
+    fn watermark(&self) -> u64 {
+        self.committed.map_or(0, |(interval, _)| interval + 1)
     }
 }
 
@@ -86,121 +104,125 @@ impl Model for PartialModel {
     }
 
     fn initial(&self) -> Vec<PartialSt> {
-        vec![PartialSt {
-            s_sent: 0,
-            f_recv: 0,
-            ckpt_recv: 0,
-            lost_hi: 0,
-            ckpted: false,
-            killed: 0,
-            f: FState::Live,
-        }]
+        vec![PartialSt::default()]
     }
 
     fn transitions(&self, s: &PartialSt, out: &mut Vec<(String, PartialSt)>) {
-        // send: the survivor's application keeps running whatever state
-        // its peer is in; every frame since the last commit is logged.
-        if s.s_sent < self.max_msgs {
+        // send: the survivor's application runs whatever state `f` is in.
+        if s.sent < self.max_msgs {
             let mut t = s.clone();
-            t.s_sent += 1;
-            out.push((format!("send({})", t.s_sent), t));
+            let send = LoggedSend { dst: 1, ctx: 0, tag: 0, seq: s.sent, payload: Default::default() };
+            t.log.trim(s.watermark());
+            t.log.record(send, u64::MAX);
+            if s.peer != Peer::Dead {
+                t.chan.push_back(Item::Frame(s.sent));
+            }
+            t.sent += 1;
+            out.push((format!("send({})", t.sent), t));
         }
-
-        // deliver: the live peer consumes the next in-order frame.
-        if s.f == FState::Live && s.f_recv < s.s_sent {
+        // deliver: `f` takes the next item off its endpoint.
+        if let (Some(&item), false) = (s.chan.front(), s.peer == Peer::Dead) {
             let mut t = s.clone();
-            t.f_recv += 1;
-            out.push((format!("deliver({})", t.f_recv), t));
+            t.chan.pop_front();
+            let label = match item {
+                Item::Frame(seq) => {
+                    match arrival(s.recv, seq) {
+                        Arrival::Duplicate => {}
+                        Arrival::Next => t.recv += 1,
+                        Arrival::Gap => t.gap = Some(format!("expected {}, got {seq}", s.recv)),
+                    }
+                    format!("deliver({seq})")
+                }
+                Item::Fence => {
+                    t.peer = Peer::Live;
+                    "replay_done".to_owned()
+                }
+            };
+            out.push((label, t));
         }
-
-        // checkpoint: the coordinated protocol quiesces (drains the
-        // channel) before committing, so the commit point carries no
-        // in-flight traffic; the sender log is GC'd to that point.
-        if s.f == FState::Live && s.f_recv == s.s_sent {
+        // checkpoint: the coordinated round drains the channel and the log
+        // is marked at the quiesce; the interval commits at once
+        // (`checkpoint`) or later (`quiesce`, then `commit`, which may
+        // never come). Intervals are numbered by the send count, which
+        // keeps the space finite.
+        if s.peer == Peer::Live && s.chan.is_empty() {
             let mut t = s.clone();
-            t.ckpt_recv = s.f_recv;
-            t.ckpted = true;
-            out.push((format!("checkpoint({})", s.f_recv), t));
+            t.log.trim(s.watermark());
+            t.log.mark(s.sent);
+            if s.pending.is_none() {
+                let pending = Some((s.sent, s.recv));
+                out.push((format!("quiesce({})", s.sent), PartialSt { pending, ..t.clone() }));
+            }
+            t.committed = t.committed.max(Some((s.sent, s.recv)));
+            out.push((format!("checkpoint({})", s.recv), t));
         }
-
-        // kill: the failable rank dies; frames past the commit point now
-        // exist only in the survivor's log.
-        if s.f == FState::Live && s.killed < self.max_kills {
+        if let Some(done) = s.pending {
+            let committed = s.committed.max(Some(done));
+            out.push((format!("commit({})", done.0), PartialSt { pending: None, committed, ..s.clone() }));
+        }
+        // kill: `f` dies with everything queued on its endpoint.
+        if s.peer == Peer::Live && s.kills < self.max_kills {
             let mut t = s.clone();
-            t.f = FState::Dead;
-            t.killed += 1;
-            t.lost_hi = s.s_sent;
+            t.peer = Peer::Dead;
+            t.kills += 1;
+            t.chan.clear();
             out.push(("kill".into(), t));
         }
-
-        // restore: partial restart from the committed checkpoint — the
-        // consume cursor rolls back to the commit point; the survivor is
-        // untouched.
-        if s.f == FState::Dead && s.ckpted {
+        // restore: `f` restarts from the committed checkpoint; the
+        // survivor re-points it, replays its backlog and fences it.
+        if let (Peer::Dead, Some((_, floor))) = (s.peer, s.committed) {
             let mut t = s.clone();
-            t.f = FState::Rejoining;
-            t.f_recv = s.ckpt_recv;
-            out.push((format!("restore({})", s.ckpt_recv), t));
-        }
-
-        // replay_one: a survivor resends the next logged frame; in-order
-        // dup suppression makes it consume-exactly-once.
-        if s.f == FState::Rejoining && s.f_recv < s.lost_hi {
-            let mut t = s.clone();
-            t.f_recv += 1;
-            out.push((format!("replay_one({})", t.f_recv), t));
-        }
-
-        // replay_done: the fence closing the handshake.  The pristine
-        // protocol only sends it after the whole logged backlog went out
-        // (FIFO then guarantees the fence arrives last); the mutation
-        // fences immediately, leaving the gap unreplayed.
-        if s.f == FState::Rejoining && (self.skip_replay || s.f_recv >= s.lost_hi) {
-            let mut t = s.clone();
-            t.f = FState::Live;
-            out.push(("replay_done".into(), t));
+            t.peer = Peer::Rejoining;
+            t.recv = floor;
+            if !self.skip_replay {
+                t.chan.extend(s.log.backlog(1).map(|l| Item::Frame(l.seq)));
+            }
+            t.chan.push_back(Item::Fence);
+            out.push((format!("restore({floor})"), t));
         }
     }
 
     fn invariant(&self, s: &PartialSt) -> Result<(), String> {
-        if s.f == FState::Live && s.f_recv < s.lost_hi {
+        if let Some(gap) = &s.gap {
+            return Err(format!("sequence gap at the restarted rank: {gap}"));
+        }
+        let queued: Vec<u64> = s
+            .chan
+            .iter()
+            .filter_map(|i| match i {
+                Item::Frame(seq) if *seq >= s.recv => Some(*seq),
+                _ => None,
+            })
+            .collect();
+        if s.peer == Peer::Live && !queued.iter().copied().eq(s.recv..s.sent) {
             return Err(format!(
-                "rejoined rank has a message gap: frames {}..{} were lost with \
-                 its old endpoint and never replayed from the sender log",
-                s.f_recv, s.lost_hi
+                "rejoined rank has a message gap: of frames {}..{} only {queued:?} are still \
+                 on their way; the rest died with its old endpoint and were never replayed",
+                s.recv, s.sent
             ));
         }
-        if s.f_recv > s.s_sent {
+        if s.recv > s.sent {
             return Err(format!(
-                "consume cursor {} overtook send cursor {}: a logged frame was \
-                 replayed more than once",
-                s.f_recv, s.s_sent
+                "receive count {} overtook send count {}: a logged frame was counted twice",
+                s.recv, s.sent
             ));
         }
         Ok(())
     }
 
-    fn step_invariant(
-        &self,
-        from: &PartialSt,
-        action: &str,
-        to: &PartialSt,
-    ) -> Result<(), String> {
-        // Survivors never regress past the global commit: the send cursor
-        // and committed floor are monotone on every edge, and only the
-        // restarted rank's own restore edge may roll the consume cursor
-        // back (and then exactly to the committed floor).
-        if to.s_sent < from.s_sent || to.ckpt_recv < from.ckpt_recv {
+    fn step_invariant(&self, from: &PartialSt, action: &str, to: &PartialSt) -> Result<(), String> {
+        // Survivors never regress past the global commit; only the
+        // restarted rank's own restore rolls its count back.
+        if to.sent < from.sent || to.committed < from.committed {
             return Err(format!(
-                "survivor regressed on {action}: send cursor {} -> {}, committed \
-                 floor {} -> {}",
-                from.s_sent, to.s_sent, from.ckpt_recv, to.ckpt_recv
+                "survivor regressed on {action}: sent {} -> {}, committed {:?} -> {:?}",
+                from.sent, to.sent, from.committed, to.committed
             ));
         }
-        if to.f_recv < from.f_recv && !action.starts_with("restore") {
+        if to.recv < from.recv && !action.starts_with("restore") {
             return Err(format!(
-                "consume cursor rolled back {} -> {} outside a restore edge ({action})",
-                from.f_recv, to.f_recv
+                "receive count rolled back {} -> {} outside a restore ({action})",
+                from.recv, to.recv
             ));
         }
         Ok(())

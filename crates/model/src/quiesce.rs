@@ -144,12 +144,15 @@ fn bump(counts: &mut [u64], q: u32) {
 
 impl QuiesceModel {
     /// Do what the I/O loop does with rank `id`'s round's outputs.
-    fn apply(&self, s: &mut QuiesceSt, id: u32, out: Outputs) {
+    /// Returns whether the round returned `Quiesced`, the step at which
+    /// the rank records `ompi.crcp.quiesced`.
+    fn apply(&self, s: &mut QuiesceSt, id: u32, out: Outputs) -> bool {
+        let quiesced = out.contains(&Output::Quiesced);
         let mut pending = VecDeque::from(out);
         while let Some(output) = pending.pop_front() {
             let epoch = match s.ranks.get(id as usize) {
                 Some(r) if !matches!(r.phase, Phase::Run | Phase::Dead) => r.orders,
-                _ => return,
+                _ => break,
             };
             let leave = match output {
                 Output::Send(to, msg) if s.alive(to) => {
@@ -177,6 +180,7 @@ impl QuiesceModel {
                 r.phase = if aborted { Phase::Aborting } else { Phase::Exiting };
             }
         }
+        quiesced
     }
 
     /// Feed rank `id`'s round every death it heard of.
@@ -255,10 +259,12 @@ impl QuiesceModel {
         }
 
         // recv: the next control item from each peer, if the round owns
-        // it (a death notice always gets through).
+        // it (a death notice always gets through); `quiesced` when it is
+        // the last `Quiesced` the round waited for.
         for q in (0..n).filter(|q| *q != id) {
             let Some(at) = me.ctrl_in.iter().position(|(from, _)| *from == q) else { continue };
             let mut t = s.clone();
+            let mut quiesced = false;
             let what = match me.ctrl_in.get(at).map(|(_, item)| item) {
                 Some(Ctrl::Down) => {
                     if let Some(r) = t.rank(id).filter(|_| !self.ignore_peer_down) {
@@ -279,7 +285,7 @@ impl QuiesceModel {
                     if *sent_in != epoch && (*round != before || !out.is_empty()) {
                         t.flag(format!("message of epoch {sent_in} counted in epoch {epoch}: {msg:?}"));
                     }
-                    self.apply(&mut t, id, out);
+                    quiesced = self.apply(&mut t, id, out);
                     kind(&msg)
                 }
                 None => continue,
@@ -287,20 +293,26 @@ impl QuiesceModel {
             if let Some(r) = t.rank(id) {
                 r.ctrl_in.remove(at);
             }
-            out.push((format!("recv({id}<-{q},{what})"), t));
+            let step = if quiesced { "quiesced" } else { "recv" };
+            out.push((format!("{step}({id}<-{q},{what})"), t));
         }
 
-        // drain: the round looks at the receive counts.
+        // drain: the round looks at the receive counts (`quiesced` when
+        // that also passes the exit barrier).
         if let Phase::Round(round) = &me.phase {
             let mut round = round.clone();
             let counts = round.on(Input::Counts(&me.recv));
             if !counts.is_empty() {
-                let label = if counts.contains(&Output::Drained) { "send_quiesced" } else { "overrun" };
+                let drained = counts.contains(&Output::Drained);
                 let mut t = s.clone();
                 if let Some(r) = t.rank(id) {
                     r.phase = Phase::Round(round);
                 }
-                self.apply(&mut t, id, counts);
+                let label = match self.apply(&mut t, id, counts) {
+                    true => "quiesced",
+                    false if drained => "send_quiesced",
+                    false => "overrun",
+                };
                 out.push((format!("{label}({id})"), t));
             }
         }
@@ -408,7 +420,8 @@ mod tests {
                 frontier.push(t);
             }
         }
-        let actions = ["notify", "refuse", "kill", "recv", "ingest", "send_quiesced", "exit", "abort"];
+        let actions =
+            ["notify", "refuse", "kill", "recv", "ingest", "send_quiesced", "quiesced", "exit", "abort"];
         for action in actions {
             assert!(seen.contains(action), "{action} never enabled: {seen:?}");
         }

@@ -33,13 +33,16 @@ use std::collections::BTreeSet;
 use crate::checker::Model;
 use crate::{commit, gc, partial, quiesce, replica};
 
-/// One journal event to replay: its seq (for violation reports) and
-/// phase string.  Built by `cr-replay` from `journal::JournalEntry`;
-/// kept `String`-based here so `model` does not depend on `journal`.
+/// One journal event to replay: its seq (for violation reports), the
+/// actor that recorded it and its phase string.  Built by `cr-replay`
+/// from `journal::JournalEntry`; kept `String`-based here so `model` does
+/// not depend on `journal`.
 #[derive(Clone, Debug)]
 pub struct ReplayEvent {
     /// Journal sequence number of the event.
     pub seq: u64,
+    /// Attribution label (`rank3`, `node01`), empty for runtime events.
+    pub actor: String,
     /// Trace phase string (e.g. `snapc.global.local_commit`).
     pub phase: String,
 }
@@ -56,6 +59,9 @@ pub struct PhaseRule {
     /// Strict: an occurrence with no enabled matching transition is a
     /// violation.  Lenient: it is skipped.
     pub strict: bool,
+    /// An event recorded by `rankN` is explained only by an action whose
+    /// first argument is rank N.
+    pub by_actor: bool,
 }
 
 /// A journal event the model cannot explain.
@@ -125,6 +131,11 @@ fn action_base(label: &str) -> &str {
     label.split('(').next().unwrap_or(label)
 }
 
+/// The number that opens the action's argument, e.g. `exit(1)` → 1.
+fn action_rank(label: &str) -> Option<u32> {
+    label.split_once('(')?.1.split(|c: char| !c.is_ascii_digit()).next()?.parse().ok()
+}
+
 /// Close `set` under the model's internal actions (bounded BFS).
 fn close_internal<M: Model>(
     model: &M,
@@ -184,12 +195,16 @@ pub fn conform<M: Model>(
         // Let the model take unobservable steps, then take one observed one.
         let mut closure = candidates.clone();
         close_internal(model, internal, &mut closure, &mut report.truncated);
+        let rank = event.actor.strip_prefix("rank").and_then(|r| r.parse().ok());
+        let rank = rank.filter(|_| rule.by_actor);
         let mut matched: BTreeSet<M::State> = BTreeSet::new();
         for s in &closure {
             succs.clear();
             model.transitions(s, &mut succs);
             for (label, next) in succs.drain(..) {
-                if rule.actions.contains(&action_base(&label)) {
+                if rule.actions.contains(&action_base(&label))
+                    && (rank.is_none() || action_rank(&label) == rank)
+                {
                     matched.insert(next);
                 }
             }
@@ -232,37 +247,39 @@ pub fn conform<M: Model>(
 /// path and the classic blocking path (where it explains
 /// `blocking_commit`).
 const COMMIT_RULES: &[PhaseRule] = &[
-    PhaseRule { phase: "snapc.global.initiate", actions: &["begin"], strict: true },
-    PhaseRule { phase: "snapc.global.local_commit", actions: &["local_commit"], strict: true },
-    PhaseRule { phase: "snapc.global.global_commit", actions: &["promote"], strict: true },
-    PhaseRule { phase: "filem.gather", actions: &["gather_done", "blocking_commit"], strict: false },
-    PhaseRule { phase: "orte.daemon.kill", actions: &["kill"], strict: false },
-    PhaseRule { phase: "ompi.restart", actions: &["restart"], strict: false },
+    PhaseRule { phase: "snapc.global.initiate", actions: &["begin"], strict: true, by_actor: false },
+    PhaseRule { phase: "snapc.global.local_commit", actions: &["local_commit"], strict: true, by_actor: false },
+    PhaseRule { phase: "snapc.global.global_commit", actions: &["promote"], strict: true, by_actor: false },
+    PhaseRule { phase: "filem.gather", actions: &["gather_done", "blocking_commit"], strict: false, by_actor: false },
+    PhaseRule { phase: "orte.daemon.kill", actions: &["kill"], strict: false, by_actor: false },
+    PhaseRule { phase: "ompi.restart", actions: &["restart"], strict: false, by_actor: false },
 ];
 
-/// Phase rules for the `quiesce` model (2 ranks × 2 orders only): a
-/// drain, the exit barrier, and a round's abort.
+/// Phase rules for the `quiesce` model (2 ranks × 2 orders only), each
+/// bound to the recording rank: a round that returns `Quiesced` (the
+/// exit barrier passed), the rank leaving it, and a round's abort.
 const QUIESCE_RULES: &[PhaseRule] = &[
-    PhaseRule { phase: "ompi.crcp.quiesced", actions: &["send_quiesced"], strict: true },
-    PhaseRule { phase: "ompi.crcp.resume", actions: &["exit"], strict: true },
-    PhaseRule { phase: "ompi.crcp.aborted", actions: &["abort"], strict: true },
+    PhaseRule { phase: "ompi.crcp.quiesced", actions: &["quiesced"], strict: true, by_actor: true },
+    PhaseRule { phase: "ompi.crcp.resume", actions: &["exit"], strict: true, by_actor: true },
+    PhaseRule { phase: "ompi.crcp.aborted", actions: &["abort"], strict: true, by_actor: true },
 ];
 
 /// Internal (trace-silent) actions of the quiesce model.
-const QUIESCE_INTERNAL: &[&str] = &["send_app", "notify", "refuse", "recv", "ingest"];
+const QUIESCE_INTERNAL: &[&str] =
+    &["send_app", "notify", "refuse", "recv", "ingest", "send_quiesced"];
 
 /// Lenient sanity rules for the `replica` model.
 const REPLICA_RULES: &[PhaseRule] = &[
-    PhaseRule { phase: "filem.replica.put", actions: &["commit"], strict: false },
-    PhaseRule { phase: "filem.replica.expire", actions: &["retire"], strict: false },
-    PhaseRule { phase: "orte.daemon.kill", actions: &["kill"], strict: false },
+    PhaseRule { phase: "filem.replica.put", actions: &["commit"], strict: false, by_actor: false },
+    PhaseRule { phase: "filem.replica.expire", actions: &["retire"], strict: false, by_actor: false },
+    PhaseRule { phase: "orte.daemon.kill", actions: &["kill"], strict: false, by_actor: false },
 ];
 
 /// Lenient sanity rules for the `gc` model (its two-interval manifest
 /// shape cannot carry a whole run strictly).
 const GC_RULES: &[PhaseRule] = &[
-    PhaseRule { phase: "store.commit", actions: &["record"], strict: false },
-    PhaseRule { phase: "store.gc.sweep", actions: &["sweep"], strict: false },
+    PhaseRule { phase: "store.commit", actions: &["record"], strict: false, by_actor: false },
+    PhaseRule { phase: "store.gc.sweep", actions: &["sweep"], strict: false, by_actor: false },
 ];
 
 /// Internal actions of the gc model (no trace phase maps to them).
@@ -271,20 +288,20 @@ const GC_INTERNAL: &[&str] = &["prepare", "retire", "decref"];
 /// Lenient sanity rules for the `partial` model.  The model is a
 /// two-rank abstraction while a real partial-restart journal interleaves
 /// every survivor's handshake, so the mapping is advisory: each phase
-/// *may* be the corresponding model action.  `crcp.replay.resent`
-/// records a whole backlog per survivor, hence `replay_one` is also an
-/// internal action (one event can explain several replayed frames).
+/// *may* be the corresponding model action.  The model's `restore` is the
+/// whole handshake up to the fence (claim, `ReplayBegin`, the resent
+/// backlog), and `replay_done` is the fence arriving.
 const PARTIAL_RULES: &[PhaseRule] = &[
-    PhaseRule { phase: "snapc.global.global_commit", actions: &["checkpoint"], strict: false },
-    PhaseRule { phase: "orte.daemon.kill", actions: &["kill"], strict: false },
-    PhaseRule { phase: "orte.spare.claim", actions: &["restore"], strict: false },
-    PhaseRule { phase: "crcp.replay.begin", actions: &["restore"], strict: false },
-    PhaseRule { phase: "crcp.replay.resent", actions: &["replay_one"], strict: false },
-    PhaseRule { phase: "crcp.replay.done", actions: &["replay_done"], strict: false },
+    PhaseRule { phase: "snapc.global.global_commit", actions: &["checkpoint"], strict: false, by_actor: false },
+    PhaseRule { phase: "orte.daemon.kill", actions: &["kill"], strict: false, by_actor: false },
+    PhaseRule { phase: "orte.spare.claim", actions: &["restore"], strict: false, by_actor: false },
+    PhaseRule { phase: "crcp.replay.begin", actions: &["restore"], strict: false, by_actor: false },
+    PhaseRule { phase: "crcp.replay.resent", actions: &["restore"], strict: false, by_actor: false },
+    PhaseRule { phase: "crcp.replay.done", actions: &["replay_done"], strict: false, by_actor: false },
 ];
 
 /// Internal (trace-silent) actions of the partial model.
-const PARTIAL_INTERNAL: &[&str] = &["send", "deliver", "replay_one"];
+const PARTIAL_INTERNAL: &[&str] = &["send", "deliver", "quiesce"];
 
 /// Replay `events` against the named shipped model.  Returns `None` for
 /// an unknown model name.  The commit model's interval bound is sized to
@@ -331,10 +348,17 @@ mod tests {
     use super::*;
 
     fn events(phases: &[&str]) -> Vec<ReplayEvent> {
-        phases
+        let actors = vec![""; phases.len()];
+        by(&actors, phases)
+    }
+
+    /// Events recorded by `actors[i]`.
+    fn by(actors: &[&str], phases: &[&str]) -> Vec<ReplayEvent> {
+        actors
             .iter()
+            .zip(phases)
             .enumerate()
-            .map(|(i, p)| ReplayEvent { seq: i as u64, phase: (*p).to_string() })
+            .map(|(i, (a, p))| ReplayEvent { seq: i as u64, actor: a.to_string(), phase: p.to_string() })
             .collect()
     }
 
@@ -418,14 +442,30 @@ mod tests {
 
     #[test]
     fn resume_before_peer_quiesced_is_rejected() {
+        // Rank 0's round passed the barrier; rank 1 resumes before its own
+        // round returned `Quiesced`.
         let report = conformance(
             "quiesce",
-            &events(&["ompi.crcp.quiesced", "ompi.crcp.resume", "ompi.crcp.resume"]),
+            &by(&["rank0", "rank1"], &["ompi.crcp.quiesced", "ompi.crcp.resume"]),
         )
         .expect("quiesce model known");
         let v = report.violation.clone().expect("must reject");
         assert_eq!(v.seq, 1, "{}", report.render());
         assert_eq!(v.phase, "ompi.crcp.resume");
+        // Without actors the same two events are one rank's round.
+        let report = conformance("quiesce", &events(&["ompi.crcp.quiesced", "ompi.crcp.resume"]));
+        assert!(report.expect("quiesce model known").ok());
+    }
+
+    #[test]
+    fn a_rank_may_resume_before_its_peer_records_quiesced() {
+        // Rank 1's round returns as rank 0's `Quiesced` lands; it records
+        // and resumes before rank 0's round sees rank 1's.
+        let actors = ["rank1", "rank1", "rank0", "rank0"];
+        let phases = ["ompi.crcp.quiesced", "ompi.crcp.resume"].repeat(2);
+        let report = conformance("quiesce", &by(&actors, &phases)).expect("quiesce model known");
+        assert!(report.ok(), "{}", report.render());
+        assert_eq!(report.matched, 4);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Model 3: replica ring placement under `k` node losses.
 //!
-//! Mirrors `orte::replica` (DESIGN.md §2.5 in spirit): when node `n`
-//! commits its checkpoint image, the image is held in memory by `n` and
-//! pushed to its `factor` ring successors `(n+1)%N .. (n+factor)%N`.
+//! Runs the production placement, `orte::replica::ring_neighbors`
+//! (DESIGN.md §2.5 in spirit): when node `n` commits its checkpoint image,
+//! the image is held in memory by `n` and pushed to its `factor` ring
+//! successors `(n+1)%N .. (n+factor)%N`.
 //! Nodes may be killed (up to `factor` losses, the design's stated
 //! survivability), images may be retired, and a restart must be able to
 //! fetch every still-committed image from a live holder.
@@ -46,27 +47,11 @@ impl Default for ReplicaModel {
 }
 
 impl ReplicaModel {
-    /// Ring successors of `node`, mirroring `orte::replica::ring_neighbors`:
-    /// the next `factor` nodes after `node` modulo `nodes`, excluding
-    /// `node` itself, capped at `nodes - 1` distinct peers.
-    pub fn ring_successors(&self, node: u8) -> Vec<u8> {
-        let effective = if self.under_replicate {
-            self.factor.saturating_sub(1)
-        } else {
-            self.factor
-        };
-        let want = effective.min(self.nodes.saturating_sub(1));
-        (1..=want)
-            .map(|step| (node + step) % self.nodes.max(1))
-            .collect()
-    }
-
+    /// `node` and the ring neighbors production pushes its image to.
     fn holder_mask(&self, node: u8) -> u8 {
-        let mut mask = 1u8 << node;
-        for peer in self.ring_successors(node) {
-            mask |= 1u8 << peer;
-        }
-        mask
+        let factor = u32::from(self.factor.saturating_sub(u8::from(self.under_replicate)));
+        let peers = orte::replica::ring_neighbors(node.into(), self.nodes.into(), factor);
+        peers.into_iter().fold(1u8 << node, |mask, peer| mask | 1 << peer)
     }
 
     fn killed(&self, s: &ReplicaSt) -> u32 {
@@ -153,12 +138,5 @@ mod tests {
         assert!(report.ok(), "{:?}", report.violation.map(|c| c.render()));
         assert!(report.exhaustive());
         assert!(report.states > 50, "space too small: {}", report.states);
-    }
-
-    #[test]
-    fn successors_wrap_and_exclude_self() {
-        let m = ReplicaModel::default();
-        assert_eq!(m.ring_successors(3), vec![0, 1]);
-        assert_eq!(m.ring_successors(0), vec![1, 2]);
     }
 }

@@ -194,18 +194,3 @@ fn counterexample_traces_are_deterministic() {
     let cb = b.violation.expect("violation").render();
     assert_eq!(ca, cb);
 }
-
-#[test]
-fn model_placement_matches_production_ring() {
-    // The model's successor function must agree with the production
-    // placement in orte::replica for the default 4-node, factor-2 ring.
-    let m = ReplicaModel::default();
-    for node in 0..4u8 {
-        let model_ring = m.ring_successors(node);
-        let prod: Vec<u8> = orte::replica::ring_neighbors(u32::from(node), 4, 2)
-            .into_iter()
-            .map(|n| n as u8)
-            .collect();
-        assert_eq!(model_ring, prod, "node {node}");
-    }
-}

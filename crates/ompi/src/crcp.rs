@@ -22,6 +22,7 @@
 //!   interposition machinery runs but does nothing: the configuration the
 //!   paper benchmarks against the infrastructure-disabled build (§7).
 
+pub mod msglog;
 pub mod round;
 
 use std::collections::{BTreeSet, VecDeque};
@@ -37,6 +38,7 @@ use cr_core::{CrError, FtEvent, FtEventState, Tracer};
 use crate::frame::CrcpMsg;
 use crate::pml::{PmlShared, PmlState};
 
+use self::msglog::LoggedSend;
 use self::round::{Abort, Input, Output, Outputs, Round};
 
 /// How long one wait on the wire lasts before a coordination loop looks
@@ -51,7 +53,9 @@ pub trait CrcpComponent: Send + Sync {
 
     /// Interposition hook: called (with the PML state locked) before each
     /// application message is sent. `payload` views the encoded frame's
-    /// wire buffer, so keeping a clone of it copies nothing.
+    /// wire buffer, so keeping a clone of it copies nothing. Returns
+    /// whether the send is in the message log, which replays it to a
+    /// peer that is dead now.
     #[allow(clippy::too_many_arguments)] // mirrors the PML send signature
     fn on_send(
         &self,
@@ -62,7 +66,8 @@ pub trait CrcpComponent: Send + Sync {
         _tag: u32,
         _seq: u64,
         _payload: &Bytes,
-    ) {
+    ) -> bool {
+        false
     }
 
     /// Bring the channels into a checkpointable state for the order whose
@@ -136,53 +141,18 @@ impl CoordCrcp {
         }
     }
 
-    /// Drop message-log entries below `mark` and record the GC.
-    fn gc_to(&self, st: &mut PmlState, me: u32, mark: u64) {
-        let mark = (mark as usize).min(st.msg_log.len());
-        if mark == 0 {
-            return;
-        }
-        let freed: u64 = st
-            .msg_log
-            .iter()
-            .take(mark)
-            .map(|l| l.payload.len() as u64)
-            .sum();
-        st.msg_log.drain(..mark);
-        st.msg_log_bytes = st.msg_log_bytes.saturating_sub(freed);
-        for m in &mut st.msg_log_marks {
-            m.mark = m.mark.saturating_sub(mark as u64);
-        }
-        self.tracer.record(
-            "crcp.replay.gc",
-            &format!("rank {me}: dropped {mark} logged sends ({freed} B) at global commit"),
-        );
-    }
-
-    /// Drop every quiesce mark whose interval the job has published as
-    /// globally committed, draining the log to the highest such mark.
-    /// Marks of checkpoints that failed before commit linger harmlessly
-    /// until a later interval commits past them (their marks are bounded
-    /// by the later one's). No-op without a watermark.
+    /// Trim the log to the job's commit watermark and record what went.
+    /// No-op without a watermark.
     fn gc_committed(&self, st: &mut PmlState, me: u32) {
         let Some(watermark) = self.commit_watermark.get() else {
             return;
         };
-        if st.msg_log_marks.is_empty() {
-            return;
-        }
-        let committed = watermark.load(Ordering::SeqCst);
-        let mut drain_to = 0u64;
-        st.msg_log_marks.retain(|m| {
-            if m.interval < committed {
-                drain_to = drain_to.max(m.mark);
-                false
-            } else {
-                true
-            }
-        });
-        if drain_to > 0 {
-            self.gc_to(st, me, drain_to);
+        let (dropped, freed) = st.msg_log.trim(watermark.load(Ordering::SeqCst));
+        if dropped > 0 {
+            self.tracer.record(
+                "crcp.replay.gc",
+                &format!("rank {me}: dropped {dropped} logged sends ({freed} B) at global commit"),
+            );
         }
     }
 }
@@ -201,27 +171,16 @@ impl CrcpComponent for CoordCrcp {
         tag: u32,
         seq: u64,
         payload: &Bytes,
-    ) {
+    ) -> bool {
         // The partial-restart tax: retain the payload so a survivor can
         // replay it to a restarted peer. Dropped below the quiesce mark
         // once the marked interval reaches global commit.
         if !self.msg_log {
-            return;
+            return false;
         }
         self.gc_committed(st, me);
-        let add = payload.len() as u64;
-        if st.msg_log_bytes.saturating_add(add) > self.msg_log_cap {
-            st.msg_log_overflow = true;
-            return;
-        }
-        st.msg_log.push(crate::pml::LoggedSend {
-            dst,
-            ctx,
-            tag,
-            seq,
-            payload: payload.clone(),
-        });
-        st.msg_log_bytes += add;
+        let send = LoggedSend { dst, ctx, tag, seq, payload: payload.clone() };
+        st.msg_log.record(send, self.msg_log_cap)
     }
 
     fn coordinate(&self, pml: &PmlShared) -> Result<(), CrError> {
@@ -237,32 +196,15 @@ impl CrcpComponent for CoordCrcp {
                 _ => CrError::PeerLost { detail: format!("checkpoint epoch {epoch}: {why}") },
             });
         }
-        // Mark the log at the quiesce point: everything below the mark
-        // belongs to the interval being captured and becomes garbage once
-        // that interval reaches global commit. The INC handle stashes
+        // Mark the log at the quiesce point. The INC handle stashes
         // SNAPC's interval number before the chain runs; a round with no
         // interval marks nothing.
         if self.msg_log {
             pml.with_state(|st| {
                 self.gc_committed(st, me);
-                let Some(interval) = st.ckpt_interval else {
-                    return;
-                };
-                // The quiesce closes an overflow window: fold the flag
-                // into the mark (where the commit-watermark GC can retire
-                // it once the interval commits) and start a fresh window.
-                let overflow = std::mem::take(&mut st.msg_log_overflow);
-                let prior = st
-                    .msg_log_marks
-                    .iter()
-                    .any(|m| m.interval == interval && m.overflow);
-                st.msg_log_marks.retain(|m| m.interval != interval);
-                let mark = st.msg_log.len() as u64;
-                st.msg_log_marks.push(crate::pml::MsgLogMark {
-                    interval,
-                    mark,
-                    overflow: overflow || prior,
-                });
+                if let Some(interval) = st.ckpt_interval {
+                    st.msg_log.mark(interval);
+                }
             });
         }
         Ok(())
@@ -324,18 +266,17 @@ fn run_round(
                 Output::Aborted(why) => break 'run Ok(Err(why)),
             }
         }
-        pending.extend(pml.with_state(|st| {
+        let next = wait(pml, |st| {
             let mut out = round.take(&mut st.crcp_inbox);
             for rank in &st.peers_down {
                 out.extend(round.on(Input::PeerDown(*rank)));
             }
             out.extend(round.on(Input::Counts(&st.recv_counts)));
-            out
-        }));
-        if pending.is_empty() {
-            if let Err(e) = pml.poll_wire_once(POLL) {
-                break Err(CrError::protocol(e.to_string()));
-            }
+            (!out.is_empty()).then_some(out)
+        });
+        match next {
+            Ok(out) => pending.extend(out),
+            Err(e) => break Err(e),
         }
     };
     pml.with_state(|st| st.crcp_inbox.retain(|msg| !round.owns(msg)));
@@ -348,6 +289,18 @@ fn run_round(
         Err(_) => {}
     }
     outcome
+}
+
+/// Look at `pml`'s state with `step` until it returns `Some`, waiting on
+/// the wire in between: the one wait of every CRCP protocol. `Err` when
+/// this rank's own endpoint failed.
+fn wait<R>(pml: &PmlShared, mut step: impl FnMut(&mut PmlState) -> Option<R>) -> Result<R, CrError> {
+    loop {
+        if let Some(done) = pml.with_state(&mut step) {
+            return Ok(done);
+        }
+        pml.poll_wire_once(POLL).map_err(|e| CrError::protocol(e.to_string()))?;
+    }
 }
 
 /// Partial-restart rejoin handshake, run by a restarted rank after its
@@ -381,30 +334,25 @@ pub fn rejoin_replay(
         let _ = pml.send_crcp(*q, &announce);
     }
     let mut fenced: BTreeSet<u32> = BTreeSet::new();
-    loop {
-        let lost = pml.with_state(|st| {
-            st.crcp_inbox.retain(|msg| match msg {
-                CrcpMsg::ReplayDone { from } => {
-                    fenced.insert(*from);
-                    false
-                }
-                _ => true,
-            });
-            survivors
-                .iter()
-                .copied()
-                .find(|q| !fenced.contains(q) && st.peers_down.contains(q))
+    let lost = wait(pml, |st| {
+        st.crcp_inbox.retain(|msg| match msg {
+            CrcpMsg::ReplayDone { from } => {
+                fenced.insert(*from);
+                false
+            }
+            _ => true,
         });
-        if let Some(q) = lost {
-            return Err(CrError::PeerLost {
-                detail: format!("survivor rank {q} died before its ReplayDone fence"),
-            });
+        // Done when every survivor fenced; lost when one died first.
+        let mut unfenced = survivors.iter().copied().filter(|q| !fenced.contains(q)).peekable();
+        if unfenced.peek().is_none() {
+            return Some(None);
         }
-        if survivors.iter().all(|q| fenced.contains(q)) {
-            break;
-        }
-        pml.poll_wire_once(POLL)
-            .map_err(|e| CrError::protocol(e.to_string()))?;
+        unfenced.find(|q| st.peers_down.contains(q)).map(Some)
+    })?;
+    if let Some(q) = lost {
+        return Err(CrError::PeerLost {
+            detail: format!("survivor rank {q} died before its ReplayDone fence"),
+        });
     }
     tracer.record(
         "crcp.replay.done",
@@ -755,10 +703,11 @@ mod tests {
         pml0.set_crcp(Some(msg_log_coord(1)));
         pml0.send(0, 1, 7, &[0u8; 600]).unwrap();
         pml0.send(0, 1, 7, &[0u8; 600]).unwrap(); // would exceed 1 KB
-        let (entries, bytes, overflow) = pml0.msg_log_stats();
-        assert_eq!(entries, 1, "second send must not be logged past the cap");
-        assert_eq!(bytes, 600);
-        assert!(overflow, "cap hit must be flagged");
+        pml0.with_state(|st| {
+            assert_eq!(st.msg_log.entries().len(), 1, "second send must not be logged past the cap");
+            assert_eq!(st.msg_log.bytes(), 600);
+            assert!(st.msg_log.gapped_since(0), "cap hit must be flagged");
+        });
     }
 
     /// A logged send keeps a view of the frame it put on the wire: the
@@ -769,11 +718,15 @@ mod tests {
         pml0.set_crcp(Some(msg_log_coord(256)));
         let payload = vec![0x5Au8; 100 * 1024];
         pml0.send(0, 1, 7, &payload).unwrap();
-        let logged = pml0.with_state(|st| st.msg_log[0].payload.clone());
+        let logged = pml0.with_state(|st| st.msg_log.entries()[0].payload.clone());
         assert_eq!(logged, payload);
         let frame = pml1.recv(0, Some(0), Some(7)).unwrap();
         assert_eq!(frame.payload.as_ptr(), logged.as_ptr());
-        assert_eq!(pml0.msg_log_stats(), (1, payload.len() as u64, false));
+        pml0.with_state(|st| {
+            assert_eq!(st.msg_log.entries().len(), 1);
+            assert_eq!(st.msg_log.bytes(), payload.len() as u64);
+            assert!(!st.msg_log.gapped_since(0));
+        });
     }
 
     /// A send whose hook also garbage-collects older entries is still
@@ -790,15 +743,13 @@ mod tests {
             pml0.send(0, 1, 7, payload).unwrap();
         }
         // Interval 0 quiesced after both sends and has committed.
-        pml0.with_state(|st| {
-            st.msg_log_marks.push(crate::pml::MsgLogMark { interval: 0, mark: 2, overflow: false })
-        });
+        pml0.with_state(|st| st.msg_log.mark(0));
         watermark.store(1, Ordering::SeqCst);
         drop(pml1);
         pml0.send(0, 1, 7, b"three").unwrap();
         pml0.isend(0, 1, 7, b"four").unwrap();
         pml0.with_state(|st| {
-            let logged: Vec<u64> = st.msg_log.iter().map(|l| l.seq).collect();
+            let logged: Vec<u64> = st.msg_log.entries().iter().map(|l| l.seq).collect();
             assert_eq!(logged, [2, 3]);
             assert_eq!(st.sent_counts[1], 4);
         });
@@ -817,7 +768,8 @@ mod tests {
         pml0.set_crcp(Some(Arc::clone(&crcp0) as Arc<dyn CrcpComponent>));
         pml0.send(0, 1, 7, &[0u8; 600]).unwrap();
         pml0.send(0, 1, 7, &[0u8; 600]).unwrap(); // past the 1 KB cap: unlogged
-        assert!(pml0.msg_log_gapped_since(0), "open-window overflow is a gap");
+        let gapped_since = |w| pml0.with_state(|st| st.msg_log.gapped_since(w));
+        assert!(gapped_since(0), "open-window overflow is a gap");
         // Interval 4 quiesces, closing the window into its mark.
         pml0.with_state(|st| st.ckpt_interval = Some(4));
         let t0 = {
@@ -831,13 +783,13 @@ mod tests {
         t0.join().unwrap().unwrap();
         t1.join().unwrap().unwrap();
         assert!(
-            pml0.msg_log_gapped_since(4),
+            gapped_since(4),
             "a restart from before the window would replay a gapped backlog"
         );
         // Interval 4 commits globally: the window precedes the restore point.
         watermark.store(5, Ordering::SeqCst);
         assert!(
-            !pml0.msg_log_gapped_since(5),
+            !gapped_since(5),
             "a committed quiesce retires its overflow window"
         );
     }
@@ -865,11 +817,11 @@ mod tests {
         t0.join().unwrap().unwrap();
         t1.join().unwrap().unwrap();
         crcp0.resume(&pml0, FtEventState::Continue).unwrap();
-        let (entries, _, _) = pml0.msg_log_stats();
+        let entries = pml0.with_state(|st| st.msg_log.entries().len());
         assert_eq!(entries, 1, "log survives the local commit's Continue");
         watermark.store(1, Ordering::SeqCst);
         crcp0.resume(&pml0, FtEventState::Continue).unwrap();
-        let (entries, bytes, _) = pml0.msg_log_stats();
+        let (entries, bytes) = pml0.with_state(|st| (st.msg_log.entries().len(), st.msg_log.bytes()));
         assert_eq!(entries, 0, "global commit drops the committed interval's log");
         assert_eq!(bytes, 0);
     }

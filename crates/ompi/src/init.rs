@@ -574,7 +574,7 @@ fn proc_body<A: MpiApp>(
         let p = Arc::clone(&pml);
         ctx.container.set_probe(
             "crcp.msglog",
-            Arc::new(move || p.msg_log_stats().1.to_string()),
+            Arc::new(move || p.with_state(|st| st.msg_log.bytes()).to_string()),
         );
         // Partial-restart precondition: `restart_ranks` asks every
         // survivor whether `crcp_msg_log_cap_kb` dropped a send since the
@@ -585,8 +585,8 @@ fn proc_body<A: MpiApp>(
         ctx.container.set_probe(
             "crcp.msglog.gap",
             Arc::new(move || {
-                p.msg_log_gapped_since(watermark.load(Ordering::SeqCst))
-                    .to_string()
+                let watermark = watermark.load(Ordering::SeqCst);
+                p.with_state(|st| st.msg_log.gapped_since(watermark)).to_string()
             }),
         );
     }

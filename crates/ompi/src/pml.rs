@@ -38,13 +38,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use netsim::{Endpoint, EndpointId, Fabric, NetError, PEER_DOWN};
 use parking_lot::{Mutex, RwLock};
 
 use cr_core::{CrError, FtEvent, FtEventState, Tracer};
 use opal::SafePointGate;
 
+use crate::crcp::msglog::{arrival, Arrival, LoggedSend, MsgLog};
 use crate::crcp::CrcpComponent;
 use crate::error::MpiError;
 use crate::frame::{
@@ -68,22 +68,6 @@ pub struct PostedRecv {
     pub tag: Option<u32>,
 }
 codec::wire_struct!(PostedRecv { req, ctx, src, tag });
-
-/// A message retained in the partial-restart message log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoggedSend {
-    /// Destination world rank.
-    pub dst: u32,
-    /// Communicator context.
-    pub ctx: u32,
-    /// MPI tag.
-    pub tag: u32,
-    /// Sequence number of the send.
-    pub seq: u64,
-    /// Payload: a view of the frame's wire buffer.
-    pub payload: Bytes,
-}
-codec::wire_struct!(LoggedSend { dst, ctx, tag, seq, payload });
 
 /// One completed operation of the current application step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,25 +151,6 @@ codec::wire_enum!(OpRecord {
     Probe { ctx, src, tag, found_src, found_tag, len },
 });
 
-/// A quiesce-point mark in the partial-restart message log: `mark` is
-/// the log length when `interval` quiesced. Once `interval` reaches
-/// global commit, entries below `mark` can never be needed by a replay
-/// (a partial restart restores from the latest committed interval).
-#[derive(Debug, Clone, Copy)]
-pub struct MsgLogMark {
-    /// SNAPC interval the mark belongs to.
-    pub interval: u64,
-    /// `msg_log` length at that interval's quiesce.
-    pub mark: u64,
-    /// `crcp_msg_log_cap_kb` truncated the log in the window *ending* at
-    /// this quiesce (i.e. since the previous mark). A partial restart
-    /// from any interval quiesced before this window would replay a
-    /// sequence-gapped backlog and must refuse; once `interval` reaches
-    /// global commit the window precedes the restore point and the bit
-    /// leaves with the mark.
-    pub overflow: bool,
-}
-
 /// The serializable PML state — the "pml" section of the process image.
 #[derive(Debug, Clone, Default)]
 pub struct PmlState {
@@ -203,20 +168,9 @@ pub struct PmlState {
     pub next_req: u64,
     /// Op log of the current application step.
     pub step_log: Vec<OpRecord>,
-    /// Partial-restart message log (`crcp_msg_log_enabled`): every
-    /// application send since the last global-commit GC, replayed by
+    /// Partial-restart message log (`crcp_msg_log_enabled`), replayed by
     /// survivors to a restarted peer over the `ReplayBegin` handshake.
-    pub msg_log: Vec<LoggedSend>,
-    /// Payload bytes currently retained in `msg_log`.
-    pub msg_log_bytes: u64,
-    /// Quiesce marks awaiting global commit: for each in-flight (or
-    /// failed-before-commit) checkpoint interval, the `msg_log` length at
-    /// its quiesce. Entries below a mark are dropped only once the job
-    /// publishes that mark's interval as globally committed — a
-    /// checkpoint that dies mid-interval must leave the log intact for a
-    /// partial restart from the previous commit. Never persisted: a
-    /// restarted incarnation re-marks from scratch.
-    pub msg_log_marks: Vec<MsgLogMark>,
+    pub msg_log: MsgLog,
     /// Interval of the checkpoint currently coordinating, stashed by the
     /// INC handle before the CRCP runs (the component has no view of
     /// SNAPC's numbering). `None` outside a checkpoint.
@@ -229,23 +183,65 @@ pub struct PmlState {
     /// rank's current endpoint), until a restarted incarnation re-points
     /// the rank. Never persisted.
     pub peers_down: BTreeSet<u32>,
-    /// Set when `crcp_msg_log_cap_kb` truncated the log in the current
-    /// window (since the last quiesce mark); each quiesce folds it into
-    /// its [`MsgLogMark::overflow`] bit and clears it. A partial restart
-    /// that would need the missing entries must refuse — see
-    /// [`PmlShared::msg_log_gapped_since`], which `MpiJob::restart_ranks`
-    /// probes on every survivor before touching the job.
-    pub msg_log_overflow: bool,
     /// CRCP control messages awaiting the coordination protocol.
     pub crcp_inbox: VecDeque<CrcpMsg>,
     /// Replay position into `step_log` (never persisted: restarts always
     /// replay from the beginning).
     pub replay_cursor: Option<usize>,
 }
-codec::wire_struct!(PmlState {
-    unmatched, posted, completed, sent_counts, recv_counts, next_req, step_log, msg_log,
-    msg_log_bytes, msg_log_overflow, crcp_inbox
-} skip { msg_log_marks, ckpt_interval, ckpt_epoch, peers_down, replay_cursor });
+
+/// The "pml" image section stores the message log's entries, bytes and
+/// overflow flag as three fields of its own (the layout every captured
+/// image has), so they are written and read here rather than as a nested
+/// struct.
+impl codec::Wire for PmlState {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        use codec::wire::field;
+        codec::wire::put_header(out, codec::wire::tag::STRUCT, 11);
+        field(out, "unmatched", &self.unmatched);
+        field(out, "posted", &self.posted);
+        field(out, "completed", &self.completed);
+        field(out, "sent_counts", &self.sent_counts);
+        field(out, "recv_counts", &self.recv_counts);
+        field(out, "next_req", &self.next_req);
+        field(out, "step_log", &self.step_log);
+        field(out, "msg_log", &self.msg_log.entries);
+        field(out, "msg_log_bytes", &self.msg_log.bytes);
+        field(out, "msg_log_overflow", &self.msg_log.overflow);
+        field(out, "crcp_inbox", &self.crcp_inbox);
+    }
+
+    fn decode(input: &mut &[u8]) -> codec::Result<Self> {
+        use codec::wire::{skip, take_header, take_str, tag};
+        use codec::Wire;
+        let mut st = PmlState::default();
+        let mut known = 0;
+        for _ in 0..take_header(input, tag::STRUCT, "struct")? {
+            match take_str(input)? {
+                "unmatched" => st.unmatched = Wire::decode(input)?,
+                "posted" => st.posted = Wire::decode(input)?,
+                "completed" => st.completed = Wire::decode(input)?,
+                "sent_counts" => st.sent_counts = Wire::decode(input)?,
+                "recv_counts" => st.recv_counts = Wire::decode(input)?,
+                "next_req" => st.next_req = Wire::decode(input)?,
+                "step_log" => st.step_log = Wire::decode(input)?,
+                "msg_log" => st.msg_log.entries = Wire::decode(input)?,
+                "msg_log_bytes" => st.msg_log.bytes = Wire::decode(input)?,
+                "msg_log_overflow" => st.msg_log.overflow = Wire::decode(input)?,
+                "crcp_inbox" => st.crcp_inbox = Wire::decode(input)?,
+                _ => {
+                    skip(input)?;
+                    continue;
+                }
+            }
+            known += 1;
+        }
+        if known != 11 {
+            return Err(codec::Error::Message(format!("pml section has {known} of its 11 fields")));
+        }
+        Ok(st)
+    }
+}
 
 impl PmlState {
     fn new(nprocs: u32) -> Self {
@@ -285,27 +281,8 @@ impl PmlState {
     /// exhausted.
     fn replay_next(&mut self) -> Option<OpRecord> {
         let cursor = self.replay_cursor?;
-        let record = self.step_log.get(cursor).cloned();
-        match record {
-            Some(r) => {
-                let next = cursor + 1;
-                self.replay_cursor = if next >= self.step_log.len() {
-                    None
-                } else {
-                    Some(next)
-                };
-                Some(r)
-            }
-            None => {
-                self.replay_cursor = None;
-                None
-            }
-        }
-    }
-
-    /// True while operations replay from the log.
-    pub fn replaying(&self) -> bool {
-        self.replay_cursor.is_some()
+        self.replay_cursor = Some(cursor + 1).filter(|next| *next < self.step_log.len());
+        self.step_log.get(cursor).cloned()
     }
 }
 
@@ -430,18 +407,17 @@ impl PmlShared {
                         detail: format!("frame from unknown rank {}", frame.src),
                     });
                 }
-                if frame.seq < st.recv_counts[src] {
-                    // Duplicate (a replayed frame the restored counters
-                    // already account for): drop silently.
-                    return Ok(());
-                }
-                if frame.seq > st.recv_counts[src] {
-                    return Err(MpiError::PeerLost {
-                        detail: format!(
-                            "sequence gap from rank {}: expected {}, got {}",
-                            frame.src, st.recv_counts[src], frame.seq
-                        ),
-                    });
+                match arrival(st.recv_counts[src], frame.seq) {
+                    Arrival::Duplicate => return Ok(()),
+                    Arrival::Next => {}
+                    Arrival::Gap => {
+                        return Err(MpiError::PeerLost {
+                            detail: format!(
+                                "sequence gap from rank {}: expected {}, got {}",
+                                frame.src, st.recv_counts[src], frame.seq
+                            ),
+                        })
+                    }
                 }
                 st.recv_counts[src] += 1;
                 if let Some(req) = st.match_posted(&frame) {
@@ -497,7 +473,7 @@ impl PmlShared {
         st.peers_down.remove(&from);
         self.fabric.watch(self.endpoint.id(), EndpointId(endpoint));
         let mut resent = 0u64;
-        for logged in st.msg_log.iter().filter(|l| l.dst == from) {
+        for logged in st.msg_log.backlog(from) {
             self.resend_logged(logged)?;
             resent += 1;
         }
@@ -566,12 +542,8 @@ impl PmlShared {
     ) -> Result<(), NetError> {
         let seq = st.sent_counts[dst as usize];
         let wire = self.wire.encode_app(self.me, ctx, tag, seq, payload);
-        if let Some(c) = crcp {
-            c.on_send(st, self.me, dst, ctx, tag, seq, &wire.slice(HEADER_LEN..));
-        }
-        // The hook may also have garbage-collected older entries, so look
-        // for this frame rather than at the log's length.
-        let in_msg_log = st.msg_log.last().is_some_and(|l| l.dst == dst && l.seq == seq);
+        let in_msg_log =
+            crcp.is_some_and(|c| c.on_send(st, self.me, dst, ctx, tag, seq, &wire.slice(HEADER_LEN..)));
         match self.fabric.send(self.endpoint.id(), self.peer(dst), CLASS_APP, wire) {
             Err(NetError::Unreachable { .. }) if in_msg_log => {}
             sent => {
@@ -809,10 +781,9 @@ impl PmlShared {
     /// Non-blocking completion test.
     pub fn test(&self, req: u64) -> Result<Option<Option<AppFrame>>, MpiError> {
         let mut st = self.state.lock();
-        if st.replaying() {
+        if let Some(cursor) = st.replay_cursor {
             // During replay, completion state is determined by the log:
             // peek whether the next record is this request's wait.
-            let cursor = st.replay_cursor.expect("replaying");
             return match st.step_log.get(cursor) {
                 Some(OpRecord::Wait { req: rr, frame }) if *rr == req => {
                     let frame = frame.clone();
@@ -885,17 +856,14 @@ impl PmlShared {
     /// is discarded (its effects are in the application's boundary state).
     pub fn begin_step(&self) {
         let mut st = self.state.lock();
-        debug_assert!(
-            !st.replaying(),
-            "step boundary reached while still replaying"
-        );
+        debug_assert!(st.replay_cursor.is_none(), "step boundary reached while still replaying");
         st.step_log.clear();
         st.replay_cursor = None;
     }
 
     /// True while operations replay from a restored log.
     pub fn is_replaying(&self) -> bool {
-        self.state.lock().replaying()
+        self.state.lock().replay_cursor.is_some()
     }
 
     /// Encode the PML state (the "pml" image section). Called by the
@@ -931,30 +899,6 @@ impl PmlShared {
         st.replay_cursor = if st.step_log.is_empty() { None } else { Some(0) };
     }
 
-    /// Partial-restart message-log footprint: `(entries, payload bytes,
-    /// overflowed)`. Read by the container probe that feeds the
-    /// per-interval accounting recorded in snapshot metadata.
-    pub fn msg_log_stats(&self) -> (u64, u64, bool) {
-        let st = self.state.lock();
-        (st.msg_log.len() as u64, st.msg_log_bytes, st.msg_log_overflow)
-    }
-
-    /// True when `crcp_msg_log_cap_kb` dropped at least one send *after*
-    /// the newest globally committed interval's quiesce (`watermark` is
-    /// the job's commit watermark: highest committed interval + 1). A
-    /// partial restart restores from that interval, so a gap in any
-    /// later window means this rank cannot replay a contiguous backlog
-    /// and the restart must refuse. Overflow folded into the committed
-    /// interval's own mark (or older ones) precedes the restore point
-    /// and is ignored.
-    pub fn msg_log_gapped_since(&self, watermark: u64) -> bool {
-        let st = self.state.lock();
-        st.msg_log_overflow
-            || st
-                .msg_log_marks
-                .iter()
-                .any(|m| m.overflow && m.interval >= watermark)
-    }
 }
 
 /// The PML's INC subsystem handle: receives `ft_event` notifications in

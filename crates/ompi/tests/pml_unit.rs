@@ -172,7 +172,7 @@ fn large_wire_buffers_are_recycled_after_the_receiver_lets_go() {
 #[test]
 fn pml_section_carries_payloads_as_raw_runs() {
     use ompi::frame::AppFrame;
-    use ompi::pml::LoggedSend;
+    use ompi::crcp::msglog::LoggedSend;
     let payload: Vec<u8> = (0..=255u8).cycle().take(300_000).collect();
     let (tag, seq) = (9, u64::MAX);
     let frame = AppFrame { src: 0, ctx: 0, tag, seq, payload: payload.clone().into() };
@@ -187,7 +187,7 @@ fn pml_section_carries_payloads_as_raw_runs() {
     let empty = pmls[1].capture().unwrap().len();
     pmls[1].with_state(|st| {
         st.unmatched.push_back(frame);
-        st.msg_log.push(logged);
+        st.msg_log.record(logged, u64::MAX);
     });
     let section = pmls[1].capture().unwrap();
     assert!(
@@ -446,10 +446,11 @@ fn pml_section_from_before_the_single_log_still_restores() {
         assert_eq!(st.unmatched.len(), 1);
         assert_eq!((st.unmatched[0].src, st.unmatched[0].tag), (1, 7));
         assert_eq!(&st.unmatched[0].payload[..], b"hi");
-        assert_eq!(st.msg_log.len(), 1, "only msg_log's entry is kept");
-        assert_eq!((st.msg_log[0].dst, st.msg_log[0].seq), (1, 1));
-        assert_eq!(&st.msg_log[0].payload[..], b"log");
-        assert_eq!(st.msg_log_bytes, 3);
+        let log = st.msg_log.entries();
+        assert_eq!(log.len(), 1, "only msg_log's entry is kept");
+        assert_eq!((log[0].dst, log[0].seq), (1, 1));
+        assert_eq!(&log[0].payload[..], b"log");
+        assert_eq!(st.msg_log.bytes(), 3);
         st.msg_log.clone()
     });
     // What this build captures from it restores to the same log.
@@ -466,7 +467,7 @@ fn none_component_is_pure_passthrough() {
     pmls[0].send(0, 1, 1, b"x").unwrap();
     assert_eq!(&pmls[1].recv(0, Some(0), Some(1)).unwrap().payload[..], b"x");
     // No logging tax.
-    assert_eq!(pmls[0].with_state(|st| st.msg_log.len()), 0);
+    assert_eq!(pmls[0].with_state(|st| st.msg_log.entries().len()), 0);
     pmls[0].crcp().unwrap().coordinate(&pmls[0]).unwrap();
 }
 

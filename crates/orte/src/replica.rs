@@ -185,11 +185,10 @@ impl ReplicaStore {
 /// when it would wrap back onto `node` — every other node then holds a
 /// copy.
 ///
-/// Invariant (model-checked by `cr-model replica`, see
-/// `crates/model/src/replica.rs`): with this placement every committed
-/// image keeps at least one live holder under any `k` node losses; a
-/// dev-dependency test in `crates/model/tests/mutations.rs` pins the
-/// model's successor function to this one.
+/// Invariant (model-checked by `cr-model replica`, which places images
+/// with this function, see `crates/model/src/replica.rs`): with this
+/// placement every committed image keeps at least one live holder under
+/// any `k` node losses.
 pub fn ring_neighbors(node: u32, nodes: u32, k: u32) -> Vec<u32> {
     let mut out = Vec::new();
     if nodes <= 1 {

@@ -129,14 +129,16 @@ fn rank_hosts(job: &JobHandle) -> IntervalRecord {
 /// can wait for it. Scratch cleanup rides behind the drain, which reads
 /// from the scratch copies.
 ///
-/// Invariant (model-checked by `cr-model commit`, see
-/// `crates/model/src/commit.rs` and DESIGN.md §2.4): a restart-visible
-/// (`GlobalCommitted`) interval always has a fully drained gather, and an
-/// interval's commit state climbs the lattice monotonically under every
-/// interleaving of local commit, gather completion, promotion, and
-/// mid-gather node death. The returned `CkptStats::commit` is read back
-/// from the snapshot authority (`GlobalSnapshot::commit_state`), never
-/// minted here — enforced by the `commit-state` cr-lint rule.
+/// Invariant (model-checked by `cr-model commit`, which runs the
+/// `cr_core::snapshot::CommitListing` behind every `GlobalSnapshot`
+/// commit call, see `crates/model/src/commit.rs` and DESIGN.md §2.4): a
+/// restart-visible (`GlobalCommitted`) interval always has a fully drained
+/// gather, and an interval's commit state climbs the lattice monotonically
+/// under every interleaving of local commit, gather completion,
+/// promotion, and mid-gather node death. The returned `CkptStats::commit`
+/// is read back from the snapshot authority
+/// (`GlobalSnapshot::commit_state`), never minted here — enforced by the
+/// `commit-state` cr-lint rule.
 ///
 /// With `filem_dedup_enabled=true` the tail is replaced wholesale by the
 /// content-addressed commit ([`crate::store::dedup_commit`]): each rank

@@ -98,7 +98,7 @@ fn replay(args: &[String]) -> Result<bool, String> {
     let entries = load(path)?;
     let events: Vec<ReplayEvent> = entries
         .iter()
-        .map(|e| ReplayEvent { seq: e.seq, phase: e.phase.clone() })
+        .map(|e| ReplayEvent { seq: e.seq, actor: e.actor.clone(), phase: e.phase.clone() })
         .collect();
     let report = model::conformance(model, &events).ok_or_else(|| {
         format!("unknown model `{model}` (known: {})", model::MODEL_NAMES.join(", "))

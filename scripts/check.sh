@@ -111,12 +111,14 @@ if grep -n 'fn record_' crates/core/src/snapshot.rs; then exit 1; fi
 # dedup commit reads packs and never reads back or re-digests an image.
 if grep -rn 'read_full_image' crates src tests examples --include=*.rs |
   grep -v '^crates/opal/src/crs.rs:'; then exit 1; fi
-# One component per capability: the PML keeps one sender-side log, and
-# the second log with its handshake, the daemon-less SNAPC and the unused
-# launcher stay deleted.
-logs=$(awk '/^pub struct PmlState/,/^}/' crates/ompi/src/pml.rs | grep -c 'Vec<LoggedSend>' || true)
-if [ "$logs" -ne 1 ]; then
-  echo "PmlState holds $logs Vec<LoggedSend> fields, expected 1" >&2
+# One component per capability: the PML keeps one sender-side log (the
+# `Vec<LoggedSend>` inside ompi::crcp::msglog::MsgLog), and the second log
+# with its handshake, the daemon-less SNAPC and the unused launcher stay
+# deleted.
+logs=$(grep -rn 'Vec<LoggedSend>' crates/ompi/src --include=*.rs || true)
+if [ "$(printf '%s\n' "$logs" | grep -c .)" -ne 1 ] ||
+  ! awk '/^pub struct MsgLog/,/^}/' crates/ompi/src/crcp/msglog.rs | grep -q 'Vec<LoggedSend>'; then
+  printf 'crates/ompi/src must hold exactly one Vec<LoggedSend>, in MsgLog:\n%s\n' "$logs" >&2
   exit 1
 fi
 if grep -rnE 'sender_log|CrcpMsg::Have|LoggerCrcp|DirectSnapc|SlurmSimPlm' crates src tests examples; then
@@ -137,7 +139,7 @@ fi
 # One copy per large message: a large frame's payload and every message-log
 # entry are views of the wire buffer, so the non-test code of the frame
 # codec and of the CRCP never copies a payload into a Vec.
-for f in crates/ompi/src/frame.rs crates/ompi/src/crcp.rs; do
+for f in crates/ompi/src/frame.rs crates/ompi/src/crcp.rs crates/ompi/src/crcp/*.rs; do
   if awk -v f="$f" '/^#\[cfg\(test\)\]/ {exit} {print f":"FNR": "$0}' "$f" | grep -F 'to_vec()'; then
     exit 1
   fi
@@ -159,3 +161,6 @@ for f in crates/ompi/src/crcp.rs crates/ompi/src/crcp/*.rs; do
     exit 1
   fi
 done
+# cr-model runs the shipped machines: no hand-written commit lattice,
+# partial-restart cursor model or replica ring stays in crates/model/src.
+if grep -rnE 'enum Commit\b|enum FState|fn ring_successors' crates/model/src; then exit 1; fi

@@ -16,11 +16,17 @@ use workloads::ring::RingApp;
 
 /// One green early-release checkpointed run; returns its journal entries.
 fn early_release_run(tag: &str) -> Vec<JournalEntry> {
-    let rt = test_runtime(tag, 2);
     let params = Arc::new(McaParams::new());
     params.set("snapc_early_release", "true");
+    checkpointed_run(tag, 4, params)
+}
+
+/// One green `nprocs`-rank ring run, checkpointed and terminated once;
+/// returns its journal entries.
+fn checkpointed_run(tag: &str, nprocs: u32, params: Arc<McaParams>) -> Vec<JournalEntry> {
+    let rt = test_runtime(tag, 2);
     let app = Arc::new(RingApp { rounds: 500_000 });
-    let job = mpirun(&rt, app, RunConfig { nprocs: 4, params }).unwrap();
+    let job = mpirun(&rt, app, RunConfig { nprocs, params }).unwrap();
     std::thread::sleep(Duration::from_millis(30));
     job.checkpoint(&CheckpointOptions::tool().and_terminate()).unwrap();
     job.wait().unwrap();
@@ -36,7 +42,7 @@ fn early_release_run(tag: &str) -> Vec<JournalEntry> {
 fn to_events(entries: &[JournalEntry]) -> Vec<ReplayEvent> {
     entries
         .iter()
-        .map(|e| ReplayEvent { seq: e.seq, phase: e.phase.clone() })
+        .map(|e| ReplayEvent { seq: e.seq, actor: e.actor.clone(), phase: e.phase.clone() })
         .collect()
 }
 
@@ -69,6 +75,16 @@ fn green_run_replays_conformant_against_commit_model() {
     let report = model::conformance("commit", &to_events(&entries)).unwrap();
     assert!(report.ok(), "green run must be model-reachable: {}", report.render());
     assert!(report.matched >= 4, "initiate/local_commit/gather/promote all map");
+}
+
+#[test]
+fn two_rank_run_replays_conformant_against_quiesce_model() {
+    // What `ompi-checkpoint --np 2 --app ring --term` records: each rank's
+    // round quiesces and resumes, in whatever order the two interleave.
+    let entries = checkpointed_run("jrnl_quiesce", 2, Arc::new(McaParams::new()));
+    let report = model::conformance("quiesce", &to_events(&entries)).expect("quiesce model known");
+    assert!(report.ok(), "{}", report.render());
+    assert!(report.matched >= 4, "{}", report.render());
 }
 
 #[test]
