@@ -63,7 +63,7 @@ pub const KNOWN_TRACE_EVENTS: &[TraceEventDef] = &[
     },
     TraceEventDef {
         phase: "filem.preload",
-        help: "restart preloaded a snapshot from stable storage",
+        help: "restart read N local snapshots from stable storage, in place",
     },
     TraceEventDef {
         phase: "filem.replica.expire",
@@ -75,7 +75,7 @@ pub const KNOWN_TRACE_EVENTS: &[TraceEventDef] = &[
     },
     TraceEventDef {
         phase: "filem.replica.preload",
-        help: "restart preloaded a snapshot from the replica store",
+        help: "restart read N local snapshots from peer memory, in place",
     },
     TraceEventDef {
         phase: "filem.replica.put",

@@ -49,9 +49,8 @@ pub fn local_dir_name(rank: Rank) -> String {
     format!("opal_snapshot_{}.ckpt", rank.0)
 }
 
-fn read_meta(path: &Path) -> Result<MetaDoc, CrError> {
-    let text = fs::read_to_string(path).map_err(|e| CrError::io(path.display().to_string(), &e))?;
-    MetaDoc::parse(&text).map_err(CrError::from)
+fn read_meta(path: &Path) -> Result<String, CrError> {
+    fs::read_to_string(path).map_err(|e| CrError::io(path.display().to_string(), &e))
 }
 
 /// Replace the file at `path` with `bytes`: write the sibling `<name>.tmp`,
@@ -119,7 +118,8 @@ impl LocalSnapshot {
         write_meta(&self.dir, LOCAL_META_FILE, &self.meta)
     }
 
-    /// Open an existing local snapshot directory.
+    /// Open an existing local snapshot directory: read its metadata file,
+    /// then [`parse`](Self::parse) it.
     pub fn open(dir: &Path) -> Result<Self, CrError> {
         let meta_path = dir.join(LOCAL_META_FILE);
         if !meta_path.is_file() {
@@ -130,10 +130,16 @@ impl LocalSnapshot {
                 ),
             });
         }
-        let meta = read_meta(&meta_path)?;
+        Self::parse(dir, &read_meta(&meta_path)?)
+    }
+
+    /// The local snapshot at `dir` whose metadata file reads `text`,
+    /// wherever that text was read from (the directory, or a copy of it
+    /// held in peer memory).
+    pub fn parse(dir: &Path, text: &str) -> Result<Self, CrError> {
         let snap = LocalSnapshot {
             dir: dir.to_path_buf(),
-            meta,
+            meta: MetaDoc::parse(text)?,
         };
         // Validate the required keys up front so later accessors are
         // infallible.
@@ -170,13 +176,16 @@ impl LocalSnapshot {
         self.meta.get("process", "hostname")
     }
 
+    /// Name of the binary context file within the directory.
+    pub fn context_file(&self) -> &str {
+        self.meta
+            .get("snapshot", "context_file")
+            .unwrap_or(DEFAULT_CONTEXT_FILE)
+    }
+
     /// Path of the binary context file.
     pub fn context_path(&self) -> PathBuf {
-        let name = self
-            .meta
-            .get("snapshot", "context_file")
-            .unwrap_or(DEFAULT_CONTEXT_FILE);
-        self.dir.join(name)
+        self.dir.join(self.context_file())
     }
 
     /// Write the context file. `framed` is the process image already
@@ -485,7 +494,7 @@ impl GlobalSnapshot {
                 ),
             });
         }
-        let meta = read_meta(&meta_path)?;
+        let meta = MetaDoc::parse(&read_meta(&meta_path)?)?;
         let snap = GlobalSnapshot {
             dir: dir.to_path_buf(),
             listing: CommitListing::read(&meta),

@@ -11,13 +11,14 @@
 //! commit watermark the survivor trims its log to at its next send or
 //! quiesce, as `CoordCrcp` does. A restore rolls `f` back to the
 //! committed counts, and the survivor answers its `ReplayBegin` at once,
-//! as `handle_replay_begin` does under the state lock: it resends
-//! [`MsgLog::backlog`] and fences it with `ReplayDone`.
+//! as `handle_replay_begin` does under the state lock: it trims its log to
+//! the watermark, resends [`MsgLog::backlog`] and fences it with
+//! `ReplayDone`.
 //!
 //! Invariants: a live `f` has every frame it has not yet counted still in
-//! its channel; no frame arrives past a hole; `f` never counts more than
-//! was sent; survivors never regress, and `f` rolls back only on its own
-//! restore.
+//! its channel; no frame arrives past a hole; no resent frame is one the
+//! restored count already holds; `f` never counts more than was sent;
+//! survivors never regress, and `f` rolls back only on its own restore.
 //!
 //! Mutation: [`PartialModel::skip_replay`] fences without resending the
 //! backlog, so the restarted rank resumes with a hole in its sequence.
@@ -169,13 +170,15 @@ impl Model for PartialModel {
             out.push(("kill".into(), t));
         }
         // restore: `f` restarts from the committed checkpoint; the
-        // survivor re-points it, replays its backlog and fences it.
+        // survivor re-points it, trims its log, replays its backlog and
+        // fences it.
         if let (Peer::Dead, Some((_, floor))) = (s.peer, s.committed) {
             let mut t = s.clone();
             t.peer = Peer::Rejoining;
             t.recv = floor;
+            t.log.trim(s.watermark());
             if !self.skip_replay {
-                t.chan.extend(s.log.backlog(1).map(|l| Item::Frame(l.seq)));
+                t.chan.extend(t.log.backlog(1).map(|l| Item::Frame(l.seq)));
             }
             t.chan.push_back(Item::Fence);
             out.push((format!("restore({floor})"), t));
@@ -190,10 +193,16 @@ impl Model for PartialModel {
             .chan
             .iter()
             .filter_map(|i| match i {
-                Item::Frame(seq) if *seq >= s.recv => Some(*seq),
-                _ => None,
+                Item::Frame(seq) => Some(*seq),
+                Item::Fence => None,
             })
             .collect();
+        if let Some(seq) = queued.iter().find(|&&seq| seq < s.recv) {
+            return Err(format!(
+                "resent frame {seq} is one the restored count {} already holds",
+                s.recv
+            ));
+        }
         if s.peer == Peer::Live && !queued.iter().copied().eq(s.recv..s.sent) {
             return Err(format!(
                 "rejoined rank has a message gap: of frames {}..{} only {queued:?} are still \

@@ -102,6 +102,12 @@ pub trait CrcpComponent: Send + Sync {
     /// survivor logs intact or a later partial restart replays with a
     /// sequence gap. No-op for components without a log.
     fn set_commit_watermark(&self, _watermark: Arc<AtomicU64>) {}
+
+    /// A restarted peer asked for its backlog (called with the PML state
+    /// locked, before the resend): trim the log to the commit watermark,
+    /// so nothing the peer's restored counts already hold is resent.
+    /// No-op for components without a log.
+    fn trim_for_replay(&self, _st: &mut PmlState, _me: u32) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -235,6 +241,10 @@ impl CrcpComponent for CoordCrcp {
 
     fn set_commit_watermark(&self, watermark: Arc<AtomicU64>) {
         let _ = self.commit_watermark.set(watermark);
+    }
+
+    fn trim_for_replay(&self, st: &mut PmlState, me: u32) {
+        self.gc_committed(st, me);
     }
 }
 
@@ -826,40 +836,20 @@ mod tests {
         assert_eq!(bytes, 0);
     }
 
-    /// Full rejoin handshake: a restarted rank 1 (fresh endpoint, counters
-    /// rolled back to zero) announces itself; the survivor re-points its
-    /// peer table, replays its logged backlog, and fences it — after which
-    /// fresh traffic flows over the replacement endpoint.
-    #[test]
-    fn rejoin_replay_repoints_replays_and_fences() {
-        let fabric = netsim::Fabric::new(Topology::uniform(2, LinkSpec::gigabit_ethernet()));
-        let ep0 = fabric.register(NodeId(0));
-        let ep1 = fabric.register(NodeId(1));
-        let peers = vec![ep0.id(), ep1.id()];
-        let pml0 = PmlShared::new(
-            0,
-            2,
-            ep0,
-            peers.clone(),
-            Arc::new(SafePointGate::new()),
-            Tracer::new(),
-        );
-        pml0.set_crcp(Some(msg_log_coord(256)));
-        // Two messages leave rank 0 for rank 1 and die with its first
-        // incarnation (never polled off the old endpoint).
-        pml0.send(0, 1, 7, b"lost one").unwrap();
-        pml0.send(0, 1, 7, b"lost two").unwrap();
-        // Rank 1 restarts on a fresh endpoint with restored (zero) counts.
+    /// Rank 1 restarts on a fresh endpoint of `fabric` with `count` frames
+    /// from rank 0 restored, and rejoins; the survivor `pml0` answers its
+    /// `ReplayBegin` while pumping its wire.
+    fn rejoin_rank1(
+        fabric: &Fabric,
+        pml0: &PmlShared,
+        peer0: netsim::EndpointId,
+        count: u64,
+    ) -> Arc<PmlShared> {
         let ep1b = fabric.register(NodeId(1));
-        let ep1b_id = ep1b.id();
-        let pml1b = PmlShared::new(
-            1,
-            2,
-            ep1b,
-            vec![peers[0], ep1b_id],
-            Arc::new(SafePointGate::new()),
-            Tracer::new(),
-        );
+        let peers = vec![peer0, ep1b.id()];
+        let gate = Arc::new(SafePointGate::new());
+        let pml1b = PmlShared::new(1, 2, ep1b, peers, gate, Tracer::new());
+        pml1b.with_state(|st| st.recv_counts[0] = count);
         let rejoiner = {
             let pml1b = Arc::clone(&pml1b);
             std::thread::spawn(move || {
@@ -867,13 +857,32 @@ mod tests {
                 rejoin_replay(&pml1b, &rejoining, &Tracer::new())
             })
         };
-        // The survivor notices the announcement while pumping its wire.
         let deadline = Instant::now() + Duration::from_secs(10);
         while !rejoiner.is_finished() {
             assert!(Instant::now() < deadline, "handshake did not converge");
             pml0.poll_wire_once(Duration::from_millis(1)).unwrap();
         }
         rejoiner.join().unwrap().unwrap();
+        pml1b
+    }
+
+    /// Full rejoin handshake: a restarted rank 1 (fresh endpoint, counters
+    /// rolled back to zero) announces itself; the survivor re-points its
+    /// peer table, replays its logged backlog, and fences it — after which
+    /// fresh traffic flows over the replacement endpoint.
+    #[test]
+    fn rejoin_replay_repoints_replays_and_fences() {
+        let fabric = Fabric::new(Topology::uniform(2, LinkSpec::gigabit_ethernet()));
+        let ep0 = fabric.register(NodeId(0));
+        let peer0 = ep0.id();
+        let peers = vec![peer0, fabric.register(NodeId(1)).id()];
+        let pml0 = PmlShared::new(0, 2, ep0, peers, Arc::new(SafePointGate::new()), Tracer::new());
+        pml0.set_crcp(Some(msg_log_coord(256)));
+        // Two messages leave rank 0 for rank 1 and die with its first
+        // incarnation (never polled off the old endpoint).
+        pml0.send(0, 1, 7, b"lost one").unwrap();
+        pml0.send(0, 1, 7, b"lost two").unwrap();
+        let pml1b = rejoin_rank1(&fabric, &pml0, peer0, 0);
         pml1b.with_state(|st| {
             assert_eq!(st.recv_counts[0], 2, "backlog replayed exactly once");
             assert_eq!(st.unmatched.len(), 2);
@@ -885,5 +894,40 @@ mod tests {
         assert_eq!(&pml1b.recv(0, Some(0), Some(7)).unwrap().payload[..], b"lost one");
         assert_eq!(&pml1b.recv(0, Some(0), Some(7)).unwrap().payload[..], b"lost two");
         assert_eq!(&pml1b.recv(0, Some(0), Some(7)).unwrap().payload[..], b"fresh");
+    }
+
+    /// A survivor that has not sent since the last global commit trims its
+    /// log before it answers the `ReplayBegin`: the restored count holds
+    /// every frame below the committed mark, so none is resent. The trace
+    /// is `send(1) deliver(0) checkpoint(1) kill restore(1)`.
+    #[test]
+    fn replay_resends_nothing_the_restored_count_holds() {
+        let fabric = Fabric::new(Topology::uniform(2, LinkSpec::gigabit_ethernet()));
+        let (ep0, ep1) = (fabric.register(NodeId(0)), fabric.register(NodeId(1)));
+        let peers = vec![ep0.id(), ep1.id()];
+        let tracer = Tracer::new();
+        let gate = || Arc::new(SafePointGate::new());
+        let pml0 = PmlShared::new(0, 2, ep0, peers.clone(), gate(), tracer.clone());
+        let pml1 = PmlShared::new(1, 2, ep1, peers.clone(), gate(), Tracer::new());
+        let crcp0 = msg_log_coord(256);
+        let watermark = Arc::new(AtomicU64::new(0));
+        crcp0.set_commit_watermark(Arc::clone(&watermark));
+        pml0.set_crcp(Some(crcp0));
+        pml0.send(0, 1, 7, b"counted").unwrap();
+        pml1.recv(0, Some(0), Some(7)).unwrap();
+        // Interval 1 quiesces with the frame counted, and commits.
+        pml0.with_state(|st| st.msg_log.mark(1));
+        watermark.store(2, Ordering::SeqCst);
+        drop(pml1);
+        let pml1b = rejoin_rank1(&fabric, &pml0, peers[0], 1);
+        let resent: Vec<String> = tracer
+            .events()
+            .into_iter()
+            .filter(|e| e.phase == "crcp.replay.resent")
+            .map(|e| e.detail)
+            .collect();
+        assert_eq!(resent, ["rank 0: replayed 0 logged sends to restarted rank 1"]);
+        pml0.with_state(|st| assert!(st.msg_log.entries().is_empty(), "trimmed at the replay"));
+        pml1b.with_state(|st| assert_eq!(st.recv_counts[0], 1));
     }
 }

@@ -251,20 +251,11 @@ impl<S: Send + 'static> MpiJob<S> {
         // toward its (promotion-time) commit.
         let _ckpt_guard = handle.checkpoint_guard();
         runtime.drain_writebehind();
-        let global = GlobalSnapshot::open(global_ref)?;
-        let latest = global.latest_interval().ok_or(CrError::BadSnapshot {
-            detail: "global snapshot has no committed intervals".into(),
-        })?;
-        let interval = opts.interval.unwrap_or(latest);
-        if !global.intervals().contains(&interval) {
-            return Err(CrError::BadSnapshot {
-                detail: format!("interval {interval} was never committed"),
-            });
-        }
+        let (global, interval, params) = open_interval(global_ref, opts.interval)?;
         // Survivor message logs are garbage-collected up to the newest
         // committed quiesce, so a rejoiner restored from an older
         // interval could never be replayed gap-free.
-        if interval != latest {
+        if let Some(latest) = global.latest_interval().filter(|&l| l != interval) {
             return Err(CrError::Unsupported {
                 detail: format!(
                     "partial restart must restore the newest committed interval \
@@ -344,10 +335,6 @@ impl<S: Send + 'static> MpiJob<S> {
         }
 
         let job = handle.job();
-        let launch_params = global.launch_params();
-        let params = McaParams::from_dump(
-            launch_params.iter().map(|(k, v)| (k.as_str(), v.as_str())),
-        );
         let spare_for = |r: u32| {
             placement
                 .node_of
@@ -360,9 +347,8 @@ impl<S: Send + 'static> MpiJob<S> {
             .iter()
             .map(|&r| spare_for(r).map(|spare| (cr_core::Rank(r), spare)))
             .collect::<Result<_, _>>()?;
-        let (images, fetched) = fetch_images(runtime, &global, interval, &targets, opts, &params)?;
-        let replica_images = fetched.replica_images;
-        let mut sim_cost = fetched.sim_cost;
+        let (images, replica_images, mut sim_cost) =
+            fetch_images(runtime, &global, interval, &targets, opts, &params)?;
 
         // Point of no return: fence the dead nodes, drop the failed
         // ranks' stale endpoint advertisements and result slots, and
@@ -889,9 +875,7 @@ pub fn restart<A: MpiApp>(
                 .into(),
         });
     }
-    let source = opts.source;
-    let interval = opts.interval;
-    if source != RestartSource::Replica {
+    if opts.source != RestartSource::Replica {
         // Join any in-flight early-release gather first: either it
         // promotes its interval to globally committed (and we restart
         // from it) or it failed (and the interval stays invisible, so we
@@ -899,22 +883,8 @@ pub fn restart<A: MpiApp>(
         // reads a partially gathered interval either way.
         runtime.drain_writebehind();
     }
-    let global = GlobalSnapshot::open(global_ref)?;
-    let interval = match interval {
-        Some(i) => i,
-        None => global.latest_interval().ok_or(CrError::BadSnapshot {
-            detail: "global snapshot has no committed intervals".into(),
-        })?,
-    };
-    if !global.intervals().contains(&interval) {
-        return Err(CrError::BadSnapshot {
-            detail: format!("interval {interval} was never committed"),
-        });
-    }
-    let launch_params = global.launch_params();
-    let params = Arc::new(McaParams::from_dump(
-        launch_params.iter().map(|(k, v)| (k.as_str(), v.as_str())),
-    ));
+    let (global, interval, params) = open_interval(global_ref, opts.interval)?;
+    let params = Arc::new(params);
 
     // The placement is predicted with the same deterministic PLM mapping
     // the relaunch will use, so each rank's image lands on the node it
@@ -938,14 +908,14 @@ pub fn restart<A: MpiApp>(
                 })
         })
         .collect::<Result<_, _>>()?;
-    let (images, fetched) = fetch_images(runtime, &global, interval, &targets, &opts, &params)?;
+    let (images, replica_images, _) =
+        fetch_images(runtime, &global, interval, &targets, &opts, &params)?;
     runtime.tracer().record(
         "ompi.restart",
         &format!(
-            "{} ranks from {} interval {interval} ({} images from peer memory)",
+            "{} ranks from {} interval {interval} ({replica_images} images from peer memory)",
             images.len(),
             global_ref.display(),
-            fetched.replica_images
         ),
     );
 
@@ -953,32 +923,49 @@ pub fn restart<A: MpiApp>(
     spawn_job(runtime, app, config, Some(images), Some(interval))
 }
 
-/// What [`fetch_images`] did besides producing the images.
-struct FetchSummary {
-    /// Images served from peer memory (for a manifest interval: images
-    /// that took at least one chunk from it).
-    replica_images: u32,
-    /// Simulated cost of the peer-memory transfers plus the stable
-    /// preload, back to back.
-    sim_cost: netsim::SimTime,
+/// The global snapshot at `global_ref`, the committed interval to restore
+/// (`wanted`, or the newest), and the launch parameters the snapshot
+/// records (paper §4).
+fn open_interval(
+    global_ref: &Path,
+    wanted: Option<u64>,
+) -> Result<(GlobalSnapshot, u64, McaParams), CrError> {
+    let global = GlobalSnapshot::open(global_ref)?;
+    let interval = wanted
+        .or(global.latest_interval())
+        .ok_or(CrError::BadSnapshot {
+            detail: "global snapshot has no committed intervals".into(),
+        })?;
+    if !global.intervals().contains(&interval) {
+        return Err(CrError::BadSnapshot {
+            detail: format!("interval {interval} was never committed"),
+        });
+    }
+    let launch = global.launch_params();
+    let params = McaParams::from_dump(launch.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+    Ok((global, interval, params))
 }
 
 /// Obtain the process images of `targets` — `(rank, node it will run on)`
-/// pairs — at `interval`, in `targets` order. The one way a restart gets
-/// images: whole-job [`restart`] passes every rank on its predicted
-/// placement, [`MpiJob::restart_ranks`] the failed ranks on their spares.
+/// pairs — at `interval`, in `targets` order, with how many came out of
+/// peer memory (for a manifest interval: how many took at least one chunk
+/// from it) and the simulated cost of the transfers, back to back. The
+/// one way a restart gets images: whole-job [`restart`] passes every rank
+/// on its predicted placement, [`MpiJob::restart_ranks`] the failed ranks
+/// on their spares.
 ///
 /// Intervals committed through the dedup chunk store carry per-rank chunk
 /// manifests. Every target's image comes out of one fetch batch over the
 /// chunk tiers ([`orte::store::SnapshotStore::fetch_images`]): each
 /// distinct chunk of the target set is fetched and verified once, its
 /// digest checks and stable reads spread over the `opal_hash_workers`
-/// pool; no local snapshot directory is materialized. Every other interval holds one
-/// self-contained local snapshot per rank: peer memory serves what it can,
-/// one FILEM batch preloads the misses from stable storage onto the
-/// destination nodes, and each image is rebuilt by the CRS component named
-/// in its local snapshot metadata (which may differ from the restart-time
-/// selection parameters) before the scratch copy is removed.
+/// pool. Every other interval holds one self-contained local snapshot per
+/// rank: peer memory serves what it can, and each image is then decoded
+/// where it lives, in one pass over the same pool — a peer-memory copy in
+/// memory, a miss from its local snapshot on stable storage, each byte
+/// read once — by the CRS component named in its metadata (which may
+/// differ from the restart-time selection parameters). Neither path
+/// writes anything on any node.
 fn fetch_images(
     runtime: &Runtime,
     global: &GlobalSnapshot,
@@ -986,8 +973,9 @@ fn fetch_images(
     targets: &[(cr_core::Rank, netsim::NodeId)],
     opts: &RestartOptions,
     params: &McaParams,
-) -> Result<(Vec<opal::ProcessImage>, FetchSummary), CrError> {
+) -> Result<(Vec<opal::ProcessImage>, u32, netsim::SimTime), CrError> {
     let job = global.job();
+    let workers = opal::pool::hash_workers(params);
     if !global.chunk_manifests(interval).is_empty() {
         let source = match opts.source {
             RestartSource::Auto => orte::store::ChunkSource::Auto,
@@ -1009,123 +997,99 @@ fn fetch_images(
             })
             .collect::<Result<Vec<_>, CrError>>()?;
         let store = orte::store::SnapshotStore::open(runtime, job, global.dir())?;
-        let workers = opal::pool::hash_workers(params);
         let (images, stats) = store.fetch_images(&manifests, source, true, workers)?;
-        let summary = FetchSummary {
-            replica_images: stats.replica_images as u32,
-            sim_cost: stats.sim_cost,
-        };
-        return Ok((images, summary));
+        return Ok((images, stats.replica_images as u32, stats.sim_cost));
     }
 
-    let mut summary = FetchSummary {
-        replica_images: 0,
-        sim_cost: netsim::SimTime::ZERO,
-    };
-
-    let filem = orte::filem::filem_framework()
-        .select(params)
-        .map_err(|e| CrError::Unsupported {
-            detail: e.to_string(),
-        })?;
-    let dest_of = |rank: cr_core::Rank, node: netsim::NodeId| {
-        runtime
-            .node_dir(node)
-            .join("restart")
-            .join(format!("{job}"))
-            .join(format!("interval_{interval}"))
-            .join(cr_core::snapshot::local_dir_name(rank))
-    };
-
-    // Phase 1 — peer memory: pull each image from the first surviving
-    // replica holder recorded in the snapshot metadata. Snapshots gathered
-    // without the replica component have no holder records, so every
-    // image simply misses and phase 2 does all the work.
-    let mut missing: Vec<(cr_core::Rank, netsim::NodeId)> = Vec::new();
-    let mut replica_bytes = 0u64;
-    for &(rank, node) in targets {
-        let holders = if opts.source == RestartSource::Stable {
-            Vec::new()
-        } else {
-            global.replica_holders(interval, rank)
-        };
-        let fetched = if holders.is_empty() {
-            None
-        } else {
-            orte::replica::fetch_image(runtime, job, interval, rank, &holders)
-        };
-        match fetched {
-            Some((image, cost)) => {
-                replica_bytes += image.total_bytes();
-                summary.sim_cost += cost;
-                summary.replica_images += 1;
-                image.write_to(&dest_of(rank, node))?;
-            }
-            None => missing.push((rank, node)),
-        }
-    }
-    if summary.replica_images > 0 {
-        runtime.tracer().record(
-            "filem.replica.preload",
-            &format!(
-                "{} images, {replica_bytes} bytes, sim {}",
-                summary.replica_images, summary.sim_cost
+    // Peer memory first: each image from the first surviving replica
+    // holder the snapshot metadata records (there are none without the
+    // replica component); stable storage serves the misses.
+    let mut sim_cost = netsim::SimTime::ZERO;
+    let held: Vec<_> = targets
+        .iter()
+        .map(|&(rank, _)| {
+            let holders = match opts.source {
+                RestartSource::Stable => Vec::new(),
+                _ => global.replica_holders(interval, rank),
+            };
+            let (image, cost) = (!holders.is_empty())
+                .then(|| orte::replica::fetch_image(runtime, job, interval, rank, &holders))
+                .flatten()?;
+            sim_cost += cost;
+            Some(image)
+        })
+        .collect();
+    let missing: Vec<u32> = targets
+        .iter()
+        .zip(&held)
+        .filter_map(|((rank, _), image)| image.is_none().then_some(rank.0))
+        .collect();
+    if opts.source == RestartSource::Replica && !missing.is_empty() {
+        return Err(CrError::BadSnapshot {
+            detail: format!(
+                "replica-only restart impossible: {} of {} needed images (ranks \
+                 {missing:?}) have no surviving replica holder",
+                missing.len(),
+                targets.len(),
             ),
-        );
+        });
     }
-
-    // Phase 2 — stable storage: whatever peer memory could not serve.
     if !missing.is_empty() {
-        if opts.source == RestartSource::Replica {
-            return Err(CrError::BadSnapshot {
-                detail: format!(
-                    "replica-only restart impossible: {} of {} needed images (ranks {:?}) \
-                     have no surviving replica holder",
-                    missing.len(),
-                    targets.len(),
-                    missing.iter().map(|(rank, _)| rank.0).collect::<Vec<_>>()
-                ),
-            });
-        }
         // Never race an in-flight write-behind drain to the files.
         runtime.drain_writebehind();
-        let batch = missing
-            .iter()
-            .map(|&(rank, node)| {
-                Ok(orte::filem::CopyRequest {
-                    src: global.local_snapshot(interval, rank)?.dir().to_path_buf(),
-                    src_node: netsim::NodeId(0), // stable storage is served by the head node
-                    dest: dest_of(rank, node),
-                    dest_node: node,
-                })
-            })
-            .collect::<Result<Vec<_>, CrError>>()?;
-        // One lane: the preload's simulated cost is the plain per-tree sum.
-        let (report, _) = orte::sched::copy_all_scheduled(&*filem, runtime.netview(), &batch, 1)?;
-        summary.sim_cost += report.serialized_cost;
-        runtime.tracer().record(
-            "filem.preload",
-            &format!(
-                "{} files, {} bytes, sim {}",
-                report.files, report.bytes, report.serialized_cost
-            ),
-        );
     }
 
-    // Rebuild every image from its node-local copy; the preloaded scratch
-    // copy has then served its purpose (FILEM remove).
-    let mut images = Vec::with_capacity(targets.len());
+    // One pass over the pool decodes every image where it lives; a
+    // stable read reports the on-disk bytes of the snapshot it read.
     let crs_fw = crs_framework(SelfCallbacks::new());
-    for &(rank, node) in targets {
-        let dir = dest_of(rank, node);
-        let local = cr_core::LocalSnapshot::open(&dir)?;
+    let decode = |local: &cr_core::LocalSnapshot, context: &[u8]| {
         let crs = crs_fw
             .instantiate(local.crs_component(), params)
             .map_err(|e| CrError::Unsupported {
                 detail: e.to_string(),
             })?;
-        images.push(crs.restart(&local)?);
-        filem.remove_tree(&dir)?;
+        crs.restart(local, context)
+    };
+    let work: Vec<_> = targets.iter().zip(held).collect();
+    let decoded = opal::pool::map_claimed(&work, workers, |(&(rank, _), image), _: &mut ()| {
+        if let Some(image) = image {
+            let dir = global
+                .interval_dir(interval)
+                .join(cr_core::snapshot::local_dir_name(rank));
+            let (local, context) = image.open(&dir)?;
+            return Ok((decode(&local, context)?, 0));
+        }
+        let local = global.local_snapshot(interval, rank)?;
+        let image = decode(&local, &local.read_context()?)?;
+        Ok((image, local.size_bytes()?))
+    })?;
+
+    // Each stable read is priced as one transfer from the head node,
+    // which serves stable storage, to the rank's node.
+    let net = runtime.netview();
+    let (mut replica_files, mut replica_bytes, mut stable_bytes) = (0, 0, 0);
+    for ((&(_, node), image), (_, read)) in work.iter().zip(&decoded) {
+        if let Some(image) = image {
+            replica_files += image.files.len();
+            replica_bytes += image.total_bytes();
+        } else {
+            stable_bytes += read;
+            sim_cost += net.cost(netsim::NodeId(0), node, *read as usize);
+        }
     }
-    Ok((images, summary))
+    let (stable, replica) = (missing.len(), targets.len() - missing.len());
+    if replica > 0 {
+        runtime.tracer().record(
+            "filem.replica.preload",
+            &format!("{replica} local snapshots, {replica_files} files, {replica_bytes} bytes"),
+        );
+    }
+    if stable > 0 {
+        runtime.tracer().record(
+            "filem.preload",
+            &format!("{stable} local snapshots, {} files, {stable_bytes} bytes", 2 * stable),
+        );
+    }
+    let images = decoded.into_iter().map(|(image, _)| image).collect();
+    Ok((images, replica as u32, sim_cost))
 }

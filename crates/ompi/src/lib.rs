@@ -21,8 +21,9 @@
 //! * [`app`] — the resumable application model ([`app::MpiApp`]) and its
 //!   step runner with boundary-state capture.
 //! * [`init`] — `MPI_Init`/`MPI_Finalize` equivalents, the `mpirun`-style
-//!   launcher, and restart from a global snapshot reference (with FILEM
-//!   preload of the checkpoint files onto the target nodes).
+//!   launcher, and restart from a global snapshot reference (each rank's
+//!   local snapshot decoded where it lives, in peer memory or on stable
+//!   storage).
 //! * [`supervisor`] — automatic, transparent recovery (the paper's §8
 //!   future-work item): periodic checkpoints, failure watchdog, restart
 //!   from the last snapshot.

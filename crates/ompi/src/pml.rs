@@ -454,10 +454,11 @@ impl PmlShared {
     }
 
     /// A restarted rank announced its replacement endpoint: re-point the
-    /// peer table, replay every logged message it may have missed
-    /// (duplicate suppression at the receiver discards the ones its
-    /// restored counters already account for), and fence the backlog
-    /// with `ReplayDone` so the rejoiner knows its channel is caught up.
+    /// peer table, trim the log to the commit watermark through the CRCP
+    /// (the rank restored the newest committed counts, so what is below
+    /// that mark it already holds), replay every logged message it may
+    /// have missed, and fence the backlog with `ReplayDone` so the
+    /// rejoiner knows its channel is caught up.
     fn handle_replay_begin(
         &self,
         st: &mut PmlState,
@@ -472,6 +473,9 @@ impl PmlShared {
         self.peers[from as usize].store(endpoint, Ordering::SeqCst);
         st.peers_down.remove(&from);
         self.fabric.watch(self.endpoint.id(), EndpointId(endpoint));
+        if let Some(crcp) = self.crcp() {
+            crcp.trim_for_replay(st, self.me);
+        }
         let mut resent = 0u64;
         for logged in st.msg_log.backlog(from) {
             self.resend_logged(logged)?;

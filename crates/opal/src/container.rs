@@ -518,7 +518,7 @@ mod tests {
         let snap = LocalSnapshot::open(&reply.snapshot_dir).unwrap();
         assert_eq!(snap.crs_component(), "blcr_sim");
         let crs = container.crs().unwrap();
-        let image = crs.restart(&snap).unwrap();
+        let image = crs.restart(&snap, &snap.read_context().unwrap()).unwrap();
         let captured: FakeAppState = codec::from_bytes(image.section("app").unwrap()).unwrap();
         assert!(captured.iteration > 0);
 

@@ -132,15 +132,16 @@ fn write_image(
     Ok(())
 }
 
-/// Decode a snapshot's context into its whole image (what both components'
-/// `restart` does). A `ckpt_kind=dedup` snapshot is reassembled from
+/// Decode `context`, the frame payload of `snapshot`'s context file read
+/// by the caller, into its whole image (what both components' `restart`
+/// does). A `ckpt_kind=dedup` snapshot is reassembled from
 /// its manifest and pack (a whole pack, as the daemon-less `direct` SNAPC
 /// of earlier builds committed it to stable storage). Two contexts are refused by name instead of
 /// failing somewhere inside the decoder: a pack that does not cover its
 /// manifest (it was cut against a base interval, so it restores only
 /// through the chunk store), and `ckpt_kind=delta`, a link of a base→delta
 /// chain an older build wrote.
-fn read_full_image(snapshot: &LocalSnapshot) -> Result<ProcessImage, CrError> {
+fn read_full_image(snapshot: &LocalSnapshot, context: &[u8]) -> Result<ProcessImage, CrError> {
     let refuse = |why: String| CrError::BadSnapshot {
         detail: format!(
             "rank {} interval {} {why}",
@@ -156,7 +157,7 @@ fn read_full_image(snapshot: &LocalSnapshot) -> Result<ProcessImage, CrError> {
                 .into(),
         ));
     }
-    let context = ProcessImage::from_bytes(&snapshot.read_context()?)?;
+    let context = ProcessImage::from_bytes(context)?;
     if kind != Some("dedup") {
         return Ok(context);
     }
@@ -236,8 +237,10 @@ pub trait CrsComponent: Send + Sync {
         base: Option<u64>,
     ) -> Result<(), CrError>;
 
-    /// Reconstruct a process image from `snapshot`.
-    fn restart(&self, snapshot: &LocalSnapshot) -> Result<ProcessImage, CrError>;
+    /// Reconstruct a process image from `snapshot` and `context`, the
+    /// frame payload of its context file (checksum already checked:
+    /// [`LocalSnapshot::read_context`], or the same file held in memory).
+    fn restart(&self, snapshot: &LocalSnapshot, context: &[u8]) -> Result<ProcessImage, CrError>;
 
     /// Notification delivered after the checkpoint operation resolves
     /// (continue in place, restarted image, or error). The SELF component
@@ -333,8 +336,8 @@ impl CrsComponent for BlcrSim {
         Ok(())
     }
 
-    fn restart(&self, snapshot: &LocalSnapshot) -> Result<ProcessImage, CrError> {
-        read_full_image(snapshot)
+    fn restart(&self, snapshot: &LocalSnapshot, context: &[u8]) -> Result<ProcessImage, CrError> {
+        read_full_image(snapshot, context)
     }
 }
 
@@ -374,8 +377,8 @@ impl CrsComponent for SelfCrs {
         write_image(image, snapshot, self.dedup.as_ref(), base)
     }
 
-    fn restart(&self, snapshot: &LocalSnapshot) -> Result<ProcessImage, CrError> {
-        read_full_image(snapshot)
+    fn restart(&self, snapshot: &LocalSnapshot, context: &[u8]) -> Result<ProcessImage, CrError> {
+        read_full_image(snapshot, context)
     }
 
     fn post_event(&self, state: FtEventState) -> Result<(), CrError> {
@@ -414,7 +417,7 @@ impl CrsComponent for NoneCrs {
         })
     }
 
-    fn restart(&self, _snapshot: &LocalSnapshot) -> Result<ProcessImage, CrError> {
+    fn restart(&self, _snapshot: &LocalSnapshot, _context: &[u8]) -> Result<ProcessImage, CrError> {
         Err(CrError::Unsupported {
             detail: "the none CRS component cannot restart processes".into(),
         })
@@ -455,6 +458,14 @@ mod tests {
 
     use cr_core::Rank;
 
+    /// `crs` restarts `snapshot` from its context file.
+    pub(super) fn reread(
+        crs: &dyn CrsComponent,
+        snapshot: &LocalSnapshot,
+    ) -> Result<ProcessImage, CrError> {
+        crs.restart(snapshot, &snapshot.read_context()?)
+    }
+
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "opal_crs_{tag}_{}_{:?}",
@@ -480,7 +491,7 @@ mod tests {
         let mut snap = LocalSnapshot::create(&dir, Rank(0), crs.name(), 0, "node00").unwrap();
         let img = sample_image();
         crs.checkpoint(&img, &mut snap, None).unwrap();
-        let restored = crs.restart(&snap).unwrap();
+        let restored = reread(&crs, &snap).unwrap();
         assert_eq!(restored, img);
         assert_eq!(snap.param("sections"), Some("app,pml"));
     }
@@ -553,7 +564,7 @@ mod tests {
         assert!(!crs.can_checkpoint());
         let mut snap = LocalSnapshot::create(&dir, Rank(0), crs.name(), 0, "node00").unwrap();
         assert!(crs.checkpoint(&sample_image(), &mut snap, None).is_err());
-        assert!(crs.restart(&snap).is_err());
+        assert!(crs.restart(&snap, &[]).is_err());
     }
 
     #[test]
@@ -579,7 +590,7 @@ mod tests {
         let mut snap = LocalSnapshot::create(&dir, Rank(0), blcr.name(), 0, "node00").unwrap();
         let img = sample_image();
         blcr.checkpoint(&img, &mut snap, None).unwrap();
-        assert_eq!(selfcrs.restart(&snap).unwrap(), img);
+        assert_eq!(reread(&selfcrs, &snap).unwrap(), img);
     }
 
     #[test]
@@ -595,7 +606,7 @@ mod tests {
             crs.checkpoint(&img, &mut s, None).unwrap();
             assert_eq!(s.param(PARAM_KIND), Some("full"));
             assert!(s.param(PARAM_MANIFEST).is_none(), "no manifest");
-            assert_eq!(crs.restart(&s).unwrap(), img);
+            assert_eq!(reread(&crs, &s).unwrap(), img);
         }
     }
 
@@ -665,7 +676,7 @@ mod tests {
             assert_eq!(ChunkId::parse(name), Some(ChunkId::of(bytes)));
         }
         // Manifest + pack restore on their own.
-        assert_eq!(crs.restart(&s).unwrap(), img);
+        assert_eq!(reread(&crs, &s).unwrap(), img);
     }
 
     #[test]
@@ -686,7 +697,7 @@ mod tests {
         let (s, _, warm) = dedup_checkpoint(&crs, &dir, &img, 1, Some(0));
         assert!(warm <= MIB * 15 / 100, "10 % dirty packs {warm} B of {MIB}");
         // The pack alone does not cover its manifest: refused by name.
-        let err = crs.restart(&s).unwrap_err();
+        let err = reread(&crs, &s).unwrap_err();
         assert!(matches!(err, CrError::BadSnapshot { .. }), "{err}");
         assert!(
             err.to_string().contains("does not cover its manifest"),
@@ -707,7 +718,7 @@ mod tests {
         for (interval, base) in [(1, Some(7)), (2, Some(0)), (3, None)] {
             let (s, _, size) = dedup_checkpoint(&crs, &dir, &img, interval, base);
             assert_eq!(size, cold, "interval {interval} base {base:?}");
-            assert_eq!(crs.restart(&s).unwrap(), img);
+            assert_eq!(reread(&crs, &s).unwrap(), img);
         }
         // Against the interval written last, the same image packs nothing.
         let (_, _, size) = dedup_checkpoint(&crs, &dir, &img, 4, Some(3));
@@ -728,7 +739,11 @@ mod tests {
         );
         s.finish().unwrap();
         assert_eq!(
-            read_full_image(&LocalSnapshot::open(s.dir()).unwrap()).unwrap(),
+            reread(
+                &SelfCrs::from_params(SelfCallbacks::new(), &McaParams::new()),
+                &LocalSnapshot::open(s.dir()).unwrap()
+            )
+            .unwrap(),
             img
         );
     }
@@ -748,14 +763,14 @@ mod tests {
             (MIB..=MIB + MIB / 100).contains(&on_disk),
             "context of a 1 MiB section is {on_disk} B"
         );
-        assert_eq!(crs.restart(&snap).unwrap(), img);
+        assert_eq!(reread(&crs, &snap).unwrap(), img);
 
         // A flipped payload byte, deep inside the raw run, is still caught.
         let mut raw = std::fs::read(&path).unwrap();
         raw[MIB / 2] ^= 0x10;
         std::fs::write(&path, &raw).unwrap();
         assert!(matches!(
-            crs.restart(&snap),
+            reread(&crs, &snap),
             Err(CrError::Codec(codec::Error::ChecksumMismatch { .. }))
         ));
     }
@@ -771,7 +786,7 @@ mod tests {
         s.set_param(PARAM_KIND, "delta");
         s.finish().unwrap();
         let reopened = LocalSnapshot::open(s.dir()).unwrap();
-        let err = read_full_image(&reopened).unwrap_err();
+        let err = reread(&BlcrSim::from_params(&McaParams::new()), &reopened).unwrap_err();
         assert!(matches!(err, CrError::BadSnapshot { .. }), "got: {err}");
         assert!(err.to_string().contains("older build"), "got: {err}");
     }
@@ -794,6 +809,7 @@ mod tests {
 
 #[cfg(test)]
 mod exclusion_tests {
+    use super::tests::reread;
     use super::*;
     use cr_core::Rank;
     use std::path::PathBuf;
@@ -837,7 +853,7 @@ mod exclusion_tests {
         assert_eq!(small_snap.param("excluded"), Some("scratch"));
 
         // Restart sees the kept sections only.
-        let restored = pruned.restart(&small_snap).unwrap();
+        let restored = reread(&pruned, &small_snap).unwrap();
         assert!(restored.section("app").is_some());
         assert!(restored.section("pml").is_some());
         assert!(restored.section("scratch").is_none());
@@ -853,7 +869,7 @@ mod exclusion_tests {
         let dir = tmpdir("harmless");
         let mut snap = LocalSnapshot::create(&dir, Rank(0), "blcr_sim", 0, "n0").unwrap();
         crs.checkpoint(&image, &mut snap, None).unwrap();
-        let restored = crs.restart(&snap).unwrap();
+        let restored = reread(&crs, &snap).unwrap();
         assert_eq!(restored.section("app"), Some(&[5u8; 16][..]));
     }
 }

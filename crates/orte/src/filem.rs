@@ -2,9 +2,10 @@
 //!
 //! FILEM moves checkpoint files between node-local disks and stable
 //! storage: *gather* pulls every rank's local snapshot into the global
-//! snapshot directory, *broadcast* preloads files onto nodes before a
-//! restart, and *remove* cleans up scratch copies. A component copies one
-//! tree; batches of trees run through the one wave executor in
+//! snapshot directory. Stable storage and the node directories share one
+//! filesystem here, so restart needs no *broadcast*: it reads each local
+//! snapshot where it lives (`ompi::init`). A component copies one tree;
+//! batches of trees run through the one wave executor in
 //! [`crate::sched`], which schedules transfers to avoid congesting the
 //! network.
 //!
@@ -17,7 +18,7 @@
 //! * **`replica`** — peer-memory first (see [`crate::replica`]): SNAPC
 //!   commits images into surviving daemons' memory and drains them to
 //!   stable storage asynchronously (write-behind). Its `copy_tree` is the
-//!   drain/preload engine — `oob_stream`'s streamed copy with a near-zero
+//!   drain engine — `oob_stream`'s streamed copy with a near-zero
 //!   session setup, since the stream originates from memory, not an `scp`
 //!   handshake.
 //!
@@ -102,14 +103,6 @@ pub trait FilemComponent: Send + Sync {
 
     /// Copy one tree.
     fn copy_tree(&self, net: NetView<'_>, req: &CopyRequest) -> Result<FilemReport, CrError>;
-
-    /// Remove a tree (cleanup of preloaded/scratch data).
-    fn remove_tree(&self, path: &Path) -> Result<(), CrError> {
-        if path.exists() {
-            fs::remove_dir_all(path).map_err(|e| CrError::io(path.display().to_string(), &e))?;
-        }
-        Ok(())
-    }
 }
 
 /// Recursively copy `src` to `dest`, returning per-file sizes.
@@ -176,7 +169,7 @@ impl StreamFilem {
     /// handshake, so its session setup is near zero. Selecting
     /// `filem=replica` additionally switches SNAPC's gather to commit into
     /// peer memory before the drain (see `snapc`); this `copy_tree` is what
-    /// the asynchronous drain and the restart preload run on.
+    /// the asynchronous drain runs on.
     pub const REPLICA: StreamFilem = StreamFilem {
         name: "replica",
         session: SimTime::from_millis(2),
@@ -342,17 +335,6 @@ mod tests {
         let stream_report = stream.copy_tree(NetView::uncontended(&topo()), &req("stream_out")).unwrap();
         assert_eq!(rsh_report.bytes, stream_report.bytes);
         assert!(rsh_report.serialized_cost > stream_report.serialized_cost * 5);
-    }
-
-    #[test]
-    fn remove_tree_is_idempotent() {
-        let base = tmpdir("remove");
-        make_tree(&base.join("dest0"));
-        let filem = RshSimFilem;
-        filem.remove_tree(&base.join("dest0")).unwrap();
-        assert!(!base.join("dest0").exists());
-        // Removing twice is fine.
-        filem.remove_tree(&base.join("dest0")).unwrap();
     }
 
     #[test]

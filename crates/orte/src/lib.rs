@@ -12,8 +12,7 @@
 //!   coordinator* in each process (Figure 1); `tree` runs the same
 //!   protocol over a binomial daemon tree.
 //! * **FILEM** ([`filem`]) — remote file management: gathering local
-//!   snapshots to stable storage, preloading files at restart, and cleanup
-//!   (broadcast / gather / remove).
+//!   snapshots to stable storage. Restart reads them where they live.
 //!
 //! Plus the substrate they need:
 //!
@@ -34,8 +33,8 @@
 //!   FILEM `replica` component: each daemon holds its own ranks' images
 //!   plus ring-replicated copies of `k` neighbors', so restart can pull
 //!   from surviving memory before touching stable storage.
-//! * [`sched`] — the one FILEM batch executor: gathers, drains and
-//!   restart preloads planned into least-loaded-link waves against the
+//! * [`sched`] — the one FILEM batch executor: gathers and drains
+//!   planned into least-loaded-link waves against the
 //!   link-contention pricing model, executed with real wall-clock and
 //!   per-link byte accounting.
 //! * [`store`] — the unified snapshot store over the content-addressed

@@ -27,6 +27,7 @@ use std::sync::Arc;
 use netsim::{NodeId, SimTime};
 use parking_lot::Mutex;
 
+use cr_core::snapshot::{LocalSnapshot, LOCAL_META_FILE};
 use cr_core::{CrError, JobId, Rank};
 use opal::store::ChunkId;
 
@@ -86,18 +87,23 @@ impl ReplicaImage {
         Ok(ReplicaImage { rank: rank.0, files })
     }
 
-    /// Materialize the image under `dir` (inverse of
-    /// [`ReplicaImage::from_dir`]), creating directories as needed. The
-    /// result is openable as a `LocalSnapshot` reference.
-    pub fn write_to(&self, dir: &Path) -> Result<(), CrError> {
-        for (rel, bytes) in &self.files {
-            let path = dir.join(rel);
-            if let Some(parent) = path.parent() {
-                fs::create_dir_all(parent).map_err(|e| io_err(parent, &e))?;
-            }
-            fs::write(&path, bytes).map_err(|e| io_err(&path, &e))?;
-        }
-        Ok(())
+    /// The local snapshot this image holds, as if opened at `dir` (the
+    /// reference it was captured from), and the payload of its context
+    /// file with the frame checksum checked: [`LocalSnapshot::open`] and
+    /// [`LocalSnapshot::read_context`] on the bytes in memory, nothing
+    /// written anywhere.
+    pub fn open(&self, dir: &Path) -> Result<(LocalSnapshot, &[u8]), CrError> {
+        let bad = |why: String| CrError::BadSnapshot {
+            detail: format!("replica image of rank {}: {why}", self.rank),
+        };
+        let file = |name: &str| {
+            let found = self.files.iter().find(|(rel, _)| rel == name);
+            found.map(|(_, bytes)| bytes.as_slice()).ok_or_else(|| bad(format!("holds no {name}")))
+        };
+        let meta = std::str::from_utf8(file(LOCAL_META_FILE)?).map_err(|e| bad(e.to_string()))?;
+        let local = LocalSnapshot::parse(dir, meta)?;
+        let context = codec::read_frame(file(local.context_file())?)?;
+        Ok((local, context))
     }
 
     /// Total payload size in bytes.
@@ -487,29 +493,37 @@ mod tests {
     }
 
     #[test]
-    fn image_roundtrips_through_memory() {
+    fn image_opens_in_memory_as_the_snapshot_it_captured() {
         let src = tmpdir("img_src");
-        fs::write(src.join("snapshot_meta.data"), b"[snapshot]\ncrs = self\n").unwrap();
-        fs::create_dir_all(src.join("sub")).unwrap();
-        fs::write(src.join("sub").join("ompi_context.bin"), vec![0xCD; 4096]).unwrap();
+        let mut local = LocalSnapshot::create(&src, Rank(2), "self", 3, "node01").unwrap();
+        local.write_context(&codec::write_frame(&[0xCD; 4096])).unwrap();
+        local.set_param("sections", "app");
+        local.finish().unwrap();
+        let dir = local.dir().to_path_buf();
 
-        let image = ReplicaImage::from_dir(Rank(2), &src).unwrap();
+        let image = ReplicaImage::from_dir(Rank(2), &dir).unwrap();
         assert_eq!(image.rank, 2);
         assert_eq!(image.files.len(), 2);
-        assert_eq!(image.total_bytes(), 4096 + 22);
+        let (opened, context) = image.open(&dir).unwrap();
+        assert_eq!(
+            (opened.rank(), opened.interval(), opened.param("sections")),
+            (Rank(2), 3, Some("app"))
+        );
+        assert_eq!(context, &local.read_context().unwrap()[..]);
 
-        let dst = tmpdir("img_dst");
-        image.write_to(&dst).unwrap();
-        assert_eq!(
-            fs::read(dst.join("snapshot_meta.data")).unwrap(),
-            b"[snapshot]\ncrs = self\n"
-        );
-        assert_eq!(
-            fs::read(dst.join("sub").join("ompi_context.bin")).unwrap(),
-            vec![0xCD; 4096]
-        );
-        // Round-trip equality through a second capture.
-        assert_eq!(ReplicaImage::from_dir(Rank(2), &dst).unwrap(), image);
+        // A flipped context byte fails the frame checksum, as on disk; a
+        // missing metadata file is refused by name.
+        let mut flipped = image.clone();
+        let ctx = flipped.files.iter_mut().find(|(rel, _)| rel != LOCAL_META_FILE).unwrap();
+        ctx.1[100] ^= 1;
+        assert!(matches!(
+            flipped.open(&dir),
+            Err(CrError::Codec(codec::Error::ChecksumMismatch { .. }))
+        ));
+        let mut headless = image;
+        headless.files.retain(|(rel, _)| rel != LOCAL_META_FILE);
+        let err = headless.open(&dir).unwrap_err();
+        assert!(err.to_string().contains("rank 2: holds no snapshot_meta.data"), "{err}");
     }
 
     #[test]

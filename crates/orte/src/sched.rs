@@ -1,5 +1,5 @@
 //! The one batch executor of the FILEM framework: contention-aware wave
-//! scheduling for gathers, drains and restart preloads.
+//! scheduling for gathers and drains.
 //!
 //! Claiming requests in index order lets a batch whose first `k` sources
 //! share one node saturate that node's uplink with `k` concurrent transfers
@@ -237,8 +237,8 @@ pub fn copy_all_scheduled(
         };
         let requests = wave.iter().filter_map(|&i| batch.get(i).map(|req| (i, req)));
         // A one-request wave (every wave of a one-lane batch) runs on the
-        // calling thread: a spawn per restart-preload copy costs more than
-        // small copies themselves.
+        // calling thread: a spawn per copy costs more than small copies
+        // themselves.
         let lane_results: Vec<(usize, Result<FilemReport, CrError>)> = if wave.len() == 1 {
             requests.map(|(i, req)| run_lane(i, req)).collect()
         } else {

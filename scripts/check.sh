@@ -161,6 +161,15 @@ for f in crates/ompi/src/crcp.rs crates/ompi/src/crcp/*.rs; do
     exit 1
   fi
 done
+# One read per restored image: restart decodes each local snapshot where it
+# lives (stable storage or peer memory), so no non-test code builds a
+# node-local restart scratch path or writes a replica image back to disk.
+for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
+  if awk -v f="$f" '/^#\[cfg\(test\)\]/ {exit} {print f":"FNR": "$0}' "$f" |
+    grep -E '\.join\("restart"\)|write_to\('; then
+    exit 1
+  fi
+done
 # cr-model runs the shipped machines: no hand-written commit lattice,
 # partial-restart cursor model or replica ring stays in crates/model/src.
 if grep -rnE 'enum Commit\b|enum FState|fn ring_successors' crates/model/src; then exit 1; fi
