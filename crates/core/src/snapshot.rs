@@ -202,7 +202,21 @@ impl LocalSnapshot {
     pub fn read_context(&self) -> Result<Vec<u8>, CrError> {
         let path = self.context_path();
         let raw = fs::read(&path).map_err(|e| CrError::io(path.display().to_string(), &e))?;
-        Ok(codec::into_payload(raw)?)
+        codec::into_payload(raw).map_err(|e| self.bad_context(e))
+    }
+
+    /// The error for a context that fails its frame check `e`: it names
+    /// the rank, the interval and the context file, and keeps the codec's
+    /// detail (for a flipped byte, the stored and computed checksums).
+    pub fn bad_context(&self, e: codec::Error) -> CrError {
+        CrError::BadSnapshot {
+            detail: format!(
+                "rank {} interval {}: context {} fails its frame check: {e}",
+                self.rank().0,
+                self.interval(),
+                self.context_path().display()
+            ),
+        }
     }
 
     /// Record an application/checkpointer-specific parameter (persisted by
@@ -866,10 +880,19 @@ mod tests {
         let last = raw.len() - 1;
         raw[last] ^= 0xFF;
         fs::write(&path, raw).unwrap();
-        assert!(matches!(
-            snap.read_context(),
-            Err(CrError::Codec(codec::Error::ChecksumMismatch { .. }))
-        ));
+        let err = snap.read_context().unwrap_err();
+        let CrError::BadSnapshot { detail } = &err else {
+            panic!("wanted BadSnapshot, got: {err}");
+        };
+        assert!(
+            detail.starts_with("rank 0 interval 0: context "),
+            "{detail}"
+        );
+        assert!(detail.contains(&path.display().to_string()), "{detail}");
+        assert!(
+            detail.contains("stored 0x") && detail.contains("computed 0x"),
+            "{detail}"
+        );
     }
 
     /// A fresh global reference with an empty launch record.

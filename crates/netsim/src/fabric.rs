@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -158,6 +158,21 @@ impl fmt::Display for EndpointId {
 /// dead endpoint sent. No sender can use this tag.
 pub const PEER_DOWN: u64 = u64::MAX;
 
+/// The [`Delivery::tag`] of a wake-up ([`Fabric::wake`]): an event the
+/// receiver waits for happened outside the fabric, so a thread parked in
+/// [`Endpoint::recv`] returns and looks again. `src` is the woken
+/// endpoint itself and the payload is empty. A wake that lands before the
+/// receiver parks stays queued, so none is lost. No sender can use this
+/// tag.
+pub const WAKE: u64 = u64::MAX - 1;
+
+/// How long [`Endpoint::recv`] polls its queue before it parks: about
+/// the cost of one park/unpark hand-off between two threads, so a receive
+/// that parks after all spends at most twice what parking alone costs,
+/// while a reply that lands within the budget is taken without a
+/// hand-off (EXPERIMENTS.md A23).
+const RECV_SPIN: Duration = Duration::from_micros(5);
+
 /// A message as seen by the receiver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delivery {
@@ -272,7 +287,7 @@ impl Fabric {
         tag: u64,
         payload: Bytes,
     ) -> Result<SimTime, NetError> {
-        if tag == PEER_DOWN {
+        if tag == PEER_DOWN || tag == WAKE {
             return Err(NetError::Unreachable { dst });
         }
         let boxes = self.inner.mailboxes.read();
@@ -322,7 +337,7 @@ impl Fabric {
         let watchers = self.inner.watchers.lock().remove(&ep).unwrap_or_default();
         for w in watchers {
             if let Some(mbox) = boxes.get(&w) {
-                let _ = mbox.tx.send(Self::down_notice(ep));
+                let _ = mbox.tx.send(Self::notice(ep, PEER_DOWN));
             }
         }
     }
@@ -336,14 +351,21 @@ impl Fabric {
         if boxes.contains_key(&target) {
             self.inner.watchers.lock().entry(target).or_default().push(watcher);
         } else if let Some(mbox) = boxes.get(&watcher) {
-            let _ = mbox.tx.send(Self::down_notice(target));
+            let _ = mbox.tx.send(Self::notice(target, PEER_DOWN));
         }
     }
 
-    fn down_notice(dead: EndpointId) -> Delivery {
+    /// Post a [`WAKE`] to `ep`'s own queue. A dead `ep` is not woken.
+    pub fn wake(&self, ep: EndpointId) {
+        if let Some(mbox) = self.inner.mailboxes.read().get(&ep) {
+            let _ = mbox.tx.send(Self::notice(ep, WAKE));
+        }
+    }
+
+    fn notice(src: EndpointId, tag: u64) -> Delivery {
         Delivery {
-            src: dead,
-            tag: PEER_DOWN,
+            src,
+            tag,
             payload: Bytes::new(),
             wire_time: SimTime::ZERO,
         }
@@ -368,7 +390,7 @@ impl Fabric {
 /// it, and each message goes to exactly one of them. One thread receives
 /// at a time; [`try_recv`](Endpoint::try_recv) and
 /// [`recv_timeout`](Endpoint::recv_timeout) do not queue behind a thread
-/// that is receiving.
+/// that is receiving, and [`recv`](Endpoint::recv) does once it parks.
 pub struct Endpoint {
     id: EndpointId,
     node: NodeId,
@@ -401,13 +423,23 @@ impl Endpoint {
         self.fabric.send(self.id, dst, tag, payload)
     }
 
-    /// Blocking receive.
+    /// Blocking receive: poll the queue for a short spin budget, then park
+    /// with no timeout until a delivery arrives. Only a delivery ends the
+    /// wait, so an event outside the fabric that the caller waits for must
+    /// post a [`WAKE`] ([`Fabric::wake`]).
     ///
     /// Wakes with [`NetError::Disconnected`] once the endpoint has been
     /// killed *and* every already-queued message has been drained — killed
     /// processes may still have in-flight messages that coordination
     /// protocols need to observe.
     pub fn recv(&self) -> Result<Delivery, NetError> {
+        let spin = Instant::now();
+        while spin.elapsed() < RECV_SPIN {
+            match self.try_recv() {
+                Err(NetError::Empty) => std::hint::spin_loop(),
+                done => return done,
+            }
+        }
         self.rx.lock().recv().map_err(|_| NetError::Disconnected)
     }
 
@@ -548,6 +580,39 @@ mod tests {
         fabric.watch(bystander.id(), notice.src);
         assert_eq!(bystander.recv().unwrap(), notice);
         assert!(a.send_to(bystander.id(), PEER_DOWN, Bytes::new()).is_err());
+    }
+
+    /// Nobody can send a wake; one wake ends one parked receive, and a
+    /// wake posted before the receive stays queued for it.
+    #[test]
+    fn one_wake_returns_one_blocked_receive() {
+        let fabric = two_node_fabric();
+        let a = fabric.register(NodeId(0));
+        let b = fabric.register(NodeId(1));
+        assert_eq!(
+            a.send_to(b.id(), WAKE, Bytes::new()),
+            Err(NetError::Unreachable { dst: b.id() })
+        );
+        std::thread::scope(|s| {
+            let blocked = s.spawn(|| b.recv());
+            while b.rx.try_lock().is_some() {
+                std::thread::yield_now();
+            }
+            fabric.wake(b.id());
+            let woken = blocked.join().unwrap().unwrap();
+            assert_eq!((woken.src, woken.tag), (b.id(), WAKE));
+        });
+        assert_eq!(
+            b.try_recv().err(),
+            Some(NetError::Empty),
+            "one delivery per wake"
+        );
+        fabric.wake(b.id());
+        assert_eq!(b.recv().unwrap().tag, WAKE);
+        // A dead endpoint is not woken.
+        let dead = b.id();
+        drop(b);
+        fabric.wake(dead);
     }
 
     #[test]

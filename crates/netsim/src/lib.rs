@@ -33,7 +33,7 @@ pub mod topology;
 
 pub use error::NetError;
 pub use fabric::{
-    Delivery, Endpoint, EndpointId, Fabric, LinkMeter, LinkSlot, NetView, PEER_DOWN,
+    Delivery, Endpoint, EndpointId, Fabric, LinkMeter, LinkSlot, NetView, PEER_DOWN, WAKE,
 };
 pub use stats::FabricStats;
 pub use time::SimTime;

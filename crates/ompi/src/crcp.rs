@@ -28,7 +28,6 @@ pub mod round;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use bytes::Bytes;
 use mca::{Framework, McaParams};
@@ -40,11 +39,6 @@ use crate::pml::{PmlShared, PmlState};
 
 use self::msglog::LoggedSend;
 use self::round::{Abort, Input, Output, Outputs, Round};
-
-/// How long one wait on the wire lasts before a coordination loop looks
-/// at its inbox again. Not a deadline: every wait ends on a message or
-/// a death notice.
-const POLL: Duration = Duration::from_millis(1);
 
 /// A checkpoint/restart coordination protocol.
 pub trait CrcpComponent: Send + Sync {
@@ -302,14 +296,15 @@ fn run_round(
 }
 
 /// Look at `pml`'s state with `step` until it returns `Some`, waiting on
-/// the wire in between: the one wait of every CRCP protocol. `Err` when
+/// the wire in between: the one wait of every CRCP protocol. It has no
+/// deadline: every wait ends on a message or a death notice. `Err` when
 /// this rank's own endpoint failed.
 fn wait<R>(pml: &PmlShared, mut step: impl FnMut(&mut PmlState) -> Option<R>) -> Result<R, CrError> {
     loop {
         if let Some(done) = pml.with_state(&mut step) {
             return Ok(done);
         }
-        pml.poll_wire_once(POLL).map_err(|e| CrError::protocol(e.to_string()))?;
+        pml.wait_wire().map_err(|e| CrError::protocol(e.to_string()))?;
     }
 }
 
@@ -456,7 +451,7 @@ mod tests {
     use netsim::{Fabric, LinkSpec, NodeId, Topology};
     use opal::SafePointGate;
     use std::thread::JoinHandle;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     /// `n` PMLs on one fabric, rank r on node r.
     fn mesh(n: u32) -> (Fabric, Vec<Arc<PmlShared>>) {
@@ -504,9 +499,7 @@ mod tests {
         // rank 2 (their bookmarks, and at the barrier their `Quiesced`),
         // so nothing but the death notice can end their rounds.
         let heard = if stage == 2 { 4 } else { 2 };
-        while dying.with_state(|st| st.crcp_inbox.len()) < heard {
-            dying.poll_wire_once(Duration::from_millis(1)).unwrap();
-        }
+        wait(&dying, |st| (st.crcp_inbox.len() >= heard).then_some(())).unwrap();
         drop(dying);
         for (r, t) in survivors.into_iter().enumerate() {
             let err = t.join().unwrap().unwrap_err();
@@ -520,18 +513,7 @@ mod tests {
         let ids = vec![pmls[0].endpoint_id(), pmls[1].endpoint_id(), ep2.id()];
         let gate = Arc::new(SafePointGate::new());
         let pml2 = PmlShared::new(2, 3, ep2, ids, gate, Tracer::new());
-        let rejoiner = {
-            let pml2 = Arc::clone(&pml2);
-            std::thread::spawn(move || {
-                rejoin_replay(&pml2, &[2u32].into_iter().collect(), &Tracer::new())
-            })
-        };
-        while !rejoiner.is_finished() {
-            for pml in &pmls {
-                pml.poll_wire_once(Duration::from_millis(1)).unwrap();
-            }
-        }
-        rejoiner.join().unwrap().unwrap();
+        rejoin_while_pumping(&fabric, &pml2, &pmls).unwrap();
         pmls.push(pml2);
         let next: Vec<_> = pmls.iter().map(|pml| coordinate_at(pml, 2)).collect();
         for t in next {
@@ -619,7 +601,7 @@ mod tests {
             rejoin_replay(&pml2, &[2u32].into_iter().collect(), &Tracer::new())
         });
         // Survivor 0 fences; survivor 1 dies with the announcement unread.
-        while !pmls[0].poll_wire_once(Duration::from_millis(50)).unwrap() {}
+        pmls[0].wait_wire().unwrap();
         let dying = pmls.pop().unwrap();
         drop(dying);
         let err = rejoiner.join().unwrap().unwrap_err();
@@ -836,12 +818,35 @@ mod tests {
         assert_eq!(bytes, 0);
     }
 
+    /// `rejoiner` rejoins while each of `survivors` pumps its wire on a
+    /// thread of its own to answer the `ReplayBegin`; the survivors are
+    /// woken once the rejoin is over.
+    fn rejoin_while_pumping(
+        fabric: &Fabric,
+        rejoiner: &PmlShared,
+        survivors: &[Arc<PmlShared>],
+    ) -> Result<(), CrError> {
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for pml in survivors {
+                s.spawn(|| wait(pml, |_| done.load(Ordering::SeqCst).then_some(())).unwrap());
+            }
+            let rejoining = [rejoiner.me()].into_iter().collect();
+            let rejoined = rejoin_replay(rejoiner, &rejoining, &Tracer::new());
+            done.store(true, Ordering::SeqCst);
+            for pml in survivors {
+                fabric.wake(pml.endpoint_id());
+            }
+            rejoined
+        })
+    }
+
     /// Rank 1 restarts on a fresh endpoint of `fabric` with `count` frames
     /// from rank 0 restored, and rejoins; the survivor `pml0` answers its
     /// `ReplayBegin` while pumping its wire.
     fn rejoin_rank1(
         fabric: &Fabric,
-        pml0: &PmlShared,
+        pml0: &Arc<PmlShared>,
         peer0: netsim::EndpointId,
         count: u64,
     ) -> Arc<PmlShared> {
@@ -850,19 +855,7 @@ mod tests {
         let gate = Arc::new(SafePointGate::new());
         let pml1b = PmlShared::new(1, 2, ep1b, peers, gate, Tracer::new());
         pml1b.with_state(|st| st.recv_counts[0] = count);
-        let rejoiner = {
-            let pml1b = Arc::clone(&pml1b);
-            std::thread::spawn(move || {
-                let rejoining: BTreeSet<u32> = [1u32].into_iter().collect();
-                rejoin_replay(&pml1b, &rejoining, &Tracer::new())
-            })
-        };
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !rejoiner.is_finished() {
-            assert!(Instant::now() < deadline, "handshake did not converge");
-            pml0.poll_wire_once(Duration::from_millis(1)).unwrap();
-        }
-        rejoiner.join().unwrap().unwrap();
+        rejoin_while_pumping(fabric, &pml1b, &[Arc::clone(pml0)]).unwrap();
         pml1b
     }
 

@@ -700,7 +700,7 @@ fn make_proc_main<A: MpiApp>(
             // partial restarts, a silent skip here would hang `wait()`
             // forever.
             if !ctx.partial_recovery.load(Ordering::SeqCst) {
-                ctx.terminate.store(true, Ordering::SeqCst);
+                ctx.request_terminate();
             }
             // The process is dead from here on: its endpoint goes now,
             // not when the daemon drops the container, so every peer's

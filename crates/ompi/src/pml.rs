@@ -36,9 +36,8 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use netsim::{Endpoint, EndpointId, Fabric, NetError, PEER_DOWN};
+use netsim::{Endpoint, EndpointId, Fabric, NetError, PEER_DOWN, WAKE};
 use parking_lot::{Mutex, RwLock};
 
 use cr_core::{CrError, FtEvent, FtEventState, Tracer};
@@ -50,10 +49,6 @@ use crate::error::MpiError;
 use crate::frame::{
     decode_app, decode_crcp, AppFrame, CrcpMsg, WirePool, CLASS_APP, CLASS_CRCP, HEADER_LEN,
 };
-
-/// How long a blocking operation waits on the wire before re-checking the
-/// safe-point gate.
-const WIRE_POLL: Duration = Duration::from_micros(200);
 
 /// A posted (not yet matched) non-blocking receive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -329,6 +324,9 @@ impl PmlShared {
                 fabric.watch(endpoint.id(), *peer);
             }
         }
+        // A pause request or the job's end wakes a wait on the wire.
+        let (f, id) = (fabric.clone(), endpoint.id());
+        gate.set_waker(Arc::new(move || f.wake(id)));
         let peers = peers.into_iter().map(|e| AtomicU64::new(e.0)).collect();
         Arc::new(PmlShared {
             me,
@@ -435,6 +433,8 @@ impl PmlShared {
                 }
                 Ok(())
             }
+            // Only ends a wait: the caller looks at its state again.
+            WAKE => Ok(()),
             CLASS_CRCP => {
                 let msg = decode_crcp(&delivery.payload)?;
                 if let CrcpMsg::ReplayBegin { from, endpoint } = msg {
@@ -503,19 +503,15 @@ impl PmlShared {
         }
     }
 
-    /// Block up to `timeout` for one wire event and classify it. Returns
-    /// whether anything arrived. Used by CRCP coordination loops.
-    pub fn poll_wire_once(&self, timeout: Duration) -> Result<bool, MpiError> {
-        match self.endpoint.recv_timeout(timeout) {
-            Ok(d) => {
-                self.classify(&mut self.state.lock(), d)?;
-                Ok(true)
-            }
-            Err(NetError::Timeout) => Ok(false),
-            Err(e) => Err(MpiError::PeerLost {
-                detail: format!("endpoint failed: {e}"),
-            }),
-        }
+    /// Wait for one delivery (spin briefly, then park with no timeout)
+    /// and classify it: the one wait of the PML and of every CRCP loop.
+    /// Only the thread the gate lets run waits here: the application
+    /// thread, or the CRCP while the application thread is parked.
+    pub(crate) fn wait_wire(&self) -> Result<(), MpiError> {
+        let delivery = self.endpoint.recv().map_err(|e| MpiError::PeerLost {
+            detail: format!("endpoint failed: {e}"),
+        })?;
+        self.classify(&mut self.state.lock(), delivery)
     }
 
     /// Send a CRCP control message to `dst` (not counted by bookmarks).
@@ -660,8 +656,10 @@ impl PmlShared {
     }
 
     /// Run `step` with the state locked until it yields, waiting on the
-    /// wire between tries. Between waits the caller holds at the
-    /// safe-point gate, and it unwinds once the job terminates.
+    /// wire between tries. Between waits the caller unwinds once the job
+    /// terminates and holds at the safe-point gate; both events post a
+    /// wake, so a wait never outlasts them. A checkpoint may have drained
+    /// what `step` waits for, so `step` runs again after one.
     fn block<R>(
         &self,
         mut step: impl FnMut(&mut PmlState) -> Result<Option<R>, MpiError>,
@@ -674,9 +672,11 @@ impl PmlShared {
             if let Some(done) = done {
                 return Ok(done);
             }
-            self.gate.checkpoint_point();
-            if !self.poll_wire_once(WIRE_POLL)? && self.terminating() {
+            if self.terminating() {
                 return Err(MpiError::Terminating);
+            }
+            if !self.gate.checkpoint_point() {
+                self.wait_wire()?;
             }
         }
     }

@@ -101,6 +101,36 @@ fn blocking_recv_across_threads() {
     assert_eq!(&t.join().unwrap().payload[..], b"late");
 }
 
+/// A receive parked on a silent wire still reaches its safe point when a
+/// checkpoint is requested (the gate's waker ends the wait), stays parked
+/// through the checkpoint, and then receives as before.
+#[test]
+fn a_receive_parked_on_a_silent_wire_parks_at_the_gate_and_resumes() {
+    let fabric = Fabric::new(Topology::uniform(1, LinkSpec::gigabit_ethernet()));
+    let (ep0, ep1) = (fabric.register(NodeId(0)), fabric.register(NodeId(0)));
+    let ids = vec![ep0.id(), ep1.id()];
+    let gate = Arc::new(SafePointGate::new());
+    let sender = PmlShared::new(
+        0,
+        2,
+        ep0,
+        ids.clone(),
+        Arc::new(SafePointGate::new()),
+        Tracer::new(),
+    );
+    let receiver = PmlShared::new(1, 2, ep1, ids, Arc::clone(&gate), Tracer::new());
+    let t = std::thread::spawn(move || receiver.recv(0, Some(0), Some(1)).unwrap());
+    // Give the receive time to park on the wire (a request that lands
+    // earlier is seen at the gate without any wake).
+    std::thread::sleep(Duration::from_millis(20));
+    gate.request_pause().unwrap();
+    gate.wait_until_parked(Duration::from_secs(10)).unwrap();
+    sender.send(0, 1, 1, b"after the checkpoint").unwrap();
+    gate.resume();
+    assert_eq!(&t.join().unwrap().payload[..], b"after the checkpoint");
+    assert_eq!(gate.generations(), 1);
+}
+
 #[test]
 fn nonblocking_requests() {
     let pmls = mesh(2);

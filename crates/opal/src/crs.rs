@@ -771,7 +771,7 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
         assert!(matches!(
             reread(&crs, &snap),
-            Err(CrError::Codec(codec::Error::ChecksumMismatch { .. }))
+            Err(CrError::BadSnapshot { detail }) if detail.contains("checksum mismatch")
         ));
     }
 

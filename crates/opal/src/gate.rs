@@ -14,7 +14,13 @@
 //! is only stopped when it tries to access a part of the Open MPI library
 //! that has been notified" (§6.5) — between the pause *request* and the
 //! actual park, the application may still complete in-flight operations.
+//!
+//! An application thread blocked in a receive does not pass a safe point
+//! until the receive returns, so a pause request calls the gate's
+//! [waker](SafePointGate::set_waker): the layer that blocks (the PML)
+//! registers one that ends its wait.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cr_core::CrError;
@@ -39,12 +45,16 @@ struct Inner {
     generations: u64,
 }
 
+/// Ends a blocking wait of the application thread, so it reaches its
+/// next safe point ([`SafePointGate::set_waker`]).
+pub type Waker = Arc<dyn Fn() + Send + Sync>;
+
 /// Cooperative pause gate shared between the application thread and the
 /// checkpoint notification thread.
-#[derive(Debug)]
 pub struct SafePointGate {
     inner: Mutex<Inner>,
     cv: Condvar,
+    waker: Mutex<Option<Waker>>,
 }
 
 impl Default for SafePointGate {
@@ -62,6 +72,23 @@ impl SafePointGate {
                 generations: 0,
             }),
             cv: Condvar::new(),
+            waker: Mutex::new(None),
+        }
+    }
+
+    /// Install the closure that ends the application thread's blocking
+    /// wait: called on every pause request and by [`Self::wake`].
+    pub fn set_waker(&self, waker: Waker) {
+        *self.waker.lock() = Some(waker);
+    }
+
+    /// Run the waker, if one is installed: the application thread should
+    /// look at its state again (a pause was requested, or the job is
+    /// terminating).
+    pub fn wake(&self) {
+        let waker = self.waker.lock().clone();
+        if let Some(waker) = waker {
+            waker();
         }
     }
 
@@ -97,7 +124,8 @@ impl SafePointGate {
 
     // -- notification-thread side ---------------------------------------------
 
-    /// Ask the application thread to park at its next safe point.
+    /// Ask the application thread to park at its next safe point, and
+    /// wake it if it is blocked.
     ///
     /// Returns `Err` if the thread has already retired.
     pub fn request_pause(&self) -> Result<(), CrError> {
@@ -105,6 +133,8 @@ impl SafePointGate {
         match inner.phase {
             Phase::Running => {
                 inner.phase = Phase::PauseRequested;
+                drop(inner);
+                self.wake();
                 Ok(())
             }
             Phase::Retired => Err(CrError::CheckpointDisabled {
@@ -201,6 +231,23 @@ mod tests {
         app.join().unwrap();
         assert_eq!(parked_count.load(Ordering::SeqCst), 1);
         assert_eq!(gate.generations(), 1);
+    }
+
+    #[test]
+    fn a_pause_request_runs_the_waker() {
+        let gate = SafePointGate::new();
+        let wakes = Arc::new(AtomicU64::new(0));
+        let w = Arc::clone(&wakes);
+        gate.set_waker(Arc::new(move || {
+            w.fetch_add(1, Ordering::SeqCst);
+        }));
+        gate.request_pause().unwrap();
+        assert!(
+            gate.request_pause().is_err(),
+            "a refused request wakes nobody"
+        );
+        gate.wake();
+        assert_eq!(wakes.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -114,6 +114,21 @@ impl Orted {
             .insert((job, rank), LocalProc { container, ctrl });
     }
 
+    /// Wake every local process of `job` from a blocking wait (the job is
+    /// terminating).
+    pub fn wake_job(&self, job: JobId) {
+        let gates: Vec<_> = self
+            .procs
+            .lock()
+            .iter()
+            .filter(|((j, _), _)| *j == job)
+            .map(|(_, p)| Arc::clone(&p.container))
+            .collect();
+        for container in gates {
+            container.gate().wake();
+        }
+    }
+
     /// Remove a job's processes from this daemon (job teardown).
     pub fn deregister_job(&self, job: JobId) {
         self.procs.lock().retain(|(j, _), _| *j != job);

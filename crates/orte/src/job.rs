@@ -69,6 +69,22 @@ pub struct LaunchCtx {
     pub commit_watermark: Arc<AtomicU64>,
 }
 
+impl LaunchCtx {
+    /// Ask every rank of the job to exit at its next safe point.
+    pub fn request_terminate(&self) {
+        terminate(&self.runtime, self.name.job, &self.terminate);
+    }
+}
+
+/// Set `job`'s termination flag, then wake each of its ranks: a rank
+/// blocked in a receive looks at the flag again.
+fn terminate(runtime: &Runtime, job: JobId, flag: &AtomicBool) {
+    flag.store(true, Ordering::SeqCst);
+    for daemon in runtime.daemons() {
+        daemon.wake_job(job);
+    }
+}
+
 /// The per-process entry function supplied by the layer above (OMPI).
 pub type ProcMain = Arc<dyn Fn(LaunchCtx) + Send + Sync>;
 
@@ -192,7 +208,7 @@ impl JobHandle {
 
     /// Ask every rank to exit at its next safe point.
     pub fn request_terminate(&self) {
-        self.terminate.store(true, Ordering::SeqCst);
+        terminate(&self.runtime, self.job, &self.terminate);
     }
 
     /// Declare (or retract) an active partial-recovery supervisor: while

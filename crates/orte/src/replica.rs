@@ -102,7 +102,8 @@ impl ReplicaImage {
         };
         let meta = std::str::from_utf8(file(LOCAL_META_FILE)?).map_err(|e| bad(e.to_string()))?;
         let local = LocalSnapshot::parse(dir, meta)?;
-        let context = codec::read_frame(file(local.context_file())?)?;
+        let context =
+            codec::read_frame(file(local.context_file())?).map_err(|e| local.bad_context(e))?;
         Ok((local, context))
     }
 
@@ -518,7 +519,8 @@ mod tests {
         ctx.1[100] ^= 1;
         assert!(matches!(
             flipped.open(&dir),
-            Err(CrError::Codec(codec::Error::ChecksumMismatch { .. }))
+            Err(CrError::BadSnapshot { detail }) if detail.contains("rank 2 interval 3: context")
+                && detail.contains("checksum mismatch")
         ));
         let mut headless = image;
         headless.files.retain(|(rel, _)| rel != LOCAL_META_FILE);

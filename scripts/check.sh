@@ -152,12 +152,13 @@ if [ -e shims/crossbeam ]; then
   echo "shims/crossbeam is back; channels are std::sync::mpsc" >&2
   exit 1
 fi
-# One CRCP round, no deadline: every coordination wait ends on a message
-# or a death notice, so the non-test code of the CRCP reads no wall-clock
-# deadline.
-for f in crates/ompi/src/crcp.rs crates/ompi/src/crcp/*.rs; do
+# One CRCP round, no deadline, and one wait: every coordination or PML
+# wait spins briefly and then parks on the endpoint until a delivery (a
+# message, a death notice or a wake) arrives, so the non-test code of the
+# CRCP and the PML reads no wall-clock deadline and polls on no timer.
+for f in crates/ompi/src/crcp.rs crates/ompi/src/crcp/*.rs crates/ompi/src/pml.rs; do
   if awk -v f="$f" '/^#\[cfg\(test\)\]/ {exit} {print f":"FNR": "$0}' "$f" |
-    grep -E 'COORD_TIMEOUT|Instant::now\(\) \+'; then
+    grep -E 'COORD_TIMEOUT|Instant::now\(\) \+|recv_timeout|WIRE_POLL|const POLL\b'; then
     exit 1
   fi
 done

@@ -1,6 +1,7 @@
 //! Failure injection across the stack: a failed checkpoint must never
 //! harm the running job, and recovery paths must report cleanly.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -9,7 +10,7 @@ use cr_core::{CommitState, CrError, GlobalSnapshot};
 use mca::McaParams;
 use netsim::NodeId;
 use ompi::app::RunEnd;
-use ompi::{mpirun, restart, RestartOptions, RunConfig};
+use ompi::{mpirun, restart, Mpi, MpiApp, MpiError, RestartOptions, RunConfig, StepOutcome};
 use ompi_cr::test_runtime;
 use proptest::prelude::*;
 use workloads::ring::{reference_checksums, RingApp};
@@ -41,6 +42,52 @@ fn failed_checkpoint_leaves_job_healthy_and_next_succeeds() {
     assert!(results
         .iter()
         .all(|(_, end)| matches!(end, RunEnd::Completed | RunEnd::Terminated)));
+    rt.shutdown();
+}
+
+/// Each rank waits for a message nobody sends, and counts the receives
+/// that unwound because the job is terminating.
+#[derive(Default)]
+struct Silent {
+    unwound: AtomicU32,
+}
+
+impl MpiApp for Silent {
+    type State = u64;
+
+    fn init_state(&self, _mpi: &Mpi) -> Result<u64, MpiError> {
+        Ok(0)
+    }
+
+    fn step(&self, mpi: &Mpi, _state: &mut u64) -> Result<StepOutcome, MpiError> {
+        let err = mpi.recv_bytes(mpi.world(), None, Some(99)).unwrap_err();
+        if matches!(err, MpiError::Terminating) {
+            self.unwound.fetch_add(1, Ordering::SeqCst);
+        }
+        Err(err)
+    }
+}
+
+/// Ranks blocked on a silent wire, with no peer dying: a checkpoint still
+/// parks them all (the pause request wakes each wait) and they go back to
+/// waiting; `request_terminate` then unwinds every receive with
+/// `MpiError::Terminating`.
+#[test]
+fn ranks_blocked_on_a_silent_wire_checkpoint_and_then_terminate() {
+    let rt = test_runtime("silent", 2);
+    let app = Arc::new(Silent::default());
+    let job = mpirun(&rt, Arc::clone(&app), RunConfig::new(2)).unwrap();
+    std::thread::sleep(Duration::from_millis(30));
+    job.checkpoint(&CheckpointOptions::tool()).unwrap();
+    assert_eq!(
+        app.unwound.load(Ordering::SeqCst),
+        0,
+        "a checkpoint unwinds no receive"
+    );
+    job.request_terminate();
+    let results = job.wait().unwrap();
+    assert!(results.iter().all(|(_, end)| *end == RunEnd::Terminated));
+    assert_eq!(app.unwound.load(Ordering::SeqCst), 2);
     rt.shutdown();
 }
 
@@ -95,9 +142,19 @@ fn restart_from_corrupted_context_fails_loudly() {
         Err(e) => e,
         Ok(_) => panic!("restart from corrupted snapshot must fail"),
     };
+    // The error names the bad local snapshot and keeps both checksums.
+    let CrError::BadSnapshot { detail } = &err else {
+        panic!("wanted BadSnapshot, got: {err}");
+    };
+    let named = format!(
+        "rank 1 interval {}: context {}",
+        outcome.interval,
+        path.display()
+    );
+    assert!(detail.contains(&named), "{detail}");
     assert!(
-        matches!(err, CrError::Codec(codec::Error::ChecksumMismatch { .. })),
-        "wanted checksum mismatch, got: {err}"
+        detail.contains("stored 0x") && detail.contains("computed 0x"),
+        "{detail}"
     );
     rt.shutdown();
     rt2.shutdown();

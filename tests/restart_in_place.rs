@@ -108,10 +108,18 @@ fn a_flipped_stable_byte_is_refused_with_nothing_left_on_the_nodes() {
     let err = restart(&rt, app, &global_ref, RestartOptions::default())
         .err()
         .expect("a corrupt context must fail the restart");
+    let CrError::BadSnapshot { detail } = &err else {
+        panic!("wanted BadSnapshot, got: {err}");
+    };
     assert!(
-        matches!(err, CrError::Codec(codec::Error::ChecksumMismatch { .. })),
-        "{err}"
+        detail.contains(&format!("rank 2 interval {}", local.interval())),
+        "{detail}"
     );
+    assert!(
+        detail.contains(&local.context_path().display().to_string()),
+        "{detail}"
+    );
+    assert!(detail.contains("checksum mismatch"), "{detail}");
     assert_eq!(node_trees(&rt), Vec::<PathBuf>::new());
     rt.shutdown();
 }
