@@ -1,14 +1,10 @@
-//! Ablation A12: checkpoint data-path throughput — parallel hash/copy
-//! pool and contention-aware gather scheduling.
+//! Ablation A12: checkpoint data-path throughput — the parallel
+//! hash/copy pool.
 //!
-//! Two deterministic gates run on every invocation:
-//!
-//! * **Identity**: the parallel manifest builder must produce the exact
-//!   manifest the sequential builder does, chunk record for chunk record.
-//! * **Scheduling**: on a contended gather batch (four ranks behind one
-//!   uplink, two lanes) the spread plan's simulated critical path must
-//!   be strictly below the index-order reference plan's under the 1/k
-//!   link-contention pricing.
+//! One deterministic gate runs on every invocation: the parallel
+//! manifest builder must produce the exact manifest the sequential
+//! builder does, chunk record for chunk record. (That the gather plan
+//! spreads transfers over idle links is a unit test of `orte::sched`.)
 //!
 //! Wall-clock MB/s ratchet: chunk hashing over the worker pool must reach
 //! ≥ 1.8× single-worker throughput at 4 workers on a ≥ 64 MiB image —
@@ -24,11 +20,8 @@ use std::time::{Duration, Instant};
 
 use codec::chunk::ChunkManifest;
 use criterion::{criterion_group, criterion_main, Criterion};
-use netsim::{LinkSpec, NodeId, Topology};
 use opal::pool::{digest_all_parallel, insert_all_parallel, manifest_parallel};
 use opal::ChunkStore;
-use orte::filem::CopyRequest;
-use orte::sched::{plan, plan_fifo, simulated_critical_path};
 
 const IMAGE_BYTES: usize = 64 << 20; // 64 MiB hashing corpus
 const CHUNK_BYTES: usize = 64 << 10; // 64 KiB chunks -> 1024 records
@@ -89,33 +82,6 @@ fn assert_parallel_manifest_identical(data: &[u8]) {
     println!("ckpt_datapath: parallel manifest identical at {WORKER_COUNTS:?} workers");
 }
 
-/// The A12 contended gather: four ranks behind node 1's uplink, one each
-/// on nodes 2 and 3, two lanes. Spread must strictly beat fifo under the
-/// simulator's 1/k contention pricing.
-fn assert_spread_beats_fifo() -> (u64, u64) {
-    let topo = Topology::uniform(4, LinkSpec::gigabit_ethernet());
-    let batch: Vec<CopyRequest> = [1u32, 1, 1, 1, 2, 3]
-        .iter()
-        .enumerate()
-        .map(|(i, &src)| CopyRequest {
-            src: format!("/scratch/{i}").into(),
-            src_node: NodeId(src),
-            dest: format!("/stable/{i}").into(),
-            dest_node: NodeId(0),
-        })
-        .collect();
-    let bytes = vec![8 << 20; batch.len()];
-    let fifo = simulated_critical_path(&plan_fifo(&batch, 2), &topo, &batch, &bytes);
-    let spread = simulated_critical_path(&plan(&batch, 2), &topo, &batch, &bytes);
-    assert!(
-        spread < fifo,
-        "spread critical path must be strictly below fifo on the contended batch \
-         (spread={spread}, fifo={fifo})"
-    );
-    println!("ckpt_datapath: gather critical path fifo={fifo}, spread={spread}");
-    (fifo.as_nanos(), spread.as_nanos())
-}
-
 // ---------------------------------------------------------------------------
 // Wall-clock measurements
 // ---------------------------------------------------------------------------
@@ -153,8 +119,6 @@ fn write_json(
     cores: usize,
     hash: &[(usize, f64)],
     insert: &[(usize, f64)],
-    fifo_ns: u64,
-    spread_ns: u64,
 ) {
     let row = |pairs: &[(usize, f64)]| {
         pairs
@@ -167,8 +131,7 @@ fn write_json(
         "{{\n  \"image_bytes\": {IMAGE_BYTES},\n  \"chunk_bytes\": {CHUNK_BYTES},\n  \
          \"cores\": {cores},\n  \
          \"hash_mib_s\": {{ {} }},\n  \
-         \"insert_mib_s\": {{ {} }},\n  \
-         \"sched_critical_path_ns\": {{ \"fifo\": {fifo_ns}, \"spread\": {spread_ns} }}\n}}\n",
+         \"insert_mib_s\": {{ {} }}\n}}\n",
         row(hash),
         row(insert),
     );
@@ -179,9 +142,8 @@ fn write_json(
 fn ckpt_datapath(c: &mut Criterion) {
     let data = corpus(IMAGE_BYTES, 1);
 
-    // Deterministic gates first — they hold on any machine.
+    // The deterministic gate first — it holds on any machine.
     assert_parallel_manifest_identical(&data);
-    let (fifo_ns, spread_ns) = assert_spread_beats_fifo();
 
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -226,7 +188,7 @@ fn ckpt_datapath(c: &mut Criterion) {
     }
 
     if let Ok(path) = std::env::var("BENCH_DATAPATH_JSON") {
-        write_json(&path, cores, &hash, &insert, fifo_ns, spread_ns);
+        write_json(&path, cores, &hash, &insert);
     }
 
     if std::env::var("CKPT_DATAPATH_SMOKE").is_ok() {

@@ -1,5 +1,4 @@
-//! Full-image vs dedup checkpointing: bytes moved and simulated
-//! checkpoint time.
+//! Full-image vs dedup checkpointing: bytes moved.
 //!
 //! With `filem_dedup_enabled` the context writer manifests every capture
 //! section in fixed-size chunks and the commit moves only chunks the
@@ -10,15 +9,14 @@
 //!
 //! * the 10%-dirty dedup interval moves **< 25%** of the full-image bytes
 //!   (and of its own cold first interval, so the saving is the dirty
-//!   fraction, not an encoding difference),
-//! * its simulated checkpoint time is **strictly below** the full-image
-//!   time at the same state size.
+//!   fraction, not an encoding difference).
 //!
 //! With `CKPT_DEDUP_SMOKE=1` a second dedup schedule runs on an
 //! SPMD-shaped workload (every rank's state identical except an 8-byte
-//! header), asserting a **≥ 2×** cross-rank dedup ratio and that the
-//! simulated cost of restoring the newest interval stays flat as retained
-//! intervals grow — the restart-latency-vs-retained-intervals table.
+//! header), asserting a **≥ 2×** cross-rank dedup ratio and that
+//! restoring the newest interval reads the same number of chunks however
+//! many older intervals are retained — the restart-vs-retained-intervals
+//! table.
 //!
 //! `CKPT_INCREMENTAL_SMOKE=1` (used by `scripts/check.sh`) skips the
 //! criterion sampling after the assertions. When `BENCH_CKPT_JSON` names
@@ -155,20 +153,20 @@ fn two_intervals(base: &std::path::Path, dedup: bool) -> (CheckpointOutcome, Che
     (first, second)
 }
 
-/// One row of the restart-latency-vs-retained-intervals table: restoring
-/// the newest interval is a single manifest fetch (simulated
-/// `dedup_sim_ns`) however many older intervals are still retained.
+/// One row of the restart-vs-retained-intervals table: restoring the
+/// newest interval reads `chunks_read` chunks (from peer memory and the
+/// stable tier) however many older intervals are still retained.
 struct RestartRow {
     retained: usize,
-    dedup_sim_ns: u64,
+    chunks_read: usize,
 }
 
 const DEDUP_INTERVALS: u64 = 4;
 
 /// Run a `DEDUP_INTERVALS`-interval SPMD schedule through the dedup store
-/// and measure the deterministic simulated cost of restoring the newest
-/// interval from peer memory with every interval retained, then again
-/// after retiring the oldest, and so on down to the newest alone.
+/// and count the chunks that restoring the newest interval from peer
+/// memory reads with every interval retained, then again after retiring
+/// the oldest, and so on down to the newest alone.
 /// Returns the schedule's outcomes plus the table rows, fewest retained
 /// first.
 fn spmd_dedup_restart(base: &std::path::Path) -> (Vec<CheckpointOutcome>, Vec<RestartRow>) {
@@ -198,7 +196,7 @@ fn spmd_dedup_restart(base: &std::path::Path) -> (Vec<CheckpointOutcome>, Vec<Re
                 .expect("retire oldest interval");
         }
         let store = orte::store::SnapshotStore::open(&rt, job_id, global.dir()).expect("store");
-        let mut sim = netsim::SimTime::ZERO;
+        let mut chunks_read = 0;
         for r in 0..NPROCS {
             let manifest = codec::ChunkManifest::parse(
                 global
@@ -209,11 +207,11 @@ fn spmd_dedup_restart(base: &std::path::Path) -> (Vec<CheckpointOutcome>, Vec<Re
             let (_, stats) = store
                 .fetch_image(&manifest, orte::store::ChunkSource::ReplicaOnly, true)
                 .expect("dedup fetch");
-            sim += stats.sim_cost;
+            chunks_read += stats.replica_chunks + stats.stable_chunks;
         }
         rows.push(RestartRow {
             retained: (DEDUP_INTERVALS - retired) as usize,
-            dedup_sim_ns: sim.as_nanos(),
+            chunks_read,
         });
     }
     rows.reverse();
@@ -230,36 +228,32 @@ fn write_json(
 ) {
     let mut json = format!(
         "{{\n  \"state_bytes_per_rank\": {},\n  \"ranks\": {},\n  \"dirty_fraction_pct\": {},\n  \
-         \"full\": {{ \"bytes_moved\": {}, \"sim_ns\": {} }},\n  \
-         \"dedup_dirty\": {{ \"cold_bytes_moved\": {}, \"bytes_moved\": {}, \"sim_ns\": {} }},\n  \
-         \"bytes_ratio\": {:.4},\n  \"sim_ratio\": {:.4}",
+         \"full\": {{ \"bytes_moved\": {} }},\n  \
+         \"dedup_dirty\": {{ \"cold_bytes_moved\": {}, \"bytes_moved\": {} }},\n  \
+         \"bytes_ratio\": {:.4}",
         RANK_STATE_BYTES,
         NPROCS,
         DIRTY_FRACTION_PCT,
         full.stats.bytes_moved,
-        full.stats.sim_ns,
         dedup_cold.stats.bytes_moved,
         dedup.stats.bytes_moved,
-        dedup.stats.sim_ns,
         dedup.stats.bytes_moved as f64 / full.stats.bytes_moved as f64,
-        dedup.stats.sim_ns as f64 / full.stats.sim_ns as f64,
     );
     if let Some((outcomes, rows)) = spmd {
         let newest = &outcomes[outcomes.len() - 1];
         json.push_str(&format!(
             ",\n  \"cross_rank_dedup_ratio\": {:.4},\n  \
-             \"dedup\": {{ \"bytes_moved\": {}, \"sim_ns\": {}, \"dedup_ratio\": {:.4} }},\n  \
+             \"dedup\": {{ \"bytes_moved\": {}, \"dedup_ratio\": {:.4} }},\n  \
              \"restart_vs_retained\": [\n",
             outcomes[0].stats.dedup_ratio,
             newest.stats.bytes_moved,
-            newest.stats.sim_ns,
             newest.stats.dedup_ratio,
         ));
         for (i, row) in rows.iter().enumerate() {
             json.push_str(&format!(
-                "    {{\"retained\": {}, \"dedup_sim_ns\": {}}}{}\n",
+                "    {{\"retained\": {}, \"chunks_read\": {}}}{}\n",
                 row.retained,
-                row.dedup_sim_ns,
+                row.chunks_read,
                 if i + 1 == rows.len() { "" } else { "," },
             ));
         }
@@ -279,10 +273,10 @@ fn ckpt_incremental(c: &mut Criterion) {
 
     // Both runs captured identical state; interval 1 is the 10%-dirty one.
     println!(
-        "ckpt_incremental: full interval moved {} bytes (sim {} ns), \
-         dedup interval moved {} bytes (sim {} ns; cold interval {} bytes)",
-        full_second.stats.bytes_moved, full_second.stats.sim_ns,
-        dedup_second.stats.bytes_moved, dedup_second.stats.sim_ns,
+        "ckpt_incremental: full interval moved {} bytes, dedup interval moved {} bytes \
+         (cold interval {} bytes)",
+        full_second.stats.bytes_moved,
+        dedup_second.stats.bytes_moved,
         dedup_first.stats.bytes_moved
     );
     assert!(
@@ -291,13 +285,6 @@ fn ckpt_incremental(c: &mut Criterion) {
          (dedup={}, full={})",
         dedup_second.stats.bytes_moved,
         full_second.stats.bytes_moved
-    );
-    assert!(
-        dedup_second.stats.sim_ns < full_second.stats.sim_ns,
-        "simulated dedup checkpoint time must be strictly below the \
-         full-image time (dedup={} ns, full={} ns)",
-        dedup_second.stats.sim_ns,
-        full_second.stats.sim_ns
     );
     // The cold interval has nothing to dedup against and moves every
     // state byte; the dirty interval's saving is measured against that
@@ -331,20 +318,16 @@ fn ckpt_incremental(c: &mut Criterion) {
         );
         for row in &rows {
             println!(
-                "ckpt_incremental restart_vs_retained: retained={} dedup_sim_ns={}",
-                row.retained, row.dedup_sim_ns
+                "ckpt_incremental restart_vs_retained: retained={} chunks_read={}",
+                row.retained, row.chunks_read
             );
         }
-        // Every interval restores from its own manifest: the cost of
-        // restoring the newest one does not grow with what is retained.
-        let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+        // Every interval restores from its own manifest: restoring the
+        // newest one reads the same chunks whatever else is retained.
         assert!(
-            last.dedup_sim_ns * 100 <= first.dedup_sim_ns * 105,
-            "dedup restart cost must stay flat in retained intervals \
-             (1 retained={} ns, {} retained={} ns)",
-            first.dedup_sim_ns,
-            last.retained,
-            last.dedup_sim_ns
+            rows.iter().all(|row| row.chunks_read == rows[0].chunks_read),
+            "restoring the newest dedup interval must read the same chunks for 1 to \
+             {DEDUP_INTERVALS} retained intervals"
         );
         Some((outcomes, rows))
     } else {

@@ -2,20 +2,19 @@
 //! function of in-flight traffic at checkpoint time. The bookmark
 //! exchange itself is O(peers); the drain is O(in-flight messages).
 //!
-//! A second group prices the FILEM write-behind drain (scratch → stable)
-//! at 1 vs 4 gather workers, reporting both the serialized wire cost and
-//! the critical-path (wall clock over the wave executor's lanes) cost.
+//! A second group times the FILEM write-behind drain (scratch → stable)
+//! at 1 vs 4 gather workers.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cr_core::Tracer;
-use netsim::{Fabric, LinkSpec, NetView, NodeId, Topology};
+use netsim::{Fabric, LinkSpec, NodeId, Topology};
 use ompi::crcp::{CoordCrcp, CrcpComponent};
 use ompi::pml::PmlShared;
 use opal::SafePointGate;
-use orte::filem::{CopyRequest, RshSimFilem};
+use orte::filem::{filem_framework, CopyRequest};
 use orte::sched::copy_all_scheduled;
 
 fn mesh(n: u32) -> Vec<Arc<PmlShared>> {
@@ -76,12 +75,11 @@ fn drain_cost(c: &mut Criterion) {
 }
 
 /// FILEM write-behind drain: 8 per-rank scratch trees pulled to stable
-/// storage over 1 vs 4 gather workers. Sequential cost is identical;
-/// more lanes only shorten the critical path.
+/// storage over 1 vs 4 gather workers.
 fn filem_drain_cost(c: &mut Criterion) {
-    let topo = Topology::uniform(4, LinkSpec::gigabit_ethernet());
-    let net = NetView::uncontended(&topo);
-    let filem = RshSimFilem;
+    let filem = filem_framework()
+        .select(&mca::McaParams::new())
+        .expect("default filem");
     let base = std::env::temp_dir().join(format!("bench_filem_drain_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let mut batch = Vec::new();
@@ -96,21 +94,13 @@ fn filem_drain_cost(c: &mut Criterion) {
             dest_node: NodeId(0),
         });
     }
-    for &workers in &[1usize, 4] {
-        let (report, _) = copy_all_scheduled(&filem, net, &batch, workers).unwrap();
-        println!(
-            "filem drain workers={workers}: serialized={} critical_path={}",
-            report.serialized_cost, report.critical_path_cost
-        );
-        assert!(report.critical_path_cost <= report.serialized_cost);
-    }
     let mut group = c.benchmark_group("filem_drain_workers");
     group.sample_size(10).measurement_time(Duration::from_secs(2));
     for &workers in &[1usize, 4] {
         group.bench_with_input(
             BenchmarkId::from_parameter(workers),
             &workers,
-            |b, &workers| b.iter(|| copy_all_scheduled(&filem, net, &batch, workers).unwrap()),
+            |b, &workers| b.iter(|| copy_all_scheduled(&*filem, &batch, workers).unwrap()),
         );
     }
     group.finish();

@@ -4,31 +4,34 @@
 //! and drains to disk behind the job's back, so a restart can usually be
 //! served without touching stable storage at all. This bench restarts the
 //! same checkpointed job twice — `--source replica` and `--source stable`
-//! — and reports both the wall-clock restart time and the deterministic
-//! simulated wire cost of each image-materialization path. The simulated
-//! comparison is asserted: memory must be strictly cheaper than disk.
+//! — and reports the wall-clock restart time of each. What memory saves
+//! is asserted as a count: a replica-source restart decodes every image
+//! from peer memory (`filem.replica.preload` counts every rank) and reads
+//! no local snapshot from stable storage (no `filem.preload`), and a
+//! stable-source restart is the reverse.
 //!
 //! `RESTART_LATENCY_SMOKE=1` (used by `scripts/check.sh`) runs one timed
 //! restart per source instead of the full criterion sampling.
 //!
-//! `RESTART_PARTIAL_SMOKE=1` instead compares the simulated recovery
-//! cost of a *partial* restart (1 failed rank: one image fetch plus one
-//! launcher session) against a *full* restart (every rank re-fetched and
-//! relaunched) at 4, 8, and 16 ranks, asserting partial is strictly
-//! cheaper from 8 ranks up, and splices the rows into `BENCH_ckpt.json`
-//! (`restart_partial` key) when `BENCH_CKPT_JSON` is set.
+//! `RESTART_PARTIAL_SMOKE=1` instead restores *one* failed rank of a
+//! 4-rank and of an 8-rank job with a partial restart, asserting that it
+//! respawns exactly that rank and decodes exactly one image, and splices
+//! the counts into `BENCH_ckpt.json` (`restart_partial` key) when
+//! `BENCH_CKPT_JSON` is set.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cr_core::{GlobalSnapshot, Rank};
+use cr_core::request::CheckpointOptions;
+use cr_core::trace::TraceEvent;
 use criterion::{criterion_group, criterion_main, Criterion};
 use mca::McaParams;
-use netsim::{LinkSpec, NodeId, SimTime, Topology};
-use ompi::{mpirun, restart, RestartOptions, RestartSource, RunConfig};
-use orte::filem::CopyRequest;
+use netsim::{LinkSpec, NodeId, Topology};
+use ompi::app::{MpiApp, StepOutcome};
+use ompi::{mpirun, restart, Mpi, MpiError, RestartOptions, RestartSource, RunConfig};
 use orte::Runtime;
-use workloads::ring::RingApp;
+use workloads::ring::{RingApp, RingState};
 
 const NODES: u32 = 4;
 const NPROCS: u32 = 4;
@@ -54,7 +57,7 @@ fn checkpointed(base: &std::path::Path) -> (Runtime, std::path::PathBuf) {
     std::thread::sleep(Duration::from_millis(30));
     let outcome = job
         .handle()
-        .checkpoint(&cr_core::request::CheckpointOptions::tool().and_terminate())
+        .checkpoint(&CheckpointOptions::tool().and_terminate())
         .expect("checkpoint");
     job.wait().expect("wait");
     // Make stable storage complete so the disk path has everything.
@@ -78,106 +81,132 @@ fn restart_once(rt: &Runtime, snapshot: &std::path::Path, source: RestartSource)
     up
 }
 
-/// Deterministic simulated wire cost of pulling every rank's image from
-/// peer memory.
-fn memory_sim_cost(rt: &Runtime, global: &GlobalSnapshot, interval: u64) -> SimTime {
-    let mut total = SimTime::ZERO;
-    for r in 0..global.nprocs() {
-        let rank = Rank(r);
-        let holders = global.replica_holders(interval, rank);
-        let (_, cost) = orte::replica::fetch_image(rt, global.job(), interval, rank, &holders)
-            .expect("replica image");
-        total += cost;
-    }
-    total
-}
-
-/// Deterministic simulated wire cost of broadcasting every rank's stable
-/// local snapshot to its node with the job's file mover: the disk-side
-/// price this bench compares peer memory against.
-fn disk_sim_cost(
-    rt: &Runtime,
-    global: &GlobalSnapshot,
-    interval: u64,
-    scratch: &std::path::Path,
-) -> SimTime {
-    let params = McaParams::from_dump(
-        global
-            .launch_params()
+/// Local snapshots decoded per tier among `events`: `(peer memory,
+/// stable storage)`, read off the `N local snapshots, ...` details of the
+/// two preload events.
+fn decoded(events: &[TraceEvent]) -> (u32, u32) {
+    let count = |phase: &str| -> u32 {
+        events
             .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str())),
-    );
-    let filem = orte::filem::filem_framework()
-        .select(&params)
-        .expect("filem");
-    let mut batch = Vec::new();
-    for r in 0..global.nprocs() {
-        let local = global.local_snapshot(interval, Rank(r)).expect("stable copy");
-        batch.push(CopyRequest {
-            src: local.dir().to_path_buf(),
-            src_node: NodeId(0),
-            dest: scratch.join(format!("rank_{r}")),
-            dest_node: NodeId(r % NODES),
-        });
-    }
-    let (report, _) =
-        orte::sched::copy_all_scheduled(&*filem, rt.netview(), &batch, 1).expect("preload");
-    for req in &batch {
-        std::fs::remove_dir_all(&req.dest).expect("cleanup");
-    }
-    report.serialized_cost
+            .filter(|e| e.phase == phase)
+            .map(|e| {
+                let n = e.detail.split(' ').next().unwrap_or_default();
+                n.parse::<u32>().expect("preload detail starts with a count")
+            })
+            .sum()
+    };
+    (count("filem.replica.preload"), count("filem.preload"))
 }
 
-/// Simulated launcher-session cost per restarted process.
-const SESSION: SimTime = orte::plm::RSH_SESSION;
+/// One restart from `source`, timed, with the images it decoded per tier.
+fn restart_counted(
+    rt: &Runtime,
+    snapshot: &std::path::Path,
+    source: RestartSource,
+) -> (Duration, (u32, u32)) {
+    let mark = rt.tracer().events().len();
+    let up = restart_once(rt, snapshot, source);
+    (up, decoded(&rt.tracer().events()[mark..]))
+}
 
-/// One `restart_partial` comparison row.
+/// A ring that loses rank `fail` once `armed` is set.
+struct FailingRing {
+    ring: RingApp,
+    fail: u32,
+    armed: Arc<AtomicBool>,
+}
+
+impl MpiApp for FailingRing {
+    type State = RingState;
+
+    fn name(&self) -> &str {
+        "failing-ring"
+    }
+
+    fn init_state(&self, mpi: &Mpi) -> Result<RingState, MpiError> {
+        self.ring.init_state(mpi)
+    }
+
+    fn step(&self, mpi: &Mpi, state: &mut RingState) -> Result<StepOutcome, MpiError> {
+        if mpi.rank() == self.fail && self.armed.swap(false, Ordering::SeqCst) {
+            return Err(MpiError::PeerLost {
+                detail: "injected node failure".into(),
+            });
+        }
+        self.ring.step(mpi, state)
+    }
+}
+
+/// One `restart_partial` row: what restoring one failed rank of `ranks`
+/// did.
 struct PartialRow {
     ranks: u32,
-    partial_sim: SimTime,
-    full_sim: SimTime,
+    respawned: usize,
+    decoded: u32,
 }
 
-/// Checkpoint an `n`-rank replica job and compare the simulated recovery
-/// cost of restoring one failed rank (one image fetch + one launcher
-/// session, the survivors stay live) against relaunching the whole job
-/// (every image fetched, every rank a session).
-fn partial_vs_full_once(base: &std::path::Path, n: u32) -> PartialRow {
-    let rt = Runtime::new(Topology::uniform(n, LinkSpec::gigabit_ethernet()), base)
+/// Poll `done` every millisecond for up to 30 s.
+fn await_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done() {
+        assert!(Instant::now() < deadline, "{what} never happened");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Checkpoint an `n`-rank replica job with a spare node, lose the last
+/// rank with its node, and restore just that rank onto the spare.
+fn partial_once(base: &std::path::Path, n: u32) -> PartialRow {
+    let rt = Runtime::new(Topology::uniform(n + 1, LinkSpec::gigabit_ethernet()), base)
         .expect("runtime");
     let params = Arc::new(McaParams::new());
     params.set("filem", "replica");
     params.set("filem_replica_factor", "1");
-    let job = mpirun(
-        &rt,
-        Arc::new(RingApp { rounds: 1_000_000 }),
-        RunConfig { nprocs: n, params },
-    )
-    .expect("launch");
+    params.set("crcp_msg_log_enabled", "true");
+    params.set("orte_spare_nodes", "1");
+    let fail = n - 1;
+    let armed = Arc::new(AtomicBool::new(false));
+    let app = Arc::new(FailingRing {
+        ring: RingApp { rounds: 1_000_000 },
+        fail,
+        armed: Arc::clone(&armed),
+    });
+    let job = mpirun(&rt, app, RunConfig { nprocs: n, params }).expect("launch");
+    job.handle().set_partial_recovery(true);
     std::thread::sleep(Duration::from_millis(30));
+    let ck = job.checkpoint(&CheckpointOptions::tool()).expect("checkpoint");
+    armed.store(true, Ordering::SeqCst);
+    await_until("the injected failure", || !job.failed_ranks().is_empty());
+    rt.kill_daemon(NodeId(fail));
+
+    let tracer = rt.tracer();
+    let mark = tracer.events().len();
     let outcome = job
-        .handle()
-        .checkpoint(&cr_core::request::CheckpointOptions::tool().and_terminate())
-        .expect("checkpoint");
+        .restart_ranks(
+            &ck.global_snapshot,
+            &RestartOptions::default().with_ranks(vec![fail]),
+        )
+        .expect("partial restart");
+    assert_eq!(outcome.ranks, vec![fail]);
+    await_until("the respawned rank's rejoin", || {
+        tracer.events()[mark..].iter().any(|e| e.phase == "crcp.replay.done")
+    });
+    job.request_terminate();
     job.wait().expect("wait");
-    rt.drain_writebehind();
-
-    let global = GlobalSnapshot::open(&outcome.global_snapshot).expect("open global");
-    let interval = global.latest_interval().expect("committed interval");
-
-    let mut fetch = Vec::with_capacity(n as usize);
-    for r in 0..n {
-        let rank = Rank(r);
-        let holders = global.replica_holders(interval, rank);
-        let (_, cost) = orte::replica::fetch_image(&rt, global.job(), interval, rank, &holders)
-            .expect("replica image");
-        fetch.push(cost);
-    }
-    let full_sim = fetch.iter().copied().sum::<SimTime>() + SESSION * n as u64;
-    // Rank n-1 fails: its image plus one launcher session on the spare.
-    let partial_sim = fetch[(n - 1) as usize] + SESSION;
+    let after = &tracer.events()[mark..];
+    let respawned: Vec<&str> = after
+        .iter()
+        .filter(|e| e.phase == "ompi.init.restart")
+        .map(|e| e.detail.as_str())
+        .collect();
+    assert_eq!(respawned, vec![format!("rank {fail}")], "only rank {fail} restarts");
+    let (memory, stable) = decoded(after);
     rt.shutdown();
-    PartialRow { ranks: n, partial_sim, full_sim }
+    PartialRow {
+        ranks: n,
+        respawned: respawned.len(),
+        decoded: memory + stable,
+    }
 }
 
 /// Splice the `restart_partial` rows into `BENCH_ckpt.json` (created by
@@ -187,12 +216,10 @@ fn splice_partial_json(path: &str, rows: &[PartialRow]) {
     let mut body = String::from("  \"restart_partial\": [\n");
     for (i, row) in rows.iter().enumerate() {
         body.push_str(&format!(
-            "    {{\"ranks\": {}, \"failed\": 1, \"partial_sim_ns\": {}, \
-             \"full_sim_ns\": {}, \"speedup\": {:.4}}}{}\n",
+            "    {{\"ranks\": {}, \"failed\": 1, \"respawned\": {}, \"decoded\": {}}}{}\n",
             row.ranks,
-            row.partial_sim.as_nanos(),
-            row.full_sim.as_nanos(),
-            row.full_sim.as_nanos() as f64 / row.partial_sim.as_nanos().max(1) as f64,
+            row.respawned,
+            row.decoded,
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }
@@ -214,24 +241,17 @@ fn splice_partial_json(path: &str, rows: &[PartialRow]) {
 
 fn partial_smoke(base: &std::path::Path) {
     let mut rows = Vec::new();
-    for n in [4u32, 8, 16] {
-        let row = partial_vs_full_once(&base.join(format!("pvf_{n}")), n);
+    for n in [4u32, 8] {
+        let row = partial_once(&base.join(format!("partial_{n}")), n);
         println!(
-            "restart_partial: ranks={} partial={} full={} ({:.2}x)",
-            row.ranks,
-            row.partial_sim,
-            row.full_sim,
-            row.full_sim.as_nanos() as f64 / row.partial_sim.as_nanos().max(1) as f64
+            "restart_partial: ranks={} respawned={} decoded={}",
+            row.ranks, row.respawned, row.decoded
         );
-        if n >= 8 {
-            assert!(
-                row.partial_sim < row.full_sim,
-                "partial restart of 1/{n} ranks must be strictly cheaper than a \
-                 full relaunch (partial={}, full={})",
-                row.partial_sim,
-                row.full_sim
-            );
-        }
+        assert_eq!(
+            (row.respawned, row.decoded),
+            (1, 1),
+            "restoring 1 failed rank of {n} must respawn one rank and decode one image"
+        );
         rows.push(row);
     }
     if let Ok(path) = std::env::var("BENCH_CKPT_JSON") {
@@ -250,23 +270,20 @@ fn restart_latency(c: &mut Criterion) {
 
     let (rt, snapshot) = checkpointed(&base);
 
-    let global = GlobalSnapshot::open(&snapshot).expect("open global");
-    let interval = global.latest_interval().expect("committed interval");
-    let mem_sim = memory_sim_cost(&rt, &global, interval);
-    let disk_sim = disk_sim_cost(&rt, &global, interval, &base.join("disk_sim_scratch"));
-    println!("restart sim cost: memory={mem_sim} disk={disk_sim}");
-    assert!(
-        mem_sim < disk_sim,
-        "peer-memory restart must be strictly cheaper than stable storage \
-         (memory={mem_sim}, disk={disk_sim})"
+    let (mem, from_memory) = restart_counted(&rt, &snapshot, RestartSource::Replica);
+    let (disk, from_disk) = restart_counted(&rt, &snapshot, RestartSource::Stable);
+    println!(
+        "restart_latency: memory={mem:?} decoded {from_memory:?}, disk={disk:?} decoded \
+         {from_disk:?} (peer memory, stable storage)"
     );
+    assert_eq!(
+        from_memory,
+        (NPROCS, 0),
+        "a peer-memory restart decodes every image from memory and reads no stable snapshot"
+    );
+    assert_eq!(from_disk, (0, NPROCS), "a stable-source restart reads every stable snapshot");
 
     if std::env::var("RESTART_LATENCY_SMOKE").is_ok() {
-        let mem = restart_once(&rt, &snapshot, RestartSource::Replica);
-        let disk = restart_once(&rt, &snapshot, RestartSource::Stable);
-        println!(
-            "restart_latency smoke: memory={mem:?} disk={disk:?} (1 restart each)"
-        );
         rt.shutdown();
         return;
     }

@@ -364,17 +364,23 @@ pub fn variant_header(out: &mut Vec<u8>, tag: u8, name: &str) {
     put_str(out, name);
 }
 
-/// Decode field `name` into `slot`, which must still be empty.
+/// Decode the value of field `name` into `slot` when `name` is `key`,
+/// the field `slot` stands for; whether it was. `slot` must still be
+/// empty.
 pub fn decode_field<T: Wire>(
     slot: &mut Option<T>,
-    name: &'static str,
+    key: &'static str,
+    name: &str,
     input: &mut &[u8],
-) -> Result<()> {
+) -> Result<bool> {
+    if name != key {
+        return Ok(false);
+    }
     if slot.is_some() {
-        return Err(Error::DuplicateField { field: name });
+        return Err(Error::DuplicateField { field: key });
     }
     *slot = Some(T::decode(input)?);
-    Ok(())
+    Ok(true)
 }
 
 /// Read a variant's tag and name.
@@ -742,6 +748,11 @@ wire_tuple!(4 => A 0 B 1 C 2 D 3);
 ///   order: the order is the bytes). A `#[default]` field decodes to its
 ///   `Default` when absent; a `skip` field is never written and always
 ///   decodes to its `Default`.
+/// * `wire_struct!(Name { a, b: Inner { x as b_x, y as b_y }, c })` —
+///   `b` is flattened: the listed fields of the nested struct are written
+///   in `b`'s place as fields of `Name` under the given names. On decode
+///   every listed name must be present, and the fields of `Inner` not
+///   listed keep their `Default`.
 ///
 /// The decoder builds the value with a struct literal, so a field left
 /// out of both lists is a compile error, not a silent gap.
@@ -777,18 +788,20 @@ macro_rules! wire_struct {
             }
         }
     };
-    ($name:ident { $( $(#[$default:ident])? $field:ident ),* $(,)? }
+    ($name:ident { $( $(#[$default:ident])? $field:ident
+                      $( : $nested:ty { $( $sub:ident as $key:ident ),* $(,)? } )? ),* $(,)? }
      $( skip { $( $skip:ident ),* $(,)? } )?) => {
         impl $crate::Wire for $name {
             fn encode_into(&self, out: &mut ::std::vec::Vec<u8>) {
-                let fields = <[&str]>::len(&[$( stringify!($field) ),*]);
+                let fields = 0 $( + $crate::__wire_keys!($field $( { $( $key ),* } )?).len() )*;
                 $crate::wire::put_header(out, $crate::wire::tag::STRUCT, fields);
-                $( $crate::wire::field(out, stringify!($field), &self.$field); )*
+                $( $crate::__wire_put!(out, self.$field, $field $( { $( $sub as $key ),* } )?); )*
             }
             fn decode(input: &mut &[u8]) -> $crate::Result<Self> {
                 let count = $crate::wire::take_header(input, $crate::wire::tag::STRUCT, "struct")?;
-                $crate::__wire_fields!(input, count, $name { $( $(#[$default])? $field ),* }
-                    skip { $( $( $skip ),* )? })
+                $crate::__wire_fields!(input, count, $name {
+                    $( $(#[$default])? $field $( : $nested { $( $sub as $key ),* } )? ),*
+                } skip { $( $( $skip ),* )? })
             }
         }
     };
@@ -841,22 +854,75 @@ macro_rules! wire_enum {
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __wire_fields {
-    ($input:ident, $count:ident, $($path:ident)::+ { $( $(#[$default:ident])? $field:ident ),* }
+    ($input:ident, $count:ident, $($path:ident)::+ { $( $(#[$default:ident])? $field:ident
+        $( : $nested:ty { $( $sub:ident as $key:ident ),* } )? ),* }
      skip { $( $skip:ident ),* }) => {{
-        $( let mut $field = ::std::option::Option::None; )*
+        $( $crate::__wire_slots!($field $( { $( $key ),* } )?); )*
         for _ in 0..$count {
-            match $crate::wire::take_str($input)? {
-                $( stringify!($field) => {
-                    $crate::wire::decode_field(&mut $field, stringify!($field), $input)?
-                } )*
-                _ => $crate::wire::skip($input)?,
+            let name = $crate::wire::take_str($input)?;
+            let known = false
+                $( || $crate::__wire_take!($input, name, $field $( { $( $key ),* } )?) )*;
+            if !known {
+                $crate::wire::skip($input)?;
             }
         }
         ::std::result::Result::Ok($($path)::+ {
-            $( $field: $crate::__wire_field_value!($field $(, $default)?), )*
+            $( $field: $crate::__wire_field_value!(
+                $field $( : $nested { $( $sub as $key ),* } )? $(, $default)?
+            ), )*
             $( $skip: ::std::default::Default::default(), )*
         })
     }};
+}
+
+/// The wire names one `wire_struct!` entry writes.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_keys {
+    ($field:ident) => {
+        [stringify!($field)]
+    };
+    ($field:ident { $( $key:ident ),* }) => {
+        [$( stringify!($key) ),*]
+    };
+}
+
+/// Write one `wire_struct!` entry: the field, or a flattened struct's
+/// listed fields under their wire names.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_put {
+    ($out:ident, $value:expr, $field:ident) => {
+        $crate::wire::field($out, stringify!($field), &$value)
+    };
+    ($out:ident, $value:expr, $field:ident { $( $sub:ident as $key:ident ),* }) => {
+        $( $crate::wire::field($out, stringify!($key), &$value.$sub); )*
+    };
+}
+
+/// One empty decode slot per wire name of a `wire_struct!` entry.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_slots {
+    ($field:ident) => {
+        let mut $field = ::std::option::Option::None;
+    };
+    ($field:ident { $( $key:ident ),* }) => {
+        $( let mut $key = ::std::option::Option::None; )*
+    };
+}
+
+/// Decode the field named `name` into its slot if it is one of this
+/// entry's wire names; whether it was.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_take {
+    ($input:ident, $name:ident, $field:ident) => {
+        $crate::wire::decode_field(&mut $field, stringify!($field), $name, $input)?
+    };
+    ($input:ident, $name:ident, $field:ident { $( $key:ident ),* }) => {
+        (false $( || $crate::wire::decode_field(&mut $key, stringify!($key), $name, $input)? )*)
+    };
 }
 
 #[doc(hidden)]
@@ -868,6 +934,11 @@ macro_rules! __wire_field_value {
     ($field:ident, default) => {
         $field.unwrap_or_default()
     };
+    ($field:ident : $nested:ty { $( $sub:ident as $key:ident ),* }) => {{
+        let mut nested: $nested = ::std::default::Default::default();
+        $( nested.$sub = $key.ok_or($crate::Error::MissingField { field: stringify!($key) })?; )*
+        nested
+    }};
 }
 
 #[doc(hidden)]
@@ -1122,6 +1193,49 @@ mod tests {
         assert!(matches!(
             from_bytes::<Big>(&bytes),
             Err(Error::MissingField { field: "hostname" })
+        ));
+    }
+
+    /// A flattened struct writes the bytes of the same fields listed flat,
+    /// needs every listed name back, and leaves an unlisted field default.
+    #[test]
+    fn flattened_fields_are_fields_of_the_parent() {
+        #[derive(Debug, Default, PartialEq)]
+        struct Log {
+            entries: Vec<u32>,
+            bytes: u64,
+            marks: Vec<u64>,
+        }
+        #[derive(Debug, PartialEq)]
+        struct Nesting {
+            id: u8,
+            log: Log,
+            tail: bool,
+        }
+        crate::wire_struct!(Nesting { id, log: Log { entries as log, bytes as log_bytes }, tail });
+        struct Flat {
+            id: u8,
+            log: Vec<u32>,
+            log_bytes: u64,
+            tail: bool,
+        }
+        crate::wire_struct!(Flat { id, log, log_bytes, tail });
+        let log = Log { entries: vec![4, 5], bytes: 8, marks: vec![1] };
+        let value = Nesting { id: 1, log, tail: true };
+        let flat = Flat { id: 1, log: vec![4, 5], log_bytes: 8, tail: true };
+        assert_eq!(to_bytes(&value), to_bytes(&flat));
+        let back: Nesting = from_bytes(&to_bytes(&value)).unwrap();
+        assert_eq!(back.log, Log { marks: vec![], ..value.log });
+        crate::wire_struct!(Short { id, log, tail });
+        struct Short {
+            id: u8,
+            log: Vec<u32>,
+            tail: bool,
+        }
+        let short = Short { id: 1, log: vec![], tail: false };
+        assert!(matches!(
+            from_bytes::<Nesting>(&to_bytes(&short)),
+            Err(Error::MissingField { field: "log_bytes" })
         ));
     }
 

@@ -77,9 +77,11 @@ pub struct CkptStats {
     /// context files, or with dedup the missing-chunk payload — the
     /// paper's motivating metric either way.
     pub bytes_moved: u64,
-    /// Simulated wall time the gather phase charged (nanoseconds). With
-    /// early release this is the app-visible stall only — the gather
-    /// itself keeps running after the request returns.
+    /// The simulated price, in nanoseconds, of the bytes the request
+    /// waited for, each link priced idle by `netsim::Topology::cost`. 0
+    /// with early release: the request waits for no transfer. Nothing
+    /// waits for this price; it is kept only for `benchmark/`, and goes
+    /// with ROADMAP item 12.
     pub sim_ns: u64,
     /// Commit progress at the time the request returned:
     /// `GlobalCommitted` for the classic blocking commit,
@@ -94,11 +96,12 @@ pub struct CkptStats {
 }
 
 impl CkptStats {
-    /// Stats for a non-dedup commit path (ratio pinned at `1.0`).
-    pub fn plain(bytes_moved: u64, sim_ns: u64, commit: CommitState) -> Self {
+    /// Stats for a non-dedup commit path (ratio pinned at `1.0`), before
+    /// the price is set.
+    pub fn plain(bytes_moved: u64, commit: CommitState) -> Self {
         CkptStats {
             bytes_moved,
-            sim_ns,
+            sim_ns: 0,
             commit,
             dedup_ratio: 1.0,
         }
@@ -152,7 +155,7 @@ mod tests {
             global_snapshot: PathBuf::from("/stable/ompi_global_snapshot_1.ckpt"),
             interval: 2,
             ranks: 8,
-            stats: CkptStats::plain(4096, 0, CommitState::GlobalCommitted),
+            stats: CkptStats::plain(4096, CommitState::GlobalCommitted),
         };
         let s = out.to_string();
         assert!(s.contains("interval 2"));

@@ -12,134 +12,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::error::NetError;
 use crate::stats::FabricStats;
-use crate::time::SimTime;
 use crate::topology::{NodeId, Topology};
-
-/// Tracks how many bulk transfers currently occupy each link, so
-/// concurrent transfers sharing a wire are each charged a fair (~1/N)
-/// slice of its bandwidth. Links are keyed by unordered node pair;
-/// loopback paths use the `(n, n)` key. Cheap to clone; clones share
-/// the counters.
-#[derive(Clone, Default)]
-pub struct LinkMeter {
-    inflight: Arc<Mutex<HashMap<(NodeId, NodeId), u32>>>,
-}
-
-impl fmt::Debug for LinkMeter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let map = self.inflight.lock();
-        f.debug_struct("LinkMeter")
-            .field("busy_links", &map.len())
-            .finish()
-    }
-}
-
-fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a.0 <= b.0 {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-impl LinkMeter {
-    /// A meter with no transfers in flight.
-    pub fn new() -> Self {
-        LinkMeter::default()
-    }
-
-    /// Mark a bulk transfer as occupying the `a`—`b` link. The returned
-    /// guard releases the link share when dropped.
-    pub fn begin(&self, a: NodeId, b: NodeId) -> LinkSlot {
-        let key = link_key(a, b);
-        *self.inflight.lock().entry(key).or_insert(0) += 1;
-        LinkSlot {
-            meter: self.clone(),
-            key,
-        }
-    }
-
-    /// Number of bulk transfers currently occupying the `a`—`b` link.
-    pub fn inflight(&self, a: NodeId, b: NodeId) -> u32 {
-        self.inflight
-            .lock()
-            .get(&link_key(a, b))
-            .copied()
-            .unwrap_or(0)
-    }
-}
-
-/// RAII share of a link held by one in-flight bulk transfer; dropping it
-/// returns the bandwidth slice to the link.
-#[derive(Debug)]
-pub struct LinkSlot {
-    meter: LinkMeter,
-    key: (NodeId, NodeId),
-}
-
-impl Drop for LinkSlot {
-    fn drop(&mut self) {
-        let mut map = self.meter.inflight.lock();
-        if let Some(count) = map.get_mut(&self.key) {
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                map.remove(&self.key);
-            }
-        }
-    }
-}
-
-/// A read-only view of the network used to price bulk transfers: a
-/// topology plus (optionally) the live contention meter. Components that
-/// move checkpoint data take a `NetView` instead of a bare [`Topology`],
-/// so the same code prices transfers honestly whether or not anything
-/// else is on the wire.
-#[derive(Clone, Copy)]
-pub struct NetView<'a> {
-    topology: &'a Topology,
-    meter: Option<&'a LinkMeter>,
-}
-
-impl fmt::Debug for NetView<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NetView")
-            .field("nodes", &self.topology.len())
-            .field("metered", &self.meter.is_some())
-            .finish()
-    }
-}
-
-impl<'a> NetView<'a> {
-    /// A view that ignores contention (legacy cost model).
-    pub fn uncontended(topology: &'a Topology) -> Self {
-        NetView {
-            topology,
-            meter: None,
-        }
-    }
-
-    /// A view that prices transfers against the live link meter.
-    pub fn contended(topology: &'a Topology, meter: &'a LinkMeter) -> Self {
-        NetView {
-            topology,
-            meter: Some(meter),
-        }
-    }
-
-    /// Price moving `bytes` from `a` to `b` given the current number of
-    /// transfers sharing the link (at least this one).
-    pub fn cost(&self, a: NodeId, b: NodeId, bytes: usize) -> SimTime {
-        let share = self.meter.map_or(1, |m| m.inflight(a, b).max(1));
-        self.topology.contended_cost(a, b, bytes, share)
-    }
-
-    /// Occupy the `a`—`b` link for the duration of a bulk transfer, if
-    /// this view meters contention. Hold the returned slot while copying
-    /// so concurrent transfers see each other.
-    pub fn begin_transfer(&self, a: NodeId, b: NodeId) -> Option<LinkSlot> {
-        self.meter.map(|m| m.begin(a, b))
-    }
-}
 
 /// Identifier of a registered endpoint (one per simulated process, daemon,
 /// or tool connection).
@@ -182,25 +55,17 @@ pub struct Delivery {
     pub tag: u64,
     /// Payload bytes.
     pub payload: Bytes,
-    /// Simulated wire time this message spent in transit.
-    pub wire_time: SimTime,
-}
-
-struct Mailbox {
-    node: NodeId,
-    tx: Sender<Delivery>,
 }
 
 struct FabricInner {
     topology: Topology,
     next_id: AtomicU64,
-    mailboxes: RwLock<HashMap<EndpointId, Mailbox>>,
+    mailboxes: RwLock<HashMap<EndpointId, Sender<Delivery>>>,
     /// For each endpoint, the endpoints that get a [`PEER_DOWN`] notice
     /// when it is killed.
     watchers: Mutex<HashMap<EndpointId, Vec<EndpointId>>>,
     total_msgs: AtomicU64,
     total_bytes: AtomicU64,
-    link_meter: LinkMeter,
 }
 
 /// Handle to the simulated network. Cheap to clone; all clones share state.
@@ -230,7 +95,6 @@ impl Fabric {
                 watchers: Mutex::new(HashMap::new()),
                 total_msgs: AtomicU64::new(0),
                 total_bytes: AtomicU64::new(0),
-                link_meter: LinkMeter::new(),
             }),
         }
     }
@@ -238,18 +102,6 @@ impl Fabric {
     /// The topology this fabric runs over.
     pub fn topology(&self) -> &Topology {
         &self.inner.topology
-    }
-
-    /// The shared per-link contention meter. Bulk-transfer machinery
-    /// (FILEM gathers) registers its in-flight copies here; messages sent
-    /// through the fabric are charged the contended cost of their link.
-    pub fn link_meter(&self) -> &LinkMeter {
-        &self.inner.link_meter
-    }
-
-    /// A contention-aware pricing view over this fabric's topology.
-    pub fn netview(&self) -> NetView<'_> {
-        NetView::contended(&self.inner.topology, &self.inner.link_meter)
     }
 
     /// Register a new endpoint on `node`, returning its receive handle.
@@ -266,7 +118,7 @@ impl Fabric {
         self.inner
             .mailboxes
             .write()
-            .insert(id, Mailbox { node, tx });
+            .insert(id, tx);
         Endpoint {
             id,
             node,
@@ -275,53 +127,33 @@ impl Fabric {
         }
     }
 
-    /// Send `payload` from `src` to `dst`.
-    ///
-    /// Returns the simulated wire time charged for the transfer. Delivery
-    /// is reliable and per-sender FIFO (TCP-like, matching the transports
-    /// the original implementation ran over).
+    /// Send `payload` from `src` to `dst`. Delivery is reliable and
+    /// per-sender FIFO (TCP-like, matching the transports the original
+    /// implementation ran over). The only lock taken is the mailbox
+    /// table's read lock.
     pub fn send(
         &self,
         src: EndpointId,
         dst: EndpointId,
         tag: u64,
         payload: Bytes,
-    ) -> Result<SimTime, NetError> {
+    ) -> Result<(), NetError> {
         if tag == PEER_DOWN || tag == WAKE {
             return Err(NetError::Unreachable { dst });
         }
-        let boxes = self.inner.mailboxes.read();
-        let src_node = boxes
-            .get(&src)
-            .map(|m| m.node)
-            .ok_or(NetError::SenderDead { src })?;
-        let mbox = boxes.get(&dst).ok_or(NetError::Unreachable { dst })?;
-        // Messages share the wire with any in-flight bulk transfers: a
-        // FILEM gather streaming over this link slows OOB traffic down.
-        let share = self
-            .inner
-            .link_meter
-            .inflight(src_node, mbox.node)
-            .saturating_add(1);
-        let wire_time =
-            self.inner
-                .topology
-                .contended_cost(src_node, mbox.node, payload.len(), share);
         let bytes = payload.len() as u64;
-        let delivery = Delivery {
-            src,
-            tag,
-            payload,
-            wire_time,
-        };
-        mbox.tx
-            .send(delivery)
-            .map_err(|_| NetError::Unreachable { dst })?;
-        drop(boxes);
-
+        {
+            let boxes = self.inner.mailboxes.read();
+            if !boxes.contains_key(&src) {
+                return Err(NetError::SenderDead { src });
+            }
+            let tx = boxes.get(&dst).ok_or(NetError::Unreachable { dst })?;
+            tx.send(Delivery { src, tag, payload })
+                .map_err(|_| NetError::Unreachable { dst })?;
+        }
         self.inner.total_msgs.fetch_add(1, Ordering::Relaxed);
         self.inner.total_bytes.fetch_add(bytes, Ordering::Relaxed);
-        Ok(wire_time)
+        Ok(())
     }
 
     /// Kill an endpoint: simulates process death. Its queue is torn down;
@@ -336,8 +168,8 @@ impl Fabric {
         }
         let watchers = self.inner.watchers.lock().remove(&ep).unwrap_or_default();
         for w in watchers {
-            if let Some(mbox) = boxes.get(&w) {
-                let _ = mbox.tx.send(Self::notice(ep, PEER_DOWN));
+            if let Some(tx) = boxes.get(&w) {
+                let _ = tx.send(Self::notice(ep, PEER_DOWN));
             }
         }
     }
@@ -350,15 +182,15 @@ impl Fabric {
         let boxes = self.inner.mailboxes.read();
         if boxes.contains_key(&target) {
             self.inner.watchers.lock().entry(target).or_default().push(watcher);
-        } else if let Some(mbox) = boxes.get(&watcher) {
-            let _ = mbox.tx.send(Self::notice(target, PEER_DOWN));
+        } else if let Some(tx) = boxes.get(&watcher) {
+            let _ = tx.send(Self::notice(target, PEER_DOWN));
         }
     }
 
     /// Post a [`WAKE`] to `ep`'s own queue. A dead `ep` is not woken.
     pub fn wake(&self, ep: EndpointId) {
-        if let Some(mbox) = self.inner.mailboxes.read().get(&ep) {
-            let _ = mbox.tx.send(Self::notice(ep, WAKE));
+        if let Some(tx) = self.inner.mailboxes.read().get(&ep) {
+            let _ = tx.send(Self::notice(ep, WAKE));
         }
     }
 
@@ -367,7 +199,6 @@ impl Fabric {
             src,
             tag,
             payload: Bytes::new(),
-            wire_time: SimTime::ZERO,
         }
     }
 
@@ -419,7 +250,7 @@ impl Endpoint {
     }
 
     /// Convenience: send from this endpoint.
-    pub fn send_to(&self, dst: EndpointId, tag: u64, payload: Bytes) -> Result<SimTime, NetError> {
+    pub fn send_to(&self, dst: EndpointId, tag: u64, payload: Bytes) -> Result<(), NetError> {
         self.fabric.send(self.id, dst, tag, payload)
     }
 
@@ -497,13 +328,11 @@ mod tests {
         let fabric = two_node_fabric();
         let a = fabric.register(NodeId(0));
         let b = fabric.register(NodeId(1));
-        let t = a.send_to(b.id(), 7, Bytes::from_static(b"hello")).unwrap();
-        assert!(t > SimTime::ZERO);
+        a.send_to(b.id(), 7, Bytes::from_static(b"hello")).unwrap();
         let d = b.recv().unwrap();
         assert_eq!(d.src, a.id());
         assert_eq!(d.tag, 7);
         assert_eq!(&d.payload[..], b"hello");
-        assert_eq!(d.wire_time, t);
     }
 
     #[test]
@@ -748,68 +577,9 @@ mod tests {
     }
 
     #[test]
-    fn link_meter_counts_and_releases() {
-        let meter = LinkMeter::new();
-        assert_eq!(meter.inflight(NodeId(0), NodeId(1)), 0);
-        let s1 = meter.begin(NodeId(0), NodeId(1));
-        let s2 = meter.begin(NodeId(1), NodeId(0)); // same unordered link
-        assert_eq!(meter.inflight(NodeId(0), NodeId(1)), 2);
-        assert_eq!(meter.inflight(NodeId(1), NodeId(0)), 2);
-        drop(s1);
-        assert_eq!(meter.inflight(NodeId(0), NodeId(1)), 1);
-        drop(s2);
-        assert_eq!(meter.inflight(NodeId(0), NodeId(1)), 0);
-        // Other links are unaffected.
-        let _s3 = meter.begin(NodeId(2), NodeId(3));
-        assert_eq!(meter.inflight(NodeId(0), NodeId(1)), 0);
-    }
-
-    #[test]
-    fn netview_prices_by_inflight_share() {
-        let topo = Topology::uniform(2, LinkSpec::gigabit_ethernet());
-        let meter = LinkMeter::new();
-        let view = NetView::contended(&topo, &meter);
-        let base = view.cost(NodeId(0), NodeId(1), 1 << 20);
-        assert_eq!(base, topo.cost(NodeId(0), NodeId(1), 1 << 20));
-        let _a = view.begin_transfer(NodeId(0), NodeId(1));
-        let _b = view.begin_transfer(NodeId(0), NodeId(1));
-        let contended = view.cost(NodeId(0), NodeId(1), 1 << 20);
-        assert_eq!(contended, topo.contended_cost(NodeId(0), NodeId(1), 1 << 20, 2));
-        assert!(contended > base);
-        // Uncontended views never meter.
-        let flat = NetView::uncontended(&topo);
-        assert!(flat.begin_transfer(NodeId(0), NodeId(1)).is_none());
-        assert_eq!(flat.cost(NodeId(0), NodeId(1), 1 << 20), base);
-    }
-
-    #[test]
-    fn sends_slow_down_under_bulk_transfers() {
-        let fabric = two_node_fabric();
-        let a = fabric.register(NodeId(0));
-        let b = fabric.register(NodeId(1));
-        let payload = Bytes::from(vec![0u8; 65536]);
-        let quiet = a.send_to(b.id(), 0, payload.clone()).unwrap();
-        let _slot = fabric.link_meter().begin(NodeId(0), NodeId(1));
-        let busy = a.send_to(b.id(), 0, payload).unwrap();
-        assert!(busy > quiet);
-    }
-
-    #[test]
     #[should_panic(expected = "not in the topology")]
     fn registering_on_unknown_node_panics() {
         let fabric = two_node_fabric();
         let _ = fabric.register(NodeId(7));
-    }
-
-    #[test]
-    fn loopback_send_is_cheaper() {
-        let fabric = two_node_fabric();
-        let a = fabric.register(NodeId(0));
-        let b = fabric.register(NodeId(0));
-        let c = fabric.register(NodeId(1));
-        let payload = Bytes::from(vec![0u8; 65536]);
-        let local = a.send_to(b.id(), 0, payload.clone()).unwrap();
-        let remote = a.send_to(c.id(), 0, payload).unwrap();
-        assert!(local < remote);
     }
 }

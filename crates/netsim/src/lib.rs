@@ -1,17 +1,17 @@
-//! Simulated cluster fabric.
+//! Simulated cluster fabric: a transport, not a cost model.
 //!
 //! The paper's testbed is a Linux cluster of dual-Opteron nodes on gigabit
 //! ethernet / InfiniBand. We have no cluster, so this crate provides the
 //! closest synthetic equivalent that exercises the same code paths:
 //!
-//! * a [`Topology`] of named nodes joined by links with
-//!   configurable latency and bandwidth,
+//! * a [`Topology`] of named nodes, and
 //! * a [`Fabric`] giving *real* (thread-to-thread) reliable,
-//!   per-sender-ordered message delivery between registered endpoints, and
-//! * a virtual-time **cost model** ([`SimTime`]): every
-//!   delivery reports the simulated wire time `latency + bytes/bandwidth`,
-//!   so benchmarks can report cluster-shaped numbers while tests run at
-//!   memory speed.
+//!   per-sender-ordered message delivery between registered endpoints.
+//!
+//! A message takes the time its threads take: nothing is delayed or
+//! priced on the way. [`Topology::cost`] still prices a transfer on an
+//! idle link as [`SimTime`], for the two figures `benchmark/` reads; it
+//! goes with ROADMAP item 12.
 //!
 //! Failure injection ([`Fabric::kill`]) models process
 //! death: senders observe peer-unreachable errors, receivers' queues
@@ -20,7 +20,7 @@
 //! experiments.
 //!
 //! Everything higher up (OOB daemon traffic in ORTE, the PML point-to-point
-//! layer in OMPI, FILEM file movement costs) runs over this one fabric.
+//! layer in OMPI) runs over this one fabric.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,9 +32,7 @@ pub mod time;
 pub mod topology;
 
 pub use error::NetError;
-pub use fabric::{
-    Delivery, Endpoint, EndpointId, Fabric, LinkMeter, LinkSlot, NetView, PEER_DOWN, WAKE,
-};
+pub use fabric::{Delivery, Endpoint, EndpointId, Fabric, PEER_DOWN, WAKE};
 pub use stats::FabricStats;
 pub use time::SimTime;
 pub use topology::{LinkSpec, NodeId, Topology};

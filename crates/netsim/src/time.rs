@@ -1,21 +1,14 @@
-//! Virtual time for the cost model.
+//! Simulated time: what [`Topology::cost`](crate::Topology::cost) prices
+//! a transfer at. Nothing waits for it and nothing decides by it; it is
+//! kept only for `benchmark/`, and goes with ROADMAP item 12.
 
-use std::fmt;
-use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, Sub};
+use std::ops::Add;
 
 /// A span of simulated time, in nanoseconds.
-///
-/// The fabric never sleeps for simulated time; it *accounts* it. Tests run
-/// at memory speed while benchmarks can still report cluster-shaped
-/// latencies by summing `SimTime` along the critical path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
-    /// Zero duration.
-    pub const ZERO: SimTime = SimTime(0);
-
     /// From nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
         SimTime(ns)
@@ -26,44 +19,14 @@ impl SimTime {
         SimTime(us * 1_000)
     }
 
-    /// From milliseconds.
-    pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000_000)
-    }
-
-    /// From seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
-    }
-
     /// Nanosecond count.
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
-    /// Fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Fractional milliseconds.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Fractional seconds.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000_000.0
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0.saturating_sub(rhs.0))
-    }
-
-    /// The larger of two spans.
-    pub fn max(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0.max(rhs.0))
     }
 }
 
@@ -74,97 +37,24 @@ impl Add for SimTime {
     }
 }
 
-impl AddAssign for SimTime {
-    fn add_assign(&mut self, rhs: SimTime) {
-        *self = *self + rhs;
-    }
-}
-
-impl Sub for SimTime {
-    type Output = SimTime;
-    fn sub(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0.checked_sub(rhs.0).expect("SimTime underflow"))
-    }
-}
-
-impl Mul<u64> for SimTime {
-    type Output = SimTime;
-    fn mul(self, rhs: u64) -> SimTime {
-        SimTime(self.0.saturating_mul(rhs))
-    }
-}
-
-impl Div<u64> for SimTime {
-    type Output = SimTime;
-    fn div(self, rhs: u64) -> SimTime {
-        SimTime(self.0 / rhs)
-    }
-}
-
-impl Sum for SimTime {
-    fn sum<I: Iterator<Item = SimTime>>(iter: I) -> SimTime {
-        iter.fold(SimTime::ZERO, Add::add)
-    }
-}
-
-impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 >= 1_000_000_000 {
-            write!(f, "{:.3}s", self.as_secs_f64())
-        } else if self.0 >= 1_000_000 {
-            write!(f, "{:.3}ms", self.as_millis_f64())
-        } else if self.0 >= 1_000 {
-            write!(f, "{:.3}us", self.as_micros_f64())
-        } else {
-            write!(f, "{}ns", self.0)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn constructors_and_accessors() {
-        assert_eq!(SimTime::from_secs(1).as_nanos(), 1_000_000_000);
-        assert_eq!(SimTime::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimTime::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimTime::from_nanos(4).as_nanos(), 4);
-        assert_eq!(SimTime::from_secs(2).as_secs_f64(), 2.0);
-    }
-
-    #[test]
-    fn arithmetic() {
-        let a = SimTime::from_micros(10);
-        let b = SimTime::from_micros(4);
-        assert_eq!(a + b, SimTime::from_micros(14));
-        assert_eq!(a - b, SimTime::from_micros(6));
-        assert_eq!(a * 3, SimTime::from_micros(30));
-        assert_eq!(a / 2, SimTime::from_micros(5));
-        assert_eq!(b.saturating_sub(a), SimTime::ZERO);
-        assert_eq!(a.max(b), a);
-        let total: SimTime = [a, b, b].into_iter().sum();
-        assert_eq!(total, SimTime::from_micros(18));
+        assert_eq!(SimTime::from_micros(1500).as_millis_f64(), 1.5);
+        assert_eq!(
+            SimTime::from_micros(10) + SimTime::from_nanos(4),
+            SimTime::from_nanos(10_004)
+        );
     }
 
     #[test]
     fn addition_saturates() {
         let huge = SimTime::from_nanos(u64::MAX);
         assert_eq!(huge + SimTime::from_nanos(1), huge);
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn sub_underflow_panics() {
-        let _ = SimTime::from_nanos(1) - SimTime::from_nanos(2);
-    }
-
-    #[test]
-    fn display_picks_unit() {
-        assert_eq!(SimTime::from_nanos(5).to_string(), "5ns");
-        assert_eq!(SimTime::from_micros(5).to_string(), "5.000us");
-        assert_eq!(SimTime::from_millis(5).to_string(), "5.000ms");
-        assert_eq!(SimTime::from_secs(5).to_string(), "5.000s");
     }
 }

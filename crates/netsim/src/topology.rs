@@ -1,4 +1,5 @@
-//! Cluster topology and the link cost model.
+//! Cluster topology: named nodes, and the price of a transfer between
+//! two of them.
 
 use std::fmt;
 
@@ -34,29 +35,21 @@ impl LinkSpec {
     }
 
     /// Shared-memory loopback defaults (~500ns, ~4 GB/s).
-    pub fn loopback() -> Self {
+    fn loopback() -> Self {
         LinkSpec {
             latency: SimTime::from_nanos(500),
             bandwidth_bytes_per_sec: 4 * 1024 * 1024 * 1024,
         }
     }
 
-    /// Simulated wire time for a message of `bytes` over this link.
-    pub fn transfer_cost(&self, bytes: usize) -> SimTime {
-        self.contended_transfer_cost(bytes, 1)
-    }
-
-    /// Simulated wire time for a message of `bytes` when `share` transfers
-    /// (including this one) occupy the link concurrently: each sees ~1/share
-    /// of the bandwidth, so serialization time scales by `share`. Latency is
-    /// propagation delay and is not shared. `share == 0` is treated as 1.
-    pub fn contended_transfer_cost(&self, bytes: usize, share: u32) -> SimTime {
+    /// `latency + bytes/bandwidth` for a message of `bytes`.
+    fn transfer_cost(&self, bytes: usize) -> SimTime {
         let serialization_ns = if self.bandwidth_bytes_per_sec == 0 {
             0
         } else {
             (bytes as u128 * 1_000_000_000 / self.bandwidth_bytes_per_sec as u128) as u64
         };
-        self.latency + SimTime::from_nanos(serialization_ns) * u64::from(share.max(1))
+        self.latency + SimTime::from_nanos(serialization_ns)
     }
 }
 
@@ -109,24 +102,16 @@ impl Topology {
         &self.hostnames[node.0 as usize]
     }
 
-    /// Link parameters between two nodes (loopback when equal).
-    pub fn link(&self, a: NodeId, b: NodeId) -> LinkSpec {
-        if a == b {
+    /// Simulated price of moving `bytes` from `a` to `b` over an idle
+    /// link (loopback when `a == b`). Nothing waits for it; it is kept
+    /// only for `benchmark/`, and goes with ROADMAP item 12.
+    pub fn cost(&self, a: NodeId, b: NodeId, bytes: usize) -> SimTime {
+        let link = if a == b {
             LinkSpec::loopback()
         } else {
             self.default_link
-        }
-    }
-
-    /// Simulated cost of moving `bytes` from `a` to `b`.
-    pub fn cost(&self, a: NodeId, b: NodeId, bytes: usize) -> SimTime {
-        self.link(a, b).transfer_cost(bytes)
-    }
-
-    /// Simulated cost of moving `bytes` from `a` to `b` while `share`
-    /// transfers (including this one) contend for the link.
-    pub fn contended_cost(&self, a: NodeId, b: NodeId, bytes: usize, share: u32) -> SimTime {
-        self.link(a, b).contended_transfer_cost(bytes, share)
+        };
+        link.transfer_cost(bytes)
     }
 }
 
@@ -172,34 +157,6 @@ mod tests {
         let local = t.cost(NodeId(0), NodeId(0), 4096);
         let remote = t.cost(NodeId(0), NodeId(1), 4096);
         assert!(local < remote);
-    }
-
-    #[test]
-    fn contended_cost_scales_serialization_only() {
-        let link = LinkSpec {
-            latency: SimTime::from_micros(10),
-            bandwidth_bytes_per_sec: 1_000_000_000, // 1 ns/byte
-        };
-        for k in 1..=8u32 {
-            assert_eq!(
-                link.contended_transfer_cost(1000, k),
-                SimTime::from_micros(10) + SimTime::from_nanos(1000) * u64::from(k)
-            );
-        }
-        // share 0 behaves like an uncontended link
-        assert_eq!(
-            link.contended_transfer_cost(1000, 0),
-            link.transfer_cost(1000)
-        );
-    }
-
-    #[test]
-    fn uncontended_share_matches_transfer_cost() {
-        let t = Topology::uniform(2, LinkSpec::gigabit_ethernet());
-        assert_eq!(
-            t.contended_cost(NodeId(0), NodeId(1), 1 << 20, 1),
-            t.cost(NodeId(0), NodeId(1), 1 << 20)
-        );
     }
 
     #[test]

@@ -347,14 +347,14 @@ impl<S: Send + 'static> MpiJob<S> {
             .iter()
             .map(|&r| spare_for(r).map(|spare| (cr_core::Rank(r), spare)))
             .collect::<Result<_, _>>()?;
-        let (images, replica_images, mut sim_cost) =
-            fetch_images(runtime, &global, interval, &targets, opts, &params)?;
+        let wanted: Vec<cr_core::Rank> = targets.iter().map(|&(rank, _)| rank).collect();
+        let (images, replica_images) =
+            fetch_images(runtime, &global, interval, &wanted, opts, &params)?;
 
         // Point of no return: fence the dead nodes, drop the failed
         // ranks' stale endpoint advertisements and result slots, and
-        // respawn each rank on its spare with the rejoin set. One
-        // simulated launcher session per spare node. The spares are
-        // spent from here on.
+        // respawn each rank on its spare with the rejoin set. The spares
+        // are spent from here on.
         let spares = lease.commit();
         for &node in &old_nodes {
             if !runtime.node_failed(node) {
@@ -371,13 +371,12 @@ impl<S: Send + 'static> MpiJob<S> {
         for (&(rank, spare), image) in targets.iter().zip(images) {
             handle.respawn_rank(rank, spare, image, Arc::clone(&rejoin))?;
         }
-        sim_cost += orte::plm::RSH_SESSION * spares.len() as u64;
 
         runtime.tracer().record(
             "ompi.restart",
             &format!(
                 "partial: {} of {nprocs} ranks ({ranks:?}) onto spare nodes {:?} from \
-                 interval {interval} ({replica_images} images from peer memory, sim {sim_cost})",
+                 interval {interval} ({replica_images} images from peer memory)",
                 ranks.len(),
                 spares.iter().map(|n| n.0).collect::<Vec<_>>(),
             ),
@@ -387,7 +386,6 @@ impl<S: Send + 'static> MpiJob<S> {
             ranks,
             spares,
             replica_images,
-            sim_cost,
         })
     }
 
@@ -806,9 +804,7 @@ impl std::str::FromStr for RestartSource {
 }
 
 /// What a partial restart did: which interval the failed ranks resumed
-/// from, where they landed, and the simulated cost of the recovery
-/// (image fetches plus one launcher session per spare — the quantity the
-/// `restart_latency` bench compares against a full relaunch).
+/// from, where they landed, and where their images came from.
 #[derive(Debug, Clone)]
 pub struct PartialRestartOutcome {
     /// Interval the restarted ranks resumed from.
@@ -819,8 +815,6 @@ pub struct PartialRestartOutcome {
     pub spares: Vec<netsim::NodeId>,
     /// How many images (or chunk sets) came out of peer memory.
     pub replica_images: u32,
-    /// Simulated recovery cost along the critical path.
-    pub sim_cost: netsim::SimTime,
 }
 
 /// Everything a restart can be told, in one struct. `Default` restores
@@ -886,30 +880,10 @@ pub fn restart<A: MpiApp>(
     let (global, interval, params) = open_interval(global_ref, opts.interval)?;
     let params = Arc::new(params);
 
-    // The placement is predicted with the same deterministic PLM mapping
-    // the relaunch will use, so each rank's image lands on the node it
-    // will restart on.
-    let plm = orte::plm::plm_framework()
-        .select(&params)
-        .map_err(|e| CrError::Unsupported {
-            detail: e.to_string(),
-        })?;
     let nprocs = global.nprocs();
-    let placement = plm.map_job(nprocs, runtime.topology(), &params)?;
-    let targets: Vec<(cr_core::Rank, netsim::NodeId)> = (0..nprocs)
-        .map(|r| {
-            let rank = cr_core::Rank(r);
-            placement
-                .node_of
-                .get(rank.index())
-                .map(|&node| (rank, node))
-                .ok_or_else(|| CrError::BadSnapshot {
-                    detail: format!("placement has no node for rank {rank}"),
-                })
-        })
-        .collect::<Result<_, _>>()?;
-    let (images, replica_images, _) =
-        fetch_images(runtime, &global, interval, &targets, &opts, &params)?;
+    let ranks: Vec<cr_core::Rank> = (0..nprocs).map(cr_core::Rank).collect();
+    let (images, replica_images) =
+        fetch_images(runtime, &global, interval, &ranks, &opts, &params)?;
     runtime.tracer().record(
         "ompi.restart",
         &format!(
@@ -946,13 +920,11 @@ fn open_interval(
     Ok((global, interval, params))
 }
 
-/// Obtain the process images of `targets` — `(rank, node it will run on)`
-/// pairs — at `interval`, in `targets` order, with how many came out of
-/// peer memory (for a manifest interval: how many took at least one chunk
-/// from it) and the simulated cost of the transfers, back to back. The
-/// one way a restart gets images: whole-job [`restart`] passes every rank
-/// on its predicted placement, [`MpiJob::restart_ranks`] the failed ranks
-/// on their spares.
+/// Obtain the process images of `ranks` at `interval`, in `ranks` order,
+/// with how many came out of peer memory (for a manifest interval: how
+/// many took at least one chunk from it). The one way a restart gets
+/// images: whole-job [`restart`] passes every rank,
+/// [`MpiJob::restart_ranks`] the failed ones.
 ///
 /// Intervals committed through the dedup chunk store carry per-rank chunk
 /// manifests. Every target's image comes out of one fetch batch over the
@@ -970,10 +942,10 @@ fn fetch_images(
     runtime: &Runtime,
     global: &GlobalSnapshot,
     interval: u64,
-    targets: &[(cr_core::Rank, netsim::NodeId)],
+    ranks: &[cr_core::Rank],
     opts: &RestartOptions,
     params: &McaParams,
-) -> Result<(Vec<opal::ProcessImage>, u32, netsim::SimTime), CrError> {
+) -> Result<(Vec<opal::ProcessImage>, u32), CrError> {
     let job = global.job();
     let workers = opal::pool::hash_workers(params);
     if !global.chunk_manifests(interval).is_empty() {
@@ -982,9 +954,9 @@ fn fetch_images(
             RestartSource::Replica => orte::store::ChunkSource::ReplicaOnly,
             RestartSource::Stable => orte::store::ChunkSource::StableOnly,
         };
-        let manifests = targets
+        let manifests = ranks
             .iter()
-            .map(|&(rank, _)| {
+            .map(|&rank| {
                 let rendered =
                     global
                         .chunk_manifest(interval, rank)
@@ -998,31 +970,29 @@ fn fetch_images(
             .collect::<Result<Vec<_>, CrError>>()?;
         let store = orte::store::SnapshotStore::open(runtime, job, global.dir())?;
         let (images, stats) = store.fetch_images(&manifests, source, true, workers)?;
-        return Ok((images, stats.replica_images as u32, stats.sim_cost));
+        return Ok((images, stats.replica_images as u32));
     }
 
     // Peer memory first: each image from the first surviving replica
     // holder the snapshot metadata records (there are none without the
     // replica component); stable storage serves the misses.
-    let mut sim_cost = netsim::SimTime::ZERO;
-    let held: Vec<_> = targets
+    let held: Vec<_> = ranks
         .iter()
-        .map(|&(rank, _)| {
+        .map(|&rank| {
             let holders = match opts.source {
                 RestartSource::Stable => Vec::new(),
                 _ => global.replica_holders(interval, rank),
             };
-            let (image, cost) = (!holders.is_empty())
+            let (image, _) = (!holders.is_empty())
                 .then(|| orte::replica::fetch_image(runtime, job, interval, rank, &holders))
                 .flatten()?;
-            sim_cost += cost;
             Some(image)
         })
         .collect();
-    let missing: Vec<u32> = targets
+    let missing: Vec<u32> = ranks
         .iter()
         .zip(&held)
-        .filter_map(|((rank, _), image)| image.is_none().then_some(rank.0))
+        .filter_map(|(rank, image)| image.is_none().then_some(rank.0))
         .collect();
     if opts.source == RestartSource::Replica && !missing.is_empty() {
         return Err(CrError::BadSnapshot {
@@ -1030,7 +1000,7 @@ fn fetch_images(
                 "replica-only restart impossible: {} of {} needed images (ranks \
                  {missing:?}) have no surviving replica holder",
                 missing.len(),
-                targets.len(),
+                ranks.len(),
             ),
         });
     }
@@ -1050,8 +1020,8 @@ fn fetch_images(
             })?;
         crs.restart(local, context)
     };
-    let work: Vec<_> = targets.iter().zip(held).collect();
-    let decoded = opal::pool::map_claimed(&work, workers, |(&(rank, _), image), _: &mut ()| {
+    let work: Vec<_> = ranks.iter().zip(held).collect();
+    let decoded = opal::pool::map_claimed(&work, workers, |(&rank, image), _: &mut ()| {
         if let Some(image) = image {
             let dir = global
                 .interval_dir(interval)
@@ -1064,20 +1034,16 @@ fn fetch_images(
         Ok((image, local.size_bytes()?))
     })?;
 
-    // Each stable read is priced as one transfer from the head node,
-    // which serves stable storage, to the rank's node.
-    let net = runtime.netview();
     let (mut replica_files, mut replica_bytes, mut stable_bytes) = (0, 0, 0);
-    for ((&(_, node), image), (_, read)) in work.iter().zip(&decoded) {
+    for ((_, image), (_, read)) in work.iter().zip(&decoded) {
         if let Some(image) = image {
             replica_files += image.files.len();
             replica_bytes += image.total_bytes();
         } else {
             stable_bytes += read;
-            sim_cost += net.cost(netsim::NodeId(0), node, *read as usize);
         }
     }
-    let (stable, replica) = (missing.len(), targets.len() - missing.len());
+    let (stable, replica) = (missing.len(), ranks.len() - missing.len());
     if replica > 0 {
         runtime.tracer().record(
             "filem.replica.preload",
@@ -1091,5 +1057,5 @@ fn fetch_images(
         );
     }
     let images = decoded.into_iter().map(|(image, _)| image).collect();
-    Ok((images, replica as u32, sim_cost))
+    Ok((images, replica as u32))
 }

@@ -185,58 +185,19 @@ pub struct PmlState {
     pub replay_cursor: Option<usize>,
 }
 
-/// The "pml" image section stores the message log's entries, bytes and
-/// overflow flag as three fields of its own (the layout every captured
-/// image has), so they are written and read here rather than as a nested
-/// struct.
-impl codec::Wire for PmlState {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        use codec::wire::field;
-        codec::wire::put_header(out, codec::wire::tag::STRUCT, 11);
-        field(out, "unmatched", &self.unmatched);
-        field(out, "posted", &self.posted);
-        field(out, "completed", &self.completed);
-        field(out, "sent_counts", &self.sent_counts);
-        field(out, "recv_counts", &self.recv_counts);
-        field(out, "next_req", &self.next_req);
-        field(out, "step_log", &self.step_log);
-        field(out, "msg_log", &self.msg_log.entries);
-        field(out, "msg_log_bytes", &self.msg_log.bytes);
-        field(out, "msg_log_overflow", &self.msg_log.overflow);
-        field(out, "crcp_inbox", &self.crcp_inbox);
-    }
-
-    fn decode(input: &mut &[u8]) -> codec::Result<Self> {
-        use codec::wire::{skip, take_header, take_str, tag};
-        use codec::Wire;
-        let mut st = PmlState::default();
-        let mut known = 0;
-        for _ in 0..take_header(input, tag::STRUCT, "struct")? {
-            match take_str(input)? {
-                "unmatched" => st.unmatched = Wire::decode(input)?,
-                "posted" => st.posted = Wire::decode(input)?,
-                "completed" => st.completed = Wire::decode(input)?,
-                "sent_counts" => st.sent_counts = Wire::decode(input)?,
-                "recv_counts" => st.recv_counts = Wire::decode(input)?,
-                "next_req" => st.next_req = Wire::decode(input)?,
-                "step_log" => st.step_log = Wire::decode(input)?,
-                "msg_log" => st.msg_log.entries = Wire::decode(input)?,
-                "msg_log_bytes" => st.msg_log.bytes = Wire::decode(input)?,
-                "msg_log_overflow" => st.msg_log.overflow = Wire::decode(input)?,
-                "crcp_inbox" => st.crcp_inbox = Wire::decode(input)?,
-                _ => {
-                    skip(input)?;
-                    continue;
-                }
-            }
-            known += 1;
-        }
-        if known != 11 {
-            return Err(codec::Error::Message(format!("pml section has {known} of its 11 fields")));
-        }
-        Ok(st)
-    }
-}
+// The message log's entries, bytes and overflow flag are three fields of
+// the "pml" section itself (the layout every captured image has).
+codec::wire_struct!(PmlState {
+    unmatched,
+    posted,
+    completed,
+    sent_counts,
+    recv_counts,
+    next_req,
+    step_log,
+    msg_log: MsgLog { entries as msg_log, bytes as msg_log_bytes, overflow as msg_log_overflow },
+    crcp_inbox,
+} skip { ckpt_interval, ckpt_epoch, peers_down, replay_cursor });
 
 impl PmlState {
     fn new(nprocs: u32) -> Self {
@@ -939,5 +900,65 @@ impl FtEvent for PmlFtHandle {
             }
             FtEventState::Continue | FtEventState::Restart | FtEventState::Error => Ok(()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The "pml" image section's bytes, pinned: every persisted field set,
+    /// the message log's three fields flattened into the section, and the
+    /// never-persisted fields set too (they must not appear).
+    #[test]
+    fn pml_section_encoding_is_pinned() {
+        let frame = AppFrame {
+            src: 1,
+            ctx: 0,
+            tag: 7,
+            seq: 2,
+            payload: bytes::Bytes::from_static(b"ab"),
+        };
+        let mut st = PmlState::new(2);
+        st.unmatched.push_back(frame.clone());
+        st.posted.push(PostedRecv { req: 3, ctx: 0, src: Some(1), tag: None });
+        st.completed.insert(4, None);
+        st.sent_counts[1] = 5;
+        st.recv_counts[0] = 6;
+        st.next_req = 9;
+        st.step_log.push(OpRecord::Wait { req: 3, frame: Some(frame) });
+        let send = LoggedSend {
+            dst: 1,
+            ctx: 0,
+            tag: 7,
+            seq: 1,
+            payload: bytes::Bytes::from_static(b"xyz"),
+        };
+        assert!(st.msg_log.record(send.clone(), 100));
+        assert!(!st.msg_log.record(send, 4));
+        st.crcp_inbox.push_back(CrcpMsg::Quiesced { from: 1, epoch: 2 });
+        st.ckpt_interval = Some(8);
+        st.ckpt_epoch = 8;
+        st.peers_down.insert(1);
+        st.replay_cursor = Some(1);
+        let encoded = codec::to_bytes(&st);
+        let hex: String = encoded.iter().map(|b| format!("{b:02x}")).collect();
+        let pinned = concat!(
+            "100b09756e6d6174636865640e01100503737263040103637478040003746167",
+            "0407037365710402077061796c6f61640b02616206706f737465640e01100403",
+            "7265710403036374780400037372630d0401037461670c09636f6d706c657465",
+            "640f0104040c0b73656e745f636f756e74730e02040004050b726563765f636f",
+            "756e74730e0204060400086e6578745f726571040908737465705f6c6f670e01",
+            "14045761697402037265710403056672616d650d100503737263040103637478",
+            "0400037461670407037365710402077061796c6f61640b026162076d73675f6c",
+            "6f670e0110050364737404010363747804000374616704070373657104010770",
+            "61796c6f61640b0378797a0d6d73675f6c6f675f62797465730403106d73675f",
+            "6c6f675f6f766572666c6f77020a637263705f696e626f780e01140851756965",
+            "73636564020466726f6d04010565706f63680402",
+        );
+        assert_eq!(hex, pinned);
+        let back: PmlState = codec::from_bytes(&encoded).unwrap();
+        assert_eq!(codec::to_bytes(&back), encoded);
+        assert_eq!((back.ckpt_interval, back.replay_cursor), (None, None));
     }
 }

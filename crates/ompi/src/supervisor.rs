@@ -138,11 +138,8 @@ fn run_incarnation<A: MpiApp>(
                             tracer.record(
                                 "supervisor.partial_recover",
                                 &format!(
-                                    "ranks {:?} -> spares {:?} (interval {}, sim {})",
-                                    outcome.ranks,
-                                    outcome.spares,
-                                    outcome.interval,
-                                    outcome.sim_cost
+                                    "ranks {:?} -> spares {:?} (interval {})",
+                                    outcome.ranks, outcome.spares, outcome.interval
                                 ),
                             );
                         }

@@ -318,7 +318,7 @@ fn params_select_components() {
     let params = Arc::new(McaParams::new());
     params.set("crs", "self");
     params.set("snapc", "tree");
-    params.set("filem", "oob_stream");
+    params.set("filem", "rsh_sim");
     let config = RunConfig {
         nprocs: 2,
         params,

@@ -459,7 +459,6 @@ pub(crate) mod tests {
         match hnp
             .call(daemon.endpoint(), &local_checkpoint(job))
             .unwrap()
-            .0
         {
             DaemonReply::TreeDone { node, results } => {
                 assert_eq!(node, 1);
@@ -474,7 +473,7 @@ pub(crate) mod tests {
         }
 
         // Cleanup removes the scratch directory.
-        let (reply, _) = hnp
+        let reply = hnp
             .call(daemon.endpoint(), &DaemonMsg::Cleanup { job, interval: 0 })
             .unwrap();
         assert_eq!(reply, DaemonReply::Ack { node: 1 });
@@ -501,7 +500,7 @@ pub(crate) mod tests {
         daemon.register_proc(job, Rank(1), Arc::clone(&c1), tx1);
 
         let hnp = Caller::new(&fabric, NodeId(0));
-        let (reply, _) = hnp
+        let reply = hnp
             .call(daemon.endpoint(), &DaemonMsg::QueryCheckpointable { job })
             .unwrap();
         assert_eq!(
@@ -600,7 +599,7 @@ pub(crate) mod tests {
             .unwrap();
         hold.store(false, Ordering::SeqCst);
 
-        match checkpoint.recv().unwrap().0 {
+        match checkpoint.recv().unwrap() {
             DaemonReply::TreeDone { node, results } => {
                 assert_eq!(node, 0);
                 let mut ranks: Vec<(u32, u32)> =
@@ -611,7 +610,7 @@ pub(crate) mod tests {
             other => panic!("unexpected reply {other:?}"),
         }
         assert_eq!(
-            inventory.recv().unwrap().0,
+            inventory.recv().unwrap(),
             DaemonReply::ReplicaHolding {
                 node: 0,
                 entries: Vec::new(),

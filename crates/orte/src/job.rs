@@ -471,7 +471,7 @@ pub fn launch(runtime: &Runtime, spec: JobSpec) -> Result<JobHandle, CrError> {
     let placement = plm.map_job(spec.nprocs, runtime.topology(), &spec.params)?;
     runtime.tracer().record(
         "plm.launch",
-        &format!("{job} nprocs {} cost {}", spec.nprocs, placement.launch_cost),
+        &format!("{job} nprocs {}", spec.nprocs),
     );
     // The nodes the PLM held out of placement become the runtime's spare
     // pool: partial restart claims them one at a time on node loss.

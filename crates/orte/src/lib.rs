@@ -26,7 +26,7 @@
 //! * [`modex`] — the rendezvous key-value store processes use to exchange
 //!   endpoint addresses at `MPI_Init` and after restart.
 //! * [`plm`] — the process launch framework (the `rsh_sim` component)
-//!   computing placements and simulated launch costs.
+//!   computing placements.
 //! * [`job`] — job specification, launch, and the job handle the OMPI
 //!   layer and the tools operate on.
 //! * [`replica`] — the peer-memory replicated snapshot store backing the
@@ -34,9 +34,8 @@
 //!   plus ring-replicated copies of `k` neighbors', so restart can pull
 //!   from surviving memory before touching stable storage.
 //! * [`sched`] — the one FILEM batch executor: gathers and drains
-//!   planned into least-loaded-link waves against the
-//!   link-contention pricing model, executed with real wall-clock and
-//!   per-link byte accounting.
+//!   planned into least-loaded-link waves, executed with real
+//!   wall-clock and per-link byte accounting.
 //! * [`store`] — the unified snapshot store over the content-addressed
 //!   chunk tiers (`filem_dedup_enabled`): dedup commit, manifest-driven
 //!   fetch, and refcount GC (decrement + sweep) at retirement.

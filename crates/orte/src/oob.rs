@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use netsim::{Endpoint, EndpointId, Fabric, NetError, NodeId, SimTime};
+use netsim::{Endpoint, EndpointId, Fabric, NetError, NodeId};
 
 use cr_core::{CrError, JobId};
 use opal::store::ChunkId;
@@ -258,7 +258,7 @@ impl DaemonReply {
     }
 }
 
-fn post(from: &Endpoint, to: EndpointId, bytes: Vec<u8>) -> Result<SimTime, CrError> {
+fn post(from: &Endpoint, to: EndpointId, bytes: Vec<u8>) -> Result<(), CrError> {
     from.send_to(to, TAG_OOB, Bytes::from(bytes))
         .map_err(|e| CrError::PeerLost {
             detail: format!("OOB send to {to}: {e}"),
@@ -336,18 +336,15 @@ impl Caller {
         }
     }
 
-    /// Send `msg` to the daemon serving on `to`. Returns the simulated
-    /// wire time the fabric charged, so callers that ship bulk payloads
-    /// (replica images, chunks) can account it along their critical path.
-    pub fn send(&self, to: EndpointId, msg: &DaemonMsg) -> Result<SimTime, CrError> {
+    /// Send `msg` to the daemon serving on `to`.
+    pub fn send(&self, to: EndpointId, msg: &DaemonMsg) -> Result<(), CrError> {
         let mut envelope = Vec::new();
         codec::wire::encode_pair(&self.reply.id().0, msg, &mut envelope);
         post(&self.reply, to, envelope)
     }
 
-    /// The next reply, whatever its kind, and the simulated wire time the
-    /// fabric charged to deliver it; a silent daemon is `PeerLost`.
-    fn recv_any(&self) -> Result<(DaemonReply, SimTime), CrError> {
+    /// The next reply, whatever its kind; a silent daemon is `PeerLost`.
+    fn recv_any(&self) -> Result<DaemonReply, CrError> {
         let delivery = self
             .reply
             .recv_timeout(self.timeout)
@@ -357,27 +354,24 @@ impl Caller {
                     other => format!("OOB recv: {other}"),
                 },
             })?;
-        Ok((codec::from_bytes(&delivery.payload)?, delivery.wire_time))
+        Ok(codec::from_bytes(&delivery.payload)?)
     }
 
-    /// The next reply and its wire time. A daemon-side
-    /// [`DaemonReply::Error`] is an `Err` naming the node.
-    pub fn recv(&self) -> Result<(DaemonReply, SimTime), CrError> {
+    /// The next reply. A daemon-side [`DaemonReply::Error`] is an `Err`
+    /// naming the node.
+    pub fn recv(&self) -> Result<DaemonReply, CrError> {
         match self.recv_any()? {
-            (DaemonReply::Error { node, detail }, _) => {
+            DaemonReply::Error { node, detail } => {
                 Err(CrError::protocol(format!("node {node}: {detail}")))
             }
             reply => Ok(reply),
         }
     }
 
-    /// `send` then `recv`: the reply and the wire time of the whole
-    /// exchange — request *and* reply, so a fetch is charged for the bytes
-    /// it brings back.
-    pub fn call(&self, to: EndpointId, msg: &DaemonMsg) -> Result<(DaemonReply, SimTime), CrError> {
-        let request = self.send(to, msg)?;
-        let (reply, response) = self.recv()?;
-        Ok((reply, request + response))
+    /// `send` then `recv`.
+    pub fn call(&self, to: EndpointId, msg: &DaemonMsg) -> Result<DaemonReply, CrError> {
+        self.send(to, msg)?;
+        self.recv()
     }
 
     /// The collect half of a fan-out (`send` × n first, so every daemon
@@ -392,7 +386,7 @@ impl Caller {
     ) -> Result<(), CrError> {
         let mut failures = Vec::new();
         for _ in 0..n {
-            match self.recv_any()?.0 {
+            match self.recv_any()? {
                 DaemonReply::Error { node, detail } => {
                     failures.push(format!("node {node}: {detail}"))
                 }
@@ -462,7 +456,7 @@ mod tests {
             )],
         };
         post(&serving, request.reply_to, codec::to_bytes(&reply)).unwrap();
-        assert_eq!(hnp.recv().unwrap().0, reply);
+        assert_eq!(hnp.recv().unwrap(), reply);
     }
 
     /// `codec::to_bytes` of the `ReplicaPut` built in the test below, as
@@ -702,7 +696,7 @@ mod tests {
         ];
         let hnp = impatient(&fabric);
         for (msg, is_documented_kind) in &table {
-            let (reply, _) = hnp.call(daemon.endpoint(), msg).unwrap();
+            let reply = hnp.call(daemon.endpoint(), msg).unwrap();
             assert!(is_documented_kind(&reply), "{msg:?} answered {reply:?}");
             assert_eq!(
                 hnp.reply.try_recv().err(),

@@ -1,17 +1,16 @@
 //! PLM — the process launch framework.
 //!
-//! Maps a job's ranks onto nodes and accounts the simulated cost of
-//! launching them. One component:
+//! Maps a job's ranks onto nodes. One component:
 //!
 //! * **`rsh_sim`** — ssh-style launch: one session per remote process,
-//!   started sequentially from the head node. Cheap to have, slow at scale.
+//!   started from the head node.
 //!
 //! Placement policy is controlled by the `plm_map_by` MCA parameter:
 //! `node` (round-robin across nodes, the default) or `slot` (fill each
 //! node's slots before moving on, slot count from `plm_slots_per_node`).
 
 use mca::{Framework, McaParams};
-use netsim::{NodeId, SimTime, Topology};
+use netsim::{NodeId, Topology};
 
 use cr_core::CrError;
 
@@ -20,8 +19,6 @@ use cr_core::CrError;
 pub struct Placement {
     /// Node of each rank (index = rank).
     pub node_of: Vec<NodeId>,
-    /// Simulated wall time to launch the job with this component.
-    pub launch_cost: SimTime,
 }
 
 impl Placement {
@@ -39,7 +36,7 @@ pub trait PlmComponent: Send + Sync {
     /// Component name.
     fn name(&self) -> &'static str;
 
-    /// Compute the placement and launch cost for `nprocs` ranks.
+    /// Compute the placement of `nprocs` ranks.
     fn map_job(
         &self,
         nprocs: u32,
@@ -102,11 +99,7 @@ fn assign_nodes(
     }
 }
 
-/// Simulated time of one `rsh_sim` launcher session: one ssh per process
-/// at launch, one per spare node in a partial restart.
-pub const RSH_SESSION: SimTime = SimTime::from_millis(150);
-
-/// ssh-style sequential launcher.
+/// ssh-style launcher.
 pub struct RshSimPlm;
 
 impl PlmComponent for RshSimPlm {
@@ -120,11 +113,8 @@ impl PlmComponent for RshSimPlm {
         topology: &Topology,
         params: &McaParams,
     ) -> Result<Placement, CrError> {
-        let node_of = assign_nodes(nprocs, topology, params)?;
-        // One ssh session per process, strictly sequential.
         Ok(Placement {
-            launch_cost: RSH_SESSION * u64::from(nprocs),
-            node_of,
+            node_of: assign_nodes(nprocs, topology, params)?,
         })
     }
 }
@@ -207,16 +197,6 @@ mod tests {
         let plm = RshSimPlm;
         let err = plm.map_job(2, &topo(2), &params).unwrap_err();
         assert!(err.to_string().contains("rack"));
-    }
-
-    #[test]
-    fn rsh_cost_scales_linearly() {
-        let params = McaParams::new();
-        let rsh = RshSimPlm;
-        let t = topo(8);
-        let rsh8 = rsh.map_job(8, &t, &params).unwrap().launch_cost;
-        let rsh16 = rsh.map_job(16, &t, &params).unwrap().launch_cost;
-        assert_eq!(rsh16, rsh8 * 2);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! * every `orted` hosts a [`ReplicaStore`] holding images for its own
 //!   node's ranks plus ring-replicated copies from `k` neighbor nodes
 //!   (replication factor via the `filem_replica_factor` MCA parameter),
-//! * images travel over the ordinary OOB fabric, so netsim charges real
-//!   latency/bandwidth for the replication traffic, and
+//! * images travel over the ordinary OOB fabric, and
 //! * the restart path asks surviving replicas first and only falls back
 //!   to stable storage when more than `k` nodes (or the whole host
 //!   process) are gone.
@@ -217,15 +216,13 @@ pub struct ReplicationOutcome {
     /// Per rank: the node ids whose daemons accepted a copy of its image,
     /// primary (the rank's own node) first.
     pub holders: Vec<(Rank, Vec<u32>)>,
-    /// Total simulated wire time charged for shipping the images.
-    pub sim_cost: SimTime,
     /// Total image payload bytes replicated (sum over all copies).
     pub bytes: u64,
 }
 
 /// Ship every rank's local snapshot image into peer memory: the rank's
 /// own daemon plus its `factor` ring neighbors each receive a copy over
-/// OOB (netsim charges the transfers). A failed node is skipped, never
+/// OOB. A failed node is skipped, never
 /// revived, and not listed among the holders.
 ///
 /// `images` lists `(rank, node the rank ran on, local snapshot reference
@@ -242,7 +239,6 @@ pub fn replicate(
     let nodes = runtime.topology().len() as u32;
     let ctl = Caller::new(runtime.fabric(), NodeId(0));
     let mut holders = Vec::with_capacity(images.len());
-    let mut sim_cost = SimTime::ZERO;
     let mut bytes = 0u64;
 
     for (rank, node, dir) in images {
@@ -258,7 +254,7 @@ pub fn replicate(
             let Ok(daemon) = daemon_addr(runtime, NodeId(target)) else {
                 continue;
             };
-            sim_cost += ctl.call(daemon, &put)?.1;
+            ctl.call(daemon, &put)?;
             bytes += image_bytes;
             stored.push(target);
         }
@@ -268,21 +264,19 @@ pub fn replicate(
         );
         holders.push((*rank, stored));
     }
-    Ok(ReplicationOutcome {
-        holders,
-        sim_cost,
-        bytes,
-    })
+    Ok(ReplicationOutcome { holders, bytes })
 }
 
 /// Fetch one rank's image from the first surviving holder.
 ///
 /// `holders` comes from the global snapshot's replica-location metadata,
 /// primary first. Only running daemons are asked: a holder that is dead
-/// or was never started has nothing to offer. Returns the image and the
-/// simulated wire cost of the successful exchange (request plus the reply
-/// carrying the image), or `None` when every holder is gone or answers
-/// with a miss.
+/// or was never started has nothing to offer. Returns the image, or
+/// `None` when every holder is gone or answers with a miss.
+///
+/// The image comes with the simulated price of its reply crossing from
+/// the holder's node to the head node. That price is kept only for
+/// `benchmark/`, and goes with ROADMAP item 12.
 pub fn fetch_image(
     runtime: &Runtime,
     job: JobId,
@@ -302,20 +296,21 @@ pub fn fetch_image(
             continue;
         };
         // A daemon that died between listing and send is a miss.
-        if let Ok((
-            DaemonReply::ReplicaImageReply {
-                node,
-                image: Some(image),
-            },
-            cost,
-        )) = ctl.call(daemon.endpoint(), &fetch)
+        if let Ok(DaemonReply::ReplicaImageReply {
+            node,
+            image: Some(image),
+        }) = ctl.call(daemon.endpoint(), &fetch)
         {
             runtime.tracer().record(
                 "filem.replica.fetch",
                 &format!("rank {rank} <- node {node} interval {interval}"),
             );
             // Just decoded, so unshared: this unwraps, it does not copy.
-            return Some((Arc::unwrap_or_clone(image), cost));
+            let image = Arc::unwrap_or_clone(image);
+            let price = runtime
+                .topology()
+                .cost(NodeId(node), NodeId(0), image.total_bytes() as usize);
+            return Some((image, price));
         }
     }
     None
@@ -329,7 +324,6 @@ fn ask_all(runtime: &Runtime, msg: &DaemonMsg) -> Vec<DaemonReply> {
         .daemons()
         .iter()
         .filter_map(|daemon| ctl.call(daemon.endpoint(), msg).ok())
-        .map(|(reply, _)| reply)
         .collect()
 }
 
@@ -363,56 +357,52 @@ pub fn expire_replicas(runtime: &Runtime, job: JobId, interval: u64) -> usize {
 /// Push content-addressed chunks into the peer-memory chunk tier of each
 /// `target` node's daemon (the dedup analogue of [`replicate`]). Every
 /// live target receives every listed chunk; a failed node is skipped,
-/// never revived. Returns the simulated wire cost and total payload bytes
-/// shipped.
+/// never revived. Returns the targets that took the chunks.
 pub fn put_chunks(
     runtime: &Runtime,
     job: JobId,
     targets: &[u32],
     chunks: Vec<(ChunkId, Vec<u8>)>,
-) -> Result<(SimTime, u64), CrError> {
+) -> Result<Vec<u32>, CrError> {
     if chunks.is_empty() || targets.is_empty() {
-        return Ok((SimTime::ZERO, 0));
+        return Ok(Vec::new());
     }
     let ctl = Caller::new(runtime.fabric(), NodeId(0));
     let count = chunks.len();
     let payload: u64 = chunks.iter().map(|(_, b)| b.len() as u64).sum();
     let put = DaemonMsg::ChunkPut { job, chunks };
-    let mut sim_cost = SimTime::ZERO;
     let mut stored = Vec::new();
     for target in targets {
         let Ok(daemon) = daemon_addr(runtime, NodeId(*target)) else {
             continue;
         };
-        sim_cost += ctl.call(daemon, &put)?.1;
+        ctl.call(daemon, &put)?;
         stored.push(*target);
     }
     runtime.tracer().record(
         "store.chunk.put",
         &format!("{count} chunks ({payload} B) -> nodes {stored:?}"),
     );
-    Ok((sim_cost, payload * stored.len() as u64))
+    Ok(stored)
 }
 
 /// Fetch chunks by id from the peer-memory chunk tier, trying each
 /// surviving `holder` in turn and accumulating partial hits. The returned
 /// vector has one slot per id, `None` where no surviving holder had the
 /// chunk — the mixed-tier restart path fills only those gaps from the
-/// stable [`opal::store::ChunkStore`]. Also returns the simulated wire
-/// cost.
+/// stable [`opal::store::ChunkStore`].
 pub fn fetch_chunks_partial(
     runtime: &Runtime,
     job: JobId,
     ids: &[ChunkId],
     holders: &[u32],
-) -> (Vec<Option<Vec<u8>>>, SimTime) {
+) -> Vec<Option<Vec<u8>>> {
     if ids.is_empty() {
-        return (Vec::new(), SimTime::ZERO);
+        return Vec::new();
     }
     let ctl = Caller::new(runtime.fabric(), NodeId(0));
     let alive = runtime.daemons();
     let mut found: Vec<Option<Vec<u8>>> = vec![None; ids.len()];
-    let mut cost = SimTime::ZERO;
     for holder in holders {
         let missing: Vec<usize> = found
             .iter()
@@ -427,12 +417,11 @@ pub fn fetch_chunks_partial(
             continue; // dead node: never respawn just to ask its memory
         };
         let want: Vec<ChunkId> = missing.iter().filter_map(|i| ids.get(*i).copied()).collect();
-        let Ok((DaemonReply::ChunkData { node, chunks }, sent)) =
+        let Ok(DaemonReply::ChunkData { node, chunks }) =
             ctl.call(daemon.endpoint(), &DaemonMsg::ChunkFetch { job, ids: want })
         else {
             continue;
         };
-        cost += sent;
         let mut hits = 0usize;
         for (slot, chunk) in missing.iter().zip(chunks) {
             if let (Some(bytes), Some(dest)) = (chunk, found.get_mut(*slot)) {
@@ -447,7 +436,7 @@ pub fn fetch_chunks_partial(
             );
         }
     }
-    (found, cost)
+    found
 }
 
 /// Drop the listed chunks of `job` from every surviving daemon's chunk
@@ -606,14 +595,14 @@ mod tests {
 
         // The chunk tier obeys the same rule.
         let chunk = (ChunkId::of(b"c"), b"c".to_vec());
-        let (_, shipped) = put_chunks(&rt, JobId(1), &[1, 2], vec![chunk]).unwrap();
-        assert_eq!(shipped, 1);
+        let stored = put_chunks(&rt, JobId(1), &[1, 2], vec![chunk]).unwrap();
+        assert_eq!(stored, vec![1]);
         assert!(rt.node_failed(NodeId(2)));
         rt.shutdown();
     }
 
-    /// A fetch moves its bytes in the reply: it costs at least what the
-    /// link charges for them, not the few bytes of the request.
+    /// A fetch brings its bytes back in the reply, and is priced for
+    /// them crossing from the holder to the head node.
     #[test]
     fn fetch_is_charged_for_the_bytes_it_brings_back() {
         let rt = crate::snapc::tests::runtime("replica_fetch_cost", 2);
@@ -622,23 +611,16 @@ mod tests {
         let job = JobId(1);
         // Held by node 1 only; the asker (the HNP) is on node 0.
         let placed = replicate(&rt, job, 0, &[(Rank(0), 1, src)], 0).unwrap();
-        let (image, cost) = fetch_image(&rt, job, 0, Rank(0), &placed.holders[0].1).unwrap();
-        let link = rt.topology().link(NodeId(0), NodeId(1));
-        assert!(
-            cost >= link.transfer_cost(image.total_bytes() as usize),
-            "fetch of {} B charged {cost}",
-            image.total_bytes()
-        );
+        let (image, price) = fetch_image(&rt, job, 0, Rank(0), &placed.holders[0].1).unwrap();
+        let bytes = image.total_bytes() as usize;
+        assert!(bytes >= 256 * 1024);
+        assert_eq!(price, rt.topology().cost(NodeId(1), NodeId(0), bytes));
 
         let chunk = vec![2u8; 64 * 1024];
         let id = ChunkId::of(&chunk);
         put_chunks(&rt, job, &[1], vec![(id, chunk.clone().into())]).unwrap();
-        let (found, cost) = fetch_chunks_partial(&rt, job, &[id], &[1]);
+        let found = fetch_chunks_partial(&rt, job, &[id], &[1]);
         assert_eq!(found, vec![Some(chunk.into())]);
-        assert!(
-            cost >= link.transfer_cost(id.len as usize),
-            "chunk fetch charged {cost}"
-        );
         rt.shutdown();
     }
 

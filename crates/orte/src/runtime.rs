@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use netsim::{Fabric, NetView, NodeId, Topology};
+use netsim::{Fabric, NodeId, Topology};
 use parking_lot::Mutex;
 
 use cr_core::{CrError, JobId, Tracer};
@@ -88,13 +88,6 @@ impl Runtime {
     /// The cluster topology.
     pub fn topology(&self) -> &Topology {
         self.inner.fabric.topology()
-    }
-
-    /// Contention-aware pricing view over the fabric: bulk transfers
-    /// registered here share link bandwidth with each other and with OOB
-    /// traffic.
-    pub fn netview(&self) -> NetView<'_> {
-        self.inner.fabric.netview()
     }
 
     /// The rendezvous store.

@@ -1,28 +1,18 @@
-//! The one batch executor of the FILEM framework: contention-aware wave
-//! scheduling for gathers and drains.
+//! The one batch executor of the FILEM framework: wave scheduling for
+//! gathers and drains.
 //!
 //! Claiming requests in index order lets a batch whose first `k` sources
-//! share one node saturate that node's uplink with `k` concurrent transfers
-//! — each priced at `1/k` bandwidth by the [`netsim::LinkMeter`] model —
-//! while other links sit idle. This module schedules the batch against that
-//! same pricing model instead: requests are grouped into *waves* of at most
-//! `lanes` concurrent transfers, and each wave is filled greedily with the
-//! request whose link is currently least loaded, so no link carries `k`
+//! share one node put `k` concurrent transfers on that node's uplink while
+//! other links sit idle. This module spreads the batch instead: requests
+//! are grouped into *waves* of at most `lanes` concurrent transfers, and
+//! each wave is filled greedily with the request whose link is currently
+//! least loaded (by per-link transfer counts), so no link carries `k`
 //! concurrent transfers while an idle path exists (unless every lane is
 //! already busy). With one lane every wave holds one request and the
-//! executor is the sequential walk: serialized and critical-path cost are
-//! both the per-tree sum.
-//!
-//! [`simulated_critical_path`] prices a plan through
-//! `Topology::contended_cost`. The index-order plan survives only as
-//! [`plan_fifo`], the reference the spread plan is tested and benched
-//! against (`ckpt_datapath` asserts spread's critical path is strictly
-//! below it whenever links are contended); nothing executes it.
+//! executor is the sequential walk.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-
-use netsim::{NetView, SimTime, Topology};
 
 use cr_core::CrError;
 
@@ -37,8 +27,7 @@ pub struct GatherPlan {
     pub waves: Vec<Vec<usize>>,
 }
 
-/// Unordered link key of one request (loopback uses the `(n, n)` pair),
-/// matching the `netsim::LinkMeter` keying.
+/// Unordered link key of one request (loopback uses the `(n, n)` pair).
 fn link_of(req: &CopyRequest) -> (u32, u32) {
     let (a, b) = (req.src_node.0, req.dest_node.0);
     if a <= b {
@@ -81,18 +70,6 @@ pub fn plan(batch: &[CopyRequest], lanes: usize) -> GatherPlan {
     GatherPlan { waves }
 }
 
-/// The index-order plan: requests fill waves in batch order. Reference
-/// only — the spread [`plan`] is tested and benched against it.
-pub fn plan_fifo(batch: &[CopyRequest], lanes: usize) -> GatherPlan {
-    GatherPlan {
-        waves: (0..batch.len())
-            .collect::<Vec<_>>()
-            .chunks(lanes.max(1))
-            .map(<[usize]>::to_vec)
-            .collect(),
-    }
-}
-
 /// Per-link concurrent-transfer counts of one wave.
 fn wave_loads(batch: &[CopyRequest], wave: &[usize]) -> BTreeMap<(u32, u32), u32> {
     let mut load = BTreeMap::new();
@@ -102,35 +79,6 @@ fn wave_loads(batch: &[CopyRequest], wave: &[usize]) -> BTreeMap<(u32, u32), u32
         }
     }
     load
-}
-
-/// Price a plan through the topology's 1/k contention model: each wave
-/// costs its slowest transfer (every transfer in a wave is charged the
-/// wave's concurrency on its link), and waves run back to back.
-pub fn simulated_critical_path(
-    plan: &GatherPlan,
-    topo: &Topology,
-    batch: &[CopyRequest],
-    bytes: &[usize],
-) -> SimTime {
-    let mut total = SimTime::ZERO;
-    for wave in &plan.waves {
-        let load = wave_loads(batch, wave);
-        let mut slowest = SimTime::ZERO;
-        for &i in wave {
-            let Some(req) = batch.get(i) else { continue };
-            let share = load.get(&link_of(req)).copied().unwrap_or(1);
-            let cost = topo.contended_cost(
-                req.src_node,
-                req.dest_node,
-                bytes.get(i).copied().unwrap_or(0),
-                share,
-            );
-            slowest = slowest.max(cost);
-        }
-        total += slowest;
-    }
-    total
 }
 
 /// What one scheduled gather did: the plan's shape, the real wall clock,
@@ -210,17 +158,12 @@ impl GatherSchedStats {
     }
 }
 
-/// Execute `batch` wave-by-wave over at most `lanes` concurrent lanes,
-/// charging link contention honestly: every in-flight copy holds a
-/// [`netsim::LinkSlot`] on its link for its duration, so lanes sharing a
-/// wire each see ~1/N of its bandwidth (and slow down concurrent OOB
-/// traffic). Returns the combined report (serialized cost sums every
-/// copy; critical-path cost sums each wave's slowest lane) plus the
-/// schedule stats. The first copy error is returned after its wave's
-/// lanes finish (no partially abandoned transfers).
+/// Execute `batch` wave-by-wave over at most `lanes` concurrent lanes.
+/// Returns the combined report plus the schedule stats. The first copy
+/// error is returned after its wave's lanes finish (no partially
+/// abandoned transfers).
 pub fn copy_all_scheduled(
     filem: &dyn FilemComponent,
-    net: NetView<'_>,
     batch: &[CopyRequest],
     lanes: usize,
 ) -> Result<(FilemReport, GatherSchedStats), CrError> {
@@ -231,10 +174,7 @@ pub fn copy_all_scheduled(
     let mut peak = 0u32;
     for wave in &plan.waves {
         peak = peak.max(wave_loads(batch, wave).values().copied().max().unwrap_or(0));
-        let run_lane = |i: usize, req: &CopyRequest| {
-            let _slot = net.begin_transfer(req.src_node, req.dest_node);
-            (i, filem.copy_tree(net, req))
-        };
+        let run_lane = |i: usize, req: &CopyRequest| (i, filem.copy_tree(req));
         let requests = wave.iter().filter_map(|&i| batch.get(i).map(|req| (i, req)));
         // A one-request wave (every wave of a one-lane batch) runs on the
         // calling thread: a spawn per copy costs more than small copies
@@ -256,15 +196,13 @@ pub fn copy_all_scheduled(
                     .collect()
             })
         };
-        let mut wave_report = FilemReport::default();
         for (i, lane) in lane_results {
             let report = lane?;
             if let Some(req) = batch.get(i) {
                 *bytes_per_link.entry(link_of(req)).or_insert(0) += report.bytes;
             }
-            wave_report.merge_parallel(report);
+            total.merge(report);
         }
-        total.merge(wave_report);
     }
     let stats = GatherSchedStats {
         waves: plan.waves.len(),
@@ -279,8 +217,8 @@ pub fn copy_all_scheduled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filem::{RshSimFilem, StreamFilem};
-    use netsim::{LinkMeter, LinkSpec, NodeId};
+    use crate::filem::filem_framework;
+    use netsim::NodeId;
     use std::path::PathBuf;
 
     /// A gather batch with the given source nodes, all destined for the
@@ -333,13 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_plans_in_index_order() {
-        let batch = batch_from(&[1, 1, 2, 3, 1]);
-        let p = plan_fifo(&batch, 2);
-        assert_eq!(p.waves, vec![vec![0, 1], vec![2, 3], vec![4]]);
-    }
-
-    #[test]
     fn spread_never_doubles_a_link_while_an_idle_path_exists() {
         // Deterministic sweep over skewed source layouts, lane counts,
         // and batch sizes (SplitMix64 for variety without flakiness).
@@ -372,25 +303,6 @@ mod tests {
                 "first waves must not double the node-1 uplink: {p:?}"
             );
         }
-    }
-
-    #[test]
-    fn spread_critical_path_strictly_below_fifo_when_contended() {
-        let topo = Topology::uniform(4, LinkSpec::gigabit_ethernet());
-        let batch = batch_from(&[1, 1, 1, 1, 2, 3]);
-        let bytes = vec![8 << 20; batch.len()];
-        let fifo = simulated_critical_path(&plan_fifo(&batch, 2), &topo, &batch, &bytes);
-        let spread = simulated_critical_path(&plan(&batch, 2), &topo, &batch, &bytes);
-        assert!(
-            spread < fifo,
-            "spread must beat fifo on a contended batch (spread={spread}, fifo={fifo})"
-        );
-        // Uncontended batch: both policies price identically.
-        let even = batch_from(&[1, 2, 3]);
-        let even_bytes = vec![8 << 20; 3];
-        let f = simulated_critical_path(&plan_fifo(&even, 3), &topo, &even, &even_bytes);
-        let s = simulated_critical_path(&plan(&even, 3), &topo, &even, &even_bytes);
-        assert_eq!(f, s);
     }
 
     #[test]
@@ -434,6 +346,10 @@ mod tests {
         (batch, total)
     }
 
+    fn copier() -> Box<dyn FilemComponent> {
+        filem_framework().select(&mca::McaParams::new()).unwrap()
+    }
+
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "orte_sched_{tag}_{}_{:?}",
@@ -449,10 +365,7 @@ mod tests {
     fn copy_all_scheduled_moves_every_tree() {
         let base = tmpdir("moves");
         let (batch, total_bytes) = tree_batch(&base, 6);
-        let topo = Topology::uniform(3, LinkSpec::gigabit_ethernet());
-        let filem = StreamFilem::OOB_STREAM;
-        let (report, stats) =
-            copy_all_scheduled(&filem, NetView::uncontended(&topo), &batch, 3).unwrap();
+        let (report, stats) = copy_all_scheduled(&*copier(), &batch, 3).unwrap();
         assert_eq!(report.files, 18);
         assert_eq!(report.bytes, total_bytes);
         assert_eq!(stats.bytes, report.bytes);
@@ -463,9 +376,6 @@ mod tests {
             report.bytes,
             "every byte attributed to a link"
         );
-        // Wall clock can't exceed total work: 3 lanes over 6 trees finish
-        // in less simulated time than the copies cost in total.
-        assert!(report.critical_path_cost < report.serialized_cost);
         for i in 0..6 {
             assert!(base.join(format!("dest{i}")).join("context.bin").is_file());
         }
@@ -475,42 +385,19 @@ mod tests {
     fn one_lane_is_the_sequential_walk() {
         let base = tmpdir("onelane");
         let (batch, total_bytes) = tree_batch(&base, 5);
-        let topo = Topology::uniform(3, LinkSpec::gigabit_ethernet());
-        let net = NetView::uncontended(&topo);
-        let filem = RshSimFilem;
-        let (seq, stats) = copy_all_scheduled(&filem, net, &batch, 1).unwrap();
+        let filem = copier();
+        let (seq, stats) = copy_all_scheduled(&*filem, &batch, 1).unwrap();
         assert_eq!(stats.waves, 5, "one lane: one wave per request");
-        assert_eq!(plan(&batch, 1), plan_fifo(&batch, 1), "in batch order");
+        let in_order: Vec<Vec<usize>> = (0..batch.len()).map(|i| vec![i]).collect();
+        assert_eq!(plan(&batch, 1).waves, in_order, "in batch order");
         assert_eq!(seq.bytes, total_bytes);
-        // The sequential executor's contract: both costs are the plain sum
-        // of the per-tree costs.
-        let mut sum = SimTime::ZERO;
+        // The sequential executor's contract: its report is the plain sum
+        // of the per-tree reports.
+        let mut sum = FilemReport::default();
         for req in &batch {
-            sum += filem.copy_tree(net, req).unwrap().serialized_cost;
+            sum.merge(filem.copy_tree(req).unwrap());
         }
-        assert_eq!(seq.serialized_cost, sum);
-        assert_eq!(seq.critical_path_cost, sum);
-    }
-
-    #[test]
-    fn charges_contention_when_metered() {
-        let base = tmpdir("meter");
-        let (batch, total_bytes) = tree_batch(&base, 6);
-        let filem = StreamFilem::OOB_STREAM;
-        let topo = Topology::uniform(3, LinkSpec::gigabit_ethernet());
-        let meter = LinkMeter::new();
-        let (report, _) =
-            copy_all_scheduled(&filem, NetView::contended(&topo, &meter), &batch, 4).unwrap();
-        assert_eq!(report.bytes, total_bytes);
-        // All slots were released when the gather finished.
-        for a in topo.nodes() {
-            assert_eq!(meter.inflight(a, NodeId(0)), 0);
-        }
-        // Contended serialization can only make copies costlier than the
-        // uncontended sequential walk's per-copy prices.
-        let (quiet, _) =
-            copy_all_scheduled(&filem, NetView::uncontended(&topo), &batch, 1).unwrap();
-        assert!(report.serialized_cost >= quiet.serialized_cost);
+        assert_eq!(seq, sum);
     }
 
     #[test]
@@ -523,10 +410,7 @@ mod tests {
             dest: base.join("err_out"),
             dest_node: NodeId(0),
         });
-        let filem = StreamFilem::OOB_STREAM;
-        let topo = Topology::uniform(3, LinkSpec::gigabit_ethernet());
-        let err =
-            copy_all_scheduled(&filem, NetView::uncontended(&topo), &batch, 4).unwrap_err();
+        let err = copy_all_scheduled(&*copier(), &batch, 4).unwrap_err();
         assert!(matches!(err, CrError::Io { .. }));
     }
 }

@@ -21,6 +21,7 @@
 //!   structure" technique §5.1 names as a motivating alternative. `full`
 //!   is the same protocol over a depth-1 tree: every node a childless root.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use mca::Framework;
@@ -149,13 +150,16 @@ fn rank_hosts(job: &JobHandle) -> IntervalRecord {
 /// taken *before* the manifests are recorded, and the interval commits
 /// with a dedup ratio in its stats. The refcount lifecycle is
 /// model-checked by `cr-model gc`.
+///
+/// Besides the stats, returns the bytes the request waited for per
+/// `(from node, to node)` link: none with early release.
 fn gather_commit_cleanup(
     job: &JobHandle,
     interval: u64,
     interval_dir: &std::path::Path,
     results: &[(u32, RankCkpt)],
     tag: &str,
-) -> Result<CkptStats, CrError> {
+) -> Result<(CkptStats, BTreeMap<(u32, u32), u64>), CrError> {
     let runtime = job.runtime();
     let tracer = runtime.tracer();
     let params = job.params();
@@ -208,9 +212,9 @@ fn gather_commit_cleanup(
     if dedup {
         // Content-addressed commit: chunk manifests + refcounted blobs
         // replace whole-image gathers. Only never-before-seen chunks move.
-        let stats = crate::store::dedup_commit(job, interval, results, record, tag)?;
+        let committed = crate::store::dedup_commit(job, interval, results, record, tag)?;
         cleanup_scratch(runtime, job_id, interval, &nodes)?;
-        return Ok(stats);
+        return Ok(committed);
     }
 
     if selection == "replica" {
@@ -224,11 +228,14 @@ fn gather_commit_cleanup(
         let outcome = crate::replica::replicate(runtime, job_id, interval, &images, factor)?;
         tracer.record(
             "filem.gather",
-            &format!(
-                "{} bytes to peer memory (factor {factor}), sim {}{tag}",
-                outcome.bytes, outcome.sim_cost
-            ),
+            &format!("{} bytes to peer memory (factor {factor}){tag}", outcome.bytes),
         );
+        let mut replicated = BTreeMap::new();
+        for ((node, ckpt), (_, holders)) in results.iter().zip(&outcome.holders) {
+            for holder in holders {
+                *replicated.entry((*node, *holder)).or_insert(0) += ckpt.bytes;
+            }
+        }
         record.replica_holders = outcome.holders;
         let commit = {
             let mut global = job.global_snapshot()?;
@@ -237,20 +244,14 @@ fn gather_commit_cleanup(
         };
         // Write-behind: the stable-storage copy (and the scratch cleanup
         // behind it) runs off the critical path, over the bounded gather
-        // lanes so the drain itself shares links fairly.
+        // lanes so the drain itself spreads over the links.
         let drain_rt = runtime.clone();
         let drain = move || {
-            match copy_all_scheduled(&*filem, drain_rt.netview(), &batch, GATHER_LANES) {
+            match copy_all_scheduled(&*filem, &batch, GATHER_LANES) {
                 Ok((report, _)) => {
                     drain_rt.tracer().record(
                         "filem.drain",
-                        &format!(
-                            "{} files, {} bytes, sim {} (critical path {})",
-                            report.files,
-                            report.bytes,
-                            report.serialized_cost,
-                            report.critical_path_cost
-                        ),
+                        &format!("{} files, {} bytes", report.files, report.bytes),
                     );
                     if let Err(e) = cleanup_scratch(&drain_rt, job_id, interval, &nodes) {
                         drain_rt.tracer().record("filem.drain.error", &e.to_string());
@@ -268,11 +269,7 @@ fn gather_commit_cleanup(
         runtime.register_drain(handle);
         // Peer memory *is* the durable commit for the replica component;
         // `commit` reads back GlobalCommitted from the authority above.
-        return Ok(CkptStats::plain(
-            outcome.bytes,
-            outcome.sim_cost.as_nanos(),
-            commit,
-        ));
+        return Ok((CkptStats::plain(outcome.bytes, commit), replicated));
     }
 
     if early_release {
@@ -316,7 +313,7 @@ fn gather_commit_cleanup(
                 );
                 return;
             }
-            match copy_all_scheduled(&*filem, drain_rt.netview(), &batch, GATHER_LANES) {
+            match copy_all_scheduled(&*filem, &batch, GATHER_LANES) {
                 Ok((report, sched)) => {
                     drain_rt.tracer().record(
                         "filem.sched.plan",
@@ -332,13 +329,7 @@ fn gather_commit_cleanup(
                         Ok(()) => {
                             drain_rt.tracer().record(
                                 "filem.gather",
-                                &format!(
-                                    "{} files, {} bytes, sim {} (critical path {}){tag}",
-                                    report.files,
-                                    report.bytes,
-                                    report.serialized_cost,
-                                    report.critical_path_cost
-                                ),
+                                &format!("{} files, {} bytes{tag}", report.files, report.bytes),
                             );
                             if let Err(e) =
                                 cleanup_scratch(&drain_rt, job_id, interval, &nodes)
@@ -373,24 +364,21 @@ fn gather_commit_cleanup(
             .map_err(|e| CrError::protocol(format!("spawn gather thread: {e}")))?;
         runtime.register_drain(handle);
         // LocalCommitted here: the promotion lands in the gather thread.
-        return Ok(CkptStats::plain(bytes, 0, commit));
+        return Ok((CkptStats::plain(bytes, commit), BTreeMap::new()));
     }
 
     // Classic path: blocking gather to stable storage (Figure 1-F) over
-    // the bounded worker pool, processes already resumed. Waves are
-    // planned against the link-contention model so one node's uplink is
-    // never doubled up while another's sits idle.
-    let (report, sched) = copy_all_scheduled(&*filem, runtime.netview(), &batch, GATHER_LANES)?;
+    // the bounded worker pool, processes already resumed. Waves spread
+    // over the links so one node's uplink is never doubled up while
+    // another's sits idle.
+    let (report, sched) = copy_all_scheduled(&*filem, &batch, GATHER_LANES)?;
     tracer.record(
         "filem.sched.plan",
         &format!("interval {interval}: {}{tag}", sched.render()),
     );
     tracer.record(
         "filem.gather",
-        &format!(
-            "{} files, {} bytes, sim {} (critical path {}){tag}",
-            report.files, report.bytes, report.serialized_cost, report.critical_path_cost
-        ),
+        &format!("{} files, {} bytes{tag}", report.files, report.bytes),
     );
     record.gather_stats = Some(sched.render());
     let commit = {
@@ -399,11 +387,7 @@ fn gather_commit_cleanup(
         global.commit_state(interval)
     };
     cleanup_scratch(runtime, job_id, interval, &nodes)?;
-    Ok(CkptStats::plain(
-        report.bytes,
-        report.critical_path_cost.as_nanos(),
-        commit,
-    ))
+    Ok((CkptStats::plain(report.bytes, commit), sched.bytes_per_link))
 }
 
 // ---------------------------------------------------------------------------
@@ -550,7 +534,14 @@ fn coordinate(
 
     // Aggregate, commit, and clean up (peer-memory first with
     // `filem=replica`, synchronous stable-storage gather otherwise).
-    let stats = gather_commit_cleanup(job, interval, &interval_dir, &results, tag)?;
+    let (mut stats, waited) = gather_commit_cleanup(job, interval, &interval_dir, &results, tag)?;
+    // The price of what the request waited for, kept only for
+    // `benchmark/`; it goes with ROADMAP item 12.
+    let topology = job.runtime().topology();
+    stats.sim_ns = waited
+        .iter()
+        .map(|(&(a, b), &bytes)| topology.cost(NodeId(a), NodeId(b), bytes as usize).as_nanos())
+        .sum();
 
     Ok(CheckpointOutcome {
         global_snapshot: job.global_snapshot_path(),
@@ -815,8 +806,8 @@ pub(crate) mod tests {
         let handle = launch_spinning(&rt, 4, params);
         rt.tracer().clear();
         let outcome = handle.checkpoint(&CheckpointOptions::tool()).unwrap();
-        // The request came back with only the local commit done and no
-        // gather wall time charged to the app.
+        // The request came back with only the local commit done, having
+        // waited for no transfer.
         assert_eq!(outcome.stats.commit, CommitState::LocalCommitted);
         assert_eq!(outcome.stats.sim_ns, 0);
         {

@@ -36,7 +36,6 @@
 use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 
-use netsim::SimTime;
 
 use cr_core::request::CkptStats;
 use cr_core::snapshot::{GlobalSnapshot, IntervalRecord, LocalSnapshot};
@@ -75,8 +74,6 @@ pub struct FetchStats {
     pub replica_images: usize,
     /// Logical bytes assembled into the images.
     pub bytes: u64,
-    /// Simulated wire time of the peer-memory transfers.
-    pub sim_cost: SimTime,
 }
 
 /// The occurrence list of a manifest: one [`ChunkId`] per chunk record, in
@@ -170,9 +167,7 @@ impl<'rt> SnapshotStore<'rt> {
         let mut chunks: Vec<Option<Vec<u8>>> = vec![None; ids.len()];
         if source != ChunkSource::StableOnly {
             let holders: Vec<u32> = self.runtime.daemons().iter().map(|d| d.node().0).collect();
-            let (found, cost) =
-                replica::fetch_chunks_partial(self.runtime, self.job, &ids, &holders);
-            stats.sim_cost += cost;
+            let found = replica::fetch_chunks_partial(self.runtime, self.job, &ids, &holders);
             let held: Vec<(&ChunkId, &Option<Vec<u8>>)> = ids.iter().zip(&found).collect();
             let intact = opal::pool::map_claimed(&held, workers, |(id, chunk), _: &mut ()| {
                 Ok(chunk
@@ -292,14 +287,15 @@ struct Packed {
 ///
 /// Returns stats whose `dedup_ratio` is logical image bytes over bytes
 /// actually written — the cross-rank/cross-interval savings the bench
-/// ratchets.
+/// ratchets — and the bytes pushed to peer memory per `(source node,
+/// target node)` link.
 pub fn dedup_commit(
     job: &JobHandle,
     interval: u64,
     results: &[(u32, RankCkpt)],
     mut record: IntervalRecord,
     tag: &str,
-) -> Result<CkptStats, CrError> {
+) -> Result<(CkptStats, BTreeMap<(u32, u32), u64>), CrError> {
     let runtime = job.runtime();
     let tracer = runtime.tracer();
     let params = job.params();
@@ -408,11 +404,14 @@ pub fn dedup_commit(
         }
     }
     let hits = all_ids.len() as u64 - fresh;
-    let mut sim_cost = SimTime::ZERO;
+    let mut pushed = BTreeMap::new();
     for (node, chunks) in fresh_by_node {
         let mut targets = vec![node];
         targets.extend(replica::ring_neighbors(node, nnodes, factor));
-        sim_cost += replica::put_chunks(runtime, job_id, &targets, chunks)?.0;
+        let bytes: u64 = chunks.iter().map(|(_, b)| b.len() as u64).sum();
+        for target in replica::put_chunks(runtime, job_id, &targets, chunks)? {
+            *pushed.entry((node, target)).or_insert(0) += bytes;
+        }
     }
 
     tracer.record(
@@ -446,12 +445,11 @@ pub fn dedup_commit(
              {hits} hits, ratio {dedup_ratio:.2}{tag}"
         ),
     );
-    Ok(CkptStats {
-        bytes_moved: moved,
-        sim_ns: sim_cost.as_nanos(),
-        commit,
+    let stats = CkptStats {
         dedup_ratio,
-    })
+        ..CkptStats::plain(moved, commit)
+    };
+    Ok((stats, pushed))
 }
 
 /// Retire a dedup interval: drop its manifest records from the global

@@ -66,9 +66,8 @@ fn run_combination(crs: &str, crcp: &str, snapc: &str, filem: &str) {
 // The matrix, one test per combination so failures localize.
 // CRS: blcr_sim | self; CRCP: coord (`none` coordinates nothing, so a
 // checkpoint under it is not restartable in general); SNAPC: full | tree;
-// FILEM: rsh_sim | oob_stream | replica. Every CRS and every FILEM is
-// crossed with `full`; `tree` runs the same gather tail, so two rows
-// cover it.
+// FILEM: rsh_sim | replica. Every CRS and every FILEM is crossed with
+// `full`; `tree` runs the same gather tail, so two rows cover it.
 
 #[test]
 fn blcr_coord_full_rsh() {
@@ -81,18 +80,8 @@ fn blcr_coord_full_replica() {
 }
 
 #[test]
-fn blcr_coord_full_oobstream() {
-    run_combination("blcr_sim", "coord", "full", "oob_stream");
-}
-
-#[test]
 fn self_coord_full_rsh() {
     run_combination("self", "coord", "full", "rsh_sim");
-}
-
-#[test]
-fn self_coord_full_oobstream() {
-    run_combination("self", "coord", "full", "oob_stream");
 }
 
 #[test]
@@ -130,6 +119,6 @@ fn blcr_coord_tree_rsh() {
 }
 
 #[test]
-fn self_coord_tree_oobstream() {
-    run_combination("self", "coord", "tree", "oob_stream");
+fn self_coord_tree_rsh() {
+    run_combination("self", "coord", "tree", "rsh_sim");
 }
