@@ -188,8 +188,8 @@ fn partial_once(base: &std::path::Path, n: u32) -> PartialRow {
         )
         .expect("partial restart");
     assert_eq!(outcome.ranks, vec![fail]);
-    await_until("the respawned rank's rejoin", || {
-        tracer.events()[mark..].iter().any(|e| e.phase == "crcp.replay.done")
+    await_until("the respawned rank's restart", || {
+        tracer.events()[mark..].iter().any(|e| e.phase == "ompi.init.restart")
     });
     job.request_terminate();
     job.wait().expect("wait");

@@ -26,12 +26,8 @@ pub struct TraceEventDef {
 /// tests below enforce ordering and uniqueness.
 pub const KNOWN_TRACE_EVENTS: &[TraceEventDef] = &[
     TraceEventDef {
-        phase: "crcp.replay.begin",
-        help: "restarted rank announced its new endpoint and asked survivors to replay",
-    },
-    TraceEventDef {
         phase: "crcp.replay.done",
-        help: "restarted rank collected every survivor's replay-done fence",
+        help: "partial restart queued every survivor's backlog before relaunching the ranks",
     },
     TraceEventDef {
         phase: "crcp.replay.gc",

@@ -9,19 +9,19 @@
 //! same). A checkpoint quiesces the channel and marks the log; its global
 //! commit comes at once or after more traffic, or never, and raises the
 //! commit watermark the survivor trims its log to at its next send or
-//! quiesce, as `CoordCrcp` does. A restore rolls `f` back to the
-//! committed counts, and the survivor answers its `ReplayBegin` at once,
-//! as `handle_replay_begin` does under the state lock: it trims its log to
-//! the watermark, resends [`MsgLog::backlog`] and fences it with
-//! `ReplayDone`.
+//! quiesce, as `CoordCrcp` does. A restore is one atomic step, as the
+//! recovery runs `PmlShared::rejoin_peer` under the survivor's state lock
+//! before `f` runs: it rolls `f` back to the committed counts, queues
+//! [`MsgLog::replay`] (the log trimmed to the watermark, then the backlog)
+//! on `f`'s new channel, and marks `f` live.
 //!
 //! Invariants: a live `f` has every frame it has not yet counted still in
 //! its channel; no frame arrives past a hole; no resent frame is one the
 //! restored count already holds; `f` never counts more than was sent;
 //! survivors never regress, and `f` rolls back only on its own restore.
 //!
-//! Mutation: [`PartialModel::skip_replay`] fences without resending the
-//! backlog, so the restarted rank resumes with a hole in its sequence.
+//! Mutation: [`PartialModel::skip_replay`] restores without the backlog,
+//! so the restarted rank resumes with a hole in its sequence.
 
 use std::collections::VecDeque;
 
@@ -37,17 +37,6 @@ pub enum Peer {
     Live,
     /// Killed; its endpoint (and everything queued on it) is gone.
     Dead,
-    /// Restored, waiting for the survivor's `ReplayDone`.
-    Rejoining,
-}
-
-/// What the channel to `f` carries.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum Item {
-    /// An application frame with its sequence number.
-    Frame(u64),
-    /// The survivor's `ReplayDone`.
-    Fence,
 }
 
 /// Global state of the two-rank system.
@@ -63,8 +52,9 @@ pub struct PartialSt {
     pub committed: Option<(u64, u64)>,
     /// A quiesced checkpoint not yet committed: its interval and `recv`.
     pub pending: Option<(u64, u64)>,
-    /// The channel to `f`'s current endpoint.
-    pub chan: VecDeque<Item>,
+    /// The sequence numbers of the frames on the channel to `f`'s
+    /// current endpoint.
+    pub chan: VecDeque<u64>,
     /// `f`'s liveness.
     pub peer: Peer,
     /// Kills so far (bounded exploration budget).
@@ -80,7 +70,7 @@ pub struct PartialModel {
     pub max_msgs: u64,
     /// Kills explored per execution.
     pub max_kills: u8,
-    /// Mutation: fence the channel without replaying the backlog.
+    /// Mutation: restore `f` without replaying the backlog.
     pub skip_replay: bool,
 }
 
@@ -115,31 +105,22 @@ impl Model for PartialModel {
             let send = LoggedSend { dst: 1, ctx: 0, tag: 0, seq: s.sent, payload: Default::default() };
             t.log.trim(s.watermark());
             t.log.record(send, u64::MAX);
-            if s.peer != Peer::Dead {
-                t.chan.push_back(Item::Frame(s.sent));
+            if s.peer == Peer::Live {
+                t.chan.push_back(s.sent);
             }
             t.sent += 1;
             out.push((format!("send({})", t.sent), t));
         }
         // deliver: `f` takes the next item off its endpoint.
-        if let (Some(&item), false) = (s.chan.front(), s.peer == Peer::Dead) {
+        if let (Some(&seq), Peer::Live) = (s.chan.front(), s.peer) {
             let mut t = s.clone();
             t.chan.pop_front();
-            let label = match item {
-                Item::Frame(seq) => {
-                    match arrival(s.recv, seq) {
-                        Arrival::Duplicate => {}
-                        Arrival::Next => t.recv += 1,
-                        Arrival::Gap => t.gap = Some(format!("expected {}, got {seq}", s.recv)),
-                    }
-                    format!("deliver({seq})")
-                }
-                Item::Fence => {
-                    t.peer = Peer::Live;
-                    "replay_done".to_owned()
-                }
-            };
-            out.push((label, t));
+            match arrival(s.recv, seq) {
+                Arrival::Duplicate => {}
+                Arrival::Next => t.recv += 1,
+                Arrival::Gap => t.gap = Some(format!("expected {}, got {seq}", s.recv)),
+            }
+            out.push((format!("deliver({seq})"), t));
         }
         // checkpoint: the coordinated round drains the channel and the log
         // is marked at the quiesce; the interval commits at once
@@ -169,18 +150,17 @@ impl Model for PartialModel {
             t.chan.clear();
             out.push(("kill".into(), t));
         }
-        // restore: `f` restarts from the committed checkpoint; the
-        // survivor re-points it, trims its log, replays its backlog and
-        // fences it.
+        // restore: `f` restarts from the committed checkpoint; in the
+        // same step the survivor is re-pointed at it and its trimmed
+        // backlog queued on the new channel, and `f` runs.
         if let (Peer::Dead, Some((_, floor))) = (s.peer, s.committed) {
             let mut t = s.clone();
-            t.peer = Peer::Rejoining;
+            t.peer = Peer::Live;
             t.recv = floor;
-            t.log.trim(s.watermark());
+            let backlog: Vec<u64> = t.log.replay(1, s.watermark()).map(|l| l.seq).collect();
             if !self.skip_replay {
-                t.chan.extend(t.log.backlog(1).map(|l| Item::Frame(l.seq)));
+                t.chan.extend(backlog);
             }
-            t.chan.push_back(Item::Fence);
             out.push((format!("restore({floor})"), t));
         }
     }
@@ -189,25 +169,17 @@ impl Model for PartialModel {
         if let Some(gap) = &s.gap {
             return Err(format!("sequence gap at the restarted rank: {gap}"));
         }
-        let queued: Vec<u64> = s
-            .chan
-            .iter()
-            .filter_map(|i| match i {
-                Item::Frame(seq) => Some(*seq),
-                Item::Fence => None,
-            })
-            .collect();
-        if let Some(seq) = queued.iter().find(|&&seq| seq < s.recv) {
+        if let Some(seq) = s.chan.iter().find(|&&seq| seq < s.recv) {
             return Err(format!(
                 "resent frame {seq} is one the restored count {} already holds",
                 s.recv
             ));
         }
-        if s.peer == Peer::Live && !queued.iter().copied().eq(s.recv..s.sent) {
+        if s.peer == Peer::Live && !s.chan.iter().copied().eq(s.recv..s.sent) {
             return Err(format!(
-                "rejoined rank has a message gap: of frames {}..{} only {queued:?} are still \
+                "rejoined rank has a message gap: of frames {}..{} only {:?} are still \
                  on their way; the rest died with its old endpoint and were never replayed",
-                s.recv, s.sent
+                s.recv, s.sent, s.chan
             ));
         }
         if s.recv > s.sent {
@@ -253,7 +225,7 @@ mod tests {
 
     #[test]
     fn replay_is_exactly_once_across_repeated_kills() {
-        // max_kills = 2 reaches kill -> restore -> replay -> kill again;
+        // max_kills = 2 reaches kill -> restore -> kill again;
         // the pristine run staying green proves the second recovery
         // replays from the refreshed lost range, not the stale one.
         let m = PartialModel { max_kills: 2, ..Default::default() };

@@ -275,8 +275,8 @@ impl QuiesceModel {
                 }
                 Some(Ctrl::Msg(msg, sent_in)) => {
                     let mut msg = msg.clone();
-                    if let (true, Some(e)) = (self.drop_epoch, msg.epoch_mut()) {
-                        *e = orders;
+                    if self.drop_epoch {
+                        *msg.epoch_mut() = orders;
                     }
                     let Some(round) = t.round(id).filter(|r| r.owns(&msg)) else { continue };
                     let before = round.clone();
@@ -350,7 +350,6 @@ fn kind(msg: &CrcpMsg) -> &'static str {
         CrcpMsg::Bookmark { .. } => "bookmark",
         CrcpMsg::Quiesced { .. } => "quiesced",
         CrcpMsg::Aborted { .. } => "aborted",
-        CrcpMsg::ReplayBegin { .. } | CrcpMsg::ReplayDone { .. } => "replay",
     }
 }
 

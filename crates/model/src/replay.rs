@@ -286,18 +286,17 @@ const GC_RULES: &[PhaseRule] = &[
 const GC_INTERNAL: &[&str] = &["prepare", "retire", "decref"];
 
 /// Lenient sanity rules for the `partial` model.  The model is a
-/// two-rank abstraction while a real partial-restart journal interleaves
-/// every survivor's handshake, so the mapping is advisory: each phase
-/// *may* be the corresponding model action.  The model's `restore` is the
-/// whole handshake up to the fence (claim, `ReplayBegin`, the resent
-/// backlog), and `replay_done` is the fence arriving.
+/// two-rank abstraction while a real partial-restart journal records one
+/// resend per survivor, so the mapping is advisory: each phase *may* be
+/// the corresponding model action.  The model's `restore` is the whole
+/// recovery in one step (the spare claim, each survivor's resent
+/// backlog, and `crcp.replay.done` once every backlog is queued).
 const PARTIAL_RULES: &[PhaseRule] = &[
     PhaseRule { phase: "snapc.global.global_commit", actions: &["checkpoint"], strict: false, by_actor: false },
     PhaseRule { phase: "orte.daemon.kill", actions: &["kill"], strict: false, by_actor: false },
     PhaseRule { phase: "orte.spare.claim", actions: &["restore"], strict: false, by_actor: false },
-    PhaseRule { phase: "crcp.replay.begin", actions: &["restore"], strict: false, by_actor: false },
     PhaseRule { phase: "crcp.replay.resent", actions: &["restore"], strict: false, by_actor: false },
-    PhaseRule { phase: "crcp.replay.done", actions: &["replay_done"], strict: false, by_actor: false },
+    PhaseRule { phase: "crcp.replay.done", actions: &["restore"], strict: false, by_actor: false },
 ];
 
 /// Internal (trace-silent) actions of the partial model.
@@ -516,14 +515,14 @@ mod tests {
     #[test]
     fn partial_restart_journal_conforms() {
         // The phase stream a one-kill partial-restart run records:
-        // commit, node loss, spare claim, replay handshake, next commit.
+        // commit, node loss, spare claim, the recovery's replay, next
+        // commit.
         let report = conformance(
             "partial",
             &events(&[
                 "snapc.global.global_commit",
                 "orte.daemon.kill",
                 "orte.spare.claim",
-                "crcp.replay.begin",
                 "crcp.replay.resent",
                 "crcp.replay.done",
                 "snapc.global.global_commit",

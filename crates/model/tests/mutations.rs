@@ -161,26 +161,22 @@ fn with_decrement_first_the_gc_is_safe() {
 
 #[test]
 fn skipping_replay_leaves_a_message_gap() {
-    // Weakened fence: `replay_done` no longer waits for the logged
-    // backlog to drain.  Minimal failure: commit a checkpoint, send one
-    // frame (it dies with the peer's endpoint), kill, restore from the
-    // commit point, and fence immediately — the rejoined rank is live
-    // with frame 1 neither delivered nor replayed.
+    // The restore no longer queues the logged backlog.  Minimal
+    // failure: commit a checkpoint, send one frame (it dies with the
+    // peer's endpoint), kill, and restore from the commit point — the
+    // restored rank is live with frame 1 neither delivered nor replayed.
     let m = PartialModel { skip_replay: true, ..Default::default() };
     let report = check(&m, &Bounds::exhaustive());
-    let cx = report.violation.expect("fence-first partial model must fail");
-    assert_eq!(
-        cx.actions(),
-        vec!["checkpoint(0)", "send(1)", "kill", "restore(0)", "replay_done"]
-    );
+    let cx = report.violation.expect("a restore without the backlog must fail");
+    assert_eq!(cx.actions(), vec!["checkpoint(0)", "send(1)", "kill", "restore(0)"]);
     assert!(cx.invariant.contains("message gap"), "{}", cx.invariant);
 }
 
 #[test]
 fn with_the_replay_guard_partial_restart_is_green() {
-    // The production order (repoint, replay backlog, then fence) is
-    // exhaustively green, including a second kill after a completed
-    // recovery — survivors never regress and no gap survives the fence.
+    // The production restore (re-point and queue the backlog before the
+    // rank runs) is exhaustively green, including a second kill after a
+    // completed recovery — survivors never regress and no gap survives.
     let report = check(&PartialModel::default(), &Bounds::exhaustive());
     assert!(report.ok() && report.exhaustive());
 }

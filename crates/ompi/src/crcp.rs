@@ -16,8 +16,10 @@
 //!   bookmarks, buffering drained-but-unmatched messages into the process
 //!   image. Operates on whole messages (the paper's refinement over
 //!   LAM/MPI's byte counts). With `crcp_msg_log_enabled` it also keeps
-//!   the sender-side message log partial restart replays over the
-//!   `ReplayBegin`/`ReplayDone` handshake ([`rejoin_replay`]).
+//!   the sender-side message log that a partial restart replays: the
+//!   recovery resends each survivor's backlog itself, before the
+//!   restarted rank runs ([`PmlShared::rejoin_peer`]), so no survivor
+//!   takes part and no rank waits on another.
 //! * **`none`** — passthrough. With this component installed the full
 //!   interposition machinery runs but does nothing: the configuration the
 //!   paper benchmarks against the infrastructure-disabled build (§7).
@@ -25,7 +27,7 @@
 pub mod msglog;
 pub mod round;
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -34,7 +36,7 @@ use mca::{Framework, McaParams};
 
 use cr_core::{CrError, FtEvent, FtEventState, Tracer};
 
-use crate::frame::CrcpMsg;
+use crate::error::MpiError;
 use crate::pml::{PmlShared, PmlState};
 
 use self::msglog::LoggedSend;
@@ -96,12 +98,6 @@ pub trait CrcpComponent: Send + Sync {
     /// survivor logs intact or a later partial restart replays with a
     /// sequence gap. No-op for components without a log.
     fn set_commit_watermark(&self, _watermark: Arc<AtomicU64>) {}
-
-    /// A restarted peer asked for its backlog (called with the PML state
-    /// locked, before the resend): trim the log to the commit watermark,
-    /// so nothing the peer's restored counts already hold is resent.
-    /// No-op for components without a log.
-    fn trim_for_replay(&self, _st: &mut PmlState, _me: u32) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -236,10 +232,6 @@ impl CrcpComponent for CoordCrcp {
     fn set_commit_watermark(&self, watermark: Arc<AtomicU64>) {
         let _ = self.commit_watermark.set(watermark);
     }
-
-    fn trim_for_replay(&self, st: &mut PmlState, me: u32) {
-        self.gc_committed(st, me);
-    }
 }
 
 /// Run `round` to its end over `pml`, starting from the outputs `first`:
@@ -297,73 +289,20 @@ fn run_round(
 
 /// Look at `pml`'s state with `step` until it returns `Some`, waiting on
 /// the wire in between: the one wait of every CRCP protocol. It has no
-/// deadline: every wait ends on a message or a death notice. `Err` when
-/// this rank's own endpoint failed.
+/// deadline: every wait ends on a message, a death notice or the job's
+/// end (`request_terminate` wakes the endpoint). `Err` when this rank's
+/// own endpoint failed, or when the job is terminating and `step` found
+/// nothing.
 fn wait<R>(pml: &PmlShared, mut step: impl FnMut(&mut PmlState) -> Option<R>) -> Result<R, CrError> {
     loop {
         if let Some(done) = pml.with_state(&mut step) {
             return Ok(done);
         }
+        if pml.terminating() {
+            return Err(CrError::CheckpointDisabled { reason: MpiError::Terminating.to_string() });
+        }
         pml.wait_wire().map_err(|e| CrError::protocol(e.to_string()))?;
     }
-}
-
-/// Partial-restart rejoin handshake, run by a restarted rank after its
-/// image is restored and before the application step re-enters: announce
-/// this rank's replacement endpoint to every survivor, then block until
-/// each has replayed its logged backlog and fenced it with `ReplayDone`.
-/// FIFO channel order guarantees the fence arrives after every replayed
-/// frame, so once all fences are in the channel is caught up.
-pub fn rejoin_replay(
-    pml: &PmlShared,
-    rejoining: &BTreeSet<u32>,
-    tracer: &Tracer,
-) -> Result<(), CrError> {
-    let me = pml.me();
-    let n = pml.nprocs();
-    let survivors: Vec<u32> = (0..n)
-        .filter(|q| *q != me && !rejoining.contains(q))
-        .collect();
-    tracer.record(
-        "crcp.replay.begin",
-        &format!(
-            "rank {me}: announcing endpoint {} to {} survivors",
-            pml.endpoint_id(),
-            survivors.len()
-        ),
-    );
-    let announce = CrcpMsg::ReplayBegin { from: me, endpoint: pml.endpoint_id().0 };
-    for q in &survivors {
-        // A survivor that cannot be reached is dead, and the PML watches
-        // every peer: its death notice ends the wait below.
-        let _ = pml.send_crcp(*q, &announce);
-    }
-    let mut fenced: BTreeSet<u32> = BTreeSet::new();
-    let lost = wait(pml, |st| {
-        st.crcp_inbox.retain(|msg| match msg {
-            CrcpMsg::ReplayDone { from } => {
-                fenced.insert(*from);
-                false
-            }
-            _ => true,
-        });
-        // Done when every survivor fenced; lost when one died first.
-        let mut unfenced = survivors.iter().copied().filter(|q| !fenced.contains(q)).peekable();
-        if unfenced.peek().is_none() {
-            return Some(None);
-        }
-        unfenced.find(|q| st.peers_down.contains(q)).map(Some)
-    })?;
-    if let Some(q) = lost {
-        return Err(CrError::PeerLost {
-            detail: format!("survivor rank {q} died before its ReplayDone fence"),
-        });
-    }
-    tracer.record(
-        "crcp.replay.done",
-        &format!("rank {me}: {} survivor channels fenced", survivors.len()),
-    );
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -448,6 +387,7 @@ impl FtEvent for CrcpFtHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::CrcpMsg;
     use netsim::{Fabric, LinkSpec, NodeId, Topology};
     use opal::SafePointGate;
     use std::thread::JoinHandle;
@@ -507,14 +447,15 @@ mod tests {
         }
         assert!(t0.elapsed() < Duration::from_secs(2), "stage {stage}: {:?}", t0.elapsed());
 
-        // Rank 2 restarts on a fresh endpoint; the survivors re-point it
-        // while they pump their wires.
+        // Rank 2 restarts on a fresh endpoint, which the survivors are
+        // re-pointed at before it runs.
         let ep2 = fabric.register(NodeId(2));
+        for pml in &pmls {
+            assert_eq!(pml.rejoin_peer(2, ep2.id(), 0), 0);
+        }
         let ids = vec![pmls[0].endpoint_id(), pmls[1].endpoint_id(), ep2.id()];
         let gate = Arc::new(SafePointGate::new());
-        let pml2 = PmlShared::new(2, 3, ep2, ids, gate, Tracer::new());
-        rejoin_while_pumping(&fabric, &pml2, &pmls).unwrap();
-        pmls.push(pml2);
+        pmls.push(PmlShared::new(2, 3, ep2, ids, gate, Tracer::new()));
         let next: Vec<_> = pmls.iter().map(|pml| coordinate_at(pml, 2)).collect();
         for t in next {
             t.join().unwrap().unwrap();
@@ -584,29 +525,6 @@ mod tests {
     #[test]
     fn a_rank_refusing_before_its_refusal_hook_is_set_ends_the_round() {
         survivors_abort_on_a_refusal(true);
-    }
-
-    /// A survivor that dies before fencing its replay fails the rejoin,
-    /// naming the survivor, instead of leaving the rejoiner waiting.
-    #[test]
-    fn a_survivor_dying_before_replay_done_fails_the_rejoin() {
-        let (fabric, mut pmls) = mesh(3);
-        // The first incarnation of rank 2 stays silent (as if still dying).
-        let _first = pmls.pop();
-        let ep2 = fabric.register(NodeId(2));
-        let ids = vec![pmls[0].endpoint_id(), pmls[1].endpoint_id(), ep2.id()];
-        let gate = Arc::new(SafePointGate::new());
-        let pml2 = PmlShared::new(2, 3, ep2, ids, gate, Tracer::new());
-        let rejoiner = std::thread::spawn(move || {
-            rejoin_replay(&pml2, &[2u32].into_iter().collect(), &Tracer::new())
-        });
-        // Survivor 0 fences; survivor 1 dies with the announcement unread.
-        pmls[0].wait_wire().unwrap();
-        let dying = pmls.pop().unwrap();
-        drop(dying);
-        let err = rejoiner.join().unwrap().unwrap_err();
-        assert!(matches!(err, CrError::PeerLost { .. }), "{err}");
-        assert!(err.to_string().contains("survivor rank 1"), "{err}");
     }
 
     fn pair() -> (Arc<PmlShared>, Arc<PmlShared>) {
@@ -818,81 +736,54 @@ mod tests {
         assert_eq!(bytes, 0);
     }
 
-    /// `rejoiner` rejoins while each of `survivors` pumps its wire on a
-    /// thread of its own to answer the `ReplayBegin`; the survivors are
-    /// woken once the rejoin is over.
-    fn rejoin_while_pumping(
-        fabric: &Fabric,
-        rejoiner: &PmlShared,
-        survivors: &[Arc<PmlShared>],
-    ) -> Result<(), CrError> {
-        let done = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
-            for pml in survivors {
-                s.spawn(|| wait(pml, |_| done.load(Ordering::SeqCst).then_some(())).unwrap());
-            }
-            let rejoining = [rejoiner.me()].into_iter().collect();
-            let rejoined = rejoin_replay(rejoiner, &rejoining, &Tracer::new());
-            done.store(true, Ordering::SeqCst);
-            for pml in survivors {
-                fabric.wake(pml.endpoint_id());
-            }
-            rejoined
-        })
-    }
-
     /// Rank 1 restarts on a fresh endpoint of `fabric` with `count` frames
-    /// from rank 0 restored, and rejoins; the survivor `pml0` answers its
-    /// `ReplayBegin` while pumping its wire.
+    /// from rank 0 restored; the recovery re-points the survivor `pml0`
+    /// at it for the job's `watermark` before the rank's PML exists.
     fn rejoin_rank1(
         fabric: &Fabric,
-        pml0: &Arc<PmlShared>,
-        peer0: netsim::EndpointId,
+        pml0: &PmlShared,
         count: u64,
+        watermark: u64,
     ) -> Arc<PmlShared> {
         let ep1b = fabric.register(NodeId(1));
-        let peers = vec![peer0, ep1b.id()];
+        pml0.rejoin_peer(1, ep1b.id(), watermark);
+        let peers = vec![pml0.endpoint_id(), ep1b.id()];
         let gate = Arc::new(SafePointGate::new());
         let pml1b = PmlShared::new(1, 2, ep1b, peers, gate, Tracer::new());
         pml1b.with_state(|st| st.recv_counts[0] = count);
-        rejoin_while_pumping(fabric, &pml1b, &[Arc::clone(pml0)]).unwrap();
         pml1b
     }
 
-    /// Full rejoin handshake: a restarted rank 1 (fresh endpoint, counters
-    /// rolled back to zero) announces itself; the survivor re-points its
-    /// peer table, replays its logged backlog, and fences it — after which
-    /// fresh traffic flows over the replacement endpoint.
+    /// A restarted rank 1 (fresh endpoint, counters rolled back to zero)
+    /// finds the survivor's logged backlog already queued on its endpoint
+    /// when it first receives, ahead of the survivor's fresh traffic.
     #[test]
-    fn rejoin_replay_repoints_replays_and_fences() {
-        let fabric = Fabric::new(Topology::uniform(2, LinkSpec::gigabit_ethernet()));
-        let ep0 = fabric.register(NodeId(0));
-        let peer0 = ep0.id();
-        let peers = vec![peer0, fabric.register(NodeId(1)).id()];
-        let pml0 = PmlShared::new(0, 2, ep0, peers, Arc::new(SafePointGate::new()), Tracer::new());
+    fn rejoin_peer_repoints_and_replays_before_fresh_traffic() {
+        let (fabric, mut pmls) = mesh(2);
+        let pml0 = Arc::clone(&pmls[0]);
         pml0.set_crcp(Some(msg_log_coord(256)));
         // Two messages leave rank 0 for rank 1 and die with its first
         // incarnation (never polled off the old endpoint).
         pml0.send(0, 1, 7, b"lost one").unwrap();
         pml0.send(0, 1, 7, b"lost two").unwrap();
-        let pml1b = rejoin_rank1(&fabric, &pml0, peer0, 0);
-        pml1b.with_state(|st| {
-            assert_eq!(st.recv_counts[0], 2, "backlog replayed exactly once");
-            assert_eq!(st.unmatched.len(), 2);
-            assert!(st.crcp_inbox.is_empty(), "fence consumed");
-        });
-        // The rolled-back receiver re-consumes the backlog in order, then
-        // fresh traffic rides the replacement endpoint.
+        drop(pmls.pop());
+        wait(&pml0, |st| st.peers_down.contains(&1).then_some(())).unwrap();
+        let pml1b = rejoin_rank1(&fabric, &pml0, 0, 0);
+        pml0.with_state(|st| assert!(st.peers_down.is_empty(), "the rank's death is forgotten"));
         pml0.send(0, 1, 7, b"fresh").unwrap();
         assert_eq!(&pml1b.recv(0, Some(0), Some(7)).unwrap().payload[..], b"lost one");
         assert_eq!(&pml1b.recv(0, Some(0), Some(7)).unwrap().payload[..], b"lost two");
         assert_eq!(&pml1b.recv(0, Some(0), Some(7)).unwrap().payload[..], b"fresh");
+        pml1b.with_state(|st| {
+            assert_eq!(st.recv_counts[0], 3, "backlog replayed exactly once");
+            assert!(st.crcp_inbox.is_empty());
+        });
     }
 
-    /// A survivor that has not sent since the last global commit trims its
-    /// log before it answers the `ReplayBegin`: the restored count holds
-    /// every frame below the committed mark, so none is resent. The trace
-    /// is `send(1) deliver(0) checkpoint(1) kill restore(1)`.
+    /// The replay trims the survivor's log to the watermark first: the
+    /// restored count holds every frame below the committed mark, so
+    /// none is resent. The trace is `send(1) deliver(0) checkpoint(1)
+    /// kill restore(1)`.
     #[test]
     fn replay_resends_nothing_the_restored_count_holds() {
         let fabric = Fabric::new(Topology::uniform(2, LinkSpec::gigabit_ethernet()));
@@ -901,18 +792,14 @@ mod tests {
         let tracer = Tracer::new();
         let gate = || Arc::new(SafePointGate::new());
         let pml0 = PmlShared::new(0, 2, ep0, peers.clone(), gate(), tracer.clone());
-        let pml1 = PmlShared::new(1, 2, ep1, peers.clone(), gate(), Tracer::new());
-        let crcp0 = msg_log_coord(256);
-        let watermark = Arc::new(AtomicU64::new(0));
-        crcp0.set_commit_watermark(Arc::clone(&watermark));
-        pml0.set_crcp(Some(crcp0));
+        let pml1 = PmlShared::new(1, 2, ep1, peers, gate(), Tracer::new());
+        pml0.set_crcp(Some(msg_log_coord(256)));
         pml0.send(0, 1, 7, b"counted").unwrap();
         pml1.recv(0, Some(0), Some(7)).unwrap();
         // Interval 1 quiesces with the frame counted, and commits.
         pml0.with_state(|st| st.msg_log.mark(1));
-        watermark.store(2, Ordering::SeqCst);
         drop(pml1);
-        let pml1b = rejoin_rank1(&fabric, &pml0, peers[0], 1);
+        let pml1b = rejoin_rank1(&fabric, &pml0, 1, 2);
         let resent: Vec<String> = tracer
             .events()
             .into_iter()
@@ -921,6 +808,27 @@ mod tests {
             .collect();
         assert_eq!(resent, ["rank 0: replayed 0 logged sends to restarted rank 1"]);
         pml0.with_state(|st| assert!(st.msg_log.entries().is_empty(), "trimmed at the replay"));
-        pml1b.with_state(|st| assert_eq!(st.recv_counts[0], 1));
+        pml0.send(0, 1, 7, b"fresh").unwrap();
+        assert_eq!(&pml1b.recv(0, Some(0), Some(7)).unwrap().payload[..], b"fresh");
+        pml1b.with_state(|st| assert_eq!(st.recv_counts[0], 2));
+    }
+
+    /// A round whose peer stays silent ends once the job terminates and
+    /// the rank is woken, instead of waiting for good.
+    #[test]
+    fn a_round_ends_when_the_job_terminates() {
+        let (fabric, pmls) = mesh(2);
+        let pml0 = &pmls[0];
+        let flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        pml0.set_terminate_flag(Arc::clone(&flag));
+        let round = coordinate_at(pml0, 1);
+        // Rank 1 never answers; rank 0 parks on its wire.
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!round.is_finished(), "the round waits on its silent peer");
+        flag.store(true, Ordering::SeqCst);
+        fabric.wake(pml0.endpoint_id());
+        let err = round.join().unwrap().unwrap_err();
+        assert!(matches!(err, CrError::CheckpointDisabled { .. }), "{err}");
+        assert!(err.to_string().contains("terminating"), "{err}");
     }
 }

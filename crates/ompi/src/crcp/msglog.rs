@@ -1,8 +1,8 @@
 //! The sender-side message log of partial restart as a value: no I/O, no
-//! clock. The PML logs every application send in it and replays a
-//! restarted peer's backlog from it, `CoordCrcp` marks it at each quiesce
-//! and trims it at global commit, and `cr-model partial` runs the same
-//! calls, so the model checks what ships.
+//! clock. The PML logs every application send in it, the recovery
+//! replays a restarted peer's backlog from it, `CoordCrcp` marks it at
+//! each quiesce and trims it at global commit, and `cr-model partial`
+//! runs the same calls, so the model checks what ships.
 //!
 //! A quiesce *marks* the log: the entries below the mark belong to the
 //! interval being captured and are garbage once that interval is globally
@@ -103,9 +103,12 @@ impl MsgLog {
         (to, freed)
     }
 
-    /// The logged sends to `dst`, oldest first: what a restarted `dst` is
-    /// replayed.
-    pub fn backlog(&self, dst: u32) -> impl Iterator<Item = &LoggedSend> {
+    /// What a `dst` restored from the newest committed interval is
+    /// replayed: trim the log to the job's watermark (`committed` =
+    /// highest committed interval + 1), whose quiesce counts `dst`
+    /// restored, then every logged send to `dst`, oldest first.
+    pub fn replay(&mut self, dst: u32, committed: u64) -> impl Iterator<Item = &LoggedSend> {
+        self.trim(committed);
         self.entries.iter().filter(move |l| l.dst == dst)
     }
 

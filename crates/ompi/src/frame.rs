@@ -9,8 +9,10 @@
 //!   sequence number used for duplicate suppression after partial-restart
 //!   replay.
 //! * **CRCP control frames** ([`CLASS_CRCP`]) — coordination protocol
-//!   traffic (bookmarks, quiesce acknowledgements, the replay handshake).
-//!   Not counted by the bookmarks themselves.
+//!   traffic (bookmarks, quiesce acknowledgements, aborts). Not counted
+//!   by the bookmarks themselves. A partial restart sends none: the
+//!   recovery replays the survivors' logs itself
+//!   ([`PmlShared::rejoin_peer`](crate::pml::PmlShared::rejoin_peer)).
 
 use std::sync::{Arc, Weak};
 
@@ -176,10 +178,10 @@ impl WirePool {
     }
 }
 
-/// CRCP control messages. The three coordination messages carry the
-/// epoch of the checkpoint order they belong to (SNAPC numbers every
-/// initiation), so a round never counts a message of another round;
-/// bytes from a build without epochs decode as epoch 0.
+/// CRCP control messages. Each carries the epoch of the checkpoint order
+/// it belongs to (SNAPC numbers every initiation), so a round never counts
+/// a message of another round; bytes from a build without epochs decode
+/// as epoch 0.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CrcpMsg {
     /// Bookmark: "I have sent you `sent` application messages so far"
@@ -212,47 +214,25 @@ pub enum CrcpMsg {
         /// The checkpoint order's epoch.
         epoch: u64,
     },
-    /// Partial-restart replay handshake, restarted rank -> survivor:
-    /// "I was restored from the last committed interval onto a new
-    /// endpoint; re-point your channel at `endpoint` and replay every
-    /// logged message you sent me since that interval's quiesce". The
-    /// survivor pauses only for the replay, not for a job-wide rollback.
-    ReplayBegin {
-        /// The restarted rank.
-        from: u32,
-        /// Its new fabric endpoint id (the old one died with the node).
-        endpoint: u64,
-    },
-    /// Partial-restart replay handshake, survivor -> restarted rank:
-    /// "my logged backlog for you has been resent; everything I send
-    /// after this is new traffic". Per-channel FIFO ordering makes this
-    /// the fence between replayed and fresh messages.
-    ReplayDone {
-        /// The surviving rank that finished replaying.
-        from: u32,
-    },
 }
 codec::wire_enum!(CrcpMsg {
     Bookmark { from, #[default] epoch, sent },
     Quiesced { from, #[default] epoch },
     Aborted { from, #[default] epoch },
-    ReplayBegin { from, endpoint },
-    ReplayDone { from },
 });
 
 impl CrcpMsg {
-    /// The coordination epoch, for the messages a round consumes.
-    pub fn epoch(&self) -> Option<u64> {
-        self.clone().epoch_mut().copied()
+    /// The coordination epoch the message belongs to.
+    pub fn epoch(&self) -> u64 {
+        *self.clone().epoch_mut()
     }
 
     /// The coordination epoch, writable.
-    pub fn epoch_mut(&mut self) -> Option<&mut u64> {
+    pub fn epoch_mut(&mut self) -> &mut u64 {
         match self {
             CrcpMsg::Bookmark { epoch, .. }
             | CrcpMsg::Quiesced { epoch, .. }
-            | CrcpMsg::Aborted { epoch, .. } => Some(epoch),
-            CrcpMsg::ReplayBegin { .. } | CrcpMsg::ReplayDone { .. } => None,
+            | CrcpMsg::Aborted { epoch, .. } => epoch,
         }
     }
 }
@@ -307,11 +287,6 @@ mod tests {
             CrcpMsg::Bookmark { from: 1, epoch: 4, sent: 99 },
             CrcpMsg::Quiesced { from: 3, epoch: 4 },
             CrcpMsg::Aborted { from: 2, epoch: 5 },
-            CrcpMsg::ReplayBegin {
-                from: 4,
-                endpoint: 77,
-            },
-            CrcpMsg::ReplayDone { from: 5 },
         ] {
             let wire = encode_crcp(&msg);
             assert_eq!(decode_crcp(&wire).unwrap(), msg);
@@ -327,7 +302,7 @@ mod tests {
     /// replaced the generic (de)serializer wrote it.
     #[test]
     fn crcp_messages_and_app_frames_keep_their_parent_encoding() {
-        let crcp: [(CrcpMsg, &[u8]); 4] = [
+        let crcp: [(CrcpMsg, &[u8]); 2] = [
             (
                 CrcpMsg::Bookmark { from: 1, epoch: 0, sent: 99 },
                 &[
@@ -342,32 +317,11 @@ mod tests {
                     0x72, 0x6f, 0x6d, 0x04, 0x03,
                 ],
             ),
-            (
-                CrcpMsg::ReplayBegin {
-                    from: 4,
-                    endpoint: 77,
-                },
-                &[
-                    0x14, 0x0b, 0x52, 0x65, 0x70, 0x6c, 0x61, 0x79, 0x42, 0x65, 0x67, 0x69, 0x6e,
-                    0x02, 0x04, 0x66, 0x72, 0x6f, 0x6d, 0x04, 0x04, 0x08, 0x65, 0x6e, 0x64, 0x70,
-                    0x6f, 0x69, 0x6e, 0x74, 0x04, 0x4d,
-                ],
-            ),
-            (
-                CrcpMsg::ReplayDone { from: 5 },
-                &[
-                    0x14, 0x0a, 0x52, 0x65, 0x70, 0x6c, 0x61, 0x79, 0x44, 0x6f, 0x6e, 0x65, 0x01,
-                    0x04, 0x66, 0x72, 0x6f, 0x6d, 0x04, 0x05,
-                ],
-            ),
         ];
         for (msg, parent) in crcp {
-            // Parent bytes decode; the bookmark and quiesce messages are
-            // written with their epoch since, the replay pair unchanged.
+            // Parent bytes decode; both messages are written with their
+            // epoch since.
             assert_eq!(decode_crcp(parent).unwrap(), msg);
-            if msg.epoch().is_none() {
-                assert_eq!(&encode_crcp(&msg)[..], parent, "{msg:?}");
-            }
         }
 
         // An `AppFrame` as the pml section holds it: a struct whose payload

@@ -4,15 +4,15 @@
 //! Per-process startup (the simulated `MPI_Init`):
 //!
 //! 1. select and install the CRS component (OPAL),
-//! 2. register a fabric endpoint and rendezvous with the peers through
-//!    the modex,
+//! 2. register a fabric endpoint (a rank a partial restart respawns takes
+//!    the one the recovery registered for it) and rendezvous with the
+//!    peers through the modex,
 //! 3. build the PML, restore its state when this is a restart,
 //! 4. select the CRCP component and interpose it on the PML,
 //! 5. register the capture sections (`app`, `pml`, `ompi`),
 //! 6. install the three-layer INC stack (OPAL → ORTE → OMPI),
-//! 7. on restart: deliver [`FtEventState::Restart`] through the chain
-//!    (message-logging resends happen here) and fire the SELF restart
-//!    callback,
+//! 7. on restart: deliver [`FtEventState::Restart`] through the chain and
+//!    fire the SELF restart callback,
 //! 8. enter the application step loop; checkpointing is enabled once the
 //!    first boundary image exists and disabled again at finalize.
 
@@ -24,7 +24,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use mca::McaParams;
-use netsim::EndpointId;
+use netsim::{Endpoint, EndpointId};
 use parking_lot::Mutex;
 
 use cr_core::inc::LayerInc;
@@ -62,6 +62,11 @@ impl RunConfig {
 }
 
 type RankResult<S> = Option<Result<(S, RunEnd), String>>;
+
+/// Each rank's PML, once its current incarnation has built (and, on a
+/// restart, restored) it: what a partial restart replays the survivors'
+/// logs from.
+type RankPmls = Arc<Mutex<Vec<Option<Arc<PmlShared>>>>>;
 
 /// Spare nodes claimed for a partial restart but not yet spent. Every
 /// refusal or fetch error after the claim must return the nodes to the
@@ -112,6 +117,7 @@ impl Drop for SpareLease<'_> {
 pub struct MpiJob<S> {
     handle: Arc<JobHandle>,
     results: Arc<Mutex<Vec<RankResult<S>>>>,
+    pmls: RankPmls,
     sync_thread: Mutex<Option<JoinHandle<()>>>,
     // `None` on this channel tells the sync-checkpoint service to exit.
     // The job handle retains the entry closure for respawns, and that
@@ -165,10 +171,14 @@ impl<S: Send + 'static> MpiJob<S> {
     ///
     /// The failed ranks' images are fetched replica-first from the global
     /// snapshot at `global_ref` (stable-storage fallback per image), one
-    /// spare node is claimed per distinct failed node, the dead nodes are
-    /// fenced, and each rank re-enters through the normal restart path
-    /// with a `rejoin` set; survivors then replay the logged in-flight
-    /// traffic through the `ReplayBegin`/`ReplayDone` handshake.
+    /// spare node is claimed per distinct failed node, and the dead nodes
+    /// are fenced. Then, from this thread, one endpoint per rank is
+    /// registered on its spare, every survivor's PML is re-pointed at it
+    /// and its logged in-flight traffic queued there
+    /// ([`PmlShared::rejoin_peer`]), and only then is each rank respawned
+    /// onto its endpoint through the normal restart path. No survivor
+    /// has to enter MPI and nobody waits on anybody, so a survivor that
+    /// is computing or has finished cannot stall the recovery.
     ///
     /// Holds the job's checkpoint serial for the whole recovery, so no
     /// interval can open, commit, or garbage-collect survivor message
@@ -177,8 +187,9 @@ impl<S: Send + 'static> MpiJob<S> {
     ///
     /// Refuses (leaving the job untouched — claimed spares included — so
     /// the caller can fall back to a full restart) when a requested rank
-    /// has not actually failed, when the sender-side message log is
-    /// disabled, when the requested interval is older than the newest
+    /// has not actually failed, when a failed rank is left out of the
+    /// set, when a survivor has no PML yet, when the sender-side message
+    /// log is disabled, when the requested interval is older than the newest
     /// committed one (survivor logs are GC'd up to its quiesce), when a
     /// survivor's log overflowed `crcp_msg_log_cap_kb` since that quiesce
     /// (the replay backlog would be sequence-gapped), when no spare node
@@ -216,16 +227,22 @@ impl<S: Send + 'static> MpiJob<S> {
         // Only ranks that actually failed can be recovered in place:
         // `respawn_rank` joins the old incarnation's app thread, so
         // fencing a live rank would deadlock (besides rolling it back for
-        // no reason).
+        // no reason). And every failed rank must be in the set: the
+        // traffic a failed rank sent the restarted ones since the
+        // checkpoint died with it, and only its own restart resends it.
         {
             let results = self.results.lock();
-            if let Some(&live) = ranks
-                .iter()
-                .find(|&&r| !matches!(results.get(r as usize), Some(Some(Err(_)))))
-            {
+            let failed = |r: u32| matches!(results.get(r as usize), Some(Some(Err(_))));
+            if let Some(&live) = ranks.iter().find(|&&r| !failed(r)) {
                 return Err(CrError::protocol(format!(
                     "partial restart of rank {live}, which has not failed: only \
                      ranks in MpiJob::failed_ranks() can be recovered in place"
+                )));
+            }
+            if let Some(left) = (0..nprocs).find(|r| failed(*r) && !ranks.contains(r)) {
+                return Err(CrError::protocol(format!(
+                    "partial restart of ranks {ranks:?} leaves out failed rank {left}: \
+                     every rank in MpiJob::failed_ranks() must be restarted together"
                 )));
             }
         }
@@ -244,17 +261,17 @@ impl<S: Send + 'static> MpiJob<S> {
         // Freeze the checkpoint pipeline for the whole recovery: an
         // interval opening mid-respawn could capture inconsistent state,
         // and one *committing* would advance the watermark and GC logged
-        // frames the rejoiner still needs. `JobHandle::checkpoint` takes
-        // the same lock, so an in-flight request completes first and a
-        // concurrent ticker blocks until recovery is done; the
+        // frames the restarted ranks still need. `JobHandle::checkpoint`
+        // takes the same lock, so an in-flight request completes first and
+        // a concurrent ticker blocks until recovery is done; the
         // write-behind drain then retires any interval still gathering
         // toward its (promotion-time) commit.
         let _ckpt_guard = handle.checkpoint_guard();
         runtime.drain_writebehind();
         let (global, interval, params) = open_interval(global_ref, opts.interval)?;
         // Survivor message logs are garbage-collected up to the newest
-        // committed quiesce, so a rejoiner restored from an older
-        // interval could never be replayed gap-free.
+        // committed quiesce, so a rank restored from an older interval
+        // could never be replayed gap-free.
         if let Some(latest) = global.latest_interval().filter(|&l| l != interval) {
             return Err(CrError::Unsupported {
                 detail: format!(
@@ -291,20 +308,24 @@ impl<S: Send + 'static> MpiJob<S> {
         }
 
         // Survivors must be able to replay a contiguous backlog to the
-        // rejoiners: if any survivor's log overflowed past
+        // restarted ranks: if any survivor's log overflowed past
         // `crcp_msg_log_cap_kb` since the restore interval's quiesce, the
-        // dropped sends can never be resent and the rejoiner would stall
-        // on a sequence gap. Refuse while the job is still untouched.
-        for r in 0..nprocs {
-            if rank_set.contains(&r) {
-                continue;
-            }
-            if handle
-                .container(cr_core::Rank(r))
-                .probe("crcp.msglog.gap")
-                .as_deref()
-                == Some("true")
-            {
+        // dropped sends can never be resent and the restarted rank would
+        // stall on a sequence gap. Refuse while the job is still
+        // untouched.
+        let watermark = handle.commit_watermark().load(Ordering::SeqCst);
+        let pmls = self.pmls.lock().clone();
+        let mut survivors = Vec::new();
+        for (r, pml) in (0..nprocs).zip(pmls).filter(|(r, _)| !rank_set.contains(r)) {
+            let Some(pml) = pml else {
+                return Err(CrError::Unsupported {
+                    detail: format!(
+                        "survivor rank {r} has not built its PML yet, so it has no \
+                         message log to replay (retry once it is running)"
+                    ),
+                });
+            };
+            if pml.with_state(|st| st.msg_log.gapped_since(watermark)) {
                 return Err(CrError::Unsupported {
                     detail: format!(
                         "survivor rank {r}'s message log overflowed \
@@ -314,6 +335,7 @@ impl<S: Send + 'static> MpiJob<S> {
                     ),
                 });
             }
+            survivors.push(pml);
         }
 
         // One spare per distinct failed node, held in a lease: any
@@ -351,25 +373,48 @@ impl<S: Send + 'static> MpiJob<S> {
         let (images, replica_images) =
             fetch_images(runtime, &global, interval, &wanted, opts, &params)?;
 
-        // Point of no return: fence the dead nodes, drop the failed
-        // ranks' stale endpoint advertisements and result slots, and
-        // respawn each rank on its spare with the rejoin set. The spares
-        // are spent from here on.
+        // Point of no return: fence the dead nodes and drop the failed
+        // ranks' stale endpoint advertisements, result slots and PMLs.
+        // The spares are spent from here on.
         let spares = lease.commit();
         for &node in &old_nodes {
             if !runtime.node_failed(node) {
                 runtime.kill_daemon(node);
             }
         }
-        let rejoin = Arc::new(rank_set);
         for &r in &ranks {
             runtime.modex().remove(job, &format!("pml.{r}"));
             if let Some(slot) = self.results.lock().get_mut(r as usize) {
                 *slot = None;
             }
         }
-        for (&(rank, spare), image) in targets.iter().zip(images) {
-            handle.respawn_rank(rank, spare, image, Arc::clone(&rejoin))?;
+        let mut pmls = self.pmls.lock();
+        for &r in &ranks {
+            if let Some(slot) = pmls.get_mut(r as usize) {
+                *slot = None;
+            }
+        }
+        drop(pmls);
+        // Each rank's replacement endpoint exists before it runs, so every
+        // survivor queues its backlog there now. A survivor re-points and
+        // resends under its state lock, which its own sends take too: the
+        // whole backlog precedes any fresh frame on the channel.
+        let endpoints: Vec<Endpoint> =
+            targets.iter().map(|&(_, spare)| runtime.fabric().register(spare)).collect();
+        for pml in &survivors {
+            for (&(rank, _), endpoint) in targets.iter().zip(&endpoints) {
+                pml.rejoin_peer(rank.0, endpoint.id(), watermark);
+            }
+        }
+        runtime.tracer().record(
+            "crcp.replay.done",
+            &format!(
+                "{} survivors queued their logged backlogs for ranks {ranks:?}",
+                survivors.len()
+            ),
+        );
+        for ((&(rank, spare), image), endpoint) in targets.iter().zip(images).zip(endpoints) {
+            handle.respawn_rank(rank, spare, image, endpoint)?;
         }
 
         runtime.tracer().record(
@@ -459,8 +504,10 @@ impl<T: FtEvent + Send> FtEvent for OnceFt<T> {
 fn proc_body<A: MpiApp>(
     app: &A,
     ctx: &LaunchCtx,
+    endpoint: Option<Endpoint>,
     sync_tx: Sender<Option<CheckpointOptions>>,
     endpoint_id: &OnceLock<EndpointId>,
+    pmls: &RankPmls,
 ) -> Result<(A::State, RunEnd), MpiError> {
     let runtime = &ctx.runtime;
     let me = ctx.name.rank.0;
@@ -480,7 +527,7 @@ fn proc_body<A: MpiApp>(
     ctx.container.set_crs(Arc::from(crs));
 
     // 2. Endpoint + modex rendezvous.
-    let endpoint = runtime.fabric().register(ctx.node);
+    let endpoint = endpoint.unwrap_or_else(|| runtime.fabric().register(ctx.node));
     let _ = endpoint_id.set(endpoint.id());
     runtime.modex().publish(
         job,
@@ -517,6 +564,9 @@ fn proc_body<A: MpiApp>(
         Mpi::restore_section(&next_ctx, image.require_section("ompi").map_err(MpiError::Cr)?)
             .map_err(MpiError::Cr)?;
         restored_app = Some(image.require_section("app").map_err(MpiError::Cr)?.to_vec());
+    }
+    if let Some(slot) = pmls.lock().get_mut(me as usize) {
+        *slot = Some(Arc::clone(&pml));
     }
 
     // 4. CRCP interposition (the wrapper PML). `ft_cr_enabled false`
@@ -559,19 +609,6 @@ fn proc_body<A: MpiApp>(
         ctx.container.set_probe(
             "crcp.msglog",
             Arc::new(move || p.with_state(|st| st.msg_log.bytes()).to_string()),
-        );
-        // Partial-restart precondition: `restart_ranks` asks every
-        // survivor whether `crcp_msg_log_cap_kb` dropped a send since the
-        // newest committed quiesce — if so, its replay backlog is
-        // sequence-gapped and the partial restart must refuse.
-        let p = Arc::clone(&pml);
-        let watermark = Arc::clone(&ctx.commit_watermark);
-        ctx.container.set_probe(
-            "crcp.msglog.gap",
-            Arc::new(move || {
-                let watermark = watermark.load(Ordering::SeqCst);
-                p.with_state(|st| st.msg_log.gapped_since(watermark)).to_string()
-            }),
         );
     }
 
@@ -646,13 +683,6 @@ fn proc_body<A: MpiApp>(
         if let Some(crs) = ctx.container.crs() {
             crs.post_event(FtEventState::Restart).map_err(MpiError::Cr)?;
         }
-        // Partial restart: this rank rejoins a job whose other ranks are
-        // still live. Run the replay handshake — each survivor re-points
-        // its channel at the fresh endpoint and resends the logged frames
-        // this incarnation never saw — before the application resumes.
-        if let Some(rejoin) = &ctx.rejoin {
-            crate::crcp::rejoin_replay(&pml, rejoin, &tracer).map_err(MpiError::Cr)?;
-        }
     }
 
     // 8. Run.
@@ -666,16 +696,18 @@ fn proc_body<A: MpiApp>(
 fn make_proc_main<A: MpiApp>(
     app: Arc<A>,
     results: Arc<Mutex<Vec<RankResult<A::State>>>>,
+    pmls: RankPmls,
     sync_tx: Sender<Option<CheckpointOptions>>,
 ) -> ProcMain {
-    Arc::new(move |ctx: LaunchCtx| {
+    Arc::new(move |mut ctx: LaunchCtx| {
         let rank = ctx.name.rank.index();
+        let given = ctx.endpoint.take();
         let endpoint = OnceLock::new();
         // A panicking rank must still record a result, retire its gate,
         // and pull the job down — otherwise peers blocked in receive wait
         // loops poll forever and the job never settles.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            proc_body(app.as_ref(), &ctx, sync_tx.clone(), &endpoint)
+            proc_body(app.as_ref(), &ctx, given, sync_tx.clone(), &endpoint, &pmls)
         }));
         let outcome = match caught {
             Ok(r) => r.map_err(|e| e.to_string()),
@@ -693,7 +725,7 @@ fn make_proc_main<A: MpiApp>(
             // — unless an active recoverer has declared itself on the job
             // (`JobHandle::set_partial_recovery`): then the survivors must
             // stay live while only this rank is restored and caught back
-            // up over the replay handshake. The message-log MCA param
+            // up from their message logs. The message-log MCA param
             // alone is NOT enough: with the log on but nobody performing
             // partial restarts, a silent skip here would hang `wait()`
             // forever.
@@ -722,11 +754,12 @@ fn spawn_job<A: MpiApp>(
 ) -> Result<MpiJob<A::State>, CrError> {
     let results: Arc<Mutex<Vec<RankResult<A::State>>>> =
         Arc::new(Mutex::new((0..config.nprocs).map(|_| None).collect()));
+    let pmls: RankPmls = Arc::new(Mutex::new(vec![None; config.nprocs as usize]));
     let (sync_tx, sync_rx) = mpsc::channel::<Option<CheckpointOptions>>();
     let spec = JobSpec {
         nprocs: config.nprocs,
         params: Arc::clone(&config.params),
-        proc_main: make_proc_main(app, Arc::clone(&results), sync_tx.clone()),
+        proc_main: make_proc_main(app, Arc::clone(&results), Arc::clone(&pmls), sync_tx.clone()),
         restored,
         resume_floor,
     };
@@ -758,6 +791,7 @@ fn spawn_job<A: MpiApp>(
     Ok(MpiJob {
         handle,
         results,
+        pmls,
         sync_thread: Mutex::new(Some(sync_thread)),
         sync_tx,
     })

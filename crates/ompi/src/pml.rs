@@ -43,7 +43,7 @@ use parking_lot::{Mutex, RwLock};
 use cr_core::{CrError, FtEvent, FtEventState, Tracer};
 use opal::SafePointGate;
 
-use crate::crcp::msglog::{arrival, Arrival, LoggedSend, MsgLog};
+use crate::crcp::msglog::{arrival, Arrival, MsgLog};
 use crate::crcp::CrcpComponent;
 use crate::error::MpiError;
 use crate::frame::{
@@ -163,8 +163,8 @@ pub struct PmlState {
     pub next_req: u64,
     /// Op log of the current application step.
     pub step_log: Vec<OpRecord>,
-    /// Partial-restart message log (`crcp_msg_log_enabled`), replayed by
-    /// survivors to a restarted peer over the `ReplayBegin` handshake.
+    /// Partial-restart message log (`crcp_msg_log_enabled`), which the
+    /// recovery replays to a restarted peer ([`PmlShared::rejoin_peer`]).
     pub msg_log: MsgLog,
     /// Interval of the checkpoint currently coordinating, stashed by the
     /// INC handle before the CRCP runs (the component has no view of
@@ -249,9 +249,9 @@ pub struct PmlShared {
     nprocs: u32,
     endpoint: Endpoint,
     fabric: Fabric,
-    /// Raw [`EndpointId`] of each rank. Atomic because a survivor
-    /// re-points a restarted peer's entry from inside `classify` (state
-    /// lock held) when its `ReplayBegin` arrives.
+    /// Raw [`EndpointId`] of each rank. Atomic because a partial restart
+    /// re-points a restarted peer's entry from the recovery thread
+    /// ([`PmlShared::rejoin_peer`], state lock held).
     peers: Vec<AtomicU64>,
     gate: Arc<SafePointGate>,
     tracer: Tracer,
@@ -310,7 +310,7 @@ impl PmlShared {
     }
 
     /// True once the job was asked to terminate.
-    fn terminating(&self) -> bool {
+    pub(crate) fn terminating(&self) -> bool {
         self.terminate
             .read()
             .as_ref()
@@ -323,8 +323,7 @@ impl PmlShared {
         self.me
     }
 
-    /// This rank's own fabric endpoint id (announced to survivors in the
-    /// partial-restart rejoin handshake).
+    /// This rank's own fabric endpoint id.
     pub fn endpoint_id(&self) -> EndpointId {
         self.endpoint.id()
     }
@@ -397,56 +396,13 @@ impl PmlShared {
             // Only ends a wait: the caller looks at its state again.
             WAKE => Ok(()),
             CLASS_CRCP => {
-                let msg = decode_crcp(&delivery.payload)?;
-                if let CrcpMsg::ReplayBegin { from, endpoint } = msg {
-                    // Handled inline: a ReplayBegin can arrive at any
-                    // moment (its sender just restarted) and must never
-                    // linger in the inbox, where it would trip the
-                    // clean-checkpoint invariant in `PmlFtHandle`.
-                    return self.handle_replay_begin(st, from, endpoint);
-                }
-                st.crcp_inbox.push_back(msg);
+                st.crcp_inbox.push_back(decode_crcp(&delivery.payload)?);
                 Ok(())
             }
             other => Err(MpiError::PeerLost {
                 detail: format!("unknown traffic class {other}"),
             }),
         }
-    }
-
-    /// A restarted rank announced its replacement endpoint: re-point the
-    /// peer table, trim the log to the commit watermark through the CRCP
-    /// (the rank restored the newest committed counts, so what is below
-    /// that mark it already holds), replay every logged message it may
-    /// have missed, and fence the backlog with `ReplayDone` so the
-    /// rejoiner knows its channel is caught up.
-    fn handle_replay_begin(
-        &self,
-        st: &mut PmlState,
-        from: u32,
-        endpoint: u64,
-    ) -> Result<(), MpiError> {
-        if from as usize >= st.recv_counts.len() {
-            return Err(MpiError::PeerLost {
-                detail: format!("ReplayBegin from unknown rank {from}"),
-            });
-        }
-        self.peers[from as usize].store(endpoint, Ordering::SeqCst);
-        st.peers_down.remove(&from);
-        self.fabric.watch(self.endpoint.id(), EndpointId(endpoint));
-        if let Some(crcp) = self.crcp() {
-            crcp.trim_for_replay(st, self.me);
-        }
-        let mut resent = 0u64;
-        for logged in st.msg_log.backlog(from) {
-            self.resend_logged(logged)?;
-            resent += 1;
-        }
-        self.tracer.record(
-            "crcp.replay.resent",
-            &format!("rank {}: replayed {resent} logged sends to restarted rank {from}", self.me),
-        );
-        self.send_crcp(from, &CrcpMsg::ReplayDone { from: self.me })
     }
 
     /// Drain everything currently queued on the endpoint (non-blocking).
@@ -488,10 +444,10 @@ impl PmlShared {
 
     /// Encode and send one application frame through the CRCP hook, and
     /// count it. A frame the message log keeps counts as sent even when
-    /// the peer's endpoint is gone (it died): the logged copy is replayed
-    /// over the `ReplayBegin` handshake once the rank rejoins on a spare
-    /// node, and sequence numbers keep advancing so the log stays
-    /// gap-free.
+    /// the peer's endpoint is gone (it died): the recovery replays the
+    /// logged copy once the rank is restarted on a spare node
+    /// ([`PmlShared::rejoin_peer`]), and sequence numbers keep advancing
+    /// so the log stays gap-free.
     fn post_app(
         &self,
         st: &mut PmlState,
@@ -515,18 +471,42 @@ impl PmlShared {
         Ok(())
     }
 
-    /// Resend a logged application frame verbatim (partial-restart
-    /// replay). Bypasses counters: the original send was already counted.
-    fn resend_logged(&self, logged: &LoggedSend) -> Result<(), MpiError> {
-        let wire = self
-            .wire
-            .encode_app(self.me, logged.ctx, logged.tag, logged.seq, &logged.payload);
-        self.fabric
-            .send(self.endpoint.id(), self.peer(logged.dst), CLASS_APP, wire)
-            .map_err(|e| MpiError::PeerLost {
-                detail: format!("resend to rank {}: {e}", logged.dst),
-            })?;
-        Ok(())
+    /// A partial restart moved `rank` onto `endpoint`, restored from the
+    /// newest committed interval (`watermark` = that interval + 1). The
+    /// recovery calls this on every survivor before the rank runs, so no
+    /// survivor has to enter MPI for it. Under one acquisition of the
+    /// state lock it re-points the peer table, forgets the rank's death,
+    /// watches the new endpoint and resends every logged frame the
+    /// restored counts do not hold. A send reads the peer table under the
+    /// same lock, so the whole backlog is queued on the new endpoint
+    /// before any fresh frame. Returns the frames resent: a resend stops
+    /// at the first failure, which means this rank's own endpoint is dead
+    /// (it failed too, and re-sends its traffic when it is restarted).
+    pub fn rejoin_peer(&self, rank: u32, endpoint: EndpointId, watermark: u64) -> u64 {
+        let mut st = self.state.lock();
+        self.peers[rank as usize].store(endpoint.0, Ordering::SeqCst);
+        st.peers_down.remove(&rank);
+        self.fabric.watch(self.endpoint.id(), endpoint);
+        let mut resent = 0u64;
+        let mut failed = String::new();
+        for logged in st.msg_log.replay(rank, watermark) {
+            let wire = self
+                .wire
+                .encode_app(self.me, logged.ctx, logged.tag, logged.seq, &logged.payload);
+            if let Err(e) = self.fabric.send(self.endpoint.id(), endpoint, CLASS_APP, wire) {
+                failed = format!(", then stopped: {e}");
+                break;
+            }
+            resent += 1;
+        }
+        self.tracer.record(
+            "crcp.replay.resent",
+            &format!(
+                "rank {}: replayed {resent} logged sends to restarted rank {rank}{failed}",
+                self.me
+            ),
+        );
+        resent
     }
 
     // -- blocking operations -----------------------------------------------
@@ -906,6 +886,7 @@ impl FtEvent for PmlFtHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crcp::msglog::LoggedSend;
 
     /// The "pml" image section's bytes, pinned: every persisted field set,
     /// the message log's three fields flattened into the section, and the

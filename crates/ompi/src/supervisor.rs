@@ -114,7 +114,8 @@ fn run_incarnation<A: MpiApp>(
 
     // Failure watchdog. Under `policy.partial` a failed rank is first
     // restored in place — only its image is fetched, only a spare node is
-    // claimed, and the survivors stay live through the replay handshake.
+    // claimed, and the survivors stay live while the recovery replays
+    // their logs.
     // Anything that makes partial recovery refuse (no committed snapshot
     // yet, too many attempts, spare pool dry, …) falls back to the
     // original path: terminate the survivors so `wait()` can complete and

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use mca::McaParams;
-use netsim::NodeId;
+use netsim::{Endpoint, NodeId};
 use parking_lot::Mutex;
 
 use cr_core::request::{CheckpointOptions, CheckpointOutcome};
@@ -45,11 +45,12 @@ pub struct LaunchCtx {
     /// Restored process image when this is a restart, `None` on a fresh
     /// launch.
     pub restored: Option<ProcessImage>,
-    /// Partial restart only: the set of ranks being respawned into a job
-    /// whose other ranks are still live. The rejoining process must
-    /// re-publish its endpoint and run the replay handshake with the
-    /// survivors instead of assuming a whole-job restart barrier.
-    pub rejoin: Option<Arc<std::collections::BTreeSet<u32>>>,
+    /// Partial restart only: the fabric endpoint the recovery registered
+    /// for this rank on its spare before respawning it. The survivors'
+    /// logged backlogs are already queued on it, so the process must
+    /// take this endpoint (and publish it) instead of registering its
+    /// own. `None` on a launch or whole-job restart.
+    pub endpoint: Option<Endpoint>,
     /// Set when the job was asked to terminate (checkpoint-and-terminate);
     /// application loops must exit at their next safe point.
     pub terminate: Arc<AtomicBool>,
@@ -57,7 +58,7 @@ pub struct LaunchCtx {
     /// recovery supervisor, or a caller driving `restart_ranks` by hand —
     /// stands ready to recover failed ranks in place. While set, a
     /// failing rank must NOT pull the job down: survivors stay live and
-    /// the replay handshake catches the respawned rank up. Off by
+    /// their message logs catch the respawned rank up. Off by
     /// default, so a plain run with the message log enabled but no
     /// recoverer still terminates on failure instead of hanging.
     pub partial_recovery: Arc<AtomicBool>,
@@ -309,16 +310,16 @@ impl JobHandle {
     ///
     /// The dead incarnation's threads are reaped and its entry replaced in
     /// place: a fresh container is registered with `node`'s daemon and the
-    /// job's entry function re-enters through the normal restart path with
-    /// `rejoin` naming the set of simultaneously restarting ranks (the
-    /// OMPI layer uses it to run the replay handshake with the survivors
-    /// instead of a whole-job init barrier).
+    /// job's entry function re-enters through the normal restart path on
+    /// `endpoint`, which the caller registered on `node` beforehand (the
+    /// OMPI layer queues the survivors' logged backlogs on it before the
+    /// rank runs).
     pub fn respawn_rank(
         &self,
         rank: Rank,
         node: NodeId,
         image: ProcessImage,
-        rejoin: Arc<std::collections::BTreeSet<u32>>,
+        endpoint: Endpoint,
     ) -> Result<(), CrError> {
         let entry = self
             .procs
@@ -357,7 +358,7 @@ impl JobHandle {
             node,
             container: Arc::clone(&container),
             restored: Some(image),
-            rejoin: Some(rejoin),
+            endpoint: Some(endpoint),
             terminate: Arc::clone(&self.terminate),
             partial_recovery: Arc::clone(&self.partial_recovery),
             commit_watermark: Arc::clone(&self.commit_watermark),
@@ -513,7 +514,7 @@ pub fn launch(runtime: &Runtime, spec: JobSpec) -> Result<JobHandle, CrError> {
             node,
             container: Arc::clone(&container),
             restored: restored_images.as_mut().map(|v| std::mem::take(&mut v[rank.index()])),
-            rejoin: None,
+            endpoint: None,
             terminate: Arc::clone(&terminate),
             partial_recovery: Arc::clone(&partial_recovery),
             commit_watermark: Arc::clone(&commit_watermark),

@@ -85,9 +85,10 @@ impl Modex {
 
     /// Retract a single `(job, key)` entry (partial-restart hygiene:
     /// a failed rank's stale endpoint address must be removed *before*
-    /// its replacement is spawned, so simultaneously rejoining peers
-    /// block in [`Modex::wait`] until the fresh address is republished
-    /// instead of connecting to the dead incarnation).
+    /// its replacement is spawned, so the ranks restarted with it block
+    /// in [`Modex::wait`] until the replacement publishes the endpoint
+    /// the recovery registered for it, instead of connecting to the dead
+    /// incarnation; the survivors are re-pointed by the recovery itself).
     pub fn remove(&self, job: JobId, key: &str) {
         let mut inner = self.inner.lock();
         inner.entries.remove(&(job, key.to_string()));

@@ -122,6 +122,16 @@ fi
 if grep -rnE 'sender_log|CrcpMsg::Have|LoggerCrcp|DirectSnapc|SlurmSimPlm' crates src tests examples; then
   exit 1
 fi
+# One replay, run by the recovery: a partial restart re-points every
+# survivor and queues its logged backlog itself before the restarted rank
+# runs, so no replay handshake message, rejoin wait, CRCP trim hook or
+# log-gap probe comes back into the non-test code of any crate.
+while IFS= read -r f; do
+  if awk -v f="$f" '/^#\[cfg\(test\)\]/ {exit} {print f":"FNR": "$0}' "$f" |
+    grep -E 'ReplayBegin|ReplayDone|rejoin_replay|trim_for_replay|crcp\.msglog\.gap'; then
+    exit 1
+  fi
+done < <(find crates/*/src -name '*.rs' | sort)
 # One fetch batch per recovery: a restart fetches the chunks of all its
 # dedup images with one SnapshotStore::fetch_images call, never a per-rank
 # fetch_image loop.

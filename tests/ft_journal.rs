@@ -1,18 +1,21 @@
 //! The FT event journal end to end (DESIGN.md §2.6): a real run's journal
-//! verifies, attributes actors, replays against the commit protocol
-//! model, rejects tampered event orders, and diffs run-to-run.
+//! verifies, attributes actors, replays against the commit, quiesce and
+//! partial-restart protocol models, rejects tampered event orders, and
+//! diffs run-to-run.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cr_core::request::CheckpointOptions;
 use journal::{diff, DiffKey, JournalEntry, JournalWriter};
 use mca::McaParams;
 use model::ReplayEvent;
 use netsim::NodeId;
-use ompi::{mpirun, RunConfig};
+use ompi::app::{MpiApp, StepOutcome};
+use ompi::{mpirun, Mpi, MpiError, RestartOptions, RunConfig};
 use ompi_cr::{scratch_dir, test_runtime};
-use workloads::ring::RingApp;
+use workloads::ring::{RingApp, RingState};
 
 /// One green early-release checkpointed run; returns its journal entries.
 fn early_release_run(tag: &str) -> Vec<JournalEntry> {
@@ -85,6 +88,64 @@ fn two_rank_run_replays_conformant_against_quiesce_model() {
     let report = model::conformance("quiesce", &to_events(&entries)).expect("quiesce model known");
     assert!(report.ok(), "{}", report.render());
     assert!(report.matched >= 4, "{}", report.render());
+}
+
+/// A ring whose rank 2 dies at its next step once `armed` is set.
+struct FailingRing {
+    ring: RingApp,
+    armed: AtomicBool,
+}
+
+impl MpiApp for FailingRing {
+    type State = RingState;
+
+    fn init_state(&self, mpi: &Mpi) -> Result<RingState, MpiError> {
+        self.ring.init_state(mpi)
+    }
+
+    fn step(&self, mpi: &Mpi, state: &mut RingState) -> Result<StepOutcome, MpiError> {
+        if mpi.rank() == 2 && self.armed.swap(false, Ordering::SeqCst) {
+            return Err(MpiError::PeerLost { detail: "injected node failure".into() });
+        }
+        self.ring.step(mpi, state)
+    }
+}
+
+#[test]
+fn partial_restart_run_replays_conformant_against_partial_model() {
+    // A 4-rank ring checkpoints, loses rank 2 with its node, restores it
+    // onto the spare while the others run on, and finishes. An
+    // early-release gather records the `snapc.global.global_commit` the
+    // model's checkpoint maps to.
+    let rt = test_runtime("jrnl_partial", 5);
+    let params = Arc::new(McaParams::new());
+    params.set("snapc_early_release", "true");
+    params.set("crcp_msg_log_enabled", "true");
+    params.set("orte_spare_nodes", "1");
+    let app = Arc::new(FailingRing { ring: RingApp { rounds: 40_000 }, armed: AtomicBool::new(false) });
+    let job = mpirun(&rt, Arc::clone(&app), RunConfig { nprocs: 4, params }).unwrap();
+    job.handle().set_partial_recovery(true);
+    std::thread::sleep(Duration::from_millis(30));
+    let ck = job.checkpoint(&CheckpointOptions::tool()).unwrap();
+    app.armed.store(true, Ordering::SeqCst);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while job.failed_ranks().is_empty() {
+        assert!(Instant::now() < deadline, "injected failure never reported");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    rt.kill_daemon(NodeId(2));
+    job.restart_ranks(&ck.global_snapshot, &RestartOptions::default().with_ranks(vec![2]))
+        .unwrap();
+    job.wait().unwrap();
+    let path = rt.journal_path().expect("journal on by default");
+    rt.shutdown();
+
+    let entries = journal::read_entries(&path).unwrap();
+    let report = model::conformance("partial", &to_events(&entries)).expect("partial model known");
+    assert!(report.ok(), "{}", report.render());
+    assert_eq!(report.skipped, 0, "every mapped event is model-reachable: {}", report.render());
+    // Commit, kill, claim, three resends and the replay's end.
+    assert!(report.matched >= 7, "{}", report.render());
 }
 
 #[test]

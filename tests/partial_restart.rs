@@ -1,15 +1,17 @@
 //! Tentpole acceptance for partial restart (O(failed) recovery): a rank
 //! dies with its node, the runtime restores *only* that rank onto a
 //! spare node from the last committed snapshot, the survivors stay live
-//! and replay the logged in-flight traffic over the
-//! `ReplayBegin`/`ReplayDone` handshake, and the job finishes with the
-//! fault-free answer. Also covers: the sender-side message log is GC'd
-//! at global commit, every refusal precondition leaves the job
-//! untouched, and the recovery supervisor falls back to a full restart
-//! when partial recovery refuses.
+//! while the recovery queues their logged in-flight traffic on the
+//! restored rank's new endpoint, and the job finishes with the
+//! fault-free answer. No survivor has to enter MPI for the recovery, and
+//! a job whose survivors never do still terminates. Also covers: the
+//! sender-side message log is GC'd at global commit, every refusal
+//! precondition leaves the job untouched, and the recovery supervisor
+//! falls back to a full restart when partial recovery refuses.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cr_core::request::CheckpointOptions;
@@ -65,13 +67,24 @@ impl MpiApp for GatedRing {
     }
 }
 
-/// Communication-free workload whose ranks in `fail` die once `armed` is
-/// set. Because the ranks never talk to each other, any subset can fail
-/// on cue without the survivors blocking in a recv — which the refusal
-/// test needs to stage multi-rank failure patterns.
+/// Workload whose steps only sleep: a rank the test adds to `fail` dies
+/// at its next step (once). Because the ranks never talk to each other,
+/// any subset can fail on cue without the survivors blocking in a recv —
+/// which the refusal test needs to stage multi-rank failure patterns —
+/// and no survivor ever enters MPI. With `chat`, ranks 0 and 1 instead
+/// trade one message per step, as fast as they can, and never with
+/// anyone else.
+#[derive(Default)]
 struct FailSet {
-    fail: std::collections::BTreeSet<u32>,
-    armed: Arc<AtomicBool>,
+    fail: Arc<Mutex<BTreeSet<u32>>>,
+    chat: bool,
+}
+
+impl FailSet {
+    /// Kill `ranks` at their next step.
+    fn arm(&self, ranks: &[u32]) {
+        self.fail.lock().unwrap().extend(ranks);
+    }
 }
 
 impl MpiApp for FailSet {
@@ -86,13 +99,20 @@ impl MpiApp for FailSet {
     }
 
     fn step(&self, mpi: &Mpi, state: &mut u64) -> Result<StepOutcome, MpiError> {
-        if self.armed.load(Ordering::SeqCst) && self.fail.contains(&mpi.rank()) {
+        let me = mpi.rank();
+        if self.fail.lock().unwrap().remove(&me) {
             return Err(MpiError::PeerLost {
                 detail: "injected node failure".into(),
             });
         }
         *state += 1;
-        std::thread::sleep(Duration::from_millis(1));
+        if self.chat && me < 2 {
+            let comm = mpi.world().clone();
+            mpi.send(&comm, 1 - me, 7, state)?;
+            let _: (u64, _) = mpi.recv(&comm, Some(1 - me), Some(7))?;
+        } else {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         Ok(StepOutcome::Continue)
     }
 }
@@ -211,8 +231,12 @@ fn partial_restart_recovers_a_lost_node_with_survivors_live() {
         1,
         "only the failed rank restarts"
     );
-    assert!(tracer.count_prefix("crcp.replay.begin") >= 1, "rejoin announced");
-    assert!(tracer.count_prefix("crcp.replay.resent") >= 1, "backlog replayed");
+    assert_eq!(tracer.count_prefix("crcp.replay.done"), 1, "one replay per recovery");
+    assert_eq!(
+        tracer.count_prefix("crcp.replay.resent"),
+        NPROCS as usize - 1,
+        "every survivor replayed its backlog"
+    );
     assert!(tracer.count_prefix("orte.spare.claim") >= 1, "spare claimed");
     rt.shutdown();
 }
@@ -386,6 +410,26 @@ fn replay_log_is_gced_at_global_commit_and_recorded() {
     rt.shutdown();
 }
 
+/// What a refused recovery must leave as it found it: the failed ranks,
+/// the spare pool, every daemon it did not kill itself, and no rank
+/// re-entering the restart path or replayed to.
+fn assert_untouched<S: Send + 'static>(
+    rt: &orte::Runtime,
+    job: &MpiJob<S>,
+    failed: &[usize],
+    spares: usize,
+    live_nodes: &[u32],
+) {
+    assert_eq!(job.failed_ranks(), failed, "refusals touched no live rank");
+    assert_eq!(rt.spare_nodes().len(), spares, "a refused recovery keeps no spare");
+    for &node in live_nodes {
+        assert!(!rt.node_failed(NodeId(node)), "a refusal killed node {node}'s daemon");
+    }
+    let tracer = rt.tracer();
+    assert_eq!(tracer.count_prefix("ompi.init.restart"), 0, "no rank was respawned");
+    assert_eq!(tracer.count_prefix("crcp.replay.done"), 0, "nothing was replayed");
+}
+
 /// Every refusal precondition fires before any mutation of the live job,
 /// in an order a caller can rely on for fallback decisions — and a
 /// recovery that refuses after claiming spares hands them back.
@@ -395,14 +439,10 @@ fn refusals_leave_the_job_untouched() {
     // 6 nodes, 2 spares: 8 ranks double up on usable nodes 0-3 (ranks
     // r and r+4 share node r), nodes 4 and 5 idle in the spare pool.
     let rt = test_runtime("partial_refuse", 6);
-    let armed = Arc::new(AtomicBool::new(false));
-    let app = Arc::new(FailSet {
-        fail: [1, 2, 6].into_iter().collect(),
-        armed: Arc::clone(&armed),
-    });
+    let app = Arc::new(FailSet::default());
     let job = mpirun(
         &rt,
-        app,
+        Arc::clone(&app),
         RunConfig {
             nprocs: 8,
             params: partial_params(2),
@@ -432,18 +472,15 @@ fn refusals_leave_the_job_untouched() {
         .unwrap_err();
     assert!(err.to_string().contains("has not failed"), "{err}");
 
-    // Ranks 1, 2 and 6 die. Node 2 (ranks 2 and 6) is lost whole; rank
-    // 1's node-mate 5 survives on node 1.
-    armed.store(true, Ordering::SeqCst);
-    await_failures(&job, &[1, 2, 6]);
-
-    // A node is fenced whole: restarting failed rank 1 without its live
-    // node-mate is refused before anything is claimed.
+    // Node 2 (ranks 2 and 6) is lost whole. Restarting rank 2 alone
+    // leaves failed rank 6 out, which is refused by name.
+    app.arm(&[2, 6]);
+    await_failures(&job, &[2, 6]);
     let err = job
-        .restart_ranks(&ck.global_snapshot, &RestartOptions::default().with_ranks(vec![1]))
+        .restart_ranks(&ck.global_snapshot, &RestartOptions::default().with_ranks(vec![2]))
         .unwrap_err();
-    assert!(err.to_string().contains("must also include rank 5"), "{err}");
-    assert_eq!(rt.spare_nodes().len(), 2, "refusals consume no spare");
+    assert!(err.to_string().contains("leaves out failed rank 6"), "{err}");
+    assert_untouched(&rt, &job, &[2, 6], 2, &[0, 1, 2, 3]);
 
     // Rank 2's image is replicated on nodes {2, 3} (factor-1 ring); lose
     // both and a replica-only partial restart of that rank is impossible.
@@ -460,11 +497,7 @@ fn refusals_leave_the_job_untouched() {
         )
         .unwrap_err();
     assert!(err.to_string().contains("no surviving replica holder"), "{err}");
-    assert_eq!(
-        rt.spare_nodes().len(),
-        2,
-        "a refused recovery hands its claimed spares back"
-    );
+    assert_untouched(&rt, &job, &[2, 6], 2, &[0, 1]);
 
     // Drain the pool by hand: with no spare left the claim refuses.
     let a = rt.claim_spare().unwrap();
@@ -479,15 +512,25 @@ fn refusals_leave_the_job_untouched() {
     rt.register_spare(a);
     rt.register_spare(b);
 
+    // Rank 1 dies too, but its node-mate 5 survives on node 1. A node
+    // is fenced whole: restarting every failed rank without rank 5 is
+    // refused before anything is claimed, and leaving rank 1 out is
+    // refused by name.
+    app.arm(&[1]);
+    await_failures(&job, &[1, 2, 6]);
+    let err = job
+        .restart_ranks(&ck.global_snapshot, &RestartOptions::default().with_ranks(vec![1, 2, 6]))
+        .unwrap_err();
+    assert!(err.to_string().contains("must also include rank 5"), "{err}");
+    let err = job
+        .restart_ranks(&ck.global_snapshot, &RestartOptions::default().with_ranks(vec![2, 6]))
+        .unwrap_err();
+    assert!(err.to_string().contains("leaves out failed rank 1"), "{err}");
+
     // The refusals left the job exactly as the failures did: no extra
     // rank died, none was respawned or rolled back — the app threads on
     // fenced node 3 are still live (only their daemon died).
-    assert_eq!(job.failed_ranks(), vec![1, 2, 6], "refusals touched no live rank");
-    assert_eq!(
-        rt.tracer().count_prefix("ompi.init.restart"),
-        0,
-        "no rank re-entered the restart path"
-    );
+    assert_untouched(&rt, &job, &[1, 2, 6], 2, &[0, 1]);
     job.request_terminate();
     let _ = job.wait();
     rt.shutdown();
@@ -497,14 +540,10 @@ fn refusals_leave_the_job_untouched() {
     let rt2 = test_runtime("partial_refuse_nolog", 3);
     let params = Arc::new(McaParams::new());
     params.set("orte_spare_nodes", "1");
-    let armed2 = Arc::new(AtomicBool::new(false));
-    let app2 = Arc::new(FailSet {
-        fail: [1, 3].into_iter().collect(),
-        armed: Arc::clone(&armed2),
-    });
+    let app2 = Arc::new(FailSet::default());
     let job = mpirun(
         &rt2,
-        app2,
+        Arc::clone(&app2),
         RunConfig {
             nprocs: NPROCS,
             params,
@@ -515,7 +554,7 @@ fn refusals_leave_the_job_untouched() {
     std::thread::sleep(Duration::from_millis(30));
     let ck = job.checkpoint(&CheckpointOptions::tool()).unwrap();
     // Node 1 (ranks 1 and 3 in the doubled-up layout) dies whole.
-    armed2.store(true, Ordering::SeqCst);
+    app2.arm(&[1, 3]);
     await_failures(&job, &[1, 3]);
     let err = job
         .restart_ranks(
@@ -524,10 +563,250 @@ fn refusals_leave_the_job_untouched() {
         )
         .unwrap_err();
     assert!(err.to_string().contains("crcp_msg_log_enabled"), "{err}");
-    assert_eq!(rt2.spare_nodes().len(), 1, "log refusal precedes the claim");
+    assert_untouched(&rt2, &job, &[1, 3], 1, &[0, 1]);
     job.request_terminate();
     let _ = job.wait();
     rt2.shutdown();
+}
+
+/// The two refusals that read the checkpoint history and the survivors'
+/// logs leave the job untouched too: restoring an interval older than
+/// the newest committed one (the survivors' logs only reach back to the
+/// newest commit's quiesce), and a survivor whose log overflowed a tiny
+/// `crcp_msg_log_cap_kb` since that quiesce (its backlog has a hole).
+#[test]
+fn stale_interval_and_overflowed_log_refusals_leave_the_job_untouched() {
+    let _serial = serial();
+    let rt = test_runtime("partial_refuse_log", 5);
+    // Ranks 0 and 1 trade messages; rank 2, which fails, hears from
+    // nobody, so no survivor's unlogged send can fail on its death.
+    let app = Arc::new(FailSet { chat: true, ..Default::default() });
+    let params = partial_params(1);
+    params.set("crcp_msg_log_cap_kb", "1");
+    let job = mpirun(&rt, Arc::clone(&app), RunConfig { nprocs: NPROCS, params }).unwrap();
+    job.handle().set_partial_recovery(true);
+    std::thread::sleep(Duration::from_millis(30));
+    let first = job.checkpoint(&CheckpointOptions::tool()).unwrap();
+    let newest = job.checkpoint(&CheckpointOptions::tool()).unwrap();
+    assert!(newest.interval > first.interval);
+    // Thousands of messages pass the 1 KB cap after the newest quiesce.
+    std::thread::sleep(Duration::from_millis(100));
+    app.arm(&[2]);
+    await_failures(&job, &[2]);
+
+    let stale = RestartOptions { interval: Some(first.interval), ..Default::default() };
+    let err = job
+        .restart_ranks(&newest.global_snapshot, &stale.with_ranks(vec![2]))
+        .unwrap_err();
+    assert!(err.to_string().contains("newest committed interval"), "{err}");
+    assert_untouched(&rt, &job, &[2], 1, &[0, 1, 2, 3]);
+
+    let err = job
+        .restart_ranks(&newest.global_snapshot, &RestartOptions::default().with_ranks(vec![2]))
+        .unwrap_err();
+    assert!(err.to_string().contains("overflowed crcp_msg_log_cap_kb"), "{err}");
+    assert!(err.to_string().contains("survivor rank 0"), "{err}");
+    assert_untouched(&rt, &job, &[2], 1, &[0, 1, 2, 3]);
+    job.request_terminate();
+    let _ = job.wait();
+    rt.shutdown();
+}
+
+/// `MpiJob::wait` after a partial restart of a job whose survivors never
+/// enter MPI (their steps only sleep) returns once the job terminates:
+/// the recovery replayed their logs itself, so the restored rank waits
+/// on nobody.
+#[test]
+fn a_partial_restart_whose_survivors_never_enter_mpi_still_terminates() {
+    let _serial = serial();
+    let rt = test_runtime("partial_sleepers", 5);
+    let app = Arc::new(FailSet::default());
+    let job = mpirun(
+        &rt,
+        Arc::clone(&app),
+        RunConfig {
+            nprocs: NPROCS,
+            params: partial_params(1),
+        },
+    )
+    .unwrap();
+    job.handle().set_partial_recovery(true);
+    std::thread::sleep(Duration::from_millis(30));
+    let ck = job.checkpoint(&CheckpointOptions::tool()).unwrap();
+    app.arm(&[2]);
+    await_failures(&job, &[2]);
+    rt.kill_daemon(NodeId(2));
+    job.restart_ranks(&ck.global_snapshot, &RestartOptions::default().with_ranks(vec![2]))
+        .unwrap();
+    job.request_terminate();
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(job.wait().map(|results| results.len())));
+    let waited = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("MpiJob::wait hung after the partial restart");
+    assert_eq!(waited.unwrap(), NPROCS as usize);
+    rt.shutdown();
+}
+
+/// Every rank but the sink sends the sink one value per step and never
+/// receives; the sink takes one from each sender per step and folds them
+/// into its sum. A sender never waits on the sink, so the test can hold
+/// every sender outside MPI (at the top of its step, on `hold`) while
+/// the sink is lost and restored.
+struct Fan {
+    sink: u32,
+    rounds: u64,
+    /// The sink dies at its next step (once).
+    fail: AtomicBool,
+    /// Senders stop at the top of their next step while this is set.
+    hold: AtomicBool,
+    /// Per sender: the round it is held at (`u64::MAX` while running).
+    held_at: Vec<AtomicU64>,
+    /// The sink's completed rounds.
+    sink_round: AtomicU64,
+}
+
+const FAN_TAG: u32 = 5;
+
+impl Fan {
+    fn new(sink: u32, rounds: u64) -> Self {
+        Fan {
+            sink,
+            rounds,
+            fail: AtomicBool::new(false),
+            hold: AtomicBool::new(false),
+            held_at: (0..NPROCS).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            sink_round: AtomicU64::new(0),
+        }
+    }
+
+    /// The value `src` sends in `round`.
+    fn value(round: u64, src: u32) -> u64 {
+        round * 100 + u64::from(src)
+    }
+
+    /// The sink's fault-free `(round, sum)`.
+    fn reference(&self) -> (u64, u64) {
+        let sum = (0..self.rounds).fold(0u64, |sum, round| {
+            (0..NPROCS).filter(|&src| src != self.sink).fold(sum, |sum, src| {
+                sum.wrapping_mul(1_000_003).wrapping_add(Self::value(round, src))
+            })
+        });
+        (self.rounds, sum)
+    }
+}
+
+impl MpiApp for Fan {
+    type State = (u64, u64);
+
+    fn name(&self) -> &str {
+        "fan"
+    }
+
+    fn init_state(&self, _mpi: &Mpi) -> Result<(u64, u64), MpiError> {
+        Ok((0, 0))
+    }
+
+    fn step(&self, mpi: &Mpi, state: &mut (u64, u64)) -> Result<StepOutcome, MpiError> {
+        let comm = mpi.world().clone();
+        let me = mpi.rank();
+        let (round, sum) = state;
+        if me == self.sink {
+            if self.fail.swap(false, Ordering::SeqCst) {
+                return Err(MpiError::PeerLost { detail: "injected node failure".into() });
+            }
+            for src in (0..NPROCS).filter(|&src| src != me) {
+                let (value, _): (u64, _) = mpi.recv(&comm, Some(src), Some(FAN_TAG))?;
+                *sum = sum.wrapping_mul(1_000_003).wrapping_add(value);
+            }
+            self.sink_round.store(*round + 1, Ordering::SeqCst);
+        } else {
+            while self.hold.load(Ordering::SeqCst) {
+                self.held_at[me as usize].store(*round, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            self.held_at[me as usize].store(u64::MAX, Ordering::SeqCst);
+            mpi.send(&comm, self.sink, FAN_TAG, &Self::value(*round, me))?;
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        *round += 1;
+        Ok(if *round >= self.rounds { StepOutcome::Done } else { StepOutcome::Continue })
+    }
+}
+
+/// No survivor has to enter MPI for a partial restart: with every
+/// sender held outside MPI from before the recovery until after
+/// `restart_ranks` returns, the restored sink still receives its whole
+/// backlog, and the job's answer is the fault-free one.
+#[test]
+fn the_restored_rank_gets_its_backlog_with_every_survivor_outside_mpi() {
+    let _serial = serial();
+    let rt = test_runtime("partial_held", 5);
+    let app = Arc::new(Fan::new(2, 1_000));
+    let job = mpirun(
+        &rt,
+        Arc::clone(&app),
+        RunConfig {
+            nprocs: NPROCS,
+            params: partial_params(1),
+        },
+    )
+    .unwrap();
+    job.handle().set_partial_recovery(true);
+    std::thread::sleep(Duration::from_millis(30));
+    let ck = job.checkpoint(&CheckpointOptions::tool()).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+
+    // The sink dies; the senders keep logging what it misses until they
+    // are held outside MPI.
+    app.fail.store(true, Ordering::SeqCst);
+    await_failures(&job, &[2]);
+    app.hold.store(true, Ordering::SeqCst);
+    let held = || -> Vec<u64> {
+        (0..NPROCS)
+            .filter(|&r| r != 2)
+            .map(|r| app.held_at[r as usize].load(Ordering::SeqCst))
+            .collect()
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while held().contains(&u64::MAX) {
+        assert!(Instant::now() < deadline, "senders never held: {:?}", held());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let sent = held().into_iter().min().unwrap();
+    rt.kill_daemon(NodeId(2));
+    app.sink_round.store(0, Ordering::SeqCst);
+
+    let sends_before = rt.tracer().count_prefix("crcp.replay.resent");
+    job.restart_ranks(&ck.global_snapshot, &RestartOptions::default().with_ranks(vec![2]))
+        .unwrap();
+    assert_eq!(rt.tracer().count_prefix("crcp.replay.resent"), sends_before + 3);
+
+    // Still held, the senders send nothing new: whatever the restored
+    // sink receives up to round `sent` is their replayed backlog.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while app.sink_round.load(Ordering::SeqCst) < sent {
+        assert!(
+            Instant::now() < deadline,
+            "restored sink stuck at round {} of the {sent} its senders logged",
+            app.sink_round.load(Ordering::SeqCst)
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(held().iter().all(|&at| at != u64::MAX), "a sender was released early");
+    app.hold.store(false, Ordering::SeqCst);
+
+    let results = job.wait().unwrap();
+    for (r, (state, end)) in results.iter().enumerate() {
+        assert_eq!(*end, RunEnd::Completed, "rank {r}");
+        if r == 2 {
+            assert_eq!(*state, app.reference(), "the sink's answer");
+        } else {
+            assert_eq!(state.0, app.rounds, "rank {r}");
+        }
+    }
+    rt.shutdown();
 }
 
 /// Without `set_partial_recovery`, a failing rank still pulls the whole
