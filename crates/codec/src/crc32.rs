@@ -5,24 +5,49 @@
 //! context frame written by the CRS components carries a CRC-32 of its
 //! payload (see [`crate::frame`]), and the dedup context writer digests
 //! every chunk (see [`crate::chunk`]) — so this routine sits on the
-//! checkpoint critical path and is implemented with slicing-by-8 (eight
-//! bytes folded per table round). The classic 256-entry single-table fold
-//! handles the unaligned tail and serves as the reference the sliced path
-//! is tested against.
+//! checkpoint and restart critical paths and is implemented with
+//! slicing-by-16 (sixteen bytes folded per table round, over tables built
+//! at compile time). The classic 256-entry single-table fold handles the
+//! tail and serves as the reference the sliced path is tested against.
 
 /// Reflected polynomial for CRC-32/IEEE (the one used by zlib, Ethernet).
 const POLY: u32 = 0xEDB8_8320;
 
-/// 256-entry lookup table, computed at compile time.
-static TABLE: [u32; 256] = build_table();
+/// Bytes folded per round of the sliced loop.
+const SLICE: usize = 16;
 
-const fn build_table() -> [u32; 256] {
+/// The tables for slicing-by-16: `TABLES[j][b]` is the CRC of byte `b`
+/// followed by `j` zero bytes, so sixteen per-byte lookups can be
+/// XOR-combined to advance the state by sixteen bytes at once.
+/// `TABLES[0]` is the classic single table.
+static TABLES: [[u32; 256]; SLICE] = [
+    build_table(0),
+    build_table(1),
+    build_table(2),
+    build_table(3),
+    build_table(4),
+    build_table(5),
+    build_table(6),
+    build_table(7),
+    build_table(8),
+    build_table(9),
+    build_table(10),
+    build_table(11),
+    build_table(12),
+    build_table(13),
+    build_table(14),
+    build_table(15),
+];
+
+/// The table for a byte followed by `zeros` zero bytes: each zero byte
+/// is eight more shift-and-reduce steps.
+const fn build_table(zeros: usize) -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
         let mut bit = 0;
-        while bit < 8 {
+        while bit < 8 * (zeros + 1) {
             crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
             bit += 1;
         }
@@ -32,46 +57,38 @@ const fn build_table() -> [u32; 256] {
     table
 }
 
-/// The eight derived tables for slicing-by-8: `tables[j][b]` is the CRC of
-/// byte `b` followed by `j` zero bytes, so eight per-byte lookups can be
-/// XOR-combined to advance the state by a whole 64-bit word at once.
-static SLICE_TABLES: std::sync::OnceLock<Vec<[u32; 256]>> = std::sync::OnceLock::new();
-
-fn slice_tables() -> &'static [[u32; 256]] {
-    SLICE_TABLES.get_or_init(|| {
-        let mut tables: Vec<[u32; 256]> = vec![TABLE];
-        for _ in 1..8 {
-            let prev = tables.last().copied().unwrap_or(TABLE);
-            let next: [u32; 256] = core::array::from_fn(|i| {
-                let c = prev.get(i).copied().unwrap_or(0);
-                (c >> 8) ^ lut(&TABLE, c & 0xff)
-            });
-            tables.push(next);
-        }
-        tables
-    })
-}
-
-/// Bounds-checked table lookup (the low byte of `idx` is always in range,
-/// so the fallback value is unreachable; it keeps the lookup panic-free).
+/// Table lookup by the low byte of `idx` (always in range; the fallback
+/// keeps the lookup panic-free).
 #[inline]
 fn lut(table: &[u32; 256], idx: u32) -> u32 {
-    table.get(idx as usize).copied().unwrap_or(0)
+    table.get((idx & 0xff) as usize).copied().unwrap_or(0)
 }
 
-#[inline]
-fn slice_lut(tables: &[[u32; 256]], j: usize, idx: u32) -> u32 {
-    tables.get(j).map(|t| lut(t, idx)).unwrap_or(0)
-}
-
-/// Classic one-table folding loop, also the remainder path of `update`.
+/// Classic one-table folding loop, also the tail path of `update`.
 #[inline]
 fn fold_bytewise(mut crc: u32, data: &[u8]) -> u32 {
     for &byte in data {
-        let idx = ((crc ^ u32::from(byte)) & 0xff) as usize;
-        crc = (crc >> 8) ^ TABLE[idx];
+        crc = (crc >> 8) ^ lut(&TABLES[0], crc ^ u32::from(byte));
     }
     crc
+}
+
+/// Slicing-by-16 over the whole blocks of `data`, returning the state
+/// and the tail shorter than a block: the state is XORed into the first
+/// four bytes of each block, and byte `i` of the block is looked up in
+/// the table for the `15 - i` bytes that follow it.
+#[inline]
+fn fold_sliced(mut crc: u32, mut data: &[u8]) -> (u32, &[u8]) {
+    while let Some((block, rest)) = data.split_first_chunk::<SLICE>() {
+        let mut bytes = u128::from_le_bytes(*block) ^ u128::from(crc);
+        crc = 0;
+        for table in TABLES.iter().rev() {
+            crc ^= lut(table, bytes as u32);
+            bytes >>= 8;
+        }
+        data = rest;
+    }
+    (crc, data)
 }
 
 /// Incremental CRC-32 hasher.
@@ -86,32 +103,10 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Fold `data` into the running checksum (slicing-by-8 fast path).
+    /// Fold `data` into the running checksum (slicing-by-16 fast path).
     pub fn update(&mut self, data: &[u8]) {
-        let tables = slice_tables();
-        let mut crc = self.state;
-        let mut words = data.chunks_exact(8);
-        for word in words.by_ref() {
-            match word.split_first_chunk::<4>() {
-                Some((lo4, hi4)) => {
-                    let lo = crc ^ u32::from_le_bytes(*lo4);
-                    let hi = match hi4.split_first_chunk::<4>() {
-                        Some((h, _)) => u32::from_le_bytes(*h),
-                        None => 0, // unreachable: the word is exactly 8 bytes
-                    };
-                    crc = slice_lut(tables, 7, lo & 0xff)
-                        ^ slice_lut(tables, 6, (lo >> 8) & 0xff)
-                        ^ slice_lut(tables, 5, (lo >> 16) & 0xff)
-                        ^ slice_lut(tables, 4, lo >> 24)
-                        ^ slice_lut(tables, 3, hi & 0xff)
-                        ^ slice_lut(tables, 2, (hi >> 8) & 0xff)
-                        ^ slice_lut(tables, 1, (hi >> 16) & 0xff)
-                        ^ slice_lut(tables, 0, hi >> 24);
-                }
-                None => crc = fold_bytewise(crc, word),
-            }
-        }
-        self.state = fold_bytewise(crc, words.remainder());
+        let (crc, tail) = fold_sliced(self.state, data);
+        self.state = fold_bytewise(crc, tail);
     }
 
     /// Finish and return the checksum value.
@@ -168,10 +163,14 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
-        for trial in 0..200 {
-            // Exercise every alignment class: short tails, word multiples,
-            // and lengths straddling the 8-byte fold boundary.
-            let len = (next() % 513) as usize + (trial % 9);
+        for trial in 0..300 {
+            // Exercise every alignment class: short tails, block multiples,
+            // and lengths straddling the 16-byte fold boundary, up to 4 KiB.
+            let len = match trial % 3 {
+                0 => (next() % 64) as usize,
+                1 => (next() % 4096) as usize + 1,
+                _ => 16 * (next() % 256) as usize + (trial % 17),
+            };
             let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
             let mut fast = Crc32::new();
             fast.update(&data);

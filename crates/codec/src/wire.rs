@@ -41,6 +41,8 @@
 //! A `Vec<u8>` is one `BYTES` run — a `memcpy` each way. Every other
 //! `Vec<T>` is a `SEQ`. A `Vec<u8>` also reads the `SEQ` of tagged bytes
 //! that builds before the run existed wrote, so their snapshots restore.
+//! A `Vec<f64>` is a `SEQ` of `F64` records like any other, but it is
+//! written into one resized buffer and read back in one checked pass.
 //! A [`bytes::Bytes`] is written and read exactly as a `Vec<u8>`.
 //!
 //! Decoding expects one specific type and checks everything it reads:
@@ -521,7 +523,54 @@ wire_le! {
     i128 => tag::I128, |input| take_int(input, "i128");
     u128 => tag::U128, |input| take_int(input, "u128");
     f32 => tag::F32, |input| take_float(input).map(|v| v as f32);
-    f64 => tag::F64, |input| take_float(input);
+}
+
+/// One `F64` record: the tag, then the 8 little-endian bytes.
+const F64_RECORD: usize = 9;
+
+/// An `F64`. A `Vec<f64>` is the `SEQ` of `F64` records any sequence
+/// writes, but written and read as one slab.
+impl Wire for f64 {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(tag::F64);
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self> {
+        take_float(input)
+    }
+
+    fn encode_slice(items: &[f64], out: &mut Vec<u8>) {
+        put_header(out, tag::SEQ, items.len());
+        let start = out.len();
+        out.resize(start + items.len() * F64_RECORD, tag::F64);
+        let slab = out.get_mut(start..).unwrap_or_default();
+        for (record, value) in slab.chunks_exact_mut(F64_RECORD).zip(items) {
+            if let Some((_, le)) = record.split_first_mut() {
+                le.copy_from_slice(&value.to_le_bytes());
+            }
+        }
+    }
+
+    /// One pass checks that all `count` records are present and tagged
+    /// `F64`, the next converts them. Anything else (an `F32`, `INT` or
+    /// `UINT` element, or a short input) takes the per-item path, which
+    /// reads every numeric tag and reports where the input goes wrong.
+    fn decode_vec(input: &mut &[u8]) -> Result<Vec<f64>> {
+        let count = take_header(input, tag::SEQ, "sequence")?;
+        let slab = count
+            .checked_mul(F64_RECORD)
+            .and_then(|len| input.get(..len))
+            .filter(|slab| slab.chunks_exact(F64_RECORD).all(|r| r.first() == Some(&tag::F64)));
+        let Some(slab) = slab else {
+            return decode_n(input, count);
+        };
+        *input = input.get(slab.len()..).unwrap_or_default();
+        Ok(slab
+            .chunks_exact(F64_RECORD)
+            .map(|r| r.last_chunk().map_or(0.0, |le| f64::from_le_bytes(*le)))
+            .collect())
+    }
 }
 
 impl Wire for bool {

@@ -1,4 +1,4 @@
-//! Property tests: the CRC-32 slicing-by-8 fast path agrees with a
+//! Property tests: the CRC-32 slicing-by-16 fast path agrees with a
 //! bit-at-a-time reference for arbitrary lengths, unaligned offsets, and
 //! arbitrary streaming split points.
 //!
@@ -40,7 +40,7 @@ proptest! {
         start in any::<prop::sample::Index>(),
         end in any::<prop::sample::Index>(),
     ) {
-        // Subslices at arbitrary offsets: the fast path's 8-byte folds
+        // Subslices at arbitrary offsets: the fast path's 16-byte folds
         // land on every alignment class relative to the allocation.
         let (mut s, mut e) = (start.index(data.len() + 1), end.index(data.len() + 1));
         if s > e {

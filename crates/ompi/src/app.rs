@@ -1,13 +1,16 @@
 //! The resumable application model.
 //!
 //! Applications run as a sequence of **steps** over an explicit,
-//! serializable state. The runner serializes the state at every step
-//! boundary (the *boundary image*); a checkpoint captures that image plus
-//! the PML's op log of the step in progress. On restart the state is the
-//! boundary image and the step re-executes with the log armed: already
-//! performed operations replay their recorded results, so the partial
-//! step's state mutations are re-applied exactly once (see
-//! [`crate::pml`]).
+//! serializable state. The runner keeps a copy of the state at every step
+//! boundary (the *boundary state*; `clone_from`, so its allocation is
+//! reused) and encodes nothing there. A checkpoint encodes that copy
+//! once, in its `app` capture on the notification thread while the
+//! application thread is parked, and captures it with the PML's op log
+//! of the step in progress: a job that never checkpoints never encodes
+//! its state. On restart the state is the boundary state and the step
+//! re-executes with the log armed: already performed operations replay
+//! their recorded results, so the partial step's state mutations are
+//! re-applied exactly once (see [`crate::pml`]).
 //!
 //! The contract this imposes on applications is the standard
 //! application-level checkpointing discipline:
@@ -39,8 +42,9 @@ pub enum StepOutcome {
 
 /// A checkpointable MPI application.
 pub trait MpiApp: Send + Sync + 'static {
-    /// The application's explicit, serializable state.
-    type State: Wire + Send + 'static;
+    /// The application's explicit, serializable state. `Clone` because
+    /// the runner keeps a copy of it at every step boundary.
+    type State: Wire + Clone + Send + 'static;
 
     /// Human-readable application name (snapshot metadata, logs).
     fn name(&self) -> &str {
@@ -52,33 +56,40 @@ pub trait MpiApp: Send + Sync + 'static {
     fn init_state(&self, mpi: &Mpi) -> Result<Self::State, MpiError>;
 
     /// Execute one step. Steps are the checkpoint granularity: state is
-    /// serialized at every boundary, so a step should be a meaningful unit
+    /// copied at every boundary, so a step should be a meaningful unit
     /// of work (one iteration, one batch), not a single arithmetic
     /// operation.
     fn step(&self, mpi: &Mpi, state: &mut Self::State) -> Result<StepOutcome, MpiError>;
 }
 
-/// The shared cell holding the current boundary image; the container's
-/// "app" capture section reads it from the notification thread.
-#[derive(Clone, Default)]
-pub struct BoundaryCell {
-    bytes: Arc<Mutex<Vec<u8>>>,
+/// The shared cell holding the state as of the last step boundary. The
+/// runner copies the state in at every boundary; the container's "app"
+/// capture section encodes it, once per checkpoint, from the
+/// notification thread.
+#[derive(Clone)]
+pub struct BoundaryCell<S> {
+    state: Arc<Mutex<Option<S>>>,
 }
 
-impl BoundaryCell {
+impl<S: Wire + Clone> BoundaryCell<S> {
     /// Empty cell.
     pub fn new() -> Self {
-        Self::default()
+        Self { state: Arc::new(Mutex::new(None)) }
     }
 
-    /// Replace the boundary image.
-    pub fn set(&self, bytes: Vec<u8>) {
-        *self.bytes.lock() = bytes;
+    /// Keep a copy of `state` as the boundary state, reusing the previous
+    /// copy's allocation.
+    pub fn set(&self, state: &S) {
+        match &mut *self.state.lock() {
+            Some(kept) => kept.clone_from(state),
+            slot => *slot = Some(state.clone()),
+        }
     }
 
-    /// Current boundary image (the capture closure).
+    /// The boundary state's encoding (the capture closure), empty before
+    /// the first boundary.
     pub fn get(&self) -> Vec<u8> {
-        self.bytes.lock().clone()
+        self.state.lock().as_ref().map(codec::to_bytes).unwrap_or_default()
     }
 }
 
@@ -98,27 +109,21 @@ pub enum RunEnd {
 pub fn run_app<A: MpiApp>(
     app: &A,
     mpi: &Mpi,
-    boundary: &BoundaryCell,
+    boundary: &BoundaryCell<A::State>,
     restored: Option<Vec<u8>>,
 ) -> Result<(A::State, RunEnd), MpiError> {
     let mut resuming = restored.is_some();
     let mut state: A::State = match restored {
-        Some(bytes) => {
-            boundary.set(bytes.clone());
-            codec::from_bytes(&bytes).map_err(|e| {
-                MpiError::Cr(CrError::BadSnapshot {
-                    detail: format!("app section does not decode: {e}"),
-                })
-            })?
-        }
-        None => {
-            let state = app.init_state(mpi)?;
-            boundary.set(codec::to_bytes(&state));
-            state
-        }
+        Some(bytes) => codec::from_bytes(&bytes).map_err(|e| {
+            MpiError::Cr(CrError::BadSnapshot {
+                detail: format!("app section does not decode: {e}"),
+            })
+        })?,
+        None => app.init_state(mpi)?,
     };
+    boundary.set(&state);
 
-    // The checkpoint window opens only once a boundary image exists:
+    // The checkpoint window opens only once a boundary state exists:
     // before this point a checkpoint could not describe the process.
     mpi.container().enable_checkpointing();
     if resuming {
@@ -129,9 +134,9 @@ pub fn run_app<A: MpiApp>(
     loop {
         if !resuming {
             // Step boundary: ops of the finished step are accounted for by
-            // the fresh boundary image; drop the log.
+            // the fresh boundary state; drop the log.
             mpi.pml().begin_step();
-            boundary.set(codec::to_bytes(&state));
+            boundary.set(&state);
         }
         resuming = false;
 

@@ -50,8 +50,10 @@ pub trait CrcpComponent: Send + Sync {
     /// Interposition hook: called (with the PML state locked) before each
     /// application message is sent. `payload` views the encoded frame's
     /// wire buffer, so keeping a clone of it copies nothing. Returns
-    /// whether the send is in the message log, which replays it to a
-    /// peer that is dead now.
+    /// whether the message log is on. A send to a peer that is dead now
+    /// then does not fail the sender: a partial restart replays it from
+    /// the log, or, if the cap kept it out, refuses for the overflowed
+    /// log.
     #[allow(clippy::too_many_arguments)] // mirrors the PML send signature
     fn on_send(
         &self,
@@ -176,7 +178,8 @@ impl CrcpComponent for CoordCrcp {
         }
         self.gc_committed(st, me);
         let send = LoggedSend { dst, ctx, tag, seq, payload: payload.clone() };
-        st.msg_log.record(send, self.msg_log_cap)
+        st.msg_log.record(send, self.msg_log_cap);
+        true
     }
 
     fn coordinate(&self, pml: &PmlShared) -> Result<(), CrError> {

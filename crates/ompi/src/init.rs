@@ -14,7 +14,7 @@
 //! 7. on restart: deliver [`FtEventState::Restart`] through the chain and
 //!    fire the SELF restart callback,
 //! 8. enter the application step loop; checkpointing is enabled once the
-//!    first boundary image exists and disabled again at finalize.
+//!    first boundary state exists and disabled again at finalize.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -316,6 +316,7 @@ impl<S: Send + 'static> MpiJob<S> {
         let watermark = handle.commit_watermark().load(Ordering::SeqCst);
         let pmls = self.pmls.lock().clone();
         let mut survivors = Vec::new();
+        let mut gapped = Vec::new();
         for (r, pml) in (0..nprocs).zip(pmls).filter(|(r, _)| !rank_set.contains(r)) {
             let Some(pml) = pml else {
                 return Err(CrError::Unsupported {
@@ -326,16 +327,19 @@ impl<S: Send + 'static> MpiJob<S> {
                 });
             };
             if pml.with_state(|st| st.msg_log.gapped_since(watermark)) {
-                return Err(CrError::Unsupported {
-                    detail: format!(
-                        "survivor rank {r}'s message log overflowed \
-                         crcp_msg_log_cap_kb since interval {interval}'s quiesce; \
-                         its replay backlog is sequence-gapped (raise the cap or \
-                         fall back to a full restart)"
-                    ),
-                });
+                gapped.push(format!("survivor rank {r}'s message log"));
             }
             survivors.push(pml);
+        }
+        if !gapped.is_empty() {
+            return Err(CrError::Unsupported {
+                detail: format!(
+                    "{} overflowed crcp_msg_log_cap_kb since interval {interval}'s \
+                     quiesce; the replay backlog is sequence-gapped (raise the cap \
+                     or fall back to a full restart)",
+                    gapped.join(" and ")
+                ),
+            });
         }
 
         // One spare per distinct failed node, held in a lease: any

@@ -443,11 +443,13 @@ impl PmlShared {
     }
 
     /// Encode and send one application frame through the CRCP hook, and
-    /// count it. A frame the message log keeps counts as sent even when
-    /// the peer's endpoint is gone (it died): the recovery replays the
-    /// logged copy once the rank is restarted on a spare node
-    /// ([`PmlShared::rejoin_peer`]), and sequence numbers keep advancing
-    /// so the log stays gap-free.
+    /// count it. With the message log on, a frame counts as sent even
+    /// when the peer's endpoint is gone (it died), so one node loss fails
+    /// one rank: the recovery replays the logged copy once the rank is
+    /// restarted on a spare node ([`PmlShared::rejoin_peer`]), and
+    /// sequence numbers keep advancing so the log stays gap-free. A frame
+    /// the cap kept out of the log marks it overflowed, and the recovery
+    /// refuses for that log instead.
     fn post_app(
         &self,
         st: &mut PmlState,
@@ -459,10 +461,10 @@ impl PmlShared {
     ) -> Result<(), NetError> {
         let seq = st.sent_counts[dst as usize];
         let wire = self.wire.encode_app(self.me, ctx, tag, seq, payload);
-        let in_msg_log =
+        let logging =
             crcp.is_some_and(|c| c.on_send(st, self.me, dst, ctx, tag, seq, &wire.slice(HEADER_LEN..)));
         match self.fabric.send(self.endpoint.id(), self.peer(dst), CLASS_APP, wire) {
-            Err(NetError::Unreachable { .. }) if in_msg_log => {}
+            Err(NetError::Unreachable { .. }) if logging => {}
             sent => {
                 sent?;
             }

@@ -244,6 +244,7 @@ fn checkpoint_then_restart_reproduces_the_answer() {
 fn collectives_work() {
     struct CollApp;
 
+    #[derive(Clone)]
     struct CollState {
         phase: u32,
         sum: u64,

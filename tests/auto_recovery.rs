@@ -116,6 +116,7 @@ fn supervisor_gives_up_after_max_restarts() {
     // max_restarts and report every failure.
     struct AlwaysFails;
 
+    #[derive(Clone)]
     struct NoState {
         round: u64,
     }

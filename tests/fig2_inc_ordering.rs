@@ -17,6 +17,7 @@ use ompi_cr::test_runtime;
 /// checkpoint never races its `MPI_Finalize`.
 struct CallbackApp;
 
+#[derive(Clone)]
 struct CbState {
     rounds: u64,
 }

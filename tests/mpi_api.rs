@@ -209,6 +209,7 @@ fn typed_payloads_roundtrip() {
 /// Invalid arguments surface as errors, not hangs or panics.
 struct InvalidApp;
 
+#[derive(Clone)]
 struct InvalidState;
 codec::wire_struct!(InvalidState);
 
@@ -244,6 +245,7 @@ fn invalid_arguments_are_errors() {
 /// Probe, sendrecv, and scan coverage.
 struct ExtendedApp;
 
+#[derive(Clone)]
 struct ExtState {
     scan: u64,
     probed: (u32, u32),

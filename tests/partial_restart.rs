@@ -20,7 +20,7 @@ use mca::McaParams;
 use netsim::NodeId;
 use ompi::app::{MpiApp, RunEnd, StepOutcome};
 use ompi::supervisor::{run_with_recovery, RecoveryPolicy};
-use ompi::{mpirun, Mpi, MpiError, MpiJob, RestartOptions, RestartSource, RunConfig};
+use ompi::{mpirun, Comm, Mpi, MpiError, MpiJob, RestartOptions, RestartSource, RunConfig};
 use ompi_cr::test_runtime;
 use proptest::prelude::*;
 use workloads::ring::{reference_checksums, RingApp, RingState};
@@ -606,6 +606,133 @@ fn stale_interval_and_overflowed_log_refusals_leave_the_job_untouched() {
         .unwrap_err();
     assert!(err.to_string().contains("overflowed crcp_msg_log_cap_kb"), "{err}");
     assert!(err.to_string().contains("survivor rank 0"), "{err}");
+    assert_untouched(&rt, &job, &[2], 1, &[0, 1, 2, 3]);
+    job.request_terminate();
+    let _ = job.wait();
+    rt.shutdown();
+}
+
+/// A 4-rank token ring in which rank 1 can hold the token back while
+/// rank 2 dies. Rank 2 waits for the token by polling, so it is never
+/// blocked in a receive when rank 1 holds the token: once `hold` is set,
+/// rank 1 keeps the next token it gets, rank 2 sees that and waits for
+/// `kill` (then dies), and rank 1 forwards the token to the dead rank 2
+/// once `hold` is cleared.
+#[derive(Default)]
+struct ForwardToDead {
+    hold: AtomicBool,
+    kill: AtomicBool,
+    /// Rank 1 sets bit 1 once it holds the token, rank 2 bit 2 once it
+    /// has seen that.
+    held: AtomicU64,
+    /// Rank 1 returned from its send to the dead rank 2.
+    forwarded: AtomicBool,
+    /// Rank 1's completed steps.
+    rank1_steps: AtomicU64,
+}
+
+impl ForwardToDead {
+    /// Rank 2's receive of the token: polled, and an injected node
+    /// failure once rank 1 holds the token back.
+    fn poll_token(&self, mpi: &Mpi, comm: &Comm, prev: u32) -> Result<u64, MpiError> {
+        let req = mpi.irecv(comm, Some(prev), Some(7))?;
+        loop {
+            if let Some((got, _)) = mpi.test_recv(req)? {
+                return Ok(got);
+            }
+            if self.held.load(Ordering::SeqCst) & 1 != 0 {
+                self.held.fetch_or(2, Ordering::SeqCst);
+                while !self.kill.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                return Err(MpiError::PeerLost { detail: "injected node failure".into() });
+            }
+            mpi.progress();
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
+}
+
+impl MpiApp for ForwardToDead {
+    type State = u64;
+
+    fn init_state(&self, _mpi: &Mpi) -> Result<u64, MpiError> {
+        Ok(0)
+    }
+
+    fn step(&self, mpi: &Mpi, token: &mut u64) -> Result<StepOutcome, MpiError> {
+        let comm = mpi.world().clone();
+        let me = mpi.rank();
+        let (next, prev) = ((me + 1) % NPROCS, (me + NPROCS - 1) % NPROCS);
+        if me == 0 {
+            mpi.send(&comm, next, 7, token)?;
+        }
+        let got = if me == 2 {
+            self.poll_token(mpi, &comm, prev)?
+        } else {
+            mpi.recv::<u64>(&comm, Some(prev), Some(7))?.0
+        };
+        *token = got + 1;
+        if me != 0 {
+            let to_dead = me == 1 && self.hold.load(Ordering::SeqCst);
+            if to_dead {
+                self.held.fetch_or(1, Ordering::SeqCst);
+                while self.hold.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            mpi.send(&comm, next, 7, token)?;
+            self.forwarded.fetch_or(to_dead, Ordering::SeqCst);
+        }
+        if me == 1 {
+            self.rank1_steps.fetch_add(1, Ordering::SeqCst);
+        }
+        Ok(StepOutcome::Continue)
+    }
+}
+
+/// One node loss fails one rank even when a survivor's message log is
+/// past its cap: rank 1's send to the dead rank 2 does not fail rank 1,
+/// and the partial restart then refuses, naming rank 1's overflowed log.
+#[test]
+fn a_send_past_the_log_cap_to_a_dead_rank_fails_only_the_dead_rank() {
+    let _serial = serial();
+    let rt = test_runtime("partial_cap_dead_peer", 5);
+    let app = Arc::new(ForwardToDead::default());
+    let params = partial_params(1);
+    params.set("crcp_msg_log_cap_kb", "1");
+    let job = mpirun(&rt, Arc::clone(&app), RunConfig { nprocs: NPROCS, params }).unwrap();
+    job.handle().set_partial_recovery(true);
+    let laps = |n: u64| {
+        while app.rank1_steps.load(Ordering::SeqCst) < n {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    // Rank 1's second step needs a whole lap, so every rank is running.
+    laps(2);
+    let ck = job.checkpoint(&CheckpointOptions::tool()).unwrap();
+    // Each logged token is a few bytes: 1 000 laps pass the 1 KiB cap.
+    laps(app.rank1_steps.load(Ordering::SeqCst) + 1_000);
+    app.hold.store(true, Ordering::SeqCst);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while app.held.load(Ordering::SeqCst) != 3 {
+        assert!(Instant::now() < deadline, "ranks 1 and 2 never both stopped");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    app.kill.store(true, Ordering::SeqCst);
+    await_failures(&job, &[2]);
+    app.hold.store(false, Ordering::SeqCst);
+    while !app.forwarded.load(Ordering::SeqCst) && job.failed_ranks().len() < 2 {
+        assert!(Instant::now() < deadline, "rank 1 never returned from its send");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(job.failed_ranks(), vec![2], "rank 1's send to the dead rank 2 failed rank 1");
+
+    let err = job
+        .restart_ranks(&ck.global_snapshot, &RestartOptions::default().with_ranks(vec![2]))
+        .unwrap_err();
+    assert!(err.to_string().contains("overflowed crcp_msg_log_cap_kb"), "{err}");
+    assert!(err.to_string().contains("survivor rank 1's message log"), "{err}");
     assert_untouched(&rt, &job, &[2], 1, &[0, 1, 2, 3]);
     job.request_terminate();
     let _ = job.wait();
