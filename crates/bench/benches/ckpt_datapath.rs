@@ -3,8 +3,9 @@
 //!
 //! One deterministic gate runs on every invocation: the parallel
 //! manifest builder must produce the exact manifest the sequential
-//! builder does, chunk record for chunk record. (That the gather plan
-//! spreads transfers over idle links is a unit test of `orte::sched`.)
+//! builder does, chunk record for chunk record. (A gather is one pass of
+//! the same pool, `orte::filem::copy_batch`; its order and first-error
+//! contract are unit tests there.)
 //!
 //! Wall-clock MB/s ratchet: chunk hashing over the worker pool must reach
 //! ≥ 1.8× single-worker throughput at 4 workers on a ≥ 64 MiB image —

@@ -14,8 +14,7 @@ use netsim::{Fabric, LinkSpec, NodeId, Topology};
 use ompi::crcp::{CoordCrcp, CrcpComponent};
 use ompi::pml::PmlShared;
 use opal::SafePointGate;
-use orte::filem::{filem_framework, CopyRequest};
-use orte::sched::copy_all_scheduled;
+use orte::filem::{copy_batch, filem_framework, CopyRequest};
 
 fn mesh(n: u32) -> Vec<Arc<PmlShared>> {
     let fabric = Fabric::new(Topology::uniform(1, LinkSpec::gigabit_ethernet()));
@@ -100,7 +99,7 @@ fn filem_drain_cost(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(workers),
             &workers,
-            |b, &workers| b.iter(|| copy_all_scheduled(&*filem, &batch, workers).unwrap()),
+            |b, &workers| b.iter(|| copy_batch(&*filem, &batch, workers).unwrap()),
         );
     }
     group.finish();

@@ -6,8 +6,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netsim::NodeId;
-use orte::filem::{filem_framework, CopyRequest};
-use orte::sched::copy_all_scheduled;
+use orte::filem::{copy_batch, filem_framework, CopyRequest};
 
 fn make_local_snapshots(base: &std::path::Path, ranks: u32, bytes_per_rank: usize) -> Vec<CopyRequest> {
     let mut batch = Vec::new();
@@ -44,7 +43,7 @@ fn filem_gather(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("lanes{lanes}"), format!("{ranks}r_{size}B")),
                 &batch,
-                |b, batch| b.iter(|| copy_all_scheduled(&*filem, batch, lanes).unwrap()),
+                |b, batch| b.iter(|| copy_batch(&*filem, batch, lanes).unwrap()),
             );
         }
     }

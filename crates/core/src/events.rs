@@ -78,10 +78,6 @@ pub const KNOWN_TRACE_EVENTS: &[TraceEventDef] = &[
         help: "checkpoint image pushed to its ring-successor holders",
     },
     TraceEventDef {
-        phase: "filem.sched.plan",
-        help: "gather batch planned into contention-aware waves (policy, peak link load)",
-    },
-    TraceEventDef {
         phase: "journal.open",
         help: "durable FT event journal opened (all later records are chained into it)",
     },

@@ -416,7 +416,7 @@ pub struct LaunchRecord {
 /// [`GlobalSnapshot::commit_interval`] or
 /// [`GlobalSnapshot::local_commit_interval`]. Empty fields write nothing, so
 /// the absence of a section keeps its meaning (no replica component, no
-/// dedup store, message log disabled, unscheduled gather).
+/// dedup store, message log disabled, no gather to stable storage).
 #[derive(Debug, Clone, Default)]
 pub struct IntervalRecord {
     /// Each rank with the hostname it ran on; its local reference is
@@ -438,8 +438,8 @@ pub struct IntervalRecord {
     /// at commit. A rank with an empty log is listed with zero, which
     /// differs from "log disabled" (empty list).
     pub msg_log_bytes: Vec<(Rank, u64)>,
-    /// The rendered gather-schedule stats line
-    /// (`orte::sched::GatherSchedStats::render`), shown by
+    /// The gather's stats line, `files=N bytes=B wall_us=W` (an older tree
+    /// also has `waves=`, `peak=` and `links=`), shown by
     /// `ompi-snapshot-info`.
     pub gather_stats: Option<String>,
 }
@@ -711,8 +711,8 @@ impl GlobalSnapshot {
             .collect()
     }
 
-    /// The gather-schedule stats line recorded for `interval`, if the
-    /// interval was committed through the scheduled gather path.
+    /// The gather stats line recorded for `interval`, if the interval was
+    /// committed through a gather to stable storage.
     pub fn gather_stats(&self, interval: u64) -> Option<&str> {
         self.meta.get(&format!("gather_{interval}"), "stats")
     }

@@ -5,9 +5,9 @@
 //! snapshot directory. Stable storage and the node directories share one
 //! filesystem here, so restart needs no *broadcast*: it reads each local
 //! snapshot where it lives (`ompi::init`). A component copies one tree;
-//! batches of trees run through the one wave executor in
-//! [`crate::sched`], which schedules transfers to avoid congesting the
-//! network.
+//! a batch of trees is one [`copy_batch`]: a pass of the shared pool
+//! ([`opal::pool::map_claimed`]), each lane claiming the next tree, with
+//! no network to schedule (the paper's `scp -r` per rank).
 //!
 //! One copier, [`CopyFilem`], copies a tree file by file on the host
 //! filesystem (the trees are real; the copy takes the time it takes). It
@@ -100,6 +100,17 @@ impl FilemComponent for CopyFilem {
         copy_tree_files(&req.src, &req.dest, &mut report)?;
         Ok(report)
     }
+}
+
+/// Copy every tree of `batch` on up to `lanes` lanes of the shared pool,
+/// returning the reports in batch order, or the first error. One lane is
+/// the sequential walk on the calling thread.
+pub fn copy_batch(
+    filem: &dyn FilemComponent,
+    batch: &[CopyRequest],
+    lanes: usize,
+) -> Result<Vec<FilemReport>, CrError> {
+    opal::pool::map_claimed(batch, lanes, |req, _: &mut ()| filem.copy_tree(req))
 }
 
 /// Assemble the FILEM framework (`rsh_sim` default, matching the paper's
@@ -197,6 +208,76 @@ mod tests {
                 dest_node: NodeId(0),
             })
             .unwrap_err();
+        assert!(matches!(err, CrError::Io { .. }));
+    }
+
+    /// `n` three-file source trees under `base`, sourced round-robin from
+    /// nodes 0..3 and all destined for the head node; tree `i`'s context
+    /// is `4096 + i` bytes, so its report names its place in the batch.
+    fn tree_batch(base: &Path, n: u32) -> (Vec<CopyRequest>, u64) {
+        let mut batch = Vec::new();
+        let mut total = 0u64;
+        for i in 0..n {
+            let src = base.join(format!("src{i}"));
+            fs::create_dir_all(src.join("sub")).unwrap();
+            fs::write(src.join("meta.data"), b"crs = blcr_sim\n").unwrap();
+            fs::write(src.join("context.bin"), vec![i as u8; 4096 + i as usize]).unwrap();
+            fs::write(src.join("sub").join("extra"), vec![1u8; 100]).unwrap();
+            total += 15 + 4096 + u64::from(i) + 100;
+            batch.push(CopyRequest {
+                src,
+                src_node: NodeId(i % 3),
+                dest: base.join(format!("dest{i}")),
+                dest_node: NodeId(0),
+            });
+        }
+        (batch, total)
+    }
+
+    fn sum(reports: &[FilemReport]) -> FilemReport {
+        let mut total = FilemReport::default();
+        for report in reports {
+            total.merge(*report);
+        }
+        total
+    }
+
+    #[test]
+    fn copy_batch_moves_every_tree() {
+        let base = tmpdir("batch_moves");
+        let (batch, total_bytes) = tree_batch(&base, 6);
+        let reports = copy_batch(&CopyFilem("rsh_sim"), &batch, 3).unwrap();
+        assert_eq!(sum(&reports), FilemReport { files: 18, bytes: total_bytes });
+        for (i, report) in reports.iter().enumerate() {
+            assert_eq!(report.bytes, 15 + 4096 + i as u64 + 100, "report {i} in batch order");
+            assert!(base.join(format!("dest{i}")).join("context.bin").is_file());
+        }
+    }
+
+    #[test]
+    fn one_lane_is_the_sequential_walk() {
+        let base = tmpdir("batch_onelane");
+        let (batch, total_bytes) = tree_batch(&base, 5);
+        let filem = CopyFilem("rsh_sim");
+        let seq = copy_batch(&filem, &batch, 1).unwrap();
+        assert_eq!(sum(&seq).bytes, total_bytes);
+        // The sequential walk's contract: one report per tree, in batch
+        // order, each what copying that tree alone reports.
+        let walk: Vec<FilemReport> = batch.iter().map(|req| filem.copy_tree(req).unwrap()).collect();
+        assert_eq!(seq, walk);
+    }
+
+    #[test]
+    fn copy_batch_reports_first_error() {
+        let base = tmpdir("batch_err");
+        let (mut batch, _) = tree_batch(&base, 3);
+        batch.push(CopyRequest {
+            src: base.join("does-not-exist"),
+            src_node: NodeId(1),
+            dest: base.join("err_out"),
+            dest_node: NodeId(0),
+        });
+        let err = copy_batch(&CopyFilem("rsh_sim"), &batch, 4).unwrap_err();
         assert!(matches!(err, CrError::Io { .. }));
     }
 

@@ -33,9 +33,6 @@
 //!   FILEM `replica` component: each daemon holds its own ranks' images
 //!   plus ring-replicated copies of `k` neighbors', so restart can pull
 //!   from surviving memory before touching stable storage.
-//! * [`sched`] — the one FILEM batch executor: gathers and drains
-//!   planned into least-loaded-link waves, executed with real
-//!   wall-clock and per-link byte accounting.
 //! * [`store`] — the unified snapshot store over the content-addressed
 //!   chunk tiers (`filem_dedup_enabled`): dedup commit, manifest-driven
 //!   fetch, and refcount GC (decrement + sweep) at retirement.
@@ -51,7 +48,6 @@ pub mod oob;
 pub mod plm;
 pub mod replica;
 pub mod runtime;
-pub mod sched;
 pub mod snapc;
 pub mod store;
 

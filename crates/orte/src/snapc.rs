@@ -31,14 +31,13 @@ use cr_core::request::{CheckpointOptions, CheckpointOutcome, CkptStats};
 use cr_core::snapshot::IntervalRecord;
 use cr_core::{CrError, JobId, Rank};
 
-use crate::filem::{filem_framework, CopyRequest};
-use crate::sched::copy_all_scheduled;
+use crate::filem::{copy_batch, filem_framework, CopyRequest, FilemComponent, FilemReport};
 use crate::job::JobHandle;
 use crate::oob::{daemon_addr, Caller, DaemonMsg, DaemonReply, RankCkpt, TreeSpec};
 use crate::runtime::Runtime;
 
-/// Concurrent transfers per wave of every gather and drain the wave
-/// executor ([`copy_all_scheduled`]) runs for a checkpoint.
+/// Pool lanes of every gather and drain a checkpoint runs through
+/// [`copy_batch`].
 const GATHER_LANES: usize = 4;
 
 /// A snapshot coordination component (global coordinator side).
@@ -104,21 +103,42 @@ fn rank_hosts(job: &JobHandle) -> IntervalRecord {
     }
 }
 
+/// One gather or drain: [`copy_batch`] over [`GATHER_LANES`] lanes. Returns
+/// the summed report, the interval's `gather_stats` line
+/// (`files=N bytes=B wall_us=W`) and the bytes per `(src node, dest node)`
+/// pair.
+fn gather(
+    filem: &dyn FilemComponent,
+    batch: &[CopyRequest],
+) -> Result<(FilemReport, String, BTreeMap<(u32, u32), u64>), CrError> {
+    let started = std::time::Instant::now();
+    let reports = copy_batch(filem, batch, GATHER_LANES)?;
+    let mut total = FilemReport::default();
+    let mut per_pair = BTreeMap::new();
+    for (req, report) in batch.iter().zip(reports) {
+        total.merge(report);
+        *per_pair.entry((req.src_node.0, req.dest_node.0)).or_insert(0) += report.bytes;
+    }
+    let wall_us = started.elapsed().as_micros();
+    let line = format!("files={} bytes={} wall_us={wall_us}", total.files, total.bytes);
+    Ok((total, line, per_pair))
+}
+
 /// Gather/commit/cleanup tail shared by the `full` and `tree` components.
 ///
 /// `results` is the flat `(node, per-rank checkpoint)` listing the daemons
 /// reported.
 ///
 /// With any classic FILEM component the tail is the paper's Figure 1-F:
-/// copy every local snapshot to stable storage over the wave executor's
-/// bounded lanes ([`GATHER_LANES`]), commit the interval, then remove the
-/// scratch copies. `snapc_early_release=true` pipelines this commit: the
-/// interval is *locally* committed (every capture on
-/// node-local disk), the request returns immediately, and the gather,
-/// promotion to global commit, and scratch cleanup run on a registered
-/// write-behind thread concurrently with resumed application progress. A
-/// node failure mid-gather leaves the interval local-committed — invisible
-/// to restart, which falls back to the newest globally committed one.
+/// copy every local snapshot to stable storage in one [`gather`], commit
+/// the interval, then remove the scratch copies. `snapc_early_release=true`
+/// pipelines this commit: the interval is *locally* committed (every
+/// capture on node-local disk), the request returns immediately, and the
+/// gather, promotion to global commit, and scratch cleanup run on a
+/// registered write-behind thread concurrently with resumed application
+/// progress. A node failure mid-gather leaves the interval local-committed
+/// — invisible to restart, which falls back to the newest globally
+/// committed one.
 ///
 /// With `filem=replica` the durable commit happens into *peer memory*
 /// first: every rank's image is ring-replicated into `k + 1` daemons'
@@ -152,7 +172,7 @@ fn rank_hosts(job: &JobHandle) -> IntervalRecord {
 /// model-checked by `cr-model gc`.
 ///
 /// Besides the stats, returns the bytes the request waited for per
-/// `(from node, to node)` link: none with early release.
+/// `(from node, to node)` pair: none with early release.
 fn gather_commit_cleanup(
     job: &JobHandle,
     interval: u64,
@@ -243,23 +263,18 @@ fn gather_commit_cleanup(
             global.commit_state(interval)
         };
         // Write-behind: the stable-storage copy (and the scratch cleanup
-        // behind it) runs off the critical path, over the bounded gather
-        // lanes so the drain itself spreads over the links.
+        // behind it) runs off the critical path.
         let drain_rt = runtime.clone();
         let drain = move || {
-            match copy_all_scheduled(&*filem, &batch, GATHER_LANES) {
-                Ok((report, _)) => {
-                    drain_rt.tracer().record(
-                        "filem.drain",
-                        &format!("{} files, {} bytes", report.files, report.bytes),
-                    );
-                    if let Err(e) = cleanup_scratch(&drain_rt, job_id, interval, &nodes) {
-                        drain_rt.tracer().record("filem.drain.error", &e.to_string());
-                    }
-                }
-                Err(e) => {
-                    drain_rt.tracer().record("filem.drain.error", &e.to_string());
-                }
+            let drained = gather(&*filem, &batch).and_then(|(report, _, _)| {
+                drain_rt.tracer().record(
+                    "filem.drain",
+                    &format!("{} files, {} bytes", report.files, report.bytes),
+                );
+                cleanup_scratch(&drain_rt, job_id, interval, &nodes)
+            });
+            if let Err(e) = drained {
+                drain_rt.tracer().record("filem.drain.error", &e.to_string());
             }
         };
         let handle = std::thread::Builder::new()
@@ -313,14 +328,10 @@ fn gather_commit_cleanup(
                 );
                 return;
             }
-            match copy_all_scheduled(&*filem, &batch, GATHER_LANES) {
-                Ok((report, sched)) => {
-                    drain_rt.tracer().record(
-                        "filem.sched.plan",
-                        &format!("interval {interval}: {}{tag}", sched.render()),
-                    );
+            match gather(&*filem, &batch) {
+                Ok((report, stats, _)) => {
                     let promoted = match cell.lock().as_mut() {
-                        Some(global) => global.promote_interval(interval, &sched.render()),
+                        Some(global) => global.promote_interval(interval, &stats),
                         None => Err(CrError::protocol(
                             "global snapshot cell empty during promotion",
                         )),
@@ -367,27 +378,21 @@ fn gather_commit_cleanup(
         return Ok((CkptStats::plain(bytes, commit), BTreeMap::new()));
     }
 
-    // Classic path: blocking gather to stable storage (Figure 1-F) over
-    // the bounded worker pool, processes already resumed. Waves spread
-    // over the links so one node's uplink is never doubled up while
-    // another's sits idle.
-    let (report, sched) = copy_all_scheduled(&*filem, &batch, GATHER_LANES)?;
-    tracer.record(
-        "filem.sched.plan",
-        &format!("interval {interval}: {}{tag}", sched.render()),
-    );
+    // Classic path: blocking gather to stable storage (Figure 1-F),
+    // processes already resumed.
+    let (report, stats, per_pair) = gather(&*filem, &batch)?;
     tracer.record(
         "filem.gather",
         &format!("{} files, {} bytes{tag}", report.files, report.bytes),
     );
-    record.gather_stats = Some(sched.render());
+    record.gather_stats = Some(stats);
     let commit = {
         let mut global = job.global_snapshot()?;
         global.commit_interval(interval, &record)?;
         global.commit_state(interval)
     };
     cleanup_scratch(runtime, job_id, interval, &nodes)?;
-    Ok((CkptStats::plain(report.bytes, commit), sched.bytes_per_link))
+    Ok((CkptStats::plain(report.bytes, commit), per_pair))
 }
 
 // ---------------------------------------------------------------------------
@@ -674,6 +679,33 @@ pub(crate) mod tests {
             }
         }
         handle
+    }
+
+    #[test]
+    fn gather_sums_bytes_per_node_pair_and_renders_the_stats_line() {
+        let base = runtime("gather_pairs", 1).stable_dir();
+        let batch: Vec<CopyRequest> = [(1u32, 100usize), (2, 200), (1, 300)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(node, len))| {
+                let src = base.join(format!("src{i}"));
+                std::fs::create_dir_all(&src).unwrap();
+                std::fs::write(src.join("context"), vec![0u8; len]).unwrap();
+                CopyRequest {
+                    src,
+                    src_node: NodeId(node),
+                    dest: base.join(format!("dest{i}")),
+                    dest_node: NodeId(0),
+                }
+            })
+            .collect();
+        let filem = filem_framework().select(&McaParams::new()).unwrap();
+        let (report, line, per_pair) = gather(&*filem, &batch).unwrap();
+        assert_eq!(report, FilemReport { files: 3, bytes: 600 });
+        assert_eq!(per_pair, BTreeMap::from([((1, 0), 400), ((2, 0), 200)]));
+        let (head, wall) = line.split_once(" wall_us=").unwrap();
+        assert_eq!(head, "files=3 bytes=600");
+        assert!(wall.parse::<u64>().is_ok(), "{line}");
     }
 
     #[test]

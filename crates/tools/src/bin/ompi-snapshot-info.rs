@@ -5,11 +5,13 @@
 //! ```
 //!
 //! Prints the jobid, rank count, committed intervals, per-rank local
-//! snapshot details (checkpointer, host, size), and the recorded launch
-//! parameters.  Intervals committed through the content-addressed dedup
-//! store (`filem_dedup_enabled`) print per-rank chunk counts and the
-//! interval's dedup ratio instead of local snapshot directories, plus a
-//! chunk-store summary with a refcount histogram.
+//! snapshot details (checkpointer, host, size), what each interval's
+//! gather to stable storage moved (files, bytes, wall time, MiB/s, read
+//! from its `gather_stats` line, current or older form), and the recorded
+//! launch parameters.  Intervals committed through the content-addressed
+//! dedup store (`filem_dedup_enabled`) print per-rank chunk counts and
+//! the interval's dedup ratio instead of local snapshot directories, plus
+//! a chunk-store summary with a refcount histogram.
 
 use std::collections::BTreeMap;
 
@@ -148,30 +150,27 @@ fn print_dedup_interval(global: &GlobalSnapshot, interval: u64) -> Result<(), St
     Ok(())
 }
 
-/// How the interval's gather to stable storage was scheduled, when the
-/// commit went through the contention-aware wave scheduler: wave shape,
-/// peak concurrent transfers on any one link, real wall-clock throughput,
-/// and the per-link byte split.
+/// What the interval's gather to stable storage moved, from its
+/// `key=value` stats line: files, bytes, wall time and MiB/s. Keys it does
+/// not know are skipped, so an older tree's line (`waves=… peak=… wall_us=…
+/// bytes=… links=…`) still prints its bytes and wall time.
 fn print_gather_stats(global: &GlobalSnapshot, interval: u64) {
     let Some(line) = global.gather_stats(interval) else {
         return;
     };
-    let Some(stats) = orte::sched::GatherSchedStats::parse(line) else {
-        println!("    gather schedule (unparsed): {line}");
+    let field = |key: &str| {
+        line.split_whitespace()
+            .filter_map(|f| f.split_once('='))
+            .find(|(k, _)| *k == key)
+            .and_then(|(_, v)| v.parse::<u64>().ok())
+    };
+    let (Some(bytes), Some(wall_us)) = (field("bytes"), field("wall_us")) else {
+        println!("    gather (unparsed): {line}");
         return;
     };
-    println!(
-        "    gather schedule: {} waves, peak {} transfers/link, \
-         {} bytes in {} us ({:.1} MiB/s)",
-        stats.waves,
-        stats.peak_link_concurrency,
-        stats.bytes,
-        stats.wall.as_micros(),
-        stats.mib_per_sec()
-    );
-    for ((a, b), bytes) in &stats.bytes_per_link {
-        println!("      link {a}-{b}: {bytes} bytes");
-    }
+    let files = field("files").map_or_else(|| "?".to_string(), |n| n.to_string());
+    let mib_s = bytes as f64 / (wall_us.max(1) as f64 / 1e6) / (1024.0 * 1024.0);
+    println!("    gather: {files} files, {bytes} bytes in {wall_us} us ({mib_s:.1} MiB/s)");
 }
 
 /// The interval's sender-side message-log footprint, when the job ran

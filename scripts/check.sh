@@ -179,6 +179,18 @@ for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
     exit 1
   fi
 done
+# One parallel executor: a gather or drain is one pass of the shared pool
+# (orte::filem::copy_batch over opal::pool::map_claimed), so the wave
+# scheduler stays deleted and no non-test code outside the pool starts
+# scoped threads.
+if grep -rnE 'orte::sched|copy_all_scheduled|GatherPlan|GatherSchedStats|filem\.sched\.plan' \
+  crates src tests examples; then exit 1; fi
+while IFS= read -r f; do
+  if awk -v f="$f" '/^#\[cfg\(test\)\]/ {exit} {print f":"FNR": "$0}' "$f" |
+    grep -E 'thread::scope\(' | grep -v '^crates/opal/src/pool\.rs:'; then
+    exit 1
+  fi
+done < <(find crates/*/src crates/*/benches src examples -name '*.rs' | sort)
 # cr-model runs the shipped machines: no hand-written commit lattice,
 # partial-restart cursor model or replica ring stays in crates/model/src.
 if grep -rnE 'enum Commit\b|enum FState|fn ring_successors' crates/model/src; then exit 1; fi

@@ -127,6 +127,10 @@ fn partial_restart_run_replays_conformant_against_partial_model() {
     job.handle().set_partial_recovery(true);
     std::thread::sleep(Duration::from_millis(30));
     let ck = job.checkpoint(&CheckpointOptions::tool()).unwrap();
+    // The interval's global commit is journaled by the write-behind gather;
+    // arm the failure only once it has landed, so the kill comes after the
+    // event the model's checkpoint maps to.
+    rt.drain_writebehind();
     app.armed.store(true, Ordering::SeqCst);
     let deadline = Instant::now() + Duration::from_secs(30);
     while job.failed_ranks().is_empty() {
